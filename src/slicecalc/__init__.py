@@ -28,11 +28,10 @@ from .slicefn import (
     representation_eval,
     slice_coordinates,
 )
-from .stem import StemFunction, make_stem
+from .stem import StemFunction
 from .operators import (
     SlicePlanePoly,
     dbar_slice,
-    finite_diff_oracle,
     g_op,
     restrict_slice_function,
     restrict_to_slice,
@@ -79,10 +78,8 @@ __all__ = [
     "decompose",
     "extract_stem",
     "extract_stem_exact",
-    "finite_diff_oracle",
     "g_op",
     "is_slice",
-    "make_stem",
     "per_slice_decomposition",
     "poly_order",
     "representation_eval",

@@ -2,7 +2,7 @@
 
 Every check body is a plain function parameterized by explicit sample counts,
 so the acceptance tests can run the same code at their own sizes.  The
-campaign wrapper derives counts from CampaignConfig: ``unit_samples`` sizes
+campaign table derives counts from CampaignConfig: ``unit_samples`` sizes
 the unit pool and ``point_samples`` the number of trial tuples per check.
 Each check seeds its own generator from (seed, check id), which makes reports
 byte-identical for a fixed config regardless of scheduling.
@@ -11,6 +11,7 @@ byte-identical for a fixed config regardless of scheduling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import perm
 from typing import Callable, Optional
 
 from .algebra import QUATERNION, AlgebraSignature, clifford, sample_units
@@ -19,7 +20,7 @@ from .named import default_domain
 from .operators import (
     dbar_slice,
     g_op,
-    plane_xbar,
+    plane_x,
     restrict_slice_function,
     restrict_to_slice,
     thetabar,
@@ -247,7 +248,7 @@ def leibniz_trials(
             # slice form on every sampled unit
             for ui, unit in enumerate(units):
                 trials += 1
-                pxbar = plane_xbar(sig, unit)
+                pxbar = plane_x(sig, -unit)
                 s_lhs = dbar_slice(xg, unit, 1).rf
                 s_rhs = restrict_to_slice(g, unit).rf.mul_poly_left(
                     pxbar ** (h - 1) * h
@@ -374,17 +375,14 @@ def decomposition_roundtrip_trials(
         for unit in units:
             ok = ok and dbar_slice(pf, unit, n).is_zero()
             plane = restrict_slice_function(f, unit)
-            pxbar = plane_xbar(sig, unit)
+            pxbar = plane_x(sig, -unit)
             for level in range(1, n):
                 deriv = plane.dbar_n(level).rf
                 total_rhs = None
                 for h in range(level, n):
-                    coeff = 1
-                    for t in range(level):
-                        coeff *= h - t
                     term = restrict_slice_function(
                         SliceFunction(domain, parts[h]), unit
-                    ).rf.mul_poly_left(pxbar ** (h - level) * coeff)
+                    ).rf.mul_poly_left(pxbar ** (h - level) * perm(h, level))
                     total_rhs = term if total_rhs is None else total_rhs + term
                 if total_rhs is not None and deriv != total_rhs:
                     ok = False
@@ -432,20 +430,34 @@ def taylor_independence_trials(
     return trials, failures, witness
 
 
-# -- campaign wrapper --------------------------------------------------------------
+# -- campaign table ----------------------------------------------------------------
 
 
-def _result(check_id, config, runner) -> CheckResult:
+def _per_signature(
+    config: CampaignConfig, check_id: str, *runs: tuple[Callable, dict]
+) -> CheckResult:
+    """Run each (body, sizes) pair on every signature and merge the verdicts.
+
+    Per signature, trials and failures add up over the bodies and the first
+    witness any body returns is kept.
+    """
     detail: dict = {}
     passed = True
     witness = None
     for sig in SIGNATURES:
-        trials, failures, w = runner(sig)
+        trials = failures = 0
+        first = None
+        for body, sizes in runs:
+            t, f, w = body(sig, config.seed, **sizes)
+            trials += t
+            failures += f
+            if first is None:
+                first = w
         detail[_sig_label(sig)] = {"trials": trials, "failures": failures}
         if failures:
             passed = False
-            if witness is None and w is not None:
-                witness = {"signature": _sig_label(sig), **w}
+            if witness is None and first is not None:
+                witness = {"signature": _sig_label(sig), **first}
     inputs = {
         "check": check_id,
         "seed": config.seed,
@@ -456,101 +468,13 @@ def _result(check_id, config, runner) -> CheckResult:
     return CheckResult(check_id, passed, digest(inputs), detail, witness)
 
 
-def _units_cap(config: CampaignConfig, cap: int) -> int:
+def _units(config: CampaignConfig, cap: int) -> int:
     return max(2, min(config.unit_samples, cap))
 
 
-def _check_slice_global(config: CampaignConfig) -> CheckResult:
-    def run(sig):
-        return slice_global_trials(
-            sig,
-            config.seed,
-            n_funcs=max(2, config.point_samples // 24),
-            n_units=_units_cap(config, 12),
-            n_points=4,
-            n_rational=2,
-        )
-
-    return _result("slice-global-coincidence", config, run)
-
-
-def _check_slice_derivative(config: CampaignConfig) -> CheckResult:
-    def run(sig):
-        return slice_derivative_trials(
-            sig,
-            config.seed,
-            n_stems=max(4, config.point_samples // 8),
-            n_units=_units_cap(config, 12),
-        )
-
-    return _result("slice-derivative-coincidence", config, run)
-
-
-def _check_leibniz(config: CampaignConfig) -> CheckResult:
-    def run(sig):
-        return leibniz_trials(
-            sig,
-            config.seed,
-            n_funcs=max(2, config.point_samples // 24),
-            n_units=_units_cap(config, 6),
-        )
-
-    return _result("leibniz", config, run)
-
-
-def _check_representation(config: CampaignConfig) -> CheckResult:
-    def run(sig):
-        return representation_trials(
-            sig,
-            config.seed,
-            n_stems=max(2, config.point_samples // 24),
-            n_triples=24,
-        )
-
-    return _result("representation", config, run)
-
-
-def _check_regularity(config: CampaignConfig) -> CheckResult:
-    def run(sig):
-        base = regularity_equivalence_trials(
-            sig,
-            config.seed,
-            n_stems=max(2, config.point_samples // 24),
-            n_units=_units_cap(config, 10),
-        )
-        extra = g_relation_trials(sig, config.seed, n_funcs=max(4, config.point_samples // 16))
-        return (
-            base[0] + extra[0],
-            base[1] + extra[1],
-            base[2] if base[2] is not None else extra[2],
-        )
-
-    return _result("regularity-equivalences", config, run)
-
-
-def _check_decomposition(config: CampaignConfig) -> CheckResult:
-    def run(sig):
-        return decomposition_roundtrip_trials(
-            sig,
-            config.seed,
-            n_tuples=max(4, config.point_samples // 10),
-            n_units=_units_cap(config, 6),
-            max_n=config.max_order,
-        )
-
-    return _result("decomposition-roundtrip", config, run)
-
-
-def _check_taylor(config: CampaignConfig) -> CheckResult:
-    def run(sig):
-        return taylor_independence_trials(
-            sig,
-            config.seed,
-            n_stems=max(4, config.point_samples // 8),
-            n_units=_units_cap(config, 16),
-        )
-
-    return _result("taylor-independence", config, run)
+def _budget(config: CampaignConfig, floor: int, per: int) -> int:
+    """A share of the per-check trial budget ``point_samples``, at least ``floor``."""
+    return max(floor, config.point_samples // per)
 
 
 def _check_counterexamples(config: CampaignConfig) -> CheckResult:
@@ -567,14 +491,54 @@ def _check_counterexamples(config: CampaignConfig) -> CheckResult:
     return CheckResult("counterexamples", report.all_passed, digest(inputs), detail, witness)
 
 
+# One row per check: its bodies and their sizes under a config.  Each value is a
+# function of its own, so a profile attributes time to each check separately.
 CHECKS: dict[str, Callable[[CampaignConfig], CheckResult]] = {
-    "slice-global-coincidence": _check_slice_global,
-    "slice-derivative-coincidence": _check_slice_derivative,
-    "leibniz": _check_leibniz,
-    "representation": _check_representation,
-    "regularity-equivalences": _check_regularity,
-    "decomposition-roundtrip": _check_decomposition,
-    "taylor-independence": _check_taylor,
+    "slice-global-coincidence": lambda c: _per_signature(
+        c,
+        "slice-global-coincidence",
+        (
+            slice_global_trials,
+            dict(n_funcs=_budget(c, 2, 24), n_units=_units(c, 12), n_points=4, n_rational=2),
+        ),
+    ),
+    "slice-derivative-coincidence": lambda c: _per_signature(
+        c,
+        "slice-derivative-coincidence",
+        (slice_derivative_trials, dict(n_stems=_budget(c, 4, 8), n_units=_units(c, 12))),
+    ),
+    "leibniz": lambda c: _per_signature(
+        c,
+        "leibniz",
+        (leibniz_trials, dict(n_funcs=_budget(c, 2, 24), n_units=_units(c, 6))),
+    ),
+    "representation": lambda c: _per_signature(
+        c,
+        "representation",
+        (representation_trials, dict(n_stems=_budget(c, 2, 24), n_triples=24)),
+    ),
+    "regularity-equivalences": lambda c: _per_signature(
+        c,
+        "regularity-equivalences",
+        (
+            regularity_equivalence_trials,
+            dict(n_stems=_budget(c, 2, 24), n_units=_units(c, 10)),
+        ),
+        (g_relation_trials, dict(n_funcs=_budget(c, 4, 16))),
+    ),
+    "decomposition-roundtrip": lambda c: _per_signature(
+        c,
+        "decomposition-roundtrip",
+        (
+            decomposition_roundtrip_trials,
+            dict(n_tuples=_budget(c, 4, 10), n_units=_units(c, 6), max_n=c.max_order),
+        ),
+    ),
+    "taylor-independence": lambda c: _per_signature(
+        c,
+        "taylor-independence",
+        (taylor_independence_trials, dict(n_stems=_budget(c, 4, 8), n_units=_units(c, 16))),
+    ),
     "counterexamples": _check_counterexamples,
 }
 

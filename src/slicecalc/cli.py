@@ -38,6 +38,10 @@ EXIT_OK = 0
 EXIT_MATH_FAILURE = 1
 EXIT_USAGE = 2
 
+# classify probes every sampled (unit, unit, point) triple, so it caps its samples
+_MAX_UNITS = 12
+_MAX_POINTS = 16
+
 
 def _default_seed() -> int:
     raw = os.environ.get("SLICECALC_SEED")
@@ -154,15 +158,20 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    sizes = {"--units": args.units, "--points": args.points, "--max-order": args.max_order}
+    for flag, value in sizes.items():
+        if value < 1:
+            raise FunctionSpecError(f"{flag} must be >= 1")
     g = _load_input(args.input)
     if isinstance(g, SliceFunction):
         g = g.to_point_function()
-    units = sample_units(g.signature, args.seed, min(args.units, 12))
+    units = sample_units(g.signature, args.seed, min(args.units, _MAX_UNITS))
     rng = rng_for(args.seed, "classify-points")
-    points = [rand_plane_point(rng, g.domain) for _ in range(min(args.points, 16))]
+    points = [rand_plane_point(rng, g.domain) for _ in range(min(args.points, _MAX_POINTS))]
     report_obj = classify(g, args.max_order, units, points)
     report = {
         "input": args.input,
+        "samples": {"units": len(units), "points": len(points)},
         "signature": signature_to_json(g.signature),
         "sbs_order": report_obj.sbs_polyanalytic_order,
         "is_slice": report_obj.is_slice,
@@ -211,8 +220,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls = sub.add_parser("classify", help="classify a function")
     p_cls.add_argument("--input", required=True, help="builtin name or JSON spec file")
     p_cls.add_argument("--seed", type=int, default=None)
-    p_cls.add_argument("--units", type=int, default=8)
-    p_cls.add_argument("--points", type=int, default=8)
+    p_cls.add_argument(
+        "--units", type=int, default=8, help=f"unit samples (at most {_MAX_UNITS} used)"
+    )
+    p_cls.add_argument(
+        "--points", type=int, default=8, help=f"plane points (at most {_MAX_POINTS} used)"
+    )
     p_cls.add_argument("--max-order", type=int, default=4)
     p_cls.add_argument("--json", default=None)
     p_cls.set_defaults(func=cmd_classify)

@@ -11,6 +11,7 @@ iterated differentiation cheap without any gcd machinery.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -24,6 +25,15 @@ from .errors import (
 
 Exponents = tuple[int, ...]
 RationalLike = Union[Fraction, int]
+
+
+def _apply_n(step, value, n: int):
+    """``step`` applied ``n`` times to ``value``: the loop behind dbar^n and powers."""
+    if n < 0:
+        raise ValueError("order must be >= 0")
+    for _ in range(n):
+        value = step(value)
+    return value
 
 
 class CoordPoly:
@@ -84,10 +94,6 @@ class CoordPoly:
         exps = tuple(1 if h == index else 0 for h in range(var_count))
         return cls(signature, var_count, {exps: AlgebraElement.one(signature)})
 
-    @classmethod
-    def monomial(cls, signature, var_count, exps, coeff) -> "CoordPoly":
-        return cls(signature, var_count, {tuple(exps): coeff})
-
     # -- structure -----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -99,9 +105,6 @@ class CoordPoly:
     def total_degree(self) -> int:
         """Maximum monomial degree; -1 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=-1)
-
-    def degree_in(self, index: int) -> int:
-        return max((e[index] for e in self.terms), default=-1)
 
     def _require_compatible(self, other: "CoordPoly") -> None:
         if self.signature != other.signature:
@@ -169,10 +172,8 @@ class CoordPoly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        out = CoordPoly.constant(self.signature, self.var_count, 1)
-        for _ in range(n):
-            out = out * self
-        return out
+        one = CoordPoly.constant(self.signature, self.var_count, 1)
+        return _apply_n(lambda out: out * self, one, n)
 
     # -- calculus ------------------------------------------------------------
 
@@ -280,42 +281,33 @@ class CoordPoly:
 
 def coord_x(signature: AlgebraSignature) -> CoordPoly:
     """The coordinate function x = x_0 + sum_h x_h e_h."""
-    n = signature.coord_count
-    terms = {}
-    unit_exp = lambda h: tuple(1 if t == h else 0 for t in range(n))  # noqa: E731
-    terms[unit_exp(0)] = AlgebraElement.one(signature)
-    for h, mask in enumerate(signature.imag_masks, start=1):
-        terms[unit_exp(h)] = AlgebraElement.basis(signature, mask)
-    return CoordPoly(signature, n, terms)
+    return CoordPoly.variable(signature, signature.coord_count, 0) + coord_im(signature)
 
 
 def coord_xbar(signature: AlgebraSignature) -> CoordPoly:
-    n = signature.coord_count
-    unit_exp = lambda h: tuple(1 if t == h else 0 for t in range(n))  # noqa: E731
-    terms = {unit_exp(0): AlgebraElement.one(signature)}
-    for h, mask in enumerate(signature.imag_masks, start=1):
-        terms[unit_exp(h)] = -AlgebraElement.basis(signature, mask)
-    return CoordPoly(signature, n, terms)
+    return CoordPoly.variable(signature, signature.coord_count, 0) - coord_im(signature)
 
 
+# Cached per signature (a CoordPoly is never mutated): thetabar and G use both per call.
+@cache
 def coord_im(signature: AlgebraSignature) -> CoordPoly:
     """Im(x) = sum_h x_h e_h as a polynomial."""
     n = signature.coord_count
-    terms = {}
+    out = CoordPoly.zero(signature, n)
     for h, mask in enumerate(signature.imag_masks, start=1):
-        exps = tuple(1 if t == h else 0 for t in range(n))
-        terms[exps] = AlgebraElement.basis(signature, mask)
-    return CoordPoly(signature, n, terms)
+        e_h = AlgebraElement.basis(signature, mask)
+        out = out + CoordPoly.variable(signature, n, h).scale_right(e_h)
+    return out
 
 
+@cache
 def coord_s(signature: AlgebraSignature) -> CoordPoly:
     """|Im(x)|^2 = sum_h x_h^2 as a real polynomial."""
     n = signature.coord_count
-    terms = {}
+    out = CoordPoly.zero(signature, n)
     for h in range(1, n):
-        exps = tuple(2 if t == h else 0 for t in range(n))
-        terms[exps] = AlgebraElement.one(signature)
-    return CoordPoly(signature, n, terms)
+        out = out + CoordPoly.variable(signature, n, h) ** 2
+    return out
 
 
 def restrict_poly(poly: CoordPoly, components: Sequence[Fraction]) -> CoordPoly:
@@ -423,10 +415,6 @@ class RationalFn:
     def from_poly(cls, poly: CoordPoly) -> "RationalFn":
         return cls._make(poly, ())
 
-    @classmethod
-    def from_ratio(cls, numer: CoordPoly, denom: CoordPoly) -> "RationalFn":
-        return cls(numer, ((denom, 1),))
-
     # -- structure --------------------------------------------------------------
 
     @property
@@ -442,12 +430,6 @@ class RationalFn:
 
     def is_polynomial(self) -> bool:
         return not self.den_factors
-
-    def den_poly(self) -> CoordPoly:
-        out = CoordPoly.constant(self.signature, self.var_count, 1)
-        for p, k in self.den_factors:
-            out = out * p**k
-        return out
 
     # -- arithmetic ----------------------------------------------------------------
 
@@ -508,9 +490,6 @@ class RationalFn:
 
     def mul_poly_left(self, poly: CoordPoly) -> "RationalFn":
         return RationalFn._make(poly * self.numer, self.den_factors)
-
-    def mul_poly_right(self, poly: CoordPoly) -> "RationalFn":
-        return RationalFn._make(self.numer * poly, self.den_factors)
 
     # -- calculus --------------------------------------------------------------------
 

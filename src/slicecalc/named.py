@@ -14,7 +14,7 @@ from typing import Optional, Union
 
 from .algebra import QUATERNION, AlgebraElement, AlgebraSignature, clifford
 from .errors import FunctionSpecError
-from .multipoly import CoordPoly, RationalFn
+from .multipoly import CoordPoly, RationalFn, coord_x
 from .slicefn import CircularDomain, PointFunction, SliceFunction
 from .stem import StemFunction
 
@@ -46,15 +46,9 @@ def _linear_point_function(
     domain: Optional[CircularDomain],
     coefficient_of,
 ) -> PointFunction:
-    n = signature.coord_count
-    basis = [AlgebraElement.one(signature)] + [
-        AlgebraElement.basis(signature, mask) for mask in signature.imag_masks
-    ]
-    terms = {}
-    for h, b in enumerate(basis):
-        exps = tuple(1 if t == h else 0 for t in range(n))
-        terms[exps] = coefficient_of(b)
-    poly = CoordPoly(signature, n, terms)
+    # x = sum_h x_h b_h with b_0 = 1; each monomial x_h gets coefficient_of(b_h)
+    terms = {exps: coefficient_of(b) for exps, b in coord_x(signature).terms.items()}
+    poly = CoordPoly(signature, signature.coord_count, terms)
     return PointFunction(domain or default_domain(), RationalFn.from_poly(poly))
 
 
@@ -87,18 +81,9 @@ def jump_example(
     it is not continuous at the origin.
     """
     n = signature.coord_count
-    zero = (0,) * n
-    num_exp = tuple(2 if t == 1 else (1 if t == 2 else 0) for t in range(n))
-    numer = CoordPoly(
-        signature, n, {num_exp: AlgebraElement.one(signature)}
-    )
-    den_terms = {
-        tuple(4 if t == 1 else 0 for t in range(n)): AlgebraElement.one(signature)
-    }
-    for h in range(2, n):
-        exps = tuple(2 if t == h else 0 for t in range(n))
-        den_terms[exps] = AlgebraElement.one(signature)
-    denom = CoordPoly(signature, n, den_terms)
+    x = [CoordPoly.variable(signature, n, h) for h in range(n)]
+    numer = x[1] ** 2 * x[2]
+    denom = sum((x[h] ** 2 for h in range(2, n)), x[1] ** 4)
     return PointFunction(
         domain or default_domain(),
         RationalFn(numer, ((denom, 1),)),

@@ -11,10 +11,10 @@ identities the verification campaigns check.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .algebra import AlgebraElement, AlgebraSignature, ImaginaryUnit, _blade_mul
-from .multipoly import CoordPoly, RationalFn, coord_im, coord_s, restrict_rf
+from .multipoly import CoordPoly, RationalFn, _apply_n, coord_im, coord_s, restrict_rf
 from .slicefn import PointFunction, SliceFunction
 
 
@@ -44,33 +44,13 @@ class SlicePlanePoly:
         return SlicePlanePoly((da + db) * Fraction(1, 2), self.unit)
 
     def dbar_n(self, n: int) -> "SlicePlanePoly":
-        if n < 0:
-            raise ValueError("order must be >= 0")
-        out = self
-        for _ in range(n):
-            out = out.dbar()
-        return out
+        return _apply_n(SlicePlanePoly.dbar, self, n)
 
     def eval_at(self, z: tuple) -> AlgebraElement:
         return self.rf.eval((Fraction(z[0]), Fraction(z[1])))
 
     def is_zero(self) -> bool:
         return self.rf.is_zero()
-
-    def left_mul_poly(self, poly: CoordPoly) -> "SlicePlanePoly":
-        return SlicePlanePoly(self.rf.mul_poly_left(poly), self.unit)
-
-    def __add__(self, other):
-        if not isinstance(other, SlicePlanePoly):
-            return NotImplemented
-        if other.unit != self.unit:
-            raise ValueError("slice-plane values belong to different slices")
-        return SlicePlanePoly(self.rf + other.rf, self.unit)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return SlicePlanePoly(self.rf * other, self.unit)
-        return NotImplemented
 
     def __eq__(self, other):
         if not isinstance(other, SlicePlanePoly):
@@ -84,20 +64,11 @@ class SlicePlanePoly:
 
 
 def plane_x(signature: AlgebraSignature, unit: ImaginaryUnit) -> CoordPoly:
-    """The inclusion map of the slice as a plane polynomial: alpha + I beta."""
+    """Slice inclusion alpha + I beta in the plane; -unit gives alpha - I beta."""
     return CoordPoly(
         signature,
         2,
         {(1, 0): AlgebraElement.one(signature), (0, 1): unit.value},
-    )
-
-
-def plane_xbar(signature: AlgebraSignature, unit: ImaginaryUnit) -> CoordPoly:
-    """Conjugate inclusion alpha - I beta."""
-    return CoordPoly(
-        signature,
-        2,
-        {(1, 0): AlgebraElement.one(signature), (0, 1): -unit.value},
     )
 
 
@@ -118,15 +89,21 @@ def dbar_slice(g: PointFunction, unit: ImaginaryUnit, order: int) -> SlicePlaneP
     return restrict_to_slice(g, unit).dbar_n(order)
 
 
-def _thetabar_once(rf: RationalFn) -> RationalFn:
+def _radial(rf: RationalFn) -> RationalFn:
+    """sum_h x_h d/dx_h over the imaginary coordinates, shared by thetabar and G."""
     sig = rf.signature
     n = rf.var_count
     radial = None
     for h in range(1, n):
         term = rf.partial(h).mul_poly_left(CoordPoly.variable(sig, n, h))
         radial = term if radial is None else radial + term
+    return radial
+
+
+def _thetabar_once(rf: RationalFn) -> RationalFn:
+    sig = rf.signature
     im_over_s = RationalFn(coord_im(sig), ((coord_s(sig), 1),))
-    return (rf.partial(0) + im_over_s * radial) * Fraction(1, 2)
+    return (rf.partial(0) + im_over_s * _radial(rf)) * Fraction(1, 2)
 
 
 def thetabar(g: PointFunction, order: int = 1) -> PointFunction:
@@ -138,10 +115,7 @@ def thetabar(g: PointFunction, order: int = 1) -> PointFunction:
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    rf = g.expr
-    for _ in range(order):
-        rf = _thetabar_once(rf)
-    return PointFunction(g.domain, rf)
+    return PointFunction(g.domain, _apply_n(_thetabar_once, g.expr, order))
 
 
 def g_op(g: PointFunction) -> PointFunction:
@@ -150,15 +124,8 @@ def g_op(g: PointFunction) -> PointFunction:
     Defined on the whole domain (no denominator is introduced); it agrees with
     2 s * thetabar(g) off the real axis.
     """
-    sig = g.signature
-    n = g.expr.var_count
-    radial = None
-    for h in range(1, n):
-        term = g.expr.partial(h).mul_poly_left(CoordPoly.variable(sig, n, h))
-        radial = term if radial is None else radial + term
-    out = g.expr.partial(0).mul_poly_left(coord_s(sig)) + radial.mul_poly_left(
-        coord_im(sig)
-    )
+    sig, rf = g.signature, g.expr
+    out = rf.partial(0).mul_poly_left(coord_s(sig)) + _radial(rf).mul_poly_left(coord_im(sig))
     return PointFunction(g.domain, out)
 
 
@@ -204,11 +171,12 @@ def _require_off_axis(coords: Sequence[float], step: float) -> float:
     return s
 
 
-def fd_thetabar(
-    g: PointFunction, coords: Sequence[float], step: float = 1e-5
-) -> dict[int, float]:
+def _fd_parts(
+    g: PointFunction, coords: Sequence[float], step: float
+) -> tuple[float, dict[int, float], dict[int, float]]:
+    """(s, dg/dx_0, Im(x) * sum_h x_h dg/dx_h) by central differences."""
     s = _require_off_axis(coords, step)
-    out = _fd_partial(g, coords, 0, step)
+    d0 = _fd_partial(g, coords, 0, step)
     radial: dict[int, float] = {}
     for h in range(1, len(coords)):
         _float_axpy(radial, coords[h], _fd_partial(g, coords, h, step))
@@ -217,25 +185,24 @@ def fd_thetabar(
         for h, mask in enumerate(g.signature.imag_masks, start=1)
         if coords[h]
     }
-    _float_axpy(out, 1.0 / s, _float_mul(im, radial))
+    return s, d0, _float_mul(im, radial)
+
+
+def fd_thetabar(
+    g: PointFunction, coords: Sequence[float], step: float = 1e-5
+) -> dict[int, float]:
+    s, out, im_radial = _fd_parts(g, coords, step)
+    _float_axpy(out, 1.0 / s, im_radial)
     return {mask: 0.5 * v for mask, v in out.items()}
 
 
 def fd_g_op(
     g: PointFunction, coords: Sequence[float], step: float = 1e-5
 ) -> dict[int, float]:
-    s = _require_off_axis(coords, step)
+    s, d0, im_radial = _fd_parts(g, coords, step)
     out: dict[int, float] = {}
-    _float_axpy(out, s, _fd_partial(g, coords, 0, step))
-    radial: dict[int, float] = {}
-    for h in range(1, len(coords)):
-        _float_axpy(radial, coords[h], _fd_partial(g, coords, h, step))
-    im = {
-        mask: coords[h]
-        for h, mask in enumerate(g.signature.imag_masks, start=1)
-        if coords[h]
-    }
-    _float_axpy(out, 1.0, _float_mul(im, radial))
+    _float_axpy(out, s, d0)
+    _float_axpy(out, 1.0, im_radial)
     return out
 
 
@@ -264,29 +231,6 @@ def fd_dbar_slice(
     out = dict(d_alpha)
     _float_axpy(out, 1.0, _float_mul(unit_f, d_beta))
     return {mask: 0.5 * v for mask, v in out.items()}
-
-
-def finite_diff_oracle(
-    g: PointFunction,
-    point: Sequence[float],
-    operator: str,
-    unit: Optional[ImaginaryUnit] = None,
-    step: float = 1e-5,
-) -> dict[int, float]:
-    """Numerical check value for one of the exact operators.
-
-    ``operator`` is "dbar_slice" (point = (alpha, beta), needs ``unit``),
-    "thetabar" or "g_op" (point = full coordinates).
-    """
-    if operator == "dbar_slice":
-        if unit is None:
-            raise ValueError("dbar_slice oracle needs a unit")
-        return fd_dbar_slice(g, unit, (point[0], point[1]), step)
-    if operator == "thetabar":
-        return fd_thetabar(g, point, step)
-    if operator == "g_op":
-        return fd_g_op(g, point, step)
-    raise ValueError(f"unknown operator {operator!r}")
 
 
 def float_agrees(

@@ -26,7 +26,6 @@ from .operators import (
     SlicePlanePoly,
     dbar_slice,
     plane_x,
-    plane_xbar,
     restrict_to_slice,
 )
 from .slicefn import (
@@ -123,7 +122,7 @@ def per_slice_decomposition(
     second = f1.dbar()
     if not second.is_zero():
         raise NotPolyanalyticOfOrderError(2, second.rf)
-    xbar = plane_xbar(g.signature, unit)
+    xbar = plane_x(g.signature, -unit)
     f0 = SlicePlanePoly(restricted.rf - f1.rf.mul_poly_left(xbar), unit)
     return f0, f1
 

@@ -17,7 +17,7 @@ from .algebra import QUATERNION, AlgebraElement, AlgebraSignature, clifford
 from .errors import FunctionSpecError, ParityViolationError, ZeroDenominatorError
 from .multipoly import CoordPoly, RationalFn
 from .slicefn import CircularDomain, PointFunction, SliceFunction, SliceWitness
-from .stem import StemFunction, make_stem
+from .stem import StemFunction
 
 
 def frac_to_str(value: Fraction) -> str:
@@ -104,7 +104,10 @@ def poly_from_terms(
             raise FunctionSpecError(
                 f"{what} exponent vector must have length {var_count}"
             )
-        key = tuple(int(e) for e in exps)
+        # bool is an int subclass; JSON true/false are not exponents either
+        if any(isinstance(e, bool) or not isinstance(e, int) for e in exps):
+            raise FunctionSpecError(f"{what} exponents must be integers, got {exps!r}")
+        key = tuple(exps)
         coeff = element_from_json(signature, item["coefficient"])
         terms[key] = terms.get(key, AlgebraElement.zero(signature)) + coeff
     try:
@@ -183,7 +186,7 @@ def function_spec_from_json(obj: Any) -> Union[SliceFunction, PointFunction]:
         f1 = poly_from_terms(signature, 2, obj.get("f1_terms"), "f1_terms")
         f2 = poly_from_terms(signature, 2, obj.get("f2_terms"), "f2_terms")
         try:
-            stem = make_stem(f1, f2)
+            stem = StemFunction(f1, f2)
         except ParityViolationError as exc:
             raise FunctionSpecError(f"stem parity violated: {exc}") from exc
         return SliceFunction(domain, stem)

@@ -20,8 +20,8 @@ from .errors import (
     PointOutsideDomainError,
     SignatureMismatchError,
 )
-from .multipoly import CoordPoly, RationalFn, coord_s, restrict_rf
-from .stem import StemFunction, make_stem
+from .multipoly import CoordPoly, RationalFn, coord_im, coord_s, restrict_rf
+from .stem import StemFunction
 
 RationalLike = Union[Fraction, int]
 
@@ -142,8 +142,6 @@ class SliceFunction:
 
     def derivative(self, order: int = 1) -> "SliceFunction":
         """The slice derivative: the slice function induced by dF/dz-bar."""
-        if order < 0:
-            raise ValueError("order must be >= 0")
         return SliceFunction(self.domain, self.stem.dbar_n(order))
 
     def plane_poly(self, unit: ImaginaryUnit) -> CoordPoly:
@@ -159,18 +157,13 @@ class SliceFunction:
         sig = self.signature
         n = sig.coord_count
         s = coord_s(sig)
+        im = coord_im(sig)
         x0 = CoordPoly.variable(sig, n, 0)
         out = CoordPoly.zero(sig, n)
         for (a, b), c in self.stem.f1.terms.items():
             out = out + (x0**a * s ** (b // 2)).scale_right(c)
         for (a, b), c in self.stem.f2.terms.items():
-            imag_part = CoordPoly.zero(sig, n)
-            for h, mask in enumerate(sig.imag_masks, start=1):
-                xh = CoordPoly.variable(sig, n, h)
-                imag_part = imag_part + xh.scale_right(
-                    AlgebraElement.basis(sig, mask) * c
-                )
-            out = out + (x0**a * s ** ((b - 1) // 2)) * imag_part
+            out = out + (x0**a * s ** ((b - 1) // 2)) * im.scale_right(c)
         return PointFunction(self.domain, RationalFn.from_poly(out))
 
     def __add__(self, other):
@@ -274,7 +267,7 @@ def extract_stem_exact(g: PointFunction, unit: ImaginaryUnit) -> StemFunction:
     f1, f2 = extract_stem(g, unit)
     if not (f1.is_polynomial() and f2.is_polynomial()):
         raise ValueError("candidate stem is not polynomial")
-    return make_stem(f1.numer, f2.numer)
+    return StemFunction(f1.numer, f2.numer)
 
 
 def representation_eval(

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .algebra import AlgebraElement, AlgebraSignature
 from .errors import ParityViolationError, SignatureMismatchError
-from .multipoly import CoordPoly
+from .multipoly import CoordPoly, _apply_n
 
 ALPHA, BETA = 0, 1
 
@@ -80,19 +80,13 @@ class StemFunction:
 
     @classmethod
     def z_pow(cls, signature, n: int) -> "StemFunction":
-        out = cls.one(signature)
         z = cls.z(signature)
-        for _ in range(n):
-            out = out * z
-        return out
+        return _apply_n(lambda out: out * z, cls.one(signature), n)
 
     @classmethod
     def zbar_pow(cls, signature, n: int) -> "StemFunction":
-        out = cls.one(signature)
         zb = cls.zbar(signature)
-        for _ in range(n):
-            out = out * zb
-        return out
+        return _apply_n(lambda out: out * zb, cls.one(signature), n)
 
     # -- structure -------------------------------------------------------------
 
@@ -156,12 +150,7 @@ class StemFunction:
         return StemFunction(g1, g2)
 
     def dbar_n(self, n: int) -> "StemFunction":
-        if n < 0:
-            raise ValueError("order must be >= 0")
-        out = self
-        for _ in range(n):
-            out = out.dbar()
-        return out
+        return _apply_n(StemFunction.dbar, self, n)
 
     def eval_at(self, alpha, beta) -> tuple[AlgebraElement, AlgebraElement]:
         point = (Fraction(alpha), Fraction(beta))
@@ -180,7 +169,3 @@ class StemFunction:
     def __repr__(self):
         return f"Stem(F1={self.f1!r}, F2={self.f2!r})"
 
-
-def make_stem(f1: CoordPoly, f2: CoordPoly) -> StemFunction:
-    """Validated stem construction; raises ParityViolationError otherwise."""
-    return StemFunction(f1, f2)

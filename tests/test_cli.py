@@ -1,10 +1,14 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from slicecalc.cli import main
 
 RUN = [sys.executable, "-m", "slicecalc"]
+GOLDEN_SMALL = Path(__file__).parent / "data" / "verify_seed7_small.json"
 
 
 def run_cli(args, capsys):
@@ -146,3 +150,46 @@ def test_module_entry_point_runs(child_env):
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["global_order"] == 2
+
+
+def test_verify_small_report_matches_golden_bytes(tmp_path, capsys):
+    # The golden file was made with the same command before the campaign checks
+    # became a table; refactors of the campaign or the kernel must not change a byte.
+    out = tmp_path / "report.json"
+    code, _, _ = run_cli(
+        ["verify", "--seed", "7", "--units", "2", "--points", "1", "--max-order", "2",
+         "--json", str(out)],
+        capsys,
+    )
+    assert code == 0
+    assert out.read_bytes() == GOLDEN_SMALL.read_bytes()
+
+
+@pytest.mark.parametrize("bad", ["a", None, 1.7, True])
+def test_classify_rejects_non_integer_exponents(tmp_path, capsys, bad):
+    spec = {
+        "representation": "stem",
+        "f1_terms": [{"exponents": [bad, 0], "coefficient": {"1": "1"}}],
+        "f2_terms": [],
+    }
+    path = tmp_path / "bad_exponent.json"
+    path.write_text(json.dumps(spec))
+    code, _, err = run_cli(["classify", "--input", str(path)], capsys)
+    assert code == 2
+    assert "exponents must be integers" in err
+
+
+@pytest.mark.parametrize(
+    "args", [["--units", "0"], ["--points", "0"], ["--max-order", "0"], ["--units", "-3"]]
+)
+def test_classify_rejects_nonpositive_sample_arguments(capsys, args):
+    code, out, err = run_cli(["classify", "--input", "x", *args], capsys)
+    assert code == 2
+    assert "must be >= 1" in err
+    assert out == ""
+
+
+def test_classify_reports_the_capped_sample_counts(capsys):
+    code, out, _ = run_cli(["classify", "--input", "x", "--units", "50", "--points", "99"], capsys)
+    assert code == 0
+    assert json.loads(out)["samples"] == {"units": 12, "points": 16}

@@ -22,7 +22,6 @@ from slicecalc.operators import (
     fd_dbar_slice,
     fd_g_op,
     fd_thetabar,
-    finite_diff_oracle,
     float_agrees,
     g_op,
     restrict_to_slice,
@@ -108,8 +107,6 @@ def test_finite_diff_oracle_reference_values():
     assert float_agrees(AlgebraElement.one(H), approx)
     with pytest.raises(ValueError):
         fd_thetabar(X_FN, (1.0, 1e-7, 0.0, 0.0))
-    with pytest.raises(ValueError):
-        finite_diff_oracle(X_FN, (1.0, 1.0, 0.0, 0.0), "unknown-op")
 
 
 def test_exact_operators_agree_with_the_oracle():

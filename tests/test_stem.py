@@ -8,7 +8,7 @@ from slicecalc.algebra import QUATERNION, AlgebraElement, clifford
 from slicecalc.errors import ParityViolationError
 from slicecalc.multipoly import CoordPoly
 from slicecalc.sampling import rand_stem, rng_for
-from slicecalc.stem import StemFunction, make_stem
+from slicecalc.stem import StemFunction
 
 H = QUATERNION
 ALPHA = CoordPoly.variable(H, 2, 0)
@@ -16,19 +16,19 @@ BETA = CoordPoly.variable(H, 2, 1)
 ZERO2 = CoordPoly.zero(H, 2)
 
 
-def test_make_stem_accepts_the_coordinate_stems():
-    z = make_stem(ALPHA, BETA)
-    zbar = make_stem(ALPHA, -BETA)
+def test_stem_constructor_accepts_the_coordinate_stems():
+    z = StemFunction(ALPHA, BETA)
+    zbar = StemFunction(ALPHA, -BETA)
     assert z == StemFunction.z(H)
     assert zbar == StemFunction.zbar(H)
 
 
-def test_make_stem_rejects_odd_f1():
+def test_stem_constructor_rejects_odd_f1():
     with pytest.raises(ParityViolationError) as err:
-        make_stem(BETA, ZERO2)
+        StemFunction(BETA, ZERO2)
     assert "beta^1" in str(err.value)
     with pytest.raises(ParityViolationError):
-        make_stem(ALPHA, ALPHA)  # F2 even in beta
+        StemFunction(ALPHA, ALPHA)  # F2 even in beta
 
 
 def _fd_dbar_oracle(stem, alpha, beta, step=1e-5):
