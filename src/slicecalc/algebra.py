@@ -183,13 +183,6 @@ class AlgebraElement:
         allowed = self.signature.paravector_masks
         return all(mask in allowed for mask in self.coeffs)
 
-    def paravector_coords(self) -> tuple[Fraction, ...]:
-        if not self.is_paravector():
-            raise NonParavectorError(f"{self!r} is not a paravector")
-        return (self.scalar_part(),) + tuple(
-            self.coeff(mask) for mask in self.signature.imag_masks
-        )
-
     # -- arithmetic --------------------------------------------------------
 
     def _require_same(self, other: "AlgebraElement") -> None:

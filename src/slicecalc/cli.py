@@ -18,6 +18,7 @@ from typing import Optional
 from .algebra import sample_units
 from .campaign import CHECKS, CampaignConfig, CampaignReport, run_campaign
 from .errors import (
+    DenominatorVanishesError,
     FunctionSpecError,
     NotPolyanalyticOfOrderError,
     SliceCalcError,
@@ -27,6 +28,7 @@ from .polyanalytic import classify, decompose
 from .sampling import rand_plane_point, rng_for
 from .serialize import (
     domain_to_json,
+    frac_to_str,
     function_spec_from_json,
     signature_to_json,
     stem_to_json,
@@ -168,7 +170,14 @@ def cmd_classify(args) -> int:
     units = sample_units(g.signature, args.seed, min(args.units, _MAX_UNITS))
     rng = rng_for(args.seed, "classify-points")
     points = [rand_plane_point(rng, g.domain) for _ in range(min(args.points, _MAX_POINTS))]
-    report_obj = classify(g, args.max_order, units, points)
+    try:
+        report_obj = classify(g, args.max_order, units, points)
+    except DenominatorVanishesError as exc:
+        # probes lie off the real axis, the only place a point function may be singular
+        point = ", ".join(frac_to_str(c) for c in exc.point)
+        raise FunctionSpecError(
+            f"denominator vanishes at ({point}) off the real axis inside the domain"
+        ) from exc
     report = {
         "input": args.input,
         "samples": {"units": len(units), "points": len(points)},

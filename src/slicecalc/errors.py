@@ -57,8 +57,9 @@ class IrrationalSliceRadiusError(SliceCalcError):
 class NotPolyanalyticOfOrderError(SliceCalcError):
     """Decomposition was requested at an order the function does not satisfy.
 
-    ``residual`` is the nonzero stem left over after differentiating ``order``
-    times; reports surface it so the failure is reproducible.
+    ``residual`` is the nonzero StemFunction left over after differentiating
+    ``order`` times; reports surface it so the failure is reproducible.  It is
+    None when the check ran on one slice restriction, which has no stem.
     """
 
     def __init__(self, order: int, residual=None):

@@ -222,17 +222,6 @@ class CoordPoly:
                 acc[mask] = prod if prev is None else prev + prod
         return AlgebraElement(self.signature, acc)
 
-    def eval_float(self, point: Sequence[float]) -> dict[int, float]:
-        acc: dict[int, float] = {}
-        for e, c in self.terms.items():
-            scalar = 1.0
-            for p, k in zip(point, e):
-                if k:
-                    scalar *= p**k
-            for mask, q in c.coeffs.items():
-                acc[mask] = acc.get(mask, 0.0) + scalar * float(q)
-        return acc
-
     # -- helpers for denominators ---------------------------------------------
 
     def scalar_coeff(self, exps: Exponents) -> Fraction:
@@ -532,14 +521,6 @@ class RationalFn:
                 raise DenominatorVanishesError(pt)
             den *= v**k
         return self.numer.eval(pt) * (Fraction(1) / den)
-
-    def eval_float(self, point: Sequence[float]) -> dict[int, float]:
-        den = 1.0
-        for p, k in self.den_factors:
-            v = p.eval_float(point).get(0, 0.0)
-            den *= v**k
-        out = self.numer.eval_float(point)
-        return {mask: v / den for mask, v in out.items()}
 
     # -- comparisons -----------------------------------------------------------------------
 

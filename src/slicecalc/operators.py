@@ -13,9 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import AlgebraElement, AlgebraSignature, ImaginaryUnit, _blade_mul
+from .algebra import AlgebraElement, AlgebraSignature, ImaginaryUnit
 from .multipoly import CoordPoly, RationalFn, _apply_n, coord_im, coord_s, restrict_rf
-from .slicefn import PointFunction, SliceFunction
+from .slicefn import PointFunction, SliceFunction, phi_coords
 
 
 class SlicePlanePoly:
@@ -32,10 +32,6 @@ class SlicePlanePoly:
             raise ValueError("slice-plane functions are bivariate")
         self.rf = rf
         self.unit = unit
-
-    @property
-    def signature(self) -> AlgebraSignature:
-        return self.rf.signature
 
     def dbar(self) -> "SlicePlanePoly":
         """One application of (d/da + I d/db)/2 with I on the left."""
@@ -129,81 +125,55 @@ def g_op(g: PointFunction) -> PointFunction:
     return PointFunction(g.domain, out)
 
 
-# -- floating-point finite-difference oracle -----------------------------------------
+# -- finite-difference oracle ----------------------------------------------------------
+#
+# The oracle takes central differences of exact values: the point and the step
+# become Fractions (exact for floats), and only the result is turned into floats.
+# It shares no code with the symbolic derivatives it checks.
 
 
 def element_to_float(value: AlgebraElement) -> dict[int, float]:
     return {mask: float(c) for mask, c in value.coeffs.items()}
 
 
-def _float_mul(a: dict[int, float], b: dict[int, float]) -> dict[int, float]:
-    acc: dict[int, float] = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            mask, sign = _blade_mul(ma, mb)
-            acc[mask] = acc.get(mask, 0.0) + sign * ca * cb
-    return acc
-
-
-def _float_axpy(acc: dict[int, float], scale: float, other: dict[int, float]) -> None:
-    for mask, v in other.items():
-        acc[mask] = acc.get(mask, 0.0) + scale * v
-
-
-def _fd_partial(
-    g: PointFunction, coords: Sequence[float], index: int, step: float
-) -> dict[int, float]:
-    up = list(coords)
-    down = list(coords)
+def _central(f, point: Sequence[Fraction], index: int, step: Fraction) -> AlgebraElement:
+    """(f(up) - f(down)) / (2 step), with coordinate ``index`` moved by +-step."""
+    up = list(point)
+    down = list(point)
     up[index] += step
     down[index] -= step
-    plus = g.expr.eval_float(up)
-    out: dict[int, float] = {}
-    _float_axpy(out, 1.0 / (2.0 * step), plus)
-    _float_axpy(out, -1.0 / (2.0 * step), g.expr.eval_float(down))
-    return out
-
-
-def _require_off_axis(coords: Sequence[float], step: float) -> float:
-    s = sum(c * c for c in coords[1:])
-    if s**0.5 <= 10.0 * step:
-        raise ValueError("point is too close to the real axis for the oracle step")
-    return s
+    return (f(up) - f(down)) / (2 * step)
 
 
 def _fd_parts(
     g: PointFunction, coords: Sequence[float], step: float
-) -> tuple[float, dict[int, float], dict[int, float]]:
+) -> tuple[Fraction, AlgebraElement, AlgebraElement]:
     """(s, dg/dx_0, Im(x) * sum_h x_h dg/dx_h) by central differences."""
-    s = _require_off_axis(coords, step)
-    d0 = _fd_partial(g, coords, 0, step)
-    radial: dict[int, float] = {}
-    for h in range(1, len(coords)):
-        _float_axpy(radial, coords[h], _fd_partial(g, coords, h, step))
-    im = {
-        mask: coords[h]
-        for h, mask in enumerate(g.signature.imag_masks, start=1)
-        if coords[h]
-    }
-    return s, d0, _float_mul(im, radial)
+    point = [Fraction(c) for c in coords]
+    step = Fraction(step)
+    s = sum(c * c for c in point[1:])
+    if s <= (10 * step) ** 2:
+        raise ValueError("point is too close to the real axis for the oracle step")
+    d0 = _central(g.expr.eval, point, 0, step)
+    radial = AlgebraElement.zero(g.signature)
+    for h in range(1, len(point)):
+        radial = radial + _central(g.expr.eval, point, h, step) * point[h]
+    im = AlgebraElement.from_paravector_coords(g.signature, [0] + point[1:])
+    return s, d0, im * radial
 
 
 def fd_thetabar(
     g: PointFunction, coords: Sequence[float], step: float = 1e-5
 ) -> dict[int, float]:
-    s, out, im_radial = _fd_parts(g, coords, step)
-    _float_axpy(out, 1.0 / s, im_radial)
-    return {mask: 0.5 * v for mask, v in out.items()}
+    s, d0, im_radial = _fd_parts(g, coords, step)
+    return element_to_float((d0 + im_radial / s) / 2)
 
 
 def fd_g_op(
     g: PointFunction, coords: Sequence[float], step: float = 1e-5
 ) -> dict[int, float]:
     s, d0, im_radial = _fd_parts(g, coords, step)
-    out: dict[int, float] = {}
-    _float_axpy(out, s, d0)
-    _float_axpy(out, 1.0, im_radial)
-    return out
+    return element_to_float(d0 * s + im_radial)
 
 
 def fd_dbar_slice(
@@ -213,24 +183,17 @@ def fd_dbar_slice(
     step: float = 1e-5,
 ) -> dict[int, float]:
     """Central-difference estimate of the first slice derivative at z."""
-    if abs(z[1]) <= 10.0 * step:
+    point = (Fraction(z[0]), Fraction(z[1]))
+    step = Fraction(step)
+    if abs(point[1]) <= 10 * step:
         raise ValueError("point is too close to the real axis for the oracle step")
-    comps = [float(c) for c in unit.components()]
 
-    def at(alpha: float, beta: float) -> dict[int, float]:
-        return g.expr.eval_float([alpha] + [c * beta for c in comps])
+    def at(ab: Sequence[Fraction]) -> AlgebraElement:
+        return g.expr.eval(phi_coords(unit, *ab))
 
-    alpha, beta = z
-    d_alpha: dict[int, float] = {}
-    _float_axpy(d_alpha, 1.0 / (2.0 * step), at(alpha + step, beta))
-    _float_axpy(d_alpha, -1.0 / (2.0 * step), at(alpha - step, beta))
-    d_beta: dict[int, float] = {}
-    _float_axpy(d_beta, 1.0 / (2.0 * step), at(alpha, beta + step))
-    _float_axpy(d_beta, -1.0 / (2.0 * step), at(alpha, beta - step))
-    unit_f = element_to_float(unit.value)
-    out = dict(d_alpha)
-    _float_axpy(out, 1.0, _float_mul(unit_f, d_beta))
-    return {mask: 0.5 * v for mask, v in out.items()}
+    d_alpha = _central(at, point, 0, step)
+    d_beta = _central(at, point, 1, step)
+    return element_to_float((d_alpha + unit.value * d_beta) / 2)
 
 
 def float_agrees(

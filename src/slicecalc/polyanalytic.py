@@ -121,7 +121,7 @@ def per_slice_decomposition(
     f1 = restricted.dbar()
     second = f1.dbar()
     if not second.is_zero():
-        raise NotPolyanalyticOfOrderError(2, second.rf)
+        raise NotPolyanalyticOfOrderError(2)
     xbar = plane_x(g.signature, -unit)
     f0 = SlicePlanePoly(restricted.rf - f1.rf.mul_poly_left(xbar), unit)
     return f0, f1

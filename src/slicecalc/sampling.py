@@ -26,10 +26,11 @@ def rand_fraction(rng: Random, max_num: int = 8, max_den: int = 5) -> Fraction:
     return Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
 
 
-def rand_element(
-    rng: Random, signature: AlgebraSignature, max_terms: int = 3
-) -> AlgebraElement:
-    masks = rng.sample(range(signature.dim), k=min(max_terms, signature.dim))
+_ELEMENT_TERMS = 3
+
+
+def rand_element(rng: Random, signature: AlgebraSignature) -> AlgebraElement:
+    masks = rng.sample(range(signature.dim), k=min(_ELEMENT_TERMS, signature.dim))
     return AlgebraElement(signature, {m: rand_fraction(rng) for m in masks})
 
 
@@ -156,24 +157,19 @@ def rand_regular_tuple(
 
 
 def rand_plane_point(
-    rng: Random,
-    domain: Optional[CircularDomain] = None,
-    off_axis: bool = True,
+    rng: Random, domain: Optional[CircularDomain] = None
 ) -> tuple[Fraction, Fraction]:
-    """Rational point (alpha, beta) of D, with beta > 0 unless off_axis=False."""
+    """Rational point (alpha, beta) of D with beta > 0."""
     domain = domain or default_domain()
     if domain.shape == "ball":
         r = domain.radius
         alpha = domain.center + r * Fraction(rng.randint(-4, 4), 9)
-        lo = 1 if off_axis else 0
-        beta = r * Fraction(rng.randint(lo, 4), 9)
-        if off_axis and beta == 0:
-            beta = r * Fraction(1, 9)
+        beta = r * Fraction(rng.randint(1, 4), 9)
         return alpha, beta
     # annulus: rejection sampling in the bounding box of the outer radius
     for _ in range(10_000):
         alpha = domain.center + domain.r_out * Fraction(rng.randint(-8, 8), 9)
-        beta = domain.r_out * Fraction(rng.randint(1 if off_axis else 0, 8), 9)
+        beta = domain.r_out * Fraction(rng.randint(1, 8), 9)
         if domain.contains(alpha, beta):
             return alpha, beta
     raise RuntimeError("failed to sample a point of the annulus")

@@ -166,20 +166,6 @@ class SliceFunction:
             out = out + (x0**a * s ** ((b - 1) // 2)) * im.scale_right(c)
         return PointFunction(self.domain, RationalFn.from_poly(out))
 
-    def __add__(self, other):
-        if not isinstance(other, SliceFunction):
-            return NotImplemented
-        if self.domain != other.domain:
-            raise ValueError("slice functions live on different domains")
-        return SliceFunction(self.domain, self.stem + other.stem)
-
-    def __sub__(self, other):
-        if not isinstance(other, SliceFunction):
-            return NotImplemented
-        if self.domain != other.domain:
-            raise ValueError("slice functions live on different domains")
-        return SliceFunction(self.domain, self.stem - other.stem)
-
     def __eq__(self, other):
         if not isinstance(other, SliceFunction):
             return NotImplemented
@@ -223,9 +209,6 @@ class PointFunction:
     def signature(self) -> AlgebraSignature:
         return self.expr.signature
 
-    def is_polynomial(self) -> bool:
-        return self.expr.is_polynomial()
-
     def eval_coords(self, coords: Sequence[RationalLike]) -> AlgebraElement:
         pt = [Fraction(c) for c in coords]
         alpha = pt[0]
@@ -235,9 +218,6 @@ class PointFunction:
         if not beta_sq and self.real_value is not None:
             return self.real_value
         return self.expr.eval(pt)
-
-    def eval_at(self, x: AlgebraElement) -> AlgebraElement:
-        return self.eval_coords(x.paravector_coords())
 
     def __repr__(self):
         return f"PointFunction({self.expr!r})"

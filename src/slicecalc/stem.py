@@ -108,9 +108,6 @@ class StemFunction:
             return NotImplemented
         return StemFunction(self.f1 - other.f1, self.f2 - other.f2)
 
-    def __neg__(self):
-        return StemFunction(-self.f1, -self.f2)
-
     def __mul__(self, other):
         """Pointwise product in the algebra tensored with the complex units.
 
@@ -130,9 +127,6 @@ class StemFunction:
         if isinstance(other, (int, Fraction)):
             return self * other
         return NotImplemented
-
-    def scale_left(self, coeff: AlgebraElement) -> "StemFunction":
-        return StemFunction(self.f1.scale_left(coeff), self.f2.scale_left(coeff))
 
     def scale_right(self, coeff: AlgebraElement) -> "StemFunction":
         return StemFunction(self.f1.scale_right(coeff), self.f2.scale_right(coeff))

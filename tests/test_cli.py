@@ -193,3 +193,19 @@ def test_classify_reports_the_capped_sample_counts(capsys):
     code, out, _ = run_cli(["classify", "--input", "x", "--units", "50", "--points", "99"], capsys)
     assert code == 0
     assert json.loads(out)["samples"] == {"units": 12, "points": 16}
+
+
+def test_classify_rejects_a_denominator_vanishing_off_the_real_axis(tmp_path, capsys):
+    # 1 / x_0 is singular at sampled points off the real axis: the spec breaks the
+    # point-function contract, which is a parse error, not a mathematical failure
+    spec = {
+        "representation": "rational",
+        "numerator_terms": [{"exponents": [0, 0, 0, 0], "coefficient": {"1": "1"}}],
+        "denominator_terms": [{"exponents": [1, 0, 0, 0], "coefficient": {"1": "1"}}],
+    }
+    path = tmp_path / "vanishing_denominator.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(["classify", "--input", str(path)], capsys)
+    assert code == 2
+    assert "denominator vanishes at (0/1, 4/9, 0/1, 0/1)" in err
+    assert out == ""

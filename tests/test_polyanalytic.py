@@ -108,6 +108,19 @@ def test_per_slice_decomposition_requires_order_two():
         per_slice_decomposition(f, I_U)
 
 
+def test_not_polyanalytic_residual_is_a_stem_or_none():
+    # decompose reports the stem left after differentiating; one slice has no stem
+    with pytest.raises(NotPolyanalyticOfOrderError) as err:
+        decompose(slice_of(StemFunction.zbar_pow(H, 2)), 2)
+    assert isinstance(err.value.residual, StemFunction)
+    assert err.value.residual == StemFunction.constant(H, 2)
+    pf = slice_of(StemFunction.zbar_pow(H, 2)).to_point_function()
+    with pytest.raises(NotPolyanalyticOfOrderError) as err:
+        per_slice_decomposition(pf, I_U)
+    assert err.value.order == 2
+    assert err.value.residual is None
+
+
 def _classify(g):
     rng = rng_for(7, "classify-points")
     points = [rand_plane_point(rng) for _ in range(5)]
