@@ -2,15 +2,21 @@
 
 Elements carry arbitrary-precision rational coefficients over the blade basis,
 so every identity checked downstream is an equality of exact rationals instead
-of a floating-point comparison.  Quaternions are stored on the two-generator
-blade basis (i, j, k = e1, e2, e1e2), which makes the classical multiplication
-table a special case of the general blade product.
+of a floating-point comparison.  ``Fraction`` is the stored and API-edge type;
+the inner loop of the product adds up Python ``int`` numerators over one
+common denominator and builds one normalized ``Fraction`` per output blade at
+the end (``_int_product``, shared with the polynomial product).  Quaternions
+are stored on the two-generator blade basis (i, j, k = e1, e2, e1e2), which
+makes the classical multiplication table a special case of the general blade
+product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from math import lcm
 from random import Random
 from typing import Iterable, Mapping, Union
 
@@ -98,6 +104,9 @@ def clifford(m: int) -> AlgebraSignature:
     return AlgebraSignature("clifford", m)
 
 
+# Memoized per pair of masks actually multiplied, never as a dense dim x dim
+# table: clifford(200) has 2^200 blades.
+@cache
 def _blade_mul(ma: int, mb: int) -> tuple[int, int]:
     """Product of basis blades: result mask and sign.
 
@@ -113,6 +122,52 @@ def _blade_mul(ma: int, mb: int) -> tuple[int, int]:
     if (ma & mb).bit_count() & 1:
         sign = -sign
     return ma ^ mb, sign
+
+
+def _int_rows(items):
+    """Common denominator of (key, element) pairs and their integer rows.
+
+    Returns ``den`` and ``[(key, coeffs, numerators), ...]``: each element's
+    coefficient dict and the list of its numerators over ``den``, in the
+    dict's order, so ``zip(coeffs, numerators)`` pairs masks with integers.
+    """
+    # a list, not a generator: a tuple built from a generator is resized, and
+    # freeing it at its final size fills CPython's tuple free lists (peak RSS)
+    den = lcm(*[q.denominator for _, c in items for q in c.coeffs.values()])
+    rows = [
+        (key, c.coeffs, [q.numerator * (den // q.denominator) for q in c.coeffs.values()])
+        for key, c in items
+    ]
+    return den, rows
+
+
+def _int_product(left, right, combine):
+    """Integer core of the algebra and polynomial products.
+
+    ``left`` and ``right`` are sequences of (key, AlgebraElement), multiplied
+    in order.  Every pair of terms adds its blade products, as integer
+    numerators over one common denominator, under ``combine(key_a, key_b)``.
+    Returns the denominator and ``{key: {mask: numerator}}``.
+    """
+    den_a, rows_a = _int_rows(left)
+    den_b, rows_b = _int_rows(right)
+    acc: dict = {}
+    for ka, masks_a, nums_a in rows_a:
+        for kb, masks_b, nums_b in rows_b:
+            key = combine(ka, kb)
+            out = acc.get(key)
+            if out is None:
+                out = acc[key] = {}
+            for ma, na in zip(masks_a, nums_a):
+                for mb, nb in zip(masks_b, nums_b):
+                    mask, sign = _blade_mul(ma, mb)
+                    prev = out.get(mask, 0)
+                    out[mask] = prev + na * nb if sign > 0 else prev - na * nb
+    return den_a * den_b, acc
+
+
+def _no_key(ka, kb):
+    return None
 
 
 class AlgebraElement:
@@ -132,6 +187,17 @@ class AlgebraElement:
         self.signature = signature
         self.coeffs = clean
         self._hash = None
+
+    @classmethod
+    def _from_ints(
+        cls, signature: AlgebraSignature, numerators: Mapping[int, int], den: int
+    ) -> "AlgebraElement":
+        """Fast path: ``numerators[mask] / den`` on valid masks, zeros pruned."""
+        obj = object.__new__(cls)
+        obj.signature = signature
+        obj.coeffs = {m: Fraction(n, den) for m, n in numerators.items() if n}
+        obj._hash = None
+        return obj
 
     # -- constructors ------------------------------------------------------
 
@@ -197,7 +263,8 @@ class AlgebraElement:
         self._require_same(other)
         acc = dict(self.coeffs)
         for mask, c in other.coeffs.items():
-            acc[mask] = acc.get(mask, Fraction(0)) + c
+            prev = acc.get(mask)
+            acc[mask] = c if prev is None else prev + c
         return AlgebraElement(self.signature, acc)
 
     def __sub__(self, other):
@@ -211,13 +278,8 @@ class AlgebraElement:
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             self._require_same(other)
-            acc: dict[int, Fraction] = {}
-            for ma, ca in self.coeffs.items():
-                for mb, cb in other.coeffs.items():
-                    mask, sign = _blade_mul(ma, mb)
-                    q = ca * cb
-                    acc[mask] = acc.get(mask, Fraction(0)) + (q if sign > 0 else -q)
-            return AlgebraElement(self.signature, acc)
+            den, acc = _int_product(((None, self),), ((None, other),), _no_key)
+            return AlgebraElement._from_ints(self.signature, acc.get(None, {}), den)
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
             return AlgebraElement(

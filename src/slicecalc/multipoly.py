@@ -6,6 +6,14 @@ terms multiplies coefficients in order.  Rational functions keep a polynomial
 numerator over a real-scalar denominator stored in factored form: the quotient
 rule bumps factor exponents instead of squaring expanded products, which keeps
 iterated differentiation cheap without any gcd machinery.
+
+Coefficients are stored as ``Fraction``s, which stay the API-edge type, but
+the hot inner loops add up Python ``int`` numerators over one common
+denominator.  The product goes through the integer core of the algebra
+product.  Point evaluation caches an integer form of the polynomial (one
+coefficient denominator, integer numerators, the total degree), puts the point
+over a common denominator and homogenizes every term to the total degree, so
+each output blade is one ``Fraction`` built at the end.
 """
 
 from __future__ import annotations
@@ -13,9 +21,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
+from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
-from .algebra import AlgebraElement, AlgebraSignature
+from .algebra import AlgebraElement, AlgebraSignature, _int_product, _int_rows
 from .errors import (
     ArityMismatchError,
     DenominatorVanishesError,
@@ -36,10 +45,14 @@ def _apply_n(step, value, n: int):
     return value
 
 
+def _add_exponents(ea: Exponents, eb: Exponents) -> Exponents:
+    return tuple(map(add, ea, eb))
+
+
 class CoordPoly:
     """Polynomial in central real variables with AlgebraElement coefficients."""
 
-    __slots__ = ("signature", "var_count", "terms", "_hash")
+    __slots__ = ("signature", "var_count", "terms", "_hash", "_ints")
 
     def __init__(
         self,
@@ -64,6 +77,7 @@ class CoordPoly:
         self.var_count = var_count
         self.terms = clean
         self._hash = None
+        self._ints = None
 
     @classmethod
     def _make(cls, signature, var_count, raw: dict[Exponents, AlgebraElement]):
@@ -73,6 +87,7 @@ class CoordPoly:
         obj.var_count = var_count
         obj.terms = {e: c for e, c in raw.items() if not c.is_zero()}
         obj._hash = None
+        obj._ints = None
         return obj
 
     # -- constructors --------------------------------------------------------
@@ -139,14 +154,10 @@ class CoordPoly:
     def __mul__(self, other):
         if isinstance(other, CoordPoly):
             self._require_compatible(other)
-            acc: dict[Exponents, AlgebraElement] = {}
-            for ea, ca in self.terms.items():
-                for eb, cb in other.terms.items():
-                    key = tuple(x + y for x, y in zip(ea, eb))
-                    prod = ca * cb
-                    prev = acc.get(key)
-                    acc[key] = prod if prev is None else prev + prod
-            return CoordPoly._make(self.signature, self.var_count, acc)
+            sig = self.signature
+            den, acc = _int_product(self.terms.items(), other.terms.items(), _add_exponents)
+            terms = {e: AlgebraElement._from_ints(sig, ints, den) for e, ints in acc.items()}
+            return CoordPoly._make(sig, self.var_count, terms)
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
             return CoordPoly._make(
@@ -192,35 +203,46 @@ class CoordPoly:
         return CoordPoly._make(self.signature, self.var_count, acc)
 
     def eval(self, point: Sequence[RationalLike]) -> AlgebraElement:
+        """The value at ``point``, added up in integers and divided once per blade.
+
+        The integer form cached on the polynomial holds the common coefficient
+        denominator L, the total degree D, the largest exponent per variable,
+        and per term its nonzero (variable, exponent) pairs, D - |e| and the
+        integer numerators N over L.  With the point over a common denominator
+        d (integer numerators a_i), a term contributes N prod(a_i^e_i)
+        d^(D - |e|) over L d^D.
+        """
         if len(point) != self.var_count:
             raise ArityMismatchError(
                 f"point arity {len(point)} != var count {self.var_count}"
             )
-        one = Fraction(1)
+        if self._ints is None:
+            den, rows = _int_rows(self.terms.items())
+            degree = max((sum(e) for e in self.terms), default=0)
+            tops = [max((e[i] for e in self.terms), default=0) for i in range(self.var_count)]
+            rows = [
+                (tuple((i, k) for i, k in enumerate(e) if k), degree - sum(e), [*zip(masks, nums)])
+                for e, masks, nums in rows
+            ]
+            self._ints = (den, degree, tops, rows)
+        den, degree, tops, rows = self._ints
         pt = [p if isinstance(p, Fraction) else Fraction(p) for p in point]
-        pows: list[dict[int, Fraction]] = [{0: one, 1: p} for p in pt]
-        acc: dict[int, Fraction] = {}
-        for e, c in self.terms.items():
-            scalar = one
-            for i, k in enumerate(e):
-                if not k:
-                    continue
-                cache = pows[i]
-                v = cache.get(k)
-                if v is None:
-                    v = cache[1] ** k
-                    cache[k] = v
-                if not v:
-                    scalar = None
-                    break
-                scalar = scalar * v
-            if scalar is None:
+        d = lcm(*[p.denominator for p in pt])
+        pows = []
+        for p, top in zip(pt, tops):
+            a = p.numerator * (d // p.denominator)
+            pows.append([a**k for k in range(top + 1)])
+        d_pows = [d**k for k in range(degree + 1)]
+        acc: dict[int, int] = {}
+        for factors, gap, ints in rows:
+            scalar = d_pows[gap]
+            for i, k in factors:
+                scalar *= pows[i][k]
+            if not scalar:
                 continue
-            for mask, q in c.coeffs.items():
-                prod = scalar * q
-                prev = acc.get(mask)
-                acc[mask] = prod if prev is None else prev + prod
-        return AlgebraElement(self.signature, acc)
+            for mask, n in ints:
+                acc[mask] = acc.get(mask, 0) + n * scalar
+        return AlgebraElement._from_ints(self.signature, acc, den * d_pows[degree])
 
     # -- helpers for denominators ---------------------------------------------
 
@@ -520,7 +542,8 @@ class RationalFn:
             if not v:
                 raise DenominatorVanishesError(pt)
             den *= v**k
-        return self.numer.eval(pt) * (Fraction(1) / den)
+        value = self.numer.eval(pt)
+        return AlgebraElement(self.signature, {m: c / den for m, c in value.coeffs.items()})
 
     # -- comparisons -----------------------------------------------------------------------
 

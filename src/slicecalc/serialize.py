@@ -3,7 +3,8 @@
 Rationals are serialized as "p/q" strings and parsed from "p/q", "p", plain
 integers or [p, q] pairs; floats never appear in reports, so exactness
 survives the round trip.  This module also parses function-spec files into
-SliceFunction or PointFunction values.
+SliceFunction or PointFunction values, within input limits that keep a spec
+file from requesting unbounded work.
 """
 
 from __future__ import annotations
@@ -18,6 +19,18 @@ from .errors import FunctionSpecError, ParityViolationError, ZeroDenominatorErro
 from .multipoly import CoordPoly, RationalFn
 from .slicefn import CircularDomain, PointFunction, SliceFunction, SliceWitness
 from .stem import StemFunction
+
+# Input limits for spec files; exceeding one is a FunctionSpecError (exit 2).
+# Exact evaluation homogenizes every term to the total degree, so the cost of
+# a spec grows with its exponents as well as with its term count and dim = 2^m.
+MAX_EXPONENT = 64
+MAX_TERMS = 1024
+MAX_CLIFFORD_M = 8
+
+
+def _is_json_int(value: Any) -> bool:
+    # bool is an int subclass; JSON true/false are not integers here
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def frac_to_str(value: Fraction) -> str:
@@ -52,9 +65,14 @@ def signature_from_json(obj: Any) -> AlgebraSignature:
     if kind == "quaternion":
         return QUATERNION
     if kind == "clifford":
+        m = obj.get("m")
+        if not _is_json_int(m):
+            raise FunctionSpecError(f"clifford 'm' must be an integer, got {m!r}")
+        if m > MAX_CLIFFORD_M:
+            raise FunctionSpecError(f"clifford 'm' = {m} exceeds the limit {MAX_CLIFFORD_M}")
         try:
-            return clifford(int(obj["m"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            return clifford(m)
+        except ValueError as exc:
             raise FunctionSpecError(f"bad clifford signature: {exc}") from exc
     raise FunctionSpecError(f"unknown signature kind {kind!r}")
 
@@ -93,6 +111,8 @@ def poly_from_terms(
         items = []
     if not isinstance(items, list):
         raise FunctionSpecError(f"{what} must be a list of terms")
+    if len(items) > MAX_TERMS:
+        raise FunctionSpecError(f"{what} has {len(items)} terms, over the limit {MAX_TERMS}")
     terms: dict[tuple[int, ...], AlgebraElement] = {}
     for item in items:
         if not isinstance(item, dict) or "exponents" not in item or "coefficient" not in item:
@@ -104,9 +124,10 @@ def poly_from_terms(
             raise FunctionSpecError(
                 f"{what} exponent vector must have length {var_count}"
             )
-        # bool is an int subclass; JSON true/false are not exponents either
-        if any(isinstance(e, bool) or not isinstance(e, int) for e in exps):
+        if not all(_is_json_int(e) for e in exps):
             raise FunctionSpecError(f"{what} exponents must be integers, got {exps!r}")
+        if any(e > MAX_EXPONENT for e in exps):
+            raise FunctionSpecError(f"{what} exponent over the limit {MAX_EXPONENT}: {exps!r}")
         key = tuple(exps)
         coeff = element_from_json(signature, item["coefficient"])
         terms[key] = terms.get(key, AlgebraElement.zero(signature)) + coeff

@@ -209,3 +209,35 @@ def test_classify_rejects_a_denominator_vanishing_off_the_real_axis(tmp_path, ca
     assert code == 2
     assert "denominator vanishes at (0/1, 4/9, 0/1, 0/1)" in err
     assert out == ""
+
+
+def _stem_spec(f1_terms, signature=None):
+    spec = {"representation": "stem", "f1_terms": f1_terms, "f2_terms": []}
+    if signature is not None:
+        spec["signature"] = signature
+    return spec
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (_stem_spec([{"exponents": [65, 0], "coefficient": {"1": "1"}}]),
+         "exponent over the limit 64"),
+        (_stem_spec([{"exponents": [0, 0], "coefficient": {"1": "1"}}] * 1025),
+         "1025 terms, over the limit 1024"),
+        (_stem_spec([], {"kind": "clifford", "m": 9}), "exceeds the limit 8"),
+        (_stem_spec([], {"kind": "clifford", "m": 3.7}), "'m' must be an integer"),
+        (_stem_spec([], {"kind": "clifford", "m": "3"}), "'m' must be an integer"),
+        (_stem_spec([], {"kind": "clifford", "m": True}), "'m' must be an integer"),
+        (_stem_spec([], {"kind": "clifford"}), "'m' must be an integer"),
+    ],
+    ids=["exponent-65", "terms-1025", "m-9", "m-3.7", "m-string", "m-true", "m-missing"],
+)
+def test_classify_rejects_specs_over_the_input_limits(tmp_path, capsys, spec, message):
+    path = tmp_path / "over_limit.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(["classify", "--input", str(path)], capsys)
+    assert code == 2
+    assert message in err
+    assert "Traceback" not in err
+    assert out == ""

@@ -6,6 +6,9 @@ from slicecalc.algebra import QUATERNION, AlgebraElement, clifford
 from slicecalc.errors import FunctionSpecError
 from slicecalc.multipoly import CoordPoly
 from slicecalc.serialize import (
+    MAX_CLIFFORD_M,
+    MAX_EXPONENT,
+    MAX_TERMS,
     domain_from_json,
     domain_to_json,
     element_from_json,
@@ -147,3 +150,20 @@ def test_spec_parse_failures():
                 ],
             }
         )
+
+
+def test_spec_values_at_the_input_limits_parse():
+    widest = {"kind": "clifford", "m": MAX_CLIFFORD_M}
+    assert signature_from_json(widest) == clifford(MAX_CLIFFORD_M)
+    high = poly_from_terms(
+        H, 2, [{"exponents": [MAX_EXPONENT, 0], "coefficient": {"1": "1"}}], "f1_terms"
+    )
+    assert high.total_degree() == MAX_EXPONENT
+    many = [
+        {"exponents": [k, 0], "coefficient": {"1": "1"}} for k in range(MAX_TERMS // 32)
+    ] * 32
+    assert len(many) == MAX_TERMS
+    assert len(poly_from_terms(H, 2, many, "f1_terms").terms) == MAX_TERMS // 32
+    for bad in ({"kind": "clifford", "m": MAX_CLIFFORD_M + 1}, {"kind": "clifford", "m": 1}):
+        with pytest.raises(FunctionSpecError):
+            signature_from_json(bad)
