@@ -189,15 +189,20 @@ class AlgebraElement:
         self._hash = None
 
     @classmethod
+    def _make(cls, signature: AlgebraSignature, coeffs: dict[int, Fraction]) -> "AlgebraElement":
+        """Fast path: ``coeffs`` already maps valid masks to nonzero Fractions."""
+        obj = object.__new__(cls)
+        obj.signature = signature
+        obj.coeffs = coeffs
+        obj._hash = None
+        return obj
+
+    @classmethod
     def _from_ints(
         cls, signature: AlgebraSignature, numerators: Mapping[int, int], den: int
     ) -> "AlgebraElement":
         """Fast path: ``numerators[mask] / den`` on valid masks, zeros pruned."""
-        obj = object.__new__(cls)
-        obj.signature = signature
-        obj.coeffs = {m: Fraction(n, den) for m, n in numerators.items() if n}
-        obj._hash = None
-        return obj
+        return cls._make(signature, {m: Fraction(n, den) for m, n in numerators.items() if n})
 
     # -- constructors ------------------------------------------------------
 
@@ -273,7 +278,7 @@ class AlgebraElement:
         return self + (-other)
 
     def __neg__(self):
-        return AlgebraElement(self.signature, {m: -c for m, c in self.coeffs.items()})
+        return AlgebraElement._make(self.signature, {m: -c for m, c in self.coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
@@ -281,10 +286,9 @@ class AlgebraElement:
             den, acc = _int_product(((None, self),), ((None, other),), _no_key)
             return AlgebraElement._from_ints(self.signature, acc.get(None, {}), den)
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return AlgebraElement(
-                self.signature, {m: c * q for m, c in self.coeffs.items()}
-            )
+            # a nonzero scalar keeps every coefficient nonzero
+            coeffs = {m: c * other for m, c in self.coeffs.items()} if other else {}
+            return AlgebraElement._make(self.signature, coeffs)
         return NotImplemented
 
     def __rmul__(self, other):

@@ -18,6 +18,7 @@ from .algebra import QUATERNION, AlgebraSignature, clifford, sample_units
 from .multipoly import coord_s, coord_xbar
 from .named import default_domain
 from .operators import (
+    SlicePlanePoly,
     dbar_slice,
     g_op,
     plane_x,
@@ -144,6 +145,14 @@ def slice_global_trials(
     return trials, failures, witness
 
 
+def _dbar_levels(plane: SlicePlanePoly, top: int) -> list[SlicePlanePoly]:
+    """[plane, dbar plane, ..., dbar^top plane], each level one step from the last."""
+    levels = [plane]
+    for _ in range(top):
+        levels.append(levels[-1].dbar())
+    return levels
+
+
 def slice_derivative_trials(
     sig: AlgebraSignature,
     seed: int,
@@ -175,13 +184,17 @@ def slice_derivative_trials(
                 )
         f = SliceFunction(domain, stem)
         pf = f.to_point_function()
+        # each side restricted once per unit; level n is one dbar step from n - 1
+        top = max(orders)
+        stem_side = [_dbar_levels(restrict_slice_function(f, unit), top) for unit in units]
+        coord_side = [_dbar_levels(restrict_to_slice(pf, unit), top) for unit in units]
         for n in orders:
             derived = f.derivative(n)
             for ui, unit in enumerate(units):
                 trials += 1
                 want = restrict_slice_function(derived, unit).rf
-                via_plane = restrict_slice_function(f, unit).dbar_n(n).rf
-                via_coords = dbar_slice(pf, unit, n).rf
+                via_plane = stem_side[ui][n].rf
+                via_coords = coord_side[ui][n].rf
                 if want != via_plane or want != via_coords:
                     failures += 1
                     if witness is None:
@@ -374,17 +387,20 @@ def decomposition_roundtrip_trials(
         pf = f.to_point_function()
         for unit in units:
             ok = ok and dbar_slice(pf, unit, n).is_zero()
-            plane = restrict_slice_function(f, unit)
+            deriv = restrict_slice_function(f, unit)
             pxbar = plane_x(sig, -unit)
+            # each part restricted once per unit; levels start at 1, so parts[0] never enters
+            restricted = {
+                h: restrict_slice_function(SliceFunction(domain, parts[h]), unit).rf
+                for h in range(1, n)
+            }
             for level in range(1, n):
-                deriv = plane.dbar_n(level).rf
+                deriv = deriv.dbar()
                 total_rhs = None
                 for h in range(level, n):
-                    term = restrict_slice_function(
-                        SliceFunction(domain, parts[h]), unit
-                    ).rf.mul_poly_left(pxbar ** (h - level) * perm(h, level))
+                    term = restricted[h].mul_poly_left(pxbar ** (h - level) * perm(h, level))
                     total_rhs = term if total_rhs is None else total_rhs + term
-                if total_rhs is not None and deriv != total_rhs:
+                if total_rhs is not None and deriv.rf != total_rhs:
                     ok = False
         if not ok:
             failures += 1

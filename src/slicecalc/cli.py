@@ -67,7 +67,8 @@ def _load_input(path_or_name: str):
         )
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers bad JSON, bad UTF-8 and integers over 4300 digits
         raise FunctionSpecError(f"cannot parse {path}: {exc}") from exc
     return function_spec_from_json(payload)
 

@@ -10,7 +10,12 @@ iterated differentiation cheap without any gcd machinery.
 Coefficients are stored as ``Fraction``s, which stay the API-edge type, but
 the hot inner loops add up Python ``int`` numerators over one common
 denominator.  The product goes through the integer core of the algebra
-product.  Point evaluation caches an integer form of the polynomial (one
+product, and so does scaling by an algebra element, as a product with a
+one-term side.  Scaling by a rational, partial derivatives and slice
+restriction are linear maps on the terms: each makes one pass over the
+integer rows, with one ``int`` factor per term (``_int_map``).  Rational
+functions multiply a numerator only by a cofactor that is not 1 when they
+add.  Point evaluation caches an integer form of the polynomial (one
 coefficient denominator, integer numerators, the total degree), puts the point
 over a common denominator and homogenizes every term to the total degree, so
 each output blade is one ``Fraction`` built at the end.
@@ -47,6 +52,47 @@ def _apply_n(step, value, n: int):
 
 def _add_exponents(ea: Exponents, eb: Exponents) -> Exponents:
     return tuple(map(add, ea, eb))
+
+
+def _left_key(ka, kb):
+    return ka
+
+
+def _right_key(ka, kb):
+    return kb
+
+
+def _from_product(poly: "CoordPoly", left, right, combine) -> "CoordPoly":
+    """The polynomial ``_int_product(left, right, combine)`` in the frame of ``poly``."""
+    sig = poly.signature
+    den, acc = _int_product(left, right, combine)
+    terms = {e: AlgebraElement._from_ints(sig, ints, den) for e, ints in acc.items()}
+    return CoordPoly._make(sig, poly.var_count, terms)
+
+
+def _int_map(poly: "CoordPoly", var_count: int, move, scale: int = 1) -> "CoordPoly":
+    """One pass over the integer rows of ``poly``, a linear map on its terms.
+
+    ``move(e)`` gives the output key of term ``e`` and an ``int`` factor for its
+    numerators; a factor 0 drops the term.  Terms meeting on one key add up,
+    and each output coefficient is built once, over the common coefficient
+    denominator times ``scale``.
+    """
+    den, rows = _int_rows(poly.terms.items())
+    acc: dict = {}
+    for e, masks, nums in rows:
+        key, k = move(e)
+        if not k:
+            continue
+        out = acc.get(key)
+        if out is None:
+            out = acc[key] = {}
+        for mask, n in zip(masks, nums):
+            out[mask] = out.get(mask, 0) + n * k
+    den *= scale
+    sig = poly.signature
+    terms = {key: AlgebraElement._from_ints(sig, ints, den) for key, ints in acc.items()}
+    return CoordPoly._make(sig, var_count, terms)
 
 
 class CoordPoly:
@@ -154,15 +200,11 @@ class CoordPoly:
     def __mul__(self, other):
         if isinstance(other, CoordPoly):
             self._require_compatible(other)
-            sig = self.signature
-            den, acc = _int_product(self.terms.items(), other.terms.items(), _add_exponents)
-            terms = {e: AlgebraElement._from_ints(sig, ints, den) for e, ints in acc.items()}
-            return CoordPoly._make(sig, self.var_count, terms)
+            return _from_product(self, self.terms.items(), other.terms.items(), _add_exponents)
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
-            return CoordPoly._make(
-                self.signature, self.var_count, {e: c * q for e, c in self.terms.items()}
-            )
+            n = q.numerator
+            return _int_map(self, self.var_count, lambda e: (e, n), q.denominator)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -170,37 +212,36 @@ class CoordPoly:
             return self * other
         return NotImplemented
 
+    def _require_coeff(self, coeff: AlgebraElement) -> None:
+        if coeff.signature != self.signature:
+            raise SignatureMismatchError("coefficient signature mismatch")
+
     def scale_left(self, coeff: AlgebraElement) -> "CoordPoly":
-        return CoordPoly._make(
-            self.signature, self.var_count, {e: coeff * c for e, c in self.terms.items()}
-        )
+        """coeff * self: one product with ``coeff`` as a one-term left side."""
+        self._require_coeff(coeff)
+        return _from_product(self, ((None, coeff),), self.terms.items(), _right_key)
 
     def scale_right(self, coeff: AlgebraElement) -> "CoordPoly":
-        return CoordPoly._make(
-            self.signature, self.var_count, {e: c * coeff for e, c in self.terms.items()}
-        )
+        self._require_coeff(coeff)
+        return _from_product(self, self.terms.items(), ((None, coeff),), _left_key)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        one = CoordPoly.constant(self.signature, self.var_count, 1)
-        return _apply_n(lambda out: out * self, one, n)
+        if n == 0:
+            return CoordPoly.constant(self.signature, self.var_count, 1)
+        return _apply_n(lambda out: out * self, self, n - 1)
 
     # -- calculus ------------------------------------------------------------
 
     def partial(self, index: int) -> "CoordPoly":
         if not 0 <= index < self.var_count:
             raise ValueError(f"variable index {index} out of range")
-        acc: dict[Exponents, AlgebraElement] = {}
-        for e, c in self.terms.items():
-            k = e[index]
-            if k == 0:
-                continue
-            key = tuple(x - 1 if h == index else x for h, x in enumerate(e))
-            prod = c * k
-            prev = acc.get(key)
-            acc[key] = prod if prev is None else prev + prod
-        return CoordPoly._make(self.signature, self.var_count, acc)
+
+        def move(e: Exponents):
+            return (*e[:index], e[index] - 1, *e[index + 1 :]), e[index]
+
+        return _int_map(self, self.var_count, move)
 
     def eval(self, point: Sequence[RationalLike]) -> AlgebraElement:
         """The value at ``point``, added up in integers and divided once per blade.
@@ -331,24 +372,32 @@ def restrict_poly(poly: CoordPoly, components: Sequence[Fraction]) -> CoordPoly:
         raise ArityMismatchError(
             f"expected {poly.var_count - 1} components, got {len(components)}"
         )
-    acc: dict[Exponents, AlgebraElement] = {}
-    for e, c in poly.terms.items():
-        scalar = Fraction(1)
+    # components a_h / u over one common denominator u; every term is
+    # homogenized to u^top, top the largest beta degree, as in CoordPoly.eval
+    comps = [c if isinstance(c, Fraction) else Fraction(c) for c in components]
+    u = lcm(*[c.denominator for c in comps])
+    nums = [c.numerator * (u // c.denominator) for c in comps]
+    top = max((sum(e) - e[0] for e in poly.terms), default=0)
+    u_pows = [u**k for k in range(top + 1)]
+
+    def move(e: Exponents):
         beta_deg = 0
-        for comp, k in zip(components, e[1:]):
-            if k:
-                scalar *= comp**k
-                beta_deg += k
-        if not scalar:
-            continue
-        key = (e[0], beta_deg)
-        prod = c * scalar
-        prev = acc.get(key)
-        acc[key] = prod if prev is None else prev + prod
-    return CoordPoly._make(poly.signature, 2, acc)
+        k = 1
+        for a, j in zip(nums, e[1:]):
+            if j:
+                k *= a**j
+                beta_deg += j
+        return (e[0], beta_deg), k * u_pows[top - beta_deg]
+
+    return _int_map(poly, 2, move, u_pows[top])
 
 
 # -- rational functions ---------------------------------------------------------
+
+
+def _times(poly: CoordPoly, cof: "CoordPoly | None") -> CoordPoly:
+    """poly * cof, where ``None`` stands for the cofactor 1."""
+    return poly if cof is None else poly * cof
 
 
 def _normalize_factor(poly: CoordPoly) -> tuple[CoordPoly, Fraction]:
@@ -458,16 +507,16 @@ class RationalFn:
         shared: dict[CoordPoly, int] = dict(mine)
         for p, k in theirs.items():
             shared[p] = max(shared.get(p, 0), k)
-        cof_self = CoordPoly.constant(self.signature, self.var_count, 1)
-        cof_other = CoordPoly.constant(self.signature, self.var_count, 1)
+        # a numerator is multiplied only by a cofactor that is not 1
+        cof_self = cof_other = None
         for p, k in shared.items():
             d_self = k - mine.get(p, 0)
             d_other = k - theirs.get(p, 0)
             if d_self:
-                cof_self = cof_self * p**d_self
+                cof_self = _times(p**d_self, cof_self)
             if d_other:
-                cof_other = cof_other * p**d_other
-        numer = self.numer * cof_self + other.numer * cof_other
+                cof_other = _times(p**d_other, cof_other)
+        numer = _times(self.numer, cof_self) + _times(other.numer, cof_other)
         return RationalFn._make(numer, _merge_factors(shared.items()))
 
     def __neg__(self):
@@ -518,16 +567,16 @@ class RationalFn:
         d_numer = self.numer.partial(index)
         if not dependent:
             return RationalFn._make(d_numer, self.den_factors)
-        prod_dep = CoordPoly.constant(self.signature, self.var_count, 1)
+        prod_dep = None
         for p, _, _ in dependent:
-            prod_dep = prod_dep * p
+            prod_dep = _times(p, prod_dep)
         total = d_numer * prod_dep
         for i, (p, k, dp) in enumerate(dependent):
-            cof = CoordPoly.constant(self.signature, self.var_count, k)
+            cof = dp * k
             for j, (q, _, _) in enumerate(dependent):
                 if j != i:
                     cof = cof * q
-            total = total - self.numer * (dp * cof)
+            total = total - self.numer * cof
         all_factors = [(p, k + 1) for p, k, _ in dependent]
         all_factors += [(p, k) for p, k, _ in independent]
         return RationalFn._make(total, _merge_factors(all_factors))

@@ -11,11 +11,10 @@ identities the verification campaigns check.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
 
 from .algebra import AlgebraElement, AlgebraSignature, ImaginaryUnit
 from .multipoly import CoordPoly, RationalFn, _apply_n, coord_im, coord_s, restrict_rf
-from .slicefn import PointFunction, SliceFunction, phi_coords
+from .slicefn import PointFunction, SliceFunction
 
 
 class SlicePlanePoly:
@@ -123,87 +122,3 @@ def g_op(g: PointFunction) -> PointFunction:
     sig, rf = g.signature, g.expr
     out = rf.partial(0).mul_poly_left(coord_s(sig)) + _radial(rf).mul_poly_left(coord_im(sig))
     return PointFunction(g.domain, out)
-
-
-# -- finite-difference oracle ----------------------------------------------------------
-#
-# The oracle takes central differences of exact values: the point and the step
-# become Fractions (exact for floats), and only the result is turned into floats.
-# It shares no code with the symbolic derivatives it checks.
-
-
-def element_to_float(value: AlgebraElement) -> dict[int, float]:
-    return {mask: float(c) for mask, c in value.coeffs.items()}
-
-
-def _central(f, point: Sequence[Fraction], index: int, step: Fraction) -> AlgebraElement:
-    """(f(up) - f(down)) / (2 step), with coordinate ``index`` moved by +-step."""
-    up = list(point)
-    down = list(point)
-    up[index] += step
-    down[index] -= step
-    return (f(up) - f(down)) / (2 * step)
-
-
-def _fd_parts(
-    g: PointFunction, coords: Sequence[float], step: float
-) -> tuple[Fraction, AlgebraElement, AlgebraElement]:
-    """(s, dg/dx_0, Im(x) * sum_h x_h dg/dx_h) by central differences."""
-    point = [Fraction(c) for c in coords]
-    step = Fraction(step)
-    s = sum(c * c for c in point[1:])
-    if s <= (10 * step) ** 2:
-        raise ValueError("point is too close to the real axis for the oracle step")
-    d0 = _central(g.expr.eval, point, 0, step)
-    radial = AlgebraElement.zero(g.signature)
-    for h in range(1, len(point)):
-        radial = radial + _central(g.expr.eval, point, h, step) * point[h]
-    im = AlgebraElement.from_paravector_coords(g.signature, [0] + point[1:])
-    return s, d0, im * radial
-
-
-def fd_thetabar(
-    g: PointFunction, coords: Sequence[float], step: float = 1e-5
-) -> dict[int, float]:
-    s, d0, im_radial = _fd_parts(g, coords, step)
-    return element_to_float((d0 + im_radial / s) / 2)
-
-
-def fd_g_op(
-    g: PointFunction, coords: Sequence[float], step: float = 1e-5
-) -> dict[int, float]:
-    s, d0, im_radial = _fd_parts(g, coords, step)
-    return element_to_float(d0 * s + im_radial)
-
-
-def fd_dbar_slice(
-    g: PointFunction,
-    unit: ImaginaryUnit,
-    z: tuple[float, float],
-    step: float = 1e-5,
-) -> dict[int, float]:
-    """Central-difference estimate of the first slice derivative at z."""
-    point = (Fraction(z[0]), Fraction(z[1]))
-    step = Fraction(step)
-    if abs(point[1]) <= 10 * step:
-        raise ValueError("point is too close to the real axis for the oracle step")
-
-    def at(ab: Sequence[Fraction]) -> AlgebraElement:
-        return g.expr.eval(phi_coords(unit, *ab))
-
-    d_alpha = _central(at, point, 0, step)
-    d_beta = _central(at, point, 1, step)
-    return element_to_float((d_alpha + unit.value * d_beta) / 2)
-
-
-def float_agrees(
-    exact: AlgebraElement, approx: dict[int, float], rtol: float = 1e-6
-) -> bool:
-    """Componentwise comparison with relative tolerance (absolute near zero)."""
-    masks = set(exact.coeffs) | set(approx)
-    norm = max((abs(float(c)) for c in exact.coeffs.values()), default=0.0)
-    scale = max(1.0, norm)
-    return all(
-        abs(float(exact.coeff(mask)) - approx.get(mask, 0.0)) <= rtol * scale
-        for mask in masks
-    )

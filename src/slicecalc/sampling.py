@@ -129,7 +129,7 @@ def rand_holomorphic_stem(
     """Stem of a polynomial sum x^h a_h: holomorphic, coefficients on the right."""
     total = StemFunction.zero(signature)
     for h in range(max_degree + 1):
-        if rng.random() < 0.3:
+        if rng.random() < Fraction(3, 10):
             continue
         total = total + StemFunction.z_pow(signature, h).scale_right(
             rand_element(rng, signature)

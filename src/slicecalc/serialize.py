@@ -1,16 +1,18 @@
 """JSON serialization: exact rationals in, exact rationals out.
 
-Rationals are serialized as "p/q" strings and parsed from "p/q", "p", plain
-integers or [p, q] pairs; floats never appear in reports, so exactness
-survives the round trip.  This module also parses function-spec files into
-SliceFunction or PointFunction values, within input limits that keep a spec
-file from requesting unbounded work.
+Rationals are serialized as "p/q" strings and parsed from "p/q" or "p" strings
+(an optional sign, then digits), JSON integers or [p, q] pairs of JSON
+integers; floats never appear in reports, so exactness survives the round
+trip.  This module also parses function-spec files into SliceFunction or
+PointFunction values, within input limits that keep a spec file from
+requesting unbounded work.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 from fractions import Fraction
 from typing import Any, Union
 
@@ -27,6 +29,8 @@ MAX_EXPONENT = 64
 MAX_TERMS = 1024
 MAX_CLIFFORD_M = 8
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
 
 def _is_json_int(value: Any) -> bool:
     # bool is an int subclass; JSON true/false are not integers here
@@ -38,15 +42,20 @@ def frac_to_str(value: Fraction) -> str:
 
 
 def frac_from_json(value: Any) -> Fraction:
+    """A JSON integer, a "p" or "p/q" string, or a [p, q] pair of JSON integers.
+
+    The string grammar is exactly ``[+-]?[0-9]+(/[0-9]+)?``: ``Fraction(str)``
+    alone would also take decimals, exponents ("1e1000000000" asks for a
+    3.3-Gbit integer), underscores and spaces.
+    """
     try:
-        if isinstance(value, bool):
-            raise ValueError
-        if isinstance(value, int):
+        if _is_json_int(value):
             return Fraction(value)
-        if isinstance(value, str):
+        if isinstance(value, str) and _RATIONAL.fullmatch(value):
             return Fraction(value)
         if isinstance(value, (list, tuple)) and len(value) == 2:
-            return Fraction(int(value[0]), int(value[1]))
+            if all(_is_json_int(v) for v in value):
+                return Fraction(value[0], value[1])
     except (ValueError, ZeroDivisionError) as exc:
         raise FunctionSpecError(f"bad rational {value!r}") from exc
     raise FunctionSpecError(f"bad rational {value!r}")

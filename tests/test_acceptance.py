@@ -25,10 +25,6 @@ from slicecalc.multipoly import CoordPoly, RationalFn
 from slicecalc.named import jump_example, rotation_twisted_coordinate
 from slicecalc.operators import (
     dbar_slice,
-    element_to_float,
-    fd_dbar_slice,
-    fd_g_op,
-    fd_thetabar,
     g_op,
     plane_x,
     restrict_to_slice,
@@ -41,6 +37,8 @@ from slicecalc.sampling import (
     rng_for,
 )
 from slicecalc.slicefn import is_slice
+
+from oracles import element_to_float, fd_dbar_slice, fd_g_op, fd_thetabar
 
 H = QUATERNION
 CL3 = clifford(3)

@@ -230,8 +230,14 @@ def _stem_spec(f1_terms, signature=None):
         (_stem_spec([], {"kind": "clifford", "m": "3"}), "'m' must be an integer"),
         (_stem_spec([], {"kind": "clifford", "m": True}), "'m' must be an integer"),
         (_stem_spec([], {"kind": "clifford"}), "'m' must be an integer"),
+        *[
+            (_stem_spec([{"exponents": [0, 0], "coefficient": {"1": bad}}]), "bad rational")
+            for bad in ([None, 2], [1.7, 2], [True, 2], [1, 0], "1e5", "1.5", " 1", "1_0")
+        ],
     ],
-    ids=["exponent-65", "terms-1025", "m-9", "m-3.7", "m-string", "m-true", "m-missing"],
+    ids=["exponent-65", "terms-1025", "m-9", "m-3.7", "m-string", "m-true", "m-missing"]
+    + ["pair-null", "pair-float", "pair-true", "pair-zero-den"]
+    + ["str-exponent", "str-decimal", "str-space", "str-underscore"],
 )
 def test_classify_rejects_specs_over_the_input_limits(tmp_path, capsys, spec, message):
     path = tmp_path / "over_limit.json"
@@ -240,4 +246,24 @@ def test_classify_rejects_specs_over_the_input_limits(tmp_path, capsys, spec, me
     assert code == 2
     assert message in err
     assert "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"\xff\xfe{",
+        b"[" * 100_000 + b"]" * 100_000,
+        b'{"representation": "stem", "f1_terms": [{"exponents": [0, 0], "coefficient": {"1": '
+        + b"1" * 5000
+        + b"}}]}",
+    ],
+    ids=["not-utf8", "nested-too-deep", "5000-digit-integer"],
+)
+def test_classify_rejects_unparseable_files(tmp_path, capsys, content):
+    path = tmp_path / "spec.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(["classify", "--input", str(path)], capsys)
+    assert code == 2
+    assert "cannot parse" in err
     assert out == ""

@@ -1,22 +1,30 @@
 """The integer inner loops of the kernel against plain ``Fraction`` references.
 
-``AlgebraElement.__mul__``, ``CoordPoly.__mul__``, ``CoordPoly.eval`` and
-``RationalFn.eval`` add up integer numerators over a common denominator.  The
-references below are the straightforward loops over ``Fraction`` coefficients,
-with their own blade sign rule, so they share no arithmetic with the kernel.
-Results must also be canonical: no zero coefficient is stored, and ``==`` and
-``hash`` agree with a value built through the public constructor.
+``AlgebraElement.__mul__``, ``CoordPoly.__mul__``, ``CoordPoly.eval``,
+``RationalFn.eval``, scalar scaling, ``scale_left``/``scale_right``,
+``CoordPoly.partial``, ``restrict_poly`` and ``RationalFn.__add__`` add up
+integer numerators over a common denominator.  The references below are the
+straightforward loops over ``Fraction`` coefficients, with their own blade
+sign rule, so they share no arithmetic with the kernel.  Results must also be
+canonical: no zero coefficient is stored, and ``==`` and ``hash`` agree with a
+value built through the public constructor.
 """
 
 from fractions import Fraction
+from math import perm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slicecalc.algebra import QUATERNION, AlgebraElement, clifford
+import slicecalc.algebra
+import slicecalc.campaign
+import slicecalc.multipoly
+from slicecalc.algebra import QUATERNION, AlgebraElement, clifford, sample_units
+from slicecalc.campaign import decomposition_roundtrip_trials, slice_derivative_trials
 from slicecalc.errors import DenominatorVanishesError
-from slicecalc.multipoly import CoordPoly, RationalFn
+from slicecalc.multipoly import CoordPoly, RationalFn, restrict_poly
+from slicecalc.slicefn import SliceFunction
 
 H = QUATERNION
 CL3 = clifford(3)
@@ -255,3 +263,252 @@ def test_eval_at_zero_negative_and_float_coordinates(sig):
     assert_canonical_element(rf.eval(point), ref_rf_eval(rf, point))
     with pytest.raises(DenominatorVanishesError):
         rf.eval([1] + [0] * (n - 1))
+
+
+# -- scalar paths -------------------------------------------------------------------
+
+
+def ref_poly_from(p, var_count, pairs):
+    """The polynomial of (key, element) pairs, equal keys added up."""
+    acc = {}
+    for key, value in pairs:
+        acc[key] = acc[key] + value if key in acc else value
+    return CoordPoly(p.signature, var_count, acc)
+
+
+def ref_scale(p, q):
+    pairs = ((e, AlgebraElement(p.signature, {m: c * q for m, c in a.coeffs.items()}))
+             for e, a in p.terms.items())
+    return ref_poly_from(p, p.var_count, pairs)
+
+
+def ref_partial(p, index):
+    pairs = []
+    for e, a in p.terms.items():
+        k = e[index]
+        if k:
+            key = tuple(x - (h == index) for h, x in enumerate(e))
+            pairs.append((key, AlgebraElement(p.signature, {m: c * k for m, c in a.coeffs.items()})))
+    return ref_poly_from(p, p.var_count, pairs)
+
+
+def ref_restrict(p, components):
+    pairs = []
+    for e, a in p.terms.items():
+        scalar = Fraction(1)
+        for comp, k in zip(components, e[1:]):
+            scalar *= Fraction(comp) ** k
+        coeffs = {m: c * scalar for m, c in a.coeffs.items()}
+        pairs.append(((e[0], sum(e[1:])), AlgebraElement(p.signature, coeffs)))
+    return ref_poly_from(p, 2, pairs)
+
+
+def assert_canonical_poly(value, ref):
+    assert value.terms.keys() == ref.terms.keys()
+    for e, c in value.terms.items():
+        assert c.coeffs, f"zero coefficient stored at {e}"
+        assert_canonical_element(c, ref.terms[e])
+    rebuilt = CoordPoly(value.signature, value.var_count, dict(value.terms))
+    assert value == rebuilt == ref
+    assert hash(value) == hash(rebuilt) == hash(ref)
+
+
+scalars = st.one_of(fracs, st.integers(min_value=-7, max_value=7), st.just(0), st.just(Fraction(0)))
+
+
+@st.composite
+def poly_scalars(draw):
+    sig = draw(st.sampled_from(SIGNATURES))
+    return draw(polys(sig, draw(st.integers(min_value=1, max_value=4)))), draw(scalars)
+
+
+@settings(max_examples=80, deadline=None)
+@given(poly_scalars())
+def test_scalar_scaling_matches_the_fraction_reference(case):
+    p, q = case
+    for value in (p * q, q * p):
+        assert_canonical_poly(value, ref_scale(p, q))
+    for e, c in p.terms.items():
+        assert_canonical_element(c * q, ref_scale(p, q).terms.get(e, AlgebraElement.zero(p.signature)))
+
+
+@st.composite
+def poly_elements(draw):
+    sig = draw(st.sampled_from(SIGNATURES))
+    p = draw(polys(sig, draw(st.integers(min_value=1, max_value=3))))
+    return p, draw(elements(sig))
+
+
+@settings(max_examples=80, deadline=None)
+@given(poly_elements())
+def test_scale_left_and_right_match_the_fraction_reference(case):
+    p, a = case
+    left = ref_poly_from(p, p.var_count, ((e, ref_element_mul(a, c)) for e, c in p.terms.items()))
+    right = ref_poly_from(p, p.var_count, ((e, ref_element_mul(c, a)) for e, c in p.terms.items()))
+    assert_canonical_poly(p.scale_left(a), left)
+    assert_canonical_poly(p.scale_right(a), right)
+
+
+@settings(max_examples=80, deadline=None)
+@given(poly_pairs())
+def test_partial_matches_the_fraction_reference_on_every_index(pair):
+    p, _ = pair
+    for index in range(p.var_count):
+        assert_canonical_poly(p.partial(index), ref_partial(p, index))
+
+
+@st.composite
+def restrictions(draw):
+    sig = draw(st.sampled_from(SIGNATURES))
+    p = draw(polys(sig, sig.coord_count))
+    n = sig.imag_dim
+    if draw(st.booleans()):
+        unit = draw(st.sampled_from(sample_units(sig, draw(st.integers(0, 3)), n + 3)))
+        return p, unit.components()
+    comps = st.one_of(fracs, st.just(Fraction(0)), st.integers(min_value=-3, max_value=3))
+    return p, draw(st.lists(comps, min_size=n, max_size=n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(restrictions())
+def test_restrict_poly_matches_the_fraction_reference(case):
+    p, components = case
+    assert_canonical_poly(restrict_poly(p, components), ref_restrict(p, components))
+
+
+# -- RationalFn.__add__ ------------------------------------------------------------------
+
+
+def _factor_pool(sig):
+    n = sig.coord_count
+    x = [CoordPoly.variable(sig, n, h) for h in range(n)]
+    one = CoordPoly.constant(sig, n, 1)
+    s = sum((xh * xh for xh in x[1:]), CoordPoly.zero(sig, n))
+    return (s, x[0] + one * 2, x[1] * 3 - x[0] + one)
+
+
+@st.composite
+def rational_pairs(draw):
+    sig = draw(st.sampled_from(SIGNATURES))
+    n = sig.coord_count
+    pool = _factor_pool(sig)
+    exps = st.lists(st.integers(min_value=0, max_value=2), min_size=len(pool), max_size=len(pool))
+
+    def rf():
+        factors = [(p, k) for p, k in zip(pool, draw(exps)) if k]
+        return RationalFn(draw(polys(sig, n, max_terms=3)), factors)
+
+    return rf(), rf()
+
+
+def ref_rf_add(f, g):
+    """(numerator, {factor: exponent}) of f + g over the least common denominator."""
+    mine, theirs = dict(f.den_factors), dict(g.den_factors)
+    shared = {p: max(mine.get(p, 0), theirs.get(p, 0)) for p in {**mine, **theirs}}
+
+    def lift(numer, own):
+        for p, k in shared.items():
+            for _ in range(k - own.get(p, 0)):
+                numer = ref_poly_mul(numer, p)
+        return numer
+
+    lifted = [lift(f.numer, mine), lift(g.numer, theirs)]
+    pairs = [(e, c) for q in lifted for e, c in q.terms.items()]
+    return ref_poly_from(f.numer, f.var_count, pairs), shared
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_pairs())
+def test_rational_sum_matches_the_fraction_reference(pair):
+    f, g = pair
+    total = f + g
+    numer, shared = ref_rf_add(f, g)
+    assert_canonical_poly(total.numer, numer)
+    assert dict(total.den_factors) == shared
+
+
+def test_rational_sums_over_equal_different_and_disjoint_denominators():
+    sig = CL3
+    n = sig.coord_count
+    s, lin, other = _factor_pool(sig)
+    num = CoordPoly.variable(sig, n, 2).scale_left(AlgebraElement.basis(sig, 3))
+    for den_f, den_g in (
+        ([(s, 1)], [(s, 1)]),
+        ([(s, 1)], [(s, 2), (lin, 1)]),
+        ([(lin, 2)], [(other, 1)]),
+        ([], [(s, 1)]),
+    ):
+        f, g = RationalFn(num, den_f), RationalFn(num * 3 + CoordPoly.constant(sig, n, 1), den_g)
+        numer, shared = ref_rf_add(f, g)
+        assert_canonical_poly((f + g).numer, numer)
+        assert dict((f + g).den_factors) == shared
+        assert f + g == g + f and (f + g) - g == f
+
+
+def test_adding_polynomials_runs_no_product(monkeypatch):
+    calls = []
+    real = slicecalc.algebra._int_product
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(slicecalc.algebra, "_int_product", counted)
+    monkeypatch.setattr(slicecalc.multipoly, "_int_product", counted)
+    sig = QUATERNION
+    p = CoordPoly.variable(sig, 4, 1).scale_left(AlgebraElement.basis(sig, 2))
+    q = CoordPoly.variable(sig, 4, 0) * Fraction(2, 3)
+    calls.clear()
+    total = RationalFn.from_poly(p) + RationalFn.from_poly(q)
+    assert calls == []
+    assert total.numer == p + q and total.is_polynomial()
+    assert RationalFn.from_poly(p) - RationalFn.from_poly(p) == RationalFn.from_poly(p * 0)
+    assert calls == []
+    p * q  # the counter sees products
+    assert len(calls) == 1
+
+
+# -- campaign bodies -----------------------------------------------------------------------
+
+# (trials, failures, witness) of the two bodies before each one restricted once
+# per unit and stepped dbar from order to order.
+SLICE_DERIVATIVE_CASES = [
+    (sig, seed, sizes, (trials, 0, None))
+    for sig in (QUATERNION, CL3)
+    for seed in (3, 8)
+    for sizes, trials in (
+        (dict(n_stems=2, n_units=3), 12),
+        (dict(n_stems=1, n_units=3, orders=(1, 2, 3), zbar_degree=2), 9),
+    )
+]
+
+
+@pytest.mark.parametrize("sig, seed, sizes, expected", SLICE_DERIVATIVE_CASES)
+def test_slice_derivative_trials_keep_their_counts(sig, seed, sizes, expected):
+    assert slice_derivative_trials(sig, seed, **sizes) == expected
+
+
+@pytest.mark.parametrize("sig", (QUATERNION, CL3), ids=lambda s: f"{s.kind}{s.m}")
+def test_decomposition_trials_keep_their_counts(sig):
+    for seed in (3, 8):
+        assert decomposition_roundtrip_trials(sig, seed, 4, 2, 4) == (4, 0, None)
+
+
+@pytest.mark.parametrize("sig", (QUATERNION, CL3), ids=lambda s: f"{s.kind}{s.m}")
+def test_campaign_bodies_keep_failure_counts_and_witnesses(sig, monkeypatch):
+    # a wrong second derivative and a wrong coefficient at level 2 make the
+    # bodies fail; the counts and the first witness are those recorded before
+    derivative = SliceFunction.derivative
+    monkeypatch.setattr(
+        SliceFunction, "derivative", lambda self, order=1: derivative(self, order + (order == 2))
+    )
+    assert slice_derivative_trials(sig, 5, n_stems=2, n_units=3) == (
+        12, 6, {"stem_index": 0, "unit_index": 0, "order": 2},
+    )
+    assert slice_derivative_trials(
+        sig, 5, n_stems=1, n_units=3, orders=(1, 2, 3), zbar_degree=2
+    ) == (9, 3, {"stem_index": 0, "unit_index": 0, "order": 2})
+    monkeypatch.setattr(slicecalc.campaign, "perm", lambda h, l: perm(h, l) + (l == 2))
+    assert decomposition_roundtrip_trials(sig, 5, 4, 2, 4) == (
+        4, 2, {"tuple_index": 2, "order": 3},
+    )

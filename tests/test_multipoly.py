@@ -18,8 +18,9 @@ from slicecalc.multipoly import (
     restrict_poly,
     restrict_rf,
 )
-from slicecalc.operators import element_to_float
 from slicecalc.sampling import rand_poly, rng_for
+
+from oracles import element_to_float
 
 H = QUATERNION
 ONE = AlgebraElement.one(H)

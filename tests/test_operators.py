@@ -19,11 +19,6 @@ from slicecalc.named import (
 )
 from slicecalc.operators import (
     dbar_slice,
-    element_to_float,
-    fd_dbar_slice,
-    fd_g_op,
-    fd_thetabar,
-    float_agrees,
     g_op,
     restrict_to_slice,
     thetabar,
@@ -34,6 +29,8 @@ from slicecalc.sampling import (
     rng_for,
 )
 from slicecalc.slicefn import PointFunction, phi_coords
+
+from oracles import element_to_float, fd_dbar_slice, fd_g_op, fd_thetabar, float_agrees
 
 H = QUATERNION
 DOM = default_domain()

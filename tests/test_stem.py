@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from slicecalc.algebra import QUATERNION, AlgebraElement, clifford
 from slicecalc.errors import ParityViolationError
 from slicecalc.multipoly import CoordPoly
-from slicecalc.operators import element_to_float
 from slicecalc.sampling import rand_stem, rng_for
 from slicecalc.stem import StemFunction
+
+from oracles import element_to_float
 
 H = QUATERNION
 ALPHA = CoordPoly.variable(H, 2, 0)
