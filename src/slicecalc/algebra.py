@@ -2,13 +2,14 @@
 
 Elements carry arbitrary-precision rational coefficients over the blade basis,
 so every identity checked downstream is an equality of exact rationals instead
-of a floating-point comparison.  ``Fraction`` is the stored and API-edge type;
-the inner loop of the product adds up Python ``int`` numerators over one
-common denominator and builds one normalized ``Fraction`` per output blade at
-the end (``_int_product``, shared with the polynomial product).  Quaternions
-are stored on the two-generator blade basis (i, j, k = e1, e2, e1e2), which
-makes the classical multiplication table a special case of the general blade
-product.
+of a floating-point comparison.  An element stores one Python ``int``
+numerator per blade over one positive common denominator, in lowest terms, so
+sums and products add up integers (``_int_product`` is shared with the
+polynomial product).  ``Fraction`` is the API-edge type: constructors take
+rationals, and ``coeffs``, ``coeff()`` and ``scalar_part()`` give normalized
+``Fraction``s.  Quaternions are stored on the two-generator blade basis
+(i, j, k = e1, e2, e1e2), which makes the classical multiplication table a
+special case of the general blade product.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import lcm
+from math import gcd, lcm
 from random import Random
 from typing import Iterable, Mapping, Union
 
@@ -94,6 +95,9 @@ class AlgebraSignature:
             if not 1 <= t <= self.m or mask & (1 << (t - 1)):
                 raise ValueError(f"bad blade {name!r} for m={self.m}")
             mask |= 1 << (t - 1)
+        # one spelling per blade: "e21", "e1_2" (m <= 9) and non-ASCII digits name none
+        if self.blade_name(mask) != name:
+            raise ValueError(f"bad blade {name!r} for m={self.m}")
         return mask
 
 
@@ -124,46 +128,33 @@ def _blade_mul(ma: int, mb: int) -> tuple[int, int]:
     return ma ^ mb, sign
 
 
-def _int_rows(items):
-    """Common denominator of (key, element) pairs and their integer rows.
-
-    Returns ``den`` and ``[(key, coeffs, numerators), ...]``: each element's
-    coefficient dict and the list of its numerators over ``den``, in the
-    dict's order, so ``zip(coeffs, numerators)`` pairs masks with integers.
-    """
-    # a list, not a generator: a tuple built from a generator is resized, and
-    # freeing it at its final size fills CPython's tuple free lists (peak RSS)
-    den = lcm(*[q.denominator for _, c in items for q in c.coeffs.values()])
-    rows = [
-        (key, c.coeffs, [q.numerator * (den // q.denominator) for q in c.coeffs.values()])
-        for key, c in items
-    ]
-    return den, rows
+def _add_scaled(out: dict, nums: Mapping[int, int], k: int) -> None:
+    """out[mask] += k * nums[mask] for every mask of ``nums``."""
+    for mask, n in nums.items():
+        out[mask] = out.get(mask, 0) + n * k
 
 
 def _int_product(left, right, combine):
     """Integer core of the algebra and polynomial products.
 
-    ``left`` and ``right`` are sequences of (key, AlgebraElement), multiplied
-    in order.  Every pair of terms adds its blade products, as integer
-    numerators over one common denominator, under ``combine(key_a, key_b)``.
-    Returns the denominator and ``{key: {mask: numerator}}``.
+    ``left`` and ``right`` are sequences of (key, numerators), multiplied in
+    order, each side over one denominator that the caller keeps.  Every pair of
+    terms adds its blade products under ``combine(key_a, key_b)``.  Returns
+    ``{key: {mask: numerator}}`` over the product of the two denominators.
     """
-    den_a, rows_a = _int_rows(left)
-    den_b, rows_b = _int_rows(right)
     acc: dict = {}
-    for ka, masks_a, nums_a in rows_a:
-        for kb, masks_b, nums_b in rows_b:
+    for ka, nums_a in left:
+        for kb, nums_b in right:
             key = combine(ka, kb)
             out = acc.get(key)
             if out is None:
                 out = acc[key] = {}
-            for ma, na in zip(masks_a, nums_a):
-                for mb, nb in zip(masks_b, nums_b):
+            for ma, na in nums_a.items():
+                for mb, nb in nums_b.items():
                     mask, sign = _blade_mul(ma, mb)
                     prev = out.get(mask, 0)
                     out[mask] = prev + na * nb if sign > 0 else prev - na * nb
-    return den_a * den_b, acc
+    return acc
 
 
 def _no_key(ka, kb):
@@ -171,38 +162,46 @@ def _no_key(ka, kb):
 
 
 class AlgebraElement:
-    """An algebra value in canonical form: zero coefficients are pruned."""
+    """An algebra value: integer numerators per blade over one denominator.
 
-    __slots__ = ("signature", "coeffs", "_hash")
+    The canonical form, made by ``_make`` alone, has ``den > 0``, no zero
+    numerator, and no common factor of ``den`` and all numerators, so equal
+    values have equal fields.
+    """
 
-    def __init__(self, signature: AlgebraSignature, coeffs: Mapping[int, RationalLike]):
+    __slots__ = ("signature", "nums", "den", "_hash")
+
+    def __new__(cls, signature: AlgebraSignature, coeffs: Mapping[int, RationalLike]):
         limit = signature.dim
-        clean: dict[int, Fraction] = {}
+        qs = {}
         for mask, c in coeffs.items():
             if not 0 <= mask < limit:
                 raise ValueError(f"blade mask {mask} out of range for {signature}")
-            q = c if isinstance(c, Fraction) else Fraction(c)
-            if q:
-                clean[mask] = q
-        self.signature = signature
-        self.coeffs = clean
-        self._hash = None
+            qs[mask] = c if isinstance(c, (int, Fraction)) else Fraction(c)
+        den = lcm(*[q.denominator for q in qs.values()])
+        nums = {m: q.numerator * (den // q.denominator) for m, q in qs.items()}
+        return cls._make(signature, nums, den)
 
     @classmethod
-    def _make(cls, signature: AlgebraSignature, coeffs: dict[int, Fraction]) -> "AlgebraElement":
-        """Fast path: ``coeffs`` already maps valid masks to nonzero Fractions."""
+    def _make(
+        cls, signature: AlgebraSignature, nums: dict[int, int], den: int
+    ) -> "AlgebraElement":
+        """``nums[mask] / den`` in canonical form; masks are valid and ``den`` is nonzero.
+
+        ``nums`` is kept when it is canonical already, so callers pass a dict
+        that nothing mutates afterwards.
+        """
+        g = gcd(den, *nums.values())
+        if den < 0:
+            g = -g
+        if g != 1 or not all(nums.values()):
+            nums = {m: n // g for m, n in nums.items() if n}
         obj = object.__new__(cls)
         obj.signature = signature
-        obj.coeffs = coeffs
+        obj.nums = nums
+        obj.den = den // g
         obj._hash = None
         return obj
-
-    @classmethod
-    def _from_ints(
-        cls, signature: AlgebraSignature, numerators: Mapping[int, int], den: int
-    ) -> "AlgebraElement":
-        """Fast path: ``numerators[mask] / den`` on valid masks, zeros pruned."""
-        return cls._make(signature, {m: Fraction(n, den) for m, n in numerators.items() if n})
 
     # -- constructors ------------------------------------------------------
 
@@ -212,7 +211,7 @@ class AlgebraElement:
 
     @classmethod
     def scalar(cls, signature: AlgebraSignature, value: RationalLike) -> "AlgebraElement":
-        return cls(signature, {0: Fraction(value)})
+        return cls(signature, {0: value})
 
     @classmethod
     def one(cls, signature: AlgebraSignature) -> "AlgebraElement":
@@ -220,7 +219,7 @@ class AlgebraElement:
 
     @classmethod
     def basis(cls, signature: AlgebraSignature, mask: int) -> "AlgebraElement":
-        return cls(signature, {mask: Fraction(1)})
+        return cls(signature, {mask: 1})
 
     @classmethod
     def from_paravector_coords(
@@ -238,21 +237,26 @@ class AlgebraElement:
 
     # -- basic structure ---------------------------------------------------
 
+    @property
+    def coeffs(self) -> dict[int, Fraction]:
+        """A new dict of the nonzero coefficients as normalized ``Fraction``s."""
+        return {m: Fraction(n, self.den) for m, n in self.nums.items()}
+
     def coeff(self, mask: int) -> Fraction:
-        return self.coeffs.get(mask, Fraction(0))
+        return Fraction(self.nums.get(mask, 0), self.den)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def is_scalar(self) -> bool:
-        return all(mask == 0 for mask in self.coeffs)
+        return all(mask == 0 for mask in self.nums)
 
     def scalar_part(self) -> Fraction:
-        return self.coeffs.get(0, Fraction(0))
+        return self.coeff(0)
 
     def is_paravector(self) -> bool:
         allowed = self.signature.paravector_masks
-        return all(mask in allowed for mask in self.coeffs)
+        return all(mask in allowed for mask in self.nums)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -266,11 +270,11 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._require_same(other)
-        acc = dict(self.coeffs)
-        for mask, c in other.coeffs.items():
-            prev = acc.get(mask)
-            acc[mask] = c if prev is None else prev + c
-        return AlgebraElement(self.signature, acc)
+        den = lcm(self.den, other.den)
+        nums: dict[int, int] = {}
+        _add_scaled(nums, self.nums, den // self.den)
+        _add_scaled(nums, other.nums, den // other.den)
+        return AlgebraElement._make(self.signature, nums, den)
 
     def __sub__(self, other):
         if not isinstance(other, AlgebraElement):
@@ -278,17 +282,18 @@ class AlgebraElement:
         return self + (-other)
 
     def __neg__(self):
-        return AlgebraElement._make(self.signature, {m: -c for m, c in self.coeffs.items()})
+        nums = {m: -n for m, n in self.nums.items()}
+        return AlgebraElement._make(self.signature, nums, self.den)
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             self._require_same(other)
-            den, acc = _int_product(((None, self),), ((None, other),), _no_key)
-            return AlgebraElement._from_ints(self.signature, acc.get(None, {}), den)
+            acc = _int_product(((None, self.nums),), ((None, other.nums),), _no_key)
+            return AlgebraElement._make(self.signature, acc.get(None, {}), self.den * other.den)
         if isinstance(other, (int, Fraction)):
-            # a nonzero scalar keeps every coefficient nonzero
-            coeffs = {m: c * other for m, c in self.coeffs.items()} if other else {}
-            return AlgebraElement._make(self.signature, coeffs)
+            k = other.numerator
+            nums = {m: n * k for m, n in self.nums.items()}
+            return AlgebraElement._make(self.signature, nums, self.den * other.denominator)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -301,14 +306,6 @@ class AlgebraElement:
             return self * (Fraction(1) / Fraction(other))
         return NotImplemented
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = AlgebraElement.one(self.signature)
-        for _ in range(n):
-            out = out * self
-        return out
-
     # -- conjugation and norms (paravector operations) ----------------------
 
     def re(self) -> Fraction:
@@ -319,43 +316,43 @@ class AlgebraElement:
     def im(self) -> "AlgebraElement":
         if self.signature.kind == "clifford" and not self.is_paravector():
             raise NonParavectorError("im() is defined on paravectors only")
-        return AlgebraElement(
-            self.signature, {m: c for m, c in self.coeffs.items() if m != 0}
-        )
+        nums = {m: n for m, n in self.nums.items() if m != 0}
+        return AlgebraElement._make(self.signature, nums, self.den)
 
     def conj(self) -> "AlgebraElement":
         """Re(x) - Im(x); for quaternions this is the usual conjugation."""
         if self.signature.kind == "clifford" and not self.is_paravector():
             raise NonParavectorError("conj() is defined on paravectors only")
-        return AlgebraElement(
-            self.signature,
-            {m: (c if m == 0 else -c) for m, c in self.coeffs.items()},
-        )
+        nums = {m: (n if m == 0 else -n) for m, n in self.nums.items()}
+        return AlgebraElement._make(self.signature, nums, self.den)
 
     def norm_sq(self) -> Fraction:
         """x * conj(x) as a rational; the squared Euclidean norm."""
         if self.signature.kind == "clifford" and not self.is_paravector():
             raise NonParavectorError("norm_sq() is defined on paravectors only")
-        return sum((c * c for c in self.coeffs.values()), Fraction(0))
+        return Fraction(sum(n * n for n in self.nums.values()), self.den * self.den)
 
     # -- comparisons ---------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return self.signature == other.signature and self.coeffs == other.coeffs
+        return (
+            self.signature == other.signature
+            and self.den == other.den
+            and self.nums == other.nums
+        )
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.signature, frozenset(self.coeffs.items())))
+            self._hash = hash((self.signature, self.den, frozenset(self.nums.items())))
         return self._hash
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.nums:
             return "0"
         parts = []
-        for mask in sorted(self.coeffs):
-            c = self.coeffs[mask]
+        for mask, c in sorted(self.coeffs.items()):
             name = self.signature.blade_name(mask)
             parts.append(f"{c}" if mask == 0 else f"{c}*{name}")
         return " + ".join(parts)
@@ -369,7 +366,7 @@ class ImaginaryUnit:
     def __init__(self, value: AlgebraElement):
         sig = value.signature
         allowed = set(sig.imag_masks)
-        if any(mask not in allowed for mask in value.coeffs):
+        if any(mask not in allowed for mask in value.nums):
             raise ValueError("imaginary unit must lie in the imaginary span")
         if value * value != AlgebraElement.scalar(sig, -1):
             raise ValueError("imaginary unit must square to -1 exactly")

@@ -7,29 +7,28 @@ numerator over a real-scalar denominator stored in factored form: the quotient
 rule bumps factor exponents instead of squaring expanded products, which keeps
 iterated differentiation cheap without any gcd machinery.
 
-Coefficients are stored as ``Fraction``s, which stay the API-edge type, but
-the hot inner loops add up Python ``int`` numerators over one common
-denominator.  The product goes through the integer core of the algebra
-product, and so does scaling by an algebra element, as a product with a
-one-term side.  Scaling by a rational, partial derivatives and slice
-restriction are linear maps on the terms: each makes one pass over the
+A polynomial stores, per monomial, one Python ``int`` numerator per blade,
+all over one positive denominator in lowest terms; ``terms`` gives the
+coefficients as ``AlgebraElement``s.  The product goes through the integer
+core of the algebra product, and so does scaling by an algebra element, as a
+product with a one-term side.  Scaling by a rational, partial derivatives and
+slice restriction are linear maps on the terms: each makes one pass over the
 integer rows, with one ``int`` factor per term (``_int_map``).  Rational
 functions multiply a numerator only by a cofactor that is not 1 when they
-add.  Point evaluation caches an integer form of the polynomial (one
-coefficient denominator, integer numerators, the total degree), puts the point
-over a common denominator and homogenizes every term to the total degree, so
-each output blade is one ``Fraction`` built at the end.
+add.  Point evaluation puts the point over a common denominator and
+homogenizes every term to the total degree, so the value is one integer row
+over one denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
-from .algebra import AlgebraElement, AlgebraSignature, _int_product, _int_rows
+from .algebra import AlgebraElement, AlgebraSignature, _add_scaled, _int_product
 from .errors import (
     ArityMismatchError,
     DenominatorVanishesError,
@@ -62,46 +61,38 @@ def _right_key(ka, kb):
     return kb
 
 
-def _from_product(poly: "CoordPoly", left, right, combine) -> "CoordPoly":
-    """The polynomial ``_int_product(left, right, combine)`` in the frame of ``poly``."""
-    sig = poly.signature
-    den, acc = _int_product(left, right, combine)
-    terms = {e: AlgebraElement._from_ints(sig, ints, den) for e, ints in acc.items()}
-    return CoordPoly._make(sig, poly.var_count, terms)
-
-
 def _int_map(poly: "CoordPoly", var_count: int, move, scale: int = 1) -> "CoordPoly":
     """One pass over the integer rows of ``poly``, a linear map on its terms.
 
     ``move(e)`` gives the output key of term ``e`` and an ``int`` factor for its
-    numerators; a factor 0 drops the term.  Terms meeting on one key add up,
-    and each output coefficient is built once, over the common coefficient
-    denominator times ``scale``.
+    numerators; a factor 0 drops the term.  Terms meeting on one key add up
+    over the denominator of ``poly`` times ``scale``.
     """
-    den, rows = _int_rows(poly.terms.items())
     acc: dict = {}
-    for e, masks, nums in rows:
+    for e, nums in poly.rows.items():
         key, k = move(e)
         if not k:
             continue
         out = acc.get(key)
         if out is None:
             out = acc[key] = {}
-        for mask, n in zip(masks, nums):
-            out[mask] = out.get(mask, 0) + n * k
-    den *= scale
-    sig = poly.signature
-    terms = {key: AlgebraElement._from_ints(sig, ints, den) for key, ints in acc.items()}
-    return CoordPoly._make(sig, var_count, terms)
+        _add_scaled(out, nums, k)
+    return CoordPoly._make(poly.signature, var_count, acc, poly.den * scale)
 
 
 class CoordPoly:
-    """Polynomial in central real variables with AlgebraElement coefficients."""
+    """Polynomial in central real variables with algebra coefficients.
 
-    __slots__ = ("signature", "var_count", "terms", "_hash", "_ints")
+    ``rows`` maps each exponent vector to the integer numerators of its
+    coefficient, blade by blade, over the one denominator ``den``.  The
+    canonical form, made by ``_make`` alone, has ``den > 0``, no zero numerator,
+    no empty row, and no common factor of ``den`` and all numerators.
+    """
 
-    def __init__(
-        self,
+    __slots__ = ("signature", "var_count", "rows", "den", "_hash")
+
+    def __new__(
+        cls,
         signature: AlgebraSignature,
         var_count: int,
         terms: Mapping[Exponents, AlgebraElement],
@@ -117,30 +108,39 @@ class CoordPoly:
                 raise ValueError(f"negative exponent in {exps}")
             if coeff.signature != signature:
                 raise SignatureMismatchError("coefficient signature mismatch")
-            if not coeff.is_zero():
-                clean[exps] = coeff
-        self.signature = signature
-        self.var_count = var_count
-        self.terms = clean
-        self._hash = None
-        self._ints = None
+            clean[exps] = coeff
+        den = lcm(*[c.den for c in clean.values()])
+        rows = {
+            e: {m: n * (den // c.den) for m, n in c.nums.items()} for e, c in clean.items()
+        }
+        return cls._make(signature, var_count, rows, den)
 
     @classmethod
-    def _make(cls, signature, var_count, raw: dict[Exponents, AlgebraElement]):
-        """Fast path: assumes keys/signatures are valid, only prunes zeros."""
+    def _make(cls, signature, var_count, rows: dict[Exponents, dict[int, int]], den: int):
+        """``rows`` over ``den`` in canonical form; keys and masks are valid, ``den`` positive.
+
+        Rows that are canonical already are kept, so callers pass dicts that
+        nothing mutates afterwards.
+        """
+        g = gcd(den, *[n for nums in rows.values() for n in nums.values()])
         obj = object.__new__(cls)
         obj.signature = signature
         obj.var_count = var_count
-        obj.terms = {e: c for e, c in raw.items() if not c.is_zero()}
+        obj.rows = {}
+        for e, nums in rows.items():
+            if g != 1 or not all(nums.values()):
+                nums = {m: n // g for m, n in nums.items() if n}
+            if nums:
+                obj.rows[e] = nums
+        obj.den = den // g
         obj._hash = None
-        obj._ints = None
         return obj
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def zero(cls, signature, var_count: int) -> "CoordPoly":
-        return cls._make(signature, var_count, {})
+        return cls._make(signature, var_count, {}, 1)
 
     @classmethod
     def constant(cls, signature, var_count: int, value) -> "CoordPoly":
@@ -153,19 +153,25 @@ class CoordPoly:
         if not 0 <= index < var_count:
             raise ValueError(f"variable index {index} out of range")
         exps = tuple(1 if h == index else 0 for h in range(var_count))
-        return cls(signature, var_count, {exps: AlgebraElement.one(signature)})
+        return cls._make(signature, var_count, {exps: {0: 1}}, 1)
 
     # -- structure -----------------------------------------------------------
 
+    @property
+    def terms(self) -> dict[Exponents, AlgebraElement]:
+        """A new dict of the nonzero coefficients as canonical ``AlgebraElement``s."""
+        sig, den = self.signature, self.den
+        return {e: AlgebraElement._make(sig, nums, den) for e, nums in self.rows.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.rows
 
     def is_real_scalar(self) -> bool:
-        return all(c.is_scalar() for c in self.terms.values())
+        return all(nums.keys() == {0} for nums in self.rows.values())
 
     def total_degree(self) -> int:
         """Maximum monomial degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
+        return max((sum(e) for e in self.rows), default=-1)
 
     def _require_compatible(self, other: "CoordPoly") -> None:
         if self.signature != other.signature:
@@ -181,16 +187,17 @@ class CoordPoly:
         if not isinstance(other, CoordPoly):
             return NotImplemented
         self._require_compatible(other)
-        acc = dict(self.terms)
-        for e, c in other.terms.items():
-            prev = acc.get(e)
-            acc[e] = c if prev is None else prev + c
-        return CoordPoly._make(self.signature, self.var_count, acc)
+        den = lcm(self.den, other.den)
+        rows: dict = {}
+        for poly in (self, other):
+            k = den // poly.den
+            for e, nums in poly.rows.items():
+                _add_scaled(rows.setdefault(e, {}), nums, k)
+        return CoordPoly._make(self.signature, self.var_count, rows, den)
 
     def __neg__(self):
-        return CoordPoly._make(
-            self.signature, self.var_count, {e: -c for e, c in self.terms.items()}
-        )
+        rows = {e: {m: -n for m, n in nums.items()} for e, nums in self.rows.items()}
+        return CoordPoly._make(self.signature, self.var_count, rows, self.den)
 
     def __sub__(self, other):
         if not isinstance(other, CoordPoly):
@@ -200,11 +207,11 @@ class CoordPoly:
     def __mul__(self, other):
         if isinstance(other, CoordPoly):
             self._require_compatible(other)
-            return _from_product(self, self.terms.items(), other.terms.items(), _add_exponents)
+            acc = _int_product(self.rows.items(), other.rows.items(), _add_exponents)
+            return CoordPoly._make(self.signature, self.var_count, acc, self.den * other.den)
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            n = q.numerator
-            return _int_map(self, self.var_count, lambda e: (e, n), q.denominator)
+            n = other.numerator
+            return _int_map(self, self.var_count, lambda e: (e, n), other.denominator)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -219,11 +226,13 @@ class CoordPoly:
     def scale_left(self, coeff: AlgebraElement) -> "CoordPoly":
         """coeff * self: one product with ``coeff`` as a one-term left side."""
         self._require_coeff(coeff)
-        return _from_product(self, ((None, coeff),), self.terms.items(), _right_key)
+        acc = _int_product(((None, coeff.nums),), self.rows.items(), _right_key)
+        return CoordPoly._make(self.signature, self.var_count, acc, coeff.den * self.den)
 
     def scale_right(self, coeff: AlgebraElement) -> "CoordPoly":
         self._require_coeff(coeff)
-        return _from_product(self, self.terms.items(), ((None, coeff),), _left_key)
+        acc = _int_product(self.rows.items(), ((None, coeff.nums),), _left_key)
+        return CoordPoly._make(self.signature, self.var_count, acc, self.den * coeff.den)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -244,62 +253,42 @@ class CoordPoly:
         return _int_map(self, self.var_count, move)
 
     def eval(self, point: Sequence[RationalLike]) -> AlgebraElement:
-        """The value at ``point``, added up in integers and divided once per blade.
+        """The value at ``point``, added up in integers over one denominator.
 
-        The integer form cached on the polynomial holds the common coefficient
-        denominator L, the total degree D, the largest exponent per variable,
-        and per term its nonzero (variable, exponent) pairs, D - |e| and the
-        integer numerators N over L.  With the point over a common denominator
-        d (integer numerators a_i), a term contributes N prod(a_i^e_i)
-        d^(D - |e|) over L d^D.
+        With the point over a common denominator d (integer numerators a_i)
+        and D the total degree, the term with exponents e and numerators N
+        contributes N prod(a_i^e_i) d^(D - |e|) over den d^D.
         """
         if len(point) != self.var_count:
             raise ArityMismatchError(
                 f"point arity {len(point)} != var count {self.var_count}"
             )
-        if self._ints is None:
-            den, rows = _int_rows(self.terms.items())
-            degree = max((sum(e) for e in self.terms), default=0)
-            tops = [max((e[i] for e in self.terms), default=0) for i in range(self.var_count)]
-            rows = [
-                (tuple((i, k) for i, k in enumerate(e) if k), degree - sum(e), [*zip(masks, nums)])
-                for e, masks, nums in rows
-            ]
-            self._ints = (den, degree, tops, rows)
-        den, degree, tops, rows = self._ints
         pt = [p if isinstance(p, Fraction) else Fraction(p) for p in point]
         d = lcm(*[p.denominator for p in pt])
-        pows = []
-        for p, top in zip(pt, tops):
-            a = p.numerator * (d // p.denominator)
-            pows.append([a**k for k in range(top + 1)])
+        coords = [p.numerator * (d // p.denominator) for p in pt]
+        degree = max((sum(e) for e in self.rows), default=0)
         d_pows = [d**k for k in range(degree + 1)]
         acc: dict[int, int] = {}
-        for factors, gap, ints in rows:
-            scalar = d_pows[gap]
-            for i, k in factors:
-                scalar *= pows[i][k]
-            if not scalar:
-                continue
-            for mask, n in ints:
-                acc[mask] = acc.get(mask, 0) + n * scalar
-        return AlgebraElement._from_ints(self.signature, acc, den * d_pows[degree])
+        for e, nums in self.rows.items():
+            scalar = prod(map(pow, coords, e), start=d_pows[degree - sum(e)])
+            if scalar:
+                _add_scaled(acc, nums, scalar)
+        return AlgebraElement._make(self.signature, acc, self.den * d_pows[degree])
 
     # -- helpers for denominators ---------------------------------------------
 
     def scalar_coeff(self, exps: Exponents) -> Fraction:
-        c = self.terms.get(tuple(exps))
-        return c.scalar_part() if c is not None else Fraction(0)
+        return Fraction(self.rows.get(tuple(exps), {}).get(0, 0), self.den)
 
     def _leading_key(self) -> Exponents:
         """Graded-lex maximal exponent vector (zero polynomial not allowed)."""
-        return max(self.terms, key=lambda e: (sum(e), e))
+        return max(self.rows, key=lambda e: (sum(e), e))
 
     def sort_key(self):
         """Deterministic ordering key; meaningful for real-scalar polynomials."""
         items = []
-        for e in sorted(self.terms):
-            c = self.terms[e].scalar_part()
+        for e in sorted(self.rows):
+            c = self.scalar_coeff(e)
             items.append((e, c.numerator, c.denominator))
         return (self.var_count, tuple(items))
 
@@ -311,18 +300,18 @@ class CoordPoly:
         return (
             self.signature == other.signature
             and self.var_count == other.var_count
-            and self.terms == other.terms
+            and self.den == other.den
+            and self.rows == other.rows
         )
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(
-                (self.signature, self.var_count, frozenset(self.terms.items()))
-            )
+            rows = frozenset((e, frozenset(nums.items())) for e, nums in self.rows.items())
+            self._hash = hash((self.signature, self.var_count, self.den, rows))
         return self._hash
 
     def __repr__(self):
-        if not self.terms:
+        if not self.rows:
             return "Poly(0)"
         bits = [f"x^{list(e)}*({c!r})" for e, c in sorted(self.terms.items())]
         return "Poly(" + " + ".join(bits) + ")"
@@ -377,7 +366,7 @@ def restrict_poly(poly: CoordPoly, components: Sequence[Fraction]) -> CoordPoly:
     comps = [c if isinstance(c, Fraction) else Fraction(c) for c in components]
     u = lcm(*[c.denominator for c in comps])
     nums = [c.numerator * (u // c.denominator) for c in comps]
-    top = max((sum(e) - e[0] for e in poly.terms), default=0)
+    top = max((sum(e) - e[0] for e in poly.rows), default=0)
     u_pows = [u**k for k in range(top + 1)]
 
     def move(e: Exponents):
@@ -410,18 +399,12 @@ def _normalize_factor(poly: CoordPoly) -> tuple[CoordPoly, Fraction]:
         raise ZeroDenominatorError("zero denominator factor")
     if not poly.is_real_scalar():
         raise ValueError("denominator factors must be real-scalar polynomials")
-    nums = []
-    dens = []
-    for c in poly.terms.values():
-        q = c.scalar_part()
-        nums.append(abs(q.numerator))
-        dens.append(q.denominator)
-    content = Fraction(gcd(*nums), lcm(*dens))
-    lead = poly.scalar_coeff(poly._leading_key())
-    if lead < 0:
-        content = -content
-    primitive = poly * (Fraction(1) / content)
-    return primitive, content
+    g = gcd(*[nums[0] for nums in poly.rows.values()])
+    if poly.rows[poly._leading_key()][0] < 0:
+        g = -g
+    rows = {e: {0: nums[0] // g} for e, nums in poly.rows.items()}
+    primitive = CoordPoly._make(poly.signature, poly.var_count, rows, 1)
+    return primitive, Fraction(g, poly.den)
 
 
 def _merge_factors(
@@ -592,7 +575,8 @@ class RationalFn:
                 raise DenominatorVanishesError(pt)
             den *= v**k
         value = self.numer.eval(pt)
-        return AlgebraElement(self.signature, {m: c / den for m, c in value.coeffs.items()})
+        nums = {m: n * den.denominator for m, n in value.nums.items()}
+        return AlgebraElement._make(self.signature, nums, value.den * den.numerator)
 
     # -- comparisons -----------------------------------------------------------------------
 

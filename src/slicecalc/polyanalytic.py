@@ -95,18 +95,16 @@ def decompose(f: SliceFunction, order: int) -> Decomposition:
 
     Peels one slice derivative at a time: with g = df/dx^c decomposed as
     (g_0..g_(n-2)), the function f - sum_h xbar^(h+1) g_h / (h+1) has vanishing
-    slice derivative and becomes f_0, while f_(h+1) = g_h / (h+1).  Trailing
-    zero components are trimmed so the top component witnesses minimality.
+    slice derivative and becomes f_0, while f_(h+1) = g_h / (h+1).  The
+    decomposition is unique, so any admissible order gives the one at the
+    minimal order ``poly_order(f)``, whose top component witnesses minimality.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    residual = f.stem.dbar_n(order)
-    if not residual.is_zero():
-        raise NotPolyanalyticOfOrderError(order, residual)
-    parts = _decompose_parts(f, order)
-    while len(parts) > 1 and parts[-1].stem.is_zero():
-        parts.pop()
-    return Decomposition(tuple(parts))
+    minimal = poly_order(f)
+    if minimal > order:
+        raise NotPolyanalyticOfOrderError(order, f.stem.dbar_n(order))
+    return Decomposition(tuple(_decompose_parts(f, minimal)))
 
 
 def per_slice_decomposition(

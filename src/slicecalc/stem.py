@@ -19,7 +19,7 @@ ALPHA, BETA = 0, 1
 
 
 def _check_parity(poly: CoordPoly, even: bool, component: str) -> None:
-    for exps in poly.terms:
+    for exps in poly.rows:
         if (exps[BETA] % 2 == 0) != even:
             raise ParityViolationError(component, exps)
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from slicecalc.cli import main
 
 RUN = [sys.executable, "-m", "slicecalc"]
 GOLDEN_SMALL = Path(__file__).parent / "data" / "verify_seed7_small.json"
+VERIFY_SEED7_SHA256 = "341e4a48488bbcd5d3f58159914174da17aae6e3832e2273f07d1e9424edfdca"
 
 
 def run_cli(args, capsys):
@@ -80,6 +82,12 @@ def test_decompose_builtin_conjugate(capsys):
     assert report["recomposition_verified"] is True
     assert report["component_count"] == 2
     assert report["components"][0] == {"f1_terms": [], "f2_terms": []}
+    # any admissible order decomposes at the minimal one, without recursing order levels
+    code, out, err = run_cli(["decompose", "--input", "xbar", "--order", "1000000000"], capsys)
+    assert code == 0 and "Traceback" not in err
+    large = json.loads(out)
+    assert large["components"] == report["components"]
+    assert large["component_count"] == 2 and large["recomposition_verified"] is True
 
 
 def test_decompose_wrong_order_exits_one(tmp_path, capsys):
@@ -165,6 +173,15 @@ def test_verify_small_report_matches_golden_bytes(tmp_path, capsys):
     assert out.read_bytes() == GOLDEN_SMALL.read_bytes()
 
 
+def test_verify_default_report_matches_its_digest(tmp_path, capsys):
+    # default sizes; the digest is that of the report before the kernel stored
+    # integer numerators, so no kernel refactor may change a byte
+    out = tmp_path / "report.json"
+    code, _, _ = run_cli(["verify", "--seed", "7", "--json", str(out)], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_SEED7_SHA256
+
+
 @pytest.mark.parametrize("bad", ["a", None, 1.7, True])
 def test_classify_rejects_non_integer_exponents(tmp_path, capsys, bad):
     spec = {
@@ -234,10 +251,16 @@ def _stem_spec(f1_terms, signature=None):
             (_stem_spec([{"exponents": [0, 0], "coefficient": {"1": bad}}]), "bad rational")
             for bad in ([None, 2], [1.7, 2], [True, 2], [1, 0], "1e5", "1.5", " 1", "1_0")
         ],
+        *[
+            (_stem_spec([{"exponents": [0, 0], "coefficient": {blade: "1"}}],
+                        {"kind": "clifford", "m": 3}), "bad blade")
+            for blade in ("e21", "e\u0661", "e1_2")
+        ],
     ],
     ids=["exponent-65", "terms-1025", "m-9", "m-3.7", "m-string", "m-true", "m-missing"]
     + ["pair-null", "pair-float", "pair-true", "pair-zero-den"]
-    + ["str-exponent", "str-decimal", "str-space", "str-underscore"],
+    + ["str-exponent", "str-decimal", "str-space", "str-underscore"]
+    + ["blade-e21", "blade-arabic-indic-digit", "blade-underscore"],
 )
 def test_classify_rejects_specs_over_the_input_limits(tmp_path, capsys, spec, message):
     path = tmp_path / "over_limit.json"

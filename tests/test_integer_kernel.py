@@ -1,17 +1,19 @@
 """The integer inner loops of the kernel against plain ``Fraction`` references.
 
-``AlgebraElement.__mul__``, ``CoordPoly.__mul__``, ``CoordPoly.eval``,
-``RationalFn.eval``, scalar scaling, ``scale_left``/``scale_right``,
-``CoordPoly.partial``, ``restrict_poly`` and ``RationalFn.__add__`` add up
-integer numerators over a common denominator.  The references below are the
-straightforward loops over ``Fraction`` coefficients, with their own blade
-sign rule, so they share no arithmetic with the kernel.  Results must also be
-canonical: no zero coefficient is stored, and ``==`` and ``hash`` agree with a
+``AlgebraElement`` and ``CoordPoly`` store integer numerators over one
+denominator, so ``+``, ``-`` and ``*`` on both, ``conj``, ``norm_sq``,
+``CoordPoly.eval``, ``RationalFn.eval``, scalar scaling,
+``scale_left``/``scale_right``, ``CoordPoly.partial``, ``restrict_poly``, the
+content split of ``RationalFn(numer, factors)`` and ``RationalFn.__add__`` all
+add up integers.  The references below are the straightforward loops over
+``Fraction`` coefficients, with their own blade sign rule.  Results must also
+be canonical: the stored denominator is positive and shares no factor with all
+numerators, no zero numerator is stored, and ``==`` and ``hash`` agree with a
 value built through the public constructor.
 """
 
 from fractions import Fraction
-from math import perm
+from math import gcd, lcm, perm
 
 import pytest
 from hypothesis import given, settings
@@ -86,6 +88,8 @@ def ref_rf_eval(rf, point):
 
 
 def assert_canonical_element(value, ref):
+    assert value.den > 0 and all(value.nums.values())
+    assert gcd(value.den, *value.nums.values()) == 1
     assert all(isinstance(c, Fraction) and c for c in value.coeffs.values())
     rebuilt = AlgebraElement(value.signature, dict(value.coeffs))
     assert value == rebuilt == ref
@@ -263,6 +267,10 @@ def test_eval_at_zero_negative_and_float_coordinates(sig):
     assert_canonical_element(rf.eval(point), ref_rf_eval(rf, point))
     with pytest.raises(DenominatorVanishesError):
         rf.eval([1] + [0] * (n - 1))
+    # a denominator negative at the point: the stored denominator of the value stays positive
+    rf = RationalFn(poly, [(x[0] + CoordPoly.constant(sig, n, 2), 1)])
+    point = [-3] + [Fraction(1, 2)] * (n - 1)
+    assert_canonical_element(rf.eval(point), ref_rf_eval(rf, point))
 
 
 # -- scalar paths -------------------------------------------------------------------
@@ -304,6 +312,9 @@ def ref_restrict(p, components):
 
 
 def assert_canonical_poly(value, ref):
+    numerators = [n for nums in value.rows.values() for n in nums.values()]
+    assert value.den > 0 and all(value.rows.values()) and all(numerators)
+    assert gcd(value.den, *numerators) == 1
     assert value.terms.keys() == ref.terms.keys()
     for e, c in value.terms.items():
         assert c.coeffs, f"zero coefficient stored at {e}"
@@ -376,7 +387,107 @@ def test_restrict_poly_matches_the_fraction_reference(case):
     assert_canonical_poly(restrict_poly(p, components), ref_restrict(p, components))
 
 
-# -- RationalFn.__add__ ------------------------------------------------------------------
+# -- sums, conjugation and norms ---------------------------------------------------
+
+
+def ref_element_add(a, b, sign=1):
+    acc = dict(a.coeffs)
+    for mask, c in b.coeffs.items():
+        acc[mask] = acc.get(mask, Fraction(0)) + sign * c
+    return AlgebraElement(a.signature, acc)
+
+
+def ref_poly_add(p, q, sign=1):
+    acc = {}
+    for poly, k in ((p, 1), (q, sign)):
+        for e, c in poly.terms.items():
+            row = acc.setdefault(e, {})
+            for mask, x in c.coeffs.items():
+                row[mask] = row.get(mask, Fraction(0)) + k * x
+    terms = {e: AlgebraElement(p.signature, row) for e, row in acc.items()}
+    return CoordPoly(p.signature, p.var_count, terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(element_pairs())
+def test_element_sum_and_difference_match_the_fraction_reference(pair):
+    a, b = pair
+    assert_canonical_element(a + b, ref_element_add(a, b))
+    assert_canonical_element(a - b, ref_element_add(a, b, -1))
+    assert_canonical_element(a - a, AlgebraElement.zero(a.signature))
+
+
+def paravectors(signature):
+    masks = st.sampled_from(sorted(signature.paravector_masks))
+    return st.dictionaries(masks, fracs, max_size=4).map(
+        lambda coeffs: AlgebraElement(signature, coeffs)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(SIGNATURES).flatmap(paravectors))
+def test_conj_and_norm_match_the_fraction_reference(x):
+    coeffs = x.coeffs
+    conj = AlgebraElement(x.signature, {m: c if m == 0 else -c for m, c in coeffs.items()})
+    assert_canonical_element(x.conj(), conj)
+    norm = x.norm_sq()
+    assert isinstance(norm, Fraction)
+    assert norm == sum((c * c for c in coeffs.values()), Fraction(0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(poly_pairs())
+def test_poly_sum_and_difference_match_the_fraction_reference(pair):
+    p, q = pair
+    assert_canonical_poly(p + q, ref_poly_add(p, q))
+    assert_canonical_poly(p - q, ref_poly_add(p, q, -1))
+    assert_canonical_poly(p - p, CoordPoly.zero(p.signature, p.var_count))
+
+
+# -- RationalFn ----------------------------------------------------------------------------
+
+
+def ref_split(p):
+    """(primitive, content) of a real-scalar polynomial, over ``Fraction``s."""
+    coeffs = {e: c.scalar_part() for e, c in p.terms.items()}
+    den = lcm(*[c.denominator for c in coeffs.values()])
+    content = Fraction(gcd(*[int(c * den) for c in coeffs.values()]), den)
+    if coeffs[max(coeffs, key=lambda e: (sum(e), e))] < 0:
+        content = -content
+    return ref_scale(p, 1 / content), content
+
+
+@st.composite
+def factored_numerators(draw):
+    sig = draw(st.sampled_from(SIGNATURES))
+    n = draw(st.integers(min_value=1, max_value=3))
+    factor = st.tuples(polys(sig, n, max_terms=3).map(_real_part), st.integers(1, 2))
+    factors = [(p, k) for p, k in draw(st.lists(factor, max_size=3)) if not p.is_zero()]
+    if factors and draw(st.booleans()):
+        p, k = factors[0]
+        factors.append((p * draw(fracs.filter(bool)), k))  # same primitive part
+    return draw(polys(sig, n)), factors
+
+
+@settings(max_examples=80, deadline=None)
+@given(factored_numerators())
+def test_rational_constructor_splits_content_like_the_fraction_reference(case):
+    numer, factors = case
+    rf = RationalFn(numer, factors)
+    scale = Fraction(1)
+    expected = {}
+    for p, k in factors:
+        primitive, content = ref_split(p)
+        coeffs = [c.scalar_part() for c in primitive.terms.values()]
+        assert all(c.denominator == 1 for c in coeffs) and gcd(*map(int, coeffs)) == 1
+        scale /= content**k
+        if primitive.total_degree() > 0:
+            expected[primitive] = expected.get(primitive, 0) + k
+    assert_canonical_poly(rf.numer, ref_scale(numer, scale))
+    assert dict(rf.den_factors) == expected
+    for p, _ in rf.den_factors:
+        assert_canonical_poly(p, p)
+
 
 
 def _factor_pool(sig):
