@@ -248,9 +248,6 @@ class AlgebraElement:
     def is_zero(self) -> bool:
         return not self.nums
 
-    def is_scalar(self) -> bool:
-        return all(mask == 0 for mask in self.nums)
-
     def scalar_part(self) -> Fraction:
         return self.coeff(0)
 

@@ -1,9 +1,12 @@
 """Seeded verification campaigns over the identity and invariant suites.
 
 Every check body is a plain function parameterized by explicit sample counts,
-so the acceptance tests can run the same code at their own sizes.  The
-campaign table derives counts from CampaignConfig: ``unit_samples`` sizes
-the unit pool and ``point_samples`` the number of trial tuples per check.
+so the acceptance tests can run the same code at their own sizes.  A body
+yields one outcome per trial, None on a pass and the witness dict on a
+failure; ``_tally`` counts them into the (trials, failures, first witness)
+that its callers get.  The campaign table derives counts from CampaignConfig:
+``unit_samples`` sizes the unit pool (at least 2 units for every check) and
+``point_samples`` the number of trial tuples per check.
 Each check seeds its own generator from (seed, check id), which makes reports
 byte-identical for a fixed config regardless of scheduling.
 """
@@ -11,14 +14,15 @@ byte-identical for a fixed config regardless of scheduling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import wraps
+from itertools import islice
 from math import perm
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .algebra import QUATERNION, AlgebraSignature, clifford, sample_units
-from .multipoly import coord_s, coord_xbar
+from .multipoly import _iterates, coord_s, coord_xbar
 from .named import default_domain
 from .operators import (
-    SlicePlanePoly,
     dbar_slice,
     g_op,
     plane_x,
@@ -90,6 +94,24 @@ def _sig_label(sig: AlgebraSignature) -> str:
 # -- check bodies (reused verbatim by the acceptance tests) ---------------------
 
 
+def _tally(body: Callable[..., Iterator[Optional[dict]]]):
+    """The body as a function returning (trials, failures, first witness).
+
+    ``body`` yields one outcome per trial: None on a pass, the witness dict on
+    a failure.  The name and docstring stay the body's, so profiles and the
+    benchmark's spans still name the body.
+    """
+
+    @wraps(body)
+    def run(*args, **kwargs) -> tuple[int, int, Optional[dict]]:
+        outcomes = list(body(*args, **kwargs))
+        witnesses = [w for w in outcomes if w is not None]
+        return len(outcomes), len(witnesses), next(iter(witnesses), None)
+
+    return run
+
+
+@_tally
 def slice_global_trials(
     sig: AlgebraSignature,
     seed: int,
@@ -98,13 +120,12 @@ def slice_global_trials(
     n_points: int,
     orders: tuple[int, ...] = (1, 2, 3),
     n_rational: int = 0,
-) -> tuple[int, int, Optional[dict]]:
+) -> Iterator[Optional[dict]]:
     """Pointwise coincidence of the global operator with slice derivatives.
 
     For each function g, unit I, off-axis plane point z and order n, compares
     thetabar^n(g) at the point alpha + I beta against the n-th slice
-    derivative of the restriction, both exact.  Returns (trials, failures,
-    first witness).
+    derivative of the restriction, both exact.
     """
     rng = rng_for(seed, f"slice-global:{_sig_label(sig)}")
     funcs: list[PointFunction] = [
@@ -113,46 +134,28 @@ def slice_global_trials(
     funcs += [rand_rational_point_function(rng, sig) for _ in range(n_rational)]
     units = sample_units(sig, seed, n_units)
     points = [rand_plane_point(rng) for _ in range(n_points)]
-    trials = failures = 0
-    witness = None
+    top = max(orders)
     for gi, g in enumerate(funcs):
-        theta = g
-        theta_seq = []
-        for _ in range(max(orders)):
-            theta = thetabar(theta, 1)
-            theta_seq.append(theta)
+        thetas = list(islice(_iterates(thetabar, g), top + 1))
         for ui, unit in enumerate(units):
-            plane = restrict_to_slice(g, unit)
-            for n in range(1, max(orders) + 1):
-                plane = plane.dbar()
+            planes = restrict_to_slice(g, unit).dbar_chain(top)
+            for n in range(1, top + 1):
                 if n not in orders:
                     continue
                 for z in points:
-                    trials += 1
-                    lhs = theta_seq[n - 1].expr.eval(phi_coords(unit, *z))
-                    rhs = plane.eval_at(z)
-                    if lhs != rhs:
-                        failures += 1
-                        if witness is None:
-                            witness = {
-                                "function_index": gi,
-                                "unit_index": ui,
-                                "order": n,
-                                "z": [str(z[0]), str(z[1])],
-                                "global": repr(lhs),
-                                "slice": repr(rhs),
-                            }
-    return trials, failures, witness
+                    lhs = thetas[n].expr.eval(phi_coords(unit, *z))
+                    rhs = planes[n].eval_at(z)
+                    yield None if lhs == rhs else {
+                        "function_index": gi,
+                        "unit_index": ui,
+                        "order": n,
+                        "z": [str(z[0]), str(z[1])],
+                        "global": repr(lhs),
+                        "slice": repr(rhs),
+                    }
 
 
-def _dbar_levels(plane: SlicePlanePoly, top: int) -> list[SlicePlanePoly]:
-    """[plane, dbar plane, ..., dbar^top plane], each level one step from the last."""
-    levels = [plane]
-    for _ in range(top):
-        levels.append(levels[-1].dbar())
-    return levels
-
-
+@_tally
 def slice_derivative_trials(
     sig: AlgebraSignature,
     seed: int,
@@ -160,7 +163,7 @@ def slice_derivative_trials(
     n_units: int,
     orders: tuple[int, ...] = (1, 2),
     zbar_degree: Optional[int] = None,
-) -> tuple[int, int, Optional[dict]]:
+) -> Iterator[Optional[dict]]:
     """Slice derivative vs slice-by-slice derivative, symbolically per slice.
 
     Compares the restriction of the n-th slice derivative of an induced
@@ -170,68 +173,58 @@ def slice_derivative_trials(
     """
     rng = rng_for(seed, f"slice-derivative:{_sig_label(sig)}")
     units = sample_units(sig, seed, n_units)
-    trials = failures = 0
-    witness = None
     domain = default_domain()
+    top = max(orders)
     for si in range(n_stems):
         if zbar_degree is None:
             stem = rand_stem(rng, sig, max_degree=4)
         else:
             stem = StemFunction.zero(sig)
-            for h in range(zbar_degree + 1):
-                stem = stem + StemFunction.zbar_pow(sig, h) * rand_holomorphic_stem(
+            zbar_powers = islice(StemFunction.zbar(sig).powers(), zbar_degree + 1)
+            for h, zbar_h in enumerate(zbar_powers):
+                stem = stem + zbar_h * rand_holomorphic_stem(
                     rng, sig, max_degree=2, nonzero=(h == zbar_degree)
                 )
         f = SliceFunction(domain, stem)
         pf = f.to_point_function()
         # each side restricted once per unit; level n is one dbar step from n - 1
-        top = max(orders)
-        stem_side = [_dbar_levels(restrict_slice_function(f, unit), top) for unit in units]
-        coord_side = [_dbar_levels(restrict_to_slice(pf, unit), top) for unit in units]
+        stem_side = [restrict_slice_function(f, unit).dbar_chain(top) for unit in units]
+        coord_side = [restrict_to_slice(pf, unit).dbar_chain(top) for unit in units]
         for n in orders:
             derived = f.derivative(n)
             for ui, unit in enumerate(units):
-                trials += 1
                 want = restrict_slice_function(derived, unit).rf
                 via_plane = stem_side[ui][n].rf
                 via_coords = coord_side[ui][n].rf
-                if want != via_plane or want != via_coords:
-                    failures += 1
-                    if witness is None:
-                        witness = {"stem_index": si, "unit_index": ui, "order": n}
-    return trials, failures, witness
+                ok = want == via_plane and want == via_coords
+                yield None if ok else {"stem_index": si, "unit_index": ui, "order": n}
 
 
+@_tally
 def g_relation_trials(
     sig: AlgebraSignature, seed: int, n_funcs: int
-) -> tuple[int, int, Optional[dict]]:
+) -> Iterator[Optional[dict]]:
     """G(g) == 2 |Im|^2 thetabar(g) as exact rational functions."""
     rng = rng_for(seed, f"g-relation:{_sig_label(sig)}")
-    trials = failures = 0
-    witness = None
     two_s = coord_s(sig) * 2
     for gi in range(n_funcs):
         if gi % 3 == 2:
             g = rand_rational_point_function(rng, sig)
         else:
             g = rand_point_polynomial(rng, sig, max_degree=4)
-        trials += 1
         lhs = g_op(g).expr
         rhs = thetabar(g, 1).expr.mul_poly_left(two_s)
-        if lhs != rhs:
-            failures += 1
-            if witness is None:
-                witness = {"function_index": gi}
-    return trials, failures, witness
+        yield None if lhs == rhs else {"function_index": gi}
 
 
+@_tally
 def leibniz_trials(
     sig: AlgebraSignature,
     seed: int,
     n_funcs: int,
     n_units: int,
     powers: tuple[int, ...] = (1, 2, 3),
-) -> tuple[int, int, Optional[dict]]:
+) -> Iterator[Optional[dict]]:
     """Product rule against conjugate-coordinate powers, slice and global form.
 
     Slice form: dbar_I((xbar^h g)_I) = h xbar_I^(h-1) g_I + xbar_I^h dbar_I g_I.
@@ -240,56 +233,44 @@ def leibniz_trials(
     """
     rng = rng_for(seed, f"leibniz:{_sig_label(sig)}")
     units = sample_units(sig, seed, n_units)
-    xbar = coord_xbar(sig)
-    trials = failures = 0
-    witness = None
+    top = max(powers)
+    # xbar^0..xbar^top in the coordinates, and on the slice of each unit
+    xbar = list(islice(coord_xbar(sig).powers(), top + 1))
+    plane_xbar = [list(islice(plane_x(sig, -unit).powers(), top + 1)) for unit in units]
     for gi in range(n_funcs):
         g = rand_point_polynomial(rng, sig, max_degree=3)
         theta_g = thetabar(g, 1)
         for h in powers:
-            xg = PointFunction(g.domain, g.expr.mul_poly_left(xbar**h))
+            xg = PointFunction(g.domain, g.expr.mul_poly_left(xbar[h]))
             # global form
-            trials += 1
             lhs = thetabar(xg, 1).expr
-            rhs = g.expr.mul_poly_left(xbar ** (h - 1) * h) + theta_g.expr.mul_poly_left(
-                xbar**h
-            )
-            if lhs != rhs:
-                failures += 1
-                if witness is None:
-                    witness = {"function_index": gi, "power": h, "form": "global"}
+            rhs = g.expr.mul_poly_left(xbar[h - 1] * h) + theta_g.expr.mul_poly_left(xbar[h])
+            yield None if lhs == rhs else {"function_index": gi, "power": h, "form": "global"}
             # slice form on every sampled unit
-            for ui, unit in enumerate(units):
-                trials += 1
-                pxbar = plane_x(sig, -unit)
+            for ui, (unit, pxbar) in enumerate(zip(units, plane_xbar)):
                 s_lhs = dbar_slice(xg, unit, 1).rf
                 s_rhs = restrict_to_slice(g, unit).rf.mul_poly_left(
-                    pxbar ** (h - 1) * h
-                ) + dbar_slice(g, unit, 1).rf.mul_poly_left(pxbar**h)
-                if s_lhs != s_rhs:
-                    failures += 1
-                    if witness is None:
-                        witness = {
-                            "function_index": gi,
-                            "power": h,
-                            "form": "slice",
-                            "unit_index": ui,
-                        }
-    return trials, failures, witness
+                    pxbar[h - 1] * h
+                ) + dbar_slice(g, unit, 1).rf.mul_poly_left(pxbar[h])
+                yield None if s_lhs == s_rhs else {
+                    "function_index": gi,
+                    "power": h,
+                    "form": "slice",
+                    "unit_index": ui,
+                }
 
 
+@_tally
 def representation_trials(
     sig: AlgebraSignature,
     seed: int,
     n_stems: int,
     n_triples: int,
-) -> tuple[int, int, Optional[dict]]:
+) -> Iterator[Optional[dict]]:
     """Slice functions satisfy the two-slice reconstruction formula exactly."""
     rng = rng_for(seed, f"representation:{_sig_label(sig)}")
     units = sample_units(sig, seed, max(8, n_triples // 8))
     domain = default_domain()
-    trials = failures = 0
-    witness = None
     for si in range(n_stems):
         stem = rand_stem(rng, sig, max_degree=4)
         pf = SliceFunction(domain, stem).to_point_function()
@@ -297,22 +278,19 @@ def representation_trials(
             unit_h = rng.choice(units)
             unit_k = rng.choice(units)
             z = rand_plane_point(rng)
-            trials += 1
             predicted = representation_eval(pf, unit_h, unit_k, z)
             actual = pf.eval_coords(phi_coords(unit_k, *z))
-            if predicted != actual:
-                failures += 1
-                if witness is None:
-                    witness = {"stem_index": si, "z": [str(z[0]), str(z[1])]}
-    return trials, failures, witness
+            witness = {"stem_index": si, "z": [str(z[0]), str(z[1])]}
+            yield None if predicted == actual else witness
 
 
+@_tally
 def regularity_equivalence_trials(
     sig: AlgebraSignature,
     seed: int,
     n_stems: int,
     n_units: int,
-) -> tuple[int, int, Optional[dict]]:
+) -> Iterator[Optional[dict]]:
     """The equivalent faces of slice regularity on polynomial stems.
 
     Holomorphic stems must be annihilated by the slice derivative, by the
@@ -322,8 +300,6 @@ def regularity_equivalence_trials(
     rng = rng_for(seed, f"regularity:{_sig_label(sig)}")
     units = sample_units(sig, seed, n_units)
     domain = default_domain()
-    trials = failures = 0
-    witness = None
     for si in range(n_stems):
         for regular in (True, False):
             stem = rand_holomorphic_stem(rng, sig, max_degree=3)
@@ -339,22 +315,18 @@ def regularity_equivalence_trials(
                 g_op(pf).expr.is_zero(),
                 all(dbar_slice(pf, unit, 1).is_zero() for unit in units),
             ]
-            trials += 1
             ok = all(zero_faces) if regular else not any(zero_faces)
-            if not ok:
-                failures += 1
-                if witness is None:
-                    witness = {"stem_index": si, "regular": regular, "faces": zero_faces}
-    return trials, failures, witness
+            yield None if ok else {"stem_index": si, "regular": regular, "faces": zero_faces}
 
 
+@_tally
 def decomposition_roundtrip_trials(
     sig: AlgebraSignature,
     seed: int,
     n_tuples: int,
     n_units: int,
     max_n: int = 4,
-) -> tuple[int, int, Optional[dict]]:
+) -> Iterator[Optional[dict]]:
     """Compose, decompose, compare; plus the iterated-derivative identity.
 
     Builds f = sum_h xbar^h f_h from random regular components, checks exact
@@ -365,56 +337,48 @@ def decomposition_roundtrip_trials(
     rng = rng_for(seed, f"decomposition:{_sig_label(sig)}")
     units = sample_units(sig, seed, n_units)
     domain = default_domain()
-    trials = failures = 0
-    witness = None
+    plane_xbar = [list(islice(plane_x(sig, -unit).powers(), max_n)) for unit in units]
     for ti in range(n_tuples):
         n = 1 + ti % max_n
         parts = rand_regular_tuple(rng, sig, n, max_degree=2)
         total = StemFunction.zero(sig)
-        for h, part in enumerate(parts):
-            total = total + StemFunction.zbar_pow(sig, h) * part
+        for zbar_h, part in zip(StemFunction.zbar(sig).powers(), parts):
+            total = total + zbar_h * part
         f = SliceFunction(domain, total)
-        trials += 1
-        ok = True
         dec = decompose(f, n)
         recovered = [c.stem for c in dec.components]
         expected = list(parts)
         while len(expected) > 1 and expected[-1].is_zero():
             expected.pop()
-        ok = ok and recovered == expected
+        ok = recovered == expected
         ok = ok and dec.recompose().stem == total
         ok = ok and all(c.stem.dbar().is_zero() for c in dec.components)
         pf = f.to_point_function()
-        for unit in units:
+        for unit, pxbar in zip(units, plane_xbar):
             ok = ok and dbar_slice(pf, unit, n).is_zero()
-            deriv = restrict_slice_function(f, unit)
-            pxbar = plane_x(sig, -unit)
             # each part restricted once per unit; levels start at 1, so parts[0] never enters
             restricted = {
                 h: restrict_slice_function(SliceFunction(domain, parts[h]), unit).rf
                 for h in range(1, n)
             }
+            levels = restrict_slice_function(f, unit).dbar_chain(n - 1)
             for level in range(1, n):
-                deriv = deriv.dbar()
                 total_rhs = None
                 for h in range(level, n):
-                    term = restricted[h].mul_poly_left(pxbar ** (h - level) * perm(h, level))
+                    term = restricted[h].mul_poly_left(pxbar[h - level] * perm(h, level))
                     total_rhs = term if total_rhs is None else total_rhs + term
-                if total_rhs is not None and deriv.rf != total_rhs:
+                if total_rhs is not None and levels[level].rf != total_rhs:
                     ok = False
-        if not ok:
-            failures += 1
-            if witness is None:
-                witness = {"tuple_index": ti, "order": n}
-    return trials, failures, witness
+        yield None if ok else {"tuple_index": ti, "order": n}
 
 
+@_tally
 def taylor_independence_trials(
     sig: AlgebraSignature,
     seed: int,
     n_stems: int,
     n_units: int,
-) -> tuple[int, int, Optional[dict]]:
+) -> Iterator[Optional[dict]]:
     """Series coefficients at a real center do not depend on the slice.
 
     For holomorphic stems on a ball about 0, the normalized alpha-derivatives
@@ -424,26 +388,19 @@ def taylor_independence_trials(
     rng = rng_for(seed, f"taylor:{_sig_label(sig)}")
     units = sample_units(sig, seed, n_units)
     domain = default_domain()
-    trials = failures = 0
-    witness = None
     for si in range(n_stems):
         stem = rand_holomorphic_stem(rng, sig, max_degree=3)
         f = SliceFunction(domain, stem)
         degree = max(stem.total_degree(), 0)
-        trials += 1
         base = taylor_alpha_coefficients(f, units[0], 0, degree)
         ok = all(
             taylor_alpha_coefficients(f, unit, 0, degree) == base for unit in units[1:]
         )
         rebuilt = StemFunction.zero(sig)
-        for h, coeff in enumerate(base):
-            rebuilt = rebuilt + StemFunction.z_pow(sig, h).scale_right(coeff)
+        for z_h, coeff in zip(StemFunction.z(sig).powers(), base):
+            rebuilt = rebuilt + z_h.scale_right(coeff)
         ok = ok and rebuilt == stem
-        if not ok:
-            failures += 1
-            if witness is None:
-                witness = {"stem_index": si}
-    return trials, failures, witness
+        yield None if ok else {"stem_index": si}
 
 
 # -- campaign table ----------------------------------------------------------------
@@ -495,7 +452,7 @@ def _budget(config: CampaignConfig, floor: int, per: int) -> int:
 
 def _check_counterexamples(config: CampaignConfig) -> CheckResult:
     report = counterexample_suite(
-        QUATERNION, seed=config.seed, unit_count=config.unit_samples
+        QUATERNION, seed=config.seed, unit_count=max(2, config.unit_samples)
     )
     detail = {c.check_id: c.passed for c in report.checks}
     witness = None

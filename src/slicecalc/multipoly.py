@@ -24,9 +24,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import chain, islice
 from math import gcd, lcm, prod
 from operator import add
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .algebra import AlgebraElement, AlgebraSignature, _add_scaled, _int_product
 from .errors import (
@@ -40,13 +41,21 @@ Exponents = tuple[int, ...]
 RationalLike = Union[Fraction, int]
 
 
+def _iterates(step, value) -> Iterator:
+    """value, step(value), step(step(value)), ...: every dbar^n chain and power.
+
+    Lazy, so taking k elements applies ``step`` k - 1 times.
+    """
+    while True:
+        yield value
+        value = step(value)
+
+
 def _apply_n(step, value, n: int):
-    """``step`` applied ``n`` times to ``value``: the loop behind dbar^n and powers."""
+    """``step`` applied ``n`` times to ``value``: element n of ``_iterates``."""
     if n < 0:
         raise ValueError("order must be >= 0")
-    for _ in range(n):
-        value = step(value)
-    return value
+    return next(islice(_iterates(step, value), n, None))
 
 
 def _add_exponents(ea: Exponents, eb: Exponents) -> Exponents:
@@ -233,6 +242,11 @@ class CoordPoly:
         self._require_coeff(coeff)
         acc = _int_product(self.rows.items(), ((None, coeff.nums),), _left_key)
         return CoordPoly._make(self.signature, self.var_count, acc, self.den * coeff.den)
+
+    def powers(self) -> Iterator["CoordPoly"]:
+        """1, self, self^2, ...: from self^2 on, each one product from the last."""
+        one = CoordPoly.constant(self.signature, self.var_count, 1)
+        return chain((one,), _iterates(lambda out: out * self, self))
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:

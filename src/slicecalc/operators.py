@@ -11,9 +11,10 @@ identities the verification campaigns check.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 
 from .algebra import AlgebraElement, AlgebraSignature, ImaginaryUnit
-from .multipoly import CoordPoly, RationalFn, _apply_n, coord_im, coord_s, restrict_rf
+from .multipoly import CoordPoly, RationalFn, _apply_n, _iterates, coord_im, coord_s, restrict_rf
 from .slicefn import PointFunction, SliceFunction
 
 
@@ -40,6 +41,10 @@ class SlicePlanePoly:
 
     def dbar_n(self, n: int) -> "SlicePlanePoly":
         return _apply_n(SlicePlanePoly.dbar, self, n)
+
+    def dbar_chain(self, top: int) -> list["SlicePlanePoly"]:
+        """[self, dbar self, ..., dbar^top self], each one step from the last."""
+        return list(islice(_iterates(SlicePlanePoly.dbar, self), top + 1))
 
     def eval_at(self, z: tuple) -> AlgebraElement:
         return self.rf.eval((Fraction(z[0]), Fraction(z[1])))

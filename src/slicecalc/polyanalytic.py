@@ -11,11 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
+from math import factorial, perm
 from typing import Optional, Sequence
 
 from .algebra import AlgebraElement, AlgebraSignature, ImaginaryUnit, clifford, sample_units
 from .errors import NotPolyanalyticOfOrderError
-from .multipoly import CoordPoly, RationalFn
+from .multipoly import CoordPoly, RationalFn, _iterates
 from .named import (
     default_domain,
     jump_example,
@@ -42,15 +44,11 @@ from .stem import StemFunction
 def poly_order(f: SliceFunction) -> int:
     """Least n >= 1 whose n-th slice derivative vanishes identically.
 
-    Always terminates for polynomial stems: each derivative lowers the total
-    degree, so the order is bounded by total degree + 1.
+    The number of nonzero levels f, df, d^2 f, ... (1 for f = 0).  Always
+    terminates for polynomial stems: each derivative lowers the total degree,
+    so the order is bounded by total degree + 1.
     """
-    current = f.stem.dbar()
-    order = 1
-    while not current.is_zero():
-        order += 1
-        current = current.dbar()
-    return order
+    return max(1, sum(1 for _ in f.stem.dbar_levels()))
 
 
 @dataclass(frozen=True)
@@ -67,44 +65,36 @@ class Decomposition:
         domain = self.components[0].domain
         sig = self.components[0].signature
         total = StemFunction.zero(sig)
-        for h, part in enumerate(self.components):
-            total = total + StemFunction.zbar_pow(sig, h) * part.stem
+        for zbar_h, part in zip(StemFunction.zbar(sig).powers(), self.components):
+            total = total + zbar_h * part.stem
         return SliceFunction(domain, total)
 
 
-def _decompose_parts(f: SliceFunction, order: int) -> list[SliceFunction]:
-    if order == 1:
-        return [f]
-    sig = f.signature
-    derived = _decompose_parts(f.derivative(1), order - 1)
-    remainder = f.stem
-    for h, part in enumerate(derived):
-        remainder = remainder - StemFunction.zbar_pow(sig, h + 1) * part.stem * Fraction(
-            1, h + 1
-        )
-    head = SliceFunction(f.domain, remainder)
-    tail = [
-        SliceFunction(f.domain, part.stem * Fraction(1, h + 1))
-        for h, part in enumerate(derived)
-    ]
-    return [head] + tail
-
-
 def decompose(f: SliceFunction, order: int) -> Decomposition:
-    """Constructive decomposition at the given order.
+    """Constructive decomposition at the given order, read off the levels of f.
 
-    Peels one slice derivative at a time: with g = df/dx^c decomposed as
-    (g_0..g_(n-2)), the function f - sum_h xbar^(h+1) g_h / (h+1) has vanishing
-    slice derivative and becomes f_0, while f_(h+1) = g_h / (h+1).  The
-    decomposition is unique, so any admissible order gives the one at the
-    minimal order ``poly_order(f)``, whose top component witnesses minimality.
+    With D_l = d^l f / dx^c the nonzero slice derivatives D_0..D_(n-1), where
+    n = ``poly_order(f)``, the components come out from the top:
+    f_l = (D_l - sum_(h>l) h!/(h-l)! xbar^(h-l) f_h) / l!, since
+    D_l = sum_(h>=l) h!/(h-l)! xbar^(h-l) f_h.  That takes n stem derivatives.
+    The decomposition is unique, so any admissible order gives the one at the
+    minimal order n, whose top component witnesses minimality; a lower order
+    raises with the residual D_order.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    minimal = poly_order(f)
-    if minimal > order:
-        raise NotPolyanalyticOfOrderError(order, f.stem.dbar_n(order))
-    return Decomposition(tuple(_decompose_parts(f, minimal)))
+    # f = 0 has no nonzero level and is its own decomposition
+    levels = list(islice(f.stem.dbar_levels(), order + 1)) or [f.stem]
+    if len(levels) > order:
+        raise NotPolyanalyticOfOrderError(order, levels[order])
+    zbar_powers = list(islice(StemFunction.zbar(f.signature).powers(), len(levels)))
+    parts: list[StemFunction] = []
+    for level in reversed(range(len(levels))):
+        rest = levels[level]
+        for h, part in enumerate(reversed(parts), start=level + 1):
+            rest = rest - zbar_powers[h - level] * part * perm(h, level)
+        parts.append(rest * Fraction(1, factorial(level)))
+    return Decomposition(tuple(SliceFunction(f.domain, part) for part in reversed(parts)))
 
 
 def per_slice_decomposition(
@@ -115,9 +105,7 @@ def per_slice_decomposition(
     Requires the second slice derivative to vanish on this slice; f_1 is the
     first slice derivative and f_0 the remainder, both exact.
     """
-    restricted = restrict_to_slice(g, unit)
-    f1 = restricted.dbar()
-    second = f1.dbar()
+    restricted, f1, second = restrict_to_slice(g, unit).dbar_chain(2)
     if not second.is_zero():
         raise NotPolyanalyticOfOrderError(2)
     xbar = plane_x(g.signature, -unit)
@@ -158,12 +146,10 @@ def classify(
     worst = 0
     for unit in units:
         plane = restrict_to_slice(g, unit)
-        n = 1
-        plane = plane.dbar()
-        while not plane.is_zero() and n < max_order:
-            plane = plane.dbar()
-            n += 1
-        if not plane.is_zero():
+        levels = islice(_iterates(SlicePlanePoly.dbar, plane), max_order + 1)
+        # the least n in 1..max_order with a vanishing n-th derivative on this slice
+        n = next((n for n, level in enumerate(levels) if n and level.is_zero()), None)
+        if n is None:
             worst = None
             evidence["sbs_blocking_unit"] = repr(unit.value)
             break
@@ -248,16 +234,32 @@ def _expected_slice_constants(
 
 
 def counterexample_suite(
-    signature: AlgebraSignature,
-    seed: int = 0,
-    unit_count: int = 100,
-    _nested: bool = False,
+    signature: AlgebraSignature, seed: int = 0, unit_count: int = 100
 ) -> SuiteReport:
     """Exact replay of the separating examples for this signature.
 
-    For the quaternions the suite also re-runs itself under Cl(0,3), where the
-    twisted coordinate uses e_1 in place of i.
+    The checks compare slices pairwise, so ``unit_count`` must be at least 2.
+    For the quaternions the suite also runs its checks under Cl(0,3), where
+    the twisted coordinate uses e_1 in place of i.
     """
+    if unit_count < 2:
+        raise ValueError("the counterexample suite needs unit_count >= 2")
+    checks = _suite_checks(signature, seed, unit_count)
+    # (6) the Clifford analogue passes the same checks
+    if signature.kind == "quaternion":
+        nested = _suite_checks(clifford(3), seed, min(unit_count, 32))
+        checks.append(
+            SuiteCheck(
+                "clifford-analogue",
+                all(c.passed for c in nested),
+                {c.check_id: c.passed for c in nested},
+            )
+        )
+    return SuiteReport(signature, checks)
+
+
+def _suite_checks(signature: AlgebraSignature, seed: int, unit_count: int) -> list[SuiteCheck]:
+    """Checks (1)-(5) and (7) of the suite on ``unit_count`` sampled units."""
     units = sample_units(signature, seed, unit_count)
     domain = default_domain()
     points = _suite_points()
@@ -323,23 +325,22 @@ def counterexample_suite(
 
     # (4) per-slice coefficients depend on the slice
     ok = True
+    f1_by_unit = []
     for unit in units:
         f0, f1 = per_slice_decomposition(v, unit)
         c_plus, c_minus = _expected_slice_constants(signature, unit)
         want_f0 = plane_x(signature, unit).scale_right(c_plus)
         ok = ok and f1.rf == CoordPoly.constant(signature, 2, c_minus)
         ok = ok and f0.rf == want_f0
-    u0, u1 = units[0], units[1]
-    pair0 = per_slice_decomposition(v, u0)
-    pair1 = per_slice_decomposition(v, u1)
-    differs = pair0[1].rf != pair1[1].rf
+        f1_by_unit.append(f1.rf)
+    differs = f1_by_unit[0] != f1_by_unit[1]
     checks.append(
         SuiteCheck(
             "slice-coefficients-depend-on-unit",
             ok and differs,
             {
-                "f1_on_first_unit": repr(pair0[1].rf.numer),
-                "f1_on_second_unit": repr(pair1[1].rf.numer),
+                "f1_on_first_unit": repr(f1_by_unit[0].numer),
+                "f1_on_second_unit": repr(f1_by_unit[1].numer),
             },
         )
     )
@@ -392,17 +393,4 @@ def counterexample_suite(
             },
         )
     )
-
-    # (6) the Clifford analogue passes the same checks
-    if signature.kind == "quaternion" and not _nested:
-        nested = counterexample_suite(
-            clifford(3), seed=seed, unit_count=min(unit_count, 32), _nested=True
-        )
-        checks.append(
-            SuiteCheck(
-                "clifford-analogue",
-                nested.all_passed,
-                {c.check_id: c.passed for c in nested.checks},
-            )
-        )
-    return SuiteReport(signature, checks)
+    return checks

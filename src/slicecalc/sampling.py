@@ -8,6 +8,7 @@ seed no matter how checks are scheduled.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from random import Random
 from typing import Optional
 
@@ -128,12 +129,10 @@ def rand_holomorphic_stem(
 ) -> StemFunction:
     """Stem of a polynomial sum x^h a_h: holomorphic, coefficients on the right."""
     total = StemFunction.zero(signature)
-    for h in range(max_degree + 1):
+    for z_h in islice(StemFunction.z(signature).powers(), max_degree + 1):
         if rng.random() < Fraction(3, 10):
             continue
-        total = total + StemFunction.z_pow(signature, h).scale_right(
-            rand_element(rng, signature)
-        )
+        total = total + z_h.scale_right(rand_element(rng, signature))
     if nonzero and total.is_zero():
         total = StemFunction.z(signature).scale_right(
             rand_nonzero_element(rng, signature)

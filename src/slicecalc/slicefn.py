@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from itertools import islice
+from math import factorial, isqrt
 from typing import Optional, Sequence, Union
 
 from .algebra import AlgebraElement, AlgebraSignature, ImaginaryUnit
@@ -20,7 +21,7 @@ from .errors import (
     PointOutsideDomainError,
     SignatureMismatchError,
 )
-from .multipoly import CoordPoly, RationalFn, coord_im, coord_s, restrict_rf
+from .multipoly import CoordPoly, RationalFn, _iterates, coord_im, coord_s, restrict_rf
 from .stem import StemFunction
 
 RationalLike = Union[Fraction, int]
@@ -156,14 +157,15 @@ class SliceFunction:
         """
         sig = self.signature
         n = sig.coord_count
-        s = coord_s(sig)
+        degree = self.stem.total_degree()
+        x0_powers = list(islice(CoordPoly.variable(sig, n, 0).powers(), degree + 1))
+        s_powers = list(islice(coord_s(sig).powers(), degree // 2 + 1))
         im = coord_im(sig)
-        x0 = CoordPoly.variable(sig, n, 0)
         out = CoordPoly.zero(sig, n)
         for (a, b), c in self.stem.f1.terms.items():
-            out = out + (x0**a * s ** (b // 2)).scale_right(c)
+            out = out + (x0_powers[a] * s_powers[b // 2]).scale_right(c)
         for (a, b), c in self.stem.f2.terms.items():
-            out = out + (x0**a * s ** ((b - 1) // 2)) * im.scale_right(c)
+            out = out + (x0_powers[a] * s_powers[b // 2]) * im.scale_right(c)
         return PointFunction(self.domain, RationalFn.from_poly(out))
 
     def __eq__(self, other):
@@ -322,13 +324,9 @@ def taylor_alpha_coefficients(
     For slice functions with holomorphic stems these are the series
     coefficients, and they do not depend on the chosen unit.
     """
-    poly = f.plane_poly(unit)
     point = (Fraction(center), Fraction(0))
-    out = []
-    factorial = 1
-    for h in range(max_order + 1):
-        if h > 0:
-            factorial *= h
-        out.append(poly.eval(point) * Fraction(1, factorial))
-        poly = poly.partial(0)
-    return out
+    derivatives = _iterates(lambda poly: poly.partial(0), f.plane_poly(unit))
+    return [
+        d.eval(point) * Fraction(1, factorial(h))
+        for h, d in enumerate(islice(derivatives, max_order + 1))
+    ]

@@ -10,10 +10,12 @@ below provably preserve it.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, takewhile
+from typing import Iterator
 
 from .algebra import AlgebraElement, AlgebraSignature
 from .errors import ParityViolationError, SignatureMismatchError
-from .multipoly import CoordPoly, _apply_n
+from .multipoly import CoordPoly, _apply_n, _iterates
 
 ALPHA, BETA = 0, 1
 
@@ -88,6 +90,11 @@ class StemFunction:
         zb = cls.zbar(signature)
         return _apply_n(lambda out: out * zb, cls.one(signature), n)
 
+    def powers(self) -> Iterator["StemFunction"]:
+        """1, self, self^2, ...: from self^2 on, each one product from the last."""
+        one = StemFunction.one(self.signature)
+        return chain((one,), _iterates(lambda out: out * self, self))
+
     # -- structure -------------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -145,6 +152,10 @@ class StemFunction:
 
     def dbar_n(self, n: int) -> "StemFunction":
         return _apply_n(StemFunction.dbar, self, n)
+
+    def dbar_levels(self) -> Iterator["StemFunction"]:
+        """self, dbar self, dbar^2 self, ... up to the last nonzero one."""
+        return takewhile(lambda level: not level.is_zero(), _iterates(StemFunction.dbar, self))
 
     def eval_at(self, alpha, beta) -> tuple[AlgebraElement, AlgebraElement]:
         point = (Fraction(alpha), Fraction(beta))

@@ -182,6 +182,20 @@ def test_verify_default_report_matches_its_digest(tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_SEED7_SHA256
 
 
+def test_verify_with_one_unit_raises_the_unit_count_to_two(tmp_path, capsys):
+    # every check needs two units; --units 1 runs them with two, as README states
+    out = tmp_path / "report.json"
+    code, stdout, err = run_cli(
+        ["verify", "--units", "1", "--points", "1", "--max-order", "1", "--json", str(out)],
+        capsys,
+    )
+    assert code == 0
+    assert "Traceback" not in stdout + err
+    report = json.loads(out.read_text())
+    assert report["all_passed"] is True
+    assert all(check["passed"] for check in report["checks"])
+
+
 @pytest.mark.parametrize("bad", ["a", None, 1.7, True])
 def test_classify_rejects_non_integer_exponents(tmp_path, capsys, bad):
     spec = {

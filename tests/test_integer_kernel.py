@@ -23,10 +23,19 @@ import slicecalc.algebra
 import slicecalc.campaign
 import slicecalc.multipoly
 from slicecalc.algebra import QUATERNION, AlgebraElement, clifford, sample_units
-from slicecalc.campaign import decomposition_roundtrip_trials, slice_derivative_trials
+from slicecalc.campaign import (
+    decomposition_roundtrip_trials,
+    g_relation_trials,
+    leibniz_trials,
+    regularity_equivalence_trials,
+    representation_trials,
+    slice_derivative_trials,
+    slice_global_trials,
+    taylor_independence_trials,
+)
 from slicecalc.errors import DenominatorVanishesError
 from slicecalc.multipoly import CoordPoly, RationalFn, restrict_poly
-from slicecalc.slicefn import SliceFunction
+from slicecalc.slicefn import PointFunction, SliceFunction
 
 H = QUATERNION
 CL3 = clifford(3)
@@ -623,3 +632,100 @@ def test_campaign_bodies_keep_failure_counts_and_witnesses(sig, monkeypatch):
     assert decomposition_roundtrip_trials(sig, 5, 4, 2, 4) == (
         4, 2, {"tuple_index": 2, "order": 3},
     )
+
+
+def _doubled(op):
+    """``op`` with its result scaled by 2."""
+    return lambda g, *args: PointFunction(g.domain, op(g, *args).expr * 2)
+
+
+# Each case replaces one name a body reads from ``slicecalc.campaign`` by a
+# wrapper of the original that makes some trials fail: (name, wrapper, run).
+FORCED_FAILURES = {
+    "slice-global": (
+        "phi_coords",
+        lambda phi: lambda unit, a, b: phi(unit, a, b * (1 + (a > 0))),
+        lambda sig: slice_global_trials(
+            sig, 5, n_funcs=1, n_units=2, n_points=3, n_rational=1
+        ),
+    ),
+    "g-relation": (
+        "g_op",
+        lambda op: lambda g: op(g) if g.expr.is_polynomial() else _doubled(op)(g),
+        lambda sig: g_relation_trials(sig, 5, n_funcs=6),
+    ),
+    "leibniz-global": (
+        "thetabar",
+        lambda op: lambda g, order=1: (
+            op(g, order) if g.expr.numer.total_degree() < 5 else _doubled(op)(g, order)
+        ),
+        lambda sig: leibniz_trials(sig, 5, n_funcs=2, n_units=2),
+    ),
+    "leibniz-slice": (
+        "plane_x",
+        lambda px: lambda s, unit: px(s, unit if unit.components()[0] > 0 else -unit),
+        lambda sig: leibniz_trials(sig, 5, n_funcs=2, n_units=2),
+    ),
+    "representation": (
+        "representation_eval",
+        lambda rep: lambda g, h, k, z: rep(g, h, k, (z[0], z[1] * (1 + (z[0] > 0)))),
+        lambda sig: representation_trials(sig, 5, n_stems=2, n_triples=3),
+    ),
+    "regularity": (
+        "thetabar",
+        lambda op: lambda g, order=1: g if g.expr.numer.total_degree() >= 3 else op(g, order),
+        lambda sig: regularity_equivalence_trials(sig, 5, n_stems=3, n_units=2),
+    ),
+    "taylor": (
+        "taylor_alpha_coefficients",
+        lambda ta: lambda f, unit, center, top: ta(f, unit, center + len(f.stem.f1.rows) % 2, top),
+        lambda sig: taylor_independence_trials(sig, 5, n_stems=4, n_units=3),
+    ),
+}
+
+# (trials, failures, witness) of each case, recorded before the bodies yielded
+# one outcome per trial and ``_tally`` counted them.
+FORCED_OUTCOMES = {
+    ("slice-global", "quaternion"): (36, 12, {
+        "function_index": 1, "unit_index": 0, "order": 1, "z": ["4/3", "4/9"],
+        "global": "295245/16384 + 177147/16384*i + -413343/32768*k",
+        "slice": "295245/512 + 177147/512*i + -413343/1024*k",
+    }),
+    ("slice-global", "clifford"): (36, 18, {
+        "function_index": 0, "unit_index": 0, "order": 1, "z": ["8/9", "4/3"],
+        "global": "2/3*e1 + 4096/243*e2 + 6005/1458*e12 + -512/135*e3 + -512/405*e13 + -1*e23",
+        "slice": "2/3*e1 + 1024/243*e2 + 1909/1458*e12 + -128/135*e3 + -256/405*e13 + -1*e23",
+    }),
+    ("g-relation", "quaternion"): (6, 2, {"function_index": 2}),
+    ("g-relation", "clifford"): (6, 2, {"function_index": 2}),
+    ("leibniz-global", "quaternion"): (
+        18, 1, {"function_index": 1, "power": 3, "form": "global"},
+    ),
+    ("leibniz-global", "clifford"): (
+        18, 3, {"function_index": 0, "power": 3, "form": "global"},
+    ),
+    ("leibniz-slice", "quaternion"): (
+        18, 12, {"function_index": 0, "power": 1, "form": "slice", "unit_index": 0},
+    ),
+    ("leibniz-slice", "clifford"): (
+        18, 11, {"function_index": 0, "power": 1, "form": "slice", "unit_index": 1},
+    ),
+    ("representation", "quaternion"): (6, 2, {"stem_index": 0, "z": ["4/9", "16/9"]}),
+    ("representation", "clifford"): (6, 3, {"stem_index": 0, "z": ["4/3", "8/9"]}),
+    ("regularity", "quaternion"): (
+        6, 2, {"stem_index": 0, "regular": True, "faces": [True, False, True, True]},
+    ),
+    ("regularity", "clifford"): (
+        6, 2, {"stem_index": 1, "regular": True, "faces": [True, False, True, True]},
+    ),
+    ("taylor", "quaternion"): (4, 1, {"stem_index": 2}),
+    ("taylor", "clifford"): (4, 3, {"stem_index": 1}),
+}
+
+
+@pytest.mark.parametrize("case, kind", sorted(FORCED_OUTCOMES))
+def test_forced_failures_keep_their_counts_and_first_witness(case, kind, monkeypatch):
+    name, wrap, run = FORCED_FAILURES[case]
+    monkeypatch.setattr(slicecalc.campaign, name, wrap(getattr(slicecalc.campaign, name)))
+    sig = H if kind == "quaternion" else CL3
+    assert run(sig) == FORCED_OUTCOMES[case, kind]

@@ -84,6 +84,30 @@ def test_decompose_trims_padding_orders():
     assert not dec.components[-1].stem.is_zero()
 
 
+def test_decompose_steps_dbar_once_per_level(monkeypatch):
+    # zbar^3 has order 4: dbar^1..dbar^3 are nonzero and dbar^4 is zero, so the
+    # levels take four stem derivatives; order 2 stops at its residual
+    calls = []
+    real = StemFunction.dbar
+
+    def counted(stem):
+        calls.append(stem)
+        return real(stem)
+
+    monkeypatch.setattr(StemFunction, "dbar", counted)
+    f = slice_of(StemFunction.zbar_pow(H, 3))
+    dec = decompose(f, 4)
+    assert len(calls) == 4
+    assert [c.stem for c in dec.components] == [StemFunction.zero(H)] * 3 + [
+        StemFunction.one(H)
+    ]
+    calls.clear()
+    with pytest.raises(NotPolyanalyticOfOrderError) as err:
+        decompose(f, 2)
+    assert len(calls) <= 4
+    assert err.value.residual == StemFunction.zbar(H) * 6
+
+
 def test_per_slice_decomposition_of_the_twist():
     v = rotation_twisted_coordinate(H)
     f0, f1 = per_slice_decomposition(v, I_U)
