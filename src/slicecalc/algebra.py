@@ -221,20 +221,6 @@ class AlgebraElement:
     def basis(cls, signature: AlgebraSignature, mask: int) -> "AlgebraElement":
         return cls(signature, {mask: 1})
 
-    @classmethod
-    def from_paravector_coords(
-        cls, signature: AlgebraSignature, coords: Iterable[RationalLike]
-    ) -> "AlgebraElement":
-        coords = list(coords)
-        if len(coords) != signature.coord_count:
-            raise ValueError(
-                f"expected {signature.coord_count} coordinates, got {len(coords)}"
-            )
-        data = {0: Fraction(coords[0])}
-        for mask, c in zip(signature.imag_masks, coords[1:]):
-            data[mask] = Fraction(c)
-        return cls(signature, data)
-
     # -- basic structure ---------------------------------------------------
 
     @property

@@ -30,7 +30,7 @@ from .operators import (
     restrict_to_slice,
     thetabar,
 )
-from .polyanalytic import counterexample_suite, decompose
+from .polyanalytic import compose, counterexample_suite, decompose
 from .sampling import (
     rand_holomorphic_stem,
     rand_nonzero_element,
@@ -179,12 +179,7 @@ def slice_derivative_trials(
         if zbar_degree is None:
             stem = rand_stem(rng, sig, max_degree=4)
         else:
-            stem = StemFunction.zero(sig)
-            zbar_powers = islice(StemFunction.zbar(sig).powers(), zbar_degree + 1)
-            for h, zbar_h in enumerate(zbar_powers):
-                stem = stem + zbar_h * rand_holomorphic_stem(
-                    rng, sig, max_degree=2, nonzero=(h == zbar_degree)
-                )
+            stem = compose(rand_regular_tuple(rng, sig, zbar_degree + 1, max_degree=2))
         f = SliceFunction(domain, stem)
         pf = f.to_point_function()
         # each side restricted once per unit; level n is one dbar step from n - 1
@@ -240,6 +235,8 @@ def leibniz_trials(
     for gi in range(n_funcs):
         g = rand_point_polynomial(rng, sig, max_degree=3)
         theta_g = thetabar(g, 1)
+        # g_I and dbar_I g_I on every unit, from one restriction each
+        g_planes = [restrict_to_slice(g, unit).dbar_chain(1) for unit in units]
         for h in powers:
             xg = PointFunction(g.domain, g.expr.mul_poly_left(xbar[h]))
             # global form
@@ -247,11 +244,13 @@ def leibniz_trials(
             rhs = g.expr.mul_poly_left(xbar[h - 1] * h) + theta_g.expr.mul_poly_left(xbar[h])
             yield None if lhs == rhs else {"function_index": gi, "power": h, "form": "global"}
             # slice form on every sampled unit
-            for ui, (unit, pxbar) in enumerate(zip(units, plane_xbar)):
+            for ui, (unit, pxbar, (g_slice, dg_slice)) in enumerate(
+                zip(units, plane_xbar, g_planes)
+            ):
                 s_lhs = dbar_slice(xg, unit, 1).rf
-                s_rhs = restrict_to_slice(g, unit).rf.mul_poly_left(
+                s_rhs = g_slice.rf.mul_poly_left(
                     pxbar[h - 1] * h
-                ) + dbar_slice(g, unit, 1).rf.mul_poly_left(pxbar[h])
+                ) + dg_slice.rf.mul_poly_left(pxbar[h])
                 yield None if s_lhs == s_rhs else {
                     "function_index": gi,
                     "power": h,
@@ -341,16 +340,10 @@ def decomposition_roundtrip_trials(
     for ti in range(n_tuples):
         n = 1 + ti % max_n
         parts = rand_regular_tuple(rng, sig, n, max_degree=2)
-        total = StemFunction.zero(sig)
-        for zbar_h, part in zip(StemFunction.zbar(sig).powers(), parts):
-            total = total + zbar_h * part
+        total = compose(parts)
         f = SliceFunction(domain, total)
         dec = decompose(f, n)
-        recovered = [c.stem for c in dec.components]
-        expected = list(parts)
-        while len(expected) > 1 and expected[-1].is_zero():
-            expected.pop()
-        ok = recovered == expected
+        ok = [c.stem for c in dec.components] == parts
         ok = ok and dec.recompose().stem == total
         ok = ok and all(c.stem.dbar().is_zero() for c in dec.components)
         pf = f.to_point_function()
@@ -367,7 +360,7 @@ def decomposition_roundtrip_trials(
                 for h in range(level, n):
                     term = restricted[h].mul_poly_left(pxbar[h - level] * perm(h, level))
                     total_rhs = term if total_rhs is None else total_rhs + term
-                if total_rhs is not None and levels[level].rf != total_rhs:
+                if levels[level].rf != total_rhs:
                     ok = False
         yield None if ok else {"tuple_index": ti, "order": n}
 

@@ -291,20 +291,9 @@ class CoordPoly:
 
     # -- helpers for denominators ---------------------------------------------
 
-    def scalar_coeff(self, exps: Exponents) -> Fraction:
-        return Fraction(self.rows.get(tuple(exps), {}).get(0, 0), self.den)
-
     def _leading_key(self) -> Exponents:
         """Graded-lex maximal exponent vector (zero polynomial not allowed)."""
         return max(self.rows, key=lambda e: (sum(e), e))
-
-    def sort_key(self):
-        """Deterministic ordering key; meaningful for real-scalar polynomials."""
-        items = []
-        for e in sorted(self.rows):
-            c = self.scalar_coeff(e)
-            items.append((e, c.numerator, c.denominator))
-        return (self.var_count, tuple(items))
 
     # -- comparisons -----------------------------------------------------------
 
@@ -429,7 +418,8 @@ def _merge_factors(
         if k == 0:
             continue
         acc[p] = acc.get(p, 0) + k
-    return tuple(sorted(acc.items(), key=lambda item: item[0].sort_key()))
+    # first-seen order: RationalFn equality compares values, so no order is needed
+    return tuple(acc.items())
 
 
 class RationalFn:

@@ -19,6 +19,7 @@ from typing import Any, Union
 from .algebra import QUATERNION, AlgebraElement, AlgebraSignature, clifford
 from .errors import FunctionSpecError, ParityViolationError, ZeroDenominatorError
 from .multipoly import CoordPoly, RationalFn
+from .named import default_domain
 from .slicefn import CircularDomain, PointFunction, SliceFunction, SliceWitness
 from .stem import StemFunction
 
@@ -170,7 +171,7 @@ def domain_to_json(domain: CircularDomain) -> dict:
 
 def domain_from_json(obj: Any) -> CircularDomain:
     if obj is None:
-        return CircularDomain.ball(0, 4)
+        return default_domain()
     if not isinstance(obj, dict) or "shape" not in obj:
         raise FunctionSpecError("domain must be an object with a 'shape'")
     try:

@@ -282,12 +282,19 @@ class SliceWitness:
     actual: AlgebraElement
 
 
-def find_slice_witness(
+def is_slice(
     g: PointFunction,
     units: Sequence[ImaginaryUnit],
     points: Sequence[tuple[RationalLike, RationalLike]],
-) -> Optional[SliceWitness]:
-    """First representation-formula mismatch over the sampled grid, if any."""
+) -> tuple[bool, Optional[SliceWitness]]:
+    """Sampled slice-ness check: sound when False, sampled when True.
+
+    Tries the representation formula from every unit H onto every other unit
+    K at every point z, in that nesting order, and returns (False, witness)
+    for the first mismatch, or (True, None) when the whole grid agrees.
+    """
+    if not units or not points:
+        raise ValueError("unit and point samples must be nonempty")
     for unit_h in units:
         for unit_k in units:
             if unit_k == unit_h:
@@ -297,20 +304,8 @@ def find_slice_witness(
                 predicted = representation_eval(g, unit_h, unit_k, (alpha, beta))
                 actual = g.eval_coords(phi_coords(unit_k, alpha, beta))
                 if predicted != actual:
-                    return SliceWitness(unit_h, unit_k, (alpha, beta), predicted, actual)
-    return None
-
-
-def is_slice(
-    g: PointFunction,
-    units: Sequence[ImaginaryUnit],
-    points: Sequence[tuple[RationalLike, RationalLike]],
-) -> tuple[bool, Optional[SliceWitness]]:
-    """Sampled slice-ness check: sound when False, sampled when True."""
-    if not units or not points:
-        raise ValueError("unit and point samples must be nonempty")
-    witness = find_slice_witness(g, units, points)
-    return witness is None, witness
+                    return False, SliceWitness(unit_h, unit_k, (alpha, beta), predicted, actual)
+    return True, None
 
 
 def taylor_alpha_coefficients(

@@ -80,16 +80,6 @@ class StemFunction:
             -CoordPoly.variable(signature, 2, BETA),
         )
 
-    @classmethod
-    def z_pow(cls, signature, n: int) -> "StemFunction":
-        z = cls.z(signature)
-        return _apply_n(lambda out: out * z, cls.one(signature), n)
-
-    @classmethod
-    def zbar_pow(cls, signature, n: int) -> "StemFunction":
-        zb = cls.zbar(signature)
-        return _apply_n(lambda out: out * zb, cls.one(signature), n)
-
     def powers(self) -> Iterator["StemFunction"]:
         """1, self, self^2, ...: from self^2 on, each one product from the last."""
         one = StemFunction.one(self.signature)

@@ -4,13 +4,23 @@ The oracle takes central differences of exact values: the point and the step
 become Fractions (exact for floats), and only the result is turned into
 floats.  It shares no code with the symbolic derivatives it checks, and it is
 the only floating point the tests compare against; the package holds none.
+The module also builds paravectors from their coordinates for the tests.
 """
 
 from fractions import Fraction
 from typing import Sequence
 
-from slicecalc.algebra import AlgebraElement, ImaginaryUnit
+from slicecalc.algebra import AlgebraElement, AlgebraSignature, ImaginaryUnit
 from slicecalc.slicefn import PointFunction, phi_coords
+
+
+def paravector(signature: AlgebraSignature, coords: Sequence) -> AlgebraElement:
+    """x_0 + x_1 e_1 + ... + x_n e_n from the coordinates (x_0, ..., x_n)."""
+    coords = list(coords)
+    if len(coords) != signature.coord_count:
+        raise ValueError(f"expected {signature.coord_count} coordinates, got {len(coords)}")
+    masks = (0,) + tuple(signature.imag_masks)
+    return AlgebraElement(signature, {m: Fraction(c) for m, c in zip(masks, coords)})
 
 
 def element_to_float(value: AlgebraElement) -> dict[int, float]:
@@ -39,7 +49,7 @@ def _fd_parts(
     radial = AlgebraElement.zero(g.signature)
     for h in range(1, len(point)):
         radial = radial + _central(g.expr.eval, point, h, step) * point[h]
-    im = AlgebraElement.from_paravector_coords(g.signature, [0] + point[1:])
+    im = paravector(g.signature, [0] + point[1:])
     return s, d0, im * radial
 
 

@@ -16,12 +16,14 @@ from slicecalc.algebra import (
 )
 from slicecalc.errors import NonParavectorError, SignatureMismatchError
 
+from oracles import paravector
+
 H = QUATERNION
 CL3 = clifford(3)
 
 
 def q(*coords):
-    return AlgebraElement.from_paravector_coords(H, [Fraction(c) for c in coords])
+    return paravector(H, coords)
 
 
 I, J, K = (AlgebraElement.basis(H, m) for m in (1, 2, 3))
@@ -71,7 +73,7 @@ def test_clifford_paravector_only_operations():
     for op in ("conj", "re", "im", "norm_sq"):
         with pytest.raises(NonParavectorError):
             getattr(e12, op)()
-    x = AlgebraElement.from_paravector_coords(CL3, [1, 2, 0, -1])
+    x = paravector(CL3, [1, 2, 0, -1])
     assert x.conj() * x == AlgebraElement.scalar(CL3, 6)
 
 
@@ -154,7 +156,7 @@ small_fracs = st.fractions(
 @st.composite
 def quaternions(draw):
     coords = draw(st.lists(small_fracs, min_size=4, max_size=4))
-    return AlgebraElement.from_paravector_coords(H, coords)
+    return paravector(H, coords)
 
 
 @settings(max_examples=100, deadline=None)

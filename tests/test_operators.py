@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from slicecalc import operators
 from slicecalc.algebra import QUATERNION, AlgebraElement, clifford, sample_units
 from slicecalc.campaign import (
     g_relation_trials,
@@ -166,6 +167,22 @@ def test_leibniz_randomized():
     for sig in (H, clifford(3)):
         trials, failures, witness = leibniz_trials(sig, 24, n_funcs=6, n_units=4)
         assert failures == 0, witness
+
+
+def test_leibniz_restricts_each_function_once_per_unit(monkeypatch):
+    # one function, two units, three powers: g is restricted once per unit (2)
+    # and xbar^h g once per power and unit (6)
+    calls = []
+    real = operators.restrict_rf
+
+    def counted(rf, components):
+        calls.append(components)
+        return real(rf, components)
+
+    monkeypatch.setattr(operators, "restrict_rf", counted)
+    trials, failures, witness = leibniz_trials(H, 3, n_funcs=1, n_units=2, powers=(1, 2, 3))
+    assert (trials, failures) == (9, 0), witness
+    assert len(calls) == 8
 
 
 def test_product_rule_for_slice_valued_left_factor():

@@ -1,7 +1,9 @@
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
+from slicecalc import polyanalytic
 from slicecalc.algebra import QUATERNION, AlgebraElement, clifford, sample_units
 from slicecalc.campaign import decomposition_roundtrip_trials, taylor_independence_trials
 from slicecalc.errors import NotPolyanalyticOfOrderError
@@ -31,6 +33,8 @@ H = QUATERNION
 DOM = default_domain()
 UNITS = sample_units(H, 0, 8)
 I_U, J_U = UNITS[:2]
+Z_POWERS = list(islice(StemFunction.z(H).powers(), 4))
+ZBAR_POWERS = list(islice(StemFunction.zbar(H).powers(), 4))
 
 
 def slice_of(stem):
@@ -38,14 +42,14 @@ def slice_of(stem):
 
 
 def test_poly_order_examples():
-    assert poly_order(slice_of(StemFunction.z_pow(H, 3))) == 1
+    assert poly_order(slice_of(Z_POWERS[3])) == 1
     assert poly_order(slice_of(StemFunction.zbar(H))) == 2
     assert poly_order(slice_of(StemFunction.z(H) * StemFunction.zbar(H))) == 2
     assert poly_order(slice_of(StemFunction.zero(H))) == 1
 
 
 def test_decompose_holomorphic_is_identity():
-    f = slice_of(StemFunction.z_pow(H, 2))
+    f = slice_of(Z_POWERS[2])
     dec = decompose(f, 1)
     assert dec.order == 1 and dec.components[0].stem == f.stem
 
@@ -67,7 +71,7 @@ def test_decompose_zbar_times_z():
 
 
 def test_decompose_requires_the_order():
-    f = slice_of(StemFunction.zbar_pow(H, 2))
+    f = slice_of(ZBAR_POWERS[2])
     with pytest.raises(NotPolyanalyticOfOrderError) as err:
         decompose(f, 2)
     assert err.value.order == 2
@@ -95,7 +99,7 @@ def test_decompose_steps_dbar_once_per_level(monkeypatch):
         return real(stem)
 
     monkeypatch.setattr(StemFunction, "dbar", counted)
-    f = slice_of(StemFunction.zbar_pow(H, 3))
+    f = slice_of(ZBAR_POWERS[3])
     dec = decompose(f, 4)
     assert len(calls) == 4
     assert [c.stem for c in dec.components] == [StemFunction.zero(H)] * 3 + [
@@ -127,7 +131,7 @@ def test_per_slice_decomposition_of_global_function():
 
 
 def test_per_slice_decomposition_requires_order_two():
-    f = slice_of(StemFunction.zbar_pow(H, 2)).to_point_function()
+    f = slice_of(ZBAR_POWERS[2]).to_point_function()
     with pytest.raises(NotPolyanalyticOfOrderError):
         per_slice_decomposition(f, I_U)
 
@@ -135,10 +139,10 @@ def test_per_slice_decomposition_requires_order_two():
 def test_not_polyanalytic_residual_is_a_stem_or_none():
     # decompose reports the stem left after differentiating; one slice has no stem
     with pytest.raises(NotPolyanalyticOfOrderError) as err:
-        decompose(slice_of(StemFunction.zbar_pow(H, 2)), 2)
+        decompose(slice_of(ZBAR_POWERS[2]), 2)
     assert isinstance(err.value.residual, StemFunction)
     assert err.value.residual == StemFunction.constant(H, 2)
-    pf = slice_of(StemFunction.zbar_pow(H, 2)).to_point_function()
+    pf = slice_of(ZBAR_POWERS[2]).to_point_function()
     with pytest.raises(NotPolyanalyticOfOrderError) as err:
         per_slice_decomposition(pf, I_U)
     assert err.value.order == 2
@@ -166,7 +170,7 @@ def test_classify_twisted_coordinate():
 
 
 def test_classify_conjugate_square():
-    pf = slice_of(StemFunction.zbar_pow(H, 2)).to_point_function()
+    pf = slice_of(ZBAR_POWERS[2]).to_point_function()
     rep = _classify(pf)
     assert (rep.sbs_polyanalytic_order, rep.is_slice, rep.global_order) == (3, True, 3)
     comps = rep.decomposition.components
@@ -175,7 +179,7 @@ def test_classify_conjugate_square():
 
 
 def test_classify_order_cap():
-    pf = slice_of(StemFunction.zbar_pow(H, 2)).to_point_function()
+    pf = slice_of(ZBAR_POWERS[2]).to_point_function()
     rng = rng_for(8, "cap")
     points = [rand_plane_point(rng) for _ in range(4)]
     rep = classify(pf, 2, UNITS[:4], points)
@@ -220,6 +224,24 @@ def test_counterexample_suite_passes_for_both_signatures():
     quaternion_report = counterexample_suite(H, seed=0, unit_count=40)
     ids = [c.check_id for c in quaternion_report.checks]
     assert "clifford-analogue" in ids
+
+
+def test_suite_fails_both_split_checks_when_a_slice_has_no_split(monkeypatch):
+    # checks (1) and (4) read the split; the others run on and still pass
+    def no_split(g, unit):
+        raise NotPolyanalyticOfOrderError(2)
+
+    monkeypatch.setattr(polyanalytic, "per_slice_decomposition", no_split)
+    report = counterexample_suite(H, seed=1, unit_count=4)
+    passed = {c.check_id: c.passed for c in report.checks}
+    failed = {"slicewise-order-two", "slice-coefficients-depend-on-unit", "clifford-analogue"}
+    assert {check_id for check_id, ok in passed.items() if not ok} == failed
+    assert passed["not-slice"]
+    details = {c.check_id: c.details for c in report.checks}
+    assert details["slice-coefficients-depend-on-unit"] == {
+        "f1_on_first_unit": None,
+        "f1_on_second_unit": None,
+    }
 
 
 def test_jump_example_values():
