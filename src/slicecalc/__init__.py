@@ -26,7 +26,6 @@ from .slicefn import (
     extract_stem_exact,
     is_slice,
     representation_eval,
-    slice_coordinates,
 )
 from .stem import StemFunction
 from .operators import (
@@ -86,7 +85,6 @@ __all__ = [
     "restrict_slice_function",
     "restrict_to_slice",
     "sample_units",
-    "slice_coordinates",
     "stereographic_unit",
     "thetabar",
 ]

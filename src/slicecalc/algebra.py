@@ -21,7 +21,7 @@ from math import gcd, lcm
 from random import Random
 from typing import Iterable, Mapping, Union
 
-from .errors import NonParavectorError, SignatureMismatchError
+from .errors import SignatureMismatchError
 
 RationalLike = Union[Fraction, int]
 
@@ -63,10 +63,6 @@ class AlgebraSignature:
         if self.kind == "quaternion":
             return (1, 2, 3)
         return tuple(1 << t for t in range(self.m))
-
-    @property
-    def paravector_masks(self) -> frozenset[int]:
-        return frozenset((0, *self.imag_masks))
 
     def blade_name(self, mask: int) -> str:
         if mask == 0:
@@ -157,6 +153,13 @@ def _int_product(left, right, combine):
     return acc
 
 
+def _over_common_den(values: Iterable[RationalLike]) -> tuple[list[int], int]:
+    """Integer numerators of ``values`` over their least common denominator."""
+    qs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    den = lcm(*[q.denominator for q in qs])
+    return [q.numerator * (den // q.denominator) for q in qs], den
+
+
 def _no_key(ka, kb):
     return None
 
@@ -172,15 +175,11 @@ class AlgebraElement:
     __slots__ = ("signature", "nums", "den", "_hash")
 
     def __new__(cls, signature: AlgebraSignature, coeffs: Mapping[int, RationalLike]):
-        limit = signature.dim
-        qs = {}
-        for mask, c in coeffs.items():
-            if not 0 <= mask < limit:
+        for mask in coeffs:
+            if not 0 <= mask < signature.dim:
                 raise ValueError(f"blade mask {mask} out of range for {signature}")
-            qs[mask] = c if isinstance(c, (int, Fraction)) else Fraction(c)
-        den = lcm(*[q.denominator for q in qs.values()])
-        nums = {m: q.numerator * (den // q.denominator) for m, q in qs.items()}
-        return cls._make(signature, nums, den)
+        nums, den = _over_common_den(coeffs.values())
+        return cls._make(signature, dict(zip(coeffs, nums)), den)
 
     @classmethod
     def _make(
@@ -237,10 +236,6 @@ class AlgebraElement:
     def scalar_part(self) -> Fraction:
         return self.coeff(0)
 
-    def is_paravector(self) -> bool:
-        allowed = self.signature.paravector_masks
-        return all(mask in allowed for mask in self.nums)
-
     # -- arithmetic --------------------------------------------------------
 
     def _require_same(self, other: "AlgebraElement") -> None:
@@ -288,32 +283,6 @@ class AlgebraElement:
         if isinstance(other, (int, Fraction)):
             return self * (Fraction(1) / Fraction(other))
         return NotImplemented
-
-    # -- conjugation and norms (paravector operations) ----------------------
-
-    def re(self) -> Fraction:
-        if self.signature.kind == "clifford" and not self.is_paravector():
-            raise NonParavectorError("re() is defined on paravectors only")
-        return self.scalar_part()
-
-    def im(self) -> "AlgebraElement":
-        if self.signature.kind == "clifford" and not self.is_paravector():
-            raise NonParavectorError("im() is defined on paravectors only")
-        nums = {m: n for m, n in self.nums.items() if m != 0}
-        return AlgebraElement._make(self.signature, nums, self.den)
-
-    def conj(self) -> "AlgebraElement":
-        """Re(x) - Im(x); for quaternions this is the usual conjugation."""
-        if self.signature.kind == "clifford" and not self.is_paravector():
-            raise NonParavectorError("conj() is defined on paravectors only")
-        nums = {m: (n if m == 0 else -n) for m, n in self.nums.items()}
-        return AlgebraElement._make(self.signature, nums, self.den)
-
-    def norm_sq(self) -> Fraction:
-        """x * conj(x) as a rational; the squared Euclidean norm."""
-        if self.signature.kind == "clifford" and not self.is_paravector():
-            raise NonParavectorError("norm_sq() is defined on paravectors only")
-        return Fraction(sum(n * n for n in self.nums.values()), self.den * self.den)
 
     # -- comparisons ---------------------------------------------------------
 

@@ -144,7 +144,7 @@ def slice_global_trials(
                     continue
                 for z in points:
                     lhs = thetas[n].expr.eval(phi_coords(unit, *z))
-                    rhs = planes[n].eval_at(z)
+                    rhs = planes[n].rf.eval(z)
                     yield None if lhs == rhs else {
                         "function_index": gi,
                         "unit_index": ui,

@@ -22,6 +22,7 @@ from .errors import (
     FunctionSpecError,
     NotPolyanalyticOfOrderError,
     SliceCalcError,
+    ZeroDenominatorError,
 )
 from .named import BUILTIN_NAMES, builtin_function
 from .polyanalytic import classify, decompose
@@ -179,6 +180,8 @@ def cmd_classify(args) -> int:
         raise FunctionSpecError(
             f"denominator vanishes at ({point}) off the real axis inside the domain"
         ) from exc
+    except ZeroDenominatorError as exc:
+        raise FunctionSpecError(f"{exc}, which meets the domain off the real axis") from exc
     report = {
         "input": args.input,
         "samples": {"units": len(units), "points": len(points)},

@@ -15,10 +15,6 @@ class ArityMismatchError(SliceCalcError):
     """Polynomial operands disagree on the number of variables."""
 
 
-class NonParavectorError(SliceCalcError):
-    """A paravector-only operation received a general Clifford element."""
-
-
 class ParityViolationError(SliceCalcError):
     """A stem component breaks the even/odd symmetry in beta.
 
@@ -48,10 +44,6 @@ class DenominatorVanishesError(SliceCalcError):
 
 class PointOutsideDomainError(SliceCalcError):
     """Evaluation was requested outside the circular domain."""
-
-
-class IrrationalSliceRadiusError(SliceCalcError):
-    """|Im(x)|^2 is not a perfect rational square, so the slice unit is irrational."""
 
 
 class NotPolyanalyticOfOrderError(SliceCalcError):

@@ -29,7 +29,7 @@ from math import gcd, lcm, prod
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .algebra import AlgebraElement, AlgebraSignature, _add_scaled, _int_product
+from .algebra import AlgebraElement, AlgebraSignature, _add_scaled, _int_product, _over_common_den
 from .errors import (
     ArityMismatchError,
     DenominatorVanishesError,
@@ -277,9 +277,7 @@ class CoordPoly:
             raise ArityMismatchError(
                 f"point arity {len(point)} != var count {self.var_count}"
             )
-        pt = [p if isinstance(p, Fraction) else Fraction(p) for p in point]
-        d = lcm(*[p.denominator for p in pt])
-        coords = [p.numerator * (d // p.denominator) for p in pt]
+        coords, d = _over_common_den(point)
         degree = max((sum(e) for e in self.rows), default=0)
         d_pows = [d**k for k in range(degree + 1)]
         acc: dict[int, int] = {}
@@ -366,9 +364,7 @@ def restrict_poly(poly: CoordPoly, components: Sequence[Fraction]) -> CoordPoly:
         )
     # components a_h / u over one common denominator u; every term is
     # homogenized to u^top, top the largest beta degree, as in CoordPoly.eval
-    comps = [c if isinstance(c, Fraction) else Fraction(c) for c in components]
-    u = lcm(*[c.denominator for c in comps])
-    nums = [c.numerator * (u // c.denominator) for c in comps]
+    nums, u = _over_common_den(components)
     top = max((sum(e) - e[0] for e in poly.rows), default=0)
     u_pows = [u**k for k in range(top + 1)]
 
@@ -616,8 +612,9 @@ def restrict_rf(rf: RationalFn, components: Sequence[Fraction]) -> RationalFn:
     for p, k in rf.den_factors:
         q = restrict_poly(p, components)
         if q.is_zero():
+            comps = ", ".join(str(c) for c in components)
             raise ZeroDenominatorError(
-                "denominator vanishes identically on this slice"
+                f"denominator vanishes identically on the slice of the unit ({comps})"
             )
         factors.append((q, k))
     return RationalFn(numer, factors)

@@ -46,9 +46,6 @@ class SlicePlanePoly:
         """[self, dbar self, ..., dbar^top self], each one step from the last."""
         return list(islice(_iterates(SlicePlanePoly.dbar, self), top + 1))
 
-    def eval_at(self, z: tuple) -> AlgebraElement:
-        return self.rf.eval((Fraction(z[0]), Fraction(z[1])))
-
     def is_zero(self) -> bool:
         return self.rf.is_zero()
 

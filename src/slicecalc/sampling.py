@@ -165,10 +165,9 @@ def rand_plane_point(
         alpha = domain.center + r * Fraction(rng.randint(-4, 4), 9)
         beta = r * Fraction(rng.randint(1, 4), 9)
         return alpha, beta
-    # annulus: rejection sampling in the bounding box of the outer radius
-    for _ in range(10_000):
-        alpha = domain.center + domain.r_out * Fraction(rng.randint(-8, 8), 9)
-        beta = domain.r_out * Fraction(rng.randint(1, 8), 9)
-        if domain.contains(alpha, beta):
-            return alpha, beta
-    raise RuntimeError("failed to sample a point of the annulus")
+    # annulus: a radius strictly between r_in and r_out along the rational unit
+    # direction ((b^2 - a^2), 2ab) / (a^2 + b^2), whose beta part is positive
+    r = domain.r_in + (domain.r_out - domain.r_in) * Fraction(rng.randint(1, 8), 9)
+    a, b = rng.randint(1, 4), rng.randint(1, 4)
+    norm = a * a + b * b
+    return domain.center + r * Fraction(b * b - a * a, norm), r * Fraction(2 * a * b, norm)

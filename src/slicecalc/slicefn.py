@@ -1,7 +1,7 @@
 """Slice functions on circular domains and general point functions.
 
-A slice function is a circular-domain descriptor plus a stem; evaluation
-realizes f(alpha + I*beta) = F1 + I*F2.  A point function is an arbitrary
+A slice function is a circular-domain descriptor plus a stem; its restriction
+to the slice of I, f(alpha + I*beta) = F1 + I*F2, is how it is evaluated.  A point function is an arbitrary
 rational expression in the coordinates x_0..x_n and need not be slice; the
 candidate-stem extraction and the representation formula below are the tools
 that detect the difference.
@@ -12,15 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import factorial, isqrt
+from math import factorial
 from typing import Optional, Sequence, Union
 
 from .algebra import AlgebraElement, AlgebraSignature, ImaginaryUnit
-from .errors import (
-    IrrationalSliceRadiusError,
-    PointOutsideDomainError,
-    SignatureMismatchError,
-)
+from .errors import PointOutsideDomainError, SignatureMismatchError
 from .multipoly import CoordPoly, RationalFn, _iterates, coord_im, coord_s, restrict_rf
 from .stem import StemFunction
 
@@ -73,42 +69,6 @@ class CircularDomain:
             return rho_sq < self.radius**2
         return self.r_in**2 < rho_sq < self.r_out**2
 
-    def contains(self, alpha: RationalLike, beta: RationalLike) -> bool:
-        beta = Fraction(beta)
-        return self.contains_sq(Fraction(alpha), beta * beta)
-
-
-def rational_sqrt(q: Fraction) -> Optional[Fraction]:
-    """Exact nonnegative square root, or None if q is not a perfect square."""
-    if q < 0:
-        return None
-    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
-def slice_coordinates(
-    x: AlgebraElement,
-) -> tuple[Fraction, Fraction, Optional[ImaginaryUnit]]:
-    """Decompose a paravector as alpha + I*beta with beta >= 0.
-
-    Returns (alpha, beta, I); I is None at real points.  Raises
-    IrrationalSliceRadiusError when |Im(x)|^2 is not a perfect rational square,
-    since the slice unit would then have irrational components.
-    """
-    alpha = x.re()
-    imag = x.im()
-    im_sq = imag.norm_sq()
-    if not im_sq:
-        return alpha, Fraction(0), None
-    beta = rational_sqrt(im_sq)
-    if beta is None:
-        raise IrrationalSliceRadiusError(
-            f"|Im(x)|^2 = {im_sq} is not a perfect rational square"
-        )
-    return alpha, beta, ImaginaryUnit(imag * (Fraction(1) / beta))
-
 
 def phi_coords(
     unit: ImaginaryUnit, alpha: RationalLike, beta: RationalLike
@@ -130,16 +90,6 @@ class SliceFunction:
     @property
     def signature(self) -> AlgebraSignature:
         return self.stem.signature
-
-    def eval_at(self, x: AlgebraElement) -> AlgebraElement:
-        """Value at a paravector point of the circularized domain."""
-        alpha, beta, unit = slice_coordinates(x)
-        if not self.domain.contains(alpha, beta):
-            raise PointOutsideDomainError(f"{x!r} lies outside the domain")
-        v1, v2 = self.stem.eval_at(alpha, beta)
-        if unit is None:
-            return v1  # F2 is odd in beta, so it vanishes on the real axis
-        return v1 + unit.value * v2
 
     def derivative(self, order: int = 1) -> "SliceFunction":
         """The slice derivative: the slice function induced by dF/dz-bar."""

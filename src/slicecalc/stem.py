@@ -147,10 +147,6 @@ class StemFunction:
         """self, dbar self, dbar^2 self, ... up to the last nonzero one."""
         return takewhile(lambda level: not level.is_zero(), _iterates(StemFunction.dbar, self))
 
-    def eval_at(self, alpha, beta) -> tuple[AlgebraElement, AlgebraElement]:
-        point = (Fraction(alpha), Fraction(beta))
-        return self.f1.eval(point), self.f2.eval(point)
-
     # -- comparisons --------------------------------------------------------------------
 
     def __eq__(self, other):

@@ -242,6 +242,25 @@ def test_classify_rejects_a_denominator_vanishing_off_the_real_axis(tmp_path, ca
     assert out == ""
 
 
+def test_classify_rejects_a_denominator_vanishing_on_a_whole_slice(tmp_path, capsys):
+    # x_2^2 + x_3^2 is zero on the i-slice: the same broken contract as a single
+    # vanishing point, so the same exit code, with the unit named
+    spec = {
+        "representation": "rational",
+        "numerator_terms": [{"exponents": [0, 0, 0, 0], "coefficient": {"1": "1"}}],
+        "denominator_terms": [
+            {"exponents": [0, 0, 2, 0], "coefficient": {"1": "1"}},
+            {"exponents": [0, 0, 0, 2], "coefficient": {"1": "1"}},
+        ],
+    }
+    path = tmp_path / "slice_vanishing_denominator.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(["classify", "--input", str(path)], capsys)
+    assert code == 2
+    assert "vanishes identically on the slice of the unit (1, 0, 0)" in err
+    assert out == ""
+
+
 def _stem_spec(f1_terms, signature=None):
     spec = {"representation": "stem", "f1_terms": f1_terms, "f2_terms": []}
     if signature is not None:

@@ -10,7 +10,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from slicecalc import cli
@@ -99,8 +99,17 @@ def test_spec_parsing_ends_in_a_function_or_a_spec_error(value):
     assert isinstance(parsed, (SliceFunction, PointFunction))
 
 
+THIN_ANNULUS = {
+    "representation": "stem",
+    "domain": {"shape": "annulus", "center": 0, "r_in": "199/200", "r_out": 1},
+    "f1_terms": [{"exponents": [1, 0], "coefficient": {"1": 1}}],
+    "f2_terms": [{"exponents": [0, 1], "coefficient": {"1": 1}}],
+}
+
+
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(inputs)
+@example(THIN_ANNULUS)
 def test_classify_exits_with_a_contract_code_on_any_json(value):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "spec.json"

@@ -1,8 +1,7 @@
 """The integer inner loops of the kernel against plain ``Fraction`` references.
 
 ``AlgebraElement`` and ``CoordPoly`` store integer numerators over one
-denominator, so ``+``, ``-`` and ``*`` on both, ``conj``, ``norm_sq``,
-``CoordPoly.eval``, ``RationalFn.eval``, scalar scaling,
+denominator, so ``+``, ``-`` and ``*`` on both, ``CoordPoly.eval``, ``RationalFn.eval``, scalar scaling,
 ``scale_left``/``scale_right``, ``CoordPoly.partial``, ``restrict_poly``, the
 content split of ``RationalFn(numer, factors)`` and ``RationalFn.__add__`` all
 add up integers.  The references below are the straightforward loops over
@@ -34,7 +33,7 @@ from slicecalc.campaign import (
     taylor_independence_trials,
 )
 from slicecalc.errors import DenominatorVanishesError
-from slicecalc.multipoly import CoordPoly, RationalFn, restrict_poly
+from slicecalc.multipoly import CoordPoly, RationalFn, coord_x, coord_xbar, restrict_poly
 from slicecalc.slicefn import PointFunction, SliceFunction
 
 H = QUATERNION
@@ -426,22 +425,21 @@ def test_element_sum_and_difference_match_the_fraction_reference(pair):
     assert_canonical_element(a - a, AlgebraElement.zero(a.signature))
 
 
-def paravectors(signature):
-    masks = st.sampled_from(sorted(signature.paravector_masks))
-    return st.dictionaries(masks, fracs, max_size=4).map(
-        lambda coeffs: AlgebraElement(signature, coeffs)
-    )
+def paravector_coords(signature):
+    return st.tuples(*[fracs] * signature.coord_count).map(lambda xs: (signature, xs))
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.sampled_from(SIGNATURES).flatmap(paravectors))
-def test_conj_and_norm_match_the_fraction_reference(x):
-    coeffs = x.coeffs
-    conj = AlgebraElement(x.signature, {m: c if m == 0 else -c for m, c in coeffs.items()})
-    assert_canonical_element(x.conj(), conj)
-    norm = x.norm_sq()
-    assert isinstance(norm, Fraction)
-    assert norm == sum((c * c for c in coeffs.values()), Fraction(0))
+@given(st.sampled_from(SIGNATURES).flatmap(paravector_coords))
+def test_conj_and_norm_match_the_fraction_reference(case):
+    # conjugate and norm of the paravector x are coord_xbar and x * xbar at its coordinates
+    sig, xs = case
+    masks = (0, *sig.imag_masks)
+    conj = AlgebraElement(sig, {m: c if m == 0 else -c for m, c in zip(masks, xs)})
+    assert_canonical_element(coord_xbar(sig).eval(xs), conj)
+    norm = sum((c * c for c in xs), Fraction(0))
+    x_xbar = (coord_x(sig) * coord_xbar(sig)).eval(xs)
+    assert_canonical_element(x_xbar, AlgebraElement.scalar(sig, norm))
 
 
 @settings(max_examples=80, deadline=None)

@@ -20,7 +20,7 @@ from slicecalc.multipoly import (
 )
 from slicecalc.sampling import rand_poly, rng_for
 
-from oracles import element_to_float
+from oracles import element_to_float, paravector
 
 H = QUATERNION
 ONE = AlgebraElement.one(H)
@@ -202,6 +202,6 @@ def test_conjugate_coordinate_polys():
     x = coord_x(H)
     xb = coord_xbar(H)
     point = (Fraction(1), Fraction(2), Fraction(-1), Fraction(3))
-    value = x.eval(point)
-    assert xb.eval(point) == value.conj()
-    assert (x * xb).eval(point) == AlgebraElement.scalar(H, value.norm_sq())
+    assert x.eval(point) == paravector(H, point)
+    assert xb.eval(point) == paravector(H, (1, -2, 1, -3))
+    assert (x * xb).eval(point) == AlgebraElement.scalar(H, 15)  # 1 + 4 + 1 + 9

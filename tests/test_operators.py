@@ -222,5 +222,5 @@ def test_thetabar_against_slice_values_on_the_jump_example():
     for unit in UNITS[2:6]:
         z = (Fraction(1, 3), Fraction(1, 2))
         got = tb.expr.eval(phi_coords(unit, *z))
-        want = dbar_slice(bump, unit, 1).eval_at(z)
+        want = dbar_slice(bump, unit, 1).rf.eval(z)
         assert got == want

@@ -1,36 +1,198 @@
-"""Every public function and class of the package has a caller in the program.
+"""Every public function, class and method of the package is reached by the program.
 
-A public name (no leading underscore) defined in a package module must occur
-as a whole word in the package modules or the benchmark harness more often
-than it is defined there, so a name used only by the tests, or by nothing,
-fails here.  ``__init__.py`` is left out on both sides: re-exporting a name is
-not a use.
+The test parses the package and the benchmark harness and follows references
+outward from the program's entry points: ``cli.main``, the module-level
+statements of every package module, and all of ``benchmarks/*.py``, including
+the ``(module, "Dotted.name")`` pairs that ``tracing.layer_functions`` looks up.
+
+* A function or class is reached when a reached body names it: directly, through
+  an import, or as an attribute of its module.
+* A method is reached only through attribute access: its class is reached and a
+  reached body reads an attribute of that name.  Dunder methods come with their
+  class, since Python calls them implicitly.
+* Type annotations are not uses.  Neither is ``__init__.py``: re-exporting a
+  name is not a use, so it only resolves ``from slicecalc import name``.
+
+A public name the program never reaches is used only by the tests, or by
+nothing, and fails here.
 """
 
 import ast
-import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PACKAGE = sorted(p for p in (ROOT / "src" / "slicecalc").glob("*.py") if p.name != "__init__.py")
-CORPUS = "\n".join(p.read_text() for p in PACKAGE + sorted((ROOT / "benchmarks").glob("*.py")))
+MODULES = {p.stem: ast.parse(p.read_text()) for p in (ROOT / "src" / "slicecalc").glob("*.py")}
+HARNESS = [ast.parse(p.read_text()) for p in sorted((ROOT / "benchmarks").glob("*.py"))]
+PACKAGE = "slicecalc"
 
 
-def _public_definitions() -> set[str]:
-    names = set()
-    for path in PACKAGE:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not node.name.startswith("_"):
-                    names.add(node.name)
-    return names
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _uses(*nodes):
+    """Every node under ``nodes``, type annotations left out."""
+    stack = [n for n in nodes if n is not None]
+    while stack:
+        node = stack.pop()
+        yield node
+        for field, value in ast.iter_fields(node):
+            if field in ("annotation", "returns"):
+                continue
+            for child in value if isinstance(value, list) else [value]:
+                if isinstance(child, ast.AST):
+                    stack.append(child)
+
+
+def _header(node):
+    """What a def or class statement evaluates where it stands: decorators,
+    defaults and bases, not the body."""
+    if isinstance(node, ast.ClassDef):
+        return [*node.decorator_list, *node.bases, *node.keywords]
+    return [*node.decorator_list, *node.args.defaults, *node.args.kw_defaults]
+
+
+def _body_uses(statements):
+    """Uses made by running ``statements`` as a module or class body."""
+    for stmt in statements:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            yield from _uses(*_header(stmt))
+        else:
+            yield from _uses(stmt)
+
+
+class Program:
+    def __init__(self):
+        # (module, name) of every top-level def and class; (module, "Class.name") of methods
+        self.defs = {}
+        self.methods = {}
+        for mod, tree in MODULES.items():
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    self.defs[(mod, node.name)] = node
+                if isinstance(node, ast.ClassDef):
+                    for member in node.body:
+                        if isinstance(member, ast.FunctionDef):
+                            self.methods[(mod, f"{node.name}.{member.name}")] = member
+        self.imports = {id(tree): self._imports(tree) for tree in [*MODULES.values(), *HARNESS]}
+        self.reached: set = set()
+        self.attrs: set = set()
+
+    @staticmethod
+    def _imports(tree):
+        """Local name -> what it imports from the package: ("package",) for the
+        package itself, ("package_attr", name) for a name read off the package,
+        ("name", m, name) for a name read off module m."""
+        table = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name == PACKAGE:
+                        table[alias.asname or PACKAGE] = ("package",)
+            elif isinstance(node, ast.ImportFrom):
+                if node.level == 1:
+                    mod = node.module
+                elif node.level == 0 and (node.module or "").split(".")[0] == PACKAGE:
+                    mod = node.module.partition(".")[2] or None
+                else:
+                    continue
+                for alias in node.names:
+                    local = alias.asname or alias.name
+                    if mod is None:
+                        table[local] = ("package_attr", alias.name)
+                    else:
+                        table[local] = ("name", mod, alias.name)
+        return table
+
+    def _target(self, node, tree, mod):
+        """What an expression names: ("module", m), ("name", m, name) or None."""
+        if isinstance(node, ast.Name):
+            entry = self.imports[id(tree)].get(node.id)
+            if entry is None:
+                return ("name", mod, node.id) if (mod, node.id) in self.defs else None
+            return self._resolve(entry)
+        if isinstance(node, ast.Attribute):
+            base = self._target(node.value, tree, mod)
+            if base and base[0] == "module":
+                return self._resolve(("name", base[1], node.attr))
+            if base and base[0] == "package":
+                return self._resolve(("package_attr", node.attr))
+        return None
+
+    def _resolve(self, entry):
+        """Follow re-exports: a name imported into a module resolves to its definition."""
+        kind = entry[0]
+        if kind == "package_attr":
+            name = entry[1]
+            if name in MODULES:
+                return ("module", name)
+            entry = self.imports[id(MODULES["__init__"])].get(name)
+            return self._resolve(entry) if entry else None
+        if kind == "name":
+            _, mod, name = entry
+            if (mod, name) in self.defs:
+                return entry
+            forwarded = self.imports[id(MODULES[mod])].get(name) if mod in MODULES else None
+            return self._resolve(forwarded) if forwarded else None
+        return entry
+
+    def visit(self, nodes, tree, mod):
+        """Record what ``nodes`` name and which attributes they read."""
+        for node in nodes:
+            if isinstance(node, ast.Attribute):
+                self.attrs.add(node.attr)
+            # a (module, "Class.method") pair, looked up with getattr by the tracer
+            if isinstance(node, ast.Tuple) and len(node.elts) == 2:
+                base, dotted = self._target(node.elts[0], tree, mod), node.elts[1]
+                if base and base[0] == "module" and isinstance(dotted, ast.Constant):
+                    first, *rest = str(dotted.value).split(".")
+                    self._reach(self._resolve(("name", base[1], first)))
+                    self.attrs.update(rest)
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                self._reach(self._target(node, tree, mod))
+
+    def _reach(self, target):
+        if target and target[0] == "name":
+            self.reached.add(target[1:])
+
+    def run(self):
+        for tree in HARNESS:
+            self.visit(_uses(tree), tree, None)
+        for mod, tree in MODULES.items():
+            if mod != "__init__":
+                self.visit(_body_uses(tree.body), tree, mod)
+        self.reached.add(("cli", "main"))
+        scanned = set()
+        while True:
+            todo = {key for key in self.reached if key not in scanned}
+            for mod, qual in self.methods:
+                cls, _, name = qual.partition(".")
+                if (mod, cls) in self.reached and (_is_dunder(name) or name in self.attrs):
+                    todo.add((mod, qual))
+            todo -= scanned
+            if not todo:
+                return
+            for mod, qual in todo:
+                scanned.add((mod, qual))
+                self.reached.add((mod, qual))
+                node = self.defs.get((mod, qual)) or self.methods[(mod, qual)]
+                if isinstance(node, ast.ClassDef):
+                    # the class header ran with its module; a reached class adds its body
+                    self.visit(_body_uses(node.body), MODULES[mod], mod)
+                else:
+                    self.visit(_uses(node), MODULES[mod], mod)
+
+    def unreached(self) -> list[str]:
+        public = [*self.defs, *self.methods]
+        return sorted(
+            f"{mod}.{qual}"
+            for mod, qual in public
+            if not qual.rpartition(".")[2].startswith("_") and (mod, qual) not in self.reached
+        )
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
-    unused = []
-    for name in sorted(_public_definitions()):
-        uses = len(re.findall(rf"\b{name}\b", CORPUS))
-        definitions = len(re.findall(rf"\b(?:def|class)\s+{name}\b", CORPUS))
-        if uses <= definitions:
-            unused.append(name)
-    assert unused == []
+    program = Program()
+    program.run()
+    unreached = program.unreached()
+    assert unreached == [], "reached from no entry point: " + ", ".join(unreached)

@@ -4,7 +4,7 @@ from itertools import islice
 import pytest
 
 from slicecalc.algebra import QUATERNION, sample_units
-from slicecalc.errors import IrrationalSliceRadiusError, PointOutsideDomainError
+from slicecalc.errors import PointOutsideDomainError
 from slicecalc.multipoly import CoordPoly
 from slicecalc.named import (
     conjugate_coordinate,
@@ -22,7 +22,6 @@ from slicecalc.slicefn import (
     is_slice,
     phi_coords,
     representation_eval,
-    slice_coordinates,
     taylor_alpha_coefficients,
 )
 from slicecalc.stem import StemFunction
@@ -51,46 +50,37 @@ def test_domain_validation():
     with pytest.raises(ValueError):
         CircularDomain.annulus(0, -1, 2)
     ring = CircularDomain.annulus(0, 1, 3)
-    assert ring.contains(2, 0)           # an axis-centered annulus meets the reals
-    assert not ring.contains(Fraction(1, 2), 0)
-    assert not ring.contains(3, 1)
+    # contains_sq takes (alpha, beta^2)
+    assert ring.contains_sq(2, 0)           # an axis-centered annulus meets the reals
+    assert not ring.contains_sq(Fraction(1, 2), 0)
+    assert not ring.contains_sq(3, 1)
     ball = CircularDomain.ball(1, 2)
-    assert ball.contains(1, Fraction(3, 2))
-    assert not ball.contains(1, 2)
-
-
-def test_slice_coordinates_decomposition():
-    alpha, beta, unit = slice_coordinates(q(2, 0, 3, 0))
-    assert (alpha, beta) == (2, 3)
-    assert unit.value == J_U.value
-    alpha, beta, unit = slice_coordinates(q(7, 0, 0, 0))
-    assert (alpha, beta, unit) == (7, 0, None)
-    with pytest.raises(IrrationalSliceRadiusError):
-        slice_coordinates(q(0, 1, 1, 0))  # |Im|^2 = 2
+    assert ball.contains_sq(1, Fraction(9, 4))
+    assert not ball.contains_sq(1, 4)
 
 
 def test_slice_eval_examples():
     x = coordinate_function(H)
-    assert x.eval_at(q(2, 0, 3, 0)) == q(2, 0, 3, 0)
+    assert x.plane_poly(J_U).eval((2, 3)) == q(2, 0, 3, 0)
     xbar = conjugate_coordinate(H)
-    assert xbar.eval_at(q(0, 1, 0, 0)) == q(0, -1, 0, 0)
+    assert xbar.plane_poly(I_U).eval((0, 1)) == q(0, -1, 0, 0)
     zb2 = SliceFunction(DOM, zbar_power(2))
-    assert zb2.eval_at(q(1, 0, 0, 1)) == q(0, 0, 0, -2)  # (1 - k)^2 = -2k
-    assert zb2.eval_at(q(3, 0, 0, 0)) == q(9, 0, 0, 0)  # real axis: F1 only
+    assert zb2.plane_poly(K_U).eval((1, 1)) == q(0, 0, 0, -2)  # (1 - k)^2 = -2k
+    for unit in (I_U, K_U):
+        assert zb2.plane_poly(unit).eval((3, 0)) == q(9, 0, 0, 0)  # real axis: F1 only
     with pytest.raises(PointOutsideDomainError):
-        x.eval_at(q(5, 0, 0, 0))
+        x.to_point_function().eval_coords((5, 0, 0, 0))
 
 
 def test_well_definedness_across_sign_choice():
     # (I, beta) and (-I, -beta) name the same point; parity makes the values agree
     rng = rng_for(1, "well-defined")
     for _ in range(30):
-        stem = rand_stem(rng, H)
+        f = SliceFunction(DOM, rand_stem(rng, H))
         alpha, beta = rand_plane_point(rng)
         for unit in UNITS[:4]:
-            v1, v2 = stem.eval_at(alpha, beta)
-            w1, w2 = stem.eval_at(alpha, -beta)
-            assert v1 + unit.value * v2 == w1 + (-unit).value * w2
+            value = f.plane_poly(unit).eval((alpha, beta))
+            assert value == f.plane_poly(-unit).eval((alpha, -beta))
 
 
 def test_extract_stem_of_coordinate_function():
@@ -206,4 +196,4 @@ def test_to_point_function_matches_slice_eval():
         alpha, beta = rand_plane_point(rng)
         unit = rng.choice(UNITS)
         coords = phi_coords(unit, alpha, beta)
-        assert pf.eval_coords(coords) == f.eval_at(q(*coords))
+        assert pf.eval_coords(coords) == f.plane_poly(unit).eval((alpha, beta))
