@@ -3,21 +3,21 @@
 Variables are real-valued and central (they commute with everything); the
 noncommutative coefficients sit on the left of each monomial, so a product of
 terms multiplies coefficients in order.  Rational functions keep a polynomial
-numerator over a real-scalar denominator stored in factored form: the quotient
-rule bumps factor exponents instead of squaring expanded products, which keeps
-iterated differentiation cheap without any gcd machinery.
+numerator over a real-scalar denominator stored in factored form: one
+quotient rule raises by one only the factors F whose derivative is no multiple
+cF, which keeps iterated differentiation cheap without any gcd machinery.
 
 A polynomial stores, per monomial, one Python ``int`` numerator per blade,
 all over one positive denominator in lowest terms; ``terms`` gives the
 coefficients as ``AlgebraElement``s.  The product goes through the integer
 core of the algebra product, and so does scaling by an algebra element, as a
-product with a one-term side.  Scaling by a rational, partial derivatives and
-slice restriction are linear maps on the terms: each makes one pass over the
-integer rows, with one ``int`` factor per term (``_int_map``).  Rational
-functions multiply a numerator only by a cofactor that is not 1 when they
-add.  Point evaluation puts the point over a common denominator and
-homogenizes every term to the total degree, so the value is one integer row
-over one denominator.
+product with a one-term side.  Scaling by a rational, partial derivatives, the
+radial operator and slice restriction are linear maps on the terms: each makes
+one pass over the integer rows, with one ``int`` factor per term
+(``_int_map``).  Rational functions multiply a numerator only by a cofactor
+that is not 1 when they add.  Point evaluation puts the point over a common
+denominator and homogenizes every term to the total degree, so the value is
+one integer row over one denominator.
 """
 
 from __future__ import annotations
@@ -265,6 +265,10 @@ class CoordPoly:
             return (*e[:index], e[index] - 1, *e[index + 1 :]), e[index]
 
         return _int_map(self, self.var_count, move)
+
+    def radial(self) -> "CoordPoly":
+        """sum_h x_h d/dx_h over x_1..x_n: each term times its degree in those variables."""
+        return _int_map(self, self.var_count, lambda e: (e, sum(e) - e[0]))
 
     def eval(self, point: Sequence[RationalLike]) -> AlgebraElement:
         """The value at ``point``, added up in integers over one denominator.
@@ -536,33 +540,34 @@ class RationalFn:
 
     # -- calculus --------------------------------------------------------------------
 
-    def partial(self, index: int) -> "RationalFn":
-        """Exact partial derivative via the quotient rule.
+    def derive(self, d) -> "RationalFn":
+        """The image under a derivation ``d`` of real-scalar polynomials, by the quotient rule.
 
-        Factors untouched by d/dx_index keep their exponent; each dependent
-        factor F^k contributes through (dN*F - k*N*dF)/F^(k+1).
+        With N the numerator and R the product of the factors raised so far, a
+        factor F^k with dF = cF keeps its exponent and adds -c k N R to the
+        numerator; any other goes up to F^(k+1): numer <- numer F - N k dF R.
         """
-        dependent = []
-        independent = []
+        numer = d(self.numer)
+        raised = None
+        factors = []
         for p, k in self.den_factors:
-            dp = p.partial(index)
-            (independent if dp.is_zero() else dependent).append((p, k, dp))
-        d_numer = self.numer.partial(index)
-        if not dependent:
-            return RationalFn._make(d_numer, self.den_factors)
-        prod_dep = None
-        for p, _, _ in dependent:
-            prod_dep = _times(p, prod_dep)
-        total = d_numer * prod_dep
-        for i, (p, k, dp) in enumerate(dependent):
-            cof = dp * k
-            for j, (q, _, _) in enumerate(dependent):
-                if j != i:
-                    cof = cof * q
-            total = total - self.numer * cof
-        all_factors = [(p, k + 1) for p, k, _ in dependent]
-        all_factors += [(p, k) for p, k, _ in independent]
-        return RationalFn._make(total, _merge_factors(all_factors))
+            dp = d(p)
+            key = p._leading_key()
+            # c = a / b from the leading terms; dp == cp is tested in integers
+            a, b = dp.rows.get(key, {0: 0})[0] * p.den, p.rows[key][0] * dp.den
+            if dp * b != p * a:
+                numer = numer * p - _times(self.numer * (dp * k), raised)
+                raised = _times(p, raised)
+                k += 1
+            elif a:
+                scaled = _int_map(self.numer, self.var_count, lambda e: (e, a * k), b)
+                numer = numer - _times(scaled, raised)
+            factors.append((p, k))
+        return RationalFn._make(numer, tuple(factors))
+
+    def partial(self, index: int) -> "RationalFn":
+        """Exact partial derivative: a factor free of x_index keeps its exponent."""
+        return self.derive(lambda p: p.partial(index))
 
     # -- evaluation --------------------------------------------------------------------
 

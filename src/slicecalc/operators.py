@@ -86,21 +86,10 @@ def dbar_slice(g: PointFunction, unit: ImaginaryUnit, order: int) -> SlicePlaneP
     return restrict_to_slice(g, unit).dbar_n(order)
 
 
-def _radial(rf: RationalFn) -> RationalFn:
-    """sum_h x_h d/dx_h over the imaginary coordinates, shared by thetabar and G."""
-    sig = rf.signature
-    n = rf.var_count
-    radial = None
-    for h in range(1, n):
-        term = rf.partial(h).mul_poly_left(CoordPoly.variable(sig, n, h))
-        radial = term if radial is None else radial + term
-    return radial
-
-
 def _thetabar_once(rf: RationalFn) -> RationalFn:
     sig = rf.signature
     im_over_s = RationalFn(coord_im(sig), ((coord_s(sig), 1),))
-    return (rf.partial(0) + im_over_s * _radial(rf)) * Fraction(1, 2)
+    return (rf.partial(0) + im_over_s * rf.derive(CoordPoly.radial)) * Fraction(1, 2)
 
 
 def thetabar(g: PointFunction, order: int = 1) -> PointFunction:
@@ -108,7 +97,8 @@ def thetabar(g: PointFunction, order: int = 1) -> PointFunction:
 
     thetabar(g) = (dg/dx_0 + Im(x)/|Im(x)|^2 * sum_h x_h dg/dx_h) / 2, with the
     Im(x) factor multiplying from the left.  The result lives off the real
-    axis: denominators gain powers of s = sum_h x_h^2.
+    axis: each step adds one power of s = sum_h x_h^2 to the denominator and
+    raises by one every other factor not homogeneous in x_1..x_n.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -118,9 +108,10 @@ def thetabar(g: PointFunction, order: int = 1) -> PointFunction:
 def g_op(g: PointFunction) -> PointFunction:
     """The first-order companion operator |Im(x)|^2 d/dx_0 + Im(x) sum x_h d/dx_h.
 
-    Defined on the whole domain (no denominator is introduced); it agrees with
-    2 s * thetabar(g) off the real axis.
+    It adds no denominator to a polynomial or to N/s^k, so it is defined on the
+    whole domain; it agrees with 2 s * thetabar(g) off the real axis.
     """
     sig, rf = g.signature, g.expr
-    out = rf.partial(0).mul_poly_left(coord_s(sig)) + _radial(rf).mul_poly_left(coord_im(sig))
+    out = rf.partial(0).mul_poly_left(coord_s(sig))
+    out = out + rf.derive(CoordPoly.radial).mul_poly_left(coord_im(sig))
     return PointFunction(g.domain, out)

@@ -139,12 +139,14 @@ def classify(
     units: Sequence[ImaginaryUnit],
     points: Sequence[tuple[Fraction, Fraction]],
 ) -> ClassificationReport:
-    """Slice-by-slice order, sampled slice-ness, and global order if slice.
+    """Slice-by-slice order, slice-ness, and global order if slice.
 
     The slice-by-slice zero test is symbolic, so a pass is exact on each
-    sampled slice; unit sampling remains a sample of slices.  The global order
-    is computed only when the slice-ness probe passes, by extracting the
-    candidate stem along the first unit and decomposing.
+    sampled slice; unit sampling remains a sample of slices.  Slice-ness is
+    exact where the candidate stem along the first unit is polynomial: g is
+    slice exactly when that stem's induced function is g, whose decomposition
+    gives the global order.  The sampled probe then only looks for a witness;
+    it decides alone when the candidate stem is rational.
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
@@ -165,26 +167,25 @@ def classify(
     if worst is not None:
         sbs_order = worst
 
-    slice_ok, witness = is_slice(g, units, points)
-
     global_order: Optional[int] = None
     decomposition: Optional[Decomposition] = None
-    if slice_ok:
-        try:
-            stem = extract_stem_exact(g, units[0])
-        except ValueError:
-            evidence["candidate_stem"] = "not polynomial"
-        else:
-            induced = SliceFunction(g.domain, stem)
-            reproduces = induced.to_point_function().expr == g.expr
-            evidence["stem_reproduces_input"] = reproduces
-            if reproduces:
-                order = poly_order(induced)
-                if order <= max_order:
-                    decomposition = decompose(induced, order)
-                    global_order = decomposition.order
-                else:
-                    evidence["global_order_exceeds_max"] = order
+    try:
+        stem = extract_stem_exact(g, units[0])
+    except ValueError:
+        evidence["candidate_stem"] = "not polynomial"
+        slice_ok, witness = is_slice(g, units, points)
+    else:
+        induced = SliceFunction(g.domain, stem)
+        slice_ok = induced.to_point_function().expr == g.expr
+        evidence["stem_reproduces_input"] = slice_ok
+        witness = None if slice_ok else is_slice(g, units, points)[1]
+        if slice_ok:
+            order = poly_order(induced)
+            if order <= max_order:
+                decomposition = decompose(induced, order)
+                global_order = decomposition.order
+            else:
+                evidence["global_order_exceeds_max"] = order
     return ClassificationReport(
         sbs_polyanalytic_order=sbs_order,
         is_slice=slice_ok,

@@ -4,13 +4,16 @@ The oracle takes central differences of exact values: the point and the step
 become Fractions (exact for floats), and only the result is turned into
 floats.  It shares no code with the symbolic derivatives it checks, and it is
 the only floating point the tests compare against; the package holds none.
-The module also builds paravectors from their coordinates for the tests.
+The module also builds paravectors from their coordinates for the tests, and
+keeps the radial operator as a sum of the kernel's own partials, the
+reference for ``RationalFn.derive(CoordPoly.radial)``.
 """
 
 from fractions import Fraction
 from typing import Sequence
 
 from slicecalc.algebra import AlgebraElement, AlgebraSignature, ImaginaryUnit
+from slicecalc.multipoly import CoordPoly, RationalFn
 from slicecalc.slicefn import PointFunction, phi_coords
 
 
@@ -21,6 +24,15 @@ def paravector(signature: AlgebraSignature, coords: Sequence) -> AlgebraElement:
         raise ValueError(f"expected {signature.coord_count} coordinates, got {len(coords)}")
     masks = (0,) + tuple(signature.imag_masks)
     return AlgebraElement(signature, {m: Fraction(c) for m, c in zip(masks, coords)})
+
+
+def radial_by_partials(rf: RationalFn) -> RationalFn:
+    """sum_h x_h d/dx_h over x_1..x_n, one quotient-rule partial per variable."""
+    sig, n = rf.signature, rf.var_count
+    out = RationalFn.from_poly(CoordPoly.zero(sig, n))
+    for h in range(1, n):
+        out = out + rf.partial(h).mul_poly_left(CoordPoly.variable(sig, n, h))
+    return out
 
 
 def element_to_float(value: AlgebraElement) -> dict[int, float]:

@@ -2,7 +2,7 @@
 
 ``AlgebraElement`` and ``CoordPoly`` store integer numerators over one
 denominator, so ``+``, ``-`` and ``*`` on both, ``CoordPoly.eval``, ``RationalFn.eval``, scalar scaling,
-``scale_left``/``scale_right``, ``CoordPoly.partial``, ``restrict_poly``, the
+``scale_left``/``scale_right``, ``CoordPoly.partial``, ``CoordPoly.radial``, ``restrict_poly``, the
 content split of ``RationalFn(numer, factors)`` and ``RationalFn.__add__`` all
 add up integers.  The references below are the straightforward loops over
 ``Fraction`` coefficients, with their own blade sign rule.  Results must also
@@ -308,6 +308,15 @@ def ref_partial(p, index):
     return ref_poly_from(p, p.var_count, pairs)
 
 
+def ref_radial(p):
+    pairs = []
+    for e, a in p.terms.items():
+        k = sum(e[1:])
+        if k:
+            pairs.append((e, AlgebraElement(p.signature, {m: c * k for m, c in a.coeffs.items()})))
+    return ref_poly_from(p, p.var_count, pairs)
+
+
 def ref_restrict(p, components):
     pairs = []
     for e, a in p.terms.items():
@@ -374,6 +383,13 @@ def test_partial_matches_the_fraction_reference_on_every_index(pair):
     p, _ = pair
     for index in range(p.var_count):
         assert_canonical_poly(p.partial(index), ref_partial(p, index))
+
+
+@settings(max_examples=80, deadline=None)
+@given(poly_pairs())
+def test_radial_matches_the_fraction_reference(pair):
+    p, _ = pair
+    assert_canonical_poly(p.radial(), ref_radial(p))
 
 
 @st.composite

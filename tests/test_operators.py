@@ -26,12 +26,20 @@ from slicecalc.operators import (
 )
 from slicecalc.sampling import (
     rand_point_polynomial,
+    rand_poly,
     rand_rational_point_function,
     rng_for,
 )
 from slicecalc.slicefn import PointFunction, phi_coords
 
-from oracles import element_to_float, fd_dbar_slice, fd_g_op, fd_thetabar, float_agrees
+from oracles import (
+    element_to_float,
+    fd_dbar_slice,
+    fd_g_op,
+    fd_thetabar,
+    float_agrees,
+    radial_by_partials,
+)
 
 H = QUATERNION
 DOM = default_domain()
@@ -224,3 +232,59 @@ def test_thetabar_against_slice_values_on_the_jump_example():
         got = tb.expr.eval(phi_coords(unit, *z))
         want = dbar_slice(bump, unit, 1).rf.eval(z)
         assert got == want
+
+
+# -- denominators: one power of s per thetabar step -------------------------------
+
+
+@pytest.mark.parametrize("sig", [H, clifford(3)], ids=["H", "Cl3"])
+def test_thetabar_adds_one_power_of_s_per_step(sig):
+    rng = rng_for(11, "s-powers")
+    s = coord_s(sig)
+    for _ in range(3):
+        g = rand_point_polynomial(rng, sig, max_degree=4)
+        for n in (1, 2, 3):
+            assert thetabar(g, n).expr.den_factors == ((s, n),)
+        assert g_op(g).expr.is_polynomial()
+        numer = rand_poly(rng, sig, sig.coord_count, max_degree=3)
+        for k in (1, 2):
+            over_s = PointFunction(DOM, RationalFn(numer, ((s, k),)))
+            for n in (1, 2):
+                assert thetabar(over_s, n).expr.den_factors == ((s, k + n),)
+            assert g_op(over_s).expr.den_factors == ((s, k),)
+
+
+def test_a_factor_not_homogeneous_in_the_imaginary_part_goes_up_once_per_step():
+    s = coord_s(H)
+    s_plus_one = s + CoordPoly.constant(H, 4, 1)
+    numer = rand_poly(rng_for(12, "s-plus-one"), H, 4, max_degree=3)
+    bump = jump_example(H)
+    bump_den = bump.expr.den_factors[0][0]
+    for g, factor in (
+        (PointFunction(DOM, RationalFn(numer, ((s_plus_one, 1),))), s_plus_one),
+        (bump, bump_den),
+    ):
+        for n in (1, 2):
+            assert dict(thetabar(g, n).expr.den_factors) == {factor: 1 + n, s: n}
+        assert dict(g_op(g).expr.den_factors) == {factor: 2}
+
+
+@pytest.mark.parametrize("sig", [H, clifford(3)], ids=["H", "Cl3"])
+def test_radial_rule_matches_the_sum_of_partials(sig):
+    rng = rng_for(13, "radial")
+    n = sig.coord_count
+    s = coord_s(sig)
+    s_plus_one = s + CoordPoly.constant(sig, n, 1)
+    bump_den = jump_example(sig).expr.den_factors[0][0]
+    denominators = (
+        ((s, 1),),
+        ((s, 2),),
+        ((s_plus_one, 1),),
+        ((bump_den, 1),),
+        ((s, 1), (s_plus_one, 2)),
+        ((bump_den, 2), (s, 1)),
+    )
+    for factors in denominators:
+        for _ in range(3):
+            rf = RationalFn(rand_poly(rng, sig, n, max_degree=3), factors)
+            assert rf.derive(CoordPoly.radial) == radial_by_partials(rf)

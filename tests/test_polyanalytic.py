@@ -7,7 +7,7 @@ from slicecalc import polyanalytic
 from slicecalc.algebra import QUATERNION, AlgebraElement, clifford, sample_units
 from slicecalc.campaign import decomposition_roundtrip_trials, taylor_independence_trials
 from slicecalc.errors import NotPolyanalyticOfOrderError
-from slicecalc.multipoly import CoordPoly
+from slicecalc.multipoly import CoordPoly, RationalFn, coord_x
 from slicecalc.named import (
     builtin_function,
     conjugate_coordinate,
@@ -26,7 +26,7 @@ from slicecalc.polyanalytic import (
     poly_order,
 )
 from slicecalc.sampling import rand_plane_point, rng_for
-from slicecalc.slicefn import SliceFunction
+from slicecalc.slicefn import PointFunction, SliceFunction
 from slicecalc.stem import StemFunction
 
 H = QUATERNION
@@ -166,6 +166,25 @@ def test_classify_twisted_coordinate():
     assert rep.slice_witness is not None
     assert rep.slice_witness.unit_h.value == I_U.value
     assert rep.slice_witness.unit_k.value == J_U.value
+    assert rep.decomposition is None
+    assert rep.evidence == {"stem_reproduces_input": False}
+
+
+def test_classify_rejects_x_plus_a_product_vanishing_on_the_sampled_slices():
+    # x + P, where each linear factor of P vanishes on one of the sampled slices
+    units = sample_units(H, 7, 8)
+    x = [CoordPoly.variable(H, 4, h) for h in range(4)]
+    p = CoordPoly.constant(H, 4, 1)
+    for unit in units:
+        a, b, c = unit.components()
+        w = (b, -a, 0) if (a, b) != (0, 0) else (1, 0, 0)
+        p = p * (x[1] * w[0] + x[2] * w[1] + x[3] * w[2])
+    g = PointFunction(DOM, RationalFn.from_poly(coord_x(H) + p))
+    rng = rng_for(7, "classify-points")
+    points = [rand_plane_point(rng, DOM) for _ in range(8)]
+    rep = classify(g, 4, units, points)
+    assert (rep.sbs_polyanalytic_order, rep.is_slice, rep.global_order) == (1, False, None)
+    assert rep.evidence == {"stem_reproduces_input": False}
     assert rep.decomposition is None
 
 
