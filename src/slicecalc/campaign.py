@@ -6,14 +6,15 @@ yields one outcome per trial, None on a pass and the witness dict on a
 failure; ``_tally`` counts them into the (trials, failures, first witness)
 that its callers get.  The campaign table derives counts from CampaignConfig:
 ``unit_samples`` sizes the unit pool (at least 2 units for every check) and
-``point_samples`` the number of trial tuples per check.
+``point_samples`` the number of trial tuples per check.  Each row returns
+its JSON report entry, and ``run_campaign`` assembles the whole report.
 Each check seeds its own generator from (seed, check id), which makes reports
 byte-identical for a fixed config regardless of scheduling.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from functools import wraps
 from itertools import islice
 from math import perm
@@ -63,25 +64,11 @@ class CampaignConfig:
     def __post_init__(self):
         if self.unit_samples < 1 or self.point_samples < 1 or self.max_order < 1:
             raise ValueError("sample counts and max_order must be >= 1")
-
-
-@dataclass
-class CheckResult:
-    check_id: str
-    passed: bool
-    inputs_digest: str
-    detail: dict
-    witness: Optional[dict] = None
-
-
-@dataclass
-class CampaignReport:
-    config: CampaignConfig
-    results: list[CheckResult] = field(default_factory=list)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(r.passed for r in self.results)
+        unknown = [s for s in self.select if s not in CHECKS]
+        if unknown:
+            raise ValueError(
+                f"unknown check ids {unknown}; valid ids: {', '.join(sorted(CHECKS))}"
+            )
 
 
 SIGNATURES = (QUATERNION, clifford(3))
@@ -336,7 +323,9 @@ def decomposition_roundtrip_trials(
     rng = rng_for(seed, f"decomposition:{_sig_label(sig)}")
     units = sample_units(sig, seed, n_units)
     domain = default_domain()
-    plane_xbar = [list(islice(plane_x(sig, -unit).powers(), max_n)) for unit in units]
+    # the orders drawn below are 1..min(max_n, n_tuples), so no higher power is read
+    reach = min(max_n, n_tuples)
+    plane_xbar = [list(islice(plane_x(sig, -unit).powers(), reach)) for unit in units]
     for ti in range(n_tuples):
         n = 1 + ti % max_n
         parts = rand_regular_tuple(rng, sig, n, max_degree=2)
@@ -399,16 +388,26 @@ def taylor_independence_trials(
 # -- campaign table ----------------------------------------------------------------
 
 
-def _per_signature(
-    config: CampaignConfig, check_id: str, *runs: tuple[Callable, dict]
-) -> CheckResult:
+def _entry(check_id: str, inputs: dict, detail: dict, witness: Optional[dict]) -> dict:
+    """A check's report entry; it passed exactly when there is no witness."""
+    entry = {
+        "id": check_id,
+        "inputs_digest": digest({"check": check_id, **inputs}),
+        "passed": witness is None,
+        "detail": detail,
+    }
+    if witness is not None:
+        entry["witness"] = witness
+    return entry
+
+
+def _per_signature(config: CampaignConfig, check_id: str, *runs: tuple[Callable, dict]) -> dict:
     """Run each (body, sizes) pair on every signature and merge the verdicts.
 
     Per signature, trials and failures add up over the bodies and the first
     witness any body returns is kept.
     """
     detail: dict = {}
-    passed = True
     witness = None
     for sig in SIGNATURES:
         trials = failures = 0
@@ -420,18 +419,15 @@ def _per_signature(
             if first is None:
                 first = w
         detail[_sig_label(sig)] = {"trials": trials, "failures": failures}
-        if failures:
-            passed = False
-            if witness is None and first is not None:
-                witness = {"signature": _sig_label(sig), **first}
+        if failures and witness is None:
+            witness = {"signature": _sig_label(sig), **first}
     inputs = {
-        "check": check_id,
         "seed": config.seed,
         "unit_samples": config.unit_samples,
         "point_samples": config.point_samples,
         "max_order": config.max_order,
     }
-    return CheckResult(check_id, passed, digest(inputs), detail, witness)
+    return _entry(check_id, inputs, detail, witness)
 
 
 def _units(config: CampaignConfig, cap: int) -> int:
@@ -443,7 +439,7 @@ def _budget(config: CampaignConfig, floor: int, per: int) -> int:
     return max(floor, config.point_samples // per)
 
 
-def _check_counterexamples(config: CampaignConfig) -> CheckResult:
+def _check_counterexamples(config: CampaignConfig) -> dict:
     report = counterexample_suite(
         QUATERNION, seed=config.seed, unit_count=max(2, config.unit_samples)
     )
@@ -453,13 +449,14 @@ def _check_counterexamples(config: CampaignConfig) -> CheckResult:
         if not c.passed:
             witness = {"check": c.check_id, **{k: str(v) for k, v in c.details.items()}}
             break
-    inputs = {"check": "counterexamples", "seed": config.seed, "units": config.unit_samples}
-    return CheckResult("counterexamples", report.all_passed, digest(inputs), detail, witness)
+    inputs = {"seed": config.seed, "units": config.unit_samples}
+    return _entry("counterexamples", inputs, detail, witness)
 
 
-# One row per check: its bodies and their sizes under a config.  Each value is a
-# function of its own, so a profile attributes time to each check separately.
-CHECKS: dict[str, Callable[[CampaignConfig], CheckResult]] = {
+# One row per check: its bodies and their sizes under a config, returning the
+# check's report entry.  Each value is a function of its own, so a profile
+# attributes time to each check separately.
+CHECKS: dict[str, Callable[[CampaignConfig], dict]] = {
     "slice-global-coincidence": lambda c: _per_signature(
         c,
         "slice-global-coincidence",
@@ -509,14 +506,16 @@ CHECKS: dict[str, Callable[[CampaignConfig], CheckResult]] = {
 }
 
 
-def run_campaign(config: CampaignConfig) -> CampaignReport:
-    selected = config.select or tuple(CHECKS)
-    unknown = [s for s in selected if s not in CHECKS]
-    if unknown:
-        raise ValueError(
-            f"unknown check ids {unknown}; valid ids: {', '.join(sorted(CHECKS))}"
-        )
-    report = CampaignReport(config)
-    for check_id in sorted(set(selected)):
-        report.results.append(CHECKS[check_id](config))
-    return report
+def run_campaign(config: CampaignConfig) -> dict:
+    """The JSON report of the checks in ``config.select`` (all when empty).
+
+    Each selected check runs once, in id order, and the report's
+    ``config.select`` lists exactly the checks run.
+    """
+    select = sorted(set(config.select or CHECKS))
+    checks = [CHECKS[check_id](config) for check_id in select]
+    return {
+        "config": {**asdict(config), "select": select},
+        "checks": checks,
+        "all_passed": all(c["passed"] for c in checks),
+    }

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Optional
 
 from .algebra import sample_units
-from .campaign import CHECKS, CampaignConfig, CampaignReport, run_campaign
+from .campaign import CHECKS, CampaignConfig, run_campaign
 from .errors import (
     DenominatorVanishesError,
     FunctionSpecError,
@@ -82,32 +82,6 @@ def _emit(report: dict, json_path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _campaign_report_json(report: CampaignReport) -> dict:
-    checks = []
-    for r in report.results:
-        entry = {
-            "id": r.check_id,
-            "inputs_digest": r.inputs_digest,
-            "passed": r.passed,
-            "detail": r.detail,
-        }
-        if r.witness is not None:
-            entry["witness"] = r.witness
-        checks.append(entry)
-    cfg = report.config
-    return {
-        "config": {
-            "seed": cfg.seed,
-            "unit_samples": cfg.unit_samples,
-            "point_samples": cfg.point_samples,
-            "max_order": cfg.max_order,
-            "select": sorted(cfg.select) if cfg.select else sorted(CHECKS),
-        },
-        "checks": checks,
-        "all_passed": report.all_passed,
-    }
-
-
 def cmd_verify(args) -> int:
     select = ()
     if args.select:
@@ -120,14 +94,14 @@ def cmd_verify(args) -> int:
             max_order=args.max_order,
             select=select,
         )
-        report = run_campaign(config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    for r in report.results:
-        print(f"[{'PASS' if r.passed else 'FAIL'}] {r.check_id}")
-    _emit(_campaign_report_json(report), args.json)
-    return EXIT_OK if report.all_passed else EXIT_MATH_FAILURE
+    report = run_campaign(config)
+    for check in report["checks"]:
+        print(f"[{'PASS' if check['passed'] else 'FAIL'}] {check['id']}")
+    _emit(report, args.json)
+    return EXIT_OK if report["all_passed"] else EXIT_MATH_FAILURE
 
 
 def cmd_decompose(args) -> int:
@@ -169,7 +143,8 @@ def cmd_classify(args) -> int:
     g = _load_input(args.input)
     if isinstance(g, SliceFunction):
         g = g.to_point_function()
-    units = sample_units(g.signature, args.seed, min(args.units, _MAX_UNITS))
+    # is_slice compares pairs of units, so at least two are sampled
+    units = sample_units(g.signature, args.seed, max(2, min(args.units, _MAX_UNITS)))
     rng = rng_for(args.seed, "classify-points")
     points = [rand_plane_point(rng, g.domain) for _ in range(min(args.points, _MAX_POINTS))]
     try:
@@ -234,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--input", required=True, help="builtin name or JSON spec file")
     p_cls.add_argument("--seed", type=int, default=None)
     p_cls.add_argument(
-        "--units", type=int, default=8, help=f"unit samples (at most {_MAX_UNITS} used)"
+        "--units", type=int, default=8, help=f"unit samples (2 to {_MAX_UNITS} used)"
     )
     p_cls.add_argument(
         "--points", type=int, default=8, help=f"plane points (at most {_MAX_POINTS} used)"

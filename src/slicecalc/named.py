@@ -10,7 +10,7 @@ All are addressable by name from the CLI without a spec file.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 from .algebra import QUATERNION, AlgebraElement, AlgebraSignature, clifford
 from .errors import FunctionSpecError
@@ -23,58 +23,44 @@ def default_domain() -> CircularDomain:
     return CircularDomain.ball(0, 4)
 
 
-def coordinate_function(
-    signature: AlgebraSignature, domain: Optional[CircularDomain] = None
-) -> SliceFunction:
+def coordinate_function(signature: AlgebraSignature) -> SliceFunction:
     """The identity slice function x, induced by the stem z."""
-    return SliceFunction(domain or default_domain(), StemFunction.z(signature))
+    return SliceFunction(default_domain(), StemFunction.z(signature))
 
 
-def conjugate_coordinate(
-    signature: AlgebraSignature, domain: Optional[CircularDomain] = None
-) -> SliceFunction:
+def conjugate_coordinate(signature: AlgebraSignature) -> SliceFunction:
     """The conjugation x-bar, induced by the stem z-bar."""
-    return SliceFunction(domain or default_domain(), StemFunction.zbar(signature))
+    return SliceFunction(default_domain(), StemFunction.zbar(signature))
 
 
 def _first_unit_element(signature: AlgebraSignature) -> AlgebraElement:
     return AlgebraElement.basis(signature, signature.imag_masks[0])
 
 
-def _linear_point_function(
-    signature: AlgebraSignature,
-    domain: Optional[CircularDomain],
-    coefficient_of,
-) -> PointFunction:
+def _linear_point_function(signature: AlgebraSignature, coefficient_of) -> PointFunction:
     # x = sum_h x_h b_h with b_0 = 1; each monomial x_h gets coefficient_of(b_h)
     terms = {exps: coefficient_of(b) for exps, b in coord_x(signature).terms.items()}
     poly = CoordPoly(signature, signature.coord_count, terms)
-    return PointFunction(domain or default_domain(), RationalFn.from_poly(poly))
+    return PointFunction(default_domain(), RationalFn.from_poly(poly))
 
 
-def rotation_twisted_coordinate(
-    signature: AlgebraSignature, domain: Optional[CircularDomain] = None
-) -> PointFunction:
+def rotation_twisted_coordinate(signature: AlgebraSignature) -> PointFunction:
     """v(x) = -u x u with u the first imaginary basis unit (i resp. e_1).
 
     Fixes the slice of u pointwise and conjugates the orthogonal axes, so it
     is slice-by-slice polyanalytic of order two without being a slice function.
     """
     u = _first_unit_element(signature)
-    return _linear_point_function(signature, domain, lambda b: -(u * b * u))
+    return _linear_point_function(signature, lambda b: -(u * b * u))
 
 
-def left_multiplied_coordinate(
-    signature: AlgebraSignature, domain: Optional[CircularDomain] = None
-) -> PointFunction:
+def left_multiplied_coordinate(signature: AlgebraSignature) -> PointFunction:
     """v_r(x) = u x with u the first imaginary basis unit."""
     u = _first_unit_element(signature)
-    return _linear_point_function(signature, domain, lambda b: u * b)
+    return _linear_point_function(signature, lambda b: u * b)
 
 
-def jump_example(
-    signature: AlgebraSignature, domain: Optional[CircularDomain] = None
-) -> PointFunction:
+def jump_example(signature: AlgebraSignature) -> PointFunction:
     """x_1^2 x_2 / (x_1^4 + sum_(h>=2) x_h^2) off the reals, 0 on the reals.
 
     Continuous on every slice, yet tends to 1/2 along x = e_1/h + e_2/h^2, so
@@ -85,7 +71,7 @@ def jump_example(
     numer = x[1] ** 2 * x[2]
     denom = sum((x[h] ** 2 for h in range(2, n)), x[1] ** 4)
     return PointFunction(
-        domain or default_domain(),
+        default_domain(),
         RationalFn(numer, ((denom, 1),)),
         real_value=AlgebraElement.zero(signature),
     )
@@ -94,24 +80,20 @@ def jump_example(
 BUILTIN_NAMES = ("x", "xbar", "v", "v_r", "v_m", "bump")
 
 
-def builtin_function(
-    name: str,
-    signature: Optional[AlgebraSignature] = None,
-    domain: Optional[CircularDomain] = None,
-) -> Union[SliceFunction, PointFunction]:
-    """Look up a named fixture; "v_m" is the Cl(0,3) twisted coordinate."""
+def builtin_function(name: str) -> Union[SliceFunction, PointFunction]:
+    """Look up a named fixture on the quaternions; "v_m" is the Cl(0,3) twisted coordinate."""
     if name == "x":
-        return coordinate_function(signature or QUATERNION, domain)
+        return coordinate_function(QUATERNION)
     if name == "xbar":
-        return conjugate_coordinate(signature or QUATERNION, domain)
+        return conjugate_coordinate(QUATERNION)
     if name == "v":
-        return rotation_twisted_coordinate(signature or QUATERNION, domain)
+        return rotation_twisted_coordinate(QUATERNION)
     if name == "v_r":
-        return left_multiplied_coordinate(signature or QUATERNION, domain)
+        return left_multiplied_coordinate(QUATERNION)
     if name == "v_m":
-        return rotation_twisted_coordinate(signature or clifford(3), domain)
+        return rotation_twisted_coordinate(clifford(3))
     if name == "bump":
-        return jump_example(signature or QUATERNION, domain)
+        return jump_example(QUATERNION)
     raise FunctionSpecError(
         f"unknown builtin {name!r}; choose one of {', '.join(BUILTIN_NAMES)}"
     )

@@ -241,10 +241,11 @@ def is_slice(
 
     Tries the representation formula from every unit H onto every other unit
     K at every point z, in that nesting order, and returns (False, witness)
-    for the first mismatch, or (True, None) when the whole grid agrees.
+    for the first mismatch, or (True, None) when the whole grid agrees.  One
+    unit gives no pair to compare, so at least two are needed.
     """
-    if not units or not points:
-        raise ValueError("unit and point samples must be nonempty")
+    if len(units) < 2 or not points:
+        raise ValueError("is_slice needs at least two units and one point")
     for unit_h in units:
         for unit_k in units:
             if unit_k == unit_h:

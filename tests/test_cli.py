@@ -50,9 +50,46 @@ def test_verify_selected_check(tmp_path, capsys):
 
 
 def test_verify_rejects_unknown_selector(capsys):
-    code, _, err = run_cli(["verify", "--select", "no-such-check"], capsys)
+    code, out, err = run_cli(["verify", "--select", "no-such-check"], capsys)
     assert code == 2
     assert "unknown check ids" in err
+    assert out == ""
+    # a valid id next to an unknown one does not run either
+    code, out, err = run_cli(["verify", "--select", "leibniz,no-such-check"], capsys)
+    assert code == 2
+    assert "unknown check ids ['no-such-check']" in err
+    assert out == ""
+
+
+def test_verify_runs_and_echoes_a_repeated_selection_once(tmp_path, capsys):
+    report_path = tmp_path / "report.json"
+    code, out, _ = run_cli(
+        ["verify", "--units", "2", "--points", "1", "--select", "leibniz,leibniz",
+         "--json", str(report_path)],
+        capsys,
+    )
+    assert code == 0
+    assert out.splitlines() == ["[PASS] leibniz"]
+    report = json.loads(report_path.read_text())
+    assert report["config"]["select"] == ["leibniz"]
+    assert [c["id"] for c in report["checks"]] == ["leibniz"]
+
+
+def test_verify_decomposition_reads_only_the_orders_it_draws(tmp_path, capsys):
+    # the check draws orders 1..min(max_order, trials), so a huge --max-order
+    # builds no more xbar powers than --max-order 12 and reports the same trials
+    details = []
+    for max_order in ("12", "1000000000"):
+        report_path = tmp_path / f"report_{max_order}.json"
+        code, _, _ = run_cli(
+            ["verify", "--units", "2", "--points", "40", "--max-order", max_order,
+             "--select", "decomposition-roundtrip", "--json", str(report_path)],
+            capsys,
+        )
+        assert code == 0
+        details.append(json.loads(report_path.read_text())["checks"][0]["detail"])
+    assert details[0] == details[1]
+    assert details[0]["quaternion"] == {"trials": 4, "failures": 0}
 
 
 def test_verify_env_seed(tmp_path, capsys, monkeypatch):
@@ -224,6 +261,30 @@ def test_classify_reports_the_capped_sample_counts(capsys):
     code, out, _ = run_cli(["classify", "--input", "x", "--units", "50", "--points", "99"], capsys)
     assert code == 0
     assert json.loads(out)["samples"] == {"units": 12, "points": 16}
+
+
+def test_classify_with_one_unit_still_compares_two_slices(tmp_path, capsys):
+    # x_2 / (1 + x_1^2 + x_2^2 + x_3^2) has a rational candidate stem, so the
+    # sampled probe decides; one unit would give it no pair of slices to compare
+    spec = {
+        "representation": "rational",
+        "numerator_terms": [{"exponents": [0, 0, 1, 0], "coefficient": {"1": "1"}}],
+        "denominator_terms": [
+            {"exponents": [0, 0, 0, 0], "coefficient": {"1": "1"}},
+            {"exponents": [0, 2, 0, 0], "coefficient": {"1": "1"}},
+            {"exponents": [0, 0, 2, 0], "coefficient": {"1": "1"}},
+            {"exponents": [0, 0, 0, 2], "coefficient": {"1": "1"}},
+        ],
+    }
+    path = tmp_path / "twisted_rational.json"
+    path.write_text(json.dumps(spec))
+    code, out, _ = run_cli(["classify", "--input", str(path), "--units", "1"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["samples"]["units"] == 2
+    assert report["evidence"]["candidate_stem"] == "not polynomial"
+    assert report["is_slice"] is False
+    assert (report["witness"]["H"], report["witness"]["K"]) == ({"i": "1/1"}, {"j": "1/1"})
 
 
 def test_classify_rejects_a_denominator_vanishing_off_the_real_axis(tmp_path, capsys):
