@@ -443,11 +443,11 @@ def _check_counterexamples(config: CampaignConfig) -> dict:
     report = counterexample_suite(
         QUATERNION, seed=config.seed, unit_count=max(2, config.unit_samples)
     )
-    detail = {c.check_id: c.passed for c in report.checks}
+    detail = {check_id: passed for check_id, (passed, _) in report.items()}
     witness = None
-    for c in report.checks:
-        if not c.passed:
-            witness = {"check": c.check_id, **{k: str(v) for k, v in c.details.items()}}
+    for check_id, (passed, details) in report.items():
+        if not passed:
+            witness = {"check": check_id, **{k: str(v) for k, v in details.items()}}
             break
     inputs = {"seed": config.seed, "units": config.unit_samples}
     return _entry("counterexamples", inputs, detail, witness)

@@ -41,9 +41,11 @@ EXIT_OK = 0
 EXIT_MATH_FAILURE = 1
 EXIT_USAGE = 2
 
-# classify probes every sampled (unit, unit, point) triple, so it caps its samples
+# classify probes every sampled (unit, unit, point) triple, so it caps its samples,
+# and each slice derivative of a rational restriction costs more than the last
 _MAX_UNITS = 12
 _MAX_POINTS = 16
+_MAX_ORDER = 64
 
 
 def _default_seed() -> int:
@@ -77,7 +79,10 @@ def _load_input(path_or_name: str):
 def _emit(report: dict, json_path: Optional[str]) -> None:
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if json_path:
-        Path(json_path).write_text(text, encoding="utf-8")
+        try:
+            Path(json_path).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise FunctionSpecError(f"cannot write {json_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -147,8 +152,9 @@ def cmd_classify(args) -> int:
     units = sample_units(g.signature, args.seed, max(2, min(args.units, _MAX_UNITS)))
     rng = rng_for(args.seed, "classify-points")
     points = [rand_plane_point(rng, g.domain) for _ in range(min(args.points, _MAX_POINTS))]
+    max_order = min(args.max_order, _MAX_ORDER)
     try:
-        report_obj = classify(g, args.max_order, units, points)
+        report_obj = classify(g, max_order, units, points)
     except DenominatorVanishesError as exc:
         # probes lie off the real axis, the only place a point function may be singular
         point = ", ".join(frac_to_str(c) for c in exc.point)
@@ -159,7 +165,7 @@ def cmd_classify(args) -> int:
         raise FunctionSpecError(f"{exc}, which meets the domain off the real axis") from exc
     report = {
         "input": args.input,
-        "samples": {"units": len(units), "points": len(points)},
+        "samples": {"units": len(units), "points": len(points), "max_order": max_order},
         "signature": signature_to_json(g.signature),
         "sbs_order": report_obj.sbs_polyanalytic_order,
         "is_slice": report_obj.is_slice,
@@ -214,7 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument(
         "--points", type=int, default=8, help=f"plane points (at most {_MAX_POINTS} used)"
     )
-    p_cls.add_argument("--max-order", type=int, default=4)
+    p_cls.add_argument(
+        "--max-order", type=int, default=4, help=f"highest order tried (at most {_MAX_ORDER} used)"
+    )
     p_cls.add_argument("--json", default=None)
     p_cls.set_defaults(func=cmd_classify)
     return parser

@@ -18,25 +18,14 @@ from typing import Optional, Sequence
 from .algebra import AlgebraElement, AlgebraSignature, ImaginaryUnit, clifford, sample_units
 from .errors import NotPolyanalyticOfOrderError
 from .multipoly import CoordPoly, RationalFn, _iterates
-from .named import (
-    default_domain,
-    jump_example,
-    left_multiplied_coordinate,
-    rotation_twisted_coordinate,
-)
-from .operators import (
-    SlicePlanePoly,
-    dbar_slice,
-    plane_x,
-    restrict_to_slice,
-)
+from .named import jump_example, left_multiplied_coordinate, rotation_twisted_coordinate
+from .operators import SlicePlanePoly, plane_x, restrict_to_slice
 from .slicefn import (
     PointFunction,
     SliceFunction,
     SliceWitness,
     extract_stem_exact,
     is_slice,
-    phi_coords,
 )
 from .stem import StemFunction
 
@@ -199,19 +188,6 @@ def classify(
 # -- counterexample suite -------------------------------------------------------
 
 
-@dataclass
-class SuiteCheck:
-    check_id: str
-    passed: bool
-    details: dict
-
-
-@dataclass
-class SuiteReport:
-    signature: AlgebraSignature
-    checks: list[SuiteCheck]
-
-
 def _suite_points(count: int = 6) -> list[tuple[Fraction, Fraction]]:
     """Deterministic off-axis plane points inside the default ball."""
     pts = [(Fraction(0), Fraction(1))]
@@ -240,12 +216,14 @@ def _expected_slice_constants(
 
 def counterexample_suite(
     signature: AlgebraSignature, seed: int = 0, unit_count: int = 100
-) -> SuiteReport:
-    """Exact replay of the separating examples for this signature.
+) -> dict[str, tuple[bool, dict]]:
+    """Exact replay of the separating examples: check id -> (passed, details).
 
-    The checks compare slices pairwise, so ``unit_count`` must be at least 2.
-    For the quaternions the suite also runs its checks under Cl(0,3), where
-    the twisted coordinate uses e_1 in place of i.
+    The ids come in the order (1)-(5), (7), then (6).  The checks compare
+    slices pairwise, so ``unit_count`` must be at least 2.  For the
+    quaternions the suite also runs its checks under Cl(0,3), where the
+    twisted coordinate uses e_1 in place of i; check (6) holds each nested
+    verdict as its details.
     """
     if unit_count < 2:
         raise ValueError("the counterexample suite needs unit_count >= 2")
@@ -253,30 +231,35 @@ def counterexample_suite(
     # (6) the Clifford analogue passes the same checks
     if signature.kind == "quaternion":
         nested = _suite_checks(clifford(3), seed, min(unit_count, 32))
-        checks.append(
-            SuiteCheck(
-                "clifford-analogue",
-                all(c.passed for c in nested),
-                {c.check_id: c.passed for c in nested},
-            )
-        )
-    return SuiteReport(signature, checks)
+        verdicts = {check_id: passed for check_id, (passed, _) in nested.items()}
+        checks["clifford-analogue"] = (all(verdicts.values()), verdicts)
+    return checks
 
 
-def _suite_checks(signature: AlgebraSignature, seed: int, unit_count: int) -> list[SuiteCheck]:
+def _witness_pair(witness: Optional[SliceWitness]) -> dict:
+    return {
+        "witness_h": repr(witness.unit_h.value) if witness else None,
+        "witness_k": repr(witness.unit_k.value) if witness else None,
+    }
+
+
+def _suite_checks(
+    signature: AlgebraSignature, seed: int, unit_count: int
+) -> dict[str, tuple[bool, dict]]:
     """Checks (1)-(5) and (7) of the suite on ``unit_count`` sampled units.
 
-    Checks (1) and (4) read one ``per_slice_decomposition`` of the twisted
-    coordinate per unit.  A unit without that split fails both checks, with
-    None for its first coefficient in (4), and the remaining checks still run.
+    Checks (2), (3) and (7) read the verdicts of one ``classify`` call at
+    order 2 on each of the twisted coordinate v and the left-multiplied
+    coordinate v_r.  Checks (1) and (4) read one ``per_slice_decomposition``
+    of v per unit.  A unit without that split fails both checks, with None
+    for its first coefficient in (4), and the remaining checks still run.
     """
     units = sample_units(signature, seed, unit_count)
-    domain = default_domain()
     points = _suite_points()
     v = rotation_twisted_coordinate(signature)
     v_r = left_multiplied_coordinate(signature)
     bump = jump_example(signature)
-    checks: list[SuiteCheck] = []
+    checks: dict[str, tuple[bool, dict]] = {}
 
     # (1) and (4) share one split v_I = f_0 + xbar_I f_1 per unit; None where the
     # second slice derivative does not vanish
@@ -293,49 +276,34 @@ def _suite_checks(signature: AlgebraSignature, seed: int, unit_count: int) -> li
         split is not None and split[1].rf == CoordPoly.constant(signature, 2, c_minus)
         for split, (_, c_minus) in zip(splits, consts)
     )
-    checks.append(
-        SuiteCheck(
-            "slicewise-order-two",
-            first_ok,
-            {"units": len(units), "distinct_first_derivatives": len({c for _, c in consts})},
-        )
+    checks["slicewise-order-two"] = (
+        first_ok,
+        {"units": len(units), "distinct_first_derivatives": len({c for _, c in consts})},
     )
 
-    # (2) representation formula fails: not a slice function
-    slice_ok, witness = is_slice(v, units[: min(len(units), 8)], points)
+    # (2) representation formula fails: not a slice function, witnessed on the
+    # first two units
+    verdict = classify(v, 2, units, points)
+    witness = verdict.slice_witness
     expected_pair = (
-        witness is not None
-        and witness.unit_h == units[0]
-        and witness.unit_k == units[1]
+        witness is not None and witness.unit_h == units[0] and witness.unit_k == units[1]
     )
-    checks.append(
-        SuiteCheck(
-            "not-slice",
-            (not slice_ok) and expected_pair,
-            {
-                "witness_h": repr(witness.unit_h.value) if witness else None,
-                "witness_k": repr(witness.unit_k.value) if witness else None,
-                "witness_z": [str(witness.z[0]), str(witness.z[1])] if witness else None,
-            },
-        )
+    checks["not-slice"] = (
+        not verdict.is_slice and expected_pair,
+        {
+            **_witness_pair(witness),
+            "witness_z": [str(witness.z[0]), str(witness.z[1])] if witness else None,
+        },
     )
 
-    # (3) the candidate stem from one slice does not reproduce the function
-    stem = extract_stem_exact(v, units[0])
-    induced = SliceFunction(domain, stem).to_point_function()
-    probe = phi_coords(units[1], Fraction(0), Fraction(1))
-    mismatch = induced.expr != v.expr and induced.eval_coords(probe) != v.eval_coords(
-        probe
-    )
-    checks.append(
-        SuiteCheck(
-            "extraction-not-global",
-            mismatch,
-            {
-                "induced_at_probe": repr(induced.eval_coords(probe)),
-                "actual_at_probe": repr(v.eval_coords(probe)),
-            },
-        )
+    # (3) the candidate stem from the first slice does not reproduce v: not global
+    checks["extraction-not-global"] = (
+        verdict.evidence.get("stem_reproduces_input") is False
+        and verdict.global_order is None,
+        {
+            "predicted": repr(witness.predicted) if witness else None,
+            "actual": repr(witness.actual) if witness else None,
+        },
     )
 
     # (4) per-slice coefficients depend on the slice
@@ -344,12 +312,9 @@ def _suite_checks(signature: AlgebraSignature, seed: int, unit_count: int) -> li
         for split, unit, (c_plus, _) in zip(splits, units, consts)
     )
     f1_reprs = [None if split is None else repr(split[1].rf.numer) for split in splits[:2]]
-    checks.append(
-        SuiteCheck(
-            "slice-coefficients-depend-on-unit",
-            ok and splits[0][1].rf != splits[1][1].rf,
-            {"f1_on_first_unit": f1_reprs[0], "f1_on_second_unit": f1_reprs[1]},
-        )
+    checks["slice-coefficients-depend-on-unit"] = (
+        ok and splits[0][1].rf != splits[1][1].rf,
+        {"f1_on_first_unit": f1_reprs[0], "f1_on_second_unit": f1_reprs[1]},
     )
 
     # (5) slice-by-slice continuous function with a genuine jump at 0
@@ -379,25 +344,15 @@ def _suite_checks(signature: AlgebraSignature, seed: int, unit_count: int) -> li
             matched += 1
         else:
             ok = False
-    checks.append(
-        SuiteCheck(
-            "slicewise-continuous-jump",
-            ok,
-            {"sequence_checked": 49, "restrictions_matched": matched},
-        )
+    checks["slicewise-continuous-jump"] = (
+        ok,
+        {"sequence_checked": 49, "restrictions_matched": matched},
     )
 
-    # (7) the left-multiplied coordinate: same slice-by-slice order, not slice
-    ok = all(dbar_slice(v_r, unit, 2).is_zero() for unit in units)
-    vr_ok, vr_witness = is_slice(v_r, units[: min(len(units), 8)], points)
-    checks.append(
-        SuiteCheck(
-            "left-multiplier-not-slice",
-            ok and not vr_ok,
-            {
-                "witness_h": repr(vr_witness.unit_h.value) if vr_witness else None,
-                "witness_k": repr(vr_witness.unit_k.value) if vr_witness else None,
-            },
-        )
+    # (7) the left-multiplied coordinate: slice-by-slice order exactly 2, not slice
+    verdict = classify(v_r, 2, units, points)
+    checks["left-multiplier-not-slice"] = (
+        verdict.sbs_polyanalytic_order == 2 and not verdict.is_slice,
+        _witness_pair(verdict.slice_witness),
     )
     return checks

@@ -260,7 +260,19 @@ def test_classify_rejects_nonpositive_sample_arguments(capsys, args):
 def test_classify_reports_the_capped_sample_counts(capsys):
     code, out, _ = run_cli(["classify", "--input", "x", "--units", "50", "--points", "99"], capsys)
     assert code == 0
-    assert json.loads(out)["samples"] == {"units": 12, "points": 16}
+    assert json.loads(out)["samples"] == {"units": 12, "points": 16, "max_order": 4}
+
+
+def test_classify_caps_the_order_it_tries(capsys):
+    # bump's restrictions are rational, so no slice derivative vanishes and the
+    # loop would run every order up to --max-order, each step dearer than the last
+    reports = []
+    for max_order in ("64", "1000000000"):
+        code, out, err = run_cli(["classify", "--input", "bump", "--max-order", max_order], capsys)
+        assert code == 0, err
+        reports.append(json.loads(out))
+    assert reports[0] == reports[1]
+    assert reports[0]["samples"]["max_order"] == 64
 
 
 def test_classify_with_one_unit_still_compares_two_slices(tmp_path, capsys):
@@ -384,3 +396,21 @@ def test_classify_rejects_unparseable_files(tmp_path, capsys, content):
     assert code == 2
     assert "cannot parse" in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--units", "2", "--points", "1", "--select", "leibniz"],
+        ["decompose", "--input", "xbar", "--order", "2"],
+        ["classify", "--input", "v"],
+    ],
+    ids=["verify", "decompose", "classify"],
+)
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_an_unwritable_json_path_is_a_usage_error(tmp_path, capsys, args, where):
+    target = tmp_path / "missing" / "report.json" if where == "missing-directory" else tmp_path
+    code, _, err = run_cli([*args, "--json", str(target)], capsys)
+    assert code == 2
+    assert err.startswith(f"error: cannot write {target}")
+    assert len(err.splitlines()) == 1

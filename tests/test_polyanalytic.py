@@ -239,10 +239,10 @@ def test_taylor_independence_randomized():
 def test_counterexample_suite_passes_for_both_signatures():
     for sig in (H, clifford(3)):
         report = counterexample_suite(sig, seed=0, unit_count=40)
-        checks = report.checks
-        assert all(c.passed for c in checks), [(c.check_id, c.passed) for c in checks]
+        checks = report.items()
+        assert all(passed for passed, _ in report.values()), [(k, p) for k, (p, _) in checks]
     quaternion_report = counterexample_suite(H, seed=0, unit_count=40)
-    ids = [c.check_id for c in quaternion_report.checks]
+    ids = list(quaternion_report)
     assert "clifford-analogue" in ids
 
 
@@ -253,14 +253,52 @@ def test_suite_fails_both_split_checks_when_a_slice_has_no_split(monkeypatch):
 
     monkeypatch.setattr(polyanalytic, "per_slice_decomposition", no_split)
     report = counterexample_suite(H, seed=1, unit_count=4)
-    passed = {c.check_id: c.passed for c in report.checks}
+    passed = {check_id: ok for check_id, (ok, _) in report.items()}
     failed = {"slicewise-order-two", "slice-coefficients-depend-on-unit", "clifford-analogue"}
     assert {check_id for check_id, ok in passed.items() if not ok} == failed
     assert passed["not-slice"]
-    details = {c.check_id: c.details for c in report.checks}
+    details = {check_id: d for check_id, (_, d) in report.items()}
     assert details["slice-coefficients-depend-on-unit"] == {
         "f1_on_first_unit": None,
         "f1_on_second_unit": None,
+    }
+
+
+def test_suite_reads_the_classify_verdicts(monkeypatch):
+    # checks (2), (3) and (7) take their verdicts from classify, so a classifier
+    # that calls every input slice fails exactly those three
+    def all_slice(g, max_order, units, points):
+        return polyanalytic.ClassificationReport(
+            sbs_polyanalytic_order=max_order,
+            is_slice=True,
+            slice_witness=None,
+            global_order=max_order,
+            decomposition=None,
+            evidence={"stem_reproduces_input": True},
+        )
+
+    monkeypatch.setattr(polyanalytic, "classify", all_slice)
+    classify_checks = {"not-slice", "extraction-not-global", "left-multiplier-not-slice"}
+    # under the quaternions the nested Cl(0,3) run reads the same classifier
+    for sig, nested in ((clifford(3), set()), (H, {"clifford-analogue"})):
+        report = counterexample_suite(sig, seed=1, unit_count=4)
+        failed = {check_id for check_id, (ok, _) in report.items() if not ok}
+        assert failed == classify_checks | nested
+        assert report["extraction-not-global"][1] == {"predicted": None, "actual": None}
+
+    # (3) asks for no global order as well, and (7) for slice-by-slice order
+    # exactly 2, not at most 2
+    def order_one_but_global(g, max_order, units, points):
+        verdict = classify(g, max_order, units, points)
+        verdict.sbs_polyanalytic_order = 1
+        verdict.global_order = 2
+        return verdict
+
+    monkeypatch.setattr(polyanalytic, "classify", order_one_but_global)
+    report = counterexample_suite(clifford(3), seed=1, unit_count=4)
+    assert {check_id for check_id, (ok, _) in report.items() if not ok} == {
+        "extraction-not-global",
+        "left-multiplier-not-slice",
     }
 
 

@@ -1,0 +1,39 @@
+"""Every module-level import of a package module is read by that module.
+
+Deleting code can leave an import behind that nothing reads any more.  A name
+counts as read when the module's syntax tree loads it anywhere, type
+annotations included.  ``__init__.py`` is left out, since it imports names to
+re-export them, and so is ``from __future__``, which binds no name.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "slicecalc"
+
+
+def unread_imports(tree: ast.Module) -> list[str]:
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [f"{name} (line {line})" for name, line in bound.items() if name not in read]
+
+
+def test_every_module_level_import_is_read():
+    unread = {
+        path.name: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+        for names in [unread_imports(ast.parse(path.read_text()))]
+        if names
+    }
+    assert unread == {}, unread
