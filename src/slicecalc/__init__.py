@@ -38,7 +38,6 @@ from .operators import (
 )
 from .polyanalytic import (
     ClassificationReport,
-    Decomposition,
     classify,
     counterexample_suite,
     decompose,
@@ -56,7 +55,6 @@ __all__ = [
     "CircularDomain",
     "ClassificationReport",
     "CoordPoly",
-    "Decomposition",
     "ImaginaryUnit",
     "PointFunction",
     "RationalFn",

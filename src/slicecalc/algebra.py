@@ -274,11 +274,6 @@ class AlgebraElement:
             return AlgebraElement._make(self.signature, nums, self.den * other.denominator)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             return self * (Fraction(1) / Fraction(other))
@@ -380,14 +375,36 @@ def stereographic_unit(
     return ImaginaryUnit(value)
 
 
+# sample_units draws each chart parameter as a/b with |a| <= _CHART_NUM, 1 <= b <= _CHART_DEN
+_CHART_NUM, _CHART_DEN = 12, 8
+_CHART_VALUES = len(
+    {Fraction(a, b) for a in range(-_CHART_NUM, _CHART_NUM + 1) for b in range(1, _CHART_DEN + 1)}
+)
+
+
+def unit_capacity(signature: AlgebraSignature) -> int:
+    """How many distinct units ``sample_units`` can return for ``signature``.
+
+    The chart is injective and its image holds the canonical units, so that is
+    one unit per vector of chart parameters: 127 on Cl(0,2), 127^2 on the
+    quaternions and Cl(0,3).
+    """
+    return _CHART_VALUES ** (signature.imag_dim - 1)
+
+
 def sample_units(signature: AlgebraSignature, seed: int, count: int) -> list[ImaginaryUnit]:
     """Deterministic rational sample of the imaginary-unit sphere.
 
     The canonical units (i, j, k resp. e_1..e_m) always come first; further
     units come from the stereographic chart at seeded rational parameters.
+    ``count`` may not exceed ``unit_capacity(signature)``, the units the
+    chart reaches.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    capacity = unit_capacity(signature)
+    if count > capacity:
+        raise ValueError(f"count {count} exceeds the {capacity} units the chart reaches")
     units = canonical_units(signature)
     seen = {u.value for u in units}
     if len(units) >= count:
@@ -396,7 +413,8 @@ def sample_units(signature: AlgebraSignature, seed: int, count: int) -> list[Ima
     n_params = signature.imag_dim - 1
     while len(units) < count:
         params = [
-            Fraction(rng.randint(-12, 12), rng.randint(1, 8)) for _ in range(n_params)
+            Fraction(rng.randint(-_CHART_NUM, _CHART_NUM), rng.randint(1, _CHART_DEN))
+            for _ in range(n_params)
         ]
         unit = stereographic_unit(signature, params)
         if unit.value in seen:

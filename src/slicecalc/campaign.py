@@ -20,7 +20,7 @@ from itertools import islice
 from math import perm
 from typing import Callable, Iterator, Optional
 
-from .algebra import QUATERNION, AlgebraSignature, clifford, sample_units
+from .algebra import QUATERNION, AlgebraSignature, clifford, sample_units, unit_capacity
 from .multipoly import _iterates, coord_s, coord_xbar
 from .named import default_domain
 from .operators import (
@@ -64,6 +64,12 @@ class CampaignConfig:
     def __post_init__(self):
         if self.unit_samples < 1 or self.point_samples < 1 or self.max_order < 1:
             raise ValueError("sample counts and max_order must be >= 1")
+        # the counterexample suite samples unit_samples quaternion units, uncapped
+        cap = unit_capacity(QUATERNION)
+        if self.unit_samples > cap:
+            raise ValueError(
+                f"unit_samples must be at most {cap}, the quaternion units the sampling chart reaches"
+            )
         unknown = [s for s in self.select if s not in CHECKS]
         if unknown:
             raise ValueError(
@@ -167,13 +173,12 @@ def slice_derivative_trials(
             stem = rand_stem(rng, sig, max_degree=4)
         else:
             stem = compose(rand_regular_tuple(rng, sig, zbar_degree + 1, max_degree=2))
-        f = SliceFunction(domain, stem)
-        pf = f.to_point_function()
+        pf = SliceFunction(domain, stem).to_point_function()
         # each side restricted once per unit; level n is one dbar step from n - 1
-        stem_side = [restrict_slice_function(f, unit).dbar_chain(top) for unit in units]
+        stem_side = [restrict_slice_function(stem, unit).dbar_chain(top) for unit in units]
         coord_side = [restrict_to_slice(pf, unit).dbar_chain(top) for unit in units]
         for n in orders:
-            derived = f.derivative(n)
+            derived = stem.dbar_n(n)
             for ui, unit in enumerate(units):
                 want = restrict_slice_function(derived, unit).rf
                 via_plane = stem_side[ui][n].rf
@@ -293,8 +298,7 @@ def regularity_equivalence_trials(
                 stem = stem + StemFunction.zbar(sig).scale_right(
                     rand_nonzero_element(rng, sig)
                 )
-            f = SliceFunction(domain, stem)
-            pf = f.to_point_function()
+            pf = SliceFunction(domain, stem).to_point_function()
             zero_faces = [
                 stem.dbar().is_zero(),
                 thetabar(pf, 1).expr.is_zero(),
@@ -330,20 +334,18 @@ def decomposition_roundtrip_trials(
         n = 1 + ti % max_n
         parts = rand_regular_tuple(rng, sig, n, max_degree=2)
         total = compose(parts)
-        f = SliceFunction(domain, total)
-        dec = decompose(f, n)
-        ok = [c.stem for c in dec.components] == parts
-        ok = ok and dec.recompose().stem == total
-        ok = ok and all(c.stem.dbar().is_zero() for c in dec.components)
-        pf = f.to_point_function()
+        components = decompose(total, n)
+        ok = list(components) == parts
+        ok = ok and compose(components) == total
+        ok = ok and all(c.dbar().is_zero() for c in components)
+        pf = SliceFunction(domain, total).to_point_function()
         for unit, pxbar in zip(units, plane_xbar):
             ok = ok and dbar_slice(pf, unit, n).is_zero()
             # each part restricted once per unit; levels start at 1, so parts[0] never enters
             restricted = {
-                h: restrict_slice_function(SliceFunction(domain, parts[h]), unit).rf
-                for h in range(1, n)
+                h: restrict_slice_function(parts[h], unit).rf for h in range(1, n)
             }
-            levels = restrict_slice_function(f, unit).dbar_chain(n - 1)
+            levels = restrict_slice_function(total, unit).dbar_chain(n - 1)
             for level in range(1, n):
                 total_rhs = None
                 for h in range(level, n):
@@ -369,14 +371,12 @@ def taylor_independence_trials(
     """
     rng = rng_for(seed, f"taylor:{_sig_label(sig)}")
     units = sample_units(sig, seed, n_units)
-    domain = default_domain()
     for si in range(n_stems):
         stem = rand_holomorphic_stem(rng, sig, max_degree=3)
-        f = SliceFunction(domain, stem)
         degree = max(stem.total_degree(), 0)
-        base = taylor_alpha_coefficients(f, units[0], 0, degree)
+        base = taylor_alpha_coefficients(stem, units[0], 0, degree)
         ok = all(
-            taylor_alpha_coefficients(f, unit, 0, degree) == base for unit in units[1:]
+            taylor_alpha_coefficients(stem, unit, 0, degree) == base for unit in units[1:]
         )
         rebuilt = StemFunction.zero(sig)
         for z_h, coeff in zip(StemFunction.z(sig).powers(), base):

@@ -25,7 +25,7 @@ from .errors import (
     ZeroDenominatorError,
 )
 from .named import BUILTIN_NAMES, builtin_function
-from .polyanalytic import classify, decompose
+from .polyanalytic import classify, compose, decompose
 from .sampling import rand_plane_point, rng_for
 from .serialize import (
     domain_to_json,
@@ -116,7 +116,7 @@ def cmd_decompose(args) -> int:
     if args.order < 1:
         raise FunctionSpecError("--order must be >= 1")
     try:
-        dec = decompose(f, args.order)
+        components = decompose(f.stem, args.order)
     except NotPolyanalyticOfOrderError as exc:
         report = {
             "input": args.input,
@@ -126,15 +126,14 @@ def cmd_decompose(args) -> int:
         }
         _emit(report, args.json)
         return EXIT_MATH_FAILURE
-    recomposed = dec.recompose()
     report = {
         "input": args.input,
         "order": args.order,
-        "signature": signature_to_json(f.signature),
+        "signature": signature_to_json(f.stem.signature),
         "domain": domain_to_json(f.domain),
-        "components": [stem_to_json(c.stem) for c in dec.components],
-        "component_count": dec.order,
-        "recomposition_verified": recomposed.stem == f.stem,
+        "components": [stem_to_json(c) for c in components],
+        "component_count": len(components),
+        "recomposition_verified": compose(components) == f.stem,
     }
     _emit(report, args.json)
     return EXIT_OK
@@ -174,10 +173,8 @@ def cmd_classify(args) -> int:
     }
     if report_obj.slice_witness is not None:
         report["witness"] = witness_to_json(report_obj.slice_witness)
-    if report_obj.decomposition is not None:
-        report["components"] = [
-            stem_to_json(c.stem) for c in report_obj.decomposition.components
-        ]
+    if report_obj.components is not None:
+        report["components"] = [stem_to_json(c) for c in report_obj.components]
     _emit(report, args.json)
     return EXIT_OK
 

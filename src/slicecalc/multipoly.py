@@ -415,8 +415,6 @@ def _merge_factors(
 ) -> tuple[tuple[CoordPoly, int], ...]:
     acc: dict[CoordPoly, int] = {}
     for p, k in factors:
-        if k == 0:
-            continue
         acc[p] = acc.get(p, 0) + k
     # first-seen order: RationalFn equality compares values, so no order is needed
     return tuple(acc.items())
@@ -484,8 +482,6 @@ class RationalFn:
         self.numer._require_compatible(other.numer)
 
     def __add__(self, other):
-        if isinstance(other, CoordPoly):
-            other = RationalFn.from_poly(other)
         if not isinstance(other, RationalFn):
             return NotImplemented
         self._require_compatible(other)
@@ -510,8 +506,6 @@ class RationalFn:
         return RationalFn._make(-self.numer, self.den_factors)
 
     def __sub__(self, other):
-        if isinstance(other, CoordPoly):
-            other = RationalFn.from_poly(other)
         if not isinstance(other, RationalFn):
             return NotImplemented
         return self + (-other)
@@ -525,11 +519,6 @@ class RationalFn:
             )
         if isinstance(other, (int, Fraction)):
             return RationalFn._make(self.numer * other, self.den_factors)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
         return NotImplemented
 
     def scale_left(self, coeff: AlgebraElement) -> "RationalFn":

@@ -15,7 +15,8 @@ from itertools import islice
 
 from .algebra import AlgebraElement, AlgebraSignature, ImaginaryUnit
 from .multipoly import CoordPoly, RationalFn, _apply_n, _iterates, coord_im, coord_s, restrict_rf
-from .slicefn import PointFunction, SliceFunction
+from .slicefn import PointFunction
+from .stem import StemFunction
 
 
 class SlicePlanePoly:
@@ -49,13 +50,6 @@ class SlicePlanePoly:
     def is_zero(self) -> bool:
         return self.rf.is_zero()
 
-    def __eq__(self, other):
-        if not isinstance(other, SlicePlanePoly):
-            return NotImplemented
-        return self.unit == other.unit and self.rf == other.rf
-
-    __hash__ = None
-
     def __repr__(self):
         return f"SlicePlanePoly({self.rf!r}, unit={self.unit!r})"
 
@@ -74,9 +68,9 @@ def restrict_to_slice(g: PointFunction, unit: ImaginaryUnit) -> SlicePlanePoly:
     return SlicePlanePoly(restrict_rf(g.expr, unit.components()), unit)
 
 
-def restrict_slice_function(f: SliceFunction, unit: ImaginaryUnit) -> SlicePlanePoly:
-    """Slice restriction of an induced function, straight from its stem."""
-    return SlicePlanePoly(RationalFn.from_poly(f.plane_poly(unit)), unit)
+def restrict_slice_function(stem: StemFunction, unit: ImaginaryUnit) -> SlicePlanePoly:
+    """Slice restriction of the function a stem induces, read straight off the stem."""
+    return SlicePlanePoly(RationalFn.from_poly(stem.plane_poly(unit)), unit)
 
 
 def dbar_slice(g: PointFunction, unit: ImaginaryUnit, order: int) -> SlicePlanePoly:

@@ -2,9 +2,11 @@
 
 The decomposition writes a suitable slice function as
 f = f_0 + xbar f_1 + ... + xbar^(n-1) f_(n-1) with every component induced by
-a holomorphic stem.  The counterexample suite replays, with exact arithmetic,
-the functions that separate the slice-by-slice notion of polyanalyticity from
-the global (decomposable) one.
+a holomorphic stem.  That is a fact about the stem alone,
+F = F_0 + zbar F_1 + ... + zbar^(n-1) F_(n-1), so it takes the stem and
+returns the component stems.  The counterexample suite replays, with exact
+arithmetic, the functions that separate the slice-by-slice notion of
+polyanalyticity from the global (decomposable) one.
 """
 
 from __future__ import annotations
@@ -30,14 +32,14 @@ from .slicefn import (
 from .stem import StemFunction
 
 
-def poly_order(f: SliceFunction) -> int:
+def poly_order(stem: StemFunction) -> int:
     """Least n >= 1 whose n-th slice derivative vanishes identically.
 
-    The number of nonzero levels f, df, d^2 f, ... (1 for f = 0).  Always
-    terminates for polynomial stems: each derivative lowers the total degree,
-    so the order is bounded by total degree + 1.
+    The number of nonzero levels F, dF, d^2 F, ... of the stem (1 for F = 0).
+    Always terminates for polynomial stems: each derivative lowers the total
+    degree, so the order is bounded by total degree + 1.
     """
-    return max(1, sum(1 for _ in f.stem.dbar_levels()))
+    return max(1, sum(1 for _ in stem.dbar_levels()))
 
 
 def compose(parts: Sequence[StemFunction]) -> StemFunction:
@@ -53,45 +55,31 @@ def compose(parts: Sequence[StemFunction]) -> StemFunction:
     return total
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """Components f_0..f_(n-1), each with a holomorphic stem."""
+def decompose(stem: StemFunction, order: int) -> tuple[StemFunction, ...]:
+    """The holomorphic component stems F_0..F_(n-1) of F = sum_h zbar^h F_h.
 
-    components: tuple[SliceFunction, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.components)
-
-    def recompose(self) -> SliceFunction:
-        return SliceFunction(self.components[0].domain, compose([c.stem for c in self.components]))
-
-
-def decompose(f: SliceFunction, order: int) -> Decomposition:
-    """Constructive decomposition at the given order, read off the levels of f.
-
-    With D_l = d^l f / dx^c the nonzero slice derivatives D_0..D_(n-1), where
-    n = ``poly_order(f)``, the components come out from the top:
-    f_l = (D_l - sum_(h>l) h!/(h-l)! xbar^(h-l) f_h) / l!, since
-    D_l = sum_(h>=l) h!/(h-l)! xbar^(h-l) f_h.  That takes n stem derivatives.
-    The decomposition is unique, so any admissible order gives the one at the
-    minimal order n, whose top component witnesses minimality; a lower order
-    raises with the residual D_order.
+    Read off the levels of the stem: with D_l = dbar^l F the nonzero levels
+    D_0..D_(n-1), where n = ``poly_order(stem)``, the components come out from
+    the top: F_l = (D_l - sum_(h>l) h!/(h-l)! zbar^(h-l) F_h) / l!, since
+    D_l = sum_(h>=l) h!/(h-l)! zbar^(h-l) F_h.  That takes n stem derivatives.
+    The decomposition is unique, so any admissible order gives the n stems of
+    the minimal order, whose top one witnesses minimality; ``compose`` of
+    them is the stem again.  A lower order raises with the residual D_order.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    # f = 0 has no nonzero level and is its own decomposition
-    levels = list(islice(f.stem.dbar_levels(), order + 1)) or [f.stem]
+    # F = 0 has no nonzero level and is its own decomposition
+    levels = list(islice(stem.dbar_levels(), order + 1)) or [stem]
     if len(levels) > order:
         raise NotPolyanalyticOfOrderError(order, levels[order])
-    zbar_powers = list(islice(StemFunction.zbar(f.signature).powers(), len(levels)))
+    zbar_powers = list(islice(StemFunction.zbar(stem.signature).powers(), len(levels)))
     parts: list[StemFunction] = []
     for level in reversed(range(len(levels))):
         rest = levels[level]
         for h, part in enumerate(reversed(parts), start=level + 1):
             rest = rest - zbar_powers[h - level] * part * perm(h, level)
         parts.append(rest * Fraction(1, factorial(level)))
-    return Decomposition(tuple(SliceFunction(f.domain, part) for part in reversed(parts)))
+    return tuple(reversed(parts))
 
 
 def per_slice_decomposition(
@@ -118,7 +106,7 @@ class ClassificationReport:
     is_slice: bool
     slice_witness: Optional[SliceWitness]
     global_order: Optional[int]
-    decomposition: Optional[Decomposition]
+    components: Optional[tuple[StemFunction, ...]]
     evidence: dict = field(default_factory=dict)
 
 
@@ -133,9 +121,10 @@ def classify(
     The slice-by-slice zero test is symbolic, so a pass is exact on each
     sampled slice; unit sampling remains a sample of slices.  Slice-ness is
     exact where the candidate stem along the first unit is polynomial: g is
-    slice exactly when that stem's induced function is g, whose decomposition
-    gives the global order.  The sampled probe then only looks for a witness;
-    it decides alone when the candidate stem is rational.
+    slice exactly when that stem's induced function is g.  The stem's
+    ``decompose`` then gives the report's component stems, whose count is
+    the global order.  The sampled probe only looks for a witness; it
+    decides alone when the candidate stem is rational.
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
@@ -157,22 +146,21 @@ def classify(
         sbs_order = worst
 
     global_order: Optional[int] = None
-    decomposition: Optional[Decomposition] = None
+    components: Optional[tuple[StemFunction, ...]] = None
     try:
         stem = extract_stem_exact(g, units[0])
     except ValueError:
         evidence["candidate_stem"] = "not polynomial"
         slice_ok, witness = is_slice(g, units, points)
     else:
-        induced = SliceFunction(g.domain, stem)
-        slice_ok = induced.to_point_function().expr == g.expr
+        slice_ok = SliceFunction(g.domain, stem).to_point_function().expr == g.expr
         evidence["stem_reproduces_input"] = slice_ok
         witness = None if slice_ok else is_slice(g, units, points)[1]
         if slice_ok:
-            order = poly_order(induced)
+            order = poly_order(stem)
             if order <= max_order:
-                decomposition = decompose(induced, order)
-                global_order = decomposition.order
+                components = decompose(stem, order)
+                global_order = len(components)
             else:
                 evidence["global_order_exceeds_max"] = order
     return ClassificationReport(
@@ -180,7 +168,7 @@ def classify(
         is_slice=slice_ok,
         slice_witness=witness,
         global_order=global_order,
-        decomposition=decomposition,
+        components=components,
         evidence=evidence,
     )
 

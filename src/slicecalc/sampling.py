@@ -68,24 +68,16 @@ def rand_poly(
 
 
 def rand_point_polynomial(
-    rng: Random,
-    signature: AlgebraSignature,
-    domain: Optional[CircularDomain] = None,
-    max_degree: int = 4,
-    n_terms: int = 5,
+    rng: Random, signature: AlgebraSignature, max_degree: int = 4
 ) -> PointFunction:
-    poly = rand_poly(rng, signature, signature.coord_count, max_degree, n_terms)
-    return PointFunction(domain or default_domain(), RationalFn.from_poly(poly))
+    poly = rand_poly(rng, signature, signature.coord_count, max_degree, n_terms=5)
+    return PointFunction(default_domain(), RationalFn.from_poly(poly))
 
 
 def rand_rational_point_function(
-    rng: Random,
-    signature: AlgebraSignature,
-    domain: Optional[CircularDomain] = None,
-    max_degree: int = 3,
+    rng: Random, signature: AlgebraSignature, max_degree: int = 3
 ) -> PointFunction:
     """Random rational function whose denominator vanishes on the reals at most."""
-    domain = domain or default_domain()
     numer = rand_poly(rng, signature, signature.coord_count, max_degree, n_terms=4)
     s = coord_s(signature)
     choice = rng.randrange(3)
@@ -96,19 +88,14 @@ def rand_rational_point_function(
     else:
         one = CoordPoly.constant(signature, signature.coord_count, 1)
         factors = ((s + one, 1),)
-    return PointFunction(domain, RationalFn(numer, factors))
+    return PointFunction(default_domain(), RationalFn(numer, factors))
 
 
-def rand_stem(
-    rng: Random,
-    signature: AlgebraSignature,
-    max_degree: int = 4,
-    n_terms: int = 4,
-) -> StemFunction:
-    """Random stem: even beta-exponents in F1, odd in F2."""
+def rand_stem(rng: Random, signature: AlgebraSignature, max_degree: int = 4) -> StemFunction:
+    """Random stem from four term draws per component: even beta-exponents in F1, odd in F2."""
     f1_terms = {}
     f2_terms = {}
-    for _ in range(n_terms):
+    for _ in range(4):
         a = rng.randint(0, max_degree)
         b = rng.randint(0, max(0, (max_degree - a)) // 2) * 2
         f1_terms[(a, b)] = rand_element(rng, signature)

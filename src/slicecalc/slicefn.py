@@ -79,7 +79,7 @@ def phi_coords(
 
 
 class SliceFunction:
-    """A stem together with the circular domain it acts on."""
+    """A stem bound to the circular domain its induced function lives on."""
 
     __slots__ = ("domain", "stem")
 
@@ -87,17 +87,9 @@ class SliceFunction:
         self.domain = domain
         self.stem = stem
 
-    @property
-    def signature(self) -> AlgebraSignature:
-        return self.stem.signature
-
     def derivative(self, order: int = 1) -> "SliceFunction":
         """The slice derivative: the slice function induced by dF/dz-bar."""
         return SliceFunction(self.domain, self.stem.dbar_n(order))
-
-    def plane_poly(self, unit: ImaginaryUnit) -> CoordPoly:
-        """Restriction to the slice of I as a polynomial in (alpha, beta)."""
-        return self.stem.f1 + self.stem.f2.scale_left(unit.value)
 
     def to_point_function(self) -> "PointFunction":
         """The induced function as a polynomial in the coordinates x_0..x_n.
@@ -105,7 +97,7 @@ class SliceFunction:
         Works because F1 is even and F2 odd in beta: beta^2 = |Im(x)|^2 is the
         polynomial s, and I * beta^odd regroups as Im(x) * s^((b-1)/2).
         """
-        sig = self.signature
+        sig = self.stem.signature
         n = sig.coord_count
         degree = self.stem.total_degree()
         x0_powers = list(islice(CoordPoly.variable(sig, n, 0).powers(), degree + 1))
@@ -117,14 +109,6 @@ class SliceFunction:
         for (a, b), c in self.stem.f2.terms.items():
             out = out + (x0_powers[a] * s_powers[b // 2]) * im.scale_right(c)
         return PointFunction(self.domain, RationalFn.from_poly(out))
-
-    def __eq__(self, other):
-        if not isinstance(other, SliceFunction):
-            return NotImplemented
-        return self.domain == other.domain and self.stem == other.stem
-
-    def __hash__(self):
-        return hash((self.domain, self.stem))
 
     def __repr__(self):
         return f"SliceFunction({self.domain!r}, {self.stem!r})"
@@ -260,18 +244,19 @@ def is_slice(
 
 
 def taylor_alpha_coefficients(
-    f: SliceFunction,
+    stem: StemFunction,
     unit: ImaginaryUnit,
     center: RationalLike,
     max_order: int,
 ) -> list[AlgebraElement]:
-    """Coefficients (1/h!) d^h (f o phi_I) / d alpha^h at a real center.
+    """Coefficients (1/h!) d^h F_I / d alpha^h at a real center.
 
-    For slice functions with holomorphic stems these are the series
-    coefficients, and they do not depend on the chosen unit.
+    F_I = F1 + I F2 is the stem read on the slice of I.  For holomorphic
+    stems these are the series coefficients of the induced function, and
+    they do not depend on the chosen unit.
     """
     point = (Fraction(center), Fraction(0))
-    derivatives = _iterates(lambda poly: poly.partial(0), f.plane_poly(unit))
+    derivatives = _iterates(lambda poly: poly.partial(0), stem.plane_poly(unit))
     return [
         d.eval(point) * Fraction(1, factorial(h))
         for h, d in enumerate(islice(derivatives, max_order + 1))

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import chain, takewhile
 from typing import Iterator
 
-from .algebra import AlgebraElement, AlgebraSignature
+from .algebra import AlgebraElement, AlgebraSignature, ImaginaryUnit
 from .errors import ParityViolationError, SignatureMismatchError
 from .multipoly import CoordPoly, _apply_n, _iterates
 
@@ -93,6 +93,10 @@ class StemFunction:
     def total_degree(self) -> int:
         return max(self.f1.total_degree(), self.f2.total_degree())
 
+    def plane_poly(self, unit: ImaginaryUnit) -> CoordPoly:
+        """Restriction to the slice of I, F1 + I F2, as a polynomial in (alpha, beta)."""
+        return self.f1 + self.f2.scale_left(unit.value)
+
     # -- arithmetic --------------------------------------------------------------
 
     def __add__(self, other):
@@ -118,11 +122,6 @@ class StemFunction:
             )
         if isinstance(other, (int, Fraction)):
             return StemFunction(self.f1 * other, self.f2 * other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
         return NotImplemented
 
     def scale_right(self, coeff: AlgebraElement) -> "StemFunction":
@@ -153,9 +152,6 @@ class StemFunction:
         if not isinstance(other, StemFunction):
             return NotImplemented
         return self.f1 == other.f1 and self.f2 == other.f2
-
-    def __hash__(self):
-        return hash((self.f1, self.f2))
 
     def __repr__(self):
         return f"Stem(F1={self.f1!r}, F2={self.f2!r})"

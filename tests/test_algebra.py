@@ -102,6 +102,17 @@ def test_stereographic_chart_reference_points():
     assert stereographic_unit(CL3, (0, 0)).value == AlgebraElement.basis(CL3, 1)
 
 
+def test_sample_units_stops_at_the_units_the_chart_reaches():
+    # each chart parameter is one of 127 rationals a/b (|a| <= 12, 1 <= b <= 8),
+    # so the chart reaches 127 units on Cl(0,2) and 127^2 on the quaternions
+    plane = clifford(2)
+    assert len({u.value for u in sample_units(plane, 0, 127)}) == 127
+    with pytest.raises(ValueError, match="exceeds the 127 units"):
+        sample_units(plane, 0, 128)
+    with pytest.raises(ValueError, match="exceeds the 16129 units"):
+        sample_units(H, 0, 16130)
+
+
 def test_sample_units_contract():
     units = sample_units(H, 5, 40)
     assert [u.value for u in units[:3]] == [I, J, K]

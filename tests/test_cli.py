@@ -233,6 +233,20 @@ def test_verify_with_one_unit_raises_the_unit_count_to_two(tmp_path, capsys):
     assert all(check["passed"] for check in report["checks"])
 
 
+def test_verify_rejects_more_units_than_the_chart_reaches(capsys):
+    # the counterexample suite samples --units quaternion units, and the chart reaches 127^2
+    code, out, err = run_cli(["verify", "--units", "16130", "--select", "counterexamples"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: unit_samples must be at most 16129, "
+        "the quaternion units the sampling chart reaches\n"
+    )
+    from slicecalc.campaign import CampaignConfig
+
+    assert CampaignConfig(unit_samples=16129).unit_samples == 16129
+
+
 @pytest.mark.parametrize("bad", ["a", None, 1.7, True])
 def test_classify_rejects_non_integer_exponents(tmp_path, capsys, bad):
     spec = {

@@ -34,7 +34,8 @@ from slicecalc.campaign import (
 )
 from slicecalc.errors import DenominatorVanishesError
 from slicecalc.multipoly import CoordPoly, RationalFn, coord_x, coord_xbar, restrict_poly
-from slicecalc.slicefn import PointFunction, SliceFunction
+from slicecalc.slicefn import PointFunction
+from slicecalc.stem import StemFunction
 
 H = QUATERNION
 CL3 = clifford(3)
@@ -632,10 +633,8 @@ def test_decomposition_trials_keep_their_counts(sig):
 def test_campaign_bodies_keep_failure_counts_and_witnesses(sig, monkeypatch):
     # a wrong second derivative and a wrong coefficient at level 2 make the
     # bodies fail; the counts and the first witness are those recorded before
-    derivative = SliceFunction.derivative
-    monkeypatch.setattr(
-        SliceFunction, "derivative", lambda self, order=1: derivative(self, order + (order == 2))
-    )
+    dbar_n = StemFunction.dbar_n
+    monkeypatch.setattr(StemFunction, "dbar_n", lambda self, n: dbar_n(self, n + (n == 2)))
     assert slice_derivative_trials(sig, 5, n_stems=2, n_units=3) == (
         12, 6, {"stem_index": 0, "unit_index": 0, "order": 2},
     )
@@ -692,7 +691,7 @@ FORCED_FAILURES = {
     ),
     "taylor": (
         "taylor_alpha_coefficients",
-        lambda ta: lambda f, unit, center, top: ta(f, unit, center + len(f.stem.f1.rows) % 2, top),
+        lambda ta: lambda f, unit, center, top: ta(f, unit, center + len(f.f1.rows) % 2, top),
         lambda sig: taylor_independence_trials(sig, 5, n_stems=4, n_units=3),
     ),
 }

@@ -20,6 +20,7 @@ from slicecalc.named import (
 from slicecalc.operators import plane_x
 from slicecalc.polyanalytic import (
     classify,
+    compose,
     counterexample_suite,
     decompose,
     per_slice_decomposition,
@@ -42,50 +43,59 @@ def slice_of(stem):
 
 
 def test_poly_order_examples():
-    assert poly_order(slice_of(Z_POWERS[3])) == 1
-    assert poly_order(slice_of(StemFunction.zbar(H))) == 2
-    assert poly_order(slice_of(StemFunction.z(H) * StemFunction.zbar(H))) == 2
-    assert poly_order(slice_of(StemFunction.zero(H))) == 1
+    assert poly_order(Z_POWERS[3]) == 1
+    assert poly_order(StemFunction.zbar(H)) == 2
+    assert poly_order(StemFunction.z(H) * StemFunction.zbar(H)) == 2
+    assert poly_order(StemFunction.zero(H)) == 1
+
+
+def test_decompose_takes_a_bare_stem_and_returns_its_component_stems():
+    # zbar^2 z + zbar (3 + z^2): three components, the first zero
+    three = StemFunction.constant(H, 3)
+    stem = ZBAR_POWERS[2] * Z_POWERS[1] + ZBAR_POWERS[1] * (three + Z_POWERS[2])
+    parts = decompose(stem, 3)
+    assert parts == (StemFunction.zero(H), three + Z_POWERS[2], Z_POWERS[1])
+    assert compose(parts) == stem
 
 
 def test_decompose_holomorphic_is_identity():
-    f = slice_of(Z_POWERS[2])
-    dec = decompose(f, 1)
-    assert dec.order == 1 and dec.components[0].stem == f.stem
+    f = Z_POWERS[2]
+    parts = decompose(f, 1)
+    assert len(parts) == 1 and parts[0] == f
 
 
 def test_decompose_conjugate_coordinate():
-    dec = decompose(slice_of(StemFunction.zbar(H)), 2)
-    assert dec.order == 2
-    assert dec.components[0].stem.is_zero()
-    assert dec.components[1].stem == StemFunction.one(H)
-    assert dec.recompose().stem == StemFunction.zbar(H)
+    parts = decompose(StemFunction.zbar(H), 2)
+    assert len(parts) == 2
+    assert parts[0].is_zero()
+    assert parts[1] == StemFunction.one(H)
+    assert compose(parts) == StemFunction.zbar(H)
 
 
 def test_decompose_zbar_times_z():
-    f = slice_of(StemFunction.zbar(H) * StemFunction.z(H))
-    dec = decompose(f, 2)
-    assert dec.components[0].stem.is_zero()
-    assert dec.components[1].stem == StemFunction.z(H)
-    assert dec.recompose().stem == f.stem
+    f = StemFunction.zbar(H) * StemFunction.z(H)
+    parts = decompose(f, 2)
+    assert parts[0].is_zero()
+    assert parts[1] == StemFunction.z(H)
+    assert compose(parts) == f
 
 
 def test_decompose_requires_the_order():
-    f = slice_of(ZBAR_POWERS[2])
+    f = ZBAR_POWERS[2]
     with pytest.raises(NotPolyanalyticOfOrderError) as err:
         decompose(f, 2)
     assert err.value.order == 2
     assert not err.value.residual.is_zero()
-    dec = decompose(f, 3)
-    assert dec.order == 3
-    assert dec.components[2].stem == StemFunction.constant(H, 1)
+    parts = decompose(f, 3)
+    assert len(parts) == 3
+    assert parts[2] == StemFunction.constant(H, 1)
 
 
 def test_decompose_trims_padding_orders():
-    f = slice_of(StemFunction.zbar(H))
-    dec = decompose(f, 4)  # order 4 is admissible but not minimal
-    assert dec.order == 2
-    assert not dec.components[-1].stem.is_zero()
+    f = StemFunction.zbar(H)
+    parts = decompose(f, 4)  # order 4 is admissible but not minimal
+    assert len(parts) == 2
+    assert not parts[-1].is_zero()
 
 
 def test_decompose_steps_dbar_once_per_level(monkeypatch):
@@ -99,12 +109,10 @@ def test_decompose_steps_dbar_once_per_level(monkeypatch):
         return real(stem)
 
     monkeypatch.setattr(StemFunction, "dbar", counted)
-    f = slice_of(ZBAR_POWERS[3])
-    dec = decompose(f, 4)
+    f = ZBAR_POWERS[3]
+    parts = decompose(f, 4)
     assert len(calls) == 4
-    assert [c.stem for c in dec.components] == [StemFunction.zero(H)] * 3 + [
-        StemFunction.one(H)
-    ]
+    assert list(parts) == [StemFunction.zero(H)] * 3 + [StemFunction.one(H)]
     calls.clear()
     with pytest.raises(NotPolyanalyticOfOrderError) as err:
         decompose(f, 2)
@@ -139,7 +147,7 @@ def test_per_slice_decomposition_requires_order_two():
 def test_not_polyanalytic_residual_is_a_stem_or_none():
     # decompose reports the stem left after differentiating; one slice has no stem
     with pytest.raises(NotPolyanalyticOfOrderError) as err:
-        decompose(slice_of(ZBAR_POWERS[2]), 2)
+        decompose(ZBAR_POWERS[2], 2)
     assert isinstance(err.value.residual, StemFunction)
     assert err.value.residual == StemFunction.constant(H, 2)
     pf = slice_of(ZBAR_POWERS[2]).to_point_function()
@@ -166,7 +174,7 @@ def test_classify_twisted_coordinate():
     assert rep.slice_witness is not None
     assert rep.slice_witness.unit_h.value == I_U.value
     assert rep.slice_witness.unit_k.value == J_U.value
-    assert rep.decomposition is None
+    assert rep.components is None
     assert rep.evidence == {"stem_reproduces_input": False}
 
 
@@ -185,16 +193,16 @@ def test_classify_rejects_x_plus_a_product_vanishing_on_the_sampled_slices():
     rep = classify(g, 4, units, points)
     assert (rep.sbs_polyanalytic_order, rep.is_slice, rep.global_order) == (1, False, None)
     assert rep.evidence == {"stem_reproduces_input": False}
-    assert rep.decomposition is None
+    assert rep.components is None
 
 
 def test_classify_conjugate_square():
     pf = slice_of(ZBAR_POWERS[2]).to_point_function()
     rep = _classify(pf)
     assert (rep.sbs_polyanalytic_order, rep.is_slice, rep.global_order) == (3, True, 3)
-    comps = rep.decomposition.components
-    assert comps[0].stem.is_zero() and comps[1].stem.is_zero()
-    assert comps[2].stem == StemFunction.one(H)
+    comps = rep.components
+    assert comps[0].is_zero() and comps[1].is_zero()
+    assert comps[2] == StemFunction.one(H)
 
 
 def test_classify_order_cap():
@@ -213,11 +221,10 @@ def test_every_low_order_stem_decomposes():
     rng = rng_for(9, "converse")
     for _ in range(50):
         stem = rand_stem(rng, H, max_degree=4)
-        f = slice_of(stem)
-        n = poly_order(f)
-        dec = decompose(f, n)
-        assert dec.recompose().stem == stem
-        assert all(c.stem.dbar().is_zero() for c in dec.components)
+        n = poly_order(stem)
+        parts = decompose(stem, n)
+        assert compose(parts) == stem
+        assert all(c.dbar().is_zero() for c in parts)
 
 
 def test_roundtrip_randomized():
@@ -273,7 +280,7 @@ def test_suite_reads_the_classify_verdicts(monkeypatch):
             is_slice=True,
             slice_witness=None,
             global_order=max_order,
-            decomposition=None,
+            components=None,
             evidence={"stem_reproduces_input": True},
         )
 

@@ -14,10 +14,12 @@ the ``(module, "Dotted.name")`` pairs that ``tracing.layer_functions`` looks up.
   name is not a use, so it only resolves ``from slicecalc import name``.
 
 A public name the program never reaches is used only by the tests, or by
-nothing, and fails here.
+nothing, and fails here.  So does a public field of a package dataclass that no
+reached body reads as an attribute: the program fills it and never looks at it.
 """
 
 import ast
+import copy
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -61,12 +63,23 @@ def _body_uses(statements):
             yield from _uses(stmt)
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        (isinstance(d, ast.Name) and d.id == "dataclass")
+        or (isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass")
+        for d in node.decorator_list
+    )
+
+
 class Program:
-    def __init__(self):
-        # (module, name) of every top-level def and class; (module, "Class.name") of methods
+    def __init__(self, modules=MODULES):
+        # (module, name) of every top-level def and class; (module, "Class.name") of
+        # methods, and of the fields of dataclasses
+        self.modules = modules
         self.defs = {}
         self.methods = {}
-        for mod, tree in MODULES.items():
+        self.fields = set()
+        for mod, tree in modules.items():
             for node in tree.body:
                 if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                     self.defs[(mod, node.name)] = node
@@ -74,9 +87,17 @@ class Program:
                     for member in node.body:
                         if isinstance(member, ast.FunctionDef):
                             self.methods[(mod, f"{node.name}.{member.name}")] = member
-        self.imports = {id(tree): self._imports(tree) for tree in [*MODULES.values(), *HARNESS]}
+                        if (
+                            _is_dataclass(node)
+                            and isinstance(member, ast.AnnAssign)
+                            and isinstance(member.target, ast.Name)
+                        ):
+                            self.fields.add((mod, f"{node.name}.{member.target.id}"))
+        self.imports = {id(tree): self._imports(tree) for tree in [*modules.values(), *HARNESS]}
         self.reached: set = set()
         self.attrs: set = set()
+        # attribute names that reached bodies read, not only assign
+        self.reads: set = set()
 
     @staticmethod
     def _imports(tree):
@@ -124,15 +145,17 @@ class Program:
         kind = entry[0]
         if kind == "package_attr":
             name = entry[1]
-            if name in MODULES:
+            if name in self.modules:
                 return ("module", name)
-            entry = self.imports[id(MODULES["__init__"])].get(name)
+            entry = self.imports[id(self.modules["__init__"])].get(name)
             return self._resolve(entry) if entry else None
         if kind == "name":
             _, mod, name = entry
             if (mod, name) in self.defs:
                 return entry
-            forwarded = self.imports[id(MODULES[mod])].get(name) if mod in MODULES else None
+            forwarded = (
+                self.imports[id(self.modules[mod])].get(name) if mod in self.modules else None
+            )
             return self._resolve(forwarded) if forwarded else None
         return entry
 
@@ -141,6 +164,8 @@ class Program:
         for node in nodes:
             if isinstance(node, ast.Attribute):
                 self.attrs.add(node.attr)
+                if isinstance(node.ctx, ast.Load):
+                    self.reads.add(node.attr)
             # a (module, "Class.method") pair, looked up with getattr by the tracer
             if isinstance(node, ast.Tuple) and len(node.elts) == 2:
                 base, dotted = self._target(node.elts[0], tree, mod), node.elts[1]
@@ -158,7 +183,7 @@ class Program:
     def run(self):
         for tree in HARNESS:
             self.visit(_uses(tree), tree, None)
-        for mod, tree in MODULES.items():
+        for mod, tree in self.modules.items():
             if mod != "__init__":
                 self.visit(_body_uses(tree.body), tree, mod)
         self.reached.add(("cli", "main"))
@@ -178,9 +203,9 @@ class Program:
                 node = self.defs.get((mod, qual)) or self.methods[(mod, qual)]
                 if isinstance(node, ast.ClassDef):
                     # the class header ran with its module; a reached class adds its body
-                    self.visit(_body_uses(node.body), MODULES[mod], mod)
+                    self.visit(_body_uses(node.body), self.modules[mod], mod)
                 else:
-                    self.visit(_uses(node), MODULES[mod], mod)
+                    self.visit(_uses(node), self.modules[mod], mod)
 
     def unreached(self) -> list[str]:
         public = [*self.defs, *self.methods]
@@ -190,9 +215,38 @@ class Program:
             if not qual.rpartition(".")[2].startswith("_") and (mod, qual) not in self.reached
         )
 
+    def unread_fields(self) -> list[str]:
+        return sorted(
+            f"{mod}.{qual}"
+            for mod, qual in self.fields
+            if not (name := qual.rpartition(".")[2]).startswith("_") and name not in self.reads
+        )
+
 
 def test_every_public_name_has_a_caller_outside_the_tests():
     program = Program()
     program.run()
     unreached = program.unreached()
     assert unreached == [], "reached from no entry point: " + ", ".join(unreached)
+
+
+def test_every_dataclass_field_is_read():
+    program = Program()
+    program.run()
+    assert ("campaign", "CampaignConfig.seed") in program.fields
+    unread = program.unread_fields()
+    assert unread == [], "fields no reached body reads: " + ", ".join(unread)
+
+
+def test_an_unread_dataclass_field_fails():
+    modules = dict(MODULES)
+    tree = modules["polyanalytic"] = copy.deepcopy(MODULES["polyanalytic"])
+    report = next(
+        node
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "ClassificationReport"
+    )
+    report.body.append(ast.parse("probe: int = 0").body[0])
+    program = Program(modules)
+    program.run()
+    assert program.unread_fields() == ["polyanalytic.ClassificationReport.probe"]
