@@ -342,13 +342,6 @@ class ImaginaryUnit:
         return f"Unit({self.value!r})"
 
 
-def canonical_units(signature: AlgebraSignature) -> list[ImaginaryUnit]:
-    return [
-        ImaginaryUnit(AlgebraElement.basis(signature, mask))
-        for mask in signature.imag_masks
-    ]
-
-
 def stereographic_unit(
     signature: AlgebraSignature, params: Iterable[RationalLike]
 ) -> ImaginaryUnit:
@@ -405,20 +398,23 @@ def sample_units(signature: AlgebraSignature, seed: int, count: int) -> list[Ima
     capacity = unit_capacity(signature)
     if count > capacity:
         raise ValueError(f"count {count} exceeds the {capacity} units the chart reaches")
-    units = canonical_units(signature)
-    seen = {u.value for u in units}
-    if len(units) >= count:
-        return units[:count]
-    rng = Random(f"slicecalc-units:{seed}")
     n_params = signature.imag_dim - 1
+    units = [
+        ImaginaryUnit(AlgebraElement.basis(signature, mask)) for mask in signature.imag_masks
+    ]
+    # the chart is injective, so draws are told apart by their parameters, kept
+    # as (numerator, denominator) in lowest terms; the canonical units are the
+    # images of the zero vector and the basis vectors
+    zero = ((0, 1),) * n_params
+    seen = {zero, *(zero[:h] + ((1, 1),) + zero[h + 1 :] for h in range(n_params))}
+    rng = Random(f"slicecalc-units:{seed}")
     while len(units) < count:
-        params = [
-            Fraction(rng.randint(-_CHART_NUM, _CHART_NUM), rng.randint(1, _CHART_DEN))
+        draws = [
+            (rng.randint(-_CHART_NUM, _CHART_NUM), rng.randint(1, _CHART_DEN))
             for _ in range(n_params)
         ]
-        unit = stereographic_unit(signature, params)
-        if unit.value in seen:
-            continue
-        seen.add(unit.value)
-        units.append(unit)
-    return units
+        params = tuple((a // gcd(a, b), b // gcd(a, b)) for a, b in draws)
+        if params not in seen:
+            seen.add(params)
+            units.append(stereographic_unit(signature, [Fraction(a, b) for a, b in params]))
+    return units[:count]

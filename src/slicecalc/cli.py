@@ -24,7 +24,7 @@ from .errors import (
     SliceCalcError,
     ZeroDenominatorError,
 )
-from .named import BUILTIN_NAMES, builtin_function
+from .named import BUILTINS
 from .polyanalytic import classify, compose, decompose
 from .sampling import rand_plane_point, rng_for
 from .serialize import (
@@ -60,12 +60,12 @@ def _default_seed() -> int:
 
 def _load_input(path_or_name: str):
     """Builtin name first, then a JSON spec file path."""
-    if path_or_name in BUILTIN_NAMES:
-        return builtin_function(path_or_name)
+    if path_or_name in BUILTINS:
+        return BUILTINS[path_or_name]()
     path = Path(path_or_name)
     if not path.exists():
         raise FunctionSpecError(
-            f"{path_or_name!r} is neither a builtin ({', '.join(BUILTIN_NAMES)}) "
+            f"{path_or_name!r} is neither a builtin ({', '.join(BUILTINS)}) "
             "nor an existing file"
         )
     try:

@@ -27,9 +27,16 @@ from functools import cache
 from itertools import chain, islice
 from math import gcd, lcm, prod
 from operator import add
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .algebra import AlgebraElement, AlgebraSignature, _add_scaled, _int_product, _over_common_den
+from .algebra import (
+    AlgebraElement,
+    AlgebraSignature,
+    RationalLike,
+    _add_scaled,
+    _int_product,
+    _over_common_den,
+)
 from .errors import (
     ArityMismatchError,
     DenominatorVanishesError,
@@ -38,7 +45,6 @@ from .errors import (
 )
 
 Exponents = tuple[int, ...]
-RationalLike = Union[Fraction, int]
 
 
 def _iterates(step, value) -> Iterator:

@@ -10,10 +10,9 @@ All are addressable by name from the CLI without a spec file.
 
 from __future__ import annotations
 
-from typing import Union
+from functools import partial
 
 from .algebra import QUATERNION, AlgebraElement, AlgebraSignature, clifford
-from .errors import FunctionSpecError
 from .multipoly import CoordPoly, RationalFn, coord_x
 from .slicefn import CircularDomain, PointFunction, SliceFunction
 from .stem import StemFunction
@@ -77,23 +76,12 @@ def jump_example(signature: AlgebraSignature) -> PointFunction:
     )
 
 
-BUILTIN_NAMES = ("x", "xbar", "v", "v_r", "v_m", "bump")
-
-
-def builtin_function(name: str) -> Union[SliceFunction, PointFunction]:
-    """Look up a named fixture on the quaternions; "v_m" is the Cl(0,3) twisted coordinate."""
-    if name == "x":
-        return coordinate_function(QUATERNION)
-    if name == "xbar":
-        return conjugate_coordinate(QUATERNION)
-    if name == "v":
-        return rotation_twisted_coordinate(QUATERNION)
-    if name == "v_r":
-        return left_multiplied_coordinate(QUATERNION)
-    if name == "v_m":
-        return rotation_twisted_coordinate(clifford(3))
-    if name == "bump":
-        return jump_example(QUATERNION)
-    raise FunctionSpecError(
-        f"unknown builtin {name!r}; choose one of {', '.join(BUILTIN_NAMES)}"
-    )
+# the CLI's named inputs, on the quaternions; "v_m" is the Cl(0,3) twisted coordinate
+BUILTINS = {
+    "x": partial(coordinate_function, QUATERNION),
+    "xbar": partial(conjugate_coordinate, QUATERNION),
+    "v": partial(rotation_twisted_coordinate, QUATERNION),
+    "v_r": partial(left_multiplied_coordinate, QUATERNION),
+    "v_m": partial(rotation_twisted_coordinate, clifford(3)),
+    "bump": partial(jump_example, QUATERNION),
+}

@@ -176,14 +176,11 @@ def classify(
 # -- counterexample suite -------------------------------------------------------
 
 
-def _suite_points(count: int = 6) -> list[tuple[Fraction, Fraction]]:
-    """Deterministic off-axis plane points inside the default ball."""
-    pts = [(Fraction(0), Fraction(1))]
-    k = 1
-    while len(pts) < count:
-        pts.append((Fraction(k, 3), Fraction(k + 1, 2 + k)))
-        k += 1
-    return pts
+def _suite_points() -> list[tuple[Fraction, Fraction]]:
+    """Six deterministic off-axis plane points inside the default ball."""
+    return [(Fraction(0), Fraction(1))] + [
+        (Fraction(k, 3), Fraction(k + 1, 2 + k)) for k in range(1, 6)
+    ]
 
 
 def _expected_slice_constants(

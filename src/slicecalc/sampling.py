@@ -23,16 +23,14 @@ def rng_for(seed: int, label: str) -> Random:
     return Random(f"slicecalc:{seed}:{label}")
 
 
-def rand_fraction(rng: Random, max_num: int = 8, max_den: int = 5) -> Fraction:
-    return Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
-
-
 _ELEMENT_TERMS = 3
 
 
 def rand_element(rng: Random, signature: AlgebraSignature) -> AlgebraElement:
     masks = rng.sample(range(signature.dim), k=min(_ELEMENT_TERMS, signature.dim))
-    return AlgebraElement(signature, {m: rand_fraction(rng) for m in masks})
+    return AlgebraElement(
+        signature, {m: Fraction(rng.randint(-8, 8), rng.randint(1, 5)) for m in masks}
+    )
 
 
 def rand_nonzero_element(rng: Random, signature: AlgebraSignature) -> AlgebraElement:

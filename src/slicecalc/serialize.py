@@ -246,10 +246,7 @@ def function_spec_from_json(obj: Any) -> Union[SliceFunction, PointFunction]:
     )
 
 
-def canonical_json(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def digest(obj: Any) -> str:
     """Short deterministic digest of a JSON-able input description."""
-    return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()[:16]
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]

@@ -13,14 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import factorial
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
-from .algebra import AlgebraElement, AlgebraSignature, ImaginaryUnit
+from .algebra import AlgebraElement, AlgebraSignature, ImaginaryUnit, RationalLike
 from .errors import PointOutsideDomainError, SignatureMismatchError
 from .multipoly import CoordPoly, RationalFn, _iterates, coord_im, coord_s, restrict_rf
 from .stem import StemFunction
-
-RationalLike = Union[Fraction, int]
 
 
 @dataclass(frozen=True)

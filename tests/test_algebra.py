@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import slicecalc.algebra
 from slicecalc.algebra import (
     QUATERNION,
     AlgebraElement,
@@ -111,6 +112,49 @@ def test_sample_units_stops_at_the_units_the_chart_reaches():
         sample_units(plane, 0, 128)
     with pytest.raises(ValueError, match="exceeds the 16129 units"):
         sample_units(H, 0, 16130)
+
+
+def _rejection_sample_units(signature, seed, count):
+    """Reference sampler: builds a unit for every draw and rejects repeated units."""
+    units = [ImaginaryUnit(AlgebraElement.basis(signature, m)) for m in signature.imag_masks]
+    seen = {u.value for u in units}
+    rng = Random(f"slicecalc-units:{seed}")
+    while len(units) < count:
+        params = [
+            Fraction(rng.randint(-12, 12), rng.randint(1, 8))
+            for _ in range(signature.imag_dim - 1)
+        ]
+        unit = stereographic_unit(signature, params)
+        if unit.value not in seen:
+            seen.add(unit.value)
+            units.append(unit)
+    return units[:count]
+
+
+@pytest.mark.parametrize(
+    "signature, count",
+    [(H, 2), (H, 64), (H, 2000), (CL3, 64), (CL3, 2000), (clifford(2), 127)],
+    ids=["quaternion-2", "quaternion-64", "quaternion-2000", "cl3-64", "cl3-2000", "cl2-127"],
+)
+def test_sample_units_matches_the_rejection_sampler(signature, count):
+    for seed in (0, 5):
+        assert sample_units(signature, seed, count) == _rejection_sample_units(
+            signature, seed, count
+        )
+
+
+def test_sample_units_builds_each_unit_once(monkeypatch):
+    calls = []
+
+    def counting_chart(signature, params):
+        calls.append(params)
+        return stereographic_unit(signature, params)
+
+    monkeypatch.setattr(slicecalc.algebra, "stereographic_unit", counting_chart)
+    # every one of the 127 chart values is drawn, most of them many times over
+    units = sample_units(clifford(2), 0, 127)
+    assert len(units) == 127
+    assert len(calls) == 125  # the two canonical units need no chart call
 
 
 def test_sample_units_contract():

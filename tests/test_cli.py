@@ -188,6 +188,16 @@ def test_classify_parse_error_exit_two(tmp_path, capsys):
     assert code == 2
 
 
+def test_classify_names_the_builtins_for_an_unknown_input(capsys):
+    code, out, err = run_cli(["classify", "--input", "no-such-name"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: 'no-such-name' is neither a builtin (x, xbar, v, v_r, v_m, bump) "
+        "nor an existing file\n"
+    )
+
+
 def test_module_entry_point_runs(child_env):
     proc = subprocess.run(
         RUN + ["classify", "--input", "xbar"], capture_output=True, text=True, env=child_env

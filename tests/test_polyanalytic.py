@@ -9,7 +9,7 @@ from slicecalc.campaign import decomposition_roundtrip_trials, taylor_independen
 from slicecalc.errors import NotPolyanalyticOfOrderError
 from slicecalc.multipoly import CoordPoly, RationalFn, coord_x
 from slicecalc.named import (
-    builtin_function,
+    BUILTINS,
     conjugate_coordinate,
     coordinate_function,
     default_domain,
@@ -319,12 +319,12 @@ def test_jump_example_values():
 
 
 def test_builtin_registry():
-    assert isinstance(builtin_function("x"), SliceFunction)
-    v_m = builtin_function("v_m")
+    assert isinstance(BUILTINS["x"](), SliceFunction)
+    v_m = BUILTINS["v_m"]()
     assert v_m.signature == clifford(3)
-    assert builtin_function("v_r").signature == H
+    assert BUILTINS["v_r"]().signature == H
     with pytest.raises(Exception):
-        builtin_function("no-such-function")
+        BUILTINS["no-such-function"]
 
 
 def test_twist_has_every_order_at_least_two():

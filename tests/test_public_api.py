@@ -10,8 +10,7 @@ the ``(module, "Dotted.name")`` pairs that ``tracing.layer_functions`` looks up.
 * A method is reached only through attribute access: its class is reached and a
   reached body reads an attribute of that name.  Dunder methods come with their
   class, since Python calls them implicitly.
-* Type annotations are not uses.  Neither is ``__init__.py``: re-exporting a
-  name is not a use, so it only resolves ``from slicecalc import name``.
+* Type annotations are not uses.
 
 A public name the program never reaches is used only by the tests, or by
 nothing, and fails here.  So does a public field of a package dataclass that no
@@ -20,6 +19,8 @@ reached body reads as an attribute: the program fills it and never looks at it.
 
 import ast
 import copy
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -144,11 +145,7 @@ class Program:
         """Follow re-exports: a name imported into a module resolves to its definition."""
         kind = entry[0]
         if kind == "package_attr":
-            name = entry[1]
-            if name in self.modules:
-                return ("module", name)
-            entry = self.imports[id(self.modules["__init__"])].get(name)
-            return self._resolve(entry) if entry else None
+            return ("module", entry[1]) if entry[1] in self.modules else None
         if kind == "name":
             _, mod, name = entry
             if (mod, name) in self.defs:
@@ -184,8 +181,7 @@ class Program:
         for tree in HARNESS:
             self.visit(_uses(tree), tree, None)
         for mod, tree in self.modules.items():
-            if mod != "__init__":
-                self.visit(_body_uses(tree.body), tree, mod)
+            self.visit(_body_uses(tree.body), tree, mod)
         self.reached.add(("cli", "main"))
         scanned = set()
         while True:
@@ -250,3 +246,14 @@ def test_an_unread_dataclass_field_fails():
     program = Program(modules)
     program.run()
     assert program.unread_fields() == ["polyanalytic.ClassificationReport.probe"]
+
+
+def test_importing_the_package_loads_no_module(child_env):
+    code = (
+        "import sys, slicecalc; "
+        "print(sorted(m for m in sys.modules if m.startswith('slicecalc.')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env, check=True
+    )
+    assert proc.stdout == "[]\n"

@@ -2,8 +2,7 @@
 
 Deleting code can leave an import behind that nothing reads any more.  A name
 counts as read when the module's syntax tree loads it anywhere, type
-annotations included.  ``__init__.py`` is left out, since it imports names to
-re-export them, and so is ``from __future__``, which binds no name.
+annotations included.  ``from __future__`` is left out, since it binds no name.
 """
 
 import ast
@@ -32,7 +31,6 @@ def test_every_module_level_import_is_read():
     unread = {
         path.name: names
         for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "__init__.py"
         for names in [unread_imports(ast.parse(path.read_text()))]
         if names
     }
