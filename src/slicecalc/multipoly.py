@@ -5,7 +5,8 @@ noncommutative coefficients sit on the left of each monomial, so a product of
 terms multiplies coefficients in order.  Rational functions keep a polynomial
 numerator over a real-scalar denominator stored in factored form: one
 quotient rule raises by one only the factors F whose derivative is no multiple
-cF, which keeps iterated differentiation cheap without any gcd machinery.
+cF, and exact division by known factors (``_cancel``) lowers an exponent again
+wherever a factor divides the numerator, so no general gcd is needed.
 
 A polynomial stores, per monomial, one Python ``int`` numerator per blade,
 all over one positive denominator in lowest terms; ``terms`` gives the
@@ -24,9 +25,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from heapq import heapify, heappop, heappush
 from itertools import chain, islice
 from math import gcd, lcm, prod
-from operator import add
+from operator import add, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .algebra import (
@@ -104,7 +106,7 @@ class CoordPoly:
     no empty row, and no common factor of ``den`` and all numerators.
     """
 
-    __slots__ = ("signature", "var_count", "rows", "den", "_hash")
+    __slots__ = ("signature", "var_count", "rows", "den", "_hash", "_gaps")
 
     def __new__(
         cls,
@@ -148,7 +150,7 @@ class CoordPoly:
             if nums:
                 obj.rows[e] = nums
         obj.den = den // g
-        obj._hash = None
+        obj._hash = obj._gaps = None
         return obj
 
     # -- constructors --------------------------------------------------------
@@ -288,14 +290,25 @@ class CoordPoly:
                 f"point arity {len(point)} != var count {self.var_count}"
             )
         coords, d = _over_common_den(point)
-        degree = max((sum(e) for e in self.rows), default=0)
+        degree, gaps = self._degree_gaps()
         d_pows = [d**k for k in range(degree + 1)]
         acc: dict[int, int] = {}
-        for e, nums in self.rows.items():
-            scalar = prod(map(pow, coords, e), start=d_pows[degree - sum(e)])
+        for (e, nums), gap in zip(self.rows.items(), gaps):
+            scalar = prod(map(pow, coords, e), start=d_pows[gap])
             if scalar:
                 _add_scaled(acc, nums, scalar)
         return AlgebraElement._make(self.signature, acc, self.den * d_pows[degree])
+
+    def _degree_gaps(self) -> tuple[int, list[int]]:
+        """(D, [D - |e| for each row in order]), D the total degree (0 for zero).
+
+        Computed on the first ``eval`` and kept, since the rows never change.
+        """
+        if self._gaps is None:
+            sums = [sum(e) for e in self.rows]
+            degree = max(sums, default=0)
+            self._gaps = degree, [degree - k for k in sums]
+        return self._gaps
 
     # -- helpers for denominators ---------------------------------------------
 
@@ -388,6 +401,57 @@ def restrict_poly(poly: CoordPoly, components: Sequence[Fraction]) -> CoordPoly:
         return (e[0], beta_deg), k * u_pows[top - beta_deg]
 
     return _int_map(poly, 2, move, u_pows[top])
+
+
+# -- exact division by a known factor ---------------------------------------------
+
+
+def _descending(e: Exponents):
+    """Heap key that pops exponent vectors in descending graded-lex order."""
+    return -sum(e), tuple(-k for k in e), e
+
+
+def _divide_exact(numer: CoordPoly, p: CoordPoly) -> "CoordPoly | None":
+    """numer / p if the primitive real-scalar factor ``p`` divides ``numer``, else None.
+
+    Graded-lex division by the one divisor ``p`` on the integer rows.  With one
+    divisor the remainder is zero exactly when ``p`` divides, so the first
+    leading term that LT(p) does not divide ends it.  ``p`` is primitive, so by
+    Gauss's lemma an exact quotient has integer numerators over ``numer.den``,
+    and a leading numerator that p's leading coefficient does not divide also
+    means "does not divide".
+    """
+    lead = p._leading_key()
+    c = p.rows[lead][0]
+    tail = [(e, nums[0]) for e, nums in p.rows.items() if e != lead]
+    rest = {e: dict(nums) for e, nums in numer.rows.items()}
+    heap = [_descending(e) for e in rest]
+    heapify(heap)
+    quot: dict = {}
+    while heap:
+        e = heappop(heap)[2]
+        nums = {m: n for m, n in rest.pop(e).items() if n}
+        if not nums:
+            continue
+        shift = tuple(map(sub, e, lead))
+        if min(shift) < 0:
+            return None
+        row = {}
+        for m, n in nums.items():
+            q, r = divmod(n, c)
+            if r:
+                return None
+            row[m] = q
+        quot[shift] = row
+        # every key below is graded-lex smaller than e, so none was popped before
+        for t, k in tail:
+            key = _add_exponents(shift, t)
+            out = rest.get(key)
+            if out is None:
+                out = rest[key] = {}
+                heappush(heap, _descending(key))
+            _add_scaled(out, row, -k)
+    return CoordPoly._make(numer.signature, numer.var_count, quot, numer.den)
 
 
 # -- rational functions ---------------------------------------------------------
@@ -599,6 +663,23 @@ class RationalFn:
         if not self.den_factors:
             return f"RationalFn({self.numer!r})"
         return f"RationalFn({self.numer!r} / {self.den_factors!r})"
+
+
+def _cancel(rf: RationalFn) -> RationalFn:
+    """``rf`` with each denominator factor divided out of the numerator while it divides.
+
+    Each exact division lowers that factor's exponent by one; a factor that
+    reaches exponent 0 is dropped.  The candidates are the factors ``rf``
+    already has, so no gcd is needed.
+    """
+    numer = rf.numer
+    factors = []
+    for p, k in rf.den_factors:
+        while k and (q := _divide_exact(numer, p)) is not None:
+            numer, k = q, k - 1
+        if k:
+            factors.append((p, k))
+    return RationalFn._make(numer, tuple(factors))
 
 
 def restrict_rf(rf: RationalFn, components: Sequence[Fraction]) -> RationalFn:

@@ -14,7 +14,16 @@ from fractions import Fraction
 from itertools import islice
 
 from .algebra import AlgebraElement, AlgebraSignature, ImaginaryUnit
-from .multipoly import CoordPoly, RationalFn, _apply_n, _iterates, coord_im, coord_s, restrict_rf
+from .multipoly import (
+    CoordPoly,
+    RationalFn,
+    _apply_n,
+    _cancel,
+    _iterates,
+    coord_im,
+    coord_s,
+    restrict_rf,
+)
 from .slicefn import PointFunction
 from .stem import StemFunction
 
@@ -83,7 +92,7 @@ def dbar_slice(g: PointFunction, unit: ImaginaryUnit, order: int) -> SlicePlaneP
 def _thetabar_once(rf: RationalFn) -> RationalFn:
     sig = rf.signature
     im_over_s = RationalFn(coord_im(sig), ((coord_s(sig), 1),))
-    return (rf.partial(0) + im_over_s * rf.derive(CoordPoly.radial)) * Fraction(1, 2)
+    return _cancel((rf.partial(0) + im_over_s * rf.derive(CoordPoly.radial)) * Fraction(1, 2))
 
 
 def thetabar(g: PointFunction, order: int = 1) -> PointFunction:
@@ -91,8 +100,10 @@ def thetabar(g: PointFunction, order: int = 1) -> PointFunction:
 
     thetabar(g) = (dg/dx_0 + Im(x)/|Im(x)|^2 * sum_h x_h dg/dx_h) / 2, with the
     Im(x) factor multiplying from the left.  The result lives off the real
-    axis: each step adds one power of s = sum_h x_h^2 to the denominator and
-    raises by one every other factor not homogeneous in x_1..x_n.
+    axis.  Each step is stored in reduced form over the known factors: the
+    quotient rule adds at most one power of s = sum_h x_h^2 and raises by one
+    every other factor not homogeneous in x_1..x_n, and then every factor is
+    divided out of the numerator as often as it divides exactly.
     """
     if order < 1:
         raise ValueError("order must be >= 1")

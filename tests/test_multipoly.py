@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
@@ -12,12 +13,14 @@ from slicecalc.errors import (
 from slicecalc.multipoly import (
     CoordPoly,
     RationalFn,
+    _divide_exact,
     coord_s,
     coord_x,
     coord_xbar,
     restrict_poly,
     restrict_rf,
 )
+from slicecalc.named import jump_example
 from slicecalc.sampling import rand_poly, rng_for
 
 from oracles import element_to_float, paravector
@@ -205,3 +208,58 @@ def test_conjugate_coordinate_polys():
     assert x.eval(point) == paravector(H, point)
     assert xb.eval(point) == paravector(H, (1, -2, 1, -3))
     assert (x * xb).eval(point) == AlgebraElement.scalar(H, 15)  # 1 + 4 + 1 + 9
+
+
+# -- exact division by a known factor ------------------------------------------------
+
+
+def _known_factors():
+    s = coord_s(H)
+    two_lead = var(0) ** 2 * 2 + var(1) * var(2) * 3 - const(1)  # primitive, LT 2 x_0^2
+    return {
+        "s": s,
+        "s+1": s + const(1),
+        "bump": jump_example(H).expr.den_factors[0][0],
+        "2x0^2+3x1x2-1": two_lead,
+    }
+
+
+def _is_canonical(poly):
+    nums = [n for row in poly.rows.values() for n in row.values()]
+    return poly.den > 0 and gcd(poly.den, *nums) == 1 and all(nums)
+
+
+@pytest.mark.parametrize("name", list(_known_factors()))
+def test_divide_exact_recovers_the_quotient(name):
+    p = _known_factors()[name]
+    rng = rng_for(15, f"divide-{name}")
+    for _ in range(4):
+        q = rand_poly(rng, H, 4, max_degree=3) * Fraction(6, 35)
+        for j in (1, 2):
+            numer = q * p**j
+            for _ in range(j):
+                numer = _divide_exact(numer, p)
+                assert numer is not None and _is_canonical(numer)
+            assert numer == q
+
+
+@pytest.mark.parametrize("name", list(_known_factors()))
+def test_divide_exact_reports_a_nonzero_remainder(name):
+    p = _known_factors()[name]
+    rng = rng_for(16, f"remainder-{name}")
+    for _ in range(4):
+        q = rand_poly(rng, H, 4, max_degree=3)
+        # a nonzero remainder of lower degree than p: no multiple of p
+        r = rand_poly(rng, H, 4, max_degree=1) + const(1)
+        assert not r.is_zero() and r.total_degree() < p.total_degree()
+        assert _divide_exact(q * p + r, p) is None
+
+
+def test_divide_exact_stops_on_the_leading_term():
+    factors = _known_factors()
+    # LT(s) = x_1^2 does not divide x_3
+    assert _divide_exact(var(3), factors["s"]) is None
+    # LT = 2 x_0^2 divides x_0^2 as a monomial, but 1 / 2 is no integer: p is
+    # primitive, so by Gauss's lemma p does not divide
+    assert _divide_exact(var(0) ** 2, factors["2x0^2+3x1x2-1"]) is None
+    assert _divide_exact(CoordPoly.zero(H, 4), factors["s"]) == CoordPoly.zero(H, 4)

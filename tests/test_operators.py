@@ -28,9 +28,10 @@ from slicecalc.sampling import (
     rand_point_polynomial,
     rand_poly,
     rand_rational_point_function,
+    rand_stem,
     rng_for,
 )
-from slicecalc.slicefn import PointFunction, phi_coords
+from slicecalc.slicefn import PointFunction, SliceFunction, phi_coords
 
 from oracles import (
     element_to_float,
@@ -234,23 +235,28 @@ def test_thetabar_against_slice_values_on_the_jump_example():
         assert got == want
 
 
-# -- denominators: one power of s per thetabar step -------------------------------
+# -- denominators: thetabar is stored in reduced form ------------------------------
+
+# The exponents below are those of the fully reduced forms: sympy ``cancel`` of
+# every blade gives the same denominators on these seeded inputs.
 
 
 @pytest.mark.parametrize("sig", [H, clifford(3)], ids=["H", "Cl3"])
-def test_thetabar_adds_one_power_of_s_per_step(sig):
+def test_thetabar_is_stored_over_the_reduced_power_of_s(sig):
     rng = rng_for(11, "s-powers")
     s = coord_s(sig)
-    for _ in range(3):
+    # the s exponent of thetabar^1..3 of each of the three polynomials drawn
+    poly_exps = ((1, 1, 2), (1, 1, 2), (1, 1, 1))
+    for exps in poly_exps:
         g = rand_point_polynomial(rng, sig, max_degree=4)
-        for n in (1, 2, 3):
-            assert thetabar(g, n).expr.den_factors == ((s, n),)
+        for n, k_n in zip((1, 2, 3), exps):
+            assert thetabar(g, n).expr.den_factors == ((s, k_n),)
         assert g_op(g).expr.is_polynomial()
         numer = rand_poly(rng, sig, sig.coord_count, max_degree=3)
         for k in (1, 2):
             over_s = PointFunction(DOM, RationalFn(numer, ((s, k),)))
             for n in (1, 2):
-                assert thetabar(over_s, n).expr.den_factors == ((s, k + n),)
+                assert thetabar(over_s, n).expr.den_factors == ((s, k + 1),)
             assert g_op(over_s).expr.den_factors == ((s, k),)
 
 
@@ -265,10 +271,23 @@ def test_a_factor_not_homogeneous_in_the_imaginary_part_goes_up_once_per_step():
         (bump, bump_den),
     ):
         for n in (1, 2):
-            assert dict(thetabar(g, n).expr.den_factors) == {factor: 1 + n, s: n}
+            assert dict(thetabar(g, n).expr.den_factors) == {factor: 1 + n, s: 1}
         assert dict(g_op(g).expr.den_factors) == {factor: 2}
 
 
+@pytest.mark.parametrize("sig", [H, clifford(3), clifford(5)], ids=["H", "Cl3", "Cl5"])
+def test_thetabar_of_an_induced_function_is_the_induced_slice_derivative(sig):
+    # thetabar^n of the function a polynomial stem induces reduces to a
+    # polynomial: the function induced by dbar^n of the stem, stored the same way
+    rng = rng_for(14, "induced")
+    for _ in range(3):
+        stem = rand_stem(rng, sig, max_degree=4)
+        g = SliceFunction(DOM, stem).to_point_function()
+        for n in (1, 2, 3, 4):
+            got = thetabar(g, n).expr
+            want = SliceFunction(DOM, stem.dbar_n(n)).to_point_function().expr
+            assert got.den_factors == ()
+            assert (got.numer.rows, got.numer.den) == (want.numer.rows, want.numer.den)
 @pytest.mark.parametrize("sig", [H, clifford(3)], ids=["H", "Cl3"])
 def test_radial_rule_matches_the_sum_of_partials(sig):
     rng = rng_for(13, "radial")
