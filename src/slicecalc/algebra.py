@@ -130,15 +130,16 @@ def _add_scaled(out: dict, nums: Mapping[int, int], k: int) -> None:
         out[mask] = out.get(mask, 0) + n * k
 
 
-def _int_product(left, right, combine):
+def _int_product(left, right, combine, acc: dict | None = None):
     """Integer core of the algebra and polynomial products.
 
     ``left`` and ``right`` are sequences of (key, numerators), multiplied in
     order, each side over one denominator that the caller keeps.  Every pair of
     terms adds its blade products under ``combine(key_a, key_b)``.  Returns
-    ``{key: {mask: numerator}}`` over the product of the two denominators.
+    ``{key: {mask: numerator}}`` over the product of the two denominators,
+    added into ``acc`` when given, so a sum of products fills one accumulator.
     """
-    acc: dict = {}
+    acc = {} if acc is None else acc
     for ka, nums_a in left:
         for kb, nums_b in right:
             key = combine(ka, kb)

@@ -177,8 +177,9 @@ def slice_derivative_trials(
         # each side restricted once per unit; level n is one dbar step from n - 1
         stem_side = [restrict_slice_function(stem, unit).dbar_chain(top) for unit in units]
         coord_side = [restrict_to_slice(pf, unit).dbar_chain(top) for unit in units]
+        stem_levels = list(islice(_iterates(StemFunction.dbar, stem), top + 1))
         for n in orders:
-            derived = stem.dbar_n(n)
+            derived = stem_levels[n]
             for ui, unit in enumerate(units):
                 want = restrict_slice_function(derived, unit).rf
                 via_plane = stem_side[ui][n].rf

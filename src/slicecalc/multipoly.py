@@ -12,13 +12,16 @@ A polynomial stores, per monomial, one Python ``int`` numerator per blade,
 all over one positive denominator in lowest terms; ``terms`` gives the
 coefficients as ``AlgebraElement``s.  The product goes through the integer
 core of the algebra product, and so does scaling by an algebra element, as a
-product with a one-term side.  Scaling by a rational, partial derivatives, the
-radial operator and slice restriction are linear maps on the terms: each makes
-one pass over the integer rows, with one ``int`` factor per term
-(``_int_map``).  Rational functions multiply a numerator only by a cofactor
-that is not 1 when they add.  Point evaluation puts the point over a common
-denominator and homogenizes every term to the total degree, so the value is
-one integer row over one denominator.
+product with a one-term side; a sum of products, such as a stem product's
+component, fills one accumulator (``_product_sum``).  Sums, scaling by a
+rational, partial derivatives, the radial operator, slice restriction and each
+component of the stem operator dF/dz-bar are linear maps on the terms: each
+makes one pass over the integer rows of its inputs, with one ``int`` factor
+per term (``_int_map``).  The plane operator (d/dalpha + I d/dbeta)/2
+(``plane_dbar``) is one pass as well.  Rational functions multiply a
+numerator only by a cofactor that is not 1 when they add.  Point evaluation
+puts the point over a common denominator and homogenizes every term to the
+total degree, so the value is one integer row over one denominator.
 """
 
 from __future__ import annotations
@@ -78,23 +81,51 @@ def _right_key(ka, kb):
     return kb
 
 
-def _int_map(poly: "CoordPoly", var_count: int, move, scale: int = 1) -> "CoordPoly":
-    """One pass over the integer rows of ``poly``, a linear map on its terms.
+def _partial_move(index: int, sign: int = 1):
+    """The ``_int_map`` move of ``sign`` * d/dx_index."""
+    return lambda e: ((*e[:index], e[index] - 1, *e[index + 1 :]), sign * e[index])
 
-    ``move(e)`` gives the output key of term ``e`` and an ``int`` factor for its
-    numerators; a factor 0 drops the term.  Terms meeting on one key add up
-    over the denominator of ``poly`` times ``scale``.
+
+def _int_map(sources, var_count: int, scale: int = 1) -> "CoordPoly":
+    """One pass over the integer rows of each (poly, move) in ``sources``: a sum of linear maps.
+
+    ``move(e)`` gives the output key of term ``e`` and an ``int`` factor for
+    its numerators; a factor 0 drops the term, and ``move`` None keeps it as it
+    is.  Terms meeting on one key add up over the lcm of the sources'
+    denominators times ``scale``.
     """
+    den = lcm(*[poly.den for poly, _ in sources])
     acc: dict = {}
-    for e, nums in poly.rows.items():
-        key, k = move(e)
-        if not k:
+    for poly, move in sources:
+        r = den // poly.den
+        if move is None:
+            for e, nums in poly.rows.items():
+                _add_scaled(acc.setdefault(e, {}), nums, r)
             continue
-        out = acc.get(key)
-        if out is None:
-            out = acc[key] = {}
-        _add_scaled(out, nums, k)
-    return CoordPoly._make(poly.signature, var_count, acc, poly.den * scale)
+        for e, nums in poly.rows.items():
+            key, k = move(e)
+            if k:
+                _add_scaled(acc.setdefault(key, {}), nums, k * r)
+    return CoordPoly._make(sources[0][0].signature, var_count, acc, den * scale)
+
+
+def _product_sum(products) -> "CoordPoly":
+    """sum of sign * left * right over (left, right, sign) in ``products``, in one accumulator.
+
+    Left rows are scaled to the common denominator and the sign, so the blade
+    loop of ``_int_product`` does no extra work.
+    """
+    dens = [left.den * right.den for left, right, _ in products]
+    den = lcm(*dens)
+    acc: dict = {}
+    for (left, right, sign), d in zip(products, dens):
+        left._require_compatible(right)
+        k = sign * (den // d)
+        rows = left.rows.items()
+        if k != 1:
+            rows = [(e, {m: n * k for m, n in nums.items()}) for e, nums in rows]
+        _int_product(rows, right.rows.items(), _add_exponents, acc)
+    return CoordPoly._make(left.signature, left.var_count, acc, den)
 
 
 class CoordPoly:
@@ -204,13 +235,7 @@ class CoordPoly:
         if not isinstance(other, CoordPoly):
             return NotImplemented
         self._require_compatible(other)
-        den = lcm(self.den, other.den)
-        rows: dict = {}
-        for poly in (self, other):
-            k = den // poly.den
-            for e, nums in poly.rows.items():
-                _add_scaled(rows.setdefault(e, {}), nums, k)
-        return CoordPoly._make(self.signature, self.var_count, rows, den)
+        return _int_map(((self, None), (other, None)), self.var_count)
 
     def __neg__(self):
         rows = {e: {m: -n for m, n in nums.items()} for e, nums in self.rows.items()}
@@ -228,7 +253,7 @@ class CoordPoly:
             return CoordPoly._make(self.signature, self.var_count, acc, self.den * other.den)
         if isinstance(other, (int, Fraction)):
             n = other.numerator
-            return _int_map(self, self.var_count, lambda e: (e, n), other.denominator)
+            return _int_map(((self, lambda e: (e, n)),), self.var_count, other.denominator)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -268,15 +293,24 @@ class CoordPoly:
     def partial(self, index: int) -> "CoordPoly":
         if not 0 <= index < self.var_count:
             raise ValueError(f"variable index {index} out of range")
+        return _int_map(((self, _partial_move(index)),), self.var_count)
 
-        def move(e: Exponents):
-            return (*e[:index], e[index] - 1, *e[index + 1 :]), e[index]
-
-        return _int_map(self, self.var_count, move)
+    def plane_dbar(self, unit: AlgebraElement) -> "CoordPoly":
+        """(d/dalpha + unit d/dbeta) / 2 in (alpha, beta), unit on the left, in one pass."""
+        self._require_coeff(unit)
+        acc: dict = {}
+        beta_rows = []
+        for (a, b), nums in self.rows.items():
+            if a:
+                _add_scaled(acc.setdefault((a - 1, b), {}), nums, a * unit.den)
+            if b:
+                beta_rows.append(((a, b - 1), {m: n * b for m, n in nums.items()}))
+        _int_product(((None, unit.nums),), beta_rows, _right_key, acc)
+        return CoordPoly._make(self.signature, 2, acc, self.den * unit.den * 2)
 
     def radial(self) -> "CoordPoly":
         """sum_h x_h d/dx_h over x_1..x_n: each term times its degree in those variables."""
-        return _int_map(self, self.var_count, lambda e: (e, sum(e) - e[0]))
+        return _int_map(((self, lambda e: (e, sum(e) - e[0])),), self.var_count)
 
     def eval(self, point: Sequence[RationalLike]) -> AlgebraElement:
         """The value at ``point``, added up in integers over one denominator.
@@ -400,7 +434,7 @@ def restrict_poly(poly: CoordPoly, components: Sequence[Fraction]) -> CoordPoly:
                 beta_deg += j
         return (e[0], beta_deg), k * u_pows[top - beta_deg]
 
-    return _int_map(poly, 2, move, u_pows[top])
+    return _int_map(((poly, move),), 2, u_pows[top])
 
 
 # -- exact division by a known factor ---------------------------------------------
@@ -600,11 +634,13 @@ class RationalFn:
     # -- calculus --------------------------------------------------------------------
 
     def derive(self, d) -> "RationalFn":
-        """The image under a derivation ``d`` of real-scalar polynomials, by the quotient rule.
+        """The image under a derivation ``d``, by the quotient rule.
 
-        With N the numerator and R the product of the factors raised so far, a
-        factor F^k with dF = cF keeps its exponent and adds -c k N R to the
-        numerator; any other goes up to F^(k+1): numer <- numer F - N k dF R.
+        ``d`` obeys d(QN) = d(Q) N + Q d(N) for real-scalar Q; d(F) of a real factor
+        F may have algebra coefficients (the plane operator's does), so it multiplies
+        N from the left.  With R the product of the factors raised so far, a
+        factor F^k with dF = cF, c real, keeps its exponent and adds -c k N R to
+        the numerator; any other goes up to F^(k+1): numer <- numer F - k dF N R.
         """
         numer = d(self.numer)
         raised = None
@@ -613,13 +649,13 @@ class RationalFn:
             dp = d(p)
             key = p._leading_key()
             # c = a / b from the leading terms; dp == cp is tested in integers
-            a, b = dp.rows.get(key, {0: 0})[0] * p.den, p.rows[key][0] * dp.den
+            a, b = dp.rows.get(key, {}).get(0, 0) * p.den, p.rows[key][0] * dp.den
             if dp * b != p * a:
-                numer = numer * p - _times(self.numer * (dp * k), raised)
+                numer = numer * p - _times((dp * k) * self.numer, raised)
                 raised = _times(p, raised)
                 k += 1
             elif a:
-                scaled = _int_map(self.numer, self.var_count, lambda e: (e, a * k), b)
+                scaled = _int_map(((self.numer, lambda e: (e, a * k)),), self.var_count, b)
                 numer = numer - _times(scaled, raised)
             factors.append((p, k))
         return RationalFn._make(numer, tuple(factors))

@@ -44,10 +44,9 @@ class SlicePlanePoly:
         self.unit = unit
 
     def dbar(self) -> "SlicePlanePoly":
-        """One application of (d/da + I d/db)/2 with I on the left."""
-        da = self.rf.partial(0)
-        db = self.rf.partial(1).scale_left(self.unit.value)
-        return SlicePlanePoly((da + db) * Fraction(1, 2), self.unit)
+        """One application of (d/da + I d/db)/2 with I on the left, by the quotient rule."""
+        unit = self.unit.value
+        return SlicePlanePoly(self.rf.derive(lambda p: p.plane_dbar(unit)), self.unit)
 
     def dbar_n(self, n: int) -> "SlicePlanePoly":
         return _apply_n(SlicePlanePoly.dbar, self, n)

@@ -12,12 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import factorial
+from math import factorial, lcm
 from typing import Optional, Sequence
 
-from .algebra import AlgebraElement, AlgebraSignature, ImaginaryUnit, RationalLike
+from .algebra import AlgebraElement, AlgebraSignature, ImaginaryUnit, RationalLike, _int_product
 from .errors import PointOutsideDomainError, SignatureMismatchError
 from .multipoly import CoordPoly, RationalFn, _iterates, coord_im, coord_s, restrict_rf
+from .multipoly import _add_exponents
 from .stem import StemFunction
 
 
@@ -93,19 +94,26 @@ class SliceFunction:
         """The induced function as a polynomial in the coordinates x_0..x_n.
 
         Works because F1 is even and F2 odd in beta: beta^2 = |Im(x)|^2 is the
-        polynomial s, and I * beta^odd regroups as Im(x) * s^((b-1)/2).
+        polynomial s, and I * beta^odd regroups as Im(x) * s^((b-1)/2).  Every
+        term goes into one accumulator over the lcm of the components' denominators.
         """
         sig = self.stem.signature
         n = sig.coord_count
-        degree = self.stem.total_degree()
-        x0_powers = list(islice(CoordPoly.variable(sig, n, 0).powers(), degree + 1))
-        s_powers = list(islice(coord_s(sig).powers(), degree // 2 + 1))
+        f1, f2 = self.stem.f1, self.stem.f2
+        s_powers = list(islice(coord_s(sig).powers(), self.stem.total_degree() // 2 + 1))
         im = coord_im(sig)
-        out = CoordPoly.zero(sig, n)
-        for (a, b), c in self.stem.f1.terms.items():
-            out = out + (x0_powers[a] * s_powers[b // 2]).scale_right(c)
-        for (a, b), c in self.stem.f2.terms.items():
-            out = out + (x0_powers[a] * s_powers[b // 2]) * im.scale_right(c)
+        den = lcm(f1.den, f2.den)
+        acc: dict = {}
+        im_s_powers = [p * im for p in s_powers[: f2.total_degree() // 2 + 1]]
+        for comp, bases in ((f1, s_powers), (f2, im_s_powers)):
+            k = den // comp.den
+            for (a, b), nums in comp.rows.items():
+                if k != 1:
+                    nums = {m: v * k for m, v in nums.items()}
+                # the right key (a, 0, ..., 0) shifts each base row by x0^a
+                shift = ((a,) + (0,) * (n - 1), nums)
+                _int_product(bases[b // 2].rows.items(), (shift,), _add_exponents, acc)
+        out = CoordPoly._make(sig, n, acc, den)
         return PointFunction(self.domain, RationalFn.from_poly(out))
 
     def __repr__(self):

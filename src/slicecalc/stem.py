@@ -15,7 +15,7 @@ from typing import Iterator
 
 from .algebra import AlgebraElement, AlgebraSignature, ImaginaryUnit
 from .errors import ParityViolationError, SignatureMismatchError
-from .multipoly import CoordPoly, _apply_n, _iterates
+from .multipoly import CoordPoly, _apply_n, _int_map, _iterates, _partial_move, _product_sum
 
 ALPHA, BETA = 0, 1
 
@@ -116,9 +116,10 @@ class StemFunction:
         products keep the left operand's coefficients on the left.
         """
         if isinstance(other, StemFunction):
+            f1, f2, g1, g2 = self.f1, self.f2, other.f1, other.f2
             return StemFunction(
-                self.f1 * other.f1 - self.f2 * other.f2,
-                self.f1 * other.f2 + self.f2 * other.f1,
+                _product_sum(((f1, g1, 1), (f2, g2, -1))),
+                _product_sum(((f1, g2, 1), (f2, g1, 1))),
             )
         if isinstance(other, (int, Fraction)):
             return StemFunction(self.f1 * other, self.f2 * other)
@@ -132,11 +133,12 @@ class StemFunction:
     def dbar(self) -> "StemFunction":
         """The complex operator dF/dz-bar, again a stem function.
 
-        Componentwise: ((dF1/da - dF2/db) + i (dF1/db + dF2/da)) / 2.
+        Componentwise: ((dF1/da - dF2/db) + i (dF1/db + dF2/da)) / 2, each
+        component in one pass over both inputs.
         """
-        half = Fraction(1, 2)
-        g1 = (self.f1.partial(ALPHA) - self.f2.partial(BETA)) * half
-        g2 = (self.f1.partial(BETA) + self.f2.partial(ALPHA)) * half
+        d_alpha, d_beta = _partial_move(ALPHA), _partial_move(BETA)
+        g1 = _int_map(((self.f1, d_alpha), (self.f2, _partial_move(BETA, -1))), 2, 2)
+        g2 = _int_map(((self.f1, d_beta), (self.f2, d_alpha)), 2, 2)
         return StemFunction(g1, g2)
 
     def dbar_n(self, n: int) -> "StemFunction":

@@ -5,16 +5,22 @@ become Fractions (exact for floats), and only the result is turned into
 floats.  It shares no code with the symbolic derivatives it checks, and it is
 the only floating point the tests compare against; the package holds none.
 The module also builds paravectors from their coordinates for the tests, and
-keeps the radial operator as a sum of the kernel's own partials, the
-reference for ``RationalFn.derive(CoordPoly.radial)``.
+keeps the operators that the kernel computes in one pass written out as chains
+of its simpler operations: the radial operator and the plane operator as sums
+of partials, the reference for ``RationalFn.derive``; the stem dbar and product
+as sums of ``CoordPoly`` partials and products; and the induced function as a
+sum of one product per stem term.
 """
 
 from fractions import Fraction
 from typing import Sequence
 
 from slicecalc.algebra import AlgebraElement, AlgebraSignature, ImaginaryUnit
-from slicecalc.multipoly import CoordPoly, RationalFn
+from slicecalc.multipoly import CoordPoly, RationalFn, coord_im, coord_s
+from slicecalc.polyanalytic import compose
+from slicecalc.sampling import rand_regular_tuple, rand_stem, rng_for
 from slicecalc.slicefn import PointFunction, phi_coords
+from slicecalc.stem import StemFunction
 
 
 def paravector(signature: AlgebraSignature, coords: Sequence) -> AlgebraElement:
@@ -33,6 +39,46 @@ def radial_by_partials(rf: RationalFn) -> RationalFn:
     for h in range(1, n):
         out = out + rf.partial(h).mul_poly_left(CoordPoly.variable(sig, n, h))
     return out
+
+
+def plane_dbar_by_partials(plane) -> RationalFn:
+    """(d/da + I d/db)/2 as two partials, a left scaling by I, a sum and a halving."""
+    rf = plane.rf
+    return (rf.partial(0) + rf.partial(1).scale_left(plane.unit.value)) * Fraction(1, 2)
+
+
+def stem_dbar_by_partials(stem: StemFunction) -> StemFunction:
+    half = Fraction(1, 2)
+    return StemFunction(
+        (stem.f1.partial(0) - stem.f2.partial(1)) * half,
+        (stem.f1.partial(1) + stem.f2.partial(0)) * half,
+    )
+
+
+def stem_product_by_parts(f: StemFunction, g: StemFunction) -> StemFunction:
+    return StemFunction(f.f1 * g.f1 - f.f2 * g.f2, f.f1 * g.f2 + f.f2 * g.f1)
+
+
+def point_poly_term_by_term(stem: StemFunction) -> CoordPoly:
+    """The polynomial a stem induces, as a sum of one product per stem term."""
+    sig = stem.signature
+    n = sig.coord_count
+    x0, s, im = CoordPoly.variable(sig, n, 0), coord_s(sig), coord_im(sig)
+    out = CoordPoly.zero(sig, n)
+    for (a, b), c in stem.f1.terms.items():
+        out = out + (x0**a * s ** (b // 2)).scale_right(c)
+    for (a, b), c in stem.f2.terms.items():
+        out = out + (x0**a * s ** (b // 2)) * im.scale_right(c)
+    return out
+
+
+def sample_stems(sig: AlgebraSignature, label: str) -> list[StemFunction]:
+    """rand_stem and compose stems, the zero stem, and stems with an empty component."""
+    rng = rng_for(16, label)
+    out = [rand_stem(rng, sig, max_degree=4) for _ in range(3)]
+    out += [compose(rand_regular_tuple(rng, sig, 3, max_degree=2)) for _ in range(2)]
+    zero = CoordPoly.zero(sig, 2)
+    return out + [StemFunction.zero(sig), StemFunction(out[0].f1, zero), StemFunction(zero, out[1].f2)]
 
 
 def element_to_float(value: AlgebraElement) -> dict[int, float]:

@@ -12,6 +12,7 @@ value built through the public constructor.
 """
 
 from fractions import Fraction
+from itertools import count
 from math import gcd, lcm, perm
 
 import pytest
@@ -632,9 +633,15 @@ def test_decomposition_trials_keep_their_counts(sig):
 @pytest.mark.parametrize("sig", (QUATERNION, CL3), ids=lambda s: f"{s.kind}{s.m}")
 def test_campaign_bodies_keep_failure_counts_and_witnesses(sig, monkeypatch):
     # a wrong second derivative and a wrong coefficient at level 2 make the
-    # bodies fail; the counts and the first witness are those recorded before
+    # bodies fail; the counts and the first witness are those recorded before.
+    # The slice-derivative body reads its stem levels from one _iterates chain,
+    # so the chain is replaced by one whose level 2 is dbar^3.
     dbar_n = StemFunction.dbar_n
-    monkeypatch.setattr(StemFunction, "dbar_n", lambda self, n: dbar_n(self, n + (n == 2)))
+    monkeypatch.setattr(
+        slicecalc.campaign,
+        "_iterates",
+        lambda step, stem: (dbar_n(stem, n + (n == 2)) for n in count()),
+    )
     assert slice_derivative_trials(sig, 5, n_stems=2, n_units=3) == (
         12, 6, {"stem_index": 0, "unit_index": 0, "order": 2},
     )

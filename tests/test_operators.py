@@ -19,6 +19,7 @@ from slicecalc.named import (
     rotation_twisted_coordinate,
 )
 from slicecalc.operators import (
+    SlicePlanePoly,
     dbar_slice,
     g_op,
     restrict_to_slice,
@@ -39,6 +40,7 @@ from oracles import (
     fd_g_op,
     fd_thetabar,
     float_agrees,
+    plane_dbar_by_partials,
     radial_by_partials,
 )
 
@@ -307,3 +309,36 @@ def test_radial_rule_matches_the_sum_of_partials(sig):
         for _ in range(3):
             rf = RationalFn(rand_poly(rng, sig, n, max_degree=3), factors)
             assert rf.derive(CoordPoly.radial) == radial_by_partials(rf)
+
+
+def stored(rf):
+    return rf.den_factors, rf.numer.rows, rf.numer.den
+
+
+@pytest.mark.parametrize("sig", [H, clifford(3), clifford(5)], ids=["H", "Cl3", "Cl5"])
+def test_plane_dbar_matches_the_sum_of_partials(sig):
+    # the one quotient rule gives the stored form of the sum of partials, order by order
+    rng = rng_for(15, "plane-dbar")
+    units = sample_units(sig, 15, 3)
+    for draw in (rand_point_polynomial, rand_rational_point_function):
+        for _ in range(3):
+            g = draw(rng, sig)
+            for unit in units:
+                plane = restrict_to_slice(g, unit)
+                for _ in (1, 2, 3):
+                    want = plane_dbar_by_partials(plane)
+                    plane = plane.dbar()
+                    assert stored(plane.rf) == stored(want)
+
+
+def test_plane_dbar_keeps_the_derivative_of_a_factor_on_the_left():
+    # j / F with F = 1 + beta^2: dbar(j / F) = -(I beta) j / F^2, and I j != j I
+    unit = I_U
+    j = AlgebraElement.basis(H, 2)
+    assert unit.value * j != j * unit.value
+    beta = CoordPoly.variable(H, 2, 1)
+    f = beta * beta + CoordPoly.constant(H, 2, 1)
+    plane = SlicePlanePoly(RationalFn(CoordPoly.constant(H, 2, j), ((f, 1),)), unit)
+    got = plane.dbar().rf
+    assert got == RationalFn(-beta.scale_left(unit.value * j), ((f, 2),))
+    assert stored(got) == stored(plane_dbar_by_partials(plane))

@@ -3,7 +3,7 @@ from itertools import islice
 
 import pytest
 
-from slicecalc.algebra import QUATERNION, sample_units
+from slicecalc.algebra import QUATERNION, clifford, sample_units
 from slicecalc.errors import PointOutsideDomainError
 from slicecalc.multipoly import CoordPoly
 from slicecalc.named import (
@@ -26,7 +26,7 @@ from slicecalc.slicefn import (
 )
 from slicecalc.stem import StemFunction
 
-from oracles import paravector
+from oracles import paravector, point_poly_term_by_term, sample_stems
 
 H = QUATERNION
 DOM = default_domain()
@@ -198,3 +198,12 @@ def test_to_point_function_matches_slice_eval():
         unit = rng.choice(UNITS)
         coords = phi_coords(unit, alpha, beta)
         assert pf.eval_coords(coords) == stem.plane_poly(unit).eval((alpha, beta))
+
+
+@pytest.mark.parametrize("sig", [H, clifford(3), clifford(5)], ids=["H", "Cl3", "Cl5"])
+def test_to_point_function_matches_the_term_by_term_sum(sig):
+    for stem in sample_stems(sig, "to-point-sum"):
+        got = SliceFunction(DOM, stem).to_point_function().expr
+        want = point_poly_term_by_term(stem)
+        assert got.is_polynomial()
+        assert (got.numer.rows, got.numer.den) == (want.rows, want.den)

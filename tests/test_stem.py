@@ -11,7 +11,13 @@ from slicecalc.multipoly import CoordPoly
 from slicecalc.sampling import rand_stem, rng_for
 from slicecalc.stem import StemFunction
 
-from oracles import element_to_float, paravector
+from oracles import (
+    element_to_float,
+    paravector,
+    sample_stems,
+    stem_dbar_by_partials,
+    stem_product_by_parts,
+)
 
 H = QUATERNION
 ALPHA = CoordPoly.variable(H, 2, 0)
@@ -167,3 +173,17 @@ def test_clifford_stems_share_the_machinery():
     zb = StemFunction.zbar(sig)
     assert zb.dbar() == StemFunction.one(sig)
     assert (zb * zb).dbar() == zb * 2
+
+
+def stored(stem):
+    return (stem.f1.rows, stem.f1.den), (stem.f2.rows, stem.f2.den)
+
+
+@pytest.mark.parametrize("sig", [H, clifford(3), clifford(5)], ids=["H", "Cl3", "Cl5"])
+def test_fused_dbar_and_product_match_the_coordpoly_formulas(sig):
+    stems = sample_stems(sig, "fused-stem")
+    for f in stems:
+        assert stored(f.dbar()) == stored(stem_dbar_by_partials(f))
+        assert stored(f.dbar().dbar()) == stored(stem_dbar_by_partials(stem_dbar_by_partials(f)))
+        for g in stems:
+            assert stored(f * g) == stored(stem_product_by_parts(f, g))
