@@ -275,11 +275,6 @@ class AlgebraElement:
             return AlgebraElement._make(self.signature, nums, self.den * other.denominator)
         return NotImplemented
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
-        return NotImplemented
-
     # -- comparisons ---------------------------------------------------------
 
     def __eq__(self, other):

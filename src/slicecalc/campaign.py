@@ -42,7 +42,7 @@ from .sampling import (
     rand_stem,
     rng_for,
 )
-from .serialize import digest
+from .serialize import digest, frac_to_str
 from .slicefn import (
     PointFunction,
     SliceFunction,
@@ -127,22 +127,21 @@ def slice_global_trials(
     funcs += [rand_rational_point_function(rng, sig) for _ in range(n_rational)]
     units = sample_units(sig, seed, n_units)
     points = [rand_plane_point(rng) for _ in range(n_points)]
+    coords = [[phi_coords(unit, *z) for z in points] for unit in units]
     top = max(orders)
     for gi, g in enumerate(funcs):
         thetas = list(islice(_iterates(thetabar, g), top + 1))
         for ui, unit in enumerate(units):
             planes = restrict_to_slice(g, unit).dbar_chain(top)
-            for n in range(1, top + 1):
-                if n not in orders:
-                    continue
-                for z in points:
-                    lhs = thetas[n].expr.eval(phi_coords(unit, *z))
+            for n in sorted(set(orders)):
+                for z, x in zip(points, coords[ui]):
+                    lhs = thetas[n].expr.eval(x)
                     rhs = planes[n].rf.eval(z)
                     yield None if lhs == rhs else {
                         "function_index": gi,
                         "unit_index": ui,
                         "order": n,
-                        "z": [str(z[0]), str(z[1])],
+                        "z": [frac_to_str(c) for c in z],
                         "global": repr(lhs),
                         "slice": repr(rhs),
                     }
@@ -257,11 +256,12 @@ def representation_trials(
     sig: AlgebraSignature,
     seed: int,
     n_stems: int,
+    n_units: int,
     n_triples: int,
 ) -> Iterator[Optional[dict]]:
     """Slice functions satisfy the two-slice reconstruction formula exactly."""
     rng = rng_for(seed, f"representation:{_sig_label(sig)}")
-    units = sample_units(sig, seed, max(8, n_triples // 8))
+    units = sample_units(sig, seed, n_units)
     domain = default_domain()
     for si in range(n_stems):
         stem = rand_stem(rng, sig, max_degree=4)
@@ -272,7 +272,7 @@ def representation_trials(
             z = rand_plane_point(rng)
             predicted = representation_eval(pf, unit_h, unit_k, z)
             actual = pf.eval_coords(phi_coords(unit_k, *z))
-            witness = {"stem_index": si, "z": [str(z[0]), str(z[1])]}
+            witness = {"stem_index": si, "z": [frac_to_str(c) for c in z]}
             yield None if predicted == actual else witness
 
 
@@ -341,12 +341,12 @@ def decomposition_roundtrip_trials(
         ok = ok and all(c.dbar().is_zero() for c in components)
         pf = SliceFunction(domain, total).to_point_function()
         for unit, pxbar in zip(units, plane_xbar):
-            ok = ok and dbar_slice(pf, unit, n).is_zero()
+            levels = restrict_to_slice(pf, unit).dbar_chain(n)
+            ok = ok and levels[n].is_zero()
             # each part restricted once per unit; levels start at 1, so parts[0] never enters
             restricted = {
                 h: restrict_slice_function(parts[h], unit).rf for h in range(1, n)
             }
-            levels = restrict_slice_function(total, unit).dbar_chain(n - 1)
             for level in range(1, n):
                 total_rhs = None
                 for h in range(level, n):
@@ -448,7 +448,7 @@ def _check_counterexamples(config: CampaignConfig) -> dict:
     witness = None
     for check_id, (passed, details) in report.items():
         if not passed:
-            witness = {"check": check_id, **{k: str(v) for k, v in details.items()}}
+            witness = {"check": check_id, **details}
             break
     inputs = {"seed": config.seed, "units": config.unit_samples}
     return _entry("counterexamples", inputs, detail, witness)
@@ -479,7 +479,10 @@ CHECKS: dict[str, Callable[[CampaignConfig], dict]] = {
     "representation": lambda c: _per_signature(
         c,
         "representation",
-        (representation_trials, dict(n_stems=_budget(c, 2, 24), n_triples=24)),
+        (
+            representation_trials,
+            dict(n_stems=_budget(c, 2, 24), n_units=_units(c, 8), n_triples=24),
+        ),
     ),
     "regularity-equivalences": lambda c: _per_signature(
         c,

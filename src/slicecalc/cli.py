@@ -168,7 +168,7 @@ def cmd_classify(args) -> int:
         "signature": signature_to_json(g.signature),
         "sbs_order": report_obj.sbs_polyanalytic_order,
         "is_slice": report_obj.is_slice,
-        "global_order": report_obj.global_order,
+        "global_order": len(report_obj.components) if report_obj.components else None,
         "evidence": {k: str(v) for k, v in report_obj.evidence.items()},
     }
     if report_obj.slice_witness is not None:

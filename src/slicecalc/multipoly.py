@@ -256,11 +256,6 @@ class CoordPoly:
             return _int_map(((self, lambda e: (e, n)),), self.var_count, other.denominator)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
     def _require_coeff(self, coeff: AlgebraElement) -> None:
         if coeff.signature != self.signature:
             raise SignatureMismatchError("coefficient signature mismatch")
@@ -624,9 +619,6 @@ class RationalFn:
         if isinstance(other, (int, Fraction)):
             return RationalFn._make(self.numer * other, self.den_factors)
         return NotImplemented
-
-    def scale_left(self, coeff: AlgebraElement) -> "RationalFn":
-        return RationalFn._make(self.numer.scale_left(coeff), self.den_factors)
 
     def mul_poly_left(self, poly: CoordPoly) -> "RationalFn":
         return RationalFn._make(poly * self.numer, self.den_factors)

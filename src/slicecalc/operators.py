@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import islice
 
-from .algebra import AlgebraElement, AlgebraSignature, ImaginaryUnit
+from .algebra import AlgebraSignature, ImaginaryUnit
 from .multipoly import (
     CoordPoly,
     RationalFn,
@@ -64,11 +64,7 @@ class SlicePlanePoly:
 
 def plane_x(signature: AlgebraSignature, unit: ImaginaryUnit) -> CoordPoly:
     """Slice inclusion alpha + I beta in the plane; -unit gives alpha - I beta."""
-    return CoordPoly(
-        signature,
-        2,
-        {(1, 0): AlgebraElement.one(signature), (0, 1): unit.value},
-    )
+    return StemFunction.z(signature).plane_poly(unit)
 
 
 def restrict_to_slice(g: PointFunction, unit: ImaginaryUnit) -> SlicePlanePoly:

@@ -22,6 +22,7 @@ from .errors import NotPolyanalyticOfOrderError
 from .multipoly import CoordPoly, RationalFn, _iterates
 from .named import jump_example, left_multiplied_coordinate, rotation_twisted_coordinate
 from .operators import SlicePlanePoly, plane_x, restrict_to_slice
+from .serialize import frac_to_str
 from .slicefn import (
     PointFunction,
     SliceFunction,
@@ -105,7 +106,6 @@ class ClassificationReport:
     sbs_polyanalytic_order: Optional[int]
     is_slice: bool
     slice_witness: Optional[SliceWitness]
-    global_order: Optional[int]
     components: Optional[tuple[StemFunction, ...]]
     evidence: dict = field(default_factory=dict)
 
@@ -145,7 +145,6 @@ def classify(
     if worst is not None:
         sbs_order = worst
 
-    global_order: Optional[int] = None
     components: Optional[tuple[StemFunction, ...]] = None
     try:
         stem = extract_stem_exact(g, units[0])
@@ -157,17 +156,14 @@ def classify(
         evidence["stem_reproduces_input"] = slice_ok
         witness = None if slice_ok else is_slice(g, units, points)[1]
         if slice_ok:
-            order = poly_order(stem)
-            if order <= max_order:
-                components = decompose(stem, order)
-                global_order = len(components)
-            else:
-                evidence["global_order_exceeds_max"] = order
+            try:
+                components = decompose(stem, max_order)
+            except NotPolyanalyticOfOrderError:
+                evidence["global_order_exceeds_max"] = poly_order(stem)
     return ClassificationReport(
         sbs_polyanalytic_order=sbs_order,
         is_slice=slice_ok,
         slice_witness=witness,
-        global_order=global_order,
         components=components,
         evidence=evidence,
     )
@@ -277,14 +273,14 @@ def _suite_checks(
         not verdict.is_slice and expected_pair,
         {
             **_witness_pair(witness),
-            "witness_z": [str(witness.z[0]), str(witness.z[1])] if witness else None,
+            "witness_z": [frac_to_str(c) for c in witness.z] if witness else None,
         },
     )
 
     # (3) the candidate stem from the first slice does not reproduce v: not global
     checks["extraction-not-global"] = (
         verdict.evidence.get("stem_reproduces_input") is False
-        and verdict.global_order is None,
+        and verdict.components is None,
         {
             "predicted": repr(witness.predicted) if witness else None,
             "actual": repr(witness.actual) if witness else None,

@@ -180,7 +180,7 @@ def extract_stem(
     minus = restrict_rf(g.expr, tuple(-c for c in comps))
     half = Fraction(1, 2)
     f1 = (plus + minus) * half
-    f2 = (plus - minus).scale_left(unit.value * Fraction(-1, 2))
+    f2 = (plus - minus).mul_poly_left(CoordPoly.constant(g.signature, 2, unit.value * -half))
     return f1, f2
 
 

@@ -44,7 +44,8 @@ def radial_by_partials(rf: RationalFn) -> RationalFn:
 def plane_dbar_by_partials(plane) -> RationalFn:
     """(d/da + I d/db)/2 as two partials, a left scaling by I, a sum and a halving."""
     rf = plane.rf
-    return (rf.partial(0) + rf.partial(1).scale_left(plane.unit.value)) * Fraction(1, 2)
+    unit = CoordPoly.constant(rf.signature, 2, plane.unit.value)
+    return (rf.partial(0) + rf.partial(1).mul_poly_left(unit)) * Fraction(1, 2)
 
 
 def stem_dbar_by_partials(stem: StemFunction) -> StemFunction:
@@ -91,7 +92,7 @@ def _central(f, point: Sequence[Fraction], index: int, step: Fraction) -> Algebr
     down = list(point)
     up[index] += step
     down[index] -= step
-    return (f(up) - f(down)) / (2 * step)
+    return (f(up) - f(down)) * (1 / (2 * step))
 
 
 def _fd_parts(
@@ -115,7 +116,7 @@ def fd_thetabar(
     g: PointFunction, coords: Sequence[float], step: float = 1e-5
 ) -> dict[int, float]:
     s, d0, im_radial = _fd_parts(g, coords, step)
-    return element_to_float((d0 + im_radial / s) / 2)
+    return element_to_float((d0 + im_radial * (1 / s)) * Fraction(1, 2))
 
 
 def fd_g_op(
@@ -142,7 +143,7 @@ def fd_dbar_slice(
 
     d_alpha = _central(at, point, 0, step)
     d_beta = _central(at, point, 1, step)
-    return element_to_float((d_alpha + unit.value * d_beta) / 2)
+    return element_to_float((d_alpha + unit.value * d_beta) * Fraction(1, 2))
 
 
 def float_agrees(

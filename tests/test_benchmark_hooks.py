@@ -18,3 +18,16 @@ def test_every_traced_layer_function_resolves(monkeypatch):
     assert table
     missing = [name for name, keys in table.items() if None in keys]
     assert missing == []
+
+
+def test_every_check_has_its_own_timing_key(monkeypatch):
+    # campaign.<id>.wall_s is keyed by the code object of the check's table value,
+    # so checks sharing one function would all read the same time
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import tracing
+    from slicecalc.campaign import CHECKS
+
+    table = tracing.layer_functions()
+    keys = [tuple(keys) for name, keys in table.items() if name.startswith("campaign.")]
+    assert len(keys) == len(CHECKS)
+    assert len(set(keys)) == len(keys)

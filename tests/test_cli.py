@@ -243,6 +243,25 @@ def test_verify_with_one_unit_raises_the_unit_count_to_two(tmp_path, capsys):
     assert all(check["passed"] for check in report["checks"])
 
 
+def test_verify_units_sizes_the_representation_check(tmp_path, capsys, monkeypatch):
+    from slicecalc import campaign
+
+    sample_units = campaign.sample_units
+    sizes = []
+
+    def recorded(sig, seed, count):
+        sizes.append(count)
+        return sample_units(sig, seed, count)
+
+    monkeypatch.setattr(campaign, "sample_units", recorded)
+    out = tmp_path / "report.json"
+    args = ["verify", "--seed", "0", "--units", "3", "--points", "1", "--select", "representation"]
+    code, _, _ = run_cli([*args, "--json", str(out)], capsys)
+    assert code == 0
+    # one pool per signature, of --units units
+    assert sizes == [3, 3]
+
+
 def test_verify_rejects_more_units_than_the_chart_reaches(capsys):
     # the counterexample suite samples --units quaternion units, and the chart reaches 127^2
     code, out, err = run_cli(["verify", "--units", "16130", "--select", "counterexamples"], capsys)

@@ -11,6 +11,7 @@ numerators, no zero numerator is stored, and ``==`` and ``hash`` agree with a
 value built through the public constructor.
 """
 
+import re
 from fractions import Fraction
 from itertools import count
 from math import gcd, lcm, perm
@@ -24,11 +25,13 @@ import slicecalc.campaign
 import slicecalc.multipoly
 from slicecalc.algebra import QUATERNION, AlgebraElement, clifford, sample_units
 from slicecalc.campaign import (
+    CampaignConfig,
     decomposition_roundtrip_trials,
     g_relation_trials,
     leibniz_trials,
     regularity_equivalence_trials,
     representation_trials,
+    run_campaign,
     slice_derivative_trials,
     slice_global_trials,
     taylor_independence_trials,
@@ -356,8 +359,7 @@ def poly_scalars(draw):
 @given(poly_scalars())
 def test_scalar_scaling_matches_the_fraction_reference(case):
     p, q = case
-    for value in (p * q, q * p):
-        assert_canonical_poly(value, ref_scale(p, q))
+    assert_canonical_poly(p * q, ref_scale(p, q))
     for e, c in p.terms.items():
         assert_canonical_element(c * q, ref_scale(p, q).terms.get(e, AlgebraElement.zero(p.signature)))
 
@@ -689,7 +691,7 @@ FORCED_FAILURES = {
     "representation": (
         "representation_eval",
         lambda rep: lambda g, h, k, z: rep(g, h, k, (z[0], z[1] * (1 + (z[0] > 0)))),
-        lambda sig: representation_trials(sig, 5, n_stems=2, n_triples=3),
+        lambda sig: representation_trials(sig, 5, n_stems=2, n_units=8, n_triples=3),
     ),
     "regularity": (
         "thetabar",
@@ -749,3 +751,48 @@ def test_forced_failures_keep_their_counts_and_first_witness(case, kind, monkeyp
     monkeypatch.setattr(slicecalc.campaign, name, wrap(getattr(slicecalc.campaign, name)))
     sig = H if kind == "quaternion" else CL3
     assert run(sig) == FORCED_OUTCOMES[case, kind]
+
+
+P_OVER_Q = "[+-]?[0-9]+/[0-9]+"
+
+# For the cases whose witnesses carry z: a wrapper of the same name that fails
+# exactly the trials at alpha = 0, and a run that draws such a point, so the
+# first witness has an integer coordinate.
+AT_ALPHA_ZERO = {
+    "slice-global": (
+        lambda phi: lambda unit, a, b: phi(unit, a, b * (1 + (a == 0))),
+        lambda sig: slice_global_trials(sig, 3, n_funcs=1, n_units=2, n_points=6, n_rational=1),
+    ),
+    "representation": (
+        lambda rep: lambda g, h, k, z: rep(g, h, k, (z[0], z[1] * (1 + (z[0] == 0)))),
+        lambda sig: representation_trials(sig, 5, n_stems=2, n_units=2, n_triples=12),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AT_ALPHA_ZERO))
+@pytest.mark.parametrize("sig", (QUATERNION, CL3), ids=lambda s: f"{s.kind}{s.m}")
+def test_forced_witnesses_write_z_as_p_over_q(case, sig, monkeypatch):
+    name = FORCED_FAILURES[case][0]
+    original = getattr(slicecalc.campaign, name)
+    for wrap, run in (FORCED_FAILURES[case][1:], AT_ALPHA_ZERO[case]):
+        monkeypatch.setattr(slicecalc.campaign, name, wrap(original))
+        _, failures, witness = run(sig)
+        assert failures and all(re.fullmatch(P_OVER_Q, c) for c in witness["z"])
+    assert witness["z"][0] == "0/1"
+
+
+def test_a_counterexamples_witness_keeps_its_details_as_json_values(monkeypatch):
+    suite = slicecalc.campaign.counterexample_suite
+
+    def not_slice_fails(*args, **kwargs):
+        report = suite(*args, **kwargs)
+        report["not-slice"] = (False, report["not-slice"][1])
+        return report
+
+    monkeypatch.setattr(slicecalc.campaign, "counterexample_suite", not_slice_fails)
+    report = run_campaign(CampaignConfig(unit_samples=2, select=("counterexamples",)))
+    witness = report["checks"][0]["witness"]
+    assert witness["check"] == "not-slice"
+    # the suite's first point is (0, 1)
+    assert witness["witness_z"] == ["0/1", "1/1"]

@@ -157,6 +157,11 @@ def test_not_polyanalytic_residual_is_a_stem_or_none():
     assert err.value.residual is None
 
 
+def _global_order(rep):
+    """The global order a report gives: its number of components, None without them."""
+    return len(rep.components) if rep.components else None
+
+
 def _classify(g):
     rng = rng_for(7, "classify-points")
     points = [rand_plane_point(rng) for _ in range(5)]
@@ -165,12 +170,12 @@ def _classify(g):
 
 def test_classify_coordinate_function():
     rep = _classify(coordinate_function(H).to_point_function())
-    assert (rep.sbs_polyanalytic_order, rep.is_slice, rep.global_order) == (1, True, 1)
+    assert (rep.sbs_polyanalytic_order, rep.is_slice, _global_order(rep)) == (1, True, 1)
 
 
 def test_classify_twisted_coordinate():
     rep = _classify(rotation_twisted_coordinate(H))
-    assert (rep.sbs_polyanalytic_order, rep.is_slice, rep.global_order) == (2, False, None)
+    assert (rep.sbs_polyanalytic_order, rep.is_slice, _global_order(rep)) == (2, False, None)
     assert rep.slice_witness is not None
     assert rep.slice_witness.unit_h.value == I_U.value
     assert rep.slice_witness.unit_k.value == J_U.value
@@ -191,7 +196,7 @@ def test_classify_rejects_x_plus_a_product_vanishing_on_the_sampled_slices():
     rng = rng_for(7, "classify-points")
     points = [rand_plane_point(rng, DOM) for _ in range(8)]
     rep = classify(g, 4, units, points)
-    assert (rep.sbs_polyanalytic_order, rep.is_slice, rep.global_order) == (1, False, None)
+    assert (rep.sbs_polyanalytic_order, rep.is_slice, _global_order(rep)) == (1, False, None)
     assert rep.evidence == {"stem_reproduces_input": False}
     assert rep.components is None
 
@@ -199,10 +204,26 @@ def test_classify_rejects_x_plus_a_product_vanishing_on_the_sampled_slices():
 def test_classify_conjugate_square():
     pf = slice_of(ZBAR_POWERS[2]).to_point_function()
     rep = _classify(pf)
-    assert (rep.sbs_polyanalytic_order, rep.is_slice, rep.global_order) == (3, True, 3)
+    assert (rep.sbs_polyanalytic_order, rep.is_slice, _global_order(rep)) == (3, True, 3)
     comps = rep.components
     assert comps[0].is_zero() and comps[1].is_zero()
     assert comps[2] == StemFunction.one(H)
+
+
+def test_classify_reports_a_global_order_over_the_bound():
+    # xbar^3 has global order 4; at max_order 2 it is slice with no components
+    pf = slice_of(ZBAR_POWERS[3]).to_point_function()
+    units = sample_units(H, 0, 3)
+    points = [(Fraction(0), Fraction(1))]
+    rep = classify(pf, 2, units, points)
+    assert (rep.sbs_polyanalytic_order, rep.is_slice, rep.components) == (None, True, None)
+    assert rep.evidence == {
+        "sbs_blocking_unit": "1*i",
+        "stem_reproduces_input": True,
+        "global_order_exceeds_max": 4,
+    }
+    rep = classify(pf, 4, units, points)
+    assert rep.components == (StemFunction.zero(H),) * 3 + (StemFunction.one(H),)
 
 
 def test_classify_order_cap():
@@ -279,7 +300,6 @@ def test_suite_reads_the_classify_verdicts(monkeypatch):
             sbs_polyanalytic_order=max_order,
             is_slice=True,
             slice_witness=None,
-            global_order=max_order,
             components=None,
             evidence={"stem_reproduces_input": True},
         )
@@ -298,7 +318,7 @@ def test_suite_reads_the_classify_verdicts(monkeypatch):
     def order_one_but_global(g, max_order, units, points):
         verdict = classify(g, max_order, units, points)
         verdict.sbs_polyanalytic_order = 1
-        verdict.global_order = 2
+        verdict.components = (StemFunction.one(g.signature),) * 2
         return verdict
 
     monkeypatch.setattr(polyanalytic, "classify", order_one_but_global)

@@ -15,13 +15,28 @@ the ``(module, "Dotted.name")`` pairs that ``tracing.layer_functions`` looks up.
 A public name the program never reaches is used only by the tests, or by
 nothing, and fails here.  So does a public field of a package dataclass that no
 reached body reads as an attribute: the program fills it and never looks at it.
+
+Operator overloads (``__add__``, ``__mul__``, ``__eq__`` and the like) are called
+through operator syntax, which the parse cannot tie to a class, so they are
+checked at run time: ``cli.main`` runs a small ``verify``, ``classify`` on every
+builtin and ``decompose`` under ``sys.setprofile``, and an overload that a
+package class defines and that run never calls fails.
 """
 
 import ast
+import contextlib
 import copy
+import importlib
+import io
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
+
+from slicecalc import algebra, cli, multipoly
+from slicecalc.named import BUILTINS
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = {p.stem: ast.parse(p.read_text()) for p in (ROOT / "src" / "slicecalc").glob("*.py")}
@@ -246,6 +261,71 @@ def test_an_unread_dataclass_field_fails():
     program = Program(modules)
     program.run()
     assert program.unread_fields() == ["polyanalytic.ClassificationReport.probe"]
+
+
+OPERATORS = ("__add__", "__sub__", "__neg__", "__mul__", "__rmul__", "__truediv__", "__pow__", "__eq__")
+
+# Small runs of every command; together they call each operator the program uses.
+PROGRAM_RUNS = [
+    ["verify", "--seed", "0", "--units", "2", "--points", "1", "--max-order", "2"],
+    *(["classify", "--input", name] for name in BUILTINS),
+    *(["decompose", "--order", "2", "--input", name] for name in ("x", "xbar")),
+]
+
+
+@pytest.fixture(scope="module")
+def called_codes():
+    """The code objects of every Python function the program runs call."""
+    called = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(record)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            codes = [cli.main(argv) for argv in PROGRAM_RUNS]
+    finally:
+        sys.setprofile(previous)
+    assert codes == [0] * len(PROGRAM_RUNS)
+    return called
+
+
+def uncalled_operators(called) -> list[str]:
+    """The operator overloads that package classes define and ``called`` lacks."""
+    out = []
+    for mod in sorted(MODULES.keys() - {"__main__"}):
+        module = importlib.import_module(f"{PACKAGE}.{mod}")
+        for cls in vars(module).values():
+            if not (isinstance(cls, type) and cls.__module__ == module.__name__):
+                continue
+            for op in OPERATORS:
+                code = getattr(cls.__dict__.get(op), "__code__", None)
+                # dataclass-made methods are compiled from a string, not written in the package
+                if code is not None and code.co_filename != "<string>" and code not in called:
+                    out.append(f"{mod}.{cls.__name__}.{op}")
+    return sorted(out)
+
+
+def test_every_operator_overload_is_called_by_the_program(called_codes):
+    assert uncalled_operators(called_codes) == []
+
+
+def test_an_operator_overload_only_the_tests_call_fails(called_codes, monkeypatch):
+    def truediv(self, other):
+        return self * Fraction(1, other)
+
+    def rmul(self, other):
+        return self * other
+
+    monkeypatch.setattr(algebra.AlgebraElement, "__truediv__", truediv, raising=False)
+    monkeypatch.setattr(multipoly.CoordPoly, "__rmul__", rmul, raising=False)
+    assert uncalled_operators(called_codes) == [
+        "algebra.AlgebraElement.__truediv__",
+        "multipoly.CoordPoly.__rmul__",
+    ]
 
 
 def test_importing_the_package_loads_no_module(child_env):
