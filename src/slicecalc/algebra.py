@@ -6,8 +6,8 @@ of a floating-point comparison.  An element stores one Python ``int``
 numerator per blade over one positive common denominator, in lowest terms, so
 sums and products add up integers (``_int_product`` is shared with the
 polynomial product).  ``Fraction`` is the API-edge type: constructors take
-rationals, and ``coeffs``, ``coeff()`` and ``scalar_part()`` give normalized
-``Fraction``s.  Quaternions are stored on the two-generator blade basis
+rationals, and ``coeffs`` and ``coeff()`` give normalized ``Fraction``s.
+Quaternions are stored on the two-generator blade basis
 (i, j, k = e1, e2, e1e2), which makes the classical multiplication table a
 special case of the general blade product.
 """
@@ -234,9 +234,6 @@ class AlgebraElement:
     def is_zero(self) -> bool:
         return not self.nums
 
-    def scalar_part(self) -> Fraction:
-        return self.coeff(0)
-
     # -- arithmetic --------------------------------------------------------
 
     def _require_same(self, other: "AlgebraElement") -> None:
@@ -330,9 +327,6 @@ class ImaginaryUnit:
         if not isinstance(other, ImaginaryUnit):
             return NotImplemented
         return self.value == other.value
-
-    def __hash__(self):
-        return hash(("unit", self.value))
 
     def __repr__(self):
         return f"Unit({self.value!r})"

@@ -21,7 +21,10 @@ per term (``_int_map``).  The plane operator (d/dalpha + I d/dbeta)/2
 (``plane_dbar``) is one pass as well.  Rational functions multiply a
 numerator only by a cofactor that is not 1 when they add.  Point evaluation
 puts the point over a common denominator and homogenizes every term to the
-total degree, so the value is one integer row over one denominator.
+total degree, so a polynomial's value is one integer row over one
+denominator; a rational function's value is its numerator's integer row
+scaled by its factors' integer values at the same integer point, with one
+``AlgebraElement`` built per call.
 """
 
 from __future__ import annotations
@@ -50,6 +53,15 @@ from .errors import (
 )
 
 Exponents = tuple[int, ...]
+
+
+def _point_over_common_den(
+    point: Sequence[RationalLike], var_count: int
+) -> tuple[list[int], int]:
+    """``point``'s integer coordinates over their least common denominator."""
+    if len(point) != var_count:
+        raise ArityMismatchError(f"point arity {len(point)} != var count {var_count}")
+    return _over_common_den(point)
 
 
 def _iterates(step, value) -> Iterator:
@@ -308,17 +320,18 @@ class CoordPoly:
         return _int_map(((self, lambda e: (e, sum(e) - e[0])),), self.var_count)
 
     def eval(self, point: Sequence[RationalLike]) -> AlgebraElement:
-        """The value at ``point``, added up in integers over one denominator.
+        """The value at ``point``, added up in integers over one denominator."""
+        return AlgebraElement._make(
+            self.signature, *self._eval_int(*_point_over_common_den(point, self.var_count))
+        )
 
-        With the point over a common denominator d (integer numerators a_i)
-        and D the total degree, the term with exponents e and numerators N
-        contributes N prod(a_i^e_i) d^(D - |e|) over den d^D.
+    def _eval_int(self, coords: Sequence[int], d: int) -> tuple[dict[int, int], int]:
+        """The value at the point ``coords`` / ``d`` as (numerators per blade, denominator).
+
+        With D the total degree, the term with exponents e and numerators N
+        contributes N prod(a_i^e_i) d^(D - |e|) over den d^D.  Not canonical:
+        ``AlgebraElement._make`` reduces it.
         """
-        if len(point) != self.var_count:
-            raise ArityMismatchError(
-                f"point arity {len(point)} != var count {self.var_count}"
-            )
-        coords, d = _over_common_den(point)
         degree, gaps = self._degree_gaps()
         d_pows = [d**k for k in range(degree + 1)]
         acc: dict[int, int] = {}
@@ -326,7 +339,7 @@ class CoordPoly:
             scalar = prod(map(pow, coords, e), start=d_pows[gap])
             if scalar:
                 _add_scaled(acc, nums, scalar)
-        return AlgebraElement._make(self.signature, acc, self.den * d_pows[degree])
+        return acc, self.den * d_pows[degree]
 
     def _degree_gaps(self) -> tuple[int, list[int]]:
         """(D, [D - |e| for each row in order]), D the total degree (0 for zero).
@@ -659,16 +672,24 @@ class RationalFn:
     # -- evaluation --------------------------------------------------------------------
 
     def eval(self, point: Sequence[RationalLike]) -> AlgebraElement:
-        pt = [Fraction(p) for p in point]
-        den = Fraction(1)
+        """The value at ``point`` in one integer pass.
+
+        A factor F^k whose value at the point's integer coordinates is v / w
+        multiplies the numerator's integer row by w^k and its denominator by v^k.
+        """
+        coords, d = _point_over_common_den(point, self.var_count)
+        scale = divisor = 1
         for p, k in self.den_factors:
-            v = p.eval(pt).scalar_part()
+            row, p_den = p._eval_int(coords, d)
+            v = row.get(0)
             if not v:
-                raise DenominatorVanishesError(pt)
-            den *= v**k
-        value = self.numer.eval(pt)
-        nums = {m: n * den.denominator for m, n in value.nums.items()}
-        return AlgebraElement._make(self.signature, nums, value.den * den.numerator)
+                raise DenominatorVanishesError(Fraction(a, d) for a in coords)
+            scale *= p_den**k
+            divisor *= v**k
+        nums, den = self.numer._eval_int(coords, d)
+        if scale != 1:
+            nums = {m: n * scale for m, n in nums.items()}
+        return AlgebraElement._make(self.signature, nums, den * divisor)
 
     # -- comparisons -----------------------------------------------------------------------
 

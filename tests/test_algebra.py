@@ -74,7 +74,7 @@ def test_conj_re_im_norm():
     assert coord_s(H).eval(coords(I + J)) == AlgebraElement.scalar(H, 2)
     y = q(3, 0, 0, 4)
     assert conj(y) * y == AlgebraElement.scalar(H, 25)
-    assert coord_x(H).eval(coords(y)).scalar_part() == 3
+    assert coord_x(H).eval(coords(y)).coeff(0) == 3
     assert coord_im(H).eval(coords(y)) == K * 4
     x = (1, 2, 0, -1)
     assert (coord_x(CL3) * coord_xbar(CL3)).eval(x) == AlgebraElement.scalar(CL3, 6)
@@ -163,7 +163,7 @@ def test_sample_units_contract():
     minus_one = AlgebraElement.scalar(H, -1)
     for u in units:
         assert u.value * u.value == minus_one
-        assert u.value.scalar_part() == 0
+        assert u.value.coeff(0) == 0
         assert sum(c * c for c in u.components()) == 1
     assert sample_units(H, 5, 40) == units  # deterministic
     assert sample_units(H, 6, 40) != units  # seed-sensitive

@@ -36,7 +36,7 @@ from slicecalc.campaign import (
     slice_global_trials,
     taylor_independence_trials,
 )
-from slicecalc.errors import DenominatorVanishesError
+from slicecalc.errors import ArityMismatchError, DenominatorVanishesError
 from slicecalc.multipoly import CoordPoly, RationalFn, coord_x, coord_xbar, restrict_poly
 from slicecalc.slicefn import PointFunction
 from slicecalc.stem import StemFunction
@@ -93,7 +93,7 @@ def ref_eval(p, point):
 def ref_rf_eval(rf, point):
     den = Fraction(1)
     for p, k in rf.den_factors:
-        den *= ref_eval(p, point).scalar_part() ** k
+        den *= ref_eval(p, point).coeff(0) ** k
     if not den:
         raise ZeroDivisionError("denominator vanishes")
     value = ref_eval(rf.numer, point)
@@ -170,7 +170,7 @@ def _real_part(poly):
     return CoordPoly(
         poly.signature,
         poly.var_count,
-        {e: AlgebraElement.scalar(poly.signature, c.scalar_part()) for e, c in poly.terms.items()},
+        {e: AlgebraElement.scalar(poly.signature, c.coeff(0)) for e, c in poly.terms.items()},
     )
 
 
@@ -284,6 +284,39 @@ def test_eval_at_zero_negative_and_float_coordinates(sig):
     rf = RationalFn(poly, [(x[0] + CoordPoly.constant(sig, n, 2), 1)])
     point = [-3] + [Fraction(1, 2)] * (n - 1)
     assert_canonical_element(rf.eval(point), ref_rf_eval(rf, point))
+
+
+@pytest.mark.parametrize("sig", SIGNATURES, ids=lambda s: f"{s.kind}{s.m}")
+def test_eval_rejects_a_point_of_the_wrong_arity(sig):
+    n = sig.coord_count
+    x = [CoordPoly.variable(sig, n, h) for h in range(n)]
+    s = sum((xh * xh for xh in x[1:]), CoordPoly.zero(sig, n))
+    for f in (x[0], RationalFn.from_poly(x[0]), RationalFn(x[0], [(s, 1), (x[1], 2)])):
+        for point in ([1] * (n - 1), [Fraction(1, 2)] * (n + 1), []):
+            message = re.escape(f"point arity {len(point)} != var count {n}")
+            with pytest.raises(ArityMismatchError, match=message):
+                f.eval(point)
+
+
+@pytest.mark.parametrize("sig", SIGNATURES, ids=lambda s: f"{s.kind}{s.m}")
+def test_a_vanishing_denominator_reports_the_point_as_fractions(sig):
+    n = sig.coord_count
+    x = [CoordPoly.variable(sig, n, h) for h in range(n)]
+    s = sum((xh * xh for xh in x[1:]), CoordPoly.zero(sig, n))
+    quarter = CoordPoly.constant(sig, n, Fraction(1, 4))
+    one = CoordPoly.constant(sig, n, 1)
+    # 4s - 1 vanishes on |Im x| = 1/2; the first factor does not vanish there
+    rf = RationalFn(x[0] * x[1], [(x[0] * x[0] + one, 1), (s - quarter, 2)])
+    for point in (
+        [3, 0] + [0] * (n - 3) + [Fraction(1, 2)],
+        [Fraction(-2, 3), Fraction(1, 2)] + [Fraction(0)] * (n - 2),
+        [0.75, -0.5] + [0.0] * (n - 2),
+        [-1, Fraction(0), 0.5] + [0] * (n - 3),
+    ):
+        with pytest.raises(DenominatorVanishesError) as info:
+            rf.eval(point)
+        assert info.value.point == tuple(Fraction(c) for c in point)
+        assert all(type(c) is Fraction for c in info.value.point)
 
 
 # -- scalar paths -------------------------------------------------------------------
@@ -402,8 +435,9 @@ def restrictions(draw):
     p = draw(polys(sig, sig.coord_count))
     n = sig.imag_dim
     if draw(st.booleans()):
-        unit = draw(st.sampled_from(sample_units(sig, draw(st.integers(0, 3)), n + 3)))
-        return p, unit.components()
+        # drawn by index: st.sampled_from hashes its elements, and units have no hash
+        units = sample_units(sig, draw(st.integers(0, 3)), n + 3)
+        return p, units[draw(st.integers(0, len(units) - 1))].components()
     comps = st.one_of(fracs, st.just(Fraction(0)), st.integers(min_value=-3, max_value=3))
     return p, draw(st.lists(comps, min_size=n, max_size=n))
 
@@ -476,7 +510,7 @@ def test_poly_sum_and_difference_match_the_fraction_reference(pair):
 
 def ref_split(p):
     """(primitive, content) of a real-scalar polynomial, over ``Fraction``s."""
-    coeffs = {e: c.scalar_part() for e, c in p.terms.items()}
+    coeffs = {e: c.coeff(0) for e, c in p.terms.items()}
     den = lcm(*[c.denominator for c in coeffs.values()])
     content = Fraction(gcd(*[int(c * den) for c in coeffs.values()]), den)
     if coeffs[max(coeffs, key=lambda e: (sum(e), e))] < 0:
@@ -505,7 +539,7 @@ def test_rational_constructor_splits_content_like_the_fraction_reference(case):
     expected = {}
     for p, k in factors:
         primitive, content = ref_split(p)
-        coeffs = [c.scalar_part() for c in primitive.terms.values()]
+        coeffs = [c.coeff(0) for c in primitive.terms.values()]
         assert all(c.denominator == 1 for c in coeffs) and gcd(*map(int, coeffs)) == 1
         scale /= content**k
         if primitive.total_degree() > 0:

@@ -16,8 +16,9 @@ A public name the program never reaches is used only by the tests, or by
 nothing, and fails here.  So does a public field of a package dataclass that no
 reached body reads as an attribute: the program fills it and never looks at it.
 
-Operator overloads (``__add__``, ``__mul__``, ``__eq__`` and the like) are called
-through operator syntax, which the parse cannot tie to a class, so they are
+Operator overloads (``__add__``, ``__mul__``, ``__eq__`` and the like) and
+``__hash__`` are called through operator syntax or by sets and dicts, which the
+parse cannot tie to a class, so they are
 checked at run time: ``cli.main`` runs a small ``verify``, ``classify`` on every
 builtin and ``decompose`` under ``sys.setprofile``, and an overload that a
 package class defines and that run never calls fails.
@@ -263,7 +264,10 @@ def test_an_unread_dataclass_field_fails():
     assert program.unread_fields() == ["polyanalytic.ClassificationReport.probe"]
 
 
-OPERATORS = ("__add__", "__sub__", "__neg__", "__mul__", "__rmul__", "__truediv__", "__pow__", "__eq__")
+OPERATORS = (
+    "__add__", "__sub__", "__neg__", "__mul__", "__rmul__", "__truediv__", "__pow__", "__eq__",
+    "__hash__",
+)
 
 # Small runs of every command; together they call each operator the program uses.
 PROGRAM_RUNS = [
