@@ -441,9 +441,13 @@ def _budget(config: CampaignConfig, floor: int, per: int) -> int:
 
 
 def _check_counterexamples(config: CampaignConfig) -> dict:
-    report = counterexample_suite(
-        QUATERNION, seed=config.seed, unit_count=max(2, config.unit_samples)
-    )
+    """The suite on the quaternions, then (6): the same checks pass under Cl(0,3)."""
+    units = max(2, config.unit_samples)
+    quaternion, analogue = SIGNATURES
+    report = counterexample_suite(quaternion, seed=config.seed, unit_count=units)
+    nested = counterexample_suite(analogue, seed=config.seed, unit_count=min(units, 32))
+    verdicts = {check_id: passed for check_id, (passed, _) in nested.items()}
+    report["clifford-analogue"] = (all(verdicts.values()), verdicts)
     detail = {check_id: passed for check_id, (passed, _) in report.items()}
     witness = None
     for check_id, (passed, details) in report.items():

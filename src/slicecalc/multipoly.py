@@ -4,9 +4,10 @@ Variables are real-valued and central (they commute with everything); the
 noncommutative coefficients sit on the left of each monomial, so a product of
 terms multiplies coefficients in order.  Rational functions keep a polynomial
 numerator over a real-scalar denominator stored in factored form: one
-quotient rule raises by one only the factors F whose derivative is no multiple
-cF, and exact division by known factors (``_cancel``) lowers an exponent again
-wherever a factor divides the numerator, so no general gcd is needed.
+quotient rule raises by one only the factors F that do not divide their
+derivative, and exact division by known factors (``_divide_exact``, and
+``_cancel`` over it) lowers an exponent again wherever a factor divides the
+numerator, so no general gcd is needed.
 
 A polynomial stores, per monomial, one Python ``int`` numerator per blade,
 all over one positive denominator in lowest terms; ``terms`` gives the
@@ -644,24 +645,22 @@ class RationalFn:
         ``d`` obeys d(QN) = d(Q) N + Q d(N) for real-scalar Q; d(F) of a real factor
         F may have algebra coefficients (the plane operator's does), so it multiplies
         N from the left.  With R the product of the factors raised so far, a
-        factor F^k with dF = cF, c real, keeps its exponent and adds -c k N R to
-        the numerator; any other goes up to F^(k+1): numer <- numer F - k dF N R.
+        factor F^k that divides its derivative, dF = qF, keeps its exponent and
+        adds -k q N R to the numerator, q on the left like dF; any other goes up
+        to F^(k+1): numer <- numer F - k dF N R.
         """
         numer = d(self.numer)
         raised = None
         factors = []
         for p, k in self.den_factors:
             dp = d(p)
-            key = p._leading_key()
-            # c = a / b from the leading terms; dp == cp is tested in integers
-            a, b = dp.rows.get(key, {}).get(0, 0) * p.den, p.rows[key][0] * dp.den
-            if dp * b != p * a:
+            q = _divide_exact(dp, p)
+            if q is None:
                 numer = numer * p - _times((dp * k) * self.numer, raised)
                 raised = _times(p, raised)
                 k += 1
-            elif a:
-                scaled = _int_map(((self.numer, lambda e: (e, a * k)),), self.var_count, b)
-                numer = numer - _times(scaled, raised)
+            elif q.rows:
+                numer = numer - _times((q * k) * self.numer, raised)
             factors.append((p, k))
         return RationalFn._make(numer, tuple(factors))
 

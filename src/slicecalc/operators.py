@@ -48,9 +48,6 @@ class SlicePlanePoly:
         unit = self.unit.value
         return SlicePlanePoly(self.rf.derive(lambda p: p.plane_dbar(unit)), self.unit)
 
-    def dbar_n(self, n: int) -> "SlicePlanePoly":
-        return _apply_n(SlicePlanePoly.dbar, self, n)
-
     def dbar_chain(self, top: int) -> list["SlicePlanePoly"]:
         """[self, dbar self, ..., dbar^top self], each one step from the last."""
         return list(islice(_iterates(SlicePlanePoly.dbar, self), top + 1))
@@ -81,7 +78,7 @@ def dbar_slice(g: PointFunction, unit: ImaginaryUnit, order: int) -> SlicePlaneP
     """The n-th slice Cauchy-Riemann derivative along one slice."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    return restrict_to_slice(g, unit).dbar_n(order)
+    return _apply_n(SlicePlanePoly.dbar, restrict_to_slice(g, unit), order)
 
 
 def _thetabar_once(rf: RationalFn) -> RationalFn:

@@ -17,19 +17,13 @@ from itertools import islice
 from math import factorial, perm
 from typing import Optional, Sequence
 
-from .algebra import AlgebraElement, AlgebraSignature, ImaginaryUnit, clifford, sample_units
+from .algebra import AlgebraElement, AlgebraSignature, ImaginaryUnit, sample_units
 from .errors import NotPolyanalyticOfOrderError
 from .multipoly import CoordPoly, RationalFn, _iterates
 from .named import jump_example, left_multiplied_coordinate, rotation_twisted_coordinate
 from .operators import SlicePlanePoly, plane_x, restrict_to_slice
 from .serialize import frac_to_str
-from .slicefn import (
-    PointFunction,
-    SliceFunction,
-    SliceWitness,
-    extract_stem_exact,
-    is_slice,
-)
+from .slicefn import PointFunction, SliceFunction, SliceWitness, extract_stem, is_slice
 from .stem import StemFunction
 
 
@@ -146,12 +140,12 @@ def classify(
         sbs_order = worst
 
     components: Optional[tuple[StemFunction, ...]] = None
-    try:
-        stem = extract_stem_exact(g, units[0])
-    except ValueError:
+    f1, f2 = extract_stem(g, units[0])
+    if not (f1.is_polynomial() and f2.is_polynomial()):
         evidence["candidate_stem"] = "not polynomial"
         slice_ok, witness = is_slice(g, units, points)
     else:
+        stem = StemFunction(f1.numer, f2.numer)
         slice_ok = SliceFunction(g.domain, stem).to_point_function().expr == g.expr
         evidence["stem_reproduces_input"] = slice_ok
         witness = None if slice_ok else is_slice(g, units, points)[1]
@@ -200,21 +194,15 @@ def counterexample_suite(
 ) -> dict[str, tuple[bool, dict]]:
     """Exact replay of the separating examples: check id -> (passed, details).
 
-    The ids come in the order (1)-(5), (7), then (6).  The checks compare
-    slices pairwise, so ``unit_count`` must be at least 2.  For the
-    quaternions the suite also runs its checks under Cl(0,3), where the
-    twisted coordinate uses e_1 in place of i; check (6) holds each nested
-    verdict as its details.
+    The ids come in the order (1)-(5), then (7), all on the one
+    ``signature``; the campaign adds (6), the Clifford analogue, from a
+    second run under Cl(0,3), where the twisted coordinate uses e_1 in place
+    of i.  The checks compare slices pairwise, so ``unit_count`` must be at
+    least 2.
     """
     if unit_count < 2:
         raise ValueError("the counterexample suite needs unit_count >= 2")
-    checks = _suite_checks(signature, seed, unit_count)
-    # (6) the Clifford analogue passes the same checks
-    if signature.kind == "quaternion":
-        nested = _suite_checks(clifford(3), seed, min(unit_count, 32))
-        verdicts = {check_id: passed for check_id, (passed, _) in nested.items()}
-        checks["clifford-analogue"] = (all(verdicts.values()), verdicts)
-    return checks
+    return _suite_checks(signature, seed, unit_count)
 
 
 def _witness_pair(witness: Optional[SliceWitness]) -> dict:

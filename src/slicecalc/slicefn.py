@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from .algebra import AlgebraElement, AlgebraSignature, ImaginaryUnit, RationalLike, _int_product
 from .errors import PointOutsideDomainError, SignatureMismatchError
-from .multipoly import CoordPoly, RationalFn, _iterates, coord_im, coord_s, restrict_rf
+from .multipoly import CoordPoly, RationalFn, _apply_n, _iterates, coord_im, coord_s, restrict_rf
 from .multipoly import _add_exponents
 from .stem import StemFunction
 
@@ -88,7 +88,7 @@ class SliceFunction:
 
     def derivative(self, order: int = 1) -> "SliceFunction":
         """The slice derivative: the slice function induced by dF/dz-bar."""
-        return SliceFunction(self.domain, self.stem.dbar_n(order))
+        return SliceFunction(self.domain, _apply_n(StemFunction.dbar, self.stem, order))
 
     def to_point_function(self) -> "PointFunction":
         """The induced function as a polynomial in the coordinates x_0..x_n.
@@ -182,14 +182,6 @@ def extract_stem(
     f1 = (plus + minus) * half
     f2 = (plus - minus).mul_poly_left(CoordPoly.constant(g.signature, 2, unit.value * -half))
     return f1, f2
-
-
-def extract_stem_exact(g: PointFunction, unit: ImaginaryUnit) -> StemFunction:
-    """Candidate stem as a StemFunction; requires polynomial components."""
-    f1, f2 = extract_stem(g, unit)
-    if not (f1.is_polynomial() and f2.is_polynomial()):
-        raise ValueError("candidate stem is not polynomial")
-    return StemFunction(f1.numer, f2.numer)
 
 
 def representation_eval(

@@ -15,7 +15,7 @@ from typing import Iterator
 
 from .algebra import AlgebraElement, AlgebraSignature, ImaginaryUnit
 from .errors import ParityViolationError, SignatureMismatchError
-from .multipoly import CoordPoly, _apply_n, _int_map, _iterates, _partial_move, _product_sum
+from .multipoly import CoordPoly, _int_map, _iterates, _partial_move, _product_sum
 
 ALPHA, BETA = 0, 1
 
@@ -140,9 +140,6 @@ class StemFunction:
         g1 = _int_map(((self.f1, d_alpha), (self.f2, _partial_move(BETA, -1))), 2, 2)
         g2 = _int_map(((self.f1, d_beta), (self.f2, d_alpha)), 2, 2)
         return StemFunction(g1, g2)
-
-    def dbar_n(self, n: int) -> "StemFunction":
-        return _apply_n(StemFunction.dbar, self, n)
 
     def dbar_levels(self) -> Iterator["StemFunction"]:
         """self, dbar self, dbar^2 self, ... up to the last nonzero one."""

@@ -37,7 +37,7 @@ from slicecalc.campaign import (
     taylor_independence_trials,
 )
 from slicecalc.errors import ArityMismatchError, DenominatorVanishesError
-from slicecalc.multipoly import CoordPoly, RationalFn, coord_x, coord_xbar, restrict_poly
+from slicecalc.multipoly import CoordPoly, RationalFn, _apply_n, coord_x, coord_xbar, restrict_poly
 from slicecalc.slicefn import PointFunction
 from slicecalc.stem import StemFunction
 
@@ -672,11 +672,10 @@ def test_campaign_bodies_keep_failure_counts_and_witnesses(sig, monkeypatch):
     # bodies fail; the counts and the first witness are those recorded before.
     # The slice-derivative body reads its stem levels from one _iterates chain,
     # so the chain is replaced by one whose level 2 is dbar^3.
-    dbar_n = StemFunction.dbar_n
     monkeypatch.setattr(
         slicecalc.campaign,
         "_iterates",
-        lambda step, stem: (dbar_n(stem, n + (n == 2)) for n in count()),
+        lambda step, stem: (_apply_n(StemFunction.dbar, stem, n + (n == 2)) for n in count()),
     )
     assert slice_derivative_trials(sig, 5, n_stems=2, n_units=3) == (
         12, 6, {"stem_index": 0, "unit_index": 0, "order": 2},

@@ -14,14 +14,18 @@ from slicecalc.multipoly import (
     CoordPoly,
     RationalFn,
     _divide_exact,
+    _product_sum,
+    coord_im,
     coord_s,
     coord_x,
     coord_xbar,
     restrict_poly,
     restrict_rf,
 )
-from slicecalc.named import jump_example
+from slicecalc.named import default_domain, jump_example
+from slicecalc.operators import g_op
 from slicecalc.sampling import rand_poly, rng_for
+from slicecalc.slicefn import PointFunction
 
 from oracles import element_to_float, paravector
 
@@ -135,6 +139,23 @@ def test_value_equality_across_representations():
     b = RationalFn(var(1), ((s, 1),))
     assert a == b
     assert RationalFn.from_poly(var(1)) != b
+
+
+def test_a_factor_that_divides_its_derivative_keeps_its_power():
+    # G(s) = 2 s Im(x): s divides it, with a quotient that is not real, so the
+    # quotient rule keeps s^1, as g_op stores G(N / s)
+    s, im = coord_s(H), coord_im(H)
+
+    def g_derivation(p):
+        return _product_sum(((s, p.partial(0), 1), (im, p.radial(), 1)))
+
+    rng = rng_for(21, "divides-derivative")
+    for _ in range(3):
+        rf = RationalFn(rand_poly(rng, H, 4, max_degree=3, n_terms=4), ((s, 1),))
+        got = rf.derive(g_derivation)
+        want = g_op(PointFunction(default_domain(), rf)).expr
+        assert got.den_factors == want.den_factors == ((s, 1),)
+        assert got.numer == want.numer
 
 
 def test_partials_commute_on_random_rational_functions():

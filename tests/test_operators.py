@@ -287,7 +287,7 @@ def test_thetabar_of_an_induced_function_is_the_induced_slice_derivative(sig):
         g = SliceFunction(DOM, stem).to_point_function()
         for n in (1, 2, 3, 4):
             got = thetabar(g, n).expr
-            want = SliceFunction(DOM, stem.dbar_n(n)).to_point_function().expr
+            want = SliceFunction(DOM, stem).derivative(n).to_point_function().expr
             assert got.den_factors == ()
             assert (got.numer.rows, got.numer.den) == (want.numer.rows, want.numer.den)
 @pytest.mark.parametrize("sig", [H, clifford(3)], ids=["H", "Cl3"])

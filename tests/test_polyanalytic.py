@@ -5,7 +5,12 @@ import pytest
 
 from slicecalc import polyanalytic
 from slicecalc.algebra import QUATERNION, AlgebraElement, clifford, sample_units
-from slicecalc.campaign import decomposition_roundtrip_trials, taylor_independence_trials
+from slicecalc.campaign import (
+    CampaignConfig,
+    decomposition_roundtrip_trials,
+    run_campaign,
+    taylor_independence_trials,
+)
 from slicecalc.errors import NotPolyanalyticOfOrderError
 from slicecalc.multipoly import CoordPoly, RationalFn, coord_x
 from slicecalc.named import (
@@ -40,6 +45,12 @@ ZBAR_POWERS = list(islice(StemFunction.zbar(H).powers(), 4))
 
 def slice_of(stem):
     return SliceFunction(DOM, stem)
+
+
+def campaign_verdicts(seed, units):
+    """The ``counterexamples`` check's detail: sub-check id -> passed, (6) included."""
+    config = CampaignConfig(seed=seed, unit_samples=units, select=("counterexamples",))
+    return run_campaign(config)["checks"][0]["detail"]
 
 
 def test_poly_order_examples():
@@ -269,9 +280,11 @@ def test_counterexample_suite_passes_for_both_signatures():
         report = counterexample_suite(sig, seed=0, unit_count=40)
         checks = report.items()
         assert all(passed for passed, _ in report.values()), [(k, p) for k, (p, _) in checks]
-    quaternion_report = counterexample_suite(H, seed=0, unit_count=40)
-    ids = list(quaternion_report)
-    assert "clifford-analogue" in ids
+        assert "clifford-analogue" not in report
+    # the campaign adds (6) from a second run under Cl(0,3)
+    verdicts = campaign_verdicts(0, 40)
+    assert list(verdicts)[-1] == "clifford-analogue"
+    assert all(verdicts.values()), verdicts
 
 
 def test_suite_fails_both_split_checks_when_a_slice_has_no_split(monkeypatch):
@@ -282,8 +295,13 @@ def test_suite_fails_both_split_checks_when_a_slice_has_no_split(monkeypatch):
     monkeypatch.setattr(polyanalytic, "per_slice_decomposition", no_split)
     report = counterexample_suite(H, seed=1, unit_count=4)
     passed = {check_id: ok for check_id, (ok, _) in report.items()}
-    failed = {"slicewise-order-two", "slice-coefficients-depend-on-unit", "clifford-analogue"}
+    failed = {"slicewise-order-two", "slice-coefficients-depend-on-unit"}
     assert {check_id for check_id, ok in passed.items() if not ok} == failed
+    # the Cl(0,3) run the campaign adds fails the same way
+    verdicts = campaign_verdicts(1, 4)
+    assert {check_id for check_id, ok in verdicts.items() if not ok} == failed | {
+        "clifford-analogue"
+    }
     assert passed["not-slice"]
     details = {check_id: d for check_id, (_, d) in report.items()}
     assert details["slice-coefficients-depend-on-unit"] == {
@@ -306,12 +324,15 @@ def test_suite_reads_the_classify_verdicts(monkeypatch):
 
     monkeypatch.setattr(polyanalytic, "classify", all_slice)
     classify_checks = {"not-slice", "extraction-not-global", "left-multiplier-not-slice"}
-    # under the quaternions the nested Cl(0,3) run reads the same classifier
-    for sig, nested in ((clifford(3), set()), (H, {"clifford-analogue"})):
+    for sig in (clifford(3), H):
         report = counterexample_suite(sig, seed=1, unit_count=4)
         failed = {check_id for check_id, (ok, _) in report.items() if not ok}
-        assert failed == classify_checks | nested
+        assert failed == classify_checks
         assert report["extraction-not-global"][1] == {"predicted": None, "actual": None}
+    # the campaign's Cl(0,3) run reads the same classifier
+    verdicts = campaign_verdicts(1, 4)
+    failed = {check_id for check_id, ok in verdicts.items() if not ok}
+    assert failed == classify_checks | {"clifford-analogue"}
 
     # (3) asks for no global order as well, and (7) for slice-by-slice order
     # exactly 2, not at most 2

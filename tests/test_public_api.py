@@ -13,26 +13,36 @@ the ``(module, "Dotted.name")`` pairs that ``tracing.layer_functions`` looks up.
 * Type annotations are not uses.
 
 A public name the program never reaches is used only by the tests, or by
-nothing, and fails here.  So does a public field of a package dataclass that no
-reached body reads as an attribute: the program fills it and never looks at it.
+nothing, and fails here.
 
 Operator overloads (``__add__``, ``__mul__``, ``__eq__`` and the like) and
 ``__hash__`` are called through operator syntax or by sets and dicts, which the
 parse cannot tie to a class, so they are
 checked at run time: ``cli.main`` runs a small ``verify``, ``classify`` on every
-builtin and ``decompose`` under ``sys.setprofile``, and an overload that a
-package class defines and that run never calls fails.
+builtin and on an annulus spec, and ``decompose`` under ``sys.setprofile``, and
+an overload that a package class defines and that run never calls fails.
+
+Dataclass fields are checked on the same run, since the parse cannot tell which
+class a receiver such as ``config`` or ``verdict`` belongs to: each package
+dataclass records the reads that package code makes on its instances, and a
+public field the parse finds but the run never reads on its own class fails.
+The program fills such a field and never looks at it.  Reads made by
+``dataclasses`` helpers and by the generated ``__eq__``, ``__hash__`` and
+``__repr__`` do not count.
 """
 
 import ast
 import contextlib
 import copy
+import dataclasses
 import importlib
 import io
+import json
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -40,7 +50,8 @@ from slicecalc import algebra, cli, multipoly
 from slicecalc.named import BUILTINS
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = {p.stem: ast.parse(p.read_text()) for p in (ROOT / "src" / "slicecalc").glob("*.py")}
+SOURCE = ROOT / "src" / "slicecalc"
+MODULES = {p.stem: ast.parse(p.read_text()) for p in SOURCE.glob("*.py")}
 HARNESS = [ast.parse(p.read_text()) for p in sorted((ROOT / "benchmarks").glob("*.py"))]
 PACKAGE = "slicecalc"
 
@@ -113,8 +124,6 @@ class Program:
         self.imports = {id(tree): self._imports(tree) for tree in [*modules.values(), *HARNESS]}
         self.reached: set = set()
         self.attrs: set = set()
-        # attribute names that reached bodies read, not only assign
-        self.reads: set = set()
 
     @staticmethod
     def _imports(tree):
@@ -177,8 +186,6 @@ class Program:
         for node in nodes:
             if isinstance(node, ast.Attribute):
                 self.attrs.add(node.attr)
-                if isinstance(node.ctx, ast.Load):
-                    self.reads.add(node.attr)
             # a (module, "Class.method") pair, looked up with getattr by the tracer
             if isinstance(node, ast.Tuple) and len(node.elts) == 2:
                 base, dotted = self._target(node.elts[0], tree, mod), node.elts[1]
@@ -227,11 +234,12 @@ class Program:
             if not qual.rpartition(".")[2].startswith("_") and (mod, qual) not in self.reached
         )
 
-    def unread_fields(self) -> list[str]:
+    def unread_fields(self, reads) -> list[str]:
+        """The public fields whose (module, "Class.field") is not in ``reads``."""
         return sorted(
             f"{mod}.{qual}"
-            for mod, qual in self.fields
-            if not (name := qual.rpartition(".")[2]).startswith("_") and name not in self.reads
+            for mod, qual in self.fields - reads
+            if not qual.rpartition(".")[2].startswith("_")
         )
 
 
@@ -242,15 +250,16 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     assert unreached == [], "reached from no entry point: " + ", ".join(unreached)
 
 
-def test_every_dataclass_field_is_read():
+def test_every_dataclass_field_is_read(program_runs):
     program = Program()
-    program.run()
     assert ("campaign", "CampaignConfig.seed") in program.fields
-    unread = program.unread_fields()
-    assert unread == [], "fields no reached body reads: " + ", ".join(unread)
+    unread = program.unread_fields(program_runs.reads)
+    assert unread == [], "fields the program never reads: " + ", ".join(unread)
 
 
-def test_an_unread_dataclass_field_fails():
+def test_an_unread_dataclass_field_fails(program_runs):
+    # ``signature`` is a field name the program reads on other classes; read on
+    # no ClassificationReport, it fails like a name read nowhere
     modules = dict(MODULES)
     tree = modules["polyanalytic"] = copy.deepcopy(MODULES["polyanalytic"])
     report = next(
@@ -258,10 +267,11 @@ def test_an_unread_dataclass_field_fails():
         for node in tree.body
         if isinstance(node, ast.ClassDef) and node.name == "ClassificationReport"
     )
-    report.body.append(ast.parse("probe: int = 0").body[0])
-    program = Program(modules)
-    program.run()
-    assert program.unread_fields() == ["polyanalytic.ClassificationReport.probe"]
+    report.body += ast.parse("probe: int = 0\nsignature: int = 0").body
+    assert Program(modules).unread_fields(program_runs.reads) == [
+        "polyanalytic.ClassificationReport.probe",
+        "polyanalytic.ClassificationReport.signature",
+    ]
 
 
 OPERATORS = (
@@ -277,47 +287,86 @@ PROGRAM_RUNS = [
 ]
 
 
+# An annulus domain, so that the run reads the annulus fields of CircularDomain.
+ANNULUS_SPEC = {
+    "representation": "stem",
+    "domain": {"shape": "annulus", "center": 0, "r_in": "1/2", "r_out": 2},
+    "f1_terms": [{"exponents": [1, 0], "coefficient": {"1": 1}}],
+    "f2_terms": [{"exponents": [0, 1], "coefficient": {"1": 1}}],
+}
+
+
+def package_classes():
+    """(module name, class) for every class a package module defines."""
+    for mod in sorted(MODULES.keys() - {"__main__"}):
+        module = importlib.import_module(f"{PACKAGE}.{mod}")
+        for cls in vars(module).values():
+            if isinstance(cls, type) and cls.__module__ == module.__name__:
+                yield mod, cls
+
+
+def _read_recorder(mod, cls, reads):
+    """A ``__getattribute__`` for the dataclass ``cls`` that adds each field read
+    made by package code to ``reads`` as (module, "Class.field")."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    source = str(SOURCE)
+
+    def getattribute(self, name):
+        if name in names and sys._getframe(1).f_code.co_filename.startswith(source):
+            reads.add((mod, f"{cls.__name__}.{name}"))
+        return object.__getattribute__(self, name)
+
+    return getattribute
+
+
 @pytest.fixture(scope="module")
-def called_codes():
-    """The code objects of every Python function the program runs call."""
-    called = set()
+def program_runs(tmp_path_factory):
+    """What PROGRAM_RUNS and a classify of ANNULUS_SPEC do: the code objects of
+    every Python function they call (``called``) and the dataclass fields that
+    package code reads (``reads``)."""
+    spec = tmp_path_factory.mktemp("spec") / "annulus.json"
+    spec.write_text(json.dumps(ANNULUS_SPEC), encoding="utf-8")
+    runs = [*PROGRAM_RUNS, ["classify", "--input", str(spec)]]
+    called, reads = set(), set()
 
     def record(frame, event, arg):
         if event == "call":
             called.add(frame.f_code)
 
     previous = sys.getprofile()
-    sys.setprofile(record)
-    try:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            codes = [cli.main(argv) for argv in PROGRAM_RUNS]
-    finally:
-        sys.setprofile(previous)
-    assert codes == [0] * len(PROGRAM_RUNS)
-    return called
+    with pytest.MonkeyPatch.context() as patch:
+        for mod, cls in package_classes():
+            if dataclasses.is_dataclass(cls):
+                patch.setattr(cls, "__getattribute__", _read_recorder(mod, cls, reads))
+        sys.setprofile(record)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+                io.StringIO()
+            ):
+                codes = [cli.main(argv) for argv in runs]
+        finally:
+            sys.setprofile(previous)
+    assert codes == [0] * len(runs)
+    return SimpleNamespace(called=called, reads=reads)
 
 
 def uncalled_operators(called) -> list[str]:
     """The operator overloads that package classes define and ``called`` lacks."""
     out = []
-    for mod in sorted(MODULES.keys() - {"__main__"}):
-        module = importlib.import_module(f"{PACKAGE}.{mod}")
-        for cls in vars(module).values():
-            if not (isinstance(cls, type) and cls.__module__ == module.__name__):
-                continue
-            for op in OPERATORS:
-                code = getattr(cls.__dict__.get(op), "__code__", None)
-                # dataclass-made methods are compiled from a string, not written in the package
-                if code is not None and code.co_filename != "<string>" and code not in called:
-                    out.append(f"{mod}.{cls.__name__}.{op}")
+    for mod, cls in package_classes():
+        for op in OPERATORS:
+            code = getattr(cls.__dict__.get(op), "__code__", None)
+            # dataclass-made methods are compiled from a string, not written in the package
+            if code is not None and code.co_filename != "<string>" and code not in called:
+                out.append(f"{mod}.{cls.__name__}.{op}")
     return sorted(out)
 
 
-def test_every_operator_overload_is_called_by_the_program(called_codes):
-    assert uncalled_operators(called_codes) == []
+def test_every_operator_overload_is_called_by_the_program(program_runs):
+    assert uncalled_operators(program_runs.called) == []
 
 
-def test_an_operator_overload_only_the_tests_call_fails(called_codes, monkeypatch):
+def test_an_operator_overload_only_the_tests_call_fails(program_runs, monkeypatch):
     def truediv(self, other):
         return self * Fraction(1, other)
 
@@ -326,7 +375,7 @@ def test_an_operator_overload_only_the_tests_call_fails(called_codes, monkeypatc
 
     monkeypatch.setattr(algebra.AlgebraElement, "__truediv__", truediv, raising=False)
     monkeypatch.setattr(multipoly.CoordPoly, "__rmul__", rmul, raising=False)
-    assert uncalled_operators(called_codes) == [
+    assert uncalled_operators(program_runs.called) == [
         "algebra.AlgebraElement.__truediv__",
         "multipoly.CoordPoly.__rmul__",
     ]
