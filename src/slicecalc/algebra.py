@@ -5,8 +5,9 @@ so every identity checked downstream is an equality of exact rationals instead
 of a floating-point comparison.  An element stores one Python ``int``
 numerator per blade over one positive common denominator, in lowest terms, so
 sums and products add up integers (``_int_product`` is shared with the
-polynomial product).  ``Fraction`` is the API-edge type: constructors take
-rationals, and ``coeffs`` and ``coeff()`` give normalized ``Fraction``s.
+polynomial product: exponent keys add, and an element is the one row keyed by
+the empty monomial ``()``).  ``Fraction`` is the API-edge type: constructors
+take rationals, and ``coeffs`` and ``coeff()`` give normalized ``Fraction``s.
 Quaternions are stored on the two-generator blade basis
 (i, j, k = e1, e2, e1e2), which makes the classical multiplication table a
 special case of the general blade product.
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
+from operator import add
 from random import Random
 from typing import Iterable, Mapping, Union
 
@@ -130,19 +132,21 @@ def _add_scaled(out: dict, nums: Mapping[int, int], k: int) -> None:
         out[mask] = out.get(mask, 0) + n * k
 
 
-def _int_product(left, right, combine, acc: dict | None = None):
+def _int_product(left, right, acc: dict | None = None):
     """Integer core of the algebra and polynomial products.
 
-    ``left`` and ``right`` are sequences of (key, numerators), multiplied in
-    order, each side over one denominator that the caller keeps.  Every pair of
-    terms adds its blade products under ``combine(key_a, key_b)``.  Returns
+    ``left`` and ``right`` are sequences of (exponents, numerators) rows,
+    multiplied in order, each side over one denominator that the caller keeps.
+    Every pair of rows adds its blade products under the sum of its exponent
+    vectors, where ``()`` is the empty monomial: an algebra element, or a
+    coefficient scaling a polynomial, is one row keyed ``()``.  Returns
     ``{key: {mask: numerator}}`` over the product of the two denominators,
     added into ``acc`` when given, so a sum of products fills one accumulator.
     """
     acc = {} if acc is None else acc
     for ka, nums_a in left:
         for kb, nums_b in right:
-            key = combine(ka, kb)
+            key = kb if not ka else ka if not kb else tuple(map(add, ka, kb))
             out = acc.get(key)
             if out is None:
                 out = acc[key] = {}
@@ -159,10 +163,6 @@ def _over_common_den(values: Iterable[RationalLike]) -> tuple[list[int], int]:
     qs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
     den = lcm(*[q.denominator for q in qs])
     return [q.numerator * (den // q.denominator) for q in qs], den
-
-
-def _no_key(ka, kb):
-    return None
 
 
 class AlgebraElement:
@@ -264,8 +264,8 @@ class AlgebraElement:
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             self._require_same(other)
-            acc = _int_product(((None, self.nums),), ((None, other.nums),), _no_key)
-            return AlgebraElement._make(self.signature, acc.get(None, {}), self.den * other.den)
+            acc = _int_product((((), self.nums),), (((), other.nums),))
+            return AlgebraElement._make(self.signature, acc.get((), {}), self.den * other.den)
         if isinstance(other, (int, Fraction)):
             k = other.numerator
             nums = {m: n * k for m, n in self.nums.items()}

@@ -9,23 +9,22 @@ derivative, and exact division by known factors (``_divide_exact``, and
 ``_cancel`` over it) lowers an exponent again wherever a factor divides the
 numerator, so no general gcd is needed.
 
-A polynomial stores, per monomial, one Python ``int`` numerator per blade,
-all over one positive denominator in lowest terms; ``terms`` gives the
-coefficients as ``AlgebraElement``s.  The product goes through the integer
-core of the algebra product, and so does scaling by an algebra element, as a
-product with a one-term side; a sum of products, such as a stem product's
+A polynomial stores, per monomial, one Python ``int`` numerator per blade, all
+over one positive denominator in lowest terms; ``terms`` gives the coefficients
+as ``AlgebraElement``s.  The product goes through the integer core of the
+algebra product, and so does scaling by an algebra element, as the one row
+keyed by the empty monomial ``()``; a sum of products, such as a stem product's
 component, fills one accumulator (``_product_sum``).  Sums, scaling by a
 rational, partial derivatives, the radial operator, slice restriction and each
 component of the stem operator dF/dz-bar are linear maps on the terms: each
-makes one pass over the integer rows of its inputs, with one ``int`` factor
-per term (``_int_map``).  The plane operator (d/dalpha + I d/dbeta)/2
-(``plane_dbar``) is one pass as well.  Rational functions multiply a
-numerator only by a cofactor that is not 1 when they add.  Point evaluation
-puts the point over a common denominator and homogenizes every term to the
-total degree, so a polynomial's value is one integer row over one
-denominator; a rational function's value is its numerator's integer row
-scaled by its factors' integer values at the same integer point, with one
-``AlgebraElement`` built per call.
+makes one pass over the integer rows of its inputs, with one ``int`` factor per
+term (``_int_map``).  The plane operator (d/dalpha + I d/dbeta)/2
+(``plane_dbar``) is one pass as well.  Rational functions multiply a numerator
+only by a cofactor that is not 1 when they add.  Point evaluation puts the
+point over a common denominator and homogenizes every term to the total degree,
+so a polynomial's value is one integer row over one denominator; a rational
+function's value is its numerator's integer row scaled by its factors' integer
+values at the same integer point, with one ``AlgebraElement`` built per call.
 """
 
 from __future__ import annotations
@@ -82,18 +81,6 @@ def _apply_n(step, value, n: int):
     return next(islice(_iterates(step, value), n, None))
 
 
-def _add_exponents(ea: Exponents, eb: Exponents) -> Exponents:
-    return tuple(map(add, ea, eb))
-
-
-def _left_key(ka, kb):
-    return ka
-
-
-def _right_key(ka, kb):
-    return kb
-
-
 def _partial_move(index: int, sign: int = 1):
     """The ``_int_map`` move of ``sign`` * d/dx_index."""
     return lambda e: ((*e[:index], e[index] - 1, *e[index + 1 :]), sign * e[index])
@@ -137,7 +124,7 @@ def _product_sum(products) -> "CoordPoly":
         rows = left.rows.items()
         if k != 1:
             rows = [(e, {m: n * k for m, n in nums.items()}) for e, nums in rows]
-        _int_product(rows, right.rows.items(), _add_exponents, acc)
+        _int_product(rows, right.rows.items(), acc)
     return CoordPoly._make(left.signature, left.var_count, acc, den)
 
 
@@ -262,7 +249,7 @@ class CoordPoly:
     def __mul__(self, other):
         if isinstance(other, CoordPoly):
             self._require_compatible(other)
-            acc = _int_product(self.rows.items(), other.rows.items(), _add_exponents)
+            acc = _int_product(self.rows.items(), other.rows.items())
             return CoordPoly._make(self.signature, self.var_count, acc, self.den * other.den)
         if isinstance(other, (int, Fraction)):
             n = other.numerator
@@ -274,14 +261,14 @@ class CoordPoly:
             raise SignatureMismatchError("coefficient signature mismatch")
 
     def scale_left(self, coeff: AlgebraElement) -> "CoordPoly":
-        """coeff * self: one product with ``coeff`` as a one-term left side."""
+        """coeff * self: one product with ``coeff`` as the left row keyed ``()``."""
         self._require_coeff(coeff)
-        acc = _int_product(((None, coeff.nums),), self.rows.items(), _right_key)
+        acc = _int_product((((), coeff.nums),), self.rows.items())
         return CoordPoly._make(self.signature, self.var_count, acc, coeff.den * self.den)
 
     def scale_right(self, coeff: AlgebraElement) -> "CoordPoly":
         self._require_coeff(coeff)
-        acc = _int_product(self.rows.items(), ((None, coeff.nums),), _left_key)
+        acc = _int_product(self.rows.items(), (((), coeff.nums),))
         return CoordPoly._make(self.signature, self.var_count, acc, self.den * coeff.den)
 
     def powers(self) -> Iterator["CoordPoly"]:
@@ -313,7 +300,7 @@ class CoordPoly:
                 _add_scaled(acc.setdefault((a - 1, b), {}), nums, a * unit.den)
             if b:
                 beta_rows.append(((a, b - 1), {m: n * b for m, n in nums.items()}))
-        _int_product(((None, unit.nums),), beta_rows, _right_key, acc)
+        _int_product((((), unit.nums),), beta_rows, acc)
         return CoordPoly._make(self.signature, 2, acc, self.den * unit.den * 2)
 
     def radial(self) -> "CoordPoly":
@@ -401,21 +388,19 @@ def coord_xbar(signature: AlgebraSignature) -> CoordPoly:
 def coord_im(signature: AlgebraSignature) -> CoordPoly:
     """Im(x) = sum_h x_h e_h as a polynomial."""
     n = signature.coord_count
-    out = CoordPoly.zero(signature, n)
-    for h, mask in enumerate(signature.imag_masks, start=1):
-        e_h = AlgebraElement.basis(signature, mask)
-        out = out + CoordPoly.variable(signature, n, h).scale_right(e_h)
-    return out
+    rows = {
+        tuple(int(j == h) for j in range(n)): {mask: 1}
+        for h, mask in enumerate(signature.imag_masks, start=1)
+    }
+    return CoordPoly._make(signature, n, rows, 1)
 
 
 @cache
 def coord_s(signature: AlgebraSignature) -> CoordPoly:
     """|Im(x)|^2 = sum_h x_h^2 as a real polynomial."""
     n = signature.coord_count
-    out = CoordPoly.zero(signature, n)
-    for h in range(1, n):
-        out = out + CoordPoly.variable(signature, n, h) ** 2
-    return out
+    rows = {tuple(2 * (j == h) for j in range(n)): {0: 1} for h in range(1, n)}
+    return CoordPoly._make(signature, n, rows, 1)
 
 
 def restrict_poly(poly: CoordPoly, components: Sequence[Fraction]) -> CoordPoly:
@@ -488,7 +473,7 @@ def _divide_exact(numer: CoordPoly, p: CoordPoly) -> "CoordPoly | None":
         quot[shift] = row
         # every key below is graded-lex smaller than e, so none was popped before
         for t, k in tail:
-            key = _add_exponents(shift, t)
+            key = tuple(map(add, shift, t))
             out = rest.get(key)
             if out is None:
                 out = rest[key] = {}

@@ -189,22 +189,6 @@ def _expected_slice_constants(
     return (one + prod) * half, (one - prod) * half
 
 
-def counterexample_suite(
-    signature: AlgebraSignature, seed: int = 0, unit_count: int = 100
-) -> dict[str, tuple[bool, dict]]:
-    """Exact replay of the separating examples: check id -> (passed, details).
-
-    The ids come in the order (1)-(5), then (7), all on the one
-    ``signature``; the campaign adds (6), the Clifford analogue, from a
-    second run under Cl(0,3), where the twisted coordinate uses e_1 in place
-    of i.  The checks compare slices pairwise, so ``unit_count`` must be at
-    least 2.
-    """
-    if unit_count < 2:
-        raise ValueError("the counterexample suite needs unit_count >= 2")
-    return _suite_checks(signature, seed, unit_count)
-
-
 def _witness_pair(witness: Optional[SliceWitness]) -> dict:
     return {
         "witness_h": repr(witness.unit_h.value) if witness else None,
@@ -212,10 +196,16 @@ def _witness_pair(witness: Optional[SliceWitness]) -> dict:
     }
 
 
-def _suite_checks(
+def counterexample_suite(
     signature: AlgebraSignature, seed: int, unit_count: int
 ) -> dict[str, tuple[bool, dict]]:
-    """Checks (1)-(5) and (7) of the suite on ``unit_count`` sampled units.
+    """Exact replay of the separating examples: check id -> (passed, details).
+
+    The ids come in the order (1)-(5), then (7), all on the one
+    ``signature`` and its ``unit_count`` sampled units; the campaign adds
+    (6), the Clifford analogue, from a second run under Cl(0,3), where the
+    twisted coordinate uses e_1 in place of i.  The checks compare slices
+    pairwise, so ``unit_count`` must be at least 2.
 
     Checks (2), (3) and (7) read the verdicts of one ``classify`` call at
     order 2 on each of the twisted coordinate v and the left-multiplied
@@ -223,6 +213,8 @@ def _suite_checks(
     of v per unit.  A unit without that split fails both checks, with None
     for its first coefficient in (4), and the remaining checks still run.
     """
+    if unit_count < 2:
+        raise ValueError("the counterexample suite needs unit_count >= 2")
     units = sample_units(signature, seed, unit_count)
     points = _suite_points()
     v = rotation_twisted_coordinate(signature)

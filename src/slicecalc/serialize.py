@@ -232,13 +232,9 @@ def function_spec_from_json(obj: Any) -> Union[SliceFunction, PointFunction]:
             expr = RationalFn.from_poly(numer)
         else:
             denom = poly_from_terms(signature, n, den_items, "denominator_terms")
-            if denom.is_zero():
-                raise FunctionSpecError("denominator is identically zero")
-            if not denom.is_real_scalar():
-                raise FunctionSpecError("denominator must be real-scalar")
             try:
                 expr = RationalFn(numer, ((denom, 1),))
-            except ZeroDenominatorError as exc:
+            except (ZeroDenominatorError, ValueError) as exc:
                 raise FunctionSpecError(str(exc)) from exc
         return PointFunction(domain, expr, real_value=real_value)
     raise FunctionSpecError(

@@ -18,7 +18,6 @@ from typing import Optional, Sequence
 from .algebra import AlgebraElement, AlgebraSignature, ImaginaryUnit, RationalLike, _int_product
 from .errors import PointOutsideDomainError, SignatureMismatchError
 from .multipoly import CoordPoly, RationalFn, _apply_n, _iterates, coord_im, coord_s, restrict_rf
-from .multipoly import _add_exponents
 from .stem import StemFunction
 
 
@@ -112,7 +111,7 @@ class SliceFunction:
                     nums = {m: v * k for m, v in nums.items()}
                 # the right key (a, 0, ..., 0) shifts each base row by x0^a
                 shift = ((a,) + (0,) * (n - 1), nums)
-                _int_product(bases[b // 2].rows.items(), (shift,), _add_exponents, acc)
+                _int_product(bases[b // 2].rows.items(), (shift,), acc)
         out = CoordPoly._make(sig, n, acc, den)
         return PointFunction(self.domain, RationalFn.from_poly(out))
 

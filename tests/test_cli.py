@@ -7,10 +7,27 @@ from pathlib import Path
 import pytest
 
 from slicecalc.cli import main
+from slicecalc.named import BUILTINS
 
 RUN = [sys.executable, "-m", "slicecalc"]
 GOLDEN_SMALL = Path(__file__).parent / "data" / "verify_seed7_small.json"
 VERIFY_SEED7_SHA256 = "341e4a48488bbcd5d3f58159914174da17aae6e3832e2273f07d1e9424edfdca"
+# sha256 of the --json output of `classify` and `decompose --order 3` on each
+# builtin at the default seed; None where the command exits 2 and writes nothing
+BUILTIN_OUTPUT_SHA256 = {
+    ("classify", "x"): "af204a36b152188f4dd91238bfafdbbd1a80e6e1453ed31dea9308c68cc0ad21",
+    ("classify", "xbar"): "39727ffaaef0441ea793584cbaec66a8bf90e504324fa9eeea4183715c73ddf2",
+    ("classify", "v"): "b4816f22659dec8371dbc19b467f74eaf20a7774e250b12b07bdc1a35df5de8a",
+    ("classify", "v_r"): "f974eb986a52470809488660d17f3780e7a13fd5a2a6f51b75175d72924bdae3",
+    ("classify", "v_m"): "c93e779dcc5001dbc435a248ad77913cab1eb7e7caa18d962c73962d21073feb",
+    ("classify", "bump"): "201463e7d713bbb6eba98ac32ac0273b08896eac5362dd36938dea989e2d5eb9",
+    ("decompose", "x"): "4f1709d6a96d1e2c17523a4b80ed2a1ed393cfa493020793e28312b2fd347cab",
+    ("decompose", "xbar"): "1b58d2724c8e881bea54b021283c78ca8ee4c500c6b06898eb652ca9758fe1d3",
+    ("decompose", "v"): None,
+    ("decompose", "v_r"): None,
+    ("decompose", "v_m"): None,
+    ("decompose", "bump"): None,
+}
 
 
 def run_cli(args, capsys):
@@ -229,6 +246,24 @@ def test_verify_default_report_matches_its_digest(tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_SEED7_SHA256
 
 
+@pytest.mark.parametrize(
+    "command, name", [(c, n) for c in ("classify", "decompose") for n in BUILTINS]
+)
+def test_builtin_outputs_match_their_digests(tmp_path, capsys, monkeypatch, command, name):
+    # a builtin missing from the table fails here, so every builtin stays pinned
+    expected = BUILTIN_OUTPUT_SHA256[command, name]
+    monkeypatch.delenv("SLICECALC_SEED", raising=False)
+    out = tmp_path / "report.json"
+    order = ["--order", "3"] if command == "decompose" else []
+    code, stdout, err = run_cli([command, "--input", name, *order, "--json", str(out)], capsys)
+    if expected is None:
+        assert code == 2 and "stem-represented" in err
+        assert stdout == "" and not out.exists()
+    else:
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+
+
 def test_verify_with_one_unit_raises_the_unit_count_to_two(tmp_path, capsys):
     # every check needs two units; --units 1 runs them with two, as README states
     out = tmp_path / "report.json"
@@ -377,6 +412,14 @@ def test_classify_rejects_a_denominator_vanishing_on_a_whole_slice(tmp_path, cap
     assert out == ""
 
 
+def _rational_spec(denominator_terms):
+    return {
+        "representation": "rational",
+        "numerator_terms": [{"exponents": [0, 0, 0, 0], "coefficient": {"1": "1"}}],
+        "denominator_terms": denominator_terms,
+    }
+
+
 def _stem_spec(f1_terms, signature=None):
     spec = {"representation": "stem", "f1_terms": f1_terms, "f2_terms": []}
     if signature is not None:
@@ -405,11 +448,15 @@ def _stem_spec(f1_terms, signature=None):
                         {"kind": "clifford", "m": 3}), "bad blade")
             for blade in ("e21", "e\u0661", "e1_2")
         ],
+        (_rational_spec([]), "zero denominator factor"),
+        (_rational_spec([{"exponents": [0, 2, 0, 0], "coefficient": {"i": "1"}}]),
+         "must be real-scalar"),
     ],
     ids=["exponent-65", "terms-1025", "m-9", "m-3.7", "m-string", "m-true", "m-missing"]
     + ["pair-null", "pair-float", "pair-true", "pair-zero-den"]
     + ["str-exponent", "str-decimal", "str-space", "str-underscore"]
-    + ["blade-e21", "blade-arabic-indic-digit", "blade-underscore"],
+    + ["blade-e21", "blade-arabic-indic-digit", "blade-underscore"]
+    + ["denominator-zero", "denominator-not-real"],
 )
 def test_classify_rejects_specs_over_the_input_limits(tmp_path, capsys, spec, message):
     path = tmp_path / "over_limit.json"
