@@ -337,31 +337,32 @@ def stereographic_unit(
 ) -> ImaginaryUnit:
     """Rational chart of the unit sphere centered at the first canonical unit.
 
-    With parameters p_2..p_n and s = sum(p^2),
+    With the parameters written n_2/d, ..., n_n/d over their least common
+    denominator d and N = sum(n_h^2),
 
-        I = ((1 - s) u_1 + sum_h 2 p_h u_h) / (1 + s),
+        I = ((d^2 - N) u_1 + sum_h 2 d n_h u_h) / (d^2 + N),
 
-    so every rational parameter vector yields a unit with rational components
-    and I*I = -1 exactly; (0, ..., 0) maps to u_1 itself.
+    built in integers, so every rational parameter vector yields a unit with
+    rational components and I*I = -1 exactly; (0, ..., 0) maps to u_1 itself.
     """
-    params = [Fraction(p) for p in params]
-    if len(params) != signature.imag_dim - 1:
+    nums, d = _over_common_den(params)
+    if len(nums) != signature.imag_dim - 1:
         raise ValueError(
-            f"expected {signature.imag_dim - 1} chart parameters, got {len(params)}"
+            f"expected {signature.imag_dim - 1} chart parameters, got {len(nums)}"
         )
-    basis = [AlgebraElement.basis(signature, m) for m in signature.imag_masks]
-    s = sum((p * p for p in params), Fraction(0))
-    denom = 1 + s
-    value = basis[0] * ((1 - s) / denom)
-    for p, b in zip(params, basis[1:]):
-        value = value + b * (2 * p / denom)
-    return ImaginaryUnit(value)
+    norm = sum(n * n for n in nums)
+    first, *rest = signature.imag_masks
+    value = {first: d * d - norm, **{m: 2 * d * n for m, n in zip(rest, nums)}}
+    return ImaginaryUnit(AlgebraElement._make(signature, value, d * d + norm))
 
 
-# sample_units draws each chart parameter as a/b with |a| <= _CHART_NUM, 1 <= b <= _CHART_DEN
-_CHART_NUM, _CHART_DEN = 12, 8
-_CHART_VALUES = len(
-    {Fraction(a, b) for a in range(-_CHART_NUM, _CHART_NUM + 1) for b in range(1, _CHART_DEN + 1)}
+# the chart's parameter values: every a/b with |a| <= 12 and 1 <= b <= 8, with 0
+# and 1 first so that the canonical units are the images of chart index 0 and
+# of the indices 127^h (see sample_units)
+_CHART = (
+    Fraction(0),
+    Fraction(1),
+    *sorted({Fraction(a, b) for a in range(-12, 13) for b in range(1, 9)} - {0, 1}),
 )
 
 
@@ -372,39 +373,32 @@ def unit_capacity(signature: AlgebraSignature) -> int:
     one unit per vector of chart parameters: 127 on Cl(0,2), 127^2 on the
     quaternions and Cl(0,3).
     """
-    return _CHART_VALUES ** (signature.imag_dim - 1)
+    return len(_CHART) ** (signature.imag_dim - 1)
 
 
 def sample_units(signature: AlgebraSignature, seed: int, count: int) -> list[ImaginaryUnit]:
     """Deterministic rational sample of the imaginary-unit sphere.
 
     The canonical units (i, j, k resp. e_1..e_m) always come first; further
-    units come from the stereographic chart at seeded rational parameters.
-    ``count`` may not exceed ``unit_capacity(signature)``, the units the
-    chart reaches.
+    units are the stereographic images of chart indices drawn without
+    replacement, uniformly over the non-canonical ones.  Index k reads as one
+    base-127 digit per parameter: parameter h is ``_CHART[k // 127**h % 127]``,
+    so index 0 maps to u_1 and index 127^h to u_(h+2).  ``count`` may not exceed
+    ``unit_capacity(signature)``, the units the chart reaches.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     capacity = unit_capacity(signature)
     if count > capacity:
         raise ValueError(f"count {count} exceeds the {capacity} units the chart reaches")
-    n_params = signature.imag_dim - 1
-    units = [
-        ImaginaryUnit(AlgebraElement.basis(signature, mask)) for mask in signature.imag_masks
-    ]
-    # the chart is injective, so draws are told apart by their parameters, kept
-    # as (numerator, denominator) in lowest terms; the canonical units are the
-    # images of the zero vector and the basis vectors
-    zero = ((0, 1),) * n_params
-    seen = {zero, *(zero[:h] + ((1, 1),) + zero[h + 1 :] for h in range(n_params))}
+    n = signature.imag_dim
+    units = [ImaginaryUnit(AlgebraElement.basis(signature, mask)) for mask in signature.imag_masks]
+    canonical = [0, *(len(_CHART) ** h for h in range(n - 1))]
     rng = Random(f"slicecalc-units:{seed}")
-    while len(units) < count:
-        draws = [
-            (rng.randint(-_CHART_NUM, _CHART_NUM), rng.randint(1, _CHART_DEN))
-            for _ in range(n_params)
-        ]
-        params = tuple((a // gcd(a, b), b // gcd(a, b)) for a, b in draws)
-        if params not in seen:
-            seen.add(params)
-            units.append(stereographic_unit(signature, [Fraction(a, b) for a, b in params]))
+    for j in rng.sample(range(capacity - n), max(0, count - n)):
+        # step j over the canonical indices to the j-th non-canonical one
+        for c in canonical:
+            j += j >= c
+        params = [_CHART[j // len(_CHART) ** h % len(_CHART)] for h in range(n - 1)]
+        units.append(stereographic_unit(signature, params))
     return units[:count]

@@ -337,7 +337,6 @@ def decomposition_roundtrip_trials(
         total = compose(parts)
         components = decompose(total, n)
         ok = list(components) == parts
-        ok = ok and compose(components) == total
         ok = ok and all(c.dbar().is_zero() for c in components)
         pf = SliceFunction(domain, total).to_point_function()
         for unit, pxbar in zip(units, plane_xbar):

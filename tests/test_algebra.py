@@ -114,33 +114,49 @@ def test_sample_units_stops_at_the_units_the_chart_reaches():
         sample_units(H, 0, 16130)
 
 
-def _rejection_sample_units(signature, seed, count):
-    """Reference sampler: builds a unit for every draw and rejects repeated units."""
-    units = [ImaginaryUnit(AlgebraElement.basis(signature, m)) for m in signature.imag_masks]
-    seen = {u.value for u in units}
-    rng = Random(f"slicecalc-units:{seed}")
-    while len(units) < count:
-        params = [
-            Fraction(rng.randint(-12, 12), rng.randint(1, 8))
-            for _ in range(signature.imag_dim - 1)
-        ]
-        unit = stereographic_unit(signature, params)
-        if unit.value not in seen:
-            seen.add(unit.value)
-            units.append(unit)
-    return units[:count]
+def _fraction_chart(signature, params):
+    """Reference chart: I = ((1 - s) u_1 + sum_h 2 p_h u_h) / (1 + s) in ``Fraction``s."""
+    params = [Fraction(p) for p in params]
+    s = sum(p * p for p in params)
+    coeffs = [(1 - s) / (1 + s), *(2 * p / (1 + s) for p in params)]
+    return AlgebraElement(signature, dict(zip(signature.imag_masks, coeffs)))
 
 
-@pytest.mark.parametrize(
-    "signature, count",
-    [(H, 2), (H, 64), (H, 2000), (CL3, 64), (CL3, 2000), (clifford(2), 127)],
-    ids=["quaternion-2", "quaternion-64", "quaternion-2000", "cl3-64", "cl3-2000", "cl2-127"],
-)
-def test_sample_units_matches_the_rejection_sampler(signature, count):
-    for seed in (0, 5):
-        assert sample_units(signature, seed, count) == _rejection_sample_units(
-            signature, seed, count
-        )
+def test_stereographic_unit_matches_the_fraction_chart():
+    grid = [[Fraction(a, b)] for a in range(-12, 13) for b in range(1, 9)]
+    rng = Random("chart-reference")
+    cases = [(clifford(2), params) for params in grid]
+    for sig in (H, CL3, clifford(8)):
+        for _ in range(300):
+            params = [Fraction(rng.randint(-60, 60), rng.randint(1, 40)) for _ in sig.imag_masks[1:]]
+            cases.append((sig, params))
+    for sig, params in cases:
+        value = stereographic_unit(sig, params).value
+        expected = _fraction_chart(sig, params)
+        assert (value.nums, value.den) == (expected.nums, expected.den)
+
+
+def test_sample_units_reaches_every_quaternion_chart_unit():
+    units = sample_units(H, 0, 16129)
+    assert [u.value for u in units[:3]] == [I, J, K]
+    assert len({u.value for u in units}) == 16129
+
+
+@pytest.mark.parametrize("signature", [H, CL3], ids=["quaternion", "cl3"])
+def test_sample_units_is_a_prefix_of_a_longer_sample(signature):
+    for seed in range(3):
+        longest = sample_units(signature, seed, 64)
+        for count in range(1, 64):
+            assert sample_units(signature, seed, count) == longest[:count]
+
+
+def test_sample_units_pins_the_first_chart_units():
+    # a change to the seeded stream of chart indices shows here first
+    assert [u.components() for u in sample_units(H, 0, 6)[3:]] == [
+        (Fraction(-548, 557), Fraction(99, 557), Fraction(12, 557)),
+        (Fraction(-7305, 13577), Fraction(10752, 13577), Fraction(-3920, 13577)),
+        (Fraction(-329, 337), Fraction(12, 337), Fraction(72, 337)),
+    ]
 
 
 def test_sample_units_builds_each_unit_once(monkeypatch):

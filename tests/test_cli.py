@@ -20,7 +20,7 @@ BUILTIN_OUTPUT_SHA256 = {
     ("classify", "v"): "b4816f22659dec8371dbc19b467f74eaf20a7774e250b12b07bdc1a35df5de8a",
     ("classify", "v_r"): "f974eb986a52470809488660d17f3780e7a13fd5a2a6f51b75175d72924bdae3",
     ("classify", "v_m"): "c93e779dcc5001dbc435a248ad77913cab1eb7e7caa18d962c73962d21073feb",
-    ("classify", "bump"): "201463e7d713bbb6eba98ac32ac0273b08896eac5362dd36938dea989e2d5eb9",
+    ("classify", "bump"): "57f4e1ebfd33d5aefc63f8d579a7a9941681ea1334ea82d60972953838f5c5a4",
     ("decompose", "x"): "4f1709d6a96d1e2c17523a4b80ed2a1ed393cfa493020793e28312b2fd347cab",
     ("decompose", "xbar"): "1b58d2724c8e881bea54b021283c78ca8ee4c500c6b06898eb652ca9758fe1d3",
     ("decompose", "v"): None,
