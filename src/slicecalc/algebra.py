@@ -173,7 +173,7 @@ class AlgebraElement:
     values have equal fields.
     """
 
-    __slots__ = ("signature", "nums", "den", "_hash")
+    __slots__ = ("signature", "nums", "den")
 
     def __new__(cls, signature: AlgebraSignature, coeffs: Mapping[int, RationalLike]):
         for mask in coeffs:
@@ -200,7 +200,6 @@ class AlgebraElement:
         obj.signature = signature
         obj.nums = nums
         obj.den = den // g
-        obj._hash = None
         return obj
 
     # -- constructors ------------------------------------------------------
@@ -284,9 +283,7 @@ class AlgebraElement:
         )
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.signature, self.den, frozenset(self.nums.items())))
-        return self._hash
+        return hash((self.signature, self.den, frozenset(self.nums.items())))
 
     def __repr__(self):
         if not self.nums:

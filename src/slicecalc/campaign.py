@@ -171,7 +171,7 @@ def slice_derivative_trials(
         if zbar_degree is None:
             stem = rand_stem(rng, sig, max_degree=4)
         else:
-            stem = compose(rand_regular_tuple(rng, sig, zbar_degree + 1, max_degree=2))
+            stem = compose(rand_regular_tuple(rng, sig, zbar_degree + 1))
         pf = SliceFunction(domain, stem).to_point_function()
         # each side restricted once per unit; level n is one dbar step from n - 1
         stem_side = [restrict_slice_function(stem, unit).dbar_chain(top) for unit in units]
@@ -210,9 +210,8 @@ def leibniz_trials(
     seed: int,
     n_funcs: int,
     n_units: int,
-    powers: tuple[int, ...] = (1, 2, 3),
 ) -> Iterator[Optional[dict]]:
-    """Product rule against conjugate-coordinate powers, slice and global form.
+    """Product rule against conjugate-coordinate powers xbar^1..xbar^3, slice and global form.
 
     Slice form: dbar_I((xbar^h g)_I) = h xbar_I^(h-1) g_I + xbar_I^h dbar_I g_I.
     Global form: the same identity through thetabar, compared as rational
@@ -220,16 +219,15 @@ def leibniz_trials(
     """
     rng = rng_for(seed, f"leibniz:{_sig_label(sig)}")
     units = sample_units(sig, seed, n_units)
-    top = max(powers)
-    # xbar^0..xbar^top in the coordinates, and on the slice of each unit
-    xbar = list(islice(coord_xbar(sig).powers(), top + 1))
-    plane_xbar = [list(islice(plane_x(sig, -unit).powers(), top + 1)) for unit in units]
+    # xbar^0..xbar^3 in the coordinates, and on the slice of each unit
+    xbar = list(islice(coord_xbar(sig).powers(), 4))
+    plane_xbar = [list(islice(plane_x(sig, -unit).powers(), 4)) for unit in units]
     for gi in range(n_funcs):
         g = rand_point_polynomial(rng, sig, max_degree=3)
         theta_g = thetabar(g, 1)
         # g_I and dbar_I g_I on every unit, from one restriction each
         g_planes = [restrict_to_slice(g, unit).dbar_chain(1) for unit in units]
-        for h in powers:
+        for h in (1, 2, 3):
             xg = PointFunction(g.domain, g.expr.mul_poly_left(xbar[h]))
             # global form
             lhs = thetabar(xg, 1).expr
@@ -333,7 +331,7 @@ def decomposition_roundtrip_trials(
     plane_xbar = [list(islice(plane_x(sig, -unit).powers(), reach)) for unit in units]
     for ti in range(n_tuples):
         n = 1 + ti % max_n
-        parts = rand_regular_tuple(rng, sig, n, max_degree=2)
+        parts = rand_regular_tuple(rng, sig, n)
         total = compose(parts)
         components = decompose(total, n)
         ok = list(components) == parts

@@ -19,12 +19,16 @@ rational, partial derivatives, the radial operator, slice restriction and each
 component of the stem operator dF/dz-bar are linear maps on the terms: each
 makes one pass over the integer rows of its inputs, with one ``int`` factor per
 term (``_int_map``).  The plane operator (d/dalpha + I d/dbeta)/2
-(``plane_dbar``) is one pass as well.  Rational functions multiply a numerator
-only by a cofactor that is not 1 when they add.  Point evaluation puts the
-point over a common denominator and homogenizes every term to the total degree,
-so a polynomial's value is one integer row over one denominator; a rational
-function's value is its numerator's integer row scaled by its factors' integer
-values at the same integer point, with one ``AlgebraElement`` built per call.
+(``plane_dbar``) is one pass as well.  Sum, difference and equality of
+rational functions share one step that puts both numerators over the shared
+factors, each at the larger of its two exponents, and multiplies a numerator
+only by a cofactor that is not 1; equality then compares the two canonical
+numerators, so it builds no polynomial when the factors already agree.  Point
+evaluation puts the point over a common denominator and homogenizes every term
+to the total degree, so a polynomial's value is one integer row over one
+denominator; a rational function's value is its numerator's integer row scaled
+by its factors' integer values at the same integer point, with one
+``AlgebraElement`` built per call.
 """
 
 from __future__ import annotations
@@ -576,19 +580,19 @@ class RationalFn:
 
     # -- arithmetic ----------------------------------------------------------------
 
-    def _require_compatible(self, other: "RationalFn") -> None:
-        self.numer._require_compatible(other.numer)
+    def _over_shared_factors(
+        self, other: "RationalFn"
+    ) -> tuple[CoordPoly, CoordPoly, tuple[tuple[CoordPoly, int], ...]]:
+        """Both numerators over the shared factors, each at the larger of its two exponents.
 
-    def __add__(self, other):
-        if not isinstance(other, RationalFn):
-            return NotImplemented
-        self._require_compatible(other)
+        A numerator is multiplied only by a cofactor that is not 1.
+        """
+        self.numer._require_compatible(other.numer)
         mine = dict(self.den_factors)
         theirs = dict(other.den_factors)
-        shared: dict[CoordPoly, int] = dict(mine)
+        shared = dict(mine)
         for p, k in theirs.items():
             shared[p] = max(shared.get(p, 0), k)
-        # a numerator is multiplied only by a cofactor that is not 1
         cof_self = cof_other = None
         for p, k in shared.items():
             d_self = k - mine.get(p, 0)
@@ -597,20 +601,24 @@ class RationalFn:
                 cof_self = _times(p**d_self, cof_self)
             if d_other:
                 cof_other = _times(p**d_other, cof_other)
-        numer = _times(self.numer, cof_self) + _times(other.numer, cof_other)
-        return RationalFn._make(numer, _merge_factors(shared.items()))
+        factors = tuple(shared.items())
+        return _times(self.numer, cof_self), _times(other.numer, cof_other), factors
 
-    def __neg__(self):
-        return RationalFn._make(-self.numer, self.den_factors)
+    def __add__(self, other):
+        if not isinstance(other, RationalFn):
+            return NotImplemented
+        mine, theirs, factors = self._over_shared_factors(other)
+        return RationalFn._make(mine + theirs, factors)
 
     def __sub__(self, other):
         if not isinstance(other, RationalFn):
             return NotImplemented
-        return self + (-other)
+        mine, theirs, factors = self._over_shared_factors(other)
+        return RationalFn._make(mine - theirs, factors)
 
     def __mul__(self, other):
         if isinstance(other, RationalFn):
-            self._require_compatible(other)
+            self.numer._require_compatible(other.numer)
             return RationalFn._make(
                 self.numer * other.numer,
                 _merge_factors(self.den_factors + other.den_factors),
@@ -678,17 +686,19 @@ class RationalFn:
     # -- comparisons -----------------------------------------------------------------------
 
     def __eq__(self, other):
-        """Exact value equality (cross-multiplied numerator comparison)."""
+        """Exact value equality: the numerators over the shared factors are equal.
+
+        ``_make`` gives every polynomial one canonical form, so ``CoordPoly.__eq__``
+        compares values.
+        """
         if isinstance(other, CoordPoly):
             other = RationalFn.from_poly(other)
         if not isinstance(other, RationalFn):
             return NotImplemented
-        if (
-            self.signature != other.signature
-            or self.var_count != other.var_count
-        ):
+        if self.signature != other.signature or self.var_count != other.var_count:
             return False
-        return (self - other).is_zero()
+        mine, theirs, _ = self._over_shared_factors(other)
+        return mine == theirs
 
     __hash__ = None
 

@@ -127,17 +127,11 @@ def rand_holomorphic_stem(
 
 
 def rand_regular_tuple(
-    rng: Random,
-    signature: AlgebraSignature,
-    count: int,
-    max_degree: int = 2,
+    rng: Random, signature: AlgebraSignature, count: int
 ) -> list[StemFunction]:
-    """Holomorphic stems f_0..f_(count-1) with a nonzero top component."""
-    parts = [
-        rand_holomorphic_stem(rng, signature, max_degree, nonzero=False)
-        for _ in range(count - 1)
-    ]
-    parts.append(rand_holomorphic_stem(rng, signature, max_degree, nonzero=True))
+    """Holomorphic stems f_0..f_(count-1) of degree at most 2 with a nonzero top component."""
+    parts = [rand_holomorphic_stem(rng, signature, 2, nonzero=False) for _ in range(count - 1)]
+    parts.append(rand_holomorphic_stem(rng, signature, 2, nonzero=True))
     return parts
 
 
@@ -146,14 +140,14 @@ def rand_plane_point(
 ) -> tuple[Fraction, Fraction]:
     """Rational point (alpha, beta) of D with beta > 0."""
     domain = domain or default_domain()
-    if domain.shape == "ball":
+    if domain.r_in is None:
         r = domain.radius
         alpha = domain.center + r * Fraction(rng.randint(-4, 4), 9)
         beta = r * Fraction(rng.randint(1, 4), 9)
         return alpha, beta
-    # annulus: a radius strictly between r_in and r_out along the rational unit
+    # annulus: a radius strictly between r_in and radius along the rational unit
     # direction ((b^2 - a^2), 2ab) / (a^2 + b^2), whose beta part is positive
-    r = domain.r_in + (domain.r_out - domain.r_in) * Fraction(rng.randint(1, 8), 9)
+    r = domain.r_in + (domain.radius - domain.r_in) * Fraction(rng.randint(1, 8), 9)
     a, b = rng.randint(1, 4), rng.randint(1, 4)
     norm = a * a + b * b
     return domain.center + r * Fraction(b * b - a * a, norm), r * Fraction(2 * a * b, norm)

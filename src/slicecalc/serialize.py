@@ -155,7 +155,7 @@ def stem_to_json(stem: StemFunction) -> dict:
 
 
 def domain_to_json(domain: CircularDomain) -> dict:
-    if domain.shape == "ball":
+    if domain.r_in is None:
         return {
             "shape": "ball",
             "center": frac_to_str(domain.center),
@@ -165,7 +165,7 @@ def domain_to_json(domain: CircularDomain) -> dict:
         "shape": "annulus",
         "center": frac_to_str(domain.center),
         "r_in": frac_to_str(domain.r_in),
-        "r_out": frac_to_str(domain.r_out),
+        "r_out": frac_to_str(domain.radius),
     }
 
 

@@ -25,47 +25,39 @@ from .stem import StemFunction
 class CircularDomain:
     """Ball or annulus centered on the real axis, describing D in the plane.
 
-    The domain in the algebra is the circularization of D: all points
-    alpha + I*beta with alpha + i*beta in D.  Both shapes are open, connected,
-    conjugation-invariant and meet the real axis.
+    ``radius`` is the outer radius; ``r_in`` is the inner one of an annulus
+    and None for a ball.  The domain in the algebra is the circularization of
+    D: all points alpha + I*beta with alpha + i*beta in D.  Both shapes are
+    open, connected, conjugation-invariant and meet the real axis.
     """
 
-    shape: str
     center: Fraction
-    radius: Optional[Fraction] = None
+    radius: Fraction
     r_in: Optional[Fraction] = None
-    r_out: Optional[Fraction] = None
 
     def __post_init__(self):
-        if self.shape == "ball":
-            if self.radius is None or self.radius <= 0:
+        if self.r_in is None:
+            if self.radius <= 0:
                 raise ValueError("ball radius must be positive")
-        elif self.shape == "annulus":
-            if self.r_in is None or self.r_out is None:
-                raise ValueError("annulus needs r_in and r_out")
-            if not 0 <= self.r_in < self.r_out:
-                raise ValueError("annulus requires 0 <= r_in < r_out")
-        else:
-            raise ValueError(f"unknown domain shape {self.shape!r}")
+        elif not 0 <= self.r_in < self.radius:
+            raise ValueError("annulus requires 0 <= r_in < r_out")
 
     @classmethod
     def ball(cls, center: RationalLike, radius: RationalLike) -> "CircularDomain":
-        return cls("ball", Fraction(center), radius=Fraction(radius))
+        return cls(Fraction(center), Fraction(radius))
 
     @classmethod
     def annulus(
         cls, center: RationalLike, r_in: RationalLike, r_out: RationalLike
     ) -> "CircularDomain":
-        return cls(
-            "annulus", Fraction(center), r_in=Fraction(r_in), r_out=Fraction(r_out)
-        )
+        return cls(Fraction(center), Fraction(r_out), Fraction(r_in))
 
     def contains_sq(self, alpha: Fraction, beta_sq: Fraction) -> bool:
         """Membership test on (alpha, beta^2); avoids square roots."""
         rho_sq = (Fraction(alpha) - self.center) ** 2 + Fraction(beta_sq)
-        if self.shape == "ball":
+        if self.r_in is None:
             return rho_sq < self.radius**2
-        return self.r_in**2 < rho_sq < self.r_out**2
+        return self.r_in**2 < rho_sq < self.radius**2
 
 
 def phi_coords(

@@ -77,7 +77,7 @@ def sample_stems(sig: AlgebraSignature, label: str) -> list[StemFunction]:
     """rand_stem and compose stems, the zero stem, and stems with an empty component."""
     rng = rng_for(16, label)
     out = [rand_stem(rng, sig, max_degree=4) for _ in range(3)]
-    out += [compose(rand_regular_tuple(rng, sig, 3, max_degree=2)) for _ in range(2)]
+    out += [compose(rand_regular_tuple(rng, sig, 3)) for _ in range(2)]
     zero = CoordPoly.zero(sig, 2)
     return out + [StemFunction.zero(sig), StemFunction(out[0].f1, zero), StemFunction(zero, out[1].f2)]
 

@@ -127,9 +127,7 @@ def test_03_g_operator_relation():
 
 
 def test_04_leibniz_rules():
-    trials, failures, witness = leibniz_trials(
-        H, SEED, n_funcs=100, n_units=4, powers=(1, 2, 3)
-    )
+    trials, failures, witness = leibniz_trials(H, SEED, n_funcs=100, n_units=4)
     _report(
         "04 Leibniz rules (slice and global)",
         failures == 0,
@@ -193,9 +191,7 @@ def test_09_clifford_parity():
     results.append(failures == 0)
     trials, failures, _ = g_relation_trials(CL3, SEED, n_funcs=100)
     results.append(failures == 0)
-    trials, failures, _ = leibniz_trials(
-        CL3, SEED, n_funcs=100, n_units=4, powers=(1, 2, 3)
-    )
+    trials, failures, _ = leibniz_trials(CL3, SEED, n_funcs=100, n_units=4)
     results.append(failures == 0)
     trials, failures, _ = decomposition_roundtrip_trials(
         CL3, SEED, n_tuples=100, n_units=6, max_n=4

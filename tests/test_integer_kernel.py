@@ -37,7 +37,15 @@ from slicecalc.campaign import (
     taylor_independence_trials,
 )
 from slicecalc.errors import ArityMismatchError, DenominatorVanishesError
-from slicecalc.multipoly import CoordPoly, RationalFn, _apply_n, coord_x, coord_xbar, restrict_poly
+from slicecalc.multipoly import (
+    CoordPoly,
+    RationalFn,
+    _apply_n,
+    coord_s,
+    coord_x,
+    coord_xbar,
+    restrict_poly,
+)
 from slicecalc.slicefn import PointFunction
 from slicecalc.stem import StemFunction
 
@@ -637,6 +645,29 @@ def test_adding_polynomials_runs_no_product(monkeypatch):
     assert RationalFn.from_poly(p) - RationalFn.from_poly(p) == RationalFn.from_poly(p * 0)
     assert calls == []
     p * q  # the counter sees products
+    assert len(calls) == 1
+
+
+def test_comparing_rational_functions_over_the_same_factors_builds_no_polynomial(monkeypatch):
+    calls = []
+    real = CoordPoly._make.__func__
+
+    def counted(cls, *args):
+        calls.append(args)
+        return real(cls, *args)
+
+    sig = QUATERNION
+    s = coord_s(sig)
+    p = CoordPoly.variable(sig, 4, 1).scale_left(AlgebraElement.basis(sig, 2))
+    q = CoordPoly.variable(sig, 4, 0) * Fraction(2, 3)
+    a = RationalFn(p + q, ((s, 2),))
+    b = RationalFn(q + p, ((s, 2),))
+    c = RationalFn(p, ((s, 2),))
+    monkeypatch.setattr(CoordPoly, "_make", classmethod(counted))
+    assert a == b
+    assert a != c
+    assert calls == []
+    a + c  # the counter sees a sum
     assert len(calls) == 1
 
 

@@ -139,6 +139,21 @@ def test_value_equality_across_representations():
     b = RationalFn(var(1), ((s, 1),))
     assert a == b
     assert RationalFn.from_poly(var(1)) != b
+    # N (s+1) / (s (s+1)) against N / s: over s (s+1), one side takes the
+    # cofactor s+1; written as N s / s^2, both sides take one
+    one = CoordPoly.constant(H, 4, 1)
+    c = RationalFn(var(1) * (s + one), ((s, 1), (s + one, 1)))
+    assert c == b
+    assert c == RationalFn(var(1) * s, ((s, 2),))
+    # N / s against N / (s+1)
+    assert b != RationalFn(var(1), ((s + one, 1),))
+    # numerators that differ in one term, over the same and over other factors
+    assert RationalFn(var(1) + var(2), ((s, 1),)) != RationalFn(var(1) + var(3), ((s, 1),))
+    assert RationalFn(var(1) * s + var(2), ((s, 2),)) != b
+    # a RationalFn against a CoordPoly, on either side of ==
+    assert RationalFn(var(1) * s, ((s, 1),)) == var(1)
+    assert var(1) == RationalFn(var(1) * s, ((s, 1),))
+    assert b != var(1)
 
 
 def test_a_factor_that_divides_its_derivative_keeps_its_power():

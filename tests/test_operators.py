@@ -191,7 +191,7 @@ def test_leibniz_restricts_each_function_once_per_unit(monkeypatch):
         return real(rf, components)
 
     monkeypatch.setattr(operators, "restrict_rf", counted)
-    trials, failures, witness = leibniz_trials(H, 3, n_funcs=1, n_units=2, powers=(1, 2, 3))
+    trials, failures, witness = leibniz_trials(H, 3, n_funcs=1, n_units=2)
     assert (trials, failures) == (9, 0), witness
     assert len(calls) == 8
 

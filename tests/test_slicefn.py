@@ -42,11 +42,11 @@ def q(*coords):
 
 
 def test_domain_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="ball radius must be positive"):
         CircularDomain.ball(0, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="annulus requires 0 <= r_in < r_out"):
         CircularDomain.annulus(0, 2, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="annulus requires 0 <= r_in < r_out"):
         CircularDomain.annulus(0, -1, 2)
     ring = CircularDomain.annulus(0, 1, 3)
     # contains_sq takes (alpha, beta^2)
