@@ -6,11 +6,12 @@ of a floating-point comparison.  An element stores one Python ``int``
 numerator per blade over one positive common denominator, in lowest terms, so
 sums and products add up integers (``_int_product`` is shared with the
 polynomial product: exponent keys add, and an element is the one row keyed by
-the empty monomial ``()``).  ``Fraction`` is the API-edge type: constructors
-take rationals, and ``coeffs`` and ``coeff()`` give normalized ``Fraction``s.
-Quaternions are stored on the two-generator blade basis
-(i, j, k = e1, e2, e1e2), which makes the classical multiplication table a
-special case of the general blade product.
+the empty monomial ``()``).  A difference is one pass adding self + sign *
+other with sign -1, and a negation is scaling by -1.  ``Fraction`` is the
+API-edge type: constructors take rationals, and ``coeffs`` and ``coeff()``
+give normalized ``Fraction``s.  Quaternions are stored on the two-generator
+blade basis (i, j, k = e1, e2, e1e2), which makes the classical multiplication
+table a special case of the general blade product.
 """
 
 from __future__ import annotations
@@ -241,24 +242,25 @@ class AlgebraElement:
                 f"cannot combine {self.signature} with {other.signature}"
             )
 
-    def __add__(self, other):
+    def _signed_sum(self, other, sign: int):
+        """self + sign * other in one pass over both numerator rows."""
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._require_same(other)
         den = lcm(self.den, other.den)
         nums: dict[int, int] = {}
         _add_scaled(nums, self.nums, den // self.den)
-        _add_scaled(nums, other.nums, den // other.den)
+        _add_scaled(nums, other.nums, sign * (den // other.den))
         return AlgebraElement._make(self.signature, nums, den)
 
+    def __add__(self, other):
+        return self._signed_sum(other, 1)
+
     def __sub__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return self + (-other)
+        return self._signed_sum(other, -1)
 
     def __neg__(self):
-        nums = {m: -n for m, n in self.nums.items()}
-        return AlgebraElement._make(self.signature, nums, self.den)
+        return self * -1
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):

@@ -242,7 +242,3 @@ def main(argv=None) -> int:
     except SliceCalcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH_FAILURE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

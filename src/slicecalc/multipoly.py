@@ -14,11 +14,12 @@ over one positive denominator in lowest terms; ``terms`` gives the coefficients
 as ``AlgebraElement``s.  The product goes through the integer core of the
 algebra product, and so does scaling by an algebra element, as the one row
 keyed by the empty monomial ``()``; a sum of products, such as a stem product's
-component, fills one accumulator (``_product_sum``).  Sums, scaling by a
-rational, partial derivatives, the radial operator, slice restriction and each
-component of the stem operator dF/dz-bar are linear maps on the terms: each
-makes one pass over the integer rows of its inputs, with one ``int`` factor per
-term (``_int_map``).  The plane operator (d/dalpha + I d/dbeta)/2
+component, fills one accumulator (``_product_sum``).  Sums, differences,
+negation, scaling by a rational, partial derivatives, the radial operator,
+slice restriction and each component of the stem operator dF/dz-bar are linear
+maps on the terms: each makes one pass over the integer rows of its inputs,
+with one ``int`` factor per term (``_int_map``); a sign is such a factor, so a
+difference builds no negated copy.  The plane operator (d/dalpha + I d/dbeta)/2
 (``plane_dbar``) is one pass as well.  Sum, difference and equality of
 rational functions share one step that puts both numerators over the shared
 factors, each at the larger of its two exponents, and multiplies a numerator
@@ -93,18 +94,19 @@ def _partial_move(index: int, sign: int = 1):
 def _int_map(sources, var_count: int, scale: int = 1) -> "CoordPoly":
     """One pass over the integer rows of each (poly, move) in ``sources``: a sum of linear maps.
 
-    ``move(e)`` gives the output key of term ``e`` and an ``int`` factor for
-    its numerators; a factor 0 drops the term, and ``move`` None keeps it as it
-    is.  Terms meeting on one key add up over the lcm of the sources'
-    denominators times ``scale``.
+    ``move`` is an ``int`` factor for every numerator, each term keeping its
+    key (so a sign is the factor -1), or a function: ``move(e)`` gives the
+    output key of term ``e`` and an ``int`` factor for its numerators.  A
+    factor 0 drops the term.  Terms meeting on one key add up over the lcm of
+    the sources' denominators times ``scale``.
     """
     den = lcm(*[poly.den for poly, _ in sources])
     acc: dict = {}
     for poly, move in sources:
         r = den // poly.den
-        if move is None:
+        if isinstance(move, int):
             for e, nums in poly.rows.items():
-                _add_scaled(acc.setdefault(e, {}), nums, r)
+                _add_scaled(acc.setdefault(e, {}), nums, move * r)
             continue
         for e, nums in poly.rows.items():
             key, k = move(e)
@@ -239,16 +241,16 @@ class CoordPoly:
         if not isinstance(other, CoordPoly):
             return NotImplemented
         self._require_compatible(other)
-        return _int_map(((self, None), (other, None)), self.var_count)
+        return _int_map(((self, 1), (other, 1)), self.var_count)
 
     def __neg__(self):
-        rows = {e: {m: -n for m, n in nums.items()} for e, nums in self.rows.items()}
-        return CoordPoly._make(self.signature, self.var_count, rows, self.den)
+        return _int_map(((self, -1),), self.var_count)
 
     def __sub__(self, other):
         if not isinstance(other, CoordPoly):
             return NotImplemented
-        return self + (-other)
+        self._require_compatible(other)
+        return _int_map(((self, 1), (other, -1)), self.var_count)
 
     def __mul__(self, other):
         if isinstance(other, CoordPoly):
@@ -256,8 +258,7 @@ class CoordPoly:
             acc = _int_product(self.rows.items(), other.rows.items())
             return CoordPoly._make(self.signature, self.var_count, acc, self.den * other.den)
         if isinstance(other, (int, Fraction)):
-            n = other.numerator
-            return _int_map(((self, lambda e: (e, n)),), self.var_count, other.denominator)
+            return _int_map(((self, other.numerator),), self.var_count, other.denominator)
         return NotImplemented
 
     def _require_coeff(self, coeff: AlgebraElement) -> None:
@@ -507,9 +508,7 @@ def _normalize_factor(poly: CoordPoly) -> tuple[CoordPoly, Fraction]:
     g = gcd(*[nums[0] for nums in poly.rows.values()])
     if poly.rows[poly._leading_key()][0] < 0:
         g = -g
-    rows = {e: {0: nums[0] // g} for e, nums in poly.rows.items()}
-    primitive = CoordPoly._make(poly.signature, poly.var_count, rows, 1)
-    return primitive, Fraction(g, poly.den)
+    return poly * Fraction(poly.den, g), Fraction(g, poly.den)
 
 
 def _merge_factors(

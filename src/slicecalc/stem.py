@@ -3,8 +3,9 @@
 A stem is a pair (F1, F2) of bivariate polynomials in (alpha, beta) such that
 F1 is even and F2 is odd in beta.  That symmetry is exactly what makes the
 induced function f(alpha + I*beta) = F1 + I*F2 independent of the sign choice
-(I, beta) vs (-I, -beta).  Parity is enforced at construction; both operations
-below provably preserve it.
+(I, beta) vs (-I, -beta).  Parity is enforced at construction, and every
+operation below preserves it: sum, difference, product, right scaling and
+``dbar``.
 """
 
 from __future__ import annotations

@@ -167,7 +167,7 @@ def test_sample_units_builds_each_unit_once(monkeypatch):
         return stereographic_unit(signature, params)
 
     monkeypatch.setattr(slicecalc.algebra, "stereographic_unit", counting_chart)
-    # every one of the 127 chart values is drawn, most of them many times over
+    # each of the 125 non-canonical chart indices is drawn once
     units = sample_units(clifford(2), 0, 127)
     assert len(units) == 127
     assert len(calls) == 125  # the two canonical units need no chart call

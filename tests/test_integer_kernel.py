@@ -1,7 +1,8 @@
 """The integer inner loops of the kernel against plain ``Fraction`` references.
 
 ``AlgebraElement`` and ``CoordPoly`` store integer numerators over one
-denominator, so ``+``, ``-`` and ``*`` on both, ``CoordPoly.eval``, ``RationalFn.eval``, scalar scaling,
+denominator, so ``+``, binary and unary ``-`` and ``*`` on both,
+``CoordPoly.eval``, ``RationalFn.eval``, scalar scaling,
 ``scale_left``/``scale_right``, ``CoordPoly.partial``, ``CoordPoly.radial``, ``restrict_poly``, the
 content split of ``RationalFn(numer, factors)`` and ``RationalFn.__add__`` all
 add up integers.  The references below are the straightforward loops over
@@ -485,6 +486,7 @@ def test_element_sum_and_difference_match_the_fraction_reference(pair):
     assert_canonical_element(a + b, ref_element_add(a, b))
     assert_canonical_element(a - b, ref_element_add(a, b, -1))
     assert_canonical_element(a - a, AlgebraElement.zero(a.signature))
+    assert_canonical_element(-a, ref_element_add(AlgebraElement.zero(a.signature), a, -1))
 
 
 def paravector_coords(signature):
@@ -511,6 +513,7 @@ def test_poly_sum_and_difference_match_the_fraction_reference(pair):
     assert_canonical_poly(p + q, ref_poly_add(p, q))
     assert_canonical_poly(p - q, ref_poly_add(p, q, -1))
     assert_canonical_poly(p - p, CoordPoly.zero(p.signature, p.var_count))
+    assert_canonical_poly(-p, ref_poly_add(CoordPoly.zero(p.signature, p.var_count), p, -1))
 
 
 # -- RationalFn ----------------------------------------------------------------------------
@@ -669,6 +672,32 @@ def test_comparing_rational_functions_over_the_same_factors_builds_no_polynomial
     assert calls == []
     a + c  # the counter sees a sum
     assert len(calls) == 1
+
+
+def test_a_difference_builds_one_value(monkeypatch):
+    calls = []
+
+    def counting(owner):
+        real = owner._make.__func__
+
+        def counted(cls, *args):
+            calls.append(cls)
+            return real(cls, *args)
+
+        monkeypatch.setattr(owner, "_make", classmethod(counted))
+
+    sig = QUATERNION
+    p = CoordPoly.variable(sig, 4, 1).scale_left(AlgebraElement.basis(sig, 2))
+    q = CoordPoly.variable(sig, 4, 0) * Fraction(2, 3)
+    a = AlgebraElement(sig, {0: Fraction(1, 2), 3: 2})
+    b = AlgebraElement(sig, {1: Fraction(-1, 3), 3: 1})
+    counting(CoordPoly)
+    counting(AlgebraElement)
+    p - q
+    assert calls == [CoordPoly]
+    calls.clear()
+    a - b
+    assert calls == [AlgebraElement]
 
 
 # -- campaign bodies -----------------------------------------------------------------------

@@ -1,14 +1,18 @@
-"""Every module-level import of a package module is read by that module.
+"""Every module-level import of a package or test module is read by that module.
 
-Deleting code can leave an import behind that nothing reads any more.  A name
-counts as read when the module's syntax tree loads it anywhere, type
-annotations included.  ``from __future__`` is left out, since it binds no name.
+Deleting code, in the package or in a test, can leave an import behind that
+nothing reads any more.  The rule covers ``src/slicecalc/*.py`` and
+``tests/*.py``.  A name counts as read when the module's syntax tree loads it
+anywhere, type annotations included.  ``from __future__`` is left out, since
+it binds no name.
 """
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "slicecalc"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "slicecalc"
+MODULES = (*sorted(PACKAGE.glob("*.py")), *sorted(TESTS.glob("*.py")))
 
 
 def unread_imports(tree: ast.Module) -> list[str]:
@@ -29,8 +33,8 @@ def unread_imports(tree: ast.Module) -> list[str]:
 
 def test_every_module_level_import_is_read():
     unread = {
-        path.name: names
-        for path in sorted(PACKAGE.glob("*.py"))
+        f"{path.parent.name}/{path.name}": names
+        for path in MODULES
         for names in [unread_imports(ast.parse(path.read_text()))]
         if names
     }
