@@ -8,14 +8,19 @@ that its callers get.  The campaign table derives counts from CampaignConfig:
 ``unit_samples`` sizes the unit pool (at least 2 units for every check) and
 ``point_samples`` the number of trial tuples per check.  Each row returns
 its JSON report entry, and ``run_campaign`` assembles the whole report.
-Each check seeds its own generator from (seed, check id), which makes reports
-byte-identical for a fixed config regardless of scheduling.
+Each check seeds its own generator from (seed, check id, signature), which
+makes reports byte-identical for a fixed config regardless of scheduling.  So
+a check's signatures run side by side, each after the first in a forked
+process, when the machine has more than one usable CPU; the report bytes are
+the same either way.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import asdict, dataclass
-from functools import wraps
+from functools import partial, wraps
 from itertools import islice
 from math import perm
 from typing import Callable, Iterator, Optional
@@ -82,6 +87,84 @@ SIGNATURES = (QUATERNION, clifford(3))
 
 def _sig_label(sig: AlgebraSignature) -> str:
     return "quaternion" if sig.kind == "quaternion" else f"clifford_{sig.m}"
+
+
+def _can_fork() -> bool:
+    """Whether a forked child can run beside this process.
+
+    Forking a process with threads copies only the calling thread, so a lock
+    another thread holds would stay held in the child.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        usable = len(os.sched_getaffinity(0))
+    else:
+        usable = os.cpu_count() or 1
+    return hasattr(os, "fork") and usable > 1 and threading.active_count() == 1
+
+
+def _side_by_side(calls: dict[str, Callable[[], object]]) -> list:
+    """``[f() for f in calls.values()]``, each call after the first in a forked child.
+
+    The children start first; each pipes back its pickled result, or the
+    exception it raised, and leaves with ``os._exit``.  This process runs the
+    first call, then reads the children's outcomes in order and raises the
+    first exception among all the calls, as running them in turn would.  Every
+    child is reaped before this returns or raises; one that ends without
+    sending an outcome is named by its key.  Without fork, a second usable CPU
+    or with other threads running, the calls run in turn here.
+    """
+    if len(calls) < 2 or not _can_fork():
+        return [f() for f in calls.values()]
+    import pickle
+    import signal
+
+    (_, first), *rest = calls.items()
+    children = []
+    try:
+        for label, f in rest:
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:  # the child: send the outcome and skip this process's cleanup
+                status = 1
+                try:
+                    try:
+                        outcome = True, f()
+                    except Exception as exc:
+                        outcome = False, exc
+                    with open(write_end, "wb") as pipe:
+                        pipe.write(pickle.dumps(outcome))
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_end)
+            children.append((label, pid, open(read_end, "rb")))
+        results = [first()]
+        while children:
+            label, pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            children.pop(0)
+            if not data:
+                code = os.waitstatus_to_exitcode(status)
+                raise RuntimeError(
+                    f"the {label} run ended with exit status {code} before sending its result"
+                )
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for _, pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 # -- check bodies (reused verbatim by the acceptance tests) ---------------------
@@ -403,11 +486,10 @@ def _per_signature(config: CampaignConfig, check_id: str, *runs: tuple[Callable,
     """Run each (body, sizes) pair on every signature and merge the verdicts.
 
     Per signature, trials and failures add up over the bodies and the first
-    witness any body returns is kept.
+    witness any body returns is kept.  The signatures run side by side.
     """
-    detail: dict = {}
-    witness = None
-    for sig in SIGNATURES:
+
+    def tally(sig: AlgebraSignature) -> tuple[int, int, Optional[dict]]:
         trials = failures = 0
         first = None
         for body, sizes in runs:
@@ -416,6 +498,12 @@ def _per_signature(config: CampaignConfig, check_id: str, *runs: tuple[Callable,
             failures += f
             if first is None:
                 first = w
+        return trials, failures, first
+
+    tallies = _side_by_side({_sig_label(sig): partial(tally, sig) for sig in SIGNATURES})
+    detail: dict = {}
+    witness = None
+    for sig, (trials, failures, first) in zip(SIGNATURES, tallies):
         detail[_sig_label(sig)] = {"trials": trials, "failures": failures}
         if failures and witness is None:
             witness = {"signature": _sig_label(sig), **first}
@@ -438,11 +526,22 @@ def _budget(config: CampaignConfig, floor: int, per: int) -> int:
 
 
 def _check_counterexamples(config: CampaignConfig) -> dict:
-    """The suite on the quaternions, then (6): the same checks pass under Cl(0,3)."""
+    """The suite on the quaternions, then (6): the same checks pass under Cl(0,3).
+
+    The two suites run side by side.
+    """
     units = max(2, config.unit_samples)
     quaternion, analogue = SIGNATURES
-    report = counterexample_suite(quaternion, seed=config.seed, unit_count=units)
-    nested = counterexample_suite(analogue, seed=config.seed, unit_count=min(units, 32))
+    report, nested = _side_by_side(
+        {
+            _sig_label(quaternion): partial(
+                counterexample_suite, quaternion, seed=config.seed, unit_count=units
+            ),
+            _sig_label(analogue): partial(
+                counterexample_suite, analogue, seed=config.seed, unit_count=min(units, 32)
+            ),
+        }
+    )
     verdicts = {check_id: passed for check_id, (passed, _) in nested.items()}
     report["clifford-analogue"] = (all(verdicts.values()), verdicts)
     detail = {check_id: passed for check_id, (passed, _) in report.items()}

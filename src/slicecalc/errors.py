@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each survives a pickle round trip with its type, message and attributes, so
+an error raised in a forked campaign run reaches the CLI unchanged.
+"""
 
 from __future__ import annotations
 
@@ -29,6 +33,9 @@ class ParityViolationError(SliceCalcError):
             f"has {'odd' if component == 'F1' else 'even'} beta-exponent"
         )
 
+    def __reduce__(self):
+        return type(self), (self.component, self.exponents)
+
 
 class ZeroDenominatorError(SliceCalcError):
     """A rational function was built with (or restricted to) a zero denominator."""
@@ -40,6 +47,9 @@ class DenominatorVanishesError(SliceCalcError):
     def __init__(self, point):
         self.point = tuple(point)
         super().__init__(f"denominator vanishes at {self.point}")
+
+    def __reduce__(self):
+        return type(self), (self.point,)
 
 
 class PointOutsideDomainError(SliceCalcError):
@@ -58,6 +68,9 @@ class NotPolyanalyticOfOrderError(SliceCalcError):
         self.order = order
         self.residual = residual
         super().__init__(f"function is not polyanalytic of order {order}")
+
+    def __reduce__(self):
+        return type(self), (self.order, self.residual)
 
 
 class FunctionSpecError(SliceCalcError):

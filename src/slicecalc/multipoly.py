@@ -190,6 +190,11 @@ class CoordPoly:
         obj._hash = obj._gaps = None
         return obj
 
+    def __reduce__(self):
+        # pickled by its canonical fields, so an error carrying a residual stem
+        # crosses from a forked campaign run
+        return CoordPoly._make, (self.signature, self.var_count, self.rows, self.den)
+
     # -- constructors --------------------------------------------------------
 
     @classmethod

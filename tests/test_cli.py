@@ -282,10 +282,12 @@ def test_verify_units_sizes_the_representation_check(tmp_path, capsys, monkeypat
     from slicecalc import campaign
 
     sample_units = campaign.sample_units
-    sizes = []
+    log = tmp_path / "sizes.txt"
 
     def recorded(sig, seed, count):
-        sizes.append(count)
+        # a file, not a list: a signature may run in a forked process
+        with log.open("a") as fh:
+            fh.write(f"{count}\n")
         return sample_units(sig, seed, count)
 
     monkeypatch.setattr(campaign, "sample_units", recorded)
@@ -293,6 +295,7 @@ def test_verify_units_sizes_the_representation_check(tmp_path, capsys, monkeypat
     args = ["verify", "--seed", "0", "--units", "3", "--points", "1", "--select", "representation"]
     code, _, _ = run_cli([*args, "--json", str(out)], capsys)
     assert code == 0
+    sizes = [int(line) for line in log.read_text().split()]
     # one pool per signature, of --units units
     assert sizes == [3, 3]
 

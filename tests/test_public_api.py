@@ -38,6 +38,7 @@ import dataclasses
 import importlib
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -335,6 +336,8 @@ def program_runs(tmp_path_factory):
 
     previous = sys.getprofile()
     with pytest.MonkeyPatch.context() as patch:
+        # one usable CPU: verify runs every signature in this process, under the hook
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0})
         for mod, cls in package_classes():
             if dataclasses.is_dataclass(cls):
                 patch.setattr(cls, "__getattribute__", _read_recorder(mod, cls, reads))
