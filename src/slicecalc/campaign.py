@@ -26,6 +26,7 @@ from math import perm
 from typing import Callable, Iterator, Optional
 
 from .algebra import QUATERNION, AlgebraSignature, clifford, sample_units, unit_capacity
+from .errors import SliceCalcError
 from .multipoly import _iterates, coord_s, coord_xbar
 from .named import default_domain
 from .operators import (
@@ -152,7 +153,7 @@ def _side_by_side(calls: dict[str, Callable[[], object]]) -> list:
             children.pop(0)
             if not data:
                 code = os.waitstatus_to_exitcode(status)
-                raise RuntimeError(
+                raise SliceCalcError(
                     f"the {label} run ended with exit status {code} before sending its result"
                 )
             ok, value = pickle.loads(data)

@@ -3,14 +3,13 @@
 Reports are JSON with rationals serialized as "p/q" strings, never floats,
 and are byte-identical across runs for a fixed seed and configuration.
 Exit codes: 0 all checks passed, 1 mathematical failure (with a witness in
-the report), 2 usage or parse error.
+the report) or a check run that could not finish, 2 usage or parse error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -46,16 +45,6 @@ EXIT_USAGE = 2
 _MAX_UNITS = 12
 _MAX_POINTS = 16
 _MAX_ORDER = 64
-
-
-def _default_seed() -> int:
-    raw = os.environ.get("SLICECALC_SEED")
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise FunctionSpecError(f"SLICECALC_SEED must be an integer, got {raw!r}")
 
 
 def _load_input(path_or_name: str):
@@ -190,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run the identity/invariant campaigns")
-    p_verify.add_argument("--seed", type=int, default=None)
+    p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--units", type=int, default=64, help="unit sample pool size")
     p_verify.add_argument("--points", type=int, default=128, help="trial budget per check")
     p_verify.add_argument("--max-order", type=int, default=4)
@@ -210,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cls = sub.add_parser("classify", help="classify a function")
     p_cls.add_argument("--input", required=True, help="builtin name or JSON spec file")
-    p_cls.add_argument("--seed", type=int, default=None)
+    p_cls.add_argument("--seed", type=int, default=0)
     p_cls.add_argument(
         "--units", type=int, default=8, help=f"unit samples (2 to {_MAX_UNITS} used)"
     )
@@ -233,8 +222,6 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors already; normalize other codes
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-            args.seed = _default_seed()
         return args.func(args)
     except FunctionSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,15 +1,18 @@
+import argparse
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from slicecalc.cli import main
+from slicecalc.cli import build_parser, main
 from slicecalc.named import BUILTINS
 
 RUN = [sys.executable, "-m", "slicecalc"]
+README = Path(__file__).parent.parent / "README.md"
 GOLDEN_SMALL = Path(__file__).parent / "data" / "verify_seed7_small.json"
 VERIFY_SEED7_SHA256 = "341e4a48488bbcd5d3f58159914174da17aae6e3832e2273f07d1e9424edfdca"
 # sha256 of the --json output of `classify` and `decompose --order 3` on each
@@ -109,24 +112,62 @@ def test_verify_decomposition_reads_only_the_orders_it_draws(tmp_path, capsys):
     assert details[0]["quaternion"] == {"trials": 4, "failures": 0}
 
 
-def test_verify_env_seed(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SLICECALC_SEED", "11")
-    p1 = tmp_path / "a.json"
-    code, _, _ = run_cli(
-        ["verify", "--units", "8", "--points", "16", "--select", "taylor-independence",
-         "--json", str(p1)],
-        capsys,
-    )
-    assert code == 0
-    monkeypatch.delenv("SLICECALC_SEED")
-    p2 = tmp_path / "b.json"
-    code, _, _ = run_cli(
-        ["verify", "--seed", "11", "--units", "8", "--points", "16",
-         "--select", "taylor-independence", "--json", str(p2)],
-        capsys,
-    )
-    assert code == 0
-    assert p1.read_bytes() == p2.read_bytes()
+def subparser(command):
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return commands.choices[command]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--units", "8", "--points", "16", "--select", "taylor-independence"],
+        ["classify", "--input", "bump"],
+    ],
+    ids=["verify", "classify"],
+)
+def test_the_environment_sets_no_option(tmp_path, capsys, monkeypatch, args):
+    # every option, --seed (default 0) among them, comes from the arguments
+    # alone: SLICECALC_<OPTION>=11 exported for each changes no output byte
+    names = [f"SLICECALC_{a.dest.upper()}" for a in subparser(args[0])._actions]
+    outputs = []
+    for value in (None, "11"):
+        for name in names:
+            if value is None:
+                monkeypatch.delenv(name, raising=False)
+            else:
+                monkeypatch.setenv(name, value)
+        path = tmp_path / f"report_{value}.json"
+        code, out, err = run_cli([*args, "--json", str(path)], capsys)
+        assert code == 0 and err == ""
+        outputs.append((out, path.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def readme_synopsis():
+    """The README's `sh` block of `slicecalc` command lines, as command -> text."""
+    readme = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"```sh\n(.*?)```", readme, re.S)
+    lines = next(b for b in blocks if b.startswith("slicecalc ")).splitlines()
+    synopsis = {}
+    for line in lines:
+        if line.startswith("slicecalc "):
+            command = line.split()[1]
+        synopsis[command] = synopsis.get(command, "") + line + "\n"
+    return synopsis
+
+
+@pytest.mark.parametrize("command", ["verify", "decompose", "classify"])
+def test_the_readme_synopsis_lists_each_option(command):
+    options = {
+        flag
+        for action in subparser(command)._actions
+        for flag in action.option_strings
+        if flag not in ("-h", "--help")
+    }
+    assert set(re.findall(r"--[a-z-]+", readme_synopsis()[command])) == options
+    # options come from the arguments alone, so the README names no variable
+    assert "SLICECALC_" not in README.read_text(encoding="utf-8")
 
 
 def test_decompose_builtin_conjugate(capsys):
@@ -249,10 +290,9 @@ def test_verify_default_report_matches_its_digest(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command, name", [(c, n) for c in ("classify", "decompose") for n in BUILTINS]
 )
-def test_builtin_outputs_match_their_digests(tmp_path, capsys, monkeypatch, command, name):
+def test_builtin_outputs_match_their_digests(tmp_path, capsys, command, name):
     # a builtin missing from the table fails here, so every builtin stays pinned
     expected = BUILTIN_OUTPUT_SHA256[command, name]
-    monkeypatch.delenv("SLICECALC_SEED", raising=False)
     out = tmp_path / "report.json"
     order = ["--order", "3"] if command == "decompose" else []
     code, stdout, err = run_cli([command, "--input", name, *order, "--json", str(out)], capsys)

@@ -12,7 +12,7 @@ from slicecalc.campaign import (
     taylor_independence_trials,
 )
 from slicecalc.errors import NotPolyanalyticOfOrderError
-from slicecalc.multipoly import CoordPoly, RationalFn, coord_x
+from slicecalc.multipoly import CoordPoly, RationalFn, _iterates, coord_x
 from slicecalc.named import (
     BUILTINS,
     conjugate_coordinate,
@@ -22,7 +22,7 @@ from slicecalc.named import (
     left_multiplied_coordinate,
     rotation_twisted_coordinate,
 )
-from slicecalc.operators import plane_x
+from slicecalc.operators import _thetabar_once, plane_x
 from slicecalc.polyanalytic import (
     classify,
     compose,
@@ -31,7 +31,12 @@ from slicecalc.polyanalytic import (
     per_slice_decomposition,
     poly_order,
 )
-from slicecalc.sampling import rand_plane_point, rng_for
+from slicecalc.sampling import (
+    rand_plane_point,
+    rand_point_polynomial,
+    rand_rational_point_function,
+    rng_for,
+)
 from slicecalc.slicefn import PointFunction, SliceFunction
 from slicecalc.stem import StemFunction
 
@@ -194,22 +199,86 @@ def test_classify_twisted_coordinate():
     assert rep.evidence == {"stem_reproduces_input": False}
 
 
-def test_classify_rejects_x_plus_a_product_vanishing_on_the_sampled_slices():
-    # x + P, where each linear factor of P vanishes on one of the sampled slices
-    units = sample_units(H, 7, 8)
+def x_plus_a_product_vanishing_on(units):
+    """x + P, where each linear factor of P vanishes on the slice of one unit."""
     x = [CoordPoly.variable(H, 4, h) for h in range(4)]
     p = CoordPoly.constant(H, 4, 1)
     for unit in units:
         a, b, c = unit.components()
         w = (b, -a, 0) if (a, b) != (0, 0) else (1, 0, 0)
         p = p * (x[1] * w[0] + x[2] * w[1] + x[3] * w[2])
-    g = PointFunction(DOM, RationalFn.from_poly(coord_x(H) + p))
+    return PointFunction(DOM, RationalFn.from_poly(coord_x(H) + p))
+
+
+def test_classify_rejects_x_plus_a_product_vanishing_on_the_sampled_slices():
+    units = sample_units(H, 7, 8)
+    g = x_plus_a_product_vanishing_on(units)
     rng = rng_for(7, "classify-points")
     points = [rand_plane_point(rng, DOM) for _ in range(8)]
     rep = classify(g, 4, units, points)
     assert (rep.sbs_polyanalytic_order, rep.is_slice, _global_order(rep)) == (1, False, None)
     assert rep.evidence == {"stem_reproduces_input": False}
     assert rep.components is None
+
+
+def thetabar_order(g, max_order):
+    """The first n <= max_order with thetabar^n g == 0, None without one.
+
+    thetabar^n g restricted to the slice of I is dbar_I^n g_I, so this is the
+    slice-by-slice order over every unit, not only the sampled ones.
+    """
+    chain = islice(_iterates(_thetabar_once, g.expr), 1, max_order + 1)
+    return next((n for n, level in enumerate(chain, 1) if level.is_zero()), None)
+
+
+def _cross_draws(sig):
+    rng = rng_for(3, "cross")
+    polys = [rand_point_polynomial(rng, sig, 4) for _ in range(3)]
+    return polys + [rand_rational_point_function(rng, sig) for _ in range(3)]
+
+
+def _order_case(g, case_id):
+    if isinstance(g, SliceFunction):
+        g = g.to_point_function()
+    return pytest.param(g, sample_units(g.signature, 0, 8), 6, id=case_id)
+
+
+ORDER_CASES = [
+    *[_order_case(make(), name) for name, make in BUILTINS.items()],
+    *[
+        _order_case(g, f"{label}-{i}")
+        for label, sig in (("H", H), ("Cl3", clifford(3)))
+        for i, g in enumerate(_cross_draws(sig))
+    ],
+    # sample_units gives the basis units first: on Cl(0,8) these eight read
+    # order 4, while the next sampled units read 5
+    pytest.param(
+        rand_point_polynomial(rng_for(5, "proto8"), clifford(8), 4),
+        sample_units(clifford(8), 0, 8),
+        6,
+        marks=pytest.mark.xfail(
+            strict=True, reason="samples order 4; thetabar^5 g is the first zero"
+        ),
+        id="cl8-basis-units",
+    ),
+    pytest.param(
+        x_plus_a_product_vanishing_on(sample_units(H, 7, 8)),
+        sample_units(H, 7, 8),
+        12,
+        marks=pytest.mark.xfail(
+            strict=True, reason="samples order 1; thetabar^9 g is the first zero"
+        ),
+        id="x-plus-vanishing-product",
+    ),
+]
+
+
+@pytest.mark.parametrize("g, units, max_order", ORDER_CASES)
+def test_classify_samples_the_exact_thetabar_order(g, units, max_order):
+    rng = rng_for(7, "classify-points")
+    points = [rand_plane_point(rng, g.domain) for _ in range(5)]
+    rep = classify(g, max_order, units, points)
+    assert rep.sbs_polyanalytic_order == thetabar_order(g, max_order)
 
 
 def test_classify_conjugate_square():

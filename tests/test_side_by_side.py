@@ -21,6 +21,7 @@ from slicecalc.errors import (
     DenominatorVanishesError,
     NotPolyanalyticOfOrderError,
     ParityViolationError,
+    SliceCalcError,
 )
 from slicecalc.stem import StemFunction
 
@@ -108,19 +109,34 @@ def test_an_error_on_the_clifford_side_reads_the_same_on_both_paths(capsys, monk
     assert_no_child_left()
 
 
-def test_a_child_that_ends_without_a_result_is_named_and_reaped(monkeypatch):
+def plant_a_dying_clifford_side(monkeypatch):
     def planted(sig, seed, **sizes):
         if sig.kind != "quaternion":
             os._exit(3)
         return 1, 0, None
 
     monkeypatch.setattr(campaign, "taylor_independence_trials", planted)
+
+
+def test_a_child_that_ends_without_a_result_is_named_and_reaped(monkeypatch):
+    plant_a_dying_clifford_side(monkeypatch)
     config = campaign.CampaignConfig(
         unit_samples=2, point_samples=1, max_order=2, select=("taylor-independence",)
     )
     with usable_cpus(monkeypatch, {0, 1}), deadline(60):
-        with pytest.raises(RuntimeError, match="clifford_3 run ended with exit status 3"):
+        with pytest.raises(SliceCalcError, match="clifford_3 run ended with exit status 3"):
             campaign.run_campaign(config)
+    assert_no_child_left()
+
+
+def test_a_child_that_ends_without_a_result_exits_one_with_an_error_line(capsys, monkeypatch):
+    plant_a_dying_clifford_side(monkeypatch)
+    argv = ["verify", "--select", "taylor-independence", *SMALL]
+    assert run(argv, capsys, monkeypatch, {0, 1}) == (
+        1,
+        "",
+        "error: the clifford_3 run ended with exit status 3 before sending its result\n",
+    )
     assert_no_child_left()
 
 
