@@ -6,7 +6,9 @@ of a floating-point comparison.  An element stores one Python ``int``
 numerator per blade over one positive common denominator, in lowest terms, so
 sums and products add up integers (``_int_product`` is shared with the
 polynomial product: exponent keys add, and an element is the one row keyed by
-the empty monomial ``()``).  A difference is one pass adding self + sign *
+the empty monomial ``()``; a row whose only blade is the scalar blade, such as
+a real coefficient, scales the other row instead of looking up blade
+products).  A difference is one pass adding self + sign *
 other with sign -1, and a negation is scaling by -1.  ``Fraction`` is the
 API-edge type: constructors take rationals, and ``coeffs`` and ``coeff()``
 give normalized ``Fraction``s.  Quaternions are stored on the two-generator
@@ -140,17 +142,29 @@ def _int_product(left, right, acc: dict | None = None):
     multiplied in order, each side over one denominator that the caller keeps.
     Every pair of rows adds its blade products under the sum of its exponent
     vectors, where ``()`` is the empty monomial: an algebra element, or a
-    coefficient scaling a polynomial, is one row keyed ``()``.  Returns
+    coefficient scaling a polynomial, is one row keyed ``()``.  A row whose
+    only blade is the scalar one scales the other row, which skips the blade
+    table and visits the masks in the same order.  Returns
     ``{key: {mask: numerator}}`` over the product of the two denominators,
     added into ``acc`` when given, so a sum of products fills one accumulator.
     """
     acc = {} if acc is None else acc
     for ka, nums_a in left:
+        real_a = nums_a.get(0) if len(nums_a) == 1 else None
         for kb, nums_b in right:
             key = kb if not ka else ka if not kb else tuple(map(add, ka, kb))
             out = acc.get(key)
             if out is None:
                 out = acc[key] = {}
+            if real_a is not None:
+                for mb, nb in nums_b.items():
+                    out[mb] = out.get(mb, 0) + real_a * nb
+                continue
+            if len(nums_b) == 1 and 0 in nums_b:
+                real_b = nums_b[0]
+                for ma, na in nums_a.items():
+                    out[ma] = out.get(ma, 0) + na * real_b
+                continue
             for ma, na in nums_a.items():
                 for mb, nb in nums_b.items():
                     mask, sign = _blade_mul(ma, mb)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import islice
 from math import factorial, perm
 from typing import Optional, Sequence
@@ -24,7 +25,7 @@ from .named import jump_example, left_multiplied_coordinate, rotation_twisted_co
 from .operators import SlicePlanePoly, plane_x, restrict_to_slice
 from .serialize import frac_to_str
 from .slicefn import PointFunction, SliceFunction, SliceWitness, extract_stem, is_slice
-from .stem import StemFunction
+from .stem import StemFunction, _stem_product_sum
 
 
 def poly_order(stem: StemFunction) -> int:
@@ -37,17 +38,25 @@ def poly_order(stem: StemFunction) -> int:
     return max(1, sum(1 for _ in stem.dbar_levels()))
 
 
-def compose(parts: Sequence[StemFunction]) -> StemFunction:
-    """The stem of sum_h zbar^h * parts[h], read from one sequence of zbar powers.
+# Cached per signature and count (a stem is never mutated): every compose and
+# decompose of one length reads the same powers.
+@cache
+def _zbar_powers(signature: AlgebraSignature, count: int) -> tuple[StemFunction, ...]:
+    """zbar^0, ..., zbar^(count-1)."""
+    return tuple(islice(StemFunction.zbar(signature).powers(), count))
 
-    It induces the global slice polyanalytic f = sum_h xbar^h f_h, f_h the
-    functions induced by the nonempty ``parts``.  For holomorphic parts with a
-    nonzero top part, ``decompose`` recovers them.
+
+def compose(parts: Sequence[StemFunction]) -> StemFunction:
+    """The stem of sum_h zbar^h * parts[h], in one pass per component.
+
+    Each component is one sum of products over every (zbar^h, parts[h])
+    pair, into one accumulator, so the stem is built once.  It induces the
+    global slice polyanalytic f = sum_h xbar^h f_h, f_h the functions induced
+    by the nonempty ``parts``.  For holomorphic parts with a nonzero top part,
+    ``decompose`` recovers them.
     """
-    total = StemFunction.zero(parts[0].signature)
-    for part, zbar_h in zip(parts, StemFunction.zbar(parts[0].signature).powers()):
-        total = total + zbar_h * part
-    return total
+    zbar_h = _zbar_powers(parts[0].signature, len(parts))
+    return _stem_product_sum([(z, part, 1) for z, part in zip(zbar_h, parts)])
 
 
 def decompose(stem: StemFunction, order: int) -> tuple[StemFunction, ...]:
@@ -56,10 +65,13 @@ def decompose(stem: StemFunction, order: int) -> tuple[StemFunction, ...]:
     Read off the levels of the stem: with D_l = dbar^l F the nonzero levels
     D_0..D_(n-1), where n = ``poly_order(stem)``, the components come out from
     the top: F_l = (D_l - sum_(h>l) h!/(h-l)! zbar^(h-l) F_h) / l!, since
-    D_l = sum_(h>=l) h!/(h-l)! zbar^(h-l) F_h.  That takes n stem derivatives.
-    The decomposition is unique, so any admissible order gives the n stems of
-    the minimal order, whose top one witnesses minimality; ``compose`` of
-    them is the stem again.  A lower order raises with the residual D_order.
+    D_l = sum_(h>=l) h!/(h-l)! zbar^(h-l) F_h.  That takes n stem derivatives,
+    and each F_l is one sum of products per component, with D_l as the
+    product zbar^0 D_l, the weights h!/(h-l)! as the products' signs and l!
+    in the denominator.  The decomposition is unique, so any admissible order
+    gives the n stems of the minimal order, whose top one witnesses
+    minimality; ``compose`` of them is the stem again.  A lower order raises
+    with the residual D_order.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -67,13 +79,13 @@ def decompose(stem: StemFunction, order: int) -> tuple[StemFunction, ...]:
     levels = list(islice(stem.dbar_levels(), order + 1)) or [stem]
     if len(levels) > order:
         raise NotPolyanalyticOfOrderError(order, levels[order])
-    zbar_powers = list(islice(StemFunction.zbar(stem.signature).powers(), len(levels)))
+    zbar_h = _zbar_powers(stem.signature, len(levels))
     parts: list[StemFunction] = []
     for level in reversed(range(len(levels))):
-        rest = levels[level]
+        products = [(zbar_h[0], levels[level], 1)]
         for h, part in enumerate(reversed(parts), start=level + 1):
-            rest = rest - zbar_powers[h - level] * part * perm(h, level)
-        parts.append(rest * Fraction(1, factorial(level)))
+            products.append((zbar_h[h - level], part, -perm(h, level)))
+        parts.append(_stem_product_sum(products, factorial(level)))
     return tuple(reversed(parts))
 
 

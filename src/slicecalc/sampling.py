@@ -8,7 +8,7 @@ seed no matter how checks are scheduled.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
+from math import comb, lcm
 from random import Random
 from typing import Optional
 
@@ -27,10 +27,12 @@ _ELEMENT_TERMS = 3
 
 
 def rand_element(rng: Random, signature: AlgebraSignature) -> AlgebraElement:
+    """Up to three blades, each with a numerator in -8..8 over a denominator in 1..5."""
     masks = rng.sample(range(signature.dim), k=min(_ELEMENT_TERMS, signature.dim))
-    return AlgebraElement(
-        signature, {m: Fraction(rng.randint(-8, 8), rng.randint(1, 5)) for m in masks}
-    )
+    draws = [(rng.randint(-8, 8), rng.randint(1, 5)) for _ in masks]
+    den = lcm(*[q for _, q in draws])
+    nums = {m: p * (den // q) for m, (p, q) in zip(masks, draws)}
+    return AlgebraElement._make(signature, nums, den)
 
 
 def rand_nonzero_element(rng: Random, signature: AlgebraSignature) -> AlgebraElement:
@@ -112,18 +114,31 @@ def rand_holomorphic_stem(
     max_degree: int = 3,
     nonzero: bool = True,
 ) -> StemFunction:
-    """Stem of a polynomial sum x^h a_h: holomorphic, coefficients on the right."""
-    total = StemFunction.zero(signature)
-    for z_h in islice(StemFunction.z(signature).powers(), max_degree + 1):
-        # random() < 3/10 in integers, from the same two words random() reads
-        if 10 * (rng.getrandbits(27) * 2**26 + rng.getrandbits(26)) < 3 * 2**53:
-            continue
-        total = total + z_h.scale_right(rand_element(rng, signature))
-    if nonzero and total.is_zero():
-        total = StemFunction.z(signature).scale_right(
-            rand_nonzero_element(rng, signature)
-        )
-    return total
+    """Stem of a polynomial sum x^h a_h: holomorphic, coefficients on the right.
+
+    Each h up to ``max_degree`` is skipped with probability 3/10, else it
+    draws a_h.  The stem sum_h z^h a_h is read off the binomial form
+    z^h = sum_k C(h,k) alpha^(h-k) (i beta)^k: term k adds C(h,k) a_h to F1
+    (k even) or F2 (k odd) with sign (-1)^floor(k/2), so every row is built
+    once, over the lcm of the a_h denominators.  With ``nonzero`` a zero sum
+    becomes z a for a nonzero draw a.
+    """
+    coeffs = [
+        (h, rand_element(rng, signature))
+        for h in range(max_degree + 1)
+        # random() >= 3/10 in integers, from the same two words random() reads
+        if 10 * (rng.getrandbits(27) * 2**26 + rng.getrandbits(26)) >= 3 * 2**53
+    ]
+    if nonzero and all(a.is_zero() for _, a in coeffs):
+        coeffs = [(1, rand_nonzero_element(rng, signature))]
+    den = lcm(*[a.den for _, a in coeffs])
+    rows: tuple[dict, dict] = ({}, {})
+    for h, a in coeffs:
+        r = den // a.den
+        for k in range(h + 1):
+            c = comb(h, k) * r * (-1 if k & 2 else 1)
+            rows[k & 1][(h - k, k)] = {m: n * c for m, n in a.nums.items()}
+    return StemFunction(*(CoordPoly._make(signature, 2, part, den) for part in rows))
 
 
 def rand_regular_tuple(

@@ -4,8 +4,8 @@ A stem is a pair (F1, F2) of bivariate polynomials in (alpha, beta) such that
 F1 is even and F2 is odd in beta.  That symmetry is exactly what makes the
 induced function f(alpha + I*beta) = F1 + I*F2 independent of the sign choice
 (I, beta) vs (-I, -beta).  Parity is enforced at construction, and every
-operation below preserves it: sum, difference, product, right scaling and
-``dbar``.
+operation below preserves it: sum, product, a signed sum of products
+(``_stem_product_sum``), right scaling and ``dbar``.
 """
 
 from __future__ import annotations
@@ -25,6 +25,23 @@ def _check_parity(poly: CoordPoly, even: bool, component: str) -> None:
     for exps in poly.rows:
         if (exps[BETA] % 2 == 0) != even:
             raise ParityViolationError(component, exps)
+
+
+def _stem_product_sum(products, scale: int = 1) -> "StemFunction":
+    """sum of sign * f * g over (f, g, sign) in ``products``, divided by ``scale``.
+
+    (F1 + iF2)(G1 + iG2) = (F1 G1 - F2 G2) + i (F1 G2 + F2 G1), so each
+    component is one ``_product_sum`` over every pair; coefficient products
+    keep the left operand's coefficients on the left.
+    """
+    return StemFunction(
+        _product_sum(
+            [t for f, g, k in products for t in ((f.f1, g.f1, k), (f.f2, g.f2, -k))], scale
+        ),
+        _product_sum(
+            [t for f, g, k in products for t in ((f.f1, g.f2, k), (f.f2, g.f1, k))], scale
+        ),
+    )
 
 
 class StemFunction:
@@ -105,23 +122,10 @@ class StemFunction:
             return NotImplemented
         return StemFunction(self.f1 + other.f1, self.f2 + other.f2)
 
-    def __sub__(self, other):
-        if not isinstance(other, StemFunction):
-            return NotImplemented
-        return StemFunction(self.f1 - other.f1, self.f2 - other.f2)
-
     def __mul__(self, other):
-        """Pointwise product in the algebra tensored with the complex units.
-
-        (F1 + iF2)(G1 + iG2) = (F1 G1 - F2 G2) + i (F1 G2 + F2 G1); coefficient
-        products keep the left operand's coefficients on the left.
-        """
+        """Pointwise product in the algebra tensored with the complex units."""
         if isinstance(other, StemFunction):
-            f1, f2, g1, g2 = self.f1, self.f2, other.f1, other.f2
-            return StemFunction(
-                _product_sum(((f1, g1, 1), (f2, g2, -1))),
-                _product_sum(((f1, g2, 1), (f2, g1, 1))),
-            )
+            return _stem_product_sum(((self, other, 1),))
         if isinstance(other, (int, Fraction)):
             return StemFunction(self.f1 * other, self.f2 * other)
         return NotImplemented

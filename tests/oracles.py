@@ -8,11 +8,16 @@ The module also builds paravectors from their coordinates for the tests, and
 keeps the operators that the kernel computes in one pass written out as chains
 of its simpler operations: the radial operator and the plane operator as sums
 of partials, the reference for ``RationalFn.derive``; the stem dbar and product
-as sums of ``CoordPoly`` partials and products; and the induced function as a
-sum of one product per stem term.
+as sums of ``CoordPoly`` partials and products; the induced function as a
+sum of one product per stem term; ``compose`` as one stem product and sum per
+component stem; and the holomorphic stem sampler as a sum of right-scaled
+powers of z, each power one stem product from the last, with coefficients
+built from ``Fraction``s.
 """
 
 from fractions import Fraction
+from itertools import islice
+from random import Random
 from typing import Sequence
 
 from slicecalc.algebra import AlgebraElement, AlgebraSignature, ImaginaryUnit
@@ -71,6 +76,39 @@ def point_poly_term_by_term(stem: StemFunction) -> CoordPoly:
     for (a, b), c in stem.f2.terms.items():
         out = out + (x0**a * s ** (b // 2)) * im.scale_right(c)
     return out
+
+
+def compose_by_products(parts: Sequence[StemFunction]) -> StemFunction:
+    """sum_h zbar^h * parts[h], one stem product and one stem sum per part."""
+    total = StemFunction.zero(parts[0].signature)
+    for part, zbar_h in zip(parts, StemFunction.zbar(parts[0].signature).powers()):
+        total = total + zbar_h * part
+    return total
+
+
+def rand_element_by_fractions(rng: Random, signature: AlgebraSignature) -> AlgebraElement:
+    """The draws of ``sampling.rand_element``, built from ``Fraction``s."""
+    masks = rng.sample(range(signature.dim), k=min(3, signature.dim))
+    return AlgebraElement(
+        signature, {m: Fraction(rng.randint(-8, 8), rng.randint(1, 5)) for m in masks}
+    )
+
+
+def rand_holomorphic_stem_by_products(
+    rng: Random, signature: AlgebraSignature, max_degree: int, nonzero: bool
+) -> StemFunction:
+    """The draws of ``sampling.rand_holomorphic_stem``, summed as z^h.scale_right(a_h)."""
+    total = StemFunction.zero(signature)
+    for z_h in islice(StemFunction.z(signature).powers(), max_degree + 1):
+        if rng.random() < Fraction(3, 10):
+            continue
+        total = total + z_h.scale_right(rand_element_by_fractions(rng, signature))
+    if nonzero and total.is_zero():
+        coeff = rand_element_by_fractions(rng, signature)
+        while coeff.is_zero():
+            coeff = rand_element_by_fractions(rng, signature)
+        total = StemFunction.z(signature).scale_right(coeff)
+    return total
 
 
 def sample_stems(sig: AlgebraSignature, label: str) -> list[StemFunction]:

@@ -245,6 +245,68 @@ def test_basis_product_in_a_large_clifford_algebra_returns_at_once():
     assert value.coeffs == {mask: Fraction(sign)}
 
 
+def ref_int_product(left, right, acc):
+    """``_int_product`` blade by blade: every pair of masks through the reference sign rule."""
+    for ka, nums_a in left:
+        for kb, nums_b in right:
+            out = acc.setdefault(tuple(x + y for x, y in zip(ka, kb)) or ka or kb, {})
+            for ma, na in nums_a.items():
+                for mb, nb in nums_b.items():
+                    mask, sign = ref_blade_mul(ma, mb)
+                    out[mask] = out.get(mask, 0) + sign * na * nb
+    return acc
+
+
+def ordered(acc):
+    return [(key, list(nums.items())) for key, nums in acc.items()]
+
+
+CL5 = clifford(5)
+MIXED = ((1, 0), {3: 2, 0: -5, 1: 7})
+REAL_ROW_CASES = {
+    "real-left": (CL3, [((1, 0), {0: 3})], [MIXED, ((0, 2), {6: -1, 5: 4})]),
+    "real-right": (CL3, [MIXED, ((0, 1), {7: 9})], [((2, 1), {0: 4})]),
+    "real-both": (H, [((1, 1), {0: 2}), ((0, 0), {0: 1})], [((0, 1), {0: 5}), MIXED]),
+    "negative-real": (H, [((0, 0), {0: -6})], [MIXED, ((1, 0), {0: -1})]),
+    "element-keys": (CL5, [((), {0: -3})], [((), {31: 2, 0: 1, 17: -4})]),
+    "cl5-rows": (
+        CL5,
+        [((1, 0), {0: 2}), ((0, 1), {9: 1, 22: -3}), ((1, 0), {0: -7})],
+        [((0, 1), {30: 5, 1: 1}), ((1, 1), {0: -2}), ((0, 0), {16: 3, 0: 4, 7: -1})],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REAL_ROW_CASES.values(), ids=REAL_ROW_CASES)
+def test_a_real_row_scales_the_other_row_like_the_blade_products(case, monkeypatch):
+    sig, left, right = case
+    # an accumulator that already holds the last pair's product, as a sum of products passes it
+    start = ref_int_product(left[-1:], right[-1:], {})
+    want = ref_int_product(left, right, {k: dict(v) for k, v in start.items()})
+    lookups = []
+    real = slicecalc.algebra._blade_mul
+    monkeypatch.setattr(slicecalc.algebra, "_blade_mul", lambda a, b: lookups.append(1) or real(a, b))
+    got = slicecalc.algebra._int_product(left, right, {k: dict(v) for k, v in start.items()})
+    assert ordered(got) == ordered(want)
+    # only the pairs of two rows with another blade look up blade products
+    mixed_pairs = sum(
+        len(a) * len(b)
+        for _, a in left
+        for _, b in right
+        if not (a.keys() == {0} or b.keys() == {0})
+    )
+    assert len(lookups) == mixed_pairs
+
+
+def test_a_row_with_a_scalar_and_another_blade_is_not_a_scale():
+    # {0: n, 1: m} times e2: the e1 part gives the e1e2 blade, which a scale would drop
+    left, right = [((), {0: 3, 1: 2})], [((), {2: 5})]
+    got = slicecalc.algebra._int_product(left, right)
+    assert ordered(got) == ordered(ref_int_product(left, right, {})) == [((), [(2, 15), (3, 10)])]
+    got = slicecalc.algebra._int_product(right, left)
+    assert ordered(got) == ordered(ref_int_product(right, left, {})) == [((), [(2, 15), (3, -10)])]
+
+
 # -- evaluation -------------------------------------------------------------------
 
 

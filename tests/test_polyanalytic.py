@@ -35,10 +35,13 @@ from slicecalc.sampling import (
     rand_plane_point,
     rand_point_polynomial,
     rand_rational_point_function,
+    rand_regular_tuple,
     rng_for,
 )
 from slicecalc.slicefn import PointFunction, SliceFunction
 from slicecalc.stem import StemFunction
+
+from oracles import compose_by_products, stem_dbar_by_partials
 
 H = QUATERNION
 DOM = default_domain()
@@ -134,6 +137,54 @@ def test_decompose_steps_dbar_once_per_level(monkeypatch):
         decompose(f, 2)
     assert len(calls) <= 4
     assert err.value.residual == StemFunction.zbar(H) * 6
+
+
+def regular_tuples(sig):
+    """rand_regular_tuple draws of length 1-5, and copies with every other lower part zero."""
+    rng = rng_for(5, f"compose:{sig}")
+    for n in range(1, 6):
+        for _ in range(3):
+            parts = rand_regular_tuple(rng, sig, n)
+            yield parts
+            zero = StemFunction.zero(sig)
+            yield [zero if h % 2 == 0 and h < n - 1 else p for h, p in enumerate(parts)]
+
+
+@pytest.mark.parametrize("sig", [H, clifford(3)], ids=lambda s: f"{s.kind}{s.m}")
+def test_compose_matches_the_product_chain_and_decompose_inverts_it(sig):
+    seen_zero_part = False
+    for parts in regular_tuples(sig):
+        n = len(parts)
+        stem = compose(parts)
+        assert stem == compose_by_products(parts)
+        assert decompose(stem, n) == tuple(parts)
+        assert decompose(stem, n + 1) == tuple(parts)
+        seen_zero_part = seen_zero_part or any(p.is_zero() for p in parts)
+        if n > 1:
+            # the residual is dbar^(n-1) of the stem, by partials: (n-1)! times the top part
+            residual = stem
+            for _ in range(n - 1):
+                residual = stem_dbar_by_partials(residual)
+            with pytest.raises(NotPolyanalyticOfOrderError) as err:
+                decompose(stem, n - 1)
+            assert err.value.order == n - 1
+            assert err.value.residual == residual
+    assert seen_zero_part
+
+
+def test_compose_makes_one_polynomial_per_component(monkeypatch):
+    calls = []
+    real = CoordPoly._make.__func__
+
+    def counted(cls, *args):
+        calls.append(args)
+        return real(cls, *args)
+
+    parts = rand_regular_tuple(rng_for(3, "compose-count"), H, 4)
+    want = compose(parts)  # builds the zbar powers, once per signature and length
+    monkeypatch.setattr(CoordPoly, "_make", classmethod(counted))
+    assert compose(parts) == want
+    assert len(calls) == 2
 
 
 def test_per_slice_decomposition_of_the_twist():
