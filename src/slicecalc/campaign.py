@@ -25,7 +25,16 @@ from itertools import islice
 from math import perm
 from typing import Callable, Iterator, Optional
 
-from .algebra import QUATERNION, AlgebraSignature, clifford, sample_units, unit_capacity
+from .algebra import (
+    QUATERNION,
+    AlgebraElement,
+    AlgebraSignature,
+    _over_common_den,
+    _same_value,
+    clifford,
+    sample_units,
+    unit_capacity,
+)
 from .errors import SliceCalcError
 from .multipoly import _iterates, coord_s, coord_xbar
 from .named import default_domain
@@ -200,9 +209,14 @@ def slice_global_trials(
 ) -> Iterator[Optional[dict]]:
     """Pointwise coincidence of the global operator with slice derivatives.
 
-    For each function g, unit I, off-axis plane point z and order n, compares
+    For each function g, unit I, order n and off-axis plane point z, compares
     thetabar^n(g) at the point alpha + I beta against the n-th slice
-    derivative of the restriction, both exact.
+    derivative of the restriction, both exact.  Each plane point and each
+    point alpha + I beta is put over a common denominator once per call, and
+    carries one dict of denominator-factor values that every function and
+    order shares (a plane point's dict serves every unit), so each factor is
+    evaluated once per point.  The two raw integer values are compared by
+    cross-multiplying; canonical elements are built only for a witness.
     """
     rng = rng_for(seed, f"slice-global:{_sig_label(sig)}")
     funcs: list[PointFunction] = [
@@ -211,23 +225,27 @@ def slice_global_trials(
     funcs += [rand_rational_point_function(rng, sig) for _ in range(n_rational)]
     units = sample_units(sig, seed, n_units)
     points = [rand_plane_point(rng) for _ in range(n_points)]
-    coords = [[phi_coords(unit, *z) for z in points] for unit in units]
+    # (integer coordinates, denominator, factor values) per plane point, and per
+    # unit and plane point for alpha + I beta
+    plane = [(*_over_common_den(z), {}) for z in points]
+    space = [[(*_over_common_den(phi_coords(u, *z)), {}) for z in points] for u in units]
     top = max(orders)
     for gi, g in enumerate(funcs):
         thetas = list(islice(_iterates(thetabar, g), top + 1))
         for ui, unit in enumerate(units):
             planes = restrict_to_slice(g, unit).dbar_chain(top)
             for n in sorted(set(orders)):
-                for z, x in zip(points, coords[ui]):
-                    lhs = thetas[n].expr.eval(x)
-                    rhs = planes[n].rf.eval(z)
-                    yield None if lhs == rhs else {
+                lhs_rf, rhs_rf = thetas[n].expr, planes[n].rf
+                for z, z_int, x_int in zip(points, plane, space[ui]):
+                    lhs = lhs_rf._eval_int(*x_int)
+                    rhs = rhs_rf._eval_int(*z_int)
+                    yield None if _same_value(*lhs, *rhs) else {
                         "function_index": gi,
                         "unit_index": ui,
                         "order": n,
                         "z": [frac_to_str(c) for c in z],
-                        "global": repr(lhs),
-                        "slice": repr(rhs),
+                        "global": repr(AlgebraElement._make(sig, *lhs)),
+                        "slice": repr(AlgebraElement._make(sig, *rhs)),
                     }
 
 

@@ -28,8 +28,11 @@ numerators, so it builds no polynomial when the factors already agree.  Point
 evaluation puts the point over a common denominator and homogenizes every term
 to the total degree, so a polynomial's value is one integer row over one
 denominator; a rational function's value is its numerator's integer row scaled
-by its factors' integer values at the same integer point, with one
-``AlgebraElement`` built per call.
+by its factors' integer values at the same integer point.  The integer form
+(``_eval_int``) returns that raw row and denominator, and takes a dict of the
+factor values already known at the point, which callers may share across
+functions, so a factor equal to one seen there is evaluated once; ``eval``
+converts the point and builds one ``AlgebraElement`` from the raw value.
 """
 
 from __future__ import annotations
@@ -669,24 +672,38 @@ class RationalFn:
     # -- evaluation --------------------------------------------------------------------
 
     def eval(self, point: Sequence[RationalLike]) -> AlgebraElement:
-        """The value at ``point`` in one integer pass.
+        """The value at ``point`` in one integer pass."""
+        return AlgebraElement._make(
+            self.signature,
+            *self._eval_int(*_point_over_common_den(point, self.var_count), {}),
+        )
 
-        A factor F^k whose value at the point's integer coordinates is v / w
-        multiplies the numerator's integer row by w^k and its denominator by v^k.
+    def _eval_int(
+        self, coords: Sequence[int], d: int, factor_values: dict[CoordPoly, tuple[int, int]]
+    ) -> tuple[dict[int, int], int]:
+        """The value at the point ``coords`` / ``d`` as (numerators per blade, denominator).
+
+        A factor F^k whose value at the point is v / w multiplies the
+        numerator's integer row by w^k and its denominator by v^k.
+        ``factor_values`` maps each factor already evaluated at this point to
+        (v, w), and takes the new ones, so a factor equal to one seen before
+        is not evaluated again.  A factor that vanishes raises and is not
+        stored.  Not canonical: ``AlgebraElement._make`` reduces it.
         """
-        coords, d = _point_over_common_den(point, self.var_count)
         scale = divisor = 1
         for p, k in self.den_factors:
-            row, p_den = p._eval_int(coords, d)
-            v = row.get(0)
-            if not v:
-                raise DenominatorVanishesError(Fraction(a, d) for a in coords)
-            scale *= p_den**k
+            if p not in factor_values:
+                row, w = p._eval_int(coords, d)
+                if not row.get(0):
+                    raise DenominatorVanishesError(Fraction(a, d) for a in coords)
+                factor_values[p] = row[0], w
+            v, w = factor_values[p]
+            scale *= w**k
             divisor *= v**k
         nums, den = self.numer._eval_int(coords, d)
         if scale != 1:
             nums = {m: n * scale for m, n in nums.items()}
-        return AlgebraElement._make(self.signature, nums, den * divisor)
+        return nums, den * divisor
 
     # -- comparisons -----------------------------------------------------------------------
 

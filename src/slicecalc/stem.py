@@ -126,8 +126,6 @@ class StemFunction:
         """Pointwise product in the algebra tensored with the complex units."""
         if isinstance(other, StemFunction):
             return _stem_product_sum(((self, other, 1),))
-        if isinstance(other, (int, Fraction)):
-            return StemFunction(self.f1 * other, self.f2 * other)
         return NotImplemented
 
     def scale_right(self, coeff: AlgebraElement) -> "StemFunction":

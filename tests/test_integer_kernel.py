@@ -13,8 +13,9 @@ value built through the public constructor.
 """
 
 import re
+from collections import Counter
 from fractions import Fraction
-from itertools import count
+from itertools import count, islice
 from math import gcd, lcm, perm
 
 import pytest
@@ -24,7 +25,14 @@ from hypothesis import strategies as st
 import slicecalc.algebra
 import slicecalc.campaign
 import slicecalc.multipoly
-from slicecalc.algebra import QUATERNION, AlgebraElement, clifford, sample_units
+from slicecalc.algebra import (
+    QUATERNION,
+    AlgebraElement,
+    _over_common_den,
+    _same_value,
+    clifford,
+    sample_units,
+)
 from slicecalc.campaign import (
     CampaignConfig,
     decomposition_roundtrip_trials,
@@ -42,12 +50,20 @@ from slicecalc.multipoly import (
     CoordPoly,
     RationalFn,
     _apply_n,
+    _iterates,
     coord_s,
     coord_x,
     coord_xbar,
     restrict_poly,
 )
-from slicecalc.slicefn import PointFunction
+from slicecalc.operators import thetabar
+from slicecalc.sampling import (
+    rand_plane_point,
+    rand_point_polynomial,
+    rand_rational_point_function,
+    rng_for,
+)
+from slicecalc.slicefn import PointFunction, phi_coords
 from slicecalc.stem import StemFunction
 
 H = QUATERNION
@@ -388,6 +404,175 @@ def test_a_vanishing_denominator_reports_the_point_as_fractions(sig):
             rf.eval(point)
         assert info.value.point == tuple(Fraction(c) for c in point)
         assert all(type(c) is Fraction for c in info.value.point)
+
+
+# -- evaluation at one integer point with shared factor values ---------------------
+
+
+def _thetabar_chains(sig, seed):
+    """thetabar^1..3 of seeded polynomial and rational inputs, and of a hand-built
+    function over two different factors at the same exponent."""
+    rng = rng_for(seed, f"eval-int:{sig}")
+    inputs = [rand_point_polynomial(rng, sig, max_degree=4) for _ in range(2)]
+    inputs += [rand_rational_point_function(rng, sig) for _ in range(3)]
+    s, shifted, mixed = _factor_pool(sig)
+    rf = RationalFn(inputs[0].expr.numer, [(shifted, 1), (mixed, 1), (s, 1)])
+    inputs.append(PointFunction(inputs[0].domain, rf))
+    return [h.expr for g in inputs for h in islice(_iterates(thetabar, g), 1, 4)]
+
+
+def _off_axis_points(sig, seed):
+    rng = rng_for(seed, f"eval-int-points:{sig}")
+    units = sample_units(sig, seed, 3)
+    return [phi_coords(unit, *rand_plane_point(rng)) for unit in units for _ in range(2)]
+
+
+def _copy_factors(rf):
+    """``rf`` with every factor rebuilt as a distinct but equal object."""
+    copies = tuple(
+        (CoordPoly(p.signature, p.var_count, p.terms), k) for p, k in rf.den_factors
+    )
+    return RationalFn._make(rf.numer, copies)
+
+
+@pytest.mark.parametrize("sig", (QUATERNION, CL3), ids=lambda s: f"{s.kind}{s.m}")
+def test_eval_int_with_one_shared_factor_dict_matches_eval(sig, monkeypatch):
+    chains = _thetabar_chains(sig, 11)
+    assert max(len(rf.den_factors) for rf in chains) > 1
+    points = _off_axis_points(sig, 11)
+    expected = [[rf.eval(point) for rf in chains] for point in points]
+    evaluated = []
+    poly_eval_int = CoordPoly._eval_int
+
+    def counted(self, coords, d):
+        evaluated.append(self)
+        return poly_eval_int(self, coords, d)
+
+    monkeypatch.setattr(CoordPoly, "_eval_int", counted)
+    for point, values_at_point in zip(points, expected):
+        coords, d = _over_common_den(point)
+        values = {}
+        for rf, want in zip(chains, values_at_point):
+            assert AlgebraElement._make(sig, *rf._eval_int(coords, d, values)) == want
+            # every factor is in the dict afterwards, with its value at the point
+            for p, _ in rf.den_factors:
+                v, w = values[p]
+                assert Fraction(v, w) == ref_eval(p, point).coeff(0)
+        # the same factors as distinct objects are equal keys: only numerators are evaluated
+        evaluated.clear()
+        for rf, want in zip(chains, values_at_point):
+            copy = _copy_factors(rf)
+            assert all(p is not q for (p, _), (q, _) in zip(rf.den_factors, copy.den_factors))
+            assert AlgebraElement._make(sig, *copy._eval_int(coords, d, values)) == want
+        assert evaluated == [rf.numer for rf in chains]
+
+
+@pytest.mark.parametrize("sig", SIGNATURES, ids=lambda s: f"{s.kind}{s.m}")
+def test_a_vanishing_factor_raises_and_is_not_stored(sig):
+    n = sig.coord_count
+    x = [CoordPoly.variable(sig, n, h) for h in range(n)]
+    s = sum((xh * xh for xh in x[1:]), CoordPoly.zero(sig, n))
+    one = CoordPoly.constant(sig, n, 1)
+    quarter = CoordPoly.constant(sig, n, Fraction(1, 4))
+    rf = RationalFn(x[0] * x[1], [(x[0] * x[0] + one, 1), (s - quarter, 2)])
+    (first, _), (vanishing, _) = rf.den_factors
+    point = [Fraction(-2, 3), Fraction(1, 2)] + [Fraction(0)] * (n - 2)
+    coords, d = _over_common_den(point)
+    values = {}
+    for _ in range(2):
+        with pytest.raises(DenominatorVanishesError) as info:
+            rf._eval_int(coords, d, values)
+        assert info.value.point == tuple(point)
+        assert list(values) == [first] and vanishing not in values
+
+
+# (nums_a, den_a, nums_b, den_b): zero values, stored zero numerators, negative
+# numerators and denominators, and equal values over different denominators
+SAME_VALUE_CASES = [
+    ({}, 1, {}, 7),
+    ({}, 3, {0: 0, 5: 0}, -2),
+    ({0: 0}, 5, {1: 1}, 5),
+    ({1: -3}, 4, {1: 6}, -8),
+    ({1: -3}, 4, {1: -6}, 8),
+    ({1: -3}, 4, {1: 3}, 4),
+    ({0: 2, 3: -4}, 6, {0: 1, 3: -2}, 3),
+    ({0: 2, 3: -4}, 6, {0: 1, 3: -2}, 6),
+    ({0: 2, 3: -4}, 6, {0: 1, 3: -2, 1: 0}, 3),
+    ({0: 2, 3: -4}, 6, {0: 1}, 3),
+    ({0: 1}, 3, {0: 1, 3: -2}, 3),
+    ({2: 10}, 15, {2: 2}, 3),
+    ({2: 10}, 15, {3: 2}, 3),
+]
+
+
+@pytest.mark.parametrize("nums_a, den_a, nums_b, den_b", SAME_VALUE_CASES)
+def test_integer_comparison_agrees_with_canonical_equality(nums_a, den_a, nums_b, den_b):
+    a = AlgebraElement._make(CL3, dict(nums_a), den_a)
+    b = AlgebraElement._make(CL3, dict(nums_b), den_b)
+    assert _same_value(nums_a, den_a, nums_b, den_b) == (a == b)
+    assert _same_value(nums_b, den_b, nums_a, den_a) == (a == b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.dictionaries(st.integers(0, 7), st.integers(-9, 9), max_size=4),
+    st.integers(-12, 12).filter(bool),
+    st.integers(-5, 5).filter(bool),
+    st.dictionaries(st.integers(0, 7), st.integers(-2, 2), max_size=2),
+)
+def test_integer_comparison_agrees_with_canonical_equality_on_scaled_rows(
+    nums, den, k, noise
+):
+    scaled = {m: n * k for m, n in nums.items()}
+    for m, n in noise.items():
+        scaled[m] = scaled.get(m, 0) + n
+    a = AlgebraElement._make(CL3, dict(nums), den)
+    b = AlgebraElement._make(CL3, dict(scaled), den * k)
+    assert _same_value(nums, den, scaled, den * k) == (a == b)
+
+
+@pytest.mark.parametrize("sig", (QUATERNION, CL3), ids=lambda s: f"{s.kind}{s.m}")
+def test_slice_global_trials_convert_each_point_once_and_evaluate_each_factor_once(
+    sig, monkeypatch
+):
+    n_units, n_points = 3, 4
+    conversions = []
+    factor_evals = Counter()
+    factors = {}  # id -> factor; holding the factor keeps its id from being reused
+    over_common_den = slicecalc.campaign._over_common_den
+    rf_eval_int = RationalFn._eval_int
+    poly_eval_int = CoordPoly._eval_int
+
+    def converted(values):
+        conversions.append(values)
+        return over_common_den(values)
+
+    def rf_counted(self, coords, d, values):
+        factors.update((id(p), p) for p, _ in self.den_factors)
+        return rf_eval_int(self, coords, d, values)
+
+    def poly_counted(self, coords, d):
+        if id(self) in factors:
+            factor_evals[self, tuple(coords), d] += 1
+        return poly_eval_int(self, coords, d)
+
+    monkeypatch.setattr(slicecalc.campaign, "_over_common_den", converted)
+    monkeypatch.setattr(RationalFn, "_eval_int", rf_counted)
+    monkeypatch.setattr(CoordPoly, "_eval_int", poly_counted)
+    monkeypatch.setattr(slicecalc.multipoly, "_point_over_common_den", None)
+    trials, failures, _ = slice_global_trials(
+        sig, 6, n_funcs=2, n_units=n_units, n_points=n_points, n_rational=2
+    )
+    assert (trials, failures) == (4 * n_units * 3 * n_points, 0)
+    # the seed draws distinct plane points, so no two conversions share a value
+    assert len(set(conversions)) == len(conversions) == n_points + n_units * n_points
+    # each distinct factor once per point: per unit and point on the global side,
+    # per plane point on the slice side
+    assert set(factor_evals.values()) == {1}
+    points_per_factor = Counter(p for p, _, _ in factor_evals)
+    assert {p.var_count for p in points_per_factor} == {2, sig.coord_count}
+    for p, count in points_per_factor.items():
+        assert count == (n_points if p.var_count == 2 else n_units * n_points)
 
 
 # -- scalar paths -------------------------------------------------------------------
