@@ -78,8 +78,11 @@ def _emit(report: dict, json_path: Optional[str]) -> None:
 
 def cmd_verify(args) -> int:
     select = ()
-    if args.select:
+    if args.select is not None:
         select = tuple(s.strip() for s in args.select.split(",") if s.strip())
+        if not select:
+            print(f"error: --select {args.select!r} names no check id", file=sys.stderr)
+            return EXIT_USAGE
     try:
         config = CampaignConfig(
             seed=args.seed,
@@ -185,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-order", type=int, default=4)
     p_verify.add_argument(
         "--select",
-        default="",
+        default=None,
         help="comma-separated check ids: " + ", ".join(sorted(CHECKS)),
     )
     p_verify.add_argument("--json", default=None, help="write the JSON report here")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 from math import factorial, lcm
 from typing import Optional, Sequence
@@ -68,6 +69,21 @@ def phi_coords(
     return (a,) + tuple(c * b for c in unit.components())
 
 
+# Bounded caches per (signature, count), since s^k over Cl(0,8) grows quickly;
+# a table is only read, never mutated.
+@lru_cache(maxsize=16)
+def _s_powers(signature: AlgebraSignature, count: int) -> tuple[CoordPoly, ...]:
+    """s^0, ..., s^(count-1), s = |Im(x)|^2."""
+    return tuple(islice(coord_s(signature).powers(), count))
+
+
+@lru_cache(maxsize=16)
+def _im_s_powers(signature: AlgebraSignature, count: int) -> tuple[CoordPoly, ...]:
+    """Im(x) s^0, ..., Im(x) s^(count-1)."""
+    im = coord_im(signature)
+    return tuple(p * im for p in _s_powers(signature, count))
+
+
 class SliceFunction:
     """A stem bound to the circular domain its induced function lives on."""
 
@@ -91,12 +107,10 @@ class SliceFunction:
         sig = self.stem.signature
         n = sig.coord_count
         f1, f2 = self.stem.f1, self.stem.f2
-        s_powers = list(islice(coord_s(sig).powers(), self.stem.total_degree() // 2 + 1))
-        im = coord_im(sig)
         den = lcm(f1.den, f2.den)
         acc: dict = {}
-        im_s_powers = [p * im for p in s_powers[: f2.total_degree() // 2 + 1]]
-        for comp, bases in ((f1, s_powers), (f2, im_s_powers)):
+        for comp, table in ((f1, _s_powers), (f2, _im_s_powers)):
+            bases = table(sig, max((b // 2 + 1 for _, b in comp.rows), default=0))
             k = den // comp.den
             for (a, b), nums in comp.rows.items():
                 if k != 1:

@@ -81,6 +81,16 @@ def test_verify_rejects_unknown_selector(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("value", [",", "", " , "], ids=["comma", "empty", "blank"])
+def test_verify_rejects_a_selection_that_names_no_check(capsys, monkeypatch, value):
+    # an empty selection is not "every check": it exits 2 before any check runs
+    monkeypatch.setattr("slicecalc.cli.run_campaign", lambda config: pytest.fail("a check ran"))
+    code, out, err = run_cli(["verify", "--select", value], capsys)
+    assert code == 2
+    assert err == f"error: --select {value!r} names no check id\n"
+    assert out == ""
+
+
 def test_verify_runs_and_echoes_a_repeated_selection_once(tmp_path, capsys):
     report_path = tmp_path / "report.json"
     code, out, _ = run_cli(
@@ -508,6 +518,27 @@ def test_classify_rejects_specs_over_the_input_limits(tmp_path, capsys, spec, me
     assert code == 2
     assert message in err
     assert "Traceback" not in err
+    assert out == ""
+
+
+def test_classify_rejects_a_stem_whose_coordinate_form_is_over_the_limit(
+    tmp_path, capsys, monkeypatch
+):
+    # beta^64 over Cl(0,8) is s^32 in 8 coordinates, 15,380,937 terms: refused
+    # when the spec is parsed, before the coordinate form is built
+    monkeypatch.setattr(
+        "slicecalc.slicefn.SliceFunction.to_point_function",
+        lambda self: pytest.fail("the coordinate form was built"),
+    )
+    spec = _stem_spec(
+        [{"exponents": [0, 64], "coefficient": {"1": "1"}}], {"kind": "clifford", "m": 8}
+    )
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(spec))
+    args = ["classify", "--input", str(path), "--units", "2", "--points", "1", "--max-order", "1"]
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert err == "error: stem expands to 15380937 coordinate terms, over the limit 16384\n"
     assert out == ""
 
 

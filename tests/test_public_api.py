@@ -393,3 +393,31 @@ def test_importing_the_package_loads_no_module(child_env):
         [sys.executable, "-c", code], capture_output=True, text=True, env=child_env, check=True
     )
     assert proc.stdout == "[]\n"
+
+
+def test_only_verify_loads_hashlib(child_env):
+    # hashlib maps in OpenSSL, and only verify's input digests need it
+    modules = sorted(m for m in MODULES if m not in ("__init__", "__main__"))
+    code = f"""
+import contextlib, importlib, io, sys
+import random, fractions, json
+if "hashlib" in sys.modules:
+    print("preloaded")
+    sys.exit()
+from slicecalc import cli
+for name in {modules!r}:
+    importlib.import_module("slicecalc." + name)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["classify", "--input", "v"]) == 0
+    assert cli.main(["decompose", "--input", "x", "--order", "1"]) == 0
+    print(sorted({{"hashlib", "_hashlib"}} & sys.modules.keys()), file=sys.stderr)
+    assert cli.main(["verify", "--select", "counterexamples", "--units", "2", "--points", "1"]) == 0
+print("hashlib" in sys.modules)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env, check=True
+    )
+    if proc.stdout == "preloaded\n":
+        pytest.skip("the interpreter loads hashlib at startup")
+    assert proc.stderr == "[]\n"
+    assert proc.stdout == "True\n"

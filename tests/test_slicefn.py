@@ -17,6 +17,8 @@ from slicecalc.sampling import rand_plane_point, rand_stem, rng_for
 from slicecalc.slicefn import (
     CircularDomain,
     SliceFunction,
+    _im_s_powers,
+    _s_powers,
     extract_stem,
     is_slice,
     phi_coords,
@@ -199,6 +201,25 @@ def test_to_point_function_matches_slice_eval():
         unit = rng.choice(UNITS)
         coords = phi_coords(unit, alpha, beta)
         assert pf.eval_coords(coords) == stem.plane_poly(unit).eval((alpha, beta))
+
+
+@pytest.mark.parametrize("sig", [H, clifford(3), clifford(5)], ids=["H", "Cl3", "Cl5"])
+def test_to_point_function_reads_cached_tables_without_changing_them(sig):
+    _s_powers.cache_clear()
+    _im_s_powers.cache_clear()
+    stems = sample_stems(sig, "to-point-cache")
+    for _ in range(2):  # from cold tables, then with every count cached
+        for stem in stems:
+            got = SliceFunction(DOM, stem).to_point_function().expr.numer
+            want = point_poly_term_by_term(stem)
+            assert (got.rows, got.den) == (want.rows, want.den)
+    for table in (_s_powers, _im_s_powers):
+        info = table.cache_info()
+        assert info.hits >= len(stems) and info.misses >= 2
+        # each cached table still equals a fresh, uncached build
+        for count in range(6):
+            cached, fresh = table(sig, count), table.__wrapped__(sig, count)
+            assert [(p.rows, p.den) for p in cached] == [(p.rows, p.den) for p in fresh]
 
 
 @pytest.mark.parametrize("sig", [H, clifford(3), clifford(5)], ids=["H", "Cl3", "Cl5"])
