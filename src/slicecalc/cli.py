@@ -137,12 +137,13 @@ def cmd_classify(args) -> int:
         if value < 1:
             raise FunctionSpecError(f"{flag} must be >= 1")
     g = _load_input(args.input)
-    if isinstance(g, SliceFunction):
-        g = g.to_point_function()
-    # is_slice compares pairs of units, so at least two are sampled
-    units = sample_units(g.signature, args.seed, max(2, min(args.units, _MAX_UNITS)))
-    rng = rng_for(args.seed, "classify-points")
-    points = [rand_plane_point(rng, g.domain) for _ in range(min(args.points, _MAX_POINTS))]
+    # a slice function is decided on its stem, so only a point function is sampled
+    units, points = [], []
+    if not isinstance(g, SliceFunction):
+        # is_slice compares pairs of units, so at least two are sampled
+        units = sample_units(g.signature, args.seed, max(2, min(args.units, _MAX_UNITS)))
+        rng = rng_for(args.seed, "classify-points")
+        points = [rand_plane_point(rng, g.domain) for _ in range(min(args.points, _MAX_POINTS))]
     max_order = min(args.max_order, _MAX_ORDER)
     try:
         report_obj = classify(g, max_order, units, points)
@@ -202,12 +203,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cls = sub.add_parser("classify", help="classify a function")
     p_cls.add_argument("--input", required=True, help="builtin name or JSON spec file")
-    p_cls.add_argument("--seed", type=int, default=0)
+    p_cls.add_argument("--seed", type=int, default=0, help="point-function sampling seed")
     p_cls.add_argument(
-        "--units", type=int, default=8, help=f"unit samples (2 to {_MAX_UNITS} used)"
+        "--units", type=int, default=8, help=f"point-function unit samples (2 to {_MAX_UNITS} used)"
     )
     p_cls.add_argument(
-        "--points", type=int, default=8, help=f"plane points (at most {_MAX_POINTS} used)"
+        "--points", type=int, default=8, help=f"point-function plane points (at most {_MAX_POINTS})"
     )
     p_cls.add_argument(
         "--max-order", type=int, default=4, help=f"highest order tried (at most {_MAX_ORDER} used)"

@@ -117,41 +117,30 @@ class ClassificationReport:
 
 
 def classify(
-    g: PointFunction,
+    g: PointFunction | SliceFunction,
     max_order: int,
     units: Sequence[ImaginaryUnit],
     points: Sequence[tuple[Fraction, Fraction]],
 ) -> ClassificationReport:
     """Slice-by-slice order, slice-ness, and global order if slice.
 
-    The slice-by-slice zero test is symbolic, so a pass is exact on each
-    sampled slice; unit sampling remains a sample of slices.  Slice-ness is
-    exact where the candidate stem along the first unit is polynomial: g is
-    slice exactly when that stem's induced function is g.  The stem's
-    ``decompose`` then gives the report's component stems, whose count is
-    the global order.  The sampled probe only looks for a witness; it
-    decides alone when the candidate stem is rational.
+    A slice function is decided on its stem F, over every unit and without
+    samples: f_I = F1 + I F2 on every slice, so dbar_I^n f_I is the stem level
+    dbar^n F read on that slice, the order is ``poly_order(F)``, and
+    ``decompose`` gives the report's component stems, whose count is the
+    global order.  ``units`` and ``points`` apply to a point function g only.
+    Its candidate stem along the first unit decides slice-ness exactly when
+    it is polynomial: g is slice exactly when that stem's induced function is
+    g, and then g is decided on that stem.  Otherwise the slice-by-slice zero
+    test runs on each sampled slice, exact there but a sample of slices, and
+    the sampled probe only looks for a witness; it decides alone when the
+    candidate stem is rational.
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
+    if isinstance(g, SliceFunction):
+        return _classify_stem(g.stem, max_order, {})
     evidence: dict = {}
-
-    sbs_order: Optional[int] = None
-    worst = 0
-    for unit in units:
-        plane = restrict_to_slice(g, unit)
-        levels = islice(_iterates(SlicePlanePoly.dbar, plane), max_order + 1)
-        # the least n in 1..max_order with a vanishing n-th derivative on this slice
-        n = next((n for n, level in enumerate(levels) if n and level.is_zero()), None)
-        if n is None:
-            worst = None
-            evidence["sbs_blocking_unit"] = repr(unit.value)
-            break
-        worst = max(worst, n)
-    if worst is not None:
-        sbs_order = worst
-
-    components: Optional[tuple[StemFunction, ...]] = None
     f1, f2 = extract_stem(g, units[0])
     if not (f1.is_polynomial() and f2.is_polynomial()):
         evidence["candidate_stem"] = "not polynomial"
@@ -160,19 +149,35 @@ def classify(
         stem = StemFunction(f1.numer, f2.numer)
         slice_ok = SliceFunction(g.domain, stem).to_point_function().expr == g.expr
         evidence["stem_reproduces_input"] = slice_ok
-        witness = None if slice_ok else is_slice(g, units, points)[1]
         if slice_ok:
-            try:
-                components = decompose(stem, max_order)
-            except NotPolyanalyticOfOrderError:
-                evidence["global_order_exceeds_max"] = poly_order(stem)
-    return ClassificationReport(
-        sbs_polyanalytic_order=sbs_order,
-        is_slice=slice_ok,
-        slice_witness=witness,
-        components=components,
-        evidence=evidence,
-    )
+            return _classify_stem(stem, max_order, evidence)
+        witness = is_slice(g, units, points)[1]
+
+    sbs_order: Optional[int] = 0
+    for unit in units:
+        plane = restrict_to_slice(g, unit)
+        levels = islice(_iterates(SlicePlanePoly.dbar, plane), max_order + 1)
+        # the least n in 1..max_order with a vanishing n-th derivative on this slice
+        n = next((n for n, level in enumerate(levels) if n and level.is_zero()), None)
+        if n is None:
+            sbs_order = None
+            evidence["sbs_blocking_unit"] = repr(unit.value)
+            break
+        sbs_order = max(sbs_order, n)
+    return ClassificationReport(sbs_order, slice_ok, witness, None, evidence)
+
+
+def _classify_stem(stem: StemFunction, max_order: int, evidence: dict) -> ClassificationReport:
+    """The exact report on the slice function of ``stem``: its order is the stem's.
+
+    ``poly_order`` holds one stem level at a time, and ``decompose``, which
+    holds them all, runs only within ``max_order``.
+    """
+    order = poly_order(stem)
+    if order > max_order:
+        evidence["global_order_exceeds_max"] = order
+        return ClassificationReport(None, True, None, None, evidence)
+    return ClassificationReport(order, True, None, decompose(stem, order), evidence)
 
 
 # -- counterexample suite -------------------------------------------------------

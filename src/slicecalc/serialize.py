@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from math import comb
 from typing import Any, Union
 
 from .algebra import QUATERNION, AlgebraElement, AlgebraSignature, clifford
@@ -28,9 +27,6 @@ from .stem import StemFunction
 # a spec grows with its exponents as well as with its term count and dim = 2^m.
 MAX_EXPONENT = 64
 MAX_TERMS = 1024
-# A stem's coordinate form holds s^(b/2) for each beta^b, and s^k over Cl(0,8)
-# has millions of terms well within MAX_EXPONENT, so that form is bounded too.
-MAX_COORD_TERMS = 16384
 MAX_CLIFFORD_M = 8
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
@@ -203,20 +199,6 @@ def witness_to_json(witness: SliceWitness) -> dict:
     }
 
 
-def coord_term_count(stem: StemFunction) -> int:
-    """Terms of the stem's ``SliceFunction.to_point_function``, counted without building it.
-
-    With d imaginary coordinates, s^k has comb(k + d - 1, d - 1) terms, each
-    nonzero, and Im(x) s^k d times as many; different (a, b) give disjoint terms.
-    """
-    d = stem.signature.coord_count - 1
-    return sum(
-        comb(b // 2 + d - 1, d - 1) * (d if b % 2 else 1)
-        for comp in (stem.f1, stem.f2)
-        for _, b in comp.rows
-    )
-
-
 def function_spec_from_json(obj: Any) -> Union[SliceFunction, PointFunction]:
     """Parse a function description into exactly one of the two carriers.
 
@@ -237,11 +219,6 @@ def function_spec_from_json(obj: Any) -> Union[SliceFunction, PointFunction]:
             stem = StemFunction(f1, f2)
         except ParityViolationError as exc:
             raise FunctionSpecError(f"stem parity violated: {exc}") from exc
-        count = coord_term_count(stem)
-        if count > MAX_COORD_TERMS:
-            raise FunctionSpecError(
-                f"stem expands to {count} coordinate terms, over the limit {MAX_COORD_TERMS}"
-            )
         return SliceFunction(domain, stem)
     if rep == "rational":
         n = signature.coord_count

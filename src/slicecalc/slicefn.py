@@ -93,6 +93,10 @@ class SliceFunction:
         self.domain = domain
         self.stem = stem
 
+    @property
+    def signature(self) -> AlgebraSignature:
+        return self.stem.signature
+
     def derivative(self, order: int = 1) -> "SliceFunction":
         """The slice derivative: the slice function induced by dF/dz-bar."""
         return SliceFunction(self.domain, _apply_n(StemFunction.dbar, self.stem, order))

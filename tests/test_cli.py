@@ -18,8 +18,8 @@ VERIFY_SEED7_SHA256 = "341e4a48488bbcd5d3f58159914174da17aae6e3832e2273f07d1e942
 # sha256 of the --json output of `classify` and `decompose --order 3` on each
 # builtin at the default seed; None where the command exits 2 and writes nothing
 BUILTIN_OUTPUT_SHA256 = {
-    ("classify", "x"): "af204a36b152188f4dd91238bfafdbbd1a80e6e1453ed31dea9308c68cc0ad21",
-    ("classify", "xbar"): "39727ffaaef0441ea793584cbaec66a8bf90e504324fa9eeea4183715c73ddf2",
+    ("classify", "x"): "dc5d144defbb505aa571cc1263a23d93021a3dbd95ea7ff4f3d344c0024d08f9",
+    ("classify", "xbar"): "defd00857509cfcfade10ae5284711f460dd6461dd3366673b55a1b1f25bd424",
     ("classify", "v"): "b4816f22659dec8371dbc19b467f74eaf20a7774e250b12b07bdc1a35df5de8a",
     ("classify", "v_r"): "f974eb986a52470809488660d17f3780e7a13fd5a2a6f51b75175d72924bdae3",
     ("classify", "v_m"): "c93e779dcc5001dbc435a248ad77913cab1eb7e7caa18d962c73962d21073feb",
@@ -389,7 +389,7 @@ def test_classify_rejects_nonpositive_sample_arguments(capsys, args):
 
 
 def test_classify_reports_the_capped_sample_counts(capsys):
-    code, out, _ = run_cli(["classify", "--input", "x", "--units", "50", "--points", "99"], capsys)
+    code, out, _ = run_cli(["classify", "--input", "v", "--units", "50", "--points", "99"], capsys)
     assert code == 0
     assert json.loads(out)["samples"] == {"units": 12, "points": 16, "max_order": 4}
 
@@ -521,11 +521,9 @@ def test_classify_rejects_specs_over_the_input_limits(tmp_path, capsys, spec, me
     assert out == ""
 
 
-def test_classify_rejects_a_stem_whose_coordinate_form_is_over_the_limit(
-    tmp_path, capsys, monkeypatch
-):
-    # beta^64 over Cl(0,8) is s^32 in 8 coordinates, 15,380,937 terms: refused
-    # when the spec is parsed, before the coordinate form is built
+def test_classify_and_decompose_decide_a_wide_stem_on_the_stem(tmp_path, capsys, monkeypatch):
+    # beta^64 over Cl(0,8) is s^32 in 8 coordinates, 15,380,937 terms, but both
+    # commands read only its 65 stem levels and never build that form
     monkeypatch.setattr(
         "slicecalc.slicefn.SliceFunction.to_point_function",
         lambda self: pytest.fail("the coordinate form was built"),
@@ -535,11 +533,16 @@ def test_classify_rejects_a_stem_whose_coordinate_form_is_over_the_limit(
     )
     path = tmp_path / "wide.json"
     path.write_text(json.dumps(spec))
-    args = ["classify", "--input", str(path), "--units", "2", "--points", "1", "--max-order", "1"]
-    code, out, err = run_cli(args, capsys)
-    assert code == 2
-    assert err == "error: stem expands to 15380937 coordinate terms, over the limit 16384\n"
-    assert out == ""
+    code, out, err = run_cli(["classify", "--input", str(path), "--max-order", "64"], capsys)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert (report["sbs_order"], report["is_slice"]) == (None, True)
+    assert report["evidence"] == {"global_order_exceeds_max": "65"}
+    assert report["samples"] == {"units": 0, "points": 0, "max_order": 64}
+    code, out, err = run_cli(["decompose", "--input", str(path), "--order", "65"], capsys)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert (report["component_count"], report["recomposition_verified"]) == (65, True)
 
 
 @pytest.mark.parametrize(

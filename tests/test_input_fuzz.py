@@ -99,11 +99,16 @@ def test_spec_parsing_ends_in_a_function_or_a_spec_error(value):
     assert isinstance(parsed, (SliceFunction, PointFunction))
 
 
+# a point function, so that classify samples plane points in the annulus;
+# 1 / (1 + s) is slice with a rational stem, so every sampled point is evaluated
 THIN_ANNULUS = {
-    "representation": "stem",
+    "representation": "rational",
     "domain": {"shape": "annulus", "center": 0, "r_in": "199/200", "r_out": 1},
-    "f1_terms": [{"exponents": [1, 0], "coefficient": {"1": 1}}],
-    "f2_terms": [{"exponents": [0, 1], "coefficient": {"1": 1}}],
+    "numerator_terms": [{"exponents": [0, 0, 0, 0], "coefficient": {"1": 1}}],
+    "denominator_terms": [
+        {"exponents": e, "coefficient": {"1": 1}}
+        for e in ([0, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2])
+    ],
 }
 
 

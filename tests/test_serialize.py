@@ -7,13 +7,11 @@ from slicecalc.errors import FunctionSpecError
 from slicecalc.multipoly import CoordPoly
 from slicecalc.serialize import (
     MAX_CLIFFORD_M,
-    MAX_COORD_TERMS,
     MAX_EXPONENT,
     MAX_TERMS,
     domain_from_json,
     domain_to_json,
     element_from_json,
-    coord_term_count,
     element_to_json,
     frac_from_json,
     frac_to_str,
@@ -25,8 +23,6 @@ from slicecalc.serialize import (
 )
 from slicecalc.slicefn import CircularDomain, PointFunction, SliceFunction
 from slicecalc.stem import StemFunction
-
-from oracles import sample_stems
 
 H = QUATERNION
 
@@ -171,24 +167,3 @@ def test_spec_values_at_the_input_limits_parse():
     for bad in ({"kind": "clifford", "m": MAX_CLIFFORD_M + 1}, {"kind": "clifford", "m": 1}):
         with pytest.raises(FunctionSpecError):
             signature_from_json(bad)
-
-
-@pytest.mark.parametrize("sig", [H, clifford(3), clifford(5)], ids=["H", "Cl3", "Cl5"])
-def test_coord_term_count_is_the_term_count_of_the_point_function(sig):
-    for stem in sample_stems(sig, "coord-term-count"):
-        point_poly = SliceFunction(CircularDomain.ball(0, 4), stem).to_point_function().expr.numer
-        assert coord_term_count(stem) == len(point_poly.rows)
-
-
-def test_stem_specs_at_the_coordinate_term_limit_parse():
-    # over H, (a, 64) expands to C(34, 2) = 561 terms, (0, 26) to 105 and (0, 6)
-    # to 10: 29 * 561 + 105 + 10 = 16,384 terms, and (1, 0) adds one more
-    exps = [[a, 64] for a in range(29)] + [[0, 26], [0, 6]]
-    spec = {
-        "representation": "stem",
-        "f1_terms": [{"exponents": e, "coefficient": {"1": "1"}} for e in exps],
-    }
-    assert coord_term_count(function_spec_from_json(spec).stem) == MAX_COORD_TERMS
-    spec["f1_terms"].append({"exponents": [1, 0], "coefficient": {"1": "1"}})
-    with pytest.raises(FunctionSpecError, match="16385 coordinate terms, over the limit 16384"):
-        function_spec_from_json(spec)
