@@ -7,12 +7,13 @@ failure; ``_tally`` counts them into the (trials, failures, first witness)
 that its callers get.  The campaign table derives counts from CampaignConfig:
 ``unit_samples`` sizes the unit pool (at least 2 units for every check) and
 ``point_samples`` the number of trial tuples per check.  Each row returns
-its JSON report entry, and ``run_campaign`` assembles the whole report.
-Each check seeds its own generator from (seed, check id, signature), which
-makes reports byte-identical for a fixed config regardless of scheduling.  So
-a check's signatures run side by side, each after the first in a forked
-process, when the machine has more than one usable CPU; the report bytes are
-the same either way.
+its check's result on one signature, and ``run_campaign`` merges each
+check's two results into its report entry.  Each check seeds its own
+generator from (seed, check id, signature), which makes reports
+byte-identical for a fixed config regardless of scheduling.  So a run forks
+once, when the machine has more than one usable CPU: every Cl(0,3) side runs
+in the child beside the quaternion sides; the report bytes are the same
+either way.
 """
 
 from __future__ import annotations
@@ -112,69 +113,60 @@ def _can_fork() -> bool:
     return hasattr(os, "fork") and usable > 1 and threading.active_count() == 1
 
 
-def _side_by_side(calls: dict[str, Callable[[], object]]) -> list:
-    """``[f() for f in calls.values()]``, each call after the first in a forked child.
+def _side_by_side(first: Callable[[], object], second: Callable[[], object], label: str) -> tuple:
+    """``(first(), second())``, the second call in a forked child.
 
-    The children start first; each pipes back its pickled result, or the
-    exception it raised, and leaves with ``os._exit``.  This process runs the
-    first call, then reads the children's outcomes in order and raises the
-    first exception among all the calls, as running them in turn would.  Every
-    child is reaped before this returns or raises; one that ends without
-    sending an outcome is named by its key.  Without fork, a second usable CPU
-    or with other threads running, the calls run in turn here.
+    The child starts first; it pipes back its pickled result, or the exception
+    it raised, and leaves with ``os._exit``.  This process runs the first call,
+    then reads the child's outcome, so an exception of the first call wins, as
+    running the calls in turn would.  The child is reaped before this returns
+    or raises; one that ends without sending an outcome is named by ``label``.
+    Without fork, a second usable CPU or with other threads running, the calls
+    run in turn here.
     """
-    if len(calls) < 2 or not _can_fork():
-        return [f() for f in calls.values()]
+    if not _can_fork():
+        return first(), second()
     import pickle
     import signal
 
-    (_, first), *rest = calls.items()
-    children = []
+    read_end, write_end = os.pipe()
     try:
-        for label, f in rest:
-            read_end, write_end = os.pipe()
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:  # the child: send the outcome and skip this process's cleanup
+        status = 1
+        try:
             try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_end)
-                os.close(write_end)
-                raise
-            if pid == 0:  # the child: send the outcome and skip this process's cleanup
-                status = 1
-                try:
-                    try:
-                        outcome = True, f()
-                    except Exception as exc:
-                        outcome = False, exc
-                    with open(write_end, "wb") as pipe:
-                        pipe.write(pickle.dumps(outcome))
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(write_end)
-            children.append((label, pid, open(read_end, "rb")))
-        results = [first()]
-        while children:
-            label, pid, pipe = children[0]
-            with pipe:
-                data = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            children.pop(0)
-            if not data:
-                code = os.waitstatus_to_exitcode(status)
-                raise SliceCalcError(
-                    f"the {label} run ended with exit status {code} before sending its result"
-                )
-            ok, value = pickle.loads(data)
-            if not ok:
-                raise value
-            results.append(value)
-        return results
-    finally:
-        for _, pid, pipe in children:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+                outcome = True, second()
+            except Exception as exc:
+                outcome = False, exc
+            with open(write_end, "wb") as pipe:
+                pipe.write(pickle.dumps(outcome))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    try:
+        with open(read_end, "rb") as pipe:
+            result = first()
+            data = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+    status = os.waitpid(pid, 0)[1]
+    if not data:
+        code = os.waitstatus_to_exitcode(status)
+        raise SliceCalcError(
+            f"the {label} run ended with exit status {code} before sending its result"
+        )
+    ok, value = pickle.loads(data)
+    if not ok:
+        raise value
+    return result, value
 
 
 # -- check bodies (reused verbatim by the acceptance tests) ---------------------
@@ -211,20 +203,25 @@ def slice_global_trials(
 
     For each function g, unit I, order n and off-axis plane point z, compares
     thetabar^n(g) at the point alpha + I beta against the n-th slice
-    derivative of the restriction, both exact.  Each plane point and each
-    point alpha + I beta is put over a common denominator once per call, and
-    carries one dict of denominator-factor values that every function and
-    order shares (a plane point's dict serves every unit), so each factor is
-    evaluated once per point.  The two raw integer values are compared by
+    derivative of the restriction, both exact.  The ``n_points`` plane points
+    are distinct, out of the 36 that ``rand_plane_point`` draws from.  Each
+    plane point and each point alpha + I beta is put over a common
+    denominator once per call, and carries one dict of denominator-factor
+    values that every function and order shares (a plane point's dict serves
+    every unit), so each factor is evaluated once per point.  The two raw integer values are compared by
     cross-multiplying; canonical elements are built only for a witness.
     """
+    if n_points > 36:
+        raise ValueError("n_points must be at most 36, the plane points of the default grid")
     rng = rng_for(seed, f"slice-global:{_sig_label(sig)}")
     funcs: list[PointFunction] = [
         rand_point_polynomial(rng, sig, max_degree=4) for _ in range(n_funcs)
     ]
     funcs += [rand_rational_point_function(rng, sig) for _ in range(n_rational)]
     units = sample_units(sig, seed, n_units)
-    points = [rand_plane_point(rng) for _ in range(n_points)]
+    points: dict = {}  # a point drawn before is drawn again
+    while len(points) < n_points:
+        points[rand_plane_point(rng)] = None
     # (integer coordinates, denominator, factor values) per plane point, and per
     # unit and plane point for alpha + I beta
     plane = [(*_over_common_den(z), {}) for z in points]
@@ -488,8 +485,34 @@ def taylor_independence_trials(
 # -- campaign table ----------------------------------------------------------------
 
 
-def _entry(check_id: str, inputs: dict, detail: dict, witness: Optional[dict]) -> dict:
-    """A check's report entry; it passed exactly when there is no witness."""
+def _entry(config: CampaignConfig, check_id: str, quaternion_side, analogue_side) -> dict:
+    """A check's report entry, merged from its result on each signature.
+
+    A tally check adds per signature its trials and failures and keeps the
+    first failing signature's witness.  The suite on the quaternions gains
+    (6): the same checks pass under Cl(0,3).  The entry passed exactly when
+    there is no witness.
+    """
+    witness = None
+    if check_id == "counterexamples":
+        verdicts = {name: passed for name, (passed, _) in analogue_side.items()}
+        report = {**quaternion_side, "clifford-analogue": (all(verdicts.values()), verdicts)}
+        detail = {name: passed for name, (passed, _) in report.items()}
+        failed = ({"check": name, **details} for name, (ok, details) in report.items() if not ok)
+        witness = next(failed, None)
+        inputs = {"seed": config.seed, "units": config.unit_samples}
+    else:
+        detail = {}
+        for sig, (trials, failures, first) in zip(SIGNATURES, (quaternion_side, analogue_side)):
+            detail[_sig_label(sig)] = {"trials": trials, "failures": failures}
+            if failures and witness is None:
+                witness = {"signature": _sig_label(sig), **first}
+        inputs = {
+            "seed": config.seed,
+            "unit_samples": config.unit_samples,
+            "point_samples": config.point_samples,
+            "max_order": config.max_order,
+        }
     entry = {
         "id": check_id,
         "inputs_digest": digest({"check": check_id, **inputs}),
@@ -501,38 +524,10 @@ def _entry(check_id: str, inputs: dict, detail: dict, witness: Optional[dict]) -
     return entry
 
 
-def _per_signature(config: CampaignConfig, check_id: str, *runs: tuple[Callable, dict]) -> dict:
-    """Run each (body, sizes) pair on every signature and merge the verdicts.
-
-    Per signature, trials and failures add up over the bodies and the first
-    witness any body returns is kept.  The signatures run side by side.
-    """
-
-    def tally(sig: AlgebraSignature) -> tuple[int, int, Optional[dict]]:
-        trials = failures = 0
-        first = None
-        for body, sizes in runs:
-            t, f, w = body(sig, config.seed, **sizes)
-            trials += t
-            failures += f
-            if first is None:
-                first = w
-        return trials, failures, first
-
-    tallies = _side_by_side({_sig_label(sig): partial(tally, sig) for sig in SIGNATURES})
-    detail: dict = {}
-    witness = None
-    for sig, (trials, failures, first) in zip(SIGNATURES, tallies):
-        detail[_sig_label(sig)] = {"trials": trials, "failures": failures}
-        if failures and witness is None:
-            witness = {"signature": _sig_label(sig), **first}
-    inputs = {
-        "seed": config.seed,
-        "unit_samples": config.unit_samples,
-        "point_samples": config.point_samples,
-        "max_order": config.max_order,
-    }
-    return _entry(check_id, inputs, detail, witness)
+def _summed(*tallies: tuple[int, int, Optional[dict]]) -> tuple[int, int, Optional[dict]]:
+    """Trials and failures added up over the tallies, with the first witness any holds."""
+    trials, failures, witnesses = zip(*tallies)
+    return sum(trials), sum(failures), next((w for w in witnesses if w is not None), None)
 
 
 def _units(config: CampaignConfig, cap: int) -> int:
@@ -544,99 +539,57 @@ def _budget(config: CampaignConfig, floor: int, per: int) -> int:
     return max(floor, config.point_samples // per)
 
 
-def _check_counterexamples(config: CampaignConfig) -> dict:
-    """The suite on the quaternions, then (6): the same checks pass under Cl(0,3).
-
-    The two suites run side by side.
-    """
-    units = max(2, config.unit_samples)
-    quaternion, analogue = SIGNATURES
-    report, nested = _side_by_side(
-        {
-            _sig_label(quaternion): partial(
-                counterexample_suite, quaternion, seed=config.seed, unit_count=units
-            ),
-            _sig_label(analogue): partial(
-                counterexample_suite, analogue, seed=config.seed, unit_count=min(units, 32)
-            ),
-        }
-    )
-    verdicts = {check_id: passed for check_id, (passed, _) in nested.items()}
-    report["clifford-analogue"] = (all(verdicts.values()), verdicts)
-    detail = {check_id: passed for check_id, (passed, _) in report.items()}
-    witness = None
-    for check_id, (passed, details) in report.items():
-        if not passed:
-            witness = {"check": check_id, **details}
-            break
-    inputs = {"seed": config.seed, "units": config.unit_samples}
-    return _entry("counterexamples", inputs, detail, witness)
-
-
 # One row per check: its bodies and their sizes under a config, returning the
-# check's report entry.  Each value is a function of its own, so a profile
-# attributes time to each check separately.
-CHECKS: dict[str, Callable[[CampaignConfig], dict]] = {
-    "slice-global-coincidence": lambda c: _per_signature(
-        c,
-        "slice-global-coincidence",
-        (
-            slice_global_trials,
-            dict(n_funcs=_budget(c, 2, 24), n_units=_units(c, 12), n_points=4, n_rational=2),
+# check's result on one signature.  Each value is a function of its own, so a
+# profile attributes time to each check separately.
+CHECKS: dict[str, Callable[[CampaignConfig, AlgebraSignature], object]] = {
+    "slice-global-coincidence": lambda c, sig: slice_global_trials(
+        sig, c.seed, n_funcs=_budget(c, 2, 24), n_units=_units(c, 12), n_points=4, n_rational=2
+    ),
+    "slice-derivative-coincidence": lambda c, sig: slice_derivative_trials(
+        sig, c.seed, n_stems=_budget(c, 4, 8), n_units=_units(c, 12)
+    ),
+    "leibniz": lambda c, sig: leibniz_trials(
+        sig, c.seed, n_funcs=_budget(c, 2, 24), n_units=_units(c, 6)
+    ),
+    "representation": lambda c, sig: representation_trials(
+        sig, c.seed, n_stems=_budget(c, 2, 24), n_units=_units(c, 8), n_triples=24
+    ),
+    "regularity-equivalences": lambda c, sig: _summed(
+        regularity_equivalence_trials(
+            sig, c.seed, n_stems=_budget(c, 2, 24), n_units=_units(c, 10)
         ),
+        g_relation_trials(sig, c.seed, n_funcs=_budget(c, 4, 16)),
     ),
-    "slice-derivative-coincidence": lambda c: _per_signature(
-        c,
-        "slice-derivative-coincidence",
-        (slice_derivative_trials, dict(n_stems=_budget(c, 4, 8), n_units=_units(c, 12))),
+    "decomposition-roundtrip": lambda c, sig: decomposition_roundtrip_trials(
+        sig, c.seed, n_tuples=_budget(c, 4, 10), n_units=_units(c, 6), max_n=c.max_order
     ),
-    "leibniz": lambda c: _per_signature(
-        c,
-        "leibniz",
-        (leibniz_trials, dict(n_funcs=_budget(c, 2, 24), n_units=_units(c, 6))),
+    "taylor-independence": lambda c, sig: taylor_independence_trials(
+        sig, c.seed, n_stems=_budget(c, 4, 8), n_units=_units(c, 16)
     ),
-    "representation": lambda c: _per_signature(
-        c,
-        "representation",
-        (
-            representation_trials,
-            dict(n_stems=_budget(c, 2, 24), n_units=_units(c, 8), n_triples=24),
-        ),
+    # the suite samples every unit on the quaternions and at most 32 under Cl(0,3)
+    "counterexamples": lambda c, sig: counterexample_suite(
+        sig, c.seed, _units(c, c.unit_samples if sig == QUATERNION else 32)
     ),
-    "regularity-equivalences": lambda c: _per_signature(
-        c,
-        "regularity-equivalences",
-        (
-            regularity_equivalence_trials,
-            dict(n_stems=_budget(c, 2, 24), n_units=_units(c, 10)),
-        ),
-        (g_relation_trials, dict(n_funcs=_budget(c, 4, 16))),
-    ),
-    "decomposition-roundtrip": lambda c: _per_signature(
-        c,
-        "decomposition-roundtrip",
-        (
-            decomposition_roundtrip_trials,
-            dict(n_tuples=_budget(c, 4, 10), n_units=_units(c, 6), max_n=c.max_order),
-        ),
-    ),
-    "taylor-independence": lambda c: _per_signature(
-        c,
-        "taylor-independence",
-        (taylor_independence_trials, dict(n_stems=_budget(c, 4, 8), n_units=_units(c, 16))),
-    ),
-    "counterexamples": _check_counterexamples,
 }
 
 
 def run_campaign(config: CampaignConfig) -> dict:
     """The JSON report of the checks in ``config.select`` (all when empty).
 
-    Each selected check runs once, in id order, and the report's
-    ``config.select`` lists exactly the checks run.
+    Each selected check runs once on each signature, in id order: every
+    quaternion side in this process and every Cl(0,3) side in one forked
+    child, so a run forks once.  The report's ``config.select`` lists exactly
+    the checks run.
     """
     select = sorted(set(config.select or CHECKS))
-    checks = [CHECKS[check_id](config) for check_id in select]
+
+    def side(sig: AlgebraSignature) -> list:
+        return [CHECKS[check_id](config, sig) for check_id in select]
+
+    quaternion, analogue = SIGNATURES
+    sides = _side_by_side(partial(side, quaternion), partial(side, analogue), _sig_label(analogue))
+    checks = [_entry(config, *row) for row in zip(select, *sides)]
     return {
         "config": {**asdict(config), "select": select},
         "checks": checks,

@@ -20,11 +20,18 @@ from typing import Optional, Sequence
 
 from .algebra import AlgebraElement, AlgebraSignature, ImaginaryUnit, sample_units
 from .errors import NotPolyanalyticOfOrderError
-from .multipoly import CoordPoly, RationalFn, _iterates
+from .multipoly import CoordPoly, RationalFn, _cancel, _iterates
 from .named import jump_example, left_multiplied_coordinate, rotation_twisted_coordinate
 from .operators import SlicePlanePoly, plane_x, restrict_to_slice
 from .serialize import frac_to_str
-from .slicefn import PointFunction, SliceFunction, SliceWitness, extract_stem, is_slice
+from .slicefn import (
+    PointFunction,
+    SliceFunction,
+    SliceWitness,
+    _coord_term_count,
+    extract_stem,
+    is_slice,
+)
 from .stem import StemFunction, _stem_product_sum
 
 
@@ -147,7 +154,11 @@ def classify(
         slice_ok, witness = is_slice(g, units, points)
     else:
         stem = StemFunction(f1.numer, f2.numer)
-        slice_ok = SliceFunction(g.domain, stem).to_point_function().expr == g.expr
+        # the stem's coordinate form is a polynomial of a known term count, so it
+        # is expanded only when g is a polynomial with as many terms
+        reduced = _cancel(g.expr)
+        slice_ok = not reduced.den_factors and len(reduced.numer.rows) == _coord_term_count(stem)
+        slice_ok = slice_ok and SliceFunction(g.domain, stem).to_point_function().expr == g.expr
         evidence["stem_reproduces_input"] = slice_ok
         if slice_ok:
             return _classify_stem(stem, max_order, evidence)

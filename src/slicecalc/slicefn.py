@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from math import factorial, lcm
+from math import comb, factorial, lcm
 from typing import Optional, Sequence
 
 from .algebra import AlgebraElement, AlgebraSignature, ImaginaryUnit, RationalLike, _int_product
@@ -127,6 +127,23 @@ class SliceFunction:
 
     def __repr__(self):
         return f"SliceFunction({self.domain!r}, {self.stem!r})"
+
+
+def _coord_term_count(stem: StemFunction) -> int:
+    """The term count of the stem's ``to_point_function`` form, without building it.
+
+    With n the imaginary dimension, an F1 row (a, 2k) becomes x_0^a s^k c,
+    C(k+n-1, n-1) terms with even exponents in x_1..x_n, and an F2 row
+    (a, 2k+1) becomes x_0^a Im(x) s^k c, n C(k+n-1, n-1) terms with exactly
+    one odd exponent there, each a positive multiple of e_h c != 0.  Rows
+    differ in a or in degree, so no two terms meet and none cancels.
+    """
+    n = stem.signature.imag_dim
+    return sum(
+        comb(b // 2 + n - 1, n - 1) * (n if b % 2 else 1)
+        for comp in (stem.f1, stem.f2)
+        for _, b in comp.rows
+    )
 
 
 class PointFunction:

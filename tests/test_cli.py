@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from slicecalc.algebra import AlgebraElement, clifford
 from slicecalc.cli import build_parser, main
 from slicecalc.named import BUILTINS
+from slicecalc.serialize import element_to_json
 
 RUN = [sys.executable, "-m", "slicecalc"]
 README = Path(__file__).parent.parent / "README.md"
@@ -543,6 +545,47 @@ def test_classify_and_decompose_decide_a_wide_stem_on_the_stem(tmp_path, capsys,
     assert (code, err) == (0, "")
     report = json.loads(out)
     assert (report["component_count"], report["recomposition_verified"]) == (65, True)
+
+
+def _cl8_term(exponents, coefficient=None):
+    return {"exponents": [*exponents, 0, 0, 0, 0, 0, 0, 0, 0, 0][:9], "coefficient": coefficient}
+
+
+def _wide_point_spec(name):
+    """A Cl(0,8) point function whose candidate stem on e_1 expands to millions of terms."""
+    one = {"1": "1"}
+    blades = {}
+    for mask in range(clifford(8).dim):
+        blades.update(element_to_json(AlgebraElement.basis(clifford(8), mask)))
+    # x_1^64: beta^64 on e_1, whose coordinate form s^32 has C(39, 7) = 15,380,937 terms
+    numerator = [_cl8_term([0, 64], one)]
+    if name == "1024-terms":
+        numerator = [_cl8_term([2 * a, 2 * b], blades) for a in range(32) for b in range(32)]
+    spec = {"representation": "rational", "signature": {"kind": "clifford", "m": 8}}
+    spec["numerator_terms"] = numerator
+    if name != "x1^64":
+        # x_2^2 + 1 restricts to 1 on e_1, so the candidate stem is still a polynomial
+        spec["denominator_terms"] = [_cl8_term([0, 0, 2], one), _cl8_term([], one)]
+    return spec
+
+
+@pytest.mark.parametrize("name", ["x1^64", "x1^64/(x2^2+1)", "1024-terms"])
+def test_classify_refutes_a_wide_candidate_stem_without_expanding_it(
+    name, tmp_path, capsys, monkeypatch
+):
+    # a leftover denominator factor, or a term count the stem's coordinate form
+    # cannot have, decides that the candidate stem does not reproduce the input
+    monkeypatch.setattr(
+        "slicecalc.slicefn.SliceFunction.to_point_function",
+        lambda self: pytest.fail("the coordinate form was built"),
+    )
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(_wide_point_spec(name)))
+    code, out, err = run_cli(["classify", "--input", str(path)], capsys)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["is_slice"] is False
+    assert report["evidence"]["stem_reproduces_input"] == "False"
 
 
 @pytest.mark.parametrize(

@@ -575,6 +575,30 @@ def test_slice_global_trials_convert_each_point_once_and_evaluate_each_factor_on
         assert count == (n_points if p.var_count == 2 else n_units * n_points)
 
 
+def test_slice_global_trials_draw_each_plane_point_once(monkeypatch):
+    # this seed's plane draws hold (8/9, 4/9) twice; the repeat is drawn again
+    conversions = []
+    over_common_den = slicecalc.campaign._over_common_den
+
+    def converted(values):
+        conversions.append(values)
+        return over_common_den(values)
+
+    monkeypatch.setattr(slicecalc.campaign, "_over_common_den", converted)
+    trials, failures, _ = slice_global_trials(
+        QUATERNION, 5, n_funcs=2, n_units=3, n_points=4, n_rational=2
+    )
+    assert (trials, failures) == (4 * 3 * 3 * 4, 0)
+    plane = conversions[:4]  # the plane points come first, then alpha + I beta per unit
+    assert len(set(plane)) == 4
+    # the grid holds 36 points: all of them can be drawn, and not one more
+    conversions.clear()
+    slice_global_trials(QUATERNION, 0, n_funcs=1, n_units=1, n_points=36, orders=(1,))
+    assert len(set(conversions[:36])) == 36
+    with pytest.raises(ValueError, match="at most 36"):
+        slice_global_trials(QUATERNION, 0, n_funcs=1, n_units=1, n_points=37)
+
+
 # -- scalar paths -------------------------------------------------------------------
 
 
@@ -1053,7 +1077,7 @@ FORCED_OUTCOMES = {
         "global": "295245/16384 + 177147/16384*i + -413343/32768*k",
         "slice": "295245/512 + 177147/512*i + -413343/1024*k",
     }),
-    ("slice-global", "clifford"): (36, 18, {
+    ("slice-global", "clifford"): (36, 9, {
         "function_index": 0, "unit_index": 0, "order": 1, "z": ["8/9", "4/3"],
         "global": "2/3*e1 + 4096/243*e2 + 6005/1458*e12 + -512/135*e3 + -512/405*e13 + -1*e23",
         "slice": "2/3*e1 + 1024/243*e2 + 1909/1458*e12 + -128/135*e3 + -256/405*e13 + -1*e23",

@@ -36,9 +36,10 @@ from slicecalc.sampling import (
     rand_point_polynomial,
     rand_rational_point_function,
     rand_regular_tuple,
+    rand_stem,
     rng_for,
 )
-from slicecalc.slicefn import PointFunction, SliceFunction
+from slicecalc.slicefn import PointFunction, SliceFunction, _coord_term_count
 from slicecalc.stem import StemFunction
 
 from oracles import compose_by_products, stem_dbar_by_partials
@@ -364,6 +365,19 @@ def test_classify_reports_a_global_order_over_the_bound():
     assert rep.components == (StemFunction.zero(H),) * 3 + (StemFunction.one(H),)
 
 
+@pytest.mark.parametrize(
+    "sig", [H, clifford(3), clifford(5), clifford(8)], ids=lambda s: f"{s.kind}{s.m}"
+)
+def test_the_coordinate_term_count_is_that_of_the_expansion(sig):
+    rng = rng_for(sig.imag_dim, "term-count")
+    stems = [rand_stem(rng, sig, max_degree=4) for _ in range(12)]
+    stems += [compose(rand_regular_tuple(rng, sig, 3)) for _ in range(12)]
+    stems += list(islice(StemFunction.zbar(sig).powers(), 7))
+    for stem in stems + [StemFunction.zero(sig)]:
+        expansion = SliceFunction(DOM, stem).to_point_function().expr.numer
+        assert _coord_term_count(stem) == len(expansion.rows)
+
+
 def test_classify_order_cap():
     pf = slice_of(ZBAR_POWERS[2]).to_point_function()
     rng = rng_for(8, "cap")
@@ -375,8 +389,6 @@ def test_classify_order_cap():
 
 def test_every_low_order_stem_decomposes():
     # converse direction: a vanishing n-th slice derivative is sufficient
-    from slicecalc.sampling import rand_stem
-
     rng = rng_for(9, "converse")
     for _ in range(50):
         stem = rand_stem(rng, H, max_degree=4)

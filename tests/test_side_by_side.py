@@ -1,9 +1,9 @@
-"""A verify check's signatures run side by side in forked processes.
+"""A verify run's signatures run side by side in forked processes.
 
-With one usable CPU every signature runs in this process; with two, each
-after the first runs in a forked child.  The report bytes, an error's exit
-code and stderr line, and the process table afterwards must not tell the two
-paths apart.
+With one usable CPU every check runs both signatures in this process; with
+two, every quaternion side runs here and every Cl(0,3) side in one forked
+child.  The report bytes, an error's exit code and stderr line, and the
+process table afterwards must not tell the two paths apart.
 """
 
 import contextlib
@@ -11,6 +11,7 @@ import hashlib
 import os
 import pickle
 import signal
+import time
 
 import pytest
 
@@ -143,4 +144,84 @@ def test_a_child_that_ends_without_a_result_exits_one_with_an_error_line(capsys,
 def test_verify_leaves_no_child_process(capsys, monkeypatch):
     code, _, _ = run(["verify", "--seed", "7", *SMALL], capsys, monkeypatch, {0, 1})
     assert code == 0
+    assert_no_child_left()
+
+
+def count_forks(monkeypatch):
+    """The pids of the children ``os.fork`` starts in this process from now on."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+@pytest.mark.parametrize("cpus, expected", [({0}, 0), ({0, 1}, 1)], ids=["one-cpu", "two-cpus"])
+def test_a_full_verify_forks_once_with_two_cpus_and_never_with_one(
+    cpus, expected, capsys, monkeypatch
+):
+    forks = count_forks(monkeypatch)
+    code, _, _ = run(["verify", "--seed", "7", *SMALL], capsys, monkeypatch, cpus)
+    assert code == 0
+    assert len(forks) == expected
+    assert_no_child_left()
+
+
+def test_a_quaternion_error_kills_the_running_child_and_reads_the_same(capsys, monkeypatch):
+    def planted(sig, seed, **sizes):
+        if sig.kind == "quaternion":
+            raise ParityViolationError("F1", (1, 2))
+        time.sleep(600)  # still running when this process raises
+        return 1, 0, None
+
+    monkeypatch.setattr(campaign, "taylor_independence_trials", planted)
+    statuses = []
+    waitpid = os.waitpid
+
+    def recorded(pid, options):
+        reaped = waitpid(pid, options)
+        statuses.append(reaped[1])
+        return reaped
+
+    argv = ["verify", "--select", "taylor-independence", *SMALL]
+    one = run(argv, capsys, monkeypatch, {0})
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "waitpid", recorded)
+        two = run(argv, capsys, monkeypatch, {0, 1})
+    assert one == two
+    assert two == (1, "", "error: F1 monomial alpha^1*beta^2 has odd beta-exponent\n")
+    # the child was killed while it slept, and reaped
+    assert [os.WTERMSIG(status) for status in statuses] == [signal.SIGKILL]
+    assert_no_child_left()
+
+
+def test_a_quaternion_error_of_a_later_check_wins_over_an_earlier_clifford_one(
+    capsys, monkeypatch
+):
+    # every quaternion side runs before any Cl(0,3) side, on both paths
+    def fails_on(kind, exc):
+        def planted(sig, seed, **sizes):
+            if sig.kind == kind:
+                raise exc
+            return 1, 0, None
+
+        return planted
+
+    later = NotPolyanalyticOfOrderError(3)
+    monkeypatch.setattr(
+        campaign,
+        "decomposition_roundtrip_trials",
+        fails_on("clifford", ParityViolationError("F1", (1, 2))),
+    )
+    monkeypatch.setattr(campaign, "taylor_independence_trials", fails_on("quaternion", later))
+    argv = ["verify", "--select", "decomposition-roundtrip,taylor-independence", *SMALL]
+    one = run(argv, capsys, monkeypatch, {0})
+    two = run(argv, capsys, monkeypatch, {0, 1})
+    assert one == two == (1, "", f"error: {later}\n")
     assert_no_child_left()
