@@ -52,6 +52,7 @@ from .sampling import (
     rand_holomorphic_stem,
     rand_nonzero_element,
     rand_plane_point,
+    rand_plane_points,
     rand_point_polynomial,
     rand_rational_point_function,
     rand_regular_tuple,
@@ -204,24 +205,20 @@ def slice_global_trials(
     For each function g, unit I, order n and off-axis plane point z, compares
     thetabar^n(g) at the point alpha + I beta against the n-th slice
     derivative of the restriction, both exact.  The ``n_points`` plane points
-    are distinct, out of the 36 that ``rand_plane_point`` draws from.  Each
+    are distinct (``rand_plane_points``), so at most 36.  Each
     plane point and each point alpha + I beta is put over a common
     denominator once per call, and carries one dict of denominator-factor
     values that every function and order shares (a plane point's dict serves
     every unit), so each factor is evaluated once per point.  The two raw integer values are compared by
     cross-multiplying; canonical elements are built only for a witness.
     """
-    if n_points > 36:
-        raise ValueError("n_points must be at most 36, the plane points of the default grid")
     rng = rng_for(seed, f"slice-global:{_sig_label(sig)}")
     funcs: list[PointFunction] = [
         rand_point_polynomial(rng, sig, max_degree=4) for _ in range(n_funcs)
     ]
     funcs += [rand_rational_point_function(rng, sig) for _ in range(n_rational)]
     units = sample_units(sig, seed, n_units)
-    points: dict = {}  # a point drawn before is drawn again
-    while len(points) < n_points:
-        points[rand_plane_point(rng)] = None
+    points = rand_plane_points(rng, n_points)
     # (integer coordinates, denominator, factor values) per plane point, and per
     # unit and plane point for alpha + I beta
     plane = [(*_over_common_den(z), {}) for z in points]
@@ -356,7 +353,10 @@ def representation_trials(
     n_units: int,
     n_triples: int,
 ) -> Iterator[Optional[dict]]:
-    """Slice functions satisfy the two-slice reconstruction formula exactly."""
+    """Slice functions satisfy the two-slice reconstruction formula exactly.
+
+    Each trial's two units are distinct: on equal ones the formula reads f_K = f_K.
+    """
     rng = rng_for(seed, f"representation:{_sig_label(sig)}")
     units = sample_units(sig, seed, n_units)
     domain = default_domain()
@@ -364,8 +364,7 @@ def representation_trials(
         stem = rand_stem(rng, sig, max_degree=4)
         pf = SliceFunction(domain, stem).to_point_function()
         for _ in range(n_triples):
-            unit_h = rng.choice(units)
-            unit_k = rng.choice(units)
+            unit_h, unit_k = rng.sample(units, 2)
             z = rand_plane_point(rng)
             predicted = representation_eval(pf, unit_h, unit_k, z)
             actual = pf.eval_coords(phi_coords(unit_k, *z))

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .named import BUILTINS
 from .polyanalytic import classify, compose, decompose
-from .sampling import rand_plane_point, rng_for
+from .sampling import rand_plane_points, rng_for
 from .serialize import (
     domain_to_json,
     frac_to_str,
@@ -143,7 +143,7 @@ def cmd_classify(args) -> int:
         # is_slice compares pairs of units, so at least two are sampled
         units = sample_units(g.signature, args.seed, max(2, min(args.units, _MAX_UNITS)))
         rng = rng_for(args.seed, "classify-points")
-        points = [rand_plane_point(rng, g.domain) for _ in range(min(args.points, _MAX_POINTS))]
+        points = rand_plane_points(rng, min(args.points, _MAX_POINTS), g.domain)
     max_order = min(args.max_order, _MAX_ORDER)
     try:
         report_obj = classify(g, max_order, units, points)

@@ -118,12 +118,12 @@ def _int_map(sources, var_count: int, scale: int = 1) -> "CoordPoly":
     return CoordPoly._make(sources[0][0].signature, var_count, acc, den * scale)
 
 
-def _product_sum(products, scale: int = 1) -> "CoordPoly":
+def _product_sum(products) -> "CoordPoly":
     """sum of sign * left * right over (left, right, sign) in ``products``, in one accumulator.
 
-    ``sign`` is any ``int`` weight.  Left rows are scaled to the common
+    ``sign`` is an ``int`` weight.  Left rows are scaled to the common
     denominator and the weight, so the blade loop of ``_int_product`` does no
-    extra work; the sum is divided by ``scale`` through the denominator.
+    extra work.
     """
     dens = [left.den * right.den for left, right, _ in products]
     den = lcm(*dens)
@@ -135,7 +135,7 @@ def _product_sum(products, scale: int = 1) -> "CoordPoly":
         if k != 1:
             rows = [(e, {m: n * k for m, n in nums.items()}) for e, nums in rows]
         _int_product(rows, right.rows.items(), acc)
-    return CoordPoly._make(left.signature, left.var_count, acc, den * scale)
+    return CoordPoly._make(left.signature, left.var_count, acc, den)
 
 
 class CoordPoly:

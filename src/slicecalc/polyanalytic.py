@@ -4,7 +4,10 @@ The decomposition writes a suitable slice function as
 f = f_0 + xbar f_1 + ... + xbar^(n-1) f_(n-1) with every component induced by
 a holomorphic stem.  That is a fact about the stem alone,
 F = F_0 + zbar F_1 + ... + zbar^(n-1) F_(n-1), so it takes the stem and
-returns the component stems.  The counterexample suite replays, with exact
+returns the component stems, read off one change of variables: in z and
+zbar, F = sum z^p zbar^q w_(p,q) with every w in the algebra, so
+F_q = sum_p z^p w_(p,q), and as dbar acts as d/dzbar the order is one more
+than the zbar-degree (``_zbar_form``).  The counterexample suite replays, with exact
 arithmetic, the functions that separate the slice-by-slice notion of
 polyanalyticity from the global (decomposable) one.
 """
@@ -15,12 +18,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import islice
-from math import factorial, perm
+from math import comb, lcm
 from typing import Optional, Sequence
 
-from .algebra import AlgebraElement, AlgebraSignature, ImaginaryUnit, sample_units
+from .algebra import AlgebraElement, AlgebraSignature, ImaginaryUnit, _add_scaled, sample_units
 from .errors import NotPolyanalyticOfOrderError
-from .multipoly import CoordPoly, RationalFn, _cancel, _iterates
+from .multipoly import CoordPoly, RationalFn, _apply_n, _cancel, _iterates
 from .named import jump_example, left_multiplied_coordinate, rotation_twisted_coordinate
 from .operators import SlicePlanePoly, plane_x, restrict_to_slice
 from .serialize import frac_to_str
@@ -32,21 +35,41 @@ from .slicefn import (
     extract_stem,
     is_slice,
 )
-from .stem import StemFunction, _stem_product_sum
+from .stem import StemFunction, _holomorphic, _stem_product_sum
 
 
-def poly_order(stem: StemFunction) -> int:
-    """Least n >= 1 whose n-th slice derivative vanishes identically.
+@cache
+def _zbar_row(a: int, b: int) -> tuple[int, ...]:
+    """(-1)^(b//2) times the zbar^0..zbar^(a+b) coefficients of (z + zbar)^a (z - zbar)^b."""
+    row = [0] * (a + b + 1)
+    for j in range(a + 1):  # the convolution of the binomial rows, the second signed
+        for k in range(b + 1):
+            row[j + k] += comb(a, j) * comb(b, k) * (-1) ** (k + b // 2)
+    return tuple(row)
 
-    The number of nonzero levels F, dF, d^2 F, ... of the stem (1 for F = 0).
-    Always terminates for polynomial stems: each derivative lowers the total
-    degree, so the order is bounded by total degree + 1.
+
+def _zbar_form(stem: StemFunction) -> list[CoordPoly]:
+    """F_0..F_(n-1) of F = sum_q zbar^q F_q, each F_q = sum_p z^p w_(p,q) as a polynomial in z.
+
+    One pass over the rows: alpha^a beta^b = 2^-(a+b) (z + zbar)^a (-i (z - zbar))^b,
+    and by stem parity every row of F1 and of i F2 gets the real sign (-1)^(b//2).
+    Trailing zero zbar-degrees are dropped, so the length is the order (1 for F = 0).
     """
-    return max(1, sum(1 for _ in stem.dbar_levels()))
+    top = max(stem.total_degree(), 0)
+    den = lcm(stem.f1.den, stem.f2.den) << top
+    acc: list[dict] = [{} for _ in range(top + 1)]
+    for part in (stem.f1, stem.f2):
+        r = den // part.den
+        for (a, b), nums in part.rows.items():
+            for q, c in enumerate(_zbar_row(a, b)):
+                if c:
+                    _add_scaled(acc[q].setdefault((a + b - q,), {}), nums, c * (r >> (a + b)))
+    parts = [CoordPoly._make(stem.signature, 1, rows, den) for rows in acc]
+    return parts[: 1 + max((q for q, part in enumerate(parts) if part.rows), default=0)]
 
 
-# Cached per signature and count (a stem is never mutated): every compose and
-# decompose of one length reads the same powers.
+# Cached per signature and count (a stem is never mutated): every compose of
+# one length reads the same powers.
 @cache
 def _zbar_powers(signature: AlgebraSignature, count: int) -> tuple[StemFunction, ...]:
     """zbar^0, ..., zbar^(count-1)."""
@@ -63,37 +86,24 @@ def compose(parts: Sequence[StemFunction]) -> StemFunction:
     ``decompose`` recovers them.
     """
     zbar_h = _zbar_powers(parts[0].signature, len(parts))
-    return _stem_product_sum([(z, part, 1) for z, part in zip(zbar_h, parts)])
+    return _stem_product_sum(list(zip(zbar_h, parts)))
 
 
 def decompose(stem: StemFunction, order: int) -> tuple[StemFunction, ...]:
     """The holomorphic component stems F_0..F_(n-1) of F = sum_h zbar^h F_h.
 
-    Read off the levels of the stem: with D_l = dbar^l F the nonzero levels
-    D_0..D_(n-1), where n = ``poly_order(stem)``, the components come out from
-    the top: F_l = (D_l - sum_(h>l) h!/(h-l)! zbar^(h-l) F_h) / l!, since
-    D_l = sum_(h>=l) h!/(h-l)! zbar^(h-l) F_h.  That takes n stem derivatives,
-    and each F_l is one sum of products per component, with D_l as the
-    product zbar^0 D_l, the weights h!/(h-l)! as the products' signs and l!
-    in the denominator.  The decomposition is unique, so any admissible order
-    gives the n stems of the minimal order, whose top one witnesses
-    minimality; ``compose`` of them is the stem again.  A lower order raises
-    with the residual D_order.
+    Each F_h is built from its coefficients in z (``_zbar_form``), so no
+    derivative is taken.  The decomposition is unique, so any admissible order
+    gives the n stems of the minimal order, whose top one witnesses minimality;
+    ``compose`` of them is the stem again.  A lower order raises with the
+    residual dbar^order F, derived one level at a time.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    # F = 0 has no nonzero level and is its own decomposition
-    levels = list(islice(stem.dbar_levels(), order + 1)) or [stem]
-    if len(levels) > order:
-        raise NotPolyanalyticOfOrderError(order, levels[order])
-    zbar_h = _zbar_powers(stem.signature, len(levels))
-    parts: list[StemFunction] = []
-    for level in reversed(range(len(levels))):
-        products = [(zbar_h[0], levels[level], 1)]
-        for h, part in enumerate(reversed(parts), start=level + 1):
-            products.append((zbar_h[h - level], part, -perm(h, level)))
-        parts.append(_stem_product_sum(products, factorial(level)))
-    return tuple(reversed(parts))
+    form = _zbar_form(stem)
+    if len(form) > order:
+        raise NotPolyanalyticOfOrderError(order, _apply_n(StemFunction.dbar, stem, order))
+    return tuple(map(_holomorphic, form))
 
 
 def per_slice_decomposition(
@@ -133,9 +143,9 @@ def classify(
 
     A slice function is decided on its stem F, over every unit and without
     samples: f_I = F1 + I F2 on every slice, so dbar_I^n f_I is the stem level
-    dbar^n F read on that slice, the order is ``poly_order(F)``, and
-    ``decompose`` gives the report's component stems, whose count is the
-    global order.  ``units`` and ``points`` apply to a point function g only.
+    dbar^n F read on that slice, the order is read off F's form in z and
+    zbar, whose components are the report's component stems, and their count
+    is the global order.  ``units`` and ``points`` apply to a point function g only.
     Its candidate stem along the first unit decides slice-ness exactly when
     it is polynomial: g is slice exactly when that stem's induced function is
     g, and then g is decided on that stem.  Otherwise the slice-by-slice zero
@@ -181,14 +191,14 @@ def classify(
 def _classify_stem(stem: StemFunction, max_order: int, evidence: dict) -> ClassificationReport:
     """The exact report on the slice function of ``stem``: its order is the stem's.
 
-    ``poly_order`` holds one stem level at a time, and ``decompose``, which
-    holds them all, runs only within ``max_order``.
+    The order is the length of ``_zbar_form(stem)``, and its parts become the
+    component stems only within ``max_order``.
     """
-    order = poly_order(stem)
-    if order > max_order:
-        evidence["global_order_exceeds_max"] = order
+    form = _zbar_form(stem)
+    if len(form) > max_order:
+        evidence["global_order_exceeds_max"] = len(form)
         return ClassificationReport(None, True, None, None, evidence)
-    return ClassificationReport(order, True, None, decompose(stem, order), evidence)
+    return ClassificationReport(len(form), True, None, tuple(map(_holomorphic, form)), evidence)
 
 
 # -- counterexample suite -------------------------------------------------------

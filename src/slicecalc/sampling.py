@@ -8,7 +8,7 @@ seed no matter how checks are scheduled.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from math import lcm
 from random import Random
 from typing import Optional
 
@@ -16,7 +16,7 @@ from .algebra import AlgebraElement, AlgebraSignature
 from .multipoly import CoordPoly, RationalFn, coord_s
 from .named import default_domain
 from .slicefn import CircularDomain, PointFunction
-from .stem import StemFunction
+from .stem import StemFunction, _holomorphic
 
 
 def rng_for(seed: int, label: str) -> Random:
@@ -117,11 +117,8 @@ def rand_holomorphic_stem(
     """Stem of a polynomial sum x^h a_h: holomorphic, coefficients on the right.
 
     Each h up to ``max_degree`` is skipped with probability 3/10, else it
-    draws a_h.  The stem sum_h z^h a_h is read off the binomial form
-    z^h = sum_k C(h,k) alpha^(h-k) (i beta)^k: term k adds C(h,k) a_h to F1
-    (k even) or F2 (k odd) with sign (-1)^floor(k/2), so every row is built
-    once, over the lcm of the a_h denominators.  With ``nonzero`` a zero sum
-    becomes z a for a nonzero draw a.
+    draws a_h; ``stem._holomorphic`` builds the stem sum_h z^h a_h.  With
+    ``nonzero`` a zero sum becomes z a for a nonzero draw a.
     """
     coeffs = [
         (h, rand_element(rng, signature))
@@ -131,14 +128,7 @@ def rand_holomorphic_stem(
     ]
     if nonzero and all(a.is_zero() for _, a in coeffs):
         coeffs = [(1, rand_nonzero_element(rng, signature))]
-    den = lcm(*[a.den for _, a in coeffs])
-    rows: tuple[dict, dict] = ({}, {})
-    for h, a in coeffs:
-        r = den // a.den
-        for k in range(h + 1):
-            c = comb(h, k) * r * (-1 if k & 2 else 1)
-            rows[k & 1][(h - k, k)] = {m: n * c for m, n in a.nums.items()}
-    return StemFunction(*(CoordPoly._make(signature, 2, part, den) for part in rows))
+    return _holomorphic(CoordPoly(signature, 1, {(h,): a for h, a in coeffs}))
 
 
 def rand_regular_tuple(
@@ -166,3 +156,15 @@ def rand_plane_point(
     a, b = rng.randint(1, 4), rng.randint(1, 4)
     norm = a * a + b * b
     return domain.center + r * Fraction(b * b - a * a, norm), r * Fraction(2 * a * b, norm)
+
+
+def rand_plane_points(
+    rng: Random, count: int, domain: Optional[CircularDomain] = None
+) -> list[tuple[Fraction, Fraction]]:
+    """``count`` distinct ``rand_plane_point`` draws in draw order; a ball's grid holds 36."""
+    if count > 36:
+        raise ValueError("at most 36 distinct plane points are drawn, the points of a ball's grid")
+    points: dict = {}
+    while len(points) < count:
+        points[rand_plane_point(rng, domain)] = None
+    return list(points)

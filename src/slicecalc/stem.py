@@ -4,14 +4,16 @@ A stem is a pair (F1, F2) of bivariate polynomials in (alpha, beta) such that
 F1 is even and F2 is odd in beta.  That symmetry is exactly what makes the
 induced function f(alpha + I*beta) = F1 + I*F2 independent of the sign choice
 (I, beta) vs (-I, -beta).  Parity is enforced at construction, and every
-operation below preserves it: sum, product, a signed sum of products
-(``_stem_product_sum``), right scaling and ``dbar``.
+operation below preserves it: sum, product, a sum of products
+(``_stem_product_sum``), the stem of sum_p z^p w_p (``_holomorphic``), right
+scaling and ``dbar``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, takewhile
+from itertools import chain
+from math import comb
 from typing import Iterator
 
 from .algebra import AlgebraElement, AlgebraSignature, ImaginaryUnit
@@ -27,21 +29,31 @@ def _check_parity(poly: CoordPoly, even: bool, component: str) -> None:
             raise ParityViolationError(component, exps)
 
 
-def _stem_product_sum(products, scale: int = 1) -> "StemFunction":
-    """sum of sign * f * g over (f, g, sign) in ``products``, divided by ``scale``.
+def _stem_product_sum(products) -> "StemFunction":
+    """sum of f * g over the pairs (f, g) in ``products``.
 
     (F1 + iF2)(G1 + iG2) = (F1 G1 - F2 G2) + i (F1 G2 + F2 G1), so each
     component is one ``_product_sum`` over every pair; coefficient products
     keep the left operand's coefficients on the left.
     """
     return StemFunction(
-        _product_sum(
-            [t for f, g, k in products for t in ((f.f1, g.f1, k), (f.f2, g.f2, -k))], scale
-        ),
-        _product_sum(
-            [t for f, g, k in products for t in ((f.f1, g.f2, k), (f.f2, g.f1, k))], scale
-        ),
+        _product_sum([t for f, g in products for t in ((f.f1, g.f1, 1), (f.f2, g.f2, -1))]),
+        _product_sum([t for f, g in products for t in ((f.f1, g.f2, 1), (f.f2, g.f1, 1))]),
     )
+
+
+def _holomorphic(poly: CoordPoly) -> "StemFunction":
+    """The stem sum_p z^p w_p of ``poly`` = sum_p t^p w_p, in one pass over its rows.
+
+    z^p = sum_k C(p,k) alpha^(p-k) (i beta)^k: term k adds C(p,k) w_p to F1 (k
+    even) or F2 (k odd) with sign (-1)^floor(k/2).
+    """
+    rows: tuple[dict, dict] = ({}, {})
+    for (p,), nums in poly.rows.items():
+        for k in range(p + 1):
+            c = comb(p, k) * (-1 if k & 2 else 1)
+            rows[k & 1][(p - k, k)] = {m: n * c for m, n in nums.items()}
+    return StemFunction(*(CoordPoly._make(poly.signature, 2, part, poly.den) for part in rows))
 
 
 class StemFunction:
@@ -125,7 +137,7 @@ class StemFunction:
     def __mul__(self, other):
         """Pointwise product in the algebra tensored with the complex units."""
         if isinstance(other, StemFunction):
-            return _stem_product_sum(((self, other, 1),))
+            return _stem_product_sum(((self, other),))
         return NotImplemented
 
     def scale_right(self, coeff: AlgebraElement) -> "StemFunction":
@@ -143,10 +155,6 @@ class StemFunction:
         g1 = _int_map(((self.f1, d_alpha), (self.f2, _partial_move(BETA, -1))), 2, 2)
         g2 = _int_map(((self.f1, d_beta), (self.f2, d_alpha)), 2, 2)
         return StemFunction(g1, g2)
-
-    def dbar_levels(self) -> Iterator["StemFunction"]:
-        """self, dbar self, dbar^2 self, ... up to the last nonzero one."""
-        return takewhile(lambda level: not level.is_zero(), _iterates(StemFunction.dbar, self))
 
     # -- comparisons --------------------------------------------------------------------
 

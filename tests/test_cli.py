@@ -1,13 +1,16 @@
 import argparse
 import hashlib
 import json
+import random
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import slicecalc.cli
 from slicecalc.algebra import AlgebraElement, clifford
 from slicecalc.cli import build_parser, main
 from slicecalc.named import BUILTINS
@@ -396,6 +399,22 @@ def test_classify_reports_the_capped_sample_counts(capsys):
     assert json.loads(out)["samples"] == {"units": 12, "points": 16, "max_order": 4}
 
 
+@pytest.mark.parametrize("points", ["8", "16"])
+def test_classify_reports_distinct_plane_points(capsys, monkeypatch, points):
+    # seed 0 draws a repeat within its first 8 and 16 points; the repeat is drawn again
+    seen = []
+    classify = slicecalc.cli.classify
+
+    def recorded(g, max_order, units, pts):
+        seen.extend(pts)
+        return classify(g, max_order, units, pts)
+
+    monkeypatch.setattr(slicecalc.cli, "classify", recorded)
+    code, out, _ = run_cli(["classify", "--input", "v", "--points", points], capsys)
+    assert code == 0
+    assert json.loads(out)["samples"]["points"] == len(set(seen)) == int(points)
+
+
 def test_classify_caps_the_order_it_tries(capsys):
     # bump's restrictions are rational, so no slice derivative vanishes and the
     # loop would run every order up to --max-order, each step dearer than the last
@@ -586,6 +605,38 @@ def test_classify_refutes_a_wide_candidate_stem_without_expanding_it(
     report = json.loads(out)
     assert report["is_slice"] is False
     assert report["evidence"]["stem_reproduces_input"] == "False"
+
+
+def test_decompose_below_the_order_of_a_dense_stem_fits_in_256_mb(tmp_path, child_env):
+    # 64 seeded terms of total degree at most 64 over Cl(0,8), two of them of
+    # degree 64, every coefficient on all 256 blades: the order is read off
+    # one pass and only the residual dbar^64 is derived, one level at a time
+    rng = random.Random(64)
+    blades = [
+        next(iter(element_to_json(AlgebraElement.basis(clifford(8), mask))))
+        for mask in range(clifford(8).dim)
+    ]
+    terms = ([], [])
+    for a, b in rng.sample([(a, b) for a in range(65) for b in range(65 - a)], 64):
+        coefficient = {blade: str(rng.randint(1, 9)) for blade in blades}
+        terms[b % 2].append({"exponents": [a, b], "coefficient": coefficient})
+    spec = {"representation": "stem", "signature": {"kind": "clifford", "m": 8}}
+    spec["f1_terms"], spec["f2_terms"] = terms
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps(spec))
+    limit = 256 * 2**20
+    proc = subprocess.run(
+        RUN + ["decompose", "--input", str(path), "--order", "64"],
+        capture_output=True,
+        text=True,
+        env=child_env,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["error"] == "not-polyanalytic-of-order"
+    assert report["residual_stem"]["f1_terms"]
 
 
 @pytest.mark.parametrize(

@@ -1096,8 +1096,8 @@ FORCED_OUTCOMES = {
     ("leibniz-slice", "clifford"): (
         18, 11, {"function_index": 0, "power": 1, "form": "slice", "unit_index": 1},
     ),
-    ("representation", "quaternion"): (6, 2, {"stem_index": 0, "z": ["4/9", "16/9"]}),
-    ("representation", "clifford"): (6, 3, {"stem_index": 0, "z": ["4/3", "8/9"]}),
+    ("representation", "quaternion"): (6, 4, {"stem_index": 0, "z": ["8/9", "4/9"]}),
+    ("representation", "clifford"): (6, 1, {"stem_index": 0, "z": ["16/9", "4/3"]}),
     ("regularity", "quaternion"): (
         6, 2, {"stem_index": 0, "regular": True, "faces": [True, False, True, True]},
     ),
@@ -1115,6 +1115,24 @@ def test_forced_failures_keep_their_counts_and_first_witness(case, kind, monkeyp
     monkeypatch.setattr(slicecalc.campaign, name, wrap(getattr(slicecalc.campaign, name)))
     sig = H if kind == "quaternion" else CL3
     assert run(sig) == FORCED_OUTCOMES[case, kind]
+
+
+@pytest.mark.parametrize("sig", (QUATERNION, CL3), ids=lambda s: f"{s.kind}{s.m}")
+def test_representation_trials_never_predict_a_slice_from_itself(sig, monkeypatch):
+    # on equal units the formula reads f_K = f_K, so such a trial could not fail
+    pairs = []
+    rep = slicecalc.campaign.representation_eval
+
+    def recorded(g, unit_h, unit_k, z):
+        pairs.append((unit_h, unit_k))
+        return rep(g, unit_h, unit_k, z)
+
+    monkeypatch.setattr(slicecalc.campaign, "representation_eval", recorded)
+    for n_units in (2, 3, 8):
+        trials = representation_trials(sig, 0, n_stems=2, n_units=n_units, n_triples=12)
+        assert trials[:2] == (24, 0)
+    assert len(pairs) == 72
+    assert all(h != k for h, k in pairs)
 
 
 P_OVER_Q = "[+-]?[0-9]+/[0-9]+"

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, takewhile
 
 import pytest
 
@@ -29,9 +29,9 @@ from slicecalc.polyanalytic import (
     counterexample_suite,
     decompose,
     per_slice_decomposition,
-    poly_order,
 )
 from slicecalc.sampling import (
+    rand_holomorphic_stem,
     rand_plane_point,
     rand_point_polynomial,
     rand_rational_point_function,
@@ -54,6 +54,11 @@ ZBAR_POWERS = list(islice(StemFunction.zbar(H).powers(), 4))
 
 def slice_of(stem):
     return SliceFunction(DOM, stem)
+
+
+def poly_order(stem):
+    """The order of ``stem``: its component count at an order no stem of its degree exceeds."""
+    return len(decompose(stem, max(1, stem.total_degree() + 1)))
 
 
 def campaign_verdicts(seed, units):
@@ -118,9 +123,9 @@ def test_decompose_trims_padding_orders():
     assert not parts[-1].is_zero()
 
 
-def test_decompose_steps_dbar_once_per_level(monkeypatch):
-    # zbar^3 has order 4: dbar^1..dbar^3 are nonzero and dbar^4 is zero, so the
-    # levels take four stem derivatives; order 2 stops at its residual
+def test_decompose_takes_no_derivative_within_the_order(monkeypatch):
+    # zbar^3 has order 4: within it the components are read off the zbar form,
+    # and order 2 derives the stem twice, to its residual dbar^2
     calls = []
     real = StemFunction.dbar
 
@@ -131,14 +136,36 @@ def test_decompose_steps_dbar_once_per_level(monkeypatch):
     monkeypatch.setattr(StemFunction, "dbar", counted)
     f = ZBAR_POWERS[3]
     parts = decompose(f, 4)
-    assert len(calls) == 4
+    assert calls == []
     assert list(parts) == [StemFunction.zero(H)] * 3 + [StemFunction.one(H)]
-    calls.clear()
+    assert classify(slice_of(f), 4, [], []).components == parts
+    assert calls == []
     with pytest.raises(NotPolyanalyticOfOrderError) as err:
         decompose(f, 2)
-    assert len(calls) <= 4
+    assert len(calls) == 2
     zb = StemFunction.zbar(H)
     assert err.value.residual == StemFunction(zb.f1 * 6, zb.f2 * 6)
+
+
+@pytest.mark.parametrize(
+    "sig", [H, clifford(3), clifford(5), clifford(8)], ids=lambda s: f"{s.kind}{s.m}"
+)
+def test_the_zbar_form_gives_the_order_of_the_partials_tower_and_inverts_compose(sig):
+    # the order is the count of nonzero levels of dbar taken by partials, and
+    # decompose undoes the product chain, on stems up to degree 64
+    rng = rng_for(33, f"zbar-form:{sig}")
+    for degree in (0, 1, 4, 9, 64):
+        for _ in range(3):
+            stem = rand_stem(rng, sig, max_degree=degree)
+            levels = takewhile(lambda d: not d.is_zero(), _iterates(stem_dbar_by_partials, stem))
+            assert len(polyanalytic._zbar_form(stem)) == max(1, len(list(levels)))
+    for n in (1, 2, 4):
+        for top in (2, 64):
+            parts = rand_regular_tuple(rng, sig, n - 1) if n > 1 else []
+            parts.append(rand_holomorphic_stem(rng, sig, top))
+            stem = compose_by_products(parts)
+            assert decompose(stem, n) == tuple(parts)
+            assert decompose(stem, top + n) == tuple(parts)
 
 
 def regular_tuples(sig):
