@@ -64,6 +64,7 @@ from .slicefn import (
     PointFunction,
     SliceFunction,
     phi_coords,
+    phi_int,
     representation_eval,
     taylor_alpha_coefficients,
 )
@@ -205,12 +206,14 @@ def slice_global_trials(
     For each function g, unit I, order n and off-axis plane point z, compares
     thetabar^n(g) at the point alpha + I beta against the n-th slice
     derivative of the restriction, both exact.  The ``n_points`` plane points
-    are distinct (``rand_plane_points``), so at most 36.  Each
-    plane point and each point alpha + I beta is put over a common
-    denominator once per call, and carries one dict of denominator-factor
-    values that every function and order shares (a plane point's dict serves
-    every unit), so each factor is evaluated once per point.  The two raw integer values are compared by
-    cross-multiplying; canonical elements are built only for a witness.
+    are distinct (``rand_plane_points``), so at most 36.  Each plane point is
+    put over a common denominator once per call, and each point alpha + I beta
+    is built from that integer form and the unit's row by ``phi_int``, once
+    per (unit, point), with no ``Fraction``.  Every point carries one dict of
+    denominator-factor values that every function and order shares (a plane
+    point's dict serves every unit), so each factor is evaluated once per
+    point.  The two raw integer values are compared by cross-multiplying;
+    canonical elements are built only for a witness.
     """
     rng = rng_for(seed, f"slice-global:{_sig_label(sig)}")
     funcs: list[PointFunction] = [
@@ -222,7 +225,7 @@ def slice_global_trials(
     # (integer coordinates, denominator, factor values) per plane point, and per
     # unit and plane point for alpha + I beta
     plane = [(*_over_common_den(z), {}) for z in points]
-    space = [[(*_over_common_den(phi_coords(u, *z)), {}) for z in points] for u in units]
+    space = [[(*phi_int(u, coords, d), {}) for coords, d, _ in plane] for u in units]
     top = max(orders)
     for gi, g in enumerate(funcs):
         thetas = list(islice(_iterates(thetabar, g), top + 1))

@@ -3,13 +3,15 @@
 Reports are JSON with rationals serialized as "p/q" strings, never floats,
 and are byte-identical across runs for a fixed seed and configuration.
 Exit codes: 0 all checks passed, 1 mathematical failure (with a witness in
-the report) or a check run that could not finish, 2 usage or parse error.
+the report) or a check run that could not finish, 2 usage or parse error or a
+report that cannot be written (to a ``--json`` path or to stdout).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -65,6 +67,22 @@ def _load_input(path_or_name: str):
     return function_spec_from_json(payload)
 
 
+def _write_stdout(text: str) -> None:
+    """Write and flush ``text``; a stdout that takes no more output is a usage error.
+
+    stdout's descriptor then points at ``os.devnull``, so the interpreter's
+    final flush of what is still buffered succeeds and prints nothing.
+    """
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise FunctionSpecError(f"cannot write the report to stdout: {exc}") from exc
+
+
 def _emit(report: dict, json_path: Optional[str]) -> None:
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if json_path:
@@ -73,7 +91,7 @@ def _emit(report: dict, json_path: Optional[str]) -> None:
         except OSError as exc:
             raise FunctionSpecError(f"cannot write {json_path}: {exc}") from exc
     else:
-        sys.stdout.write(text)
+        _write_stdout(text)
 
 
 def cmd_verify(args) -> int:
@@ -95,8 +113,9 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     report = run_campaign(config)
-    for check in report["checks"]:
-        print(f"[{'PASS' if check['passed'] else 'FAIL'}] {check['id']}")
+    _write_stdout(
+        "".join(f"[{'PASS' if c['passed'] else 'FAIL'}] {c['id']}\n" for c in report["checks"])
+    )
     _emit(report, args.json)
     return EXIT_OK if report["all_passed"] else EXIT_MATH_FAILURE
 

@@ -16,7 +16,14 @@ from itertools import islice
 from math import comb, factorial, lcm
 from typing import Optional, Sequence
 
-from .algebra import AlgebraElement, AlgebraSignature, ImaginaryUnit, RationalLike, _int_product
+from .algebra import (
+    AlgebraElement,
+    AlgebraSignature,
+    ImaginaryUnit,
+    RationalLike,
+    _int_product,
+    _over_common_den,
+)
 from .errors import PointOutsideDomainError, SignatureMismatchError
 from .multipoly import CoordPoly, RationalFn, _apply_n, _iterates, coord_im, coord_s, restrict_rf
 from .stem import StemFunction
@@ -61,12 +68,31 @@ class CircularDomain:
         return self.r_in**2 < rho_sq < self.radius**2
 
 
+def phi_int(unit: ImaginaryUnit, z: Sequence[int], d: int) -> tuple[list[int], int]:
+    """Integer coordinates of alpha + I*beta, with (alpha, beta) = z / d.
+
+    With I = sum_h n_h u_h / w (``unit.value``'s numerators over its
+    denominator), the point is (a w, b n_1, ..., b n_k) / (d w) for z = (a, b),
+    built from integers alone.  The denominator d w need not be the least
+    one; every reader compares or reduces values, not fields: ``_same_value``
+    cross-multiplies, ``AlgebraElement._make`` reduces a witness, and
+    ``DenominatorVanishesError`` reduces the ``Fraction``s it names.
+    """
+    a, b = z
+    nums = unit.value.nums
+    w = unit.value.den
+    return [a * w, *(b * nums.get(m, 0) for m in unit.signature.imag_masks)], d * w
+
+
 def phi_coords(
     unit: ImaginaryUnit, alpha: RationalLike, beta: RationalLike
 ) -> tuple[Fraction, ...]:
-    """Coordinates of alpha + I*beta: (alpha, i_1 beta, ..., i_n beta)."""
-    a, b = Fraction(alpha), Fraction(beta)
-    return (a,) + tuple(c * b for c in unit.components())
+    """Coordinates of alpha + I*beta: (alpha, i_1 beta, ..., i_n beta).
+
+    ``phi_int``'s integer point, read back as normalized ``Fraction``s.
+    """
+    coords, den = phi_int(unit, *_over_common_den((alpha, beta)))
+    return tuple(Fraction(c, den) for c in coords)
 
 
 # Bounded caches per (signature, count), since s^k over Cl(0,8) grows quickly;

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import os
 import random
 import re
 import resource
@@ -675,3 +676,47 @@ def test_an_unwritable_json_path_is_a_usage_error(tmp_path, capsys, args, where)
     assert code == 2
     assert err.startswith(f"error: cannot write {target}")
     assert len(err.splitlines()) == 1
+
+
+def _assert_one_stdout_error(proc: subprocess.CompletedProcess) -> None:
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: cannot write the report to stdout: ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full on this platform")
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["classify", "--input", "xbar"],
+        ["decompose", "--input", "x", "--order", "3"],
+        ["verify", "--units", "2", "--points", "1", "--select", "leibniz"],
+    ],
+    ids=["classify", "decompose", "verify"],
+)
+def test_a_full_stdout_is_one_error_line(child_env, args):
+    # every write to /dev/full fails with ENOSPC
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            RUN + args, stdout=full, stderr=subprocess.PIPE, text=True, env=child_env
+        )
+    _assert_one_stdout_error(proc)
+
+
+def test_a_closed_stdout_pipe_is_one_error_line(child_env):
+    # as `slicecalc decompose ... | head -c 0`: the reader is gone before the write
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            RUN + ["decompose", "--input", "x", "--order", "3"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=child_env,
+        )
+    finally:
+        os.close(write_end)
+    _assert_one_stdout_error(proc)

@@ -556,7 +556,11 @@ def test_slice_global_trials_convert_each_point_once_and_evaluate_each_factor_on
             factor_evals[self, tuple(coords), d] += 1
         return poly_eval_int(self, coords, d)
 
+    def no_fractions(*args):
+        raise AssertionError("the global side builds its points from integers")
+
     monkeypatch.setattr(slicecalc.campaign, "_over_common_den", converted)
+    monkeypatch.setattr(slicecalc.campaign, "phi_coords", no_fractions)
     monkeypatch.setattr(RationalFn, "_eval_int", rf_counted)
     monkeypatch.setattr(CoordPoly, "_eval_int", poly_counted)
     monkeypatch.setattr(slicecalc.multipoly, "_point_over_common_den", None)
@@ -564,8 +568,9 @@ def test_slice_global_trials_convert_each_point_once_and_evaluate_each_factor_on
         sig, 6, n_funcs=2, n_units=n_units, n_points=n_points, n_rational=2
     )
     assert (trials, failures) == (4 * n_units * 3 * n_points, 0)
-    # the seed draws distinct plane points, so no two conversions share a value
-    assert len(set(conversions)) == len(conversions) == n_points + n_units * n_points
+    # only the plane points are converted: alpha + I beta is built from their
+    # integer form; the seed draws distinct plane points
+    assert len(set(conversions)) == len(conversions) == n_points
     # each distinct factor once per point: per unit and point on the global side,
     # per plane point on the slice side
     assert set(factor_evals.values()) == {1}
@@ -589,8 +594,7 @@ def test_slice_global_trials_draw_each_plane_point_once(monkeypatch):
         QUATERNION, 5, n_funcs=2, n_units=3, n_points=4, n_rational=2
     )
     assert (trials, failures) == (4 * 3 * 3 * 4, 0)
-    plane = conversions[:4]  # the plane points come first, then alpha + I beta per unit
-    assert len(set(plane)) == 4
+    assert len(set(conversions)) == len(conversions) == 4  # only the plane points
     # the grid holds 36 points: all of them can be drawn, and not one more
     conversions.clear()
     slice_global_trials(QUATERNION, 0, n_funcs=1, n_units=1, n_points=36, orders=(1,))
@@ -1029,8 +1033,8 @@ def _doubled(op):
 # wrapper of the original that makes some trials fail: (name, wrapper, run).
 FORCED_FAILURES = {
     "slice-global": (
-        "phi_coords",
-        lambda phi: lambda unit, a, b: phi(unit, a, b * (1 + (a > 0))),
+        "phi_int",
+        lambda phi: lambda unit, z, d: phi(unit, (z[0], z[1] * (1 + (z[0] > 0))), d),
         lambda sig: slice_global_trials(
             sig, 5, n_funcs=1, n_units=2, n_points=3, n_rational=1
         ),
@@ -1142,7 +1146,7 @@ P_OVER_Q = "[+-]?[0-9]+/[0-9]+"
 # first witness has an integer coordinate.
 AT_ALPHA_ZERO = {
     "slice-global": (
-        lambda phi: lambda unit, a, b: phi(unit, a, b * (1 + (a == 0))),
+        lambda phi: lambda unit, z, d: phi(unit, (z[0], z[1] * (1 + (z[0] == 0))), d),
         lambda sig: slice_global_trials(sig, 3, n_funcs=1, n_units=2, n_points=6, n_rational=1),
     ),
     "representation": (

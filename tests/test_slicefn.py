@@ -3,7 +3,7 @@ from itertools import islice
 
 import pytest
 
-from slicecalc.algebra import QUATERNION, clifford, sample_units
+from slicecalc.algebra import QUATERNION, _over_common_den, clifford, sample_units
 from slicecalc.errors import PointOutsideDomainError
 from slicecalc.multipoly import CoordPoly
 from slicecalc.named import (
@@ -22,6 +22,7 @@ from slicecalc.slicefn import (
     extract_stem,
     is_slice,
     phi_coords,
+    phi_int,
     representation_eval,
     taylor_alpha_coefficients,
 )
@@ -229,3 +230,26 @@ def test_to_point_function_matches_the_term_by_term_sum(sig):
         want = point_poly_term_by_term(stem)
         assert got.is_polynomial()
         assert (got.numer.rows, got.numer.den) == (want.rows, want.den)
+
+
+@pytest.mark.parametrize(
+    "sig", (H, clifford(3), clifford(5), clifford(8)), ids=lambda s: f"{s.kind}{s.m}"
+)
+def test_phi_int_and_phi_coords_give_the_point_alpha_plus_i_beta(sig):
+    # the canonical units, then chart units; alpha = 0, ball grid points and
+    # annulus points, against (alpha, i_1 beta, ..., i_n beta) built in Fractions
+    rng = rng_for(0, f"phi-int:{sig.kind}{sig.m}")
+    units = sample_units(sig, 0, sig.imag_dim + 4)
+    ring = CircularDomain.annulus(1, Fraction(1, 2), Fraction(5, 2))
+    points = [(Fraction(0), Fraction(1)), (Fraction(0), Fraction(-2, 3))]
+    points += [rand_plane_point(rng) for _ in range(6)]
+    points += [rand_plane_point(rng, ring) for _ in range(6)]
+    for unit in units:
+        for alpha, beta in points:
+            want = (alpha, *(c * beta for c in unit.components()))
+            (a, b), d = _over_common_den((alpha, beta))
+            # the result is a point, not a form: a common factor of z and d changes no value
+            for k in (1, 3):
+                coords, den = phi_int(unit, (k * a, k * b), k * d)
+                assert tuple(Fraction(c, den) for c in coords) == want
+            assert phi_coords(unit, alpha, beta) == want
