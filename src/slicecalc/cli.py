@@ -4,7 +4,7 @@ Reports are JSON with rationals serialized as "p/q" strings, never floats,
 and are byte-identical across runs for a fixed seed and configuration.
 Exit codes: 0 all checks passed, 1 mathematical failure (with a witness in
 the report) or a check run that could not finish, 2 usage or parse error or a
-report that cannot be written (to a ``--json`` path or to stdout).
+report or help that cannot be written (to a ``--json`` path or to stdout).
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ EXIT_OK = 0
 EXIT_MATH_FAILURE = 1
 EXIT_USAGE = 2
 
-# classify probes every sampled (unit, unit, point) triple, so it caps its samples,
-# and each slice derivative of a rational restriction costs more than the last
+# classify probes each sampled (unit, point) pair, so it caps its samples, and on
+# a restriction where no slice derivative vanishes each costs more than the last
 _MAX_UNITS = 12
 _MAX_POINTS = 16
 _MAX_ORDER = 64
@@ -67,7 +67,7 @@ def _load_input(path_or_name: str):
     return function_spec_from_json(payload)
 
 
-def _write_stdout(text: str) -> None:
+def _write_stdout(text: str, what: str = "the report") -> None:
     """Write and flush ``text``; a stdout that takes no more output is a usage error.
 
     stdout's descriptor then points at ``os.devnull``, so the interpreter's
@@ -80,7 +80,7 @@ def _write_stdout(text: str) -> None:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        raise FunctionSpecError(f"cannot write the report to stdout: {exc}") from exc
+        raise FunctionSpecError(f"cannot write {what} to stdout: {exc}") from exc
 
 
 def _emit(report: dict, json_path: Optional[str]) -> None:
@@ -99,8 +99,7 @@ def cmd_verify(args) -> int:
     if args.select is not None:
         select = tuple(s.strip() for s in args.select.split(",") if s.strip())
         if not select:
-            print(f"error: --select {args.select!r} names no check id", file=sys.stderr)
-            return EXIT_USAGE
+            raise FunctionSpecError(f"--select {args.select!r} names no check id")
     try:
         config = CampaignConfig(
             seed=args.seed,
@@ -110,8 +109,7 @@ def cmd_verify(args) -> int:
             select=select,
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise FunctionSpecError(str(exc)) from exc
     report = run_campaign(config)
     _write_stdout(
         "".join(f"[{'PASS' if c['passed'] else 'FAIL'}] {c['id']}\n" for c in report["checks"])
@@ -191,8 +189,17 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Writes its help through ``_write_stdout``, where argparse would drop a write error."""
+
+    def _print_message(self, message, file=None):
+        if file is sys.stdout:
+            return _write_stdout(message, "the help")
+        super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="slicecalc",
         description=(
             "Exact slice-function computer algebra: verification campaigns, "
@@ -241,14 +248,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize other codes
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    try:
-        return args.func(args)
-    except FunctionSpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except SliceCalcError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MATH_FAILURE
+        return EXIT_USAGE if isinstance(exc, FunctionSpecError) else EXIT_MATH_FAILURE

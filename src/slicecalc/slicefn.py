@@ -273,23 +273,23 @@ def is_slice(
 ) -> tuple[bool, Optional[SliceWitness]]:
     """Sampled slice-ness check: sound when False, sampled when True.
 
-    Tries the representation formula from every unit H onto every other unit
-    K at every point z, in that nesting order, and returns (False, witness)
-    for the first mismatch, or (True, None) when the whole grid agrees.  One
-    unit gives no pair to compare, so at least two are needed.
+    Reads the representation formula from the first unit H onto each other
+    unit K, then -K, at every point z; the first mismatch is the witness, whose
+    K may be -K.  A pass means g(alpha +- K beta) = A +- K B, (A, B) the stem
+    read on H at z, so every pair of units obeys the formula; with three or
+    more units the pairs (K, K2), (K, H) force that too (K2 - H is
+    invertible), so this passes exactly when the all-pairs check does.
     """
     if len(units) < 2 or not points:
         raise ValueError("is_slice needs at least two units and one point")
-    for unit_h in units:
-        for unit_k in units:
-            if unit_k == unit_h:
-                continue
-            for z in points:
-                alpha, beta = Fraction(z[0]), Fraction(z[1])
-                predicted = representation_eval(g, unit_h, unit_k, (alpha, beta))
-                actual = g.eval_coords(phi_coords(unit_k, alpha, beta))
-                if predicted != actual:
-                    return False, SliceWitness(unit_h, unit_k, (alpha, beta), predicted, actual)
+    unit_h = units[0]
+    for unit_k in (k for unit in units[1:] for k in (unit, -unit)):
+        for z in points:
+            alpha, beta = Fraction(z[0]), Fraction(z[1])
+            predicted = representation_eval(g, unit_h, unit_k, (alpha, beta))
+            actual = g.eval_coords(phi_coords(unit_k, alpha, beta))
+            if predicted != actual:
+                return False, SliceWitness(unit_h, unit_k, (alpha, beta), predicted, actual)
     return True, None
 
 

@@ -10,9 +10,10 @@ of its simpler operations: the radial operator and the plane operator as sums
 of partials, the reference for ``RationalFn.derive``; the stem dbar and product
 as sums of ``CoordPoly`` partials and products; the induced function as a
 sum of one product per stem term; ``compose`` as one stem product and sum per
-component stem; and the holomorphic stem sampler as a sum of right-scaled
+component stem; the holomorphic stem sampler as a sum of right-scaled
 powers of z, each power one stem product from the last, with coefficients
-built from ``Fraction``s.
+built from ``Fraction``s; and the sampled slice-ness probe with the
+representation formula read between every ordered pair of units.
 """
 
 from fractions import Fraction
@@ -24,7 +25,7 @@ from slicecalc.algebra import AlgebraElement, AlgebraSignature, ImaginaryUnit
 from slicecalc.multipoly import CoordPoly, RationalFn, coord_im, coord_s
 from slicecalc.polyanalytic import compose
 from slicecalc.sampling import rand_regular_tuple, rand_stem, rng_for
-from slicecalc.slicefn import PointFunction, phi_coords
+from slicecalc.slicefn import PointFunction, SliceWitness, phi_coords, representation_eval
 from slicecalc.stem import StemFunction
 
 
@@ -109,6 +110,26 @@ def rand_holomorphic_stem_by_products(
             coeff = rand_element_by_fractions(rng, signature)
         total = StemFunction.z(signature).scale_right(coeff)
     return total
+
+
+def is_slice_all_pairs(g: PointFunction, units: Sequence[ImaginaryUnit], points: Sequence):
+    """The representation formula from every unit H onto every other unit K at every z.
+
+    Returns (False, witness) at the first mismatch in that nesting order, else
+    (True, None): 3 n (n - 1) p evaluations of g on n units and p points when
+    it passes, where ``is_slice`` reads from the first unit only.
+    """
+    for unit_h in units:
+        for unit_k in units:
+            if unit_k == unit_h:
+                continue
+            for z in points:
+                alpha, beta = Fraction(z[0]), Fraction(z[1])
+                predicted = representation_eval(g, unit_h, unit_k, (alpha, beta))
+                actual = g.eval_coords(phi_coords(unit_k, alpha, beta))
+                if predicted != actual:
+                    return False, SliceWitness(unit_h, unit_k, (alpha, beta), predicted, actual)
+    return True, None
 
 
 def sample_stems(sig: AlgebraSignature, label: str) -> list[StemFunction]:

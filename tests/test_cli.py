@@ -452,6 +452,30 @@ def test_classify_with_one_unit_still_compares_two_slices(tmp_path, capsys):
     assert (report["witness"]["H"], report["witness"]["K"]) == ({"i": "1/1"}, {"j": "1/1"})
 
 
+def test_classify_samples_the_inverse_and_finds_it_slice(tmp_path, capsys):
+    # x^-1 = xbar / |x|^2 has a rational candidate stem, so the sampled probe runs
+    # over its whole grid; its restrictions are holomorphic, so the order is 1
+    numerator = [
+        {"exponents": [1, 0, 0, 0], "coefficient": {"1": "1"}},
+        {"exponents": [0, 1, 0, 0], "coefficient": {"i": "-1"}},
+        {"exponents": [0, 0, 1, 0], "coefficient": {"j": "-1"}},
+        {"exponents": [0, 0, 0, 1], "coefficient": {"k": "-1"}},
+    ]
+    norm = [
+        {"exponents": [2 * (h == i) for i in range(4)], "coefficient": {"1": "1"}}
+        for h in range(4)
+    ]
+    spec = {"representation": "rational", "numerator_terms": numerator, "denominator_terms": norm}
+    path = tmp_path / "inverse.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(["classify", "--input", str(path)], capsys)
+    assert code == 0, err
+    report = json.loads(out)
+    assert (report["sbs_order"], report["is_slice"], report["global_order"]) == (1, True, None)
+    assert report["evidence"]["candidate_stem"] == "not polynomial"
+    assert "witness" not in report
+
+
 def test_classify_rejects_a_denominator_vanishing_off_the_real_axis(tmp_path, capsys):
     # 1 / x_0 is singular at sampled points off the real axis: the spec breaks the
     # point-function contract, which is a parse error, not a mathematical failure
@@ -720,3 +744,17 @@ def test_a_closed_stdout_pipe_is_one_error_line(child_env):
     finally:
         os.close(write_end)
     _assert_one_stdout_error(proc)
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full on this platform")
+@pytest.mark.parametrize("args", [["--help"], ["verify", "--help"]], ids=["slicecalc", "verify"])
+def test_help_on_a_full_stdout_is_one_error_line(child_env, args):
+    # argparse drops a failed help write; the help goes through the report's writer
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            RUN + args, stdout=full, stderr=subprocess.PIPE, text=True, env=child_env
+        )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: cannot write the help to stdout: ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr

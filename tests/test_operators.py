@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from slicecalc import operators
+from slicecalc import campaign, operators
 from slicecalc.algebra import QUATERNION, AlgebraElement, clifford, sample_units
 from slicecalc.campaign import (
     g_relation_trials,
@@ -166,6 +166,43 @@ def test_slice_derivative_coincidence_randomized():
             sig, 22, n_stems=10, n_units=6
         )
         assert failures == 0, witness
+
+
+def test_slice_derivative_trials_catch_a_fault_at_level_zero(monkeypatch):
+    # a constant planted in the coordinate form changes every restriction but no
+    # slice derivative of it, so only the level-0 comparison sees it
+    real = SliceFunction.to_point_function
+
+    def planted(self):
+        pf = real(self)
+        one = CoordPoly.constant(pf.signature, pf.signature.coord_count, 1)
+        return PointFunction(pf.domain, pf.expr + RationalFn.from_poly(one))
+
+    monkeypatch.setattr(SliceFunction, "to_point_function", planted)
+    trials, failures, witness = slice_derivative_trials(H, 5, n_stems=2, n_units=3)
+    assert (trials, failures) == (12, 12)
+    assert witness == {"stem_index": 0, "unit_index": 0, "order": 1}
+
+
+def test_slice_derivative_trials_derive_only_the_stem_route(monkeypatch):
+    # top = 2 dbar steps per stem and unit, on the stem's restriction only; the
+    # coordinate form is restricted once per stem and unit
+    derived, restricted = [], []
+    real_dbar, real_restrict = SlicePlanePoly.dbar, campaign.restrict_to_slice
+
+    def counted_dbar(self):
+        derived.append(self)
+        return real_dbar(self)
+
+    def counted_restrict(g, unit):
+        restricted.append(unit)
+        return real_restrict(g, unit)
+
+    monkeypatch.setattr(SlicePlanePoly, "dbar", counted_dbar)
+    monkeypatch.setattr(campaign, "restrict_to_slice", counted_restrict)
+    assert slice_derivative_trials(H, 5, n_stems=2, n_units=3) == (12, 0, None)
+    assert len(derived) == 2 * 3 * 2
+    assert len(restricted) == 2 * 3
 
 
 def test_g_relation_randomized():

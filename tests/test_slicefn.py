@@ -5,7 +5,7 @@ import pytest
 
 from slicecalc.algebra import QUATERNION, _over_common_den, clifford, sample_units
 from slicecalc.errors import PointOutsideDomainError
-from slicecalc.multipoly import CoordPoly
+from slicecalc.multipoly import CoordPoly, RationalFn
 from slicecalc.named import (
     conjugate_coordinate,
     coordinate_function,
@@ -13,9 +13,17 @@ from slicecalc.named import (
     left_multiplied_coordinate,
     rotation_twisted_coordinate,
 )
-from slicecalc.sampling import rand_plane_point, rand_stem, rng_for
+from slicecalc.sampling import (
+    rand_plane_point,
+    rand_plane_points,
+    rand_point_polynomial,
+    rand_rational_point_function,
+    rand_stem,
+    rng_for,
+)
 from slicecalc.slicefn import (
     CircularDomain,
+    PointFunction,
     SliceFunction,
     _im_s_powers,
     _s_powers,
@@ -28,7 +36,7 @@ from slicecalc.slicefn import (
 )
 from slicecalc.stem import StemFunction
 
-from oracles import paravector, point_poly_term_by_term, sample_stems
+from oracles import is_slice_all_pairs, paravector, point_poly_term_by_term, sample_stems
 
 H = QUATERNION
 DOM = default_domain()
@@ -165,6 +173,64 @@ def test_is_slice_verdicts():
     for units in ([], UNITS[:1]):
         with pytest.raises(ValueError):
             is_slice(v, units, points)
+
+
+def _probe_inputs(sig, rng):
+    """A polynomial, a rational function, an induced one and that plus x_1 x_2 x_3."""
+    induced = SliceFunction(DOM, rand_stem(rng, sig, max_degree=3)).to_point_function()
+    x1, x2, x3 = (CoordPoly.variable(sig, sig.coord_count, h) for h in (1, 2, 3))
+    return [
+        rand_point_polynomial(rng, sig, max_degree=3),
+        rand_rational_point_function(rng, sig, max_degree=2),
+        induced,
+        PointFunction(DOM, induced.expr + RationalFn.from_poly(x1 * x2 * x3)),
+    ]
+
+
+def _verdict(result):
+    ok, witness = result
+    return ok, witness and (witness.unit_h, witness.unit_k, witness.z)
+
+
+@pytest.mark.parametrize(
+    "sig", [H, clifford(3), clifford(5)], ids=["quaternion", "clifford3", "clifford5"]
+)
+@pytest.mark.parametrize("n_units", [2, 3, 5])
+def test_is_slice_finds_what_the_all_pairs_probe_finds(sig, n_units):
+    # the first units of a pool are canonical, later ones chart units; the verdict
+    # and the witness (H, K, z) are those of the probe over every ordered pair
+    for seed in range(3):
+        rng = rng_for(seed, f"probe:{sig.kind}{sig.m}:{n_units}")
+        points = rand_plane_points(rng, 4)
+        pool = sample_units(sig, seed, n_units + 6)
+        for units in (pool[:n_units], pool[6:]):
+            for g in _probe_inputs(sig, rng):
+                assert _verdict(is_slice(g, units, points)) == _verdict(
+                    is_slice_all_pairs(g, units, points)
+                )
+
+
+def test_is_slice_reads_each_other_unit_and_its_negative_from_the_first(monkeypatch):
+    # on an induced function nothing fails, so the probe makes 3 evaluations for
+    # each other unit, sign and point: 6 (n - 1) p, where every ordered pair of
+    # units would make 3 n (n - 1) p
+    n, p = 5, 4
+    units = sample_units(H, 1, n)
+    points = rand_plane_points(rng_for(1, "probe-count"), p)
+    g = SliceFunction(DOM, rand_stem(rng_for(1, "probe-stem"), H)).to_point_function()
+    calls = []
+    real = PointFunction.eval_coords
+
+    def counted(self, coords):
+        calls.append(coords)
+        return real(self, coords)
+
+    monkeypatch.setattr(PointFunction, "eval_coords", counted)
+    assert is_slice(g, units, points) == (True, None)
+    assert len(calls) == 6 * (n - 1) * p
+    calls.clear()
+    assert is_slice_all_pairs(g, units, points) == (True, None)
+    assert len(calls) == 3 * n * (n - 1) * p
 
 
 def test_representation_formula_holds_for_induced_functions():
