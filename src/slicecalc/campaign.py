@@ -30,14 +30,22 @@ from .algebra import (
     QUATERNION,
     AlgebraElement,
     AlgebraSignature,
+    ImaginaryUnit,
     _over_common_den,
     _same_value,
     clifford,
     sample_units,
     unit_capacity,
 )
-from .errors import SliceCalcError
-from .multipoly import _iterates, coord_s, coord_xbar
+from .errors import DenominatorVanishesError, SliceCalcError
+from .multipoly import (
+    PointTable,
+    RationalFn,
+    _iterates,
+    coord_s,
+    coord_xbar,
+    restrict_poly,
+)
 from .named import default_domain
 from .operators import (
     dbar_slice,
@@ -64,7 +72,6 @@ from .slicefn import (
     PointFunction,
     SliceFunction,
     phi_coords,
-    phi_int,
     representation_eval,
     taylor_alpha_coefficients,
 )
@@ -191,6 +198,20 @@ def _tally(body: Callable[..., Iterator[Optional[dict]]]):
     return run
 
 
+def _on_slice_values(
+    rf: RationalFn, unit: ImaginaryUnit, plane: PointTable
+) -> list[tuple[dict[int, int], int]]:
+    """The raw values of ``rf``, a function restricted to the slice of ``unit``, at ``plane``.
+
+    The value at the plane point (alpha, beta) is the unrestricted
+    function's at alpha + I beta, so a vanishing denominator names that point.
+    """
+    try:
+        return rf._eval_points(plane)
+    except DenominatorVanishesError as exc:
+        raise DenominatorVanishesError(phi_coords(unit, *exc.point)) from None
+
+
 @_tally
 def slice_global_trials(
     sig: AlgebraSignature,
@@ -206,14 +227,15 @@ def slice_global_trials(
     For each function g, unit I, order n and off-axis plane point z, compares
     thetabar^n(g) at the point alpha + I beta against the n-th slice
     derivative of the restriction, both exact.  The ``n_points`` plane points
-    are distinct (``rand_plane_points``), so at most 36.  Each plane point is
-    put over a common denominator once per call, and each point alpha + I beta
-    is built from that integer form and the unit's row by ``phi_int``, once
-    per (unit, point), with no ``Fraction``.  Every point carries one dict of
-    denominator-factor values that every function and order shares (a plane
-    point's dict serves every unit), so each factor is evaluated once per
-    point.  The two raw integer values are compared by cross-multiplying;
-    canonical elements are built only for a witness.
+    are distinct (``rand_plane_points``), so at most 36.  The global side is
+    thetabar^n(g) restricted to the slice of I, its numerator once per (unit,
+    order) and each denominator factor once per (unit, factor), which every
+    function and order shares; its value at z is thetabar^n(g) at
+    alpha + I beta, so no such point is built.  Both sides are read at every
+    plane point in one pass over their rows, from one ``PointTable`` per
+    call that holds the plane points in integers, their power lists and the
+    factor values at each of them.  The two raw integer values are compared
+    by cross-multiplying; canonical elements are built only for a witness.
     """
     rng = rng_for(seed, f"slice-global:{_sig_label(sig)}")
     funcs: list[PointFunction] = [
@@ -222,20 +244,26 @@ def slice_global_trials(
     funcs += [rand_rational_point_function(rng, sig) for _ in range(n_rational)]
     units = sample_units(sig, seed, n_units)
     points = rand_plane_points(rng, n_points)
-    # (integer coordinates, denominator, factor values) per plane point, and per
-    # unit and plane point for alpha + I beta
-    plane = [(*_over_common_den(z), {}) for z in points]
-    space = [[(*phi_int(u, coords, d), {}) for coords, d, _ in plane] for u in units]
+    plane = PointTable(_over_common_den(z) for z in points)
+    # per unit, its components and each denominator factor restricted to its slice
+    slices = [(unit.components(), {}) for unit in units]
     top = max(orders)
     for gi, g in enumerate(funcs):
         thetas = list(islice(_iterates(thetabar, g), top + 1))
-        for ui, unit in enumerate(units):
+        for ui, (unit, (comps, factors)) in enumerate(zip(units, slices)):
             planes = restrict_to_slice(g, unit).dbar_chain(top)
             for n in sorted(set(orders)):
-                lhs_rf, rhs_rf = thetas[n].expr, planes[n].rf
-                for z, z_int, x_int in zip(points, plane, space[ui]):
-                    lhs = lhs_rf._eval_int(*x_int)
-                    rhs = rhs_rf._eval_int(*z_int)
+                theta = thetas[n].expr
+                for p, _ in theta.den_factors:
+                    if p not in factors:
+                        factors[p] = restrict_poly(p, comps)
+                lhs_rf = RationalFn._make(
+                    restrict_poly(theta.numer, comps),
+                    tuple((factors[p], k) for p, k in theta.den_factors),
+                )
+                lhs_values = _on_slice_values(lhs_rf, unit, plane)
+                rhs_values = planes[n].rf._eval_points(plane)
+                for z, lhs, rhs in zip(points, lhs_values, rhs_values):
                     yield None if _same_value(*lhs, *rhs) else {
                         "function_index": gi,
                         "unit_index": ui,

@@ -29,10 +29,12 @@ evaluation puts the point over a common denominator and homogenizes every term
 to the total degree, so a polynomial's value is one integer row over one
 denominator; a rational function's value is its numerator's integer row scaled
 by its factors' integer values at the same integer point.  The integer form
-(``_eval_int``) returns that raw row and denominator, and takes a dict of the
-factor values already known at the point, which callers may share across
-functions, so a factor equal to one seen there is evaluated once; ``eval``
-converts the point and builds one ``AlgebraElement`` from the raw value.
+(``_eval_int``) returns that raw row and denominator; ``eval`` converts the
+point and builds one ``AlgebraElement`` from the raw value.  ``_eval_points``
+evaluates at every point of a ``PointTable`` in one pass over the rows: the
+table holds each point's power lists, built once, and the values of each
+denominator factor at each point, kept per factor and point, so a factor that
+several functions share is evaluated once per point.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from functools import cache
 from heapq import heapify, heappop, heappush
 from itertools import chain, islice
 from math import gcd, lcm, prod
-from operator import add, sub
+from operator import add, getitem, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .algebra import (
@@ -343,6 +345,32 @@ class CoordPoly:
                 _add_scaled(acc, nums, scalar)
         return acc, self.den * d_pows[degree]
 
+    def _eval_points(self, table: PointTable) -> list[tuple[dict[int, int], int]]:
+        """``_eval_int`` at every point of ``table``, in one pass over the rows.
+
+        Each term reads its powers from the table's power lists, which are
+        built once per table, and adds its numerators times its value at every
+        point to one column per blade.
+        """
+        degree, gaps = self._degree_gaps()
+        powers = table.powers(degree)
+        columns: dict[int, list[int]] = {}
+        for (e, nums), gap in zip(self.rows.items(), gaps):
+            scalars = [
+                prod(map(getitem, coord_pows, e), start=d_pows[gap])
+                for coord_pows, d_pows in powers
+            ]
+            for mask, n in nums.items():
+                column = columns.get(mask)
+                if column is None:
+                    columns[mask] = [n * v for v in scalars]
+                else:
+                    columns[mask] = [c + n * v for c, v in zip(column, scalars)]
+        return [
+            ({mask: column[j] for mask, column in columns.items()}, self.den * d_pows[degree])
+            for j, (_, d_pows) in enumerate(powers)
+        ]
+
     def _degree_gaps(self) -> tuple[int, list[int]]:
         """(D, [D - |e| for each row in order]), D the total degree (0 for zero).
 
@@ -383,6 +411,47 @@ class CoordPoly:
             return "Poly(0)"
         bits = [f"x^{list(e)}*({c!r})" for e, c in sorted(self.terms.items())]
         return "Poly(" + " + ".join(bits) + ")"
+
+
+class PointTable:
+    """Integer points with their power lists and the denominator-factor values read at them.
+
+    Each point is (coords, d), the point coords / d.  ``powers`` grows every
+    point's lists of coordinate powers and powers of d on demand, each power
+    one product from the last, so a table serves every polynomial evaluated
+    at its points.  ``factor_values`` evaluates a factor at every point on
+    its first request and keeps the values, keyed by the factor's value, so
+    an equal factor met again is not evaluated again.
+    """
+
+    __slots__ = ("points", "_powers", "_factors")
+
+    def __init__(self, points: Iterable[tuple[Sequence[int], int]]):
+        self.points = [(list(coords), d) for coords, d in points]
+        self._powers = [([[1] for _ in coords], [1]) for coords, _ in self.points]
+        self._factors: dict[CoordPoly, list[tuple[int, int]]] = {}
+
+    def powers(self, degree: int) -> list[tuple[list[list[int]], list[int]]]:
+        """Per point, (the power list of each coordinate, the powers of d), each to ``degree``."""
+        for (coords, d), (coord_pows, d_pows) in zip(self.points, self._powers):
+            while len(d_pows) <= degree:
+                d_pows.append(d_pows[-1] * d)
+                for pows, c in zip(coord_pows, coords):
+                    pows.append(pows[-1] * c)
+        return self._powers
+
+    def factor_values(self, p: CoordPoly) -> list[tuple[int, int]]:
+        """(v, w) per point, v / w the value of the real-scalar factor ``p`` there.
+
+        v may be 0; a factor that vanishes at a point is not kept, since no
+        function over it has a value there.
+        """
+        values = self._factors.get(p)
+        if values is None:
+            values = [(row.get(0, 0), w) for row, w in p._eval_points(self)]
+            if all(v for v, _ in values):
+                self._factors[p] = values
+        return values
 
 
 # -- coordinate building blocks -----------------------------------------------
@@ -674,36 +743,52 @@ class RationalFn:
     def eval(self, point: Sequence[RationalLike]) -> AlgebraElement:
         """The value at ``point`` in one integer pass."""
         return AlgebraElement._make(
-            self.signature,
-            *self._eval_int(*_point_over_common_den(point, self.var_count), {}),
+            self.signature, *self._eval_int(*_point_over_common_den(point, self.var_count))
         )
 
-    def _eval_int(
-        self, coords: Sequence[int], d: int, factor_values: dict[CoordPoly, tuple[int, int]]
-    ) -> tuple[dict[int, int], int]:
+    def _eval_int(self, coords: Sequence[int], d: int) -> tuple[dict[int, int], int]:
         """The value at the point ``coords`` / ``d`` as (numerators per blade, denominator).
 
         A factor F^k whose value at the point is v / w multiplies the
-        numerator's integer row by w^k and its denominator by v^k.
-        ``factor_values`` maps each factor already evaluated at this point to
-        (v, w), and takes the new ones, so a factor equal to one seen before
-        is not evaluated again.  A factor that vanishes raises and is not
-        stored.  Not canonical: ``AlgebraElement._make`` reduces it.
+        numerator's integer row by w^k and its denominator by v^k.  A factor
+        that vanishes raises.  Not canonical: ``AlgebraElement._make`` reduces it.
         """
         scale = divisor = 1
         for p, k in self.den_factors:
-            if p not in factor_values:
-                row, w = p._eval_int(coords, d)
-                if not row.get(0):
-                    raise DenominatorVanishesError(Fraction(a, d) for a in coords)
-                factor_values[p] = row[0], w
-            v, w = factor_values[p]
+            row, w = p._eval_int(coords, d)
+            if not row.get(0):
+                raise DenominatorVanishesError(Fraction(a, d) for a in coords)
             scale *= w**k
-            divisor *= v**k
+            divisor *= row[0] ** k
         nums, den = self.numer._eval_int(coords, d)
         if scale != 1:
             nums = {m: n * scale for m, n in nums.items()}
         return nums, den * divisor
+
+    def _eval_points(self, table: PointTable) -> list[tuple[dict[int, int], int]]:
+        """``_eval_int`` at every point of ``table``.
+
+        The factor values come from the table, so each distinct factor is
+        evaluated once per point however many functions carry it.  A factor
+        that vanishes raises for the first point where one does, before any
+        numerator is evaluated.
+        """
+        if not self.den_factors:
+            return self.numer._eval_points(table)
+        scales = [(1, 1)] * len(table.points)
+        for p, k in self.den_factors:
+            scales = [
+                (scale * w**k, divisor * v**k)
+                for (scale, divisor), (v, w) in zip(scales, table.factor_values(p))
+            ]
+        vanishing = next((j for j, (_, divisor) in enumerate(scales) if not divisor), None)
+        if vanishing is not None:
+            coords, d = table.points[vanishing]
+            raise DenominatorVanishesError(Fraction(a, d) for a in coords)
+        return [
+            ({m: n * scale for m, n in nums.items()}, den * divisor)
+            for (nums, den), (scale, divisor) in zip(self.numer._eval_points(table), scales)
+        ]
 
     # -- comparisons -----------------------------------------------------------------------
 

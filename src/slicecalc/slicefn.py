@@ -74,9 +74,7 @@ def phi_int(unit: ImaginaryUnit, z: Sequence[int], d: int) -> tuple[list[int], i
     With I = sum_h n_h u_h / w (``unit.value``'s numerators over its
     denominator), the point is (a w, b n_1, ..., b n_k) / (d w) for z = (a, b),
     built from integers alone.  The denominator d w need not be the least
-    one; every reader compares or reduces values, not fields: ``_same_value``
-    cross-multiplies, ``AlgebraElement._make`` reduces a witness, and
-    ``DenominatorVanishesError`` reduces the ``Fraction``s it names.
+    one; ``phi_coords`` reduces it.
     """
     a, b = z
     nums = unit.value.nums
@@ -236,6 +234,14 @@ def extract_stem(
     return f1, f2
 
 
+def _represent(
+    a: AlgebraElement, b: AlgebraElement, unit_h: ImaginaryUnit, unit_k: ImaginaryUnit
+) -> AlgebraElement:
+    """The representation formula on slice K from a = f_H(z_H) and b = f_H(z_H-bar)."""
+    half = Fraction(1, 2)
+    return (a + b) * half - unit_k.value * (unit_h.value * ((a - b) * half))
+
+
 def representation_eval(
     g: PointFunction,
     unit_h: ImaginaryUnit,
@@ -251,8 +257,7 @@ def representation_eval(
     alpha, beta = Fraction(z[0]), Fraction(z[1])
     a = g.eval_coords(phi_coords(unit_h, alpha, beta))
     b = g.eval_coords(phi_coords(unit_h, alpha, -beta))
-    half = Fraction(1, 2)
-    return (a + b) * half - unit_k.value * (unit_h.value * ((a - b) * half))
+    return _represent(a, b, unit_h, unit_k)
 
 
 @dataclass(frozen=True)
@@ -275,18 +280,25 @@ def is_slice(
 
     Reads the representation formula from the first unit H onto each other
     unit K, then -K, at every point z; the first mismatch is the witness, whose
-    K may be -K.  A pass means g(alpha +- K beta) = A +- K B, (A, B) the stem
-    read on H at z, so every pair of units obeys the formula; with three or
-    more units the pairs (K, K2), (K, H) force that too (K2 - H is
-    invertible), so this passes exactly when the all-pairs check does.
+    K may be -K.  g(alpha +- H beta) is evaluated on its first use at each
+    point and kept, so the probe makes 2 n p evaluations.  A pass means
+    g(alpha +- K beta) = A +- K B, (A, B) the stem read on H at z, so every
+    pair of units obeys the formula; with three or more units the pairs
+    (K, K2), (K, H) force that too (K2 - H is invertible), so this passes
+    exactly when the all-pairs check does.
     """
     if len(units) < 2 or not points:
         raise ValueError("is_slice needs at least two units and one point")
     unit_h = units[0]
+    on_h: dict[int, tuple[AlgebraElement, AlgebraElement]] = {}
     for unit_k in (k for unit in units[1:] for k in (unit, -unit)):
-        for z in points:
+        for i, z in enumerate(points):
             alpha, beta = Fraction(z[0]), Fraction(z[1])
-            predicted = representation_eval(g, unit_h, unit_k, (alpha, beta))
+            if i not in on_h:
+                on_h[i] = tuple(
+                    g.eval_coords(phi_coords(unit_h, alpha, b)) for b in (beta, -beta)
+                )
+            predicted = _represent(*on_h[i], unit_h, unit_k)
             actual = g.eval_coords(phi_coords(unit_k, alpha, beta))
             if predicted != actual:
                 return False, SliceWitness(unit_h, unit_k, (alpha, beta), predicted, actual)

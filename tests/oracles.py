@@ -12,8 +12,10 @@ as sums of ``CoordPoly`` partials and products; the induced function as a
 sum of one product per stem term; ``compose`` as one stem product and sum per
 component stem; the holomorphic stem sampler as a sum of right-scaled
 powers of z, each power one stem product from the last, with coefficients
-built from ``Fraction``s; and the sampled slice-ness probe with the
-representation formula read between every ordered pair of units.
+built from ``Fraction``s; the sampled slice-ness probe with the
+representation formula read between every ordered pair of units; and the
+slice/global check evaluated point by point, thetabar^n g in all of its
+coordinates at each point alpha + I beta.
 """
 
 from fractions import Fraction
@@ -21,11 +23,27 @@ from itertools import islice
 from random import Random
 from typing import Sequence
 
-from slicecalc.algebra import AlgebraElement, AlgebraSignature, ImaginaryUnit
-from slicecalc.multipoly import CoordPoly, RationalFn, coord_im, coord_s
+from slicecalc import campaign
+from slicecalc.algebra import (
+    AlgebraElement,
+    AlgebraSignature,
+    ImaginaryUnit,
+    _over_common_den,
+    _same_value,
+    sample_units,
+)
+from slicecalc.multipoly import CoordPoly, RationalFn, _iterates, coord_im, coord_s
+from slicecalc.operators import restrict_to_slice, thetabar
 from slicecalc.polyanalytic import compose
-from slicecalc.sampling import rand_regular_tuple, rand_stem, rng_for
-from slicecalc.slicefn import PointFunction, SliceWitness, phi_coords, representation_eval
+from slicecalc.sampling import rand_plane_points, rand_regular_tuple, rand_stem, rng_for
+from slicecalc.serialize import frac_to_str
+from slicecalc.slicefn import (
+    PointFunction,
+    SliceWitness,
+    phi_coords,
+    phi_int,
+    representation_eval,
+)
 from slicecalc.stem import StemFunction
 
 
@@ -130,6 +148,50 @@ def is_slice_all_pairs(g: PointFunction, units: Sequence[ImaginaryUnit], points:
                 if predicted != actual:
                     return False, SliceWitness(unit_h, unit_k, (alpha, beta), predicted, actual)
     return True, None
+
+
+@campaign._tally
+def slice_global_pointwise(
+    sig: AlgebraSignature,
+    seed: int,
+    n_funcs: int,
+    n_units: int,
+    n_points: int,
+    orders: tuple[int, ...] = (1, 2, 3),
+    n_rational: int = 0,
+):
+    """``campaign.slice_global_trials`` with thetabar^n g evaluated in its coordinates.
+
+    The same draws, trials and witnesses, but the global side is the
+    unrestricted thetabar^n g, evaluated at the point alpha + I beta that
+    ``phi_int`` builds per unit and plane point, and each side is evaluated
+    one point at a time.  The draws are read off ``campaign``, so a test that
+    replaces one there replaces it here too.
+    """
+    label = "quaternion" if sig.kind == "quaternion" else f"clifford_{sig.m}"
+    rng = rng_for(seed, f"slice-global:{label}")
+    funcs = [campaign.rand_point_polynomial(rng, sig, max_degree=4) for _ in range(n_funcs)]
+    funcs += [campaign.rand_rational_point_function(rng, sig) for _ in range(n_rational)]
+    units = sample_units(sig, seed, n_units)
+    points = rand_plane_points(rng, n_points)
+    plane = [_over_common_den(z) for z in points]
+    top = max(orders)
+    for gi, g in enumerate(funcs):
+        thetas = list(islice(_iterates(thetabar, g), top + 1))
+        for ui, unit in enumerate(units):
+            planes = restrict_to_slice(g, unit).dbar_chain(top)
+            for n in sorted(set(orders)):
+                for z, (coords, d) in zip(points, plane):
+                    lhs = thetas[n].expr._eval_int(*phi_int(unit, coords, d))
+                    rhs = planes[n].rf._eval_int(coords, d)
+                    yield None if _same_value(*lhs, *rhs) else {
+                        "function_index": gi,
+                        "unit_index": ui,
+                        "order": n,
+                        "z": [frac_to_str(c) for c in z],
+                        "global": repr(AlgebraElement._make(sig, *lhs)),
+                        "slice": repr(AlgebraElement._make(sig, *rhs)),
+                    }
 
 
 def sample_stems(sig: AlgebraSignature, label: str) -> list[StemFunction]:

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 import slicecalc.algebra
 import slicecalc.campaign
 import slicecalc.multipoly
+import slicecalc.operators
 from slicecalc.algebra import (
     QUATERNION,
     AlgebraElement,
@@ -48,6 +49,7 @@ from slicecalc.campaign import (
 from slicecalc.errors import ArityMismatchError, DenominatorVanishesError
 from slicecalc.multipoly import (
     CoordPoly,
+    PointTable,
     RationalFn,
     _apply_n,
     _iterates,
@@ -56,7 +58,8 @@ from slicecalc.multipoly import (
     coord_xbar,
     restrict_poly,
 )
-from slicecalc.operators import thetabar
+from slicecalc.named import default_domain
+from slicecalc.operators import SlicePlanePoly, thetabar
 from slicecalc.sampling import (
     rand_plane_point,
     rand_point_polynomial,
@@ -65,6 +68,8 @@ from slicecalc.sampling import (
 )
 from slicecalc.slicefn import PointFunction, phi_coords
 from slicecalc.stem import StemFunction
+
+from oracles import slice_global_pointwise
 
 H = QUATERNION
 CL3 = clifford(3)
@@ -406,7 +411,7 @@ def test_a_vanishing_denominator_reports_the_point_as_fractions(sig):
         assert all(type(c) is Fraction for c in info.value.point)
 
 
-# -- evaluation at one integer point with shared factor values ---------------------
+# -- evaluation at every point of one table ------------------------------------------
 
 
 def _thetabar_chains(sig, seed):
@@ -436,39 +441,46 @@ def _copy_factors(rf):
 
 
 @pytest.mark.parametrize("sig", (QUATERNION, CL3), ids=lambda s: f"{s.kind}{s.m}")
-def test_eval_int_with_one_shared_factor_dict_matches_eval(sig, monkeypatch):
+def test_eval_points_with_one_table_matches_eval(sig, monkeypatch):
     chains = _thetabar_chains(sig, 11)
     assert max(len(rf.den_factors) for rf in chains) > 1
     points = _off_axis_points(sig, 11)
-    expected = [[rf.eval(point) for rf in chains] for point in points]
+    expected = [[rf.eval(point) for point in points] for rf in chains]
     evaluated = []
-    poly_eval_int = CoordPoly._eval_int
+    poly_eval_points = CoordPoly._eval_points
 
-    def counted(self, coords, d):
+    def counted(self, table):
         evaluated.append(self)
-        return poly_eval_int(self, coords, d)
+        return poly_eval_points(self, table)
 
-    monkeypatch.setattr(CoordPoly, "_eval_int", counted)
-    for point, values_at_point in zip(points, expected):
-        coords, d = _over_common_den(point)
-        values = {}
-        for rf, want in zip(chains, values_at_point):
-            assert AlgebraElement._make(sig, *rf._eval_int(coords, d, values)) == want
-            # every factor is in the dict afterwards, with its value at the point
-            for p, _ in rf.den_factors:
-                v, w = values[p]
-                assert Fraction(v, w) == ref_eval(p, point).coeff(0)
-        # the same factors as distinct objects are equal keys: only numerators are evaluated
-        evaluated.clear()
-        for rf, want in zip(chains, values_at_point):
-            copy = _copy_factors(rf)
-            assert all(p is not q for (p, _), (q, _) in zip(rf.den_factors, copy.den_factors))
-            assert AlgebraElement._make(sig, *copy._eval_int(coords, d, values)) == want
-        assert evaluated == [rf.numer for rf in chains]
+    monkeypatch.setattr(CoordPoly, "_eval_points", counted)
+    table = PointTable(_over_common_den(point) for point in points)
+    for rf, want in zip(chains, expected):
+        got = [AlgebraElement._make(sig, *value) for value in rf._eval_points(table)]
+        assert got == want
+        # every factor's values are in the table afterwards, one per point
+        for p, _ in rf.den_factors:
+            values = table.factor_values(p)
+            assert [Fraction(v, w) for v, w in values] == [
+                ref_eval(p, point).coeff(0) for point in points
+            ]
+    # each numerator and each distinct factor was evaluated once, at every point
+    numerators = {id(rf.numer) for rf in chains}
+    factor_evals = [p for p in evaluated if id(p) not in numerators]
+    assert len(evaluated) - len(factor_evals) == len(chains)
+    assert set(factor_evals) == {p for rf in chains for p, _ in rf.den_factors}
+    assert len(factor_evals) == len(set(factor_evals))
+    # the same factors as distinct objects are equal keys: only numerators are evaluated
+    evaluated.clear()
+    for rf, want in zip(chains, expected):
+        copy = _copy_factors(rf)
+        assert all(p is not q for (p, _), (q, _) in zip(rf.den_factors, copy.den_factors))
+        assert [AlgebraElement._make(sig, *value) for value in copy._eval_points(table)] == want
+    assert evaluated == [rf.numer for rf in chains]
 
 
 @pytest.mark.parametrize("sig", SIGNATURES, ids=lambda s: f"{s.kind}{s.m}")
-def test_a_vanishing_factor_raises_and_is_not_stored(sig):
+def test_a_vanishing_factor_raises_and_is_not_stored(sig, monkeypatch):
     n = sig.coord_count
     x = [CoordPoly.variable(sig, n, h) for h in range(n)]
     s = sum((xh * xh for xh in x[1:]), CoordPoly.zero(sig, n))
@@ -476,14 +488,39 @@ def test_a_vanishing_factor_raises_and_is_not_stored(sig):
     quarter = CoordPoly.constant(sig, n, Fraction(1, 4))
     rf = RationalFn(x[0] * x[1], [(x[0] * x[0] + one, 1), (s - quarter, 2)])
     (first, _), (vanishing, _) = rf.den_factors
-    point = [Fraction(-2, 3), Fraction(1, 2)] + [Fraction(0)] * (n - 2)
-    coords, d = _over_common_den(point)
-    values = {}
+    # the second factor vanishes at the second and the fourth point
+    points = [
+        [Fraction(1, 3), Fraction(1, 3)] + [Fraction(0)] * (n - 2),
+        [Fraction(-2, 3), Fraction(1, 2)] + [Fraction(0)] * (n - 2),
+        [Fraction(1), Fraction(1)] + [Fraction(0)] * (n - 2),
+        [Fraction(0), Fraction(0), Fraction(1, 2)] + [Fraction(0)] * (n - 3),
+    ]
+    table = PointTable(_over_common_den(point) for point in points)
+    numerators = []
+    poly_eval_points = CoordPoly._eval_points
+
+    def counted(self, table):
+        if self is rf.numer:
+            numerators.append(self)
+        return poly_eval_points(self, table)
+
+    monkeypatch.setattr(CoordPoly, "_eval_points", counted)
+    # the first point where a factor vanishes is named, before any numerator is evaluated
     for _ in range(2):
         with pytest.raises(DenominatorVanishesError) as info:
-            rf._eval_int(coords, d, values)
-        assert info.value.point == tuple(point)
-        assert list(values) == [first] and vanishing not in values
+            rf._eval_points(table)
+        assert info.value.point == tuple(points[1])
+        assert list(table._factors) == [first] and vanishing not in table._factors
+    assert not numerators
+    # the one-point evaluation names the same point
+    with pytest.raises(DenominatorVanishesError) as info:
+        rf._eval_int(*_over_common_den(points[1]))
+    assert info.value.point == tuple(points[1])
+    # a table of the other points evaluates
+    rest = PointTable(_over_common_den(point) for point in points[::2])
+    assert [AlgebraElement._make(sig, *value) for value in rf._eval_points(rest)] == [
+        rf.eval(point) for point in points[::2]
+    ]
 
 
 # (nums_a, den_a, nums_b, den_b): zero values, stored zero numerators, negative
@@ -535,49 +572,68 @@ def test_integer_comparison_agrees_with_canonical_equality_on_scaled_rows(
 def test_slice_global_trials_convert_each_point_once_and_evaluate_each_factor_once(
     sig, monkeypatch
 ):
-    n_units, n_points = 3, 4
+    n_units, n_points, orders = 3, 4, (1, 2, 3)
     conversions = []
-    factor_evals = Counter()
-    factors = {}  # id -> factor; holding the factor keeps its id from being reused
+    thetas = []
+    restrictions = []  # (polynomial, components, restriction), the polynomials held
+    evaluations = []  # (polynomial, its table's points)
     over_common_den = slicecalc.campaign._over_common_den
-    rf_eval_int = RationalFn._eval_int
-    poly_eval_int = CoordPoly._eval_int
+    thetabar_op = slicecalc.campaign.thetabar
+    restrict = slicecalc.campaign.restrict_poly
+    poly_eval_points = CoordPoly._eval_points
 
     def converted(values):
         conversions.append(values)
         return over_common_den(values)
 
-    def rf_counted(self, coords, d, values):
-        factors.update((id(p), p) for p, _ in self.den_factors)
-        return rf_eval_int(self, coords, d, values)
+    def recorded_thetabar(g, order=1):
+        thetas.append(thetabar_op(g, order).expr)
+        return PointFunction(g.domain, thetas[-1])
 
-    def poly_counted(self, coords, d):
-        if id(self) in factors:
-            factor_evals[self, tuple(coords), d] += 1
-        return poly_eval_int(self, coords, d)
+    def recorded_restrict(poly, components):
+        restrictions.append((poly, tuple(components), restrict(poly, components)))
+        return restrictions[-1][2]
 
-    def no_fractions(*args):
-        raise AssertionError("the global side builds its points from integers")
+    def recorded_eval(self, table):
+        evaluations.append((self, table.points))
+        return poly_eval_points(self, table)
+
+    def no_points(*args):
+        raise AssertionError("the global side builds no point alpha + I beta")
 
     monkeypatch.setattr(slicecalc.campaign, "_over_common_den", converted)
-    monkeypatch.setattr(slicecalc.campaign, "phi_coords", no_fractions)
-    monkeypatch.setattr(RationalFn, "_eval_int", rf_counted)
-    monkeypatch.setattr(CoordPoly, "_eval_int", poly_counted)
+    monkeypatch.setattr(slicecalc.campaign, "thetabar", recorded_thetabar)
+    monkeypatch.setattr(slicecalc.campaign, "restrict_poly", recorded_restrict)
+    monkeypatch.setattr(slicecalc.campaign, "phi_coords", no_points)
+    monkeypatch.setattr(CoordPoly, "_eval_points", recorded_eval)
     monkeypatch.setattr(slicecalc.multipoly, "_point_over_common_den", None)
     trials, failures, _ = slice_global_trials(
         sig, 6, n_funcs=2, n_units=n_units, n_points=n_points, n_rational=2
     )
-    assert (trials, failures) == (4 * n_units * 3 * n_points, 0)
-    # only the plane points are converted: alpha + I beta is built from their
-    # integer form; the seed draws distinct plane points
+    assert (trials, failures) == (4 * n_units * len(orders) * n_points, 0)
+    # only the plane points are converted; the seed draws distinct plane points
     assert len(set(conversions)) == len(conversions) == n_points
-    # each distinct factor once per point: per unit and point on the global side,
-    # per plane point on the slice side
-    assert set(factor_evals.values()) == {1}
-    points_per_factor = Counter(p for p, _, _ in factor_evals)
-    assert {p.var_count for p in points_per_factor} == {2, sig.coord_count}
-    for p, count in points_per_factor.items():
-        assert count == (n_points if p.var_count == 2 else n_units * n_points)
+    plane = [over_common_den(z) for z in conversions]
+    # each numerator is restricted once per (unit, order), each factor once per
+    # (unit, factor), however many functions and orders share it
+    units = [u.components() for u in sample_units(sig, 6, n_units)]
+    numerators = [theta.numer for theta in thetas]
+    factors = list({p: None for theta in thetas for p, _ in theta.den_factors})
+    assert len(numerators) == 4 * len(orders) and factors
+    numerator_calls = [(p, c) for p, c, _ in restrictions if any(p is q for q in numerators)]
+    factor_calls = [(p, c) for p, c, _ in restrictions if any(p is q for q in factors)]
+    assert len(numerator_calls) + len(factor_calls) == len(restrictions)
+    assert sorted(map(id, (p for p, _ in numerator_calls))) == sorted(
+        id(p) for p in numerators for _ in units
+    )
+    assert sorted(Counter(numerator_calls).values()) == [1] * len(numerators) * n_units
+    assert Counter(factor_calls) == Counter((p, c) for p in factors for c in units)
+    # each restricted factor is evaluated once, at every plane point in one pass
+    restricted = {r for p, _, r in restrictions if any(p is q for q in factors)}
+    factor_evals = [(p, points) for p, points in evaluations if p in restricted]
+    assert Counter(p for p, _ in factor_evals) == Counter(restricted)
+    assert all(points == plane for _, points in factor_evals)
+    assert {p.var_count for p, _ in evaluations} == {2}
 
 
 def test_slice_global_trials_draw_each_plane_point_once(monkeypatch):
@@ -1001,6 +1057,81 @@ def test_decomposition_trials_keep_their_counts(sig):
         assert decomposition_roundtrip_trials(sig, seed, 4, 2, 4) == (4, 0, None)
 
 
+# (signature, seed, sizes): polynomial and rational inputs at 1 to 36 plane points
+SLICE_GLOBAL_CASES = [
+    (H, 0, dict(n_funcs=2, n_units=3, n_points=1)),
+    (H, 4, dict(n_funcs=1, n_units=2, n_points=36, orders=(1,), n_rational=1)),
+    (H, 9, dict(n_funcs=0, n_units=3, n_points=7, orders=(1, 2), n_rational=2)),
+    (CL3, 2, dict(n_funcs=1, n_units=3, n_points=8, n_rational=1)),
+    (CL3, 7, dict(n_funcs=2, n_units=2, n_points=3, orders=(2,), n_rational=1)),
+    (CL5, 3, dict(n_funcs=1, n_units=2, n_points=5, orders=(1, 2), n_rational=1)),
+]
+
+
+def _thetabar_doubled_on_odd_term_counts(monkeypatch):
+    once = slicecalc.operators._thetabar_once
+    monkeypatch.setattr(
+        slicecalc.operators,
+        "_thetabar_once",
+        lambda rf: once(rf) * (1 + len(rf.numer.rows) % 2),
+    )
+
+
+def _slice_side_doubled_on_some_units(monkeypatch):
+    dbar = SlicePlanePoly.dbar
+    monkeypatch.setattr(
+        SlicePlanePoly,
+        "dbar",
+        lambda self: SlicePlanePoly(
+            dbar(self).rf * (1 + (self.unit.components()[0] > 0)), self.unit
+        ),
+    )
+
+
+# faults that both routes read, through the operators they share
+SLICE_GLOBAL_FAULTS = {
+    "none": lambda monkeypatch: None,
+    "global": _thetabar_doubled_on_odd_term_counts,
+    "slice": _slice_side_doubled_on_some_units,
+}
+
+
+@pytest.mark.parametrize("fault", sorted(SLICE_GLOBAL_FAULTS))
+@pytest.mark.parametrize(
+    "sig, seed, sizes", SLICE_GLOBAL_CASES, ids=lambda v: getattr(v, "kind", None) and f"{v.kind}{v.m}"
+)
+def test_slice_global_trials_match_the_pointwise_loop(sig, seed, sizes, fault, monkeypatch):
+    SLICE_GLOBAL_FAULTS[fault](monkeypatch)
+    result = slice_global_trials(sig, seed, **sizes)
+    assert result == slice_global_pointwise(sig, seed, **sizes)
+    assert (result[1] > 0) == (fault != "none")
+
+
+@pytest.mark.parametrize("sig", (QUATERNION, CL3), ids=lambda s: f"{s.kind}{s.m}")
+def test_slice_global_trials_name_alpha_plus_i_beta_where_a_denominator_vanishes(
+    sig, monkeypatch
+):
+    # the rational input's denominator is s - (r/9)^2, r the default radius, which
+    # vanishes at every point alpha + I beta with beta = r/9 on the plane grid
+    draw = slicecalc.campaign.rand_rational_point_function
+    c = (default_domain().radius * Fraction(1, 9)) ** 2
+    shifted_s = coord_s(sig) - CoordPoly.constant(sig, sig.coord_count, c)
+
+    def vanishing(rng, signature):
+        g = draw(rng, signature)
+        return PointFunction(g.domain, RationalFn(g.expr.numer, [(shifted_s, 1)]))
+
+    monkeypatch.setattr(slicecalc.campaign, "rand_rational_point_function", vanishing)
+    sizes = dict(n_funcs=1, n_units=2, n_points=36, orders=(1, 2), n_rational=1)
+    with pytest.raises(DenominatorVanishesError) as info:
+        slice_global_trials(sig, 5, **sizes)
+    with pytest.raises(DenominatorVanishesError) as pointwise:
+        slice_global_pointwise(sig, 5, **sizes)
+    point = info.value.point
+    assert point == pointwise.value.point
+    assert len(point) == sig.coord_count and sum(x * x for x in point[1:]) == c
+
+
 @pytest.mark.parametrize("sig", (QUATERNION, CL3), ids=lambda s: f"{s.kind}{s.m}")
 def test_campaign_bodies_keep_failure_counts_and_witnesses(sig, monkeypatch):
     # a wrong second derivative and a wrong coefficient at level 2 make the
@@ -1029,12 +1160,20 @@ def _doubled(op):
     return lambda g, *args: PointFunction(g.domain, op(g, *args).expr * 2)
 
 
+def _beta_doubled(plane, where):
+    """A table of ``plane``'s points (alpha, beta), with beta doubled where ``where(alpha)``.
+
+    The global side read on it is thetabar^n g at alpha + 2 I beta there.
+    """
+    return PointTable(((a, b * (1 + where(a))), d) for (a, b), d in plane.points)
+
+
 # Each case replaces one name a body reads from ``slicecalc.campaign`` by a
 # wrapper of the original that makes some trials fail: (name, wrapper, run).
 FORCED_FAILURES = {
     "slice-global": (
-        "phi_int",
-        lambda phi: lambda unit, z, d: phi(unit, (z[0], z[1] * (1 + (z[0] > 0))), d),
+        "_on_slice_values",
+        lambda read: lambda rf, unit, plane: read(rf, unit, _beta_doubled(plane, lambda a: a > 0)),
         lambda sig: slice_global_trials(
             sig, 5, n_funcs=1, n_units=2, n_points=3, n_rational=1
         ),
@@ -1146,7 +1285,7 @@ P_OVER_Q = "[+-]?[0-9]+/[0-9]+"
 # first witness has an integer coordinate.
 AT_ALPHA_ZERO = {
     "slice-global": (
-        lambda phi: lambda unit, z, d: phi(unit, (z[0], z[1] * (1 + (z[0] == 0))), d),
+        lambda read: lambda rf, unit, plane: read(rf, unit, _beta_doubled(plane, lambda a: a == 0)),
         lambda sig: slice_global_trials(sig, 3, n_funcs=1, n_units=2, n_points=6, n_rational=1),
     ),
     "representation": (

@@ -211,9 +211,9 @@ def test_is_slice_finds_what_the_all_pairs_probe_finds(sig, n_units):
 
 
 def test_is_slice_reads_each_other_unit_and_its_negative_from_the_first(monkeypatch):
-    # on an induced function nothing fails, so the probe makes 3 evaluations for
-    # each other unit, sign and point: 6 (n - 1) p, where every ordered pair of
-    # units would make 3 n (n - 1) p
+    # on an induced function nothing fails, so the probe makes 2 evaluations on
+    # the first unit per point and 1 for each other unit, sign and point:
+    # 2 n p, where every ordered pair of units would make 3 n (n - 1) p
     n, p = 5, 4
     units = sample_units(H, 1, n)
     points = rand_plane_points(rng_for(1, "probe-count"), p)
@@ -227,7 +227,7 @@ def test_is_slice_reads_each_other_unit_and_its_negative_from_the_first(monkeypa
 
     monkeypatch.setattr(PointFunction, "eval_coords", counted)
     assert is_slice(g, units, points) == (True, None)
-    assert len(calls) == 6 * (n - 1) * p
+    assert len(calls) == 2 * n * p
     calls.clear()
     assert is_slice_all_pairs(g, units, points) == (True, None)
     assert len(calls) == 3 * n * (n - 1) * p
