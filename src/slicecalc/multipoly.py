@@ -24,17 +24,18 @@ difference builds no negated copy.  The plane operator (d/dalpha + I d/dbeta)/2
 rational functions share one step that puts both numerators over the shared
 factors, each at the larger of its two exponents, and multiplies a numerator
 only by a cofactor that is not 1; equality then compares the two canonical
-numerators, so it builds no polynomial when the factors already agree.  Point
-evaluation puts the point over a common denominator and homogenizes every term
-to the total degree, so a polynomial's value is one integer row over one
-denominator; a rational function's value is its numerator's integer row scaled
-by its factors' integer values at the same integer point.  The integer form
-(``_eval_int``) returns that raw row and denominator; ``eval`` converts the
-point and builds one ``AlgebraElement`` from the raw value.  ``_eval_points``
-evaluates at every point of a ``PointTable`` in one pass over the rows: the
-table holds each point's power lists, built once, and the values of each
-denominator factor at each point, kept per factor and point, so a factor that
-several functions share is evaluated once per point.
+numerators, so it builds no polynomial when the factors already agree.
+
+All point evaluation is one pass, ``_eval_points``, over a ``PointTable``: a
+list of points, each put over a common denominator, with each point's power
+lists, built once per table.  Every term is homogenized to the total degree,
+so per point one accumulator adds up the terms' integer rows, each term's
+powers read from the lists, and a polynomial's value is one integer row over
+one denominator.  A rational function's value is its numerator's integer row
+scaled by its factors' integer values at the same point; the table keeps the
+values of each denominator factor per point, so a factor that several
+functions share is evaluated once per point.  ``eval`` is the one-point case:
+it evaluates a one-point table and builds one ``AlgebraElement``.
 """
 
 from __future__ import annotations
@@ -72,6 +73,12 @@ def _point_over_common_den(
     if len(point) != var_count:
         raise ArityMismatchError(f"point arity {len(point)} != var count {var_count}")
     return _over_common_den(point)
+
+
+def _eval_one(fn: "CoordPoly | RationalFn", point: Sequence[RationalLike]) -> AlgebraElement:
+    """``fn``'s value at ``point``: its ``_eval_points`` on a one-point table."""
+    table = PointTable((_point_over_common_den(point, fn.var_count),))
+    return AlgebraElement._make(fn.signature, *fn._eval_points(table)[0])
 
 
 def _iterates(step, value) -> Iterator:
@@ -325,56 +332,31 @@ class CoordPoly:
 
     def eval(self, point: Sequence[RationalLike]) -> AlgebraElement:
         """The value at ``point``, added up in integers over one denominator."""
-        return AlgebraElement._make(
-            self.signature, *self._eval_int(*_point_over_common_den(point, self.var_count))
-        )
-
-    def _eval_int(self, coords: Sequence[int], d: int) -> tuple[dict[int, int], int]:
-        """The value at the point ``coords`` / ``d`` as (numerators per blade, denominator).
-
-        With D the total degree, the term with exponents e and numerators N
-        contributes N prod(a_i^e_i) d^(D - |e|) over den d^D.  Not canonical:
-        ``AlgebraElement._make`` reduces it.
-        """
-        degree, gaps = self._degree_gaps()
-        d_pows = [d**k for k in range(degree + 1)]
-        acc: dict[int, int] = {}
-        for (e, nums), gap in zip(self.rows.items(), gaps):
-            scalar = prod(map(pow, coords, e), start=d_pows[gap])
-            if scalar:
-                _add_scaled(acc, nums, scalar)
-        return acc, self.den * d_pows[degree]
+        return _eval_one(self, point)
 
     def _eval_points(self, table: PointTable) -> list[tuple[dict[int, int], int]]:
-        """``_eval_int`` at every point of ``table``, in one pass over the rows.
+        """The value at each point coords / d of ``table`` as (numerators per blade, denominator).
 
-        Each term reads its powers from the table's power lists, which are
-        built once per table, and adds its numerators times its value at every
-        point to one column per blade.
+        With D the total degree, the term with exponents e and numerators N
+        contributes N prod(a_i^e_i) d^(D - |e|) over den d^D, its powers read
+        from the table's power lists.  Not canonical: ``AlgebraElement._make``
+        reduces it.
         """
         degree, gaps = self._degree_gaps()
-        powers = table.powers(degree)
-        columns: dict[int, list[int]] = {}
-        for (e, nums), gap in zip(self.rows.items(), gaps):
-            scalars = [
-                prod(map(getitem, coord_pows, e), start=d_pows[gap])
-                for coord_pows, d_pows in powers
-            ]
-            for mask, n in nums.items():
-                column = columns.get(mask)
-                if column is None:
-                    columns[mask] = [n * v for v in scalars]
-                else:
-                    columns[mask] = [c + n * v for c, v in zip(column, scalars)]
-        return [
-            ({mask: column[j] for mask, column in columns.items()}, self.den * d_pows[degree])
-            for j, (_, d_pows) in enumerate(powers)
-        ]
+        out = []
+        for coord_pows, d_pows in table.powers(degree):
+            acc: dict[int, int] = {}
+            for (e, nums), gap in zip(self.rows.items(), gaps):
+                scalar = prod(map(getitem, coord_pows, e), start=d_pows[gap])
+                if scalar:
+                    _add_scaled(acc, nums, scalar)
+            out.append((acc, self.den * d_pows[degree]))
+        return out
 
     def _degree_gaps(self) -> tuple[int, list[int]]:
         """(D, [D - |e| for each row in order]), D the total degree (0 for zero).
 
-        Computed on the first ``eval`` and kept, since the rows never change.
+        Computed on the first evaluation and kept, since the rows never change.
         """
         if self._gaps is None:
             sums = [sum(e) for e in self.rows]
@@ -742,36 +724,18 @@ class RationalFn:
 
     def eval(self, point: Sequence[RationalLike]) -> AlgebraElement:
         """The value at ``point`` in one integer pass."""
-        return AlgebraElement._make(
-            self.signature, *self._eval_int(*_point_over_common_den(point, self.var_count))
-        )
-
-    def _eval_int(self, coords: Sequence[int], d: int) -> tuple[dict[int, int], int]:
-        """The value at the point ``coords`` / ``d`` as (numerators per blade, denominator).
-
-        A factor F^k whose value at the point is v / w multiplies the
-        numerator's integer row by w^k and its denominator by v^k.  A factor
-        that vanishes raises.  Not canonical: ``AlgebraElement._make`` reduces it.
-        """
-        scale = divisor = 1
-        for p, k in self.den_factors:
-            row, w = p._eval_int(coords, d)
-            if not row.get(0):
-                raise DenominatorVanishesError(Fraction(a, d) for a in coords)
-            scale *= w**k
-            divisor *= row[0] ** k
-        nums, den = self.numer._eval_int(coords, d)
-        if scale != 1:
-            nums = {m: n * scale for m, n in nums.items()}
-        return nums, den * divisor
+        return _eval_one(self, point)
 
     def _eval_points(self, table: PointTable) -> list[tuple[dict[int, int], int]]:
-        """``_eval_int`` at every point of ``table``.
+        """The value at each point of ``table`` as (numerators per blade, denominator).
 
-        The factor values come from the table, so each distinct factor is
+        A factor F^k whose value at a point is v / w multiplies the
+        numerator's integer row there by w^k and its denominator by v^k.  The
+        factor values come from the table, so each distinct factor is
         evaluated once per point however many functions carry it.  A factor
         that vanishes raises for the first point where one does, before any
-        numerator is evaluated.
+        numerator is evaluated.  Not canonical: ``AlgebraElement._make``
+        reduces each value.
         """
         if not self.den_factors:
             return self.numer._eval_points(table)

@@ -68,29 +68,22 @@ class CircularDomain:
         return self.r_in**2 < rho_sq < self.radius**2
 
 
-def phi_int(unit: ImaginaryUnit, z: Sequence[int], d: int) -> tuple[list[int], int]:
-    """Integer coordinates of alpha + I*beta, with (alpha, beta) = z / d.
-
-    With I = sum_h n_h u_h / w (``unit.value``'s numerators over its
-    denominator), the point is (a w, b n_1, ..., b n_k) / (d w) for z = (a, b),
-    built from integers alone.  The denominator d w need not be the least
-    one; ``phi_coords`` reduces it.
-    """
-    a, b = z
-    nums = unit.value.nums
-    w = unit.value.den
-    return [a * w, *(b * nums.get(m, 0) for m in unit.signature.imag_masks)], d * w
-
-
 def phi_coords(
     unit: ImaginaryUnit, alpha: RationalLike, beta: RationalLike
 ) -> tuple[Fraction, ...]:
     """Coordinates of alpha + I*beta: (alpha, i_1 beta, ..., i_n beta).
 
-    ``phi_int``'s integer point, read back as normalized ``Fraction``s.
+    With (alpha, beta) = (a, b) / d and I = sum_h n_h u_h / w (``unit.value``'s
+    numerators over its denominator), the point is (a w, b n_1, ..., b n_k) / (d w),
+    built from integers alone and read back as normalized ``Fraction``s.
     """
-    coords, den = phi_int(unit, *_over_common_den((alpha, beta)))
-    return tuple(Fraction(c, den) for c in coords)
+    (a, b), d = _over_common_den((alpha, beta))
+    nums, w = unit.value.nums, unit.value.den
+    den = d * w
+    return (
+        Fraction(a * w, den),
+        *(Fraction(b * nums.get(m, 0), den) for m in unit.signature.imag_masks),
+    )
 
 
 # Bounded caches per (signature, count), since s^k over Cl(0,8) grows quickly;

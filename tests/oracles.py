@@ -32,7 +32,14 @@ from slicecalc.algebra import (
     _same_value,
     sample_units,
 )
-from slicecalc.multipoly import CoordPoly, RationalFn, _iterates, coord_im, coord_s
+from slicecalc.multipoly import (
+    CoordPoly,
+    PointTable,
+    RationalFn,
+    _iterates,
+    coord_im,
+    coord_s,
+)
 from slicecalc.operators import restrict_to_slice, thetabar
 from slicecalc.polyanalytic import compose
 from slicecalc.sampling import rand_plane_points, rand_regular_tuple, rand_stem, rng_for
@@ -41,7 +48,6 @@ from slicecalc.slicefn import (
     PointFunction,
     SliceWitness,
     phi_coords,
-    phi_int,
     representation_eval,
 )
 from slicecalc.stem import StemFunction
@@ -150,6 +156,11 @@ def is_slice_all_pairs(g: PointFunction, units: Sequence[ImaginaryUnit], points:
     return True, None
 
 
+def _raw_value(rf: RationalFn, point) -> tuple[dict[int, int], int]:
+    """``rf``'s value at ``point`` as (numerators per blade, denominator), not reduced."""
+    return rf._eval_points(PointTable((_over_common_den(point),)))[0]
+
+
 @campaign._tally
 def slice_global_pointwise(
     sig: AlgebraSignature,
@@ -164,9 +175,10 @@ def slice_global_pointwise(
 
     The same draws, trials and witnesses, but the global side is the
     unrestricted thetabar^n g, evaluated at the point alpha + I beta that
-    ``phi_int`` builds per unit and plane point, and each side is evaluated
-    one point at a time.  The draws are read off ``campaign``, so a test that
-    replaces one there replaces it here too.
+    ``phi_coords`` builds per unit and plane point, and each side is
+    evaluated one point at a time, from a one-point ``PointTable``.  The raw
+    values are compared with ``_same_value``.  The draws are read off
+    ``campaign``, so a test that replaces one there replaces it here too.
     """
     label = "quaternion" if sig.kind == "quaternion" else f"clifford_{sig.m}"
     rng = rng_for(seed, f"slice-global:{label}")
@@ -174,16 +186,15 @@ def slice_global_pointwise(
     funcs += [campaign.rand_rational_point_function(rng, sig) for _ in range(n_rational)]
     units = sample_units(sig, seed, n_units)
     points = rand_plane_points(rng, n_points)
-    plane = [_over_common_den(z) for z in points]
     top = max(orders)
     for gi, g in enumerate(funcs):
         thetas = list(islice(_iterates(thetabar, g), top + 1))
         for ui, unit in enumerate(units):
             planes = restrict_to_slice(g, unit).dbar_chain(top)
             for n in sorted(set(orders)):
-                for z, (coords, d) in zip(points, plane):
-                    lhs = thetas[n].expr._eval_int(*phi_int(unit, coords, d))
-                    rhs = planes[n].rf._eval_int(coords, d)
+                for z in points:
+                    lhs = _raw_value(thetas[n].expr, phi_coords(unit, *z))
+                    rhs = _raw_value(planes[n].rf, z)
                     yield None if _same_value(*lhs, *rhs) else {
                         "function_index": gi,
                         "unit_index": ui,

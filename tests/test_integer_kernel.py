@@ -445,7 +445,7 @@ def test_eval_points_with_one_table_matches_eval(sig, monkeypatch):
     chains = _thetabar_chains(sig, 11)
     assert max(len(rf.den_factors) for rf in chains) > 1
     points = _off_axis_points(sig, 11)
-    expected = [[rf.eval(point) for point in points] for rf in chains]
+    expected = [[ref_rf_eval(rf, point) for point in points] for rf in chains]
     evaluated = []
     poly_eval_points = CoordPoly._eval_points
 
@@ -477,6 +477,8 @@ def test_eval_points_with_one_table_matches_eval(sig, monkeypatch):
         assert all(p is not q for (p, _), (q, _) in zip(rf.den_factors, copy.den_factors))
         assert [AlgebraElement._make(sig, *value) for value in copy._eval_points(table)] == want
     assert evaluated == [rf.numer for rf in chains]
+    # a point's value does not depend on the rest of the table: one-point eval agrees
+    assert [[rf.eval(point) for point in points] for rf in chains] == expected
 
 
 @pytest.mark.parametrize("sig", SIGNATURES, ids=lambda s: f"{s.kind}{s.m}")
@@ -514,7 +516,7 @@ def test_a_vanishing_factor_raises_and_is_not_stored(sig, monkeypatch):
     assert not numerators
     # the one-point evaluation names the same point
     with pytest.raises(DenominatorVanishesError) as info:
-        rf._eval_int(*_over_common_den(points[1]))
+        rf.eval(points[1])
     assert info.value.point == tuple(points[1])
     # a table of the other points evaluates
     rest = PointTable(_over_common_den(point) for point in points[::2])

@@ -3,7 +3,7 @@ from itertools import islice
 
 import pytest
 
-from slicecalc.algebra import QUATERNION, _over_common_den, clifford, sample_units
+from slicecalc.algebra import QUATERNION, clifford, sample_units
 from slicecalc.errors import PointOutsideDomainError
 from slicecalc.multipoly import CoordPoly, RationalFn
 from slicecalc.named import (
@@ -30,7 +30,6 @@ from slicecalc.slicefn import (
     extract_stem,
     is_slice,
     phi_coords,
-    phi_int,
     representation_eval,
     taylor_alpha_coefficients,
 )
@@ -313,9 +312,4 @@ def test_phi_int_and_phi_coords_give_the_point_alpha_plus_i_beta(sig):
     for unit in units:
         for alpha, beta in points:
             want = (alpha, *(c * beta for c in unit.components()))
-            (a, b), d = _over_common_den((alpha, beta))
-            # the result is a point, not a form: a common factor of z and d changes no value
-            for k in (1, 3):
-                coords, den = phi_int(unit, (k * a, k * b), k * d)
-                assert tuple(Fraction(c, den) for c in coords) == want
             assert phi_coords(unit, alpha, beta) == want
