@@ -180,20 +180,6 @@ def _over_common_den(values: Iterable[RationalLike]) -> tuple[list[int], int]:
     return [q.numerator * (den // q.denominator) for q in qs], den
 
 
-def _same_value(
-    nums_a: Mapping[int, int], den_a: int, nums_b: Mapping[int, int], den_b: int
-) -> bool:
-    """Whether nums_a / den_a and nums_b / den_b are one element, by cross-multiplying.
-
-    Neither side needs to be canonical: a denominator may be negative and a
-    numerator zero, as long as both denominators are nonzero.
-    """
-    for mask, n in nums_a.items():
-        if n * den_b != nums_b.get(mask, 0) * den_a:
-            return False
-    return all(mask in nums_a or not n for mask, n in nums_b.items())
-
-
 class AlgebraElement:
     """An algebra value: integer numerators per blade over one denominator.
 

@@ -22,24 +22,19 @@ import os
 import threading
 from dataclasses import asdict, dataclass
 from functools import partial, wraps
-from itertools import islice
+from itertools import islice, repeat
 from math import perm
 from typing import Callable, Iterator, Optional
 
 from .algebra import (
     QUATERNION,
-    AlgebraElement,
     AlgebraSignature,
-    ImaginaryUnit,
-    _over_common_den,
-    _same_value,
     clifford,
     sample_units,
     unit_capacity,
 )
 from .errors import DenominatorVanishesError, SliceCalcError
 from .multipoly import (
-    PointTable,
     RationalFn,
     _iterates,
     coord_s,
@@ -198,20 +193,6 @@ def _tally(body: Callable[..., Iterator[Optional[dict]]]):
     return run
 
 
-def _on_slice_values(
-    rf: RationalFn, unit: ImaginaryUnit, plane: PointTable
-) -> list[tuple[dict[int, int], int]]:
-    """The raw values of ``rf``, a function restricted to the slice of ``unit``, at ``plane``.
-
-    The value at the plane point (alpha, beta) is the unrestricted
-    function's at alpha + I beta, so a vanishing denominator names that point.
-    """
-    try:
-        return rf._eval_points(plane)
-    except DenominatorVanishesError as exc:
-        raise DenominatorVanishesError(phi_coords(unit, *exc.point)) from None
-
-
 @_tally
 def slice_global_trials(
     sig: AlgebraSignature,
@@ -222,20 +203,22 @@ def slice_global_trials(
     orders: tuple[int, ...] = (1, 2, 3),
     n_rational: int = 0,
 ) -> Iterator[Optional[dict]]:
-    """Pointwise coincidence of the global operator with slice derivatives.
+    """Coincidence of the global operator with slice derivatives, decided per slice.
 
-    For each function g, unit I, order n and off-axis plane point z, compares
-    thetabar^n(g) at the point alpha + I beta against the n-th slice
-    derivative of the restriction, both exact.  The ``n_points`` plane points
-    are distinct (``rand_plane_points``), so at most 36.  The global side is
+    For each function g, unit I, order n and off-axis plane point z, one trial
+    compares thetabar^n(g) at the point alpha + I beta against the n-th slice
+    derivative of the restriction.  The ``n_points`` plane points are
+    distinct (``rand_plane_points``), so at most 36.  The global side is
     thetabar^n(g) restricted to the slice of I, its numerator once per (unit,
     order) and each denominator factor once per (unit, factor), which every
     function and order shares; its value at z is thetabar^n(g) at
-    alpha + I beta, so no such point is built.  Both sides are read at every
-    plane point in one pass over their rows, from one ``PointTable`` per
-    call that holds the plane points in integers, their power lists and the
-    factor values at each of them.  The two raw integer values are compared
-    by cross-multiplying; canonical elements are built only for a witness.
+    alpha + I beta, so no such point is built.  A factor is evaluated at
+    every plane point when it is restricted, and one that vanishes there
+    names the point alpha + I beta.  Both sides are exact rational functions
+    of (alpha, beta), so they are compared once per slice: when they are
+    equal, every plane point passes and neither side is evaluated; when they
+    differ, both are evaluated at each plane point for its outcome and
+    witness.
     """
     rng = rng_for(seed, f"slice-global:{_sig_label(sig)}")
     funcs: list[PointFunction] = [
@@ -244,7 +227,6 @@ def slice_global_trials(
     funcs += [rand_rational_point_function(rng, sig) for _ in range(n_rational)]
     units = sample_units(sig, seed, n_units)
     points = rand_plane_points(rng, n_points)
-    plane = PointTable(_over_common_den(z) for z in points)
     # per unit, its components and each denominator factor restricted to its slice
     slices = [(unit.components(), {}) for unit in units]
     top = max(orders)
@@ -256,21 +238,27 @@ def slice_global_trials(
                 theta = thetas[n].expr
                 for p, _ in theta.den_factors:
                     if p not in factors:
-                        factors[p] = restrict_poly(p, comps)
+                        q = factors[p] = restrict_poly(p, comps)
+                        for z in points:
+                            if q.eval(z).is_zero():
+                                raise DenominatorVanishesError(phi_coords(unit, *z))
                 lhs_rf = RationalFn._make(
                     restrict_poly(theta.numer, comps),
                     tuple((factors[p], k) for p, k in theta.den_factors),
                 )
-                lhs_values = _on_slice_values(lhs_rf, unit, plane)
-                rhs_values = planes[n].rf._eval_points(plane)
-                for z, lhs, rhs in zip(points, lhs_values, rhs_values):
-                    yield None if _same_value(*lhs, *rhs) else {
+                rhs_rf = planes[n].rf
+                if lhs_rf == rhs_rf:
+                    yield from repeat(None, len(points))
+                    continue
+                for z in points:
+                    lhs, rhs = lhs_rf.eval(z), rhs_rf.eval(z)
+                    yield None if lhs == rhs else {
                         "function_index": gi,
                         "unit_index": ui,
                         "order": n,
                         "z": [frac_to_str(c) for c in z],
-                        "global": repr(AlgebraElement._make(sig, *lhs)),
-                        "slice": repr(AlgebraElement._make(sig, *rhs)),
+                        "global": repr(lhs),
+                        "slice": repr(rhs),
                     }
 
 

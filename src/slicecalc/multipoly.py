@@ -26,16 +26,14 @@ factors, each at the larger of its two exponents, and multiplies a numerator
 only by a cofactor that is not 1; equality then compares the two canonical
 numerators, so it builds no polynomial when the factors already agree.
 
-All point evaluation is one pass, ``_eval_points``, over a ``PointTable``: a
-list of points, each put over a common denominator, with each point's power
-lists, built once per table.  Every term is homogenized to the total degree,
-so per point one accumulator adds up the terms' integer rows, each term's
-powers read from the lists, and a polynomial's value is one integer row over
-one denominator.  A rational function's value is its numerator's integer row
-scaled by its factors' integer values at the same point; the table keeps the
-values of each denominator factor per point, so a factor that several
-functions share is evaluated once per point.  ``eval`` is the one-point case:
-it evaluates a one-point table and builds one ``AlgebraElement``.
+Point evaluation is one integer pass at one point (``_eval_int``): the point
+is put over a common denominator d, every term is homogenized to the total
+degree with powers of d, and the terms' integer rows add up in one
+accumulator, so a polynomial's value is one integer row over one
+denominator.  A rational function evaluates its factors first, raises at
+one that vanishes before it touches the numerator, and scales the
+numerator's row by the factors' integer values.  ``eval`` builds one
+``AlgebraElement`` from that row.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ from functools import cache
 from heapq import heapify, heappop, heappush
 from itertools import chain, islice
 from math import gcd, lcm, prod
-from operator import add, getitem, sub
+from operator import add, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .algebra import (
@@ -73,12 +71,6 @@ def _point_over_common_den(
     if len(point) != var_count:
         raise ArityMismatchError(f"point arity {len(point)} != var count {var_count}")
     return _over_common_den(point)
-
-
-def _eval_one(fn: "CoordPoly | RationalFn", point: Sequence[RationalLike]) -> AlgebraElement:
-    """``fn``'s value at ``point``: its ``_eval_points`` on a one-point table."""
-    table = PointTable((_point_over_common_den(point, fn.var_count),))
-    return AlgebraElement._make(fn.signature, *fn._eval_points(table)[0])
 
 
 def _iterates(step, value) -> Iterator:
@@ -156,7 +148,7 @@ class CoordPoly:
     no empty row, and no common factor of ``den`` and all numerators.
     """
 
-    __slots__ = ("signature", "var_count", "rows", "den", "_hash", "_gaps")
+    __slots__ = ("signature", "var_count", "rows", "den", "_hash")
 
     def __new__(
         cls,
@@ -200,7 +192,7 @@ class CoordPoly:
             if nums:
                 obj.rows[e] = nums
         obj.den = den // g
-        obj._hash = obj._gaps = None
+        obj._hash = None
         return obj
 
     def __reduce__(self):
@@ -332,37 +324,24 @@ class CoordPoly:
 
     def eval(self, point: Sequence[RationalLike]) -> AlgebraElement:
         """The value at ``point``, added up in integers over one denominator."""
-        return _eval_one(self, point)
+        coords, d = _point_over_common_den(point, self.var_count)
+        return AlgebraElement._make(self.signature, *self._eval_int(coords, d))
 
-    def _eval_points(self, table: PointTable) -> list[tuple[dict[int, int], int]]:
-        """The value at each point coords / d of ``table`` as (numerators per blade, denominator).
+    def _eval_int(self, coords: Sequence[int], d: int) -> tuple[dict[int, int], int]:
+        """The value at the point ``coords`` / ``d`` as (numerators per blade, denominator).
 
         With D the total degree, the term with exponents e and numerators N
-        contributes N prod(a_i^e_i) d^(D - |e|) over den d^D, its powers read
-        from the table's power lists.  Not canonical: ``AlgebraElement._make``
-        reduces it.
+        contributes N prod(a_i^e_i) d^(D - |e|) over den d^D.  Not canonical:
+        ``AlgebraElement._make`` reduces it.
         """
-        degree, gaps = self._degree_gaps()
-        out = []
-        for coord_pows, d_pows in table.powers(degree):
-            acc: dict[int, int] = {}
-            for (e, nums), gap in zip(self.rows.items(), gaps):
-                scalar = prod(map(getitem, coord_pows, e), start=d_pows[gap])
-                if scalar:
-                    _add_scaled(acc, nums, scalar)
-            out.append((acc, self.den * d_pows[degree]))
-        return out
-
-    def _degree_gaps(self) -> tuple[int, list[int]]:
-        """(D, [D - |e| for each row in order]), D the total degree (0 for zero).
-
-        Computed on the first evaluation and kept, since the rows never change.
-        """
-        if self._gaps is None:
-            sums = [sum(e) for e in self.rows]
-            degree = max(sums, default=0)
-            self._gaps = degree, [degree - k for k in sums]
-        return self._gaps
+        degrees = [sum(e) for e in self.rows]
+        top = max(degrees, default=0)
+        acc: dict[int, int] = {}
+        for (e, nums), k in zip(self.rows.items(), degrees):
+            scalar = prod(map(pow, coords, e), start=d ** (top - k))
+            if scalar:
+                _add_scaled(acc, nums, scalar)
+        return acc, self.den * d**top
 
     # -- helpers for denominators ---------------------------------------------
 
@@ -393,47 +372,6 @@ class CoordPoly:
             return "Poly(0)"
         bits = [f"x^{list(e)}*({c!r})" for e, c in sorted(self.terms.items())]
         return "Poly(" + " + ".join(bits) + ")"
-
-
-class PointTable:
-    """Integer points with their power lists and the denominator-factor values read at them.
-
-    Each point is (coords, d), the point coords / d.  ``powers`` grows every
-    point's lists of coordinate powers and powers of d on demand, each power
-    one product from the last, so a table serves every polynomial evaluated
-    at its points.  ``factor_values`` evaluates a factor at every point on
-    its first request and keeps the values, keyed by the factor's value, so
-    an equal factor met again is not evaluated again.
-    """
-
-    __slots__ = ("points", "_powers", "_factors")
-
-    def __init__(self, points: Iterable[tuple[Sequence[int], int]]):
-        self.points = [(list(coords), d) for coords, d in points]
-        self._powers = [([[1] for _ in coords], [1]) for coords, _ in self.points]
-        self._factors: dict[CoordPoly, list[tuple[int, int]]] = {}
-
-    def powers(self, degree: int) -> list[tuple[list[list[int]], list[int]]]:
-        """Per point, (the power list of each coordinate, the powers of d), each to ``degree``."""
-        for (coords, d), (coord_pows, d_pows) in zip(self.points, self._powers):
-            while len(d_pows) <= degree:
-                d_pows.append(d_pows[-1] * d)
-                for pows, c in zip(coord_pows, coords):
-                    pows.append(pows[-1] * c)
-        return self._powers
-
-    def factor_values(self, p: CoordPoly) -> list[tuple[int, int]]:
-        """(v, w) per point, v / w the value of the real-scalar factor ``p`` there.
-
-        v may be 0; a factor that vanishes at a point is not kept, since no
-        function over it has a value there.
-        """
-        values = self._factors.get(p)
-        if values is None:
-            values = [(row.get(0, 0), w) for row, w in p._eval_points(self)]
-            if all(v for v, _ in values):
-                self._factors[p] = values
-        return values
 
 
 # -- coordinate building blocks -----------------------------------------------
@@ -723,36 +661,25 @@ class RationalFn:
     # -- evaluation --------------------------------------------------------------------
 
     def eval(self, point: Sequence[RationalLike]) -> AlgebraElement:
-        """The value at ``point`` in one integer pass."""
-        return _eval_one(self, point)
+        """The value at ``point`` in one integer pass.
 
-    def _eval_points(self, table: PointTable) -> list[tuple[dict[int, int], int]]:
-        """The value at each point of ``table`` as (numerators per blade, denominator).
-
-        A factor F^k whose value at a point is v / w multiplies the
-        numerator's integer row there by w^k and its denominator by v^k.  The
-        factor values come from the table, so each distinct factor is
-        evaluated once per point however many functions carry it.  A factor
-        that vanishes raises for the first point where one does, before any
-        numerator is evaluated.  Not canonical: ``AlgebraElement._make``
-        reduces each value.
+        A factor F^k whose value at the point is v / w multiplies the
+        numerator's integer row by w^k and its denominator by v^k.  Every
+        factor is evaluated first, so one that vanishes raises before the
+        numerator is evaluated.
         """
-        if not self.den_factors:
-            return self.numer._eval_points(table)
-        scales = [(1, 1)] * len(table.points)
+        coords, d = _point_over_common_den(point, self.var_count)
+        scale = divisor = 1
         for p, k in self.den_factors:
-            scales = [
-                (scale * w**k, divisor * v**k)
-                for (scale, divisor), (v, w) in zip(scales, table.factor_values(p))
-            ]
-        vanishing = next((j for j, (_, divisor) in enumerate(scales) if not divisor), None)
-        if vanishing is not None:
-            coords, d = table.points[vanishing]
-            raise DenominatorVanishesError(Fraction(a, d) for a in coords)
-        return [
-            ({m: n * scale for m, n in nums.items()}, den * divisor)
-            for (nums, den), (scale, divisor) in zip(self.numer._eval_points(table), scales)
-        ]
+            row, w = p._eval_int(coords, d)
+            if not row.get(0):
+                raise DenominatorVanishesError(Fraction(a, d) for a in coords)
+            scale *= w**k
+            divisor *= row[0] ** k
+        nums, den = self.numer._eval_int(coords, d)
+        if scale != 1:
+            nums = {m: n * scale for m, n in nums.items()}
+        return AlgebraElement._make(self.signature, nums, den * divisor)
 
     # -- comparisons -----------------------------------------------------------------------
 

@@ -28,13 +28,10 @@ from slicecalc.algebra import (
     AlgebraElement,
     AlgebraSignature,
     ImaginaryUnit,
-    _over_common_den,
-    _same_value,
     sample_units,
 )
 from slicecalc.multipoly import (
     CoordPoly,
-    PointTable,
     RationalFn,
     _iterates,
     coord_im,
@@ -156,11 +153,6 @@ def is_slice_all_pairs(g: PointFunction, units: Sequence[ImaginaryUnit], points:
     return True, None
 
 
-def _raw_value(rf: RationalFn, point) -> tuple[dict[int, int], int]:
-    """``rf``'s value at ``point`` as (numerators per blade, denominator), not reduced."""
-    return rf._eval_points(PointTable((_over_common_den(point),)))[0]
-
-
 @campaign._tally
 def slice_global_pointwise(
     sig: AlgebraSignature,
@@ -176,8 +168,8 @@ def slice_global_pointwise(
     The same draws, trials and witnesses, but the global side is the
     unrestricted thetabar^n g, evaluated at the point alpha + I beta that
     ``phi_coords`` builds per unit and plane point, and each side is
-    evaluated one point at a time, from a one-point ``PointTable``.  The raw
-    values are compared with ``_same_value``.  The draws are read off
+    evaluated one point at a time with ``eval``, whatever the two functions
+    are.  The values are compared as elements.  The draws are read off
     ``campaign``, so a test that replaces one there replaces it here too.
     """
     label = "quaternion" if sig.kind == "quaternion" else f"clifford_{sig.m}"
@@ -193,15 +185,15 @@ def slice_global_pointwise(
             planes = restrict_to_slice(g, unit).dbar_chain(top)
             for n in sorted(set(orders)):
                 for z in points:
-                    lhs = _raw_value(thetas[n].expr, phi_coords(unit, *z))
-                    rhs = _raw_value(planes[n].rf, z)
-                    yield None if _same_value(*lhs, *rhs) else {
+                    lhs = thetas[n].expr.eval(phi_coords(unit, *z))
+                    rhs = planes[n].rf.eval(z)
+                    yield None if lhs == rhs else {
                         "function_index": gi,
                         "unit_index": ui,
                         "order": n,
                         "z": [frac_to_str(c) for c in z],
-                        "global": repr(AlgebraElement._make(sig, *lhs)),
-                        "slice": repr(AlgebraElement._make(sig, *rhs)),
+                        "global": repr(lhs),
+                        "slice": repr(rhs),
                     }
 
 

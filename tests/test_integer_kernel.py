@@ -15,7 +15,7 @@ value built through the public constructor.
 import re
 from collections import Counter
 from fractions import Fraction
-from itertools import count, islice
+from itertools import count
 from math import gcd, lcm, perm
 
 import pytest
@@ -26,11 +26,10 @@ import slicecalc.algebra
 import slicecalc.campaign
 import slicecalc.multipoly
 import slicecalc.operators
+import slicecalc.sampling
 from slicecalc.algebra import (
     QUATERNION,
     AlgebraElement,
-    _over_common_den,
-    _same_value,
     clifford,
     sample_units,
 )
@@ -49,24 +48,16 @@ from slicecalc.campaign import (
 from slicecalc.errors import ArityMismatchError, DenominatorVanishesError
 from slicecalc.multipoly import (
     CoordPoly,
-    PointTable,
     RationalFn,
     _apply_n,
-    _iterates,
     coord_s,
     coord_x,
     coord_xbar,
     restrict_poly,
 )
 from slicecalc.named import default_domain
-from slicecalc.operators import SlicePlanePoly, thetabar
-from slicecalc.sampling import (
-    rand_plane_point,
-    rand_point_polynomial,
-    rand_rational_point_function,
-    rng_for,
-)
-from slicecalc.slicefn import PointFunction, phi_coords
+from slicecalc.operators import SlicePlanePoly
+from slicecalc.slicefn import PointFunction
 from slicecalc.stem import StemFunction
 
 from oracles import slice_global_pointwise
@@ -411,76 +402,6 @@ def test_a_vanishing_denominator_reports_the_point_as_fractions(sig):
         assert all(type(c) is Fraction for c in info.value.point)
 
 
-# -- evaluation at every point of one table ------------------------------------------
-
-
-def _thetabar_chains(sig, seed):
-    """thetabar^1..3 of seeded polynomial and rational inputs, and of a hand-built
-    function over two different factors at the same exponent."""
-    rng = rng_for(seed, f"eval-int:{sig}")
-    inputs = [rand_point_polynomial(rng, sig, max_degree=4) for _ in range(2)]
-    inputs += [rand_rational_point_function(rng, sig) for _ in range(3)]
-    s, shifted, mixed = _factor_pool(sig)
-    rf = RationalFn(inputs[0].expr.numer, [(shifted, 1), (mixed, 1), (s, 1)])
-    inputs.append(PointFunction(inputs[0].domain, rf))
-    return [h.expr for g in inputs for h in islice(_iterates(thetabar, g), 1, 4)]
-
-
-def _off_axis_points(sig, seed):
-    rng = rng_for(seed, f"eval-int-points:{sig}")
-    units = sample_units(sig, seed, 3)
-    return [phi_coords(unit, *rand_plane_point(rng)) for unit in units for _ in range(2)]
-
-
-def _copy_factors(rf):
-    """``rf`` with every factor rebuilt as a distinct but equal object."""
-    copies = tuple(
-        (CoordPoly(p.signature, p.var_count, p.terms), k) for p, k in rf.den_factors
-    )
-    return RationalFn._make(rf.numer, copies)
-
-
-@pytest.mark.parametrize("sig", (QUATERNION, CL3), ids=lambda s: f"{s.kind}{s.m}")
-def test_eval_points_with_one_table_matches_eval(sig, monkeypatch):
-    chains = _thetabar_chains(sig, 11)
-    assert max(len(rf.den_factors) for rf in chains) > 1
-    points = _off_axis_points(sig, 11)
-    expected = [[ref_rf_eval(rf, point) for point in points] for rf in chains]
-    evaluated = []
-    poly_eval_points = CoordPoly._eval_points
-
-    def counted(self, table):
-        evaluated.append(self)
-        return poly_eval_points(self, table)
-
-    monkeypatch.setattr(CoordPoly, "_eval_points", counted)
-    table = PointTable(_over_common_den(point) for point in points)
-    for rf, want in zip(chains, expected):
-        got = [AlgebraElement._make(sig, *value) for value in rf._eval_points(table)]
-        assert got == want
-        # every factor's values are in the table afterwards, one per point
-        for p, _ in rf.den_factors:
-            values = table.factor_values(p)
-            assert [Fraction(v, w) for v, w in values] == [
-                ref_eval(p, point).coeff(0) for point in points
-            ]
-    # each numerator and each distinct factor was evaluated once, at every point
-    numerators = {id(rf.numer) for rf in chains}
-    factor_evals = [p for p in evaluated if id(p) not in numerators]
-    assert len(evaluated) - len(factor_evals) == len(chains)
-    assert set(factor_evals) == {p for rf in chains for p, _ in rf.den_factors}
-    assert len(factor_evals) == len(set(factor_evals))
-    # the same factors as distinct objects are equal keys: only numerators are evaluated
-    evaluated.clear()
-    for rf, want in zip(chains, expected):
-        copy = _copy_factors(rf)
-        assert all(p is not q for (p, _), (q, _) in zip(rf.den_factors, copy.den_factors))
-        assert [AlgebraElement._make(sig, *value) for value in copy._eval_points(table)] == want
-    assert evaluated == [rf.numer for rf in chains]
-    # a point's value does not depend on the rest of the table: one-point eval agrees
-    assert [[rf.eval(point) for point in points] for rf in chains] == expected
-
-
 @pytest.mark.parametrize("sig", SIGNATURES, ids=lambda s: f"{s.kind}{s.m}")
 def test_a_vanishing_factor_raises_and_is_not_stored(sig, monkeypatch):
     n = sig.coord_count
@@ -488,105 +409,44 @@ def test_a_vanishing_factor_raises_and_is_not_stored(sig, monkeypatch):
     s = sum((xh * xh for xh in x[1:]), CoordPoly.zero(sig, n))
     one = CoordPoly.constant(sig, n, 1)
     quarter = CoordPoly.constant(sig, n, Fraction(1, 4))
+    # the second factor vanishes where s = 1/4; the first factor does not
     rf = RationalFn(x[0] * x[1], [(x[0] * x[0] + one, 1), (s - quarter, 2)])
-    (first, _), (vanishing, _) = rf.den_factors
-    # the second factor vanishes at the second and the fourth point
-    points = [
-        [Fraction(1, 3), Fraction(1, 3)] + [Fraction(0)] * (n - 2),
-        [Fraction(-2, 3), Fraction(1, 2)] + [Fraction(0)] * (n - 2),
-        [Fraction(1), Fraction(1)] + [Fraction(0)] * (n - 2),
-        [Fraction(0), Fraction(0), Fraction(1, 2)] + [Fraction(0)] * (n - 3),
-    ]
-    table = PointTable(_over_common_den(point) for point in points)
-    numerators = []
-    poly_eval_points = CoordPoly._eval_points
+    point = [Fraction(-2, 3), Fraction(1, 2)] + [Fraction(0)] * (n - 2)
+    evaluated = []
+    eval_int = CoordPoly._eval_int
 
-    def counted(self, table):
-        if self is rf.numer:
-            numerators.append(self)
-        return poly_eval_points(self, table)
+    def recorded(self, coords, d):
+        evaluated.append(self)
+        return eval_int(self, coords, d)
 
-    monkeypatch.setattr(CoordPoly, "_eval_points", counted)
-    # the first point where a factor vanishes is named, before any numerator is evaluated
-    for _ in range(2):
-        with pytest.raises(DenominatorVanishesError) as info:
-            rf._eval_points(table)
-        assert info.value.point == tuple(points[1])
-        assert list(table._factors) == [first] and vanishing not in table._factors
-    assert not numerators
-    # the one-point evaluation names the same point
+    monkeypatch.setattr(CoordPoly, "_eval_int", recorded)
+    # the point is named, and every factor is read before the numerator
     with pytest.raises(DenominatorVanishesError) as info:
-        rf.eval(points[1])
-    assert info.value.point == tuple(points[1])
-    # a table of the other points evaluates
-    rest = PointTable(_over_common_den(point) for point in points[::2])
-    assert [AlgebraElement._make(sig, *value) for value in rf._eval_points(rest)] == [
-        rf.eval(point) for point in points[::2]
-    ]
+        rf.eval(point)
+    assert info.value.point == tuple(point)
+    assert evaluated == [p for p, _ in rf.den_factors]
 
 
-# (nums_a, den_a, nums_b, den_b): zero values, stored zero numerators, negative
-# numerators and denominators, and equal values over different denominators
-SAME_VALUE_CASES = [
-    ({}, 1, {}, 7),
-    ({}, 3, {0: 0, 5: 0}, -2),
-    ({0: 0}, 5, {1: 1}, 5),
-    ({1: -3}, 4, {1: 6}, -8),
-    ({1: -3}, 4, {1: -6}, 8),
-    ({1: -3}, 4, {1: 3}, 4),
-    ({0: 2, 3: -4}, 6, {0: 1, 3: -2}, 3),
-    ({0: 2, 3: -4}, 6, {0: 1, 3: -2}, 6),
-    ({0: 2, 3: -4}, 6, {0: 1, 3: -2, 1: 0}, 3),
-    ({0: 2, 3: -4}, 6, {0: 1}, 3),
-    ({0: 1}, 3, {0: 1, 3: -2}, 3),
-    ({2: 10}, 15, {2: 2}, 3),
-    ({2: 10}, 15, {3: 2}, 3),
-]
-
-
-@pytest.mark.parametrize("nums_a, den_a, nums_b, den_b", SAME_VALUE_CASES)
-def test_integer_comparison_agrees_with_canonical_equality(nums_a, den_a, nums_b, den_b):
-    a = AlgebraElement._make(CL3, dict(nums_a), den_a)
-    b = AlgebraElement._make(CL3, dict(nums_b), den_b)
-    assert _same_value(nums_a, den_a, nums_b, den_b) == (a == b)
-    assert _same_value(nums_b, den_b, nums_a, den_a) == (a == b)
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    st.dictionaries(st.integers(0, 7), st.integers(-9, 9), max_size=4),
-    st.integers(-12, 12).filter(bool),
-    st.integers(-5, 5).filter(bool),
-    st.dictionaries(st.integers(0, 7), st.integers(-2, 2), max_size=2),
-)
-def test_integer_comparison_agrees_with_canonical_equality_on_scaled_rows(
-    nums, den, k, noise
-):
-    scaled = {m: n * k for m, n in nums.items()}
-    for m, n in noise.items():
-        scaled[m] = scaled.get(m, 0) + n
-    a = AlgebraElement._make(CL3, dict(nums), den)
-    b = AlgebraElement._make(CL3, dict(scaled), den * k)
-    assert _same_value(nums, den, scaled, den * k) == (a == b)
+# -- the slice/global check ---------------------------------------------------------
 
 
 @pytest.mark.parametrize("sig", (QUATERNION, CL3), ids=lambda s: f"{s.kind}{s.m}")
-def test_slice_global_trials_convert_each_point_once_and_evaluate_each_factor_once(
+def test_slice_global_trials_compare_each_slice_once_and_evaluate_only_its_factors(
     sig, monkeypatch
 ):
     n_units, n_points, orders = 3, 4, (1, 2, 3)
-    conversions = []
+    drawn = []
     thetas = []
     restrictions = []  # (polynomial, components, restriction), the polynomials held
-    evaluations = []  # (polynomial, its table's points)
-    over_common_den = slicecalc.campaign._over_common_den
+    evaluations = []  # (polynomial, point)
+    draw_points = slicecalc.campaign.rand_plane_points
     thetabar_op = slicecalc.campaign.thetabar
     restrict = slicecalc.campaign.restrict_poly
-    poly_eval_points = CoordPoly._eval_points
+    eval_int = CoordPoly._eval_int
 
-    def converted(values):
-        conversions.append(values)
-        return over_common_den(values)
+    def recorded_points(rng, size):
+        drawn.append(draw_points(rng, size))
+        return drawn[-1]
 
     def recorded_thetabar(g, order=1):
         thetas.append(thetabar_op(g, order).expr)
@@ -596,26 +456,23 @@ def test_slice_global_trials_convert_each_point_once_and_evaluate_each_factor_on
         restrictions.append((poly, tuple(components), restrict(poly, components)))
         return restrictions[-1][2]
 
-    def recorded_eval(self, table):
-        evaluations.append((self, table.points))
-        return poly_eval_points(self, table)
+    def recorded_eval(self, coords, d):
+        evaluations.append((self, tuple(Fraction(a, d) for a in coords)))
+        return eval_int(self, coords, d)
 
     def no_points(*args):
         raise AssertionError("the global side builds no point alpha + I beta")
 
-    monkeypatch.setattr(slicecalc.campaign, "_over_common_den", converted)
+    monkeypatch.setattr(slicecalc.campaign, "rand_plane_points", recorded_points)
     monkeypatch.setattr(slicecalc.campaign, "thetabar", recorded_thetabar)
     monkeypatch.setattr(slicecalc.campaign, "restrict_poly", recorded_restrict)
     monkeypatch.setattr(slicecalc.campaign, "phi_coords", no_points)
-    monkeypatch.setattr(CoordPoly, "_eval_points", recorded_eval)
-    monkeypatch.setattr(slicecalc.multipoly, "_point_over_common_den", None)
+    monkeypatch.setattr(CoordPoly, "_eval_int", recorded_eval)
     trials, failures, _ = slice_global_trials(
         sig, 6, n_funcs=2, n_units=n_units, n_points=n_points, n_rational=2
     )
     assert (trials, failures) == (4 * n_units * len(orders) * n_points, 0)
-    # only the plane points are converted; the seed draws distinct plane points
-    assert len(set(conversions)) == len(conversions) == n_points
-    plane = [over_common_den(z) for z in conversions]
+    [plane] = drawn
     # each numerator is restricted once per (unit, order), each factor once per
     # (unit, factor), however many functions and orders share it
     units = [u.components() for u in sample_units(sig, 6, n_units)]
@@ -630,33 +487,39 @@ def test_slice_global_trials_convert_each_point_once_and_evaluate_each_factor_on
     )
     assert sorted(Counter(numerator_calls).values()) == [1] * len(numerators) * n_units
     assert Counter(factor_calls) == Counter((p, c) for p in factors for c in units)
-    # each restricted factor is evaluated once, at every plane point in one pass
-    restricted = {r for p, _, r in restrictions if any(p is q for q in factors)}
-    factor_evals = [(p, points) for p, points in evaluations if p in restricted]
-    assert Counter(p for p, _ in factor_evals) == Counter(restricted)
-    assert all(points == plane for _, points in factor_evals)
-    assert {p.var_count for p, _ in evaluations} == {2}
+    # every slice is equal as a function, so no numerator of either side is
+    # evaluated: only each restricted factor, once at each plane point
+    restricted = [r for p, _, r in restrictions if any(p is q for q in factors)]
+    assert Counter((id(p), z) for p, z in evaluations) == Counter(
+        (id(r), z) for r in restricted for z in plane
+    )
 
 
 def test_slice_global_trials_draw_each_plane_point_once(monkeypatch):
     # this seed's plane draws hold (8/9, 4/9) twice; the repeat is drawn again
-    conversions = []
-    over_common_den = slicecalc.campaign._over_common_den
+    raw, drawn = [], []
+    draw_point = slicecalc.sampling.rand_plane_point
+    draw_points = slicecalc.campaign.rand_plane_points
 
-    def converted(values):
-        conversions.append(values)
-        return over_common_den(values)
+    def recorded_point(rng, domain=None):
+        raw.append(draw_point(rng, domain))
+        return raw[-1]
 
-    monkeypatch.setattr(slicecalc.campaign, "_over_common_den", converted)
+    def recorded_points(rng, size):
+        drawn.append(draw_points(rng, size))
+        return drawn[-1]
+
+    monkeypatch.setattr(slicecalc.sampling, "rand_plane_point", recorded_point)
+    monkeypatch.setattr(slicecalc.campaign, "rand_plane_points", recorded_points)
     trials, failures, _ = slice_global_trials(
         QUATERNION, 5, n_funcs=2, n_units=3, n_points=4, n_rational=2
     )
     assert (trials, failures) == (4 * 3 * 3 * 4, 0)
-    assert len(set(conversions)) == len(conversions) == 4  # only the plane points
+    assert raw.count((Fraction(8, 9), Fraction(4, 9))) == 2
+    assert drawn == [list(dict.fromkeys(raw))] and len(set(drawn[0])) == 4
     # the grid holds 36 points: all of them can be drawn, and not one more
-    conversions.clear()
     slice_global_trials(QUATERNION, 0, n_funcs=1, n_units=1, n_points=36, orders=(1,))
-    assert len(set(conversions[:36])) == 36
+    assert len(set(drawn[-1])) == 36
     with pytest.raises(ValueError, match="at most 36"):
         slice_global_trials(QUATERNION, 0, n_funcs=1, n_units=1, n_points=37)
 
@@ -1162,20 +1025,20 @@ def _doubled(op):
     return lambda g, *args: PointFunction(g.domain, op(g, *args).expr * 2)
 
 
-def _beta_doubled(plane, where):
-    """A table of ``plane``'s points (alpha, beta), with beta doubled where ``where(alpha)``.
+def _components_doubled(restrict):
+    """``restrict_poly`` at twice the unit's components.
 
-    The global side read on it is thetabar^n g at alpha + 2 I beta there.
+    The global side restricted with it is thetabar^n g at alpha + 2 I beta.
     """
-    return PointTable(((a, b * (1 + where(a))), d) for (a, b), d in plane.points)
+    return lambda poly, components: restrict(poly, [c * 2 for c in components])
 
 
 # Each case replaces one name a body reads from ``slicecalc.campaign`` by a
 # wrapper of the original that makes some trials fail: (name, wrapper, run).
 FORCED_FAILURES = {
     "slice-global": (
-        "_on_slice_values",
-        lambda read: lambda rf, unit, plane: read(rf, unit, _beta_doubled(plane, lambda a: a > 0)),
+        "restrict_poly",
+        _components_doubled,
         lambda sig: slice_global_trials(
             sig, 5, n_funcs=1, n_units=2, n_points=3, n_rational=1
         ),
@@ -1215,14 +1078,16 @@ FORCED_FAILURES = {
 }
 
 # (trials, failures, witness) of each case, recorded before the bodies yielded
-# one outcome per trial and ``_tally`` counted them.
+# one outcome per trial and ``_tally`` counted them.  The slice-global pair was
+# recorded again when its seam moved to ``restrict_poly``; it is what
+# ``slice_global_pointwise`` gives with beta doubled in its points alpha + I beta.
 FORCED_OUTCOMES = {
-    ("slice-global", "quaternion"): (36, 12, {
-        "function_index": 1, "unit_index": 0, "order": 1, "z": ["4/3", "4/9"],
+    ("slice-global", "quaternion"): (36, 18, {
+        "function_index": 1, "unit_index": 0, "order": 1, "z": ["-4/9", "4/9"],
         "global": "295245/16384 + 177147/16384*i + -413343/32768*k",
         "slice": "295245/512 + 177147/512*i + -413343/1024*k",
     }),
-    ("slice-global", "clifford"): (36, 9, {
+    ("slice-global", "clifford"): (36, 27, {
         "function_index": 0, "unit_index": 0, "order": 1, "z": ["8/9", "4/3"],
         "global": "2/3*e1 + 4096/243*e2 + 6005/1458*e12 + -512/135*e3 + -512/405*e13 + -1*e23",
         "slice": "2/3*e1 + 1024/243*e2 + 1909/1458*e12 + -128/135*e3 + -256/405*e13 + -1*e23",
@@ -1282,13 +1147,15 @@ def test_representation_trials_never_predict_a_slice_from_itself(sig, monkeypatc
 
 P_OVER_Q = "[+-]?[0-9]+/[0-9]+"
 
-# For the cases whose witnesses carry z: a wrapper of the same name that fails
-# exactly the trials at alpha = 0, and a run that draws such a point, so the
-# first witness has an integer coordinate.
+# For the cases whose witnesses carry z: a wrapper of the same name and a run
+# whose first witness has alpha = 0, so an integer coordinate.  The
+# representation wrapper fails exactly the trials at alpha = 0; the
+# slice/global one fails whole slices, so its run is one whose first plane
+# point has alpha = 0.
 AT_ALPHA_ZERO = {
     "slice-global": (
-        lambda read: lambda rf, unit, plane: read(rf, unit, _beta_doubled(plane, lambda a: a == 0)),
-        lambda sig: slice_global_trials(sig, 3, n_funcs=1, n_units=2, n_points=6, n_rational=1),
+        _components_doubled,
+        lambda sig: slice_global_trials(sig, 26, n_funcs=1, n_units=2, n_points=3, n_rational=1),
     ),
     "representation": (
         lambda rep: lambda g, h, k, z: rep(g, h, k, (z[0], z[1] * (1 + (z[0] == 0)))),
