@@ -78,29 +78,6 @@ class AlgebraSignature:
         joiner = "_" if self.m > 9 else ""
         return "e" + joiner.join(idx)
 
-    def blade_mask(self, name: str) -> int:
-        if name == "1":
-            return 0
-        if self.kind == "quaternion":
-            try:
-                return {"i": 1, "j": 2, "k": 3}[name]
-            except KeyError:
-                raise ValueError(f"unknown quaternion blade {name!r}") from None
-        if not name.startswith("e") or len(name) < 2:
-            raise ValueError(f"unknown blade {name!r}")
-        body = name[1:]
-        digits = body.split("_") if "_" in body else list(body)
-        mask = 0
-        for d in digits:
-            t = int(d)
-            if not 1 <= t <= self.m or mask & (1 << (t - 1)):
-                raise ValueError(f"bad blade {name!r} for m={self.m}")
-            mask |= 1 << (t - 1)
-        # one spelling per blade: "e21", "e1_2" (m <= 9) and non-ASCII digits name none
-        if self.blade_name(mask) != name:
-            raise ValueError(f"bad blade {name!r} for m={self.m}")
-        return mask
-
 
 QUATERNION = AlgebraSignature("quaternion", 2)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from functools import cache
 from typing import Any, Union
 
 from .algebra import QUATERNION, AlgebraElement, AlgebraSignature, clifford
@@ -93,16 +94,25 @@ def element_to_json(value: AlgebraElement) -> dict:
     }
 
 
+@cache
+def _mask_by_name(signature: AlgebraSignature) -> dict[str, int]:
+    """Each blade's mask, keyed by the one name reports write for that blade."""
+    return {signature.blade_name(mask): mask for mask in range(signature.dim)}
+
+
 def element_from_json(signature: AlgebraSignature, obj: Any) -> AlgebraElement:
+    if signature.m > MAX_CLIFFORD_M:
+        # the blade table holds 2^m names
+        raise FunctionSpecError(f"clifford 'm' = {signature.m} exceeds the limit {MAX_CLIFFORD_M}")
     if not isinstance(obj, dict):
         raise FunctionSpecError(f"coefficient must be a blade map, got {obj!r}")
+    masks = _mask_by_name(signature)
     coeffs = {}
     for name, raw in obj.items():
-        try:
-            mask = signature.blade_mask(name)
-        except ValueError as exc:
-            raise FunctionSpecError(str(exc)) from exc
-        coeffs[mask] = frac_from_json(raw)
+        if name not in masks:
+            algebra = "H" if signature.kind == "quaternion" else f"Cl(0,{signature.m})"
+            raise FunctionSpecError(f"bad blade {name!r} for {algebra}")
+        coeffs[masks[name]] = frac_from_json(raw)
     return AlgebraElement(signature, coeffs)
 
 

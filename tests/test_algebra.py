@@ -15,8 +15,9 @@ from slicecalc.algebra import (
     sample_units,
     stereographic_unit,
 )
-from slicecalc.errors import SignatureMismatchError
+from slicecalc.errors import FunctionSpecError, SignatureMismatchError
 from slicecalc.multipoly import coord_im, coord_s, coord_x, coord_xbar
+from slicecalc.serialize import element_from_json, element_to_json
 
 from oracles import paravector
 
@@ -91,9 +92,21 @@ def test_signature_validation():
 
 
 def test_blade_names_round_trip():
-    for sig in (H, CL3, clifford(4)):
+    # the spec parser reads exactly the names reports write, and no other spelling
+    for sig in (H, *(clifford(m) for m in range(2, 9))):
         for mask in range(sig.dim):
-            assert sig.blade_mask(sig.blade_name(mask)) == mask
+            basis = AlgebraElement.basis(sig, mask)
+            assert element_from_json(sig, element_to_json(basis)) == basis
+    near_misses = [(H, name) for name in ("e1", "I", "")] + [
+        (CL3, name) for name in ("i", "e0", "e4", "e11", "e21", "e1_2", "E1", "e\u0661")
+    ]
+    for sig, name in near_misses:
+        with pytest.raises(FunctionSpecError) as info:
+            element_from_json(sig, {name: "1"})
+        assert f"bad blade {name!r}" in str(info.value)
+    # refused before a table of 2^30 names is built
+    with pytest.raises(FunctionSpecError, match="exceeds the limit"):
+        element_from_json(clifford(30), {"1": "1"})
 
 
 def test_stereographic_chart_reference_points():
