@@ -35,6 +35,7 @@ from .algebra import (
 )
 from .errors import DenominatorVanishesError, SliceCalcError
 from .multipoly import (
+    CoordPoly,
     RationalFn,
     _iterates,
     coord_s,
@@ -70,7 +71,7 @@ from .slicefn import (
     representation_eval,
     taylor_alpha_coefficients,
 )
-from .stem import StemFunction
+from .stem import StemFunction, _holomorphic
 
 
 @dataclass(frozen=True)
@@ -486,13 +487,9 @@ def taylor_independence_trials(
     for si in range(n_stems):
         stem = rand_holomorphic_stem(rng, sig, max_degree=3)
         degree = max(stem.total_degree(), 0)
-        base = taylor_alpha_coefficients(stem, units[0], 0, degree)
-        ok = all(
-            taylor_alpha_coefficients(stem, unit, 0, degree) == base for unit in units[1:]
-        )
-        rebuilt = StemFunction.zero(sig)
-        for z_h, coeff in zip(StemFunction.z(sig).powers(), base):
-            rebuilt = rebuilt + z_h.scale_right(coeff)
+        base = taylor_alpha_coefficients(stem, units[0], degree)
+        ok = all(taylor_alpha_coefficients(stem, unit, degree) == base for unit in units[1:])
+        rebuilt = _holomorphic(CoordPoly(sig, 1, {(h,): c for h, c in enumerate(base)}))
         ok = ok and rebuilt == stem
         yield None if ok else {"stem_index": si}
 

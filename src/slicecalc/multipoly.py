@@ -13,11 +13,10 @@ A polynomial stores, per monomial, one Python ``int`` numerator per blade, all
 over one positive denominator in lowest terms; ``terms`` gives the coefficients
 as ``AlgebraElement``s.  The product goes through the integer core of the
 algebra product, and so does scaling by an algebra element, as the one row
-keyed by the empty monomial ``()``; a sum of products, such as a stem product's
-component, fills one accumulator (``_product_sum``).  Sums, differences,
-negation, scaling by a rational, partial derivatives, the radial operator,
-slice restriction and each component of the stem operator dF/dz-bar are linear
-maps on the terms: each makes one pass over the integer rows of its inputs,
+keyed by the empty monomial ``()``.  Sums, differences, negation, scaling by
+a rational, partial derivatives, the radial operator, slice restriction and
+each component of the stem operator dF/dz-bar are linear maps on the terms:
+each makes one pass over the integer rows of its inputs,
 with one ``int`` factor per term (``_int_map``); a sign is such a factor, so a
 difference builds no negated copy.  The plane operator (d/dalpha + I d/dbeta)/2
 (``plane_dbar``) is one pass as well.  Sum, difference and equality of
@@ -117,26 +116,6 @@ def _int_map(sources, var_count: int, scale: int = 1) -> "CoordPoly":
             if k:
                 _add_scaled(acc.setdefault(key, {}), nums, k * r)
     return CoordPoly._make(sources[0][0].signature, var_count, acc, den * scale)
-
-
-def _product_sum(products) -> "CoordPoly":
-    """sum of sign * left * right over (left, right, sign) in ``products``, in one accumulator.
-
-    ``sign`` is an ``int`` weight.  Left rows are scaled to the common
-    denominator and the weight, so the blade loop of ``_int_product`` does no
-    extra work.
-    """
-    dens = [left.den * right.den for left, right, _ in products]
-    den = lcm(*dens)
-    acc: dict = {}
-    for (left, right, sign), d in zip(products, dens):
-        left._require_compatible(right)
-        k = sign * (den // d)
-        rows = left.rows.items()
-        if k != 1:
-            rows = [(e, {m: n * k for m, n in nums.items()}) for e, nums in rows]
-        _int_product(rows, right.rows.items(), acc)
-    return CoordPoly._make(left.signature, left.var_count, acc, den)
 
 
 class CoordPoly:

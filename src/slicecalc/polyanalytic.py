@@ -7,9 +7,10 @@ F = F_0 + zbar F_1 + ... + zbar^(n-1) F_(n-1), so it takes the stem and
 returns the component stems, read off one change of variables: in z and
 zbar, F = sum z^p zbar^q w_(p,q) with every w in the algebra, so
 F_q = sum_p z^p w_(p,q), and as dbar acts as d/dzbar the order is one more
-than the zbar-degree (``_zbar_form``).  The counterexample suite replays, with exact
-arithmetic, the functions that separate the slice-by-slice notion of
-polyanalyticity from the global (decomposable) one.
+than the zbar-degree (``_zbar_form``).  ``compose`` goes the other way in one
+pass, since zbar^h has real binomial coefficients.  The counterexample suite
+replays, with exact arithmetic, the functions that separate the slice-by-slice
+notion of polyanalyticity from the global (decomposable) one.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .slicefn import (
     extract_stem,
     is_slice,
 )
-from .stem import StemFunction, _holomorphic, _stem_product_sum
+from .stem import StemFunction, _holomorphic
 
 
 @cache
@@ -68,25 +69,32 @@ def _zbar_form(stem: StemFunction) -> list[CoordPoly]:
     return parts[: 1 + max((q for q, part in enumerate(parts) if part.rows), default=0)]
 
 
-# Cached per signature and count (a stem is never mutated): every compose of
-# one length reads the same powers.
-@cache
-def _zbar_powers(signature: AlgebraSignature, count: int) -> tuple[StemFunction, ...]:
-    """zbar^0, ..., zbar^(count-1)."""
-    return tuple(islice(StemFunction.zbar(signature).powers(), count))
-
-
 def compose(parts: Sequence[StemFunction]) -> StemFunction:
-    """The stem of sum_h zbar^h * parts[h], in one pass per component.
+    """The stem of sum_h zbar^h * parts[h], in one pass over the parts' rows.
 
-    Each component is one sum of products over every (zbar^h, parts[h])
-    pair, into one accumulator, so the stem is built once.  It induces the
-    global slice polyanalytic f = sum_h xbar^h f_h, f_h the functions induced
-    by the nonempty ``parts``.  For holomorphic parts with a nonzero top part,
-    ``decompose`` recovers them.
+    zbar^h = sum_j C(h,j) alpha^(h-j) (-i beta)^j has real coefficients, so no
+    algebra product is taken: a row alpha^a beta^b w of F1 (c = 0), or of F2
+    (c = 1, read as i w), in ``parts[h]`` adds C(h,j) (-1)^(j + (j+c)//2) w at
+    (a+h-j, b+j) for each j, into F1 when j + c is even and into F2 when it is
+    odd.  Each component is one accumulator over the lcm of the parts'
+    denominators.  The stem induces the global slice polyanalytic
+    f = sum_h xbar^h f_h, f_h the functions induced by the nonempty ``parts``.
+    For holomorphic parts with a nonzero top part, ``decompose`` recovers them.
     """
-    zbar_h = _zbar_powers(parts[0].signature, len(parts))
-    return _stem_product_sum(list(zip(zbar_h, parts)))
+    den = lcm(*[poly.den for part in parts for poly in (part.f1, part.f2)])
+    acc: tuple[dict, dict] = ({}, {})
+    for h, part in enumerate(parts):
+        for c, poly in enumerate((part.f1, part.f2)):
+            r = den // poly.den
+            moves = [
+                (h - j, j, acc[(j + c) & 1], comb(h, j) * (-1) ** (j + (j + c) // 2) * r)
+                for j in range(h + 1)
+            ]
+            for (a, b), nums in poly.rows.items():
+                for da, db, out, k in moves:
+                    _add_scaled(out.setdefault((a + da, b + db), {}), nums, k)
+    sig = parts[0].signature
+    return StemFunction(*(CoordPoly._make(sig, 2, rows, den) for rows in acc))
 
 
 def decompose(stem: StemFunction, order: int) -> tuple[StemFunction, ...]:

@@ -299,18 +299,15 @@ def is_slice(
 
 
 def taylor_alpha_coefficients(
-    stem: StemFunction,
-    unit: ImaginaryUnit,
-    center: RationalLike,
-    max_order: int,
+    stem: StemFunction, unit: ImaginaryUnit, max_order: int
 ) -> list[AlgebraElement]:
-    """Coefficients (1/h!) d^h F_I / d alpha^h at a real center.
+    """Coefficients (1/h!) d^h F_I / d alpha^h at 0, for h = 0..max_order.
 
     F_I = F1 + I F2 is the stem read on the slice of I.  For holomorphic
-    stems these are the series coefficients of the induced function, and
-    they do not depend on the chosen unit.
+    stems these are the series coefficients at 0 of the induced function,
+    and they do not depend on the chosen unit.
     """
-    point = (Fraction(center), Fraction(0))
+    point = (0, 0)
     derivatives = _iterates(lambda poly: poly.partial(0), stem.plane_poly(unit))
     return [
         d.eval(point) * Fraction(1, factorial(h))

@@ -4,21 +4,17 @@ A stem is a pair (F1, F2) of bivariate polynomials in (alpha, beta) such that
 F1 is even and F2 is odd in beta.  That symmetry is exactly what makes the
 induced function f(alpha + I*beta) = F1 + I*F2 independent of the sign choice
 (I, beta) vs (-I, -beta).  Parity is enforced at construction, and every
-operation below preserves it: sum, product, a sum of products
-(``_stem_product_sum``), the stem of sum_p z^p w_p (``_holomorphic``), right
-scaling and ``dbar``.
+operation below preserves it: sum, the stem of sum_p z^p w_p
+(``_holomorphic``), right scaling and ``dbar``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import chain
 from math import comb
-from typing import Iterator
 
 from .algebra import AlgebraElement, AlgebraSignature, ImaginaryUnit
 from .errors import ParityViolationError, SignatureMismatchError
-from .multipoly import CoordPoly, _int_map, _iterates, _partial_move, _product_sum
+from .multipoly import CoordPoly, _int_map, _partial_move
 
 ALPHA, BETA = 0, 1
 
@@ -27,19 +23,6 @@ def _check_parity(poly: CoordPoly, even: bool, component: str) -> None:
     for exps in poly.rows:
         if (exps[BETA] % 2 == 0) != even:
             raise ParityViolationError(component, exps)
-
-
-def _stem_product_sum(products) -> "StemFunction":
-    """sum of f * g over the pairs (f, g) in ``products``.
-
-    (F1 + iF2)(G1 + iG2) = (F1 G1 - F2 G2) + i (F1 G2 + F2 G1), so each
-    component is one ``_product_sum`` over every pair; coefficient products
-    keep the left operand's coefficients on the left.
-    """
-    return StemFunction(
-        _product_sum([t for f, g in products for t in ((f.f1, g.f1, 1), (f.f2, g.f2, -1))]),
-        _product_sum([t for f, g in products for t in ((f.f1, g.f2, 1), (f.f2, g.f1, 1))]),
-    )
 
 
 def _holomorphic(poly: CoordPoly) -> "StemFunction":
@@ -78,23 +61,6 @@ class StemFunction:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def zero(cls, signature) -> "StemFunction":
-        z = CoordPoly.zero(signature, 2)
-        return cls(z, z)
-
-    @classmethod
-    def constant(cls, signature, value) -> "StemFunction":
-        if isinstance(value, (int, Fraction)):
-            value = AlgebraElement.scalar(signature, value)
-        return cls(
-            CoordPoly.constant(signature, 2, value), CoordPoly.zero(signature, 2)
-        )
-
-    @classmethod
-    def one(cls, signature) -> "StemFunction":
-        return cls.constant(signature, 1)
-
-    @classmethod
     def z(cls, signature) -> "StemFunction":
         """Stem of the identity slice function x (i.e. z = alpha + i beta)."""
         return cls(
@@ -109,11 +75,6 @@ class StemFunction:
             CoordPoly.variable(signature, 2, ALPHA),
             -CoordPoly.variable(signature, 2, BETA),
         )
-
-    def powers(self) -> Iterator["StemFunction"]:
-        """1, self, self^2, ...: from self^2 on, each one product from the last."""
-        one = StemFunction.one(self.signature)
-        return chain((one,), _iterates(lambda out: out * self, self))
 
     # -- structure -------------------------------------------------------------
 
@@ -133,12 +94,6 @@ class StemFunction:
         if not isinstance(other, StemFunction):
             return NotImplemented
         return StemFunction(self.f1 + other.f1, self.f2 + other.f2)
-
-    def __mul__(self, other):
-        """Pointwise product in the algebra tensored with the complex units."""
-        if isinstance(other, StemFunction):
-            return _stem_product_sum(((self, other),))
-        return NotImplemented
 
     def scale_right(self, coeff: AlgebraElement) -> "StemFunction":
         return StemFunction(self.f1.scale_right(coeff), self.f2.scale_right(coeff))

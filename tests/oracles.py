@@ -100,11 +100,30 @@ def point_poly_term_by_term(stem: StemFunction) -> CoordPoly:
     return out
 
 
+def zero_stem(signature: AlgebraSignature) -> StemFunction:
+    zero = CoordPoly.zero(signature, 2)
+    return StemFunction(zero, zero)
+
+
+def constant_stem(signature: AlgebraSignature, value) -> StemFunction:
+    """The stem (value, 0) of a constant slice function."""
+    return StemFunction(CoordPoly.constant(signature, 2, value), CoordPoly.zero(signature, 2))
+
+
+def stem_powers_by_products(stem: StemFunction, count: int) -> list[StemFunction]:
+    """stem^0, ..., stem^(count-1), each one ``stem_product_by_parts`` from the last."""
+    out = [constant_stem(stem.signature, 1)]
+    for _ in range(count - 1):
+        out.append(stem_product_by_parts(out[-1], stem))
+    return out
+
+
 def compose_by_products(parts: Sequence[StemFunction]) -> StemFunction:
     """sum_h zbar^h * parts[h], one stem product and one stem sum per part."""
-    total = StemFunction.zero(parts[0].signature)
-    for part, zbar_h in zip(parts, StemFunction.zbar(parts[0].signature).powers()):
-        total = total + zbar_h * part
+    sig = parts[0].signature
+    total = zero_stem(sig)
+    for part, zbar_h in zip(parts, stem_powers_by_products(StemFunction.zbar(sig), len(parts))):
+        total = total + stem_product_by_parts(zbar_h, part)
     return total
 
 
@@ -120,8 +139,8 @@ def rand_holomorphic_stem_by_products(
     rng: Random, signature: AlgebraSignature, max_degree: int, nonzero: bool
 ) -> StemFunction:
     """The draws of ``sampling.rand_holomorphic_stem``, summed as z^h.scale_right(a_h)."""
-    total = StemFunction.zero(signature)
-    for z_h in islice(StemFunction.z(signature).powers(), max_degree + 1):
+    total = zero_stem(signature)
+    for z_h in stem_powers_by_products(StemFunction.z(signature), max_degree + 1):
         if rng.random() < Fraction(3, 10):
             continue
         total = total + z_h.scale_right(rand_element_by_fractions(rng, signature))
@@ -203,7 +222,7 @@ def sample_stems(sig: AlgebraSignature, label: str) -> list[StemFunction]:
     out = [rand_stem(rng, sig, max_degree=4) for _ in range(3)]
     out += [compose(rand_regular_tuple(rng, sig, 3)) for _ in range(2)]
     zero = CoordPoly.zero(sig, 2)
-    return out + [StemFunction.zero(sig), StemFunction(out[0].f1, zero), StemFunction(zero, out[1].f2)]
+    return out + [zero_stem(sig), StemFunction(out[0].f1, zero), StemFunction(zero, out[1].f2)]
 
 
 def element_to_float(value: AlgebraElement) -> dict[int, float]:

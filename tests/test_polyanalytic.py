@@ -42,14 +42,22 @@ from slicecalc.sampling import (
 from slicecalc.slicefn import PointFunction, SliceFunction, _coord_term_count
 from slicecalc.stem import StemFunction
 
-from oracles import compose_by_products, stem_dbar_by_partials
+from oracles import (
+    compose_by_products,
+    constant_stem,
+    stem_dbar_by_partials,
+    stem_powers_by_products,
+    stem_product_by_parts,
+    zero_stem,
+)
 
 H = QUATERNION
 DOM = default_domain()
 UNITS = sample_units(H, 0, 8)
 I_U, J_U = UNITS[:2]
-Z_POWERS = list(islice(StemFunction.z(H).powers(), 4))
-ZBAR_POWERS = list(islice(StemFunction.zbar(H).powers(), 4))
+Z_POWERS = stem_powers_by_products(StemFunction.z(H), 4)
+ZBAR_POWERS = stem_powers_by_products(StemFunction.zbar(H), 4)
+ONE = constant_stem(H, 1)
 
 
 def slice_of(stem):
@@ -70,16 +78,18 @@ def campaign_verdicts(seed, units):
 def test_poly_order_examples():
     assert poly_order(Z_POWERS[3]) == 1
     assert poly_order(StemFunction.zbar(H)) == 2
-    assert poly_order(StemFunction.z(H) * StemFunction.zbar(H)) == 2
-    assert poly_order(StemFunction.zero(H)) == 1
+    assert poly_order(stem_product_by_parts(StemFunction.z(H), StemFunction.zbar(H))) == 2
+    assert poly_order(zero_stem(H)) == 1
 
 
 def test_decompose_takes_a_bare_stem_and_returns_its_component_stems():
     # zbar^2 z + zbar (3 + z^2): three components, the first zero
-    three = StemFunction.constant(H, 3)
-    stem = ZBAR_POWERS[2] * Z_POWERS[1] + ZBAR_POWERS[1] * (three + Z_POWERS[2])
+    three = constant_stem(H, 3)
+    stem = stem_product_by_parts(ZBAR_POWERS[2], Z_POWERS[1]) + stem_product_by_parts(
+        ZBAR_POWERS[1], three + Z_POWERS[2]
+    )
     parts = decompose(stem, 3)
-    assert parts == (StemFunction.zero(H), three + Z_POWERS[2], Z_POWERS[1])
+    assert parts == (zero_stem(H), three + Z_POWERS[2], Z_POWERS[1])
     assert compose(parts) == stem
 
 
@@ -93,12 +103,12 @@ def test_decompose_conjugate_coordinate():
     parts = decompose(StemFunction.zbar(H), 2)
     assert len(parts) == 2
     assert parts[0].is_zero()
-    assert parts[1] == StemFunction.one(H)
+    assert parts[1] == ONE
     assert compose(parts) == StemFunction.zbar(H)
 
 
 def test_decompose_zbar_times_z():
-    f = StemFunction.zbar(H) * StemFunction.z(H)
+    f = stem_product_by_parts(StemFunction.zbar(H), StemFunction.z(H))
     parts = decompose(f, 2)
     assert parts[0].is_zero()
     assert parts[1] == StemFunction.z(H)
@@ -113,7 +123,7 @@ def test_decompose_requires_the_order():
     assert not err.value.residual.is_zero()
     parts = decompose(f, 3)
     assert len(parts) == 3
-    assert parts[2] == StemFunction.constant(H, 1)
+    assert parts[2] == ONE
 
 
 def test_decompose_trims_padding_orders():
@@ -137,7 +147,7 @@ def test_decompose_takes_no_derivative_within_the_order(monkeypatch):
     f = ZBAR_POWERS[3]
     parts = decompose(f, 4)
     assert calls == []
-    assert list(parts) == [StemFunction.zero(H)] * 3 + [StemFunction.one(H)]
+    assert list(parts) == [zero_stem(H)] * 3 + [ONE]
     assert classify(slice_of(f), 4, [], []).components == parts
     assert calls == []
     with pytest.raises(NotPolyanalyticOfOrderError) as err:
@@ -175,12 +185,24 @@ def regular_tuples(sig):
         for _ in range(3):
             parts = rand_regular_tuple(rng, sig, n)
             yield parts
-            zero = StemFunction.zero(sig)
+            zero = zero_stem(sig)
             yield [zero if h % 2 == 0 and h < n - 1 else p for h, p in enumerate(parts)]
 
 
-@pytest.mark.parametrize("sig", [H, clifford(3)], ids=lambda s: f"{s.kind}{s.m}")
+def stem_tuples(sig):
+    """rand_stem draws of length 1-5: parts with F2 rows and beta powers, not holomorphic."""
+    rng = rng_for(6, f"compose-stems:{sig}")
+    for n in range(1, 6):
+        for _ in range(3):
+            yield [rand_stem(rng, sig, max_degree=3) for _ in range(n)]
+
+
+@pytest.mark.parametrize(
+    "sig", [H, clifford(3), clifford(5)], ids=lambda s: f"{s.kind}{s.m}"
+)
 def test_compose_matches_the_product_chain_and_decompose_inverts_it(sig):
+    for parts in stem_tuples(sig):
+        assert compose(parts) == compose_by_products(parts)
     seen_zero_part = False
     for parts in regular_tuples(sig):
         n = len(parts)
@@ -210,7 +232,7 @@ def test_compose_makes_one_polynomial_per_component(monkeypatch):
         return real(cls, *args)
 
     parts = rand_regular_tuple(rng_for(3, "compose-count"), H, 4)
-    want = compose(parts)  # builds the zbar powers, once per signature and length
+    want = compose(parts)
     monkeypatch.setattr(CoordPoly, "_make", classmethod(counted))
     assert compose(parts) == want
     assert len(calls) == 2
@@ -245,7 +267,7 @@ def test_not_polyanalytic_residual_is_a_stem_or_none():
     with pytest.raises(NotPolyanalyticOfOrderError) as err:
         decompose(ZBAR_POWERS[2], 2)
     assert isinstance(err.value.residual, StemFunction)
-    assert err.value.residual == StemFunction.constant(H, 2)
+    assert err.value.residual == constant_stem(H, 2)
     pf = slice_of(ZBAR_POWERS[2]).to_point_function()
     with pytest.raises(NotPolyanalyticOfOrderError) as err:
         per_slice_decomposition(pf, I_U)
@@ -377,7 +399,7 @@ def test_classify_conjugate_square():
     assert (rep.sbs_polyanalytic_order, rep.is_slice, _global_order(rep)) == (3, True, 3)
     comps = rep.components
     assert comps[0].is_zero() and comps[1].is_zero()
-    assert comps[2] == StemFunction.one(H)
+    assert comps[2] == ONE
 
 
 def test_classify_reports_a_global_order_over_the_bound():
@@ -389,7 +411,7 @@ def test_classify_reports_a_global_order_over_the_bound():
     assert (rep.sbs_polyanalytic_order, rep.is_slice, rep.components) == (None, True, None)
     assert rep.evidence == {"stem_reproduces_input": True, "global_order_exceeds_max": 4}
     rep = classify(pf, 4, units, points)
-    assert rep.components == (StemFunction.zero(H),) * 3 + (StemFunction.one(H),)
+    assert rep.components == (zero_stem(H),) * 3 + (ONE,)
 
 
 @pytest.mark.parametrize(
@@ -399,8 +421,8 @@ def test_the_coordinate_term_count_is_that_of_the_expansion(sig):
     rng = rng_for(sig.imag_dim, "term-count")
     stems = [rand_stem(rng, sig, max_degree=4) for _ in range(12)]
     stems += [compose(rand_regular_tuple(rng, sig, 3)) for _ in range(12)]
-    stems += list(islice(StemFunction.zbar(sig).powers(), 7))
-    for stem in stems + [StemFunction.zero(sig)]:
+    stems += stem_powers_by_products(StemFunction.zbar(sig), 7)
+    for stem in stems + [zero_stem(sig)]:
         expansion = SliceFunction(DOM, stem).to_point_function().expr.numer
         assert _coord_term_count(stem) == len(expansion.rows)
 
@@ -505,7 +527,7 @@ def test_suite_reads_the_classify_verdicts(monkeypatch):
     def order_one_but_global(g, max_order, units, points):
         verdict = classify(g, max_order, units, points)
         verdict.sbs_polyanalytic_order = 1
-        verdict.components = (StemFunction.one(g.signature),) * 2
+        verdict.components = (constant_stem(g.signature, 1),) * 2
         return verdict
 
     monkeypatch.setattr(polyanalytic, "classify", order_one_but_global)
