@@ -289,7 +289,12 @@ class AlgebraElement:
 
 
 class ImaginaryUnit:
-    """A rational point of the imaginary-unit sphere: Re = 0 and I*I = -1."""
+    """A rational point of the imaginary-unit sphere: Re = 0 and I*I = -1.
+
+    On the imaginary span of H and of every Cl(0, m), I*I = -|I|^2, so the
+    product is checked as the integer identity sum(n^2) = den^2 on the
+    stored numerators, with no algebra product.
+    """
 
     __slots__ = ("value",)
 
@@ -298,7 +303,7 @@ class ImaginaryUnit:
         allowed = set(sig.imag_masks)
         if any(mask not in allowed for mask in value.nums):
             raise ValueError("imaginary unit must lie in the imaginary span")
-        if value * value != AlgebraElement.scalar(sig, -1):
+        if sum(n * n for n in value.nums.values()) != value.den**2:
             raise ValueError("imaginary unit must square to -1 exactly")
         self.value = value
 

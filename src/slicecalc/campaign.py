@@ -213,9 +213,13 @@ def slice_global_trials(
     thetabar^n(g) restricted to the slice of I, its numerator once per (unit,
     order) and each denominator factor once per (unit, factor), which every
     function and order shares; its value at z is thetabar^n(g) at
-    alpha + I beta, so no such point is built.  A factor is evaluated at
-    every plane point when it is restricted, and one that vanishes there
-    names the point alpha + I beta.  Both sides are exact rational functions
+    alpha + I beta, so no such point is built.  Each distinct restricted
+    factor is evaluated at every plane point once per call, when it is first
+    met: a factor of x_0 and s = |Im x|^2 restricts to the same polynomial
+    on every slice, so it is read once, while one that depends on the
+    direction is read on each slice where its restriction differs.  A factor
+    that vanishes at a plane point names the point alpha + I beta on the
+    slice where it was met.  Both sides are exact rational functions
     of (alpha, beta), so they are compared once per slice: when they are
     equal, every plane point passes and neither side is evaluated; when they
     differ, both are evaluated at each plane point for its outcome and
@@ -230,6 +234,8 @@ def slice_global_trials(
     points = rand_plane_points(rng, n_points)
     # per unit, its components and each denominator factor restricted to its slice
     slices = [(unit.components(), {}) for unit in units]
+    # restricted factors already read at every plane point without vanishing
+    checked = set()
     top = max(orders)
     for gi, g in enumerate(funcs):
         thetas = list(islice(_iterates(thetabar, g), top + 1))
@@ -240,9 +246,11 @@ def slice_global_trials(
                 for p, _ in theta.den_factors:
                     if p not in factors:
                         q = factors[p] = restrict_poly(p, comps)
-                        for z in points:
-                            if q.eval(z).is_zero():
-                                raise DenominatorVanishesError(phi_coords(unit, *z))
+                        if q not in checked:
+                            for z in points:
+                                if q.eval(z).is_zero():
+                                    raise DenominatorVanishesError(phi_coords(unit, *z))
+                            checked.add(q)
                 lhs_rf = RationalFn._make(
                     restrict_poly(theta.numer, comps),
                     tuple((factors[p], k) for p, k in theta.den_factors),

@@ -216,6 +216,49 @@ def test_imaginary_unit_validation():
         ImaginaryUnit(AlgebraElement.basis(CL3, 0b011))  # bivector, not paravector
 
 
+def _is_unit_by_product(value):
+    """The product rule: in the imaginary span, and value * value == -1 as elements."""
+    sig = value.signature
+    in_span = all(mask in sig.imag_masks for mask in value.nums)
+    return in_span and value * value == AlgebraElement.scalar(sig, -1)
+
+
+def _is_unit(value):
+    try:
+        ImaginaryUnit(value)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("sig", (H, CL3, clifford(5), clifford(8)), ids=lambda s: f"{s.kind}{s.m}")
+def test_imaginary_unit_accepts_what_the_product_rule_accepts(sig, monkeypatch):
+    units = [u.value for u in sample_units(sig, 5, 40)]
+    values = units + [-v for v in units]
+    assert all(_is_unit_by_product(v) for v in values)
+
+    def no_product(self, other):
+        raise AssertionError("the unit check reads the norm off the integer numerators")
+
+    monkeypatch.setattr(AlgebraElement, "__mul__", no_product)
+    assert all(_is_unit(v) for v in values)
+
+
+def test_imaginary_unit_rejects_what_the_product_rule_rejects():
+    e1, e2, e3 = (AlgebraElement.basis(CL3, 1 << t) for t in range(3))
+    near_units = [
+        I * Fraction(3, 5) + J * Fraction(3, 5),
+        I * 2,
+        ONE + I,
+        AlgebraElement.zero(H),
+        e1 * Fraction(3, 5) + e2 * Fraction(4, 5) + e3,
+        e1 * e2,  # refused by the span check
+    ]
+    for value in near_units:
+        assert not _is_unit_by_product(value)
+        assert not _is_unit(value)
+
+
 def test_quaternions_agree_with_two_generator_clifford():
     # i -> e1, j -> e2, k -> e1 e2 is an algebra isomorphism; on the blade
     # encoding the coefficient masks coincide, so transport is the identity.
