@@ -232,27 +232,27 @@ def slice_global_trials(
     funcs += [rand_rational_point_function(rng, sig) for _ in range(n_rational)]
     units = sample_units(sig, seed, n_units)
     points = rand_plane_points(rng, n_points)
-    # per unit, its components and each denominator factor restricted to its slice
-    slices = [(unit.components(), {}) for unit in units]
+    # per unit, each denominator factor restricted to its slice
+    slices = [{} for _ in units]
     # restricted factors already read at every plane point without vanishing
     checked = set()
     top = max(orders)
     for gi, g in enumerate(funcs):
         thetas = list(islice(_iterates(thetabar, g), top + 1))
-        for ui, (unit, (comps, factors)) in enumerate(zip(units, slices)):
+        for ui, (unit, factors) in enumerate(zip(units, slices)):
             planes = restrict_to_slice(g, unit).dbar_chain(top)
             for n in sorted(set(orders)):
                 theta = thetas[n].expr
                 for p, _ in theta.den_factors:
                     if p not in factors:
-                        q = factors[p] = restrict_poly(p, comps)
+                        q = factors[p] = restrict_poly(p, unit.value)
                         if q not in checked:
                             for z in points:
                                 if q.eval(z).is_zero():
                                     raise DenominatorVanishesError(phi_coords(unit, *z))
                             checked.add(q)
                 lhs_rf = RationalFn._make(
-                    restrict_poly(theta.numer, comps),
+                    restrict_poly(theta.numer, unit.value),
                     tuple((factors[p], k) for p, k in theta.den_factors),
                 )
                 rhs_rf = planes[n].rf

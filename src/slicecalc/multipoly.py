@@ -14,16 +14,17 @@ over one positive denominator in lowest terms; ``terms`` gives the coefficients
 as ``AlgebraElement``s.  The product goes through the integer core of the
 algebra product, and so does scaling by an algebra element, as the one row
 keyed by the empty monomial ``()``.  Sums, differences, negation, scaling by
-a rational, partial derivatives, the radial operator, slice restriction and
-each component of the stem operator dF/dz-bar are linear maps on the terms:
-each makes one pass over the integer rows of its inputs,
-with one ``int`` factor per term (``_int_map``); a sign is such a factor, so a
-difference builds no negated copy.  The plane operator (d/dalpha + I d/dbeta)/2
-(``plane_dbar``) is one pass as well.  Sum, difference and equality of
-rational functions share one step that puts both numerators over the shared
-factors, each at the larger of its two exponents, and multiplies a numerator
-only by a cofactor that is not 1; equality then compares the two canonical
-numerators, so it builds no polynomial when the factors already agree.
+a rational, partial derivatives, the radial operator and each component of
+the stem operator dF/dz-bar are linear maps, each one pass over the integer
+rows of its inputs with one ``int`` factor per term (``_int_map``); a sign is
+such a factor, so a difference builds no negated copy.  The plane operator
+(d/dalpha + I d/dbeta)/2 (``plane_dbar``) and slice restriction, on the
+direction's own integer numerators (``restrict_poly``), are one pass each.
+Sum, difference and equality of rational functions share one step that puts
+both numerators over the shared factors, each at the larger of its two
+exponents, and multiplies a numerator only by a cofactor that is not 1;
+equality then compares the two canonical numerators, so it builds no
+polynomial when the factors already agree.
 
 Point evaluation is one integer pass at one point (``_eval_int``): the point
 is put over a common denominator d, every term is homogenized to the total
@@ -385,32 +386,30 @@ def coord_s(signature: AlgebraSignature) -> CoordPoly:
     return CoordPoly._make(signature, n, rows, 1)
 
 
-def restrict_poly(poly: CoordPoly, components: Sequence[Fraction]) -> CoordPoly:
-    """Substitute x_0 <- alpha and x_h <- components[h-1] * beta.
+def restrict_poly(poly: CoordPoly, direction: AlgebraElement) -> CoordPoly:
+    """Substitute x_0 <- alpha and x_h <- d_h beta, d_h the components of ``direction``.
 
-    Returns a two-variable polynomial in (alpha, beta); the substitution scalars
-    are the components of an imaginary unit, so this is the slice restriction.
+    For an imaginary unit's value this is the slice restriction, in (alpha, beta).
+    The stored numerators a_h are over u = ``direction.den``, their least common
+    denominator; every term is homogenized to u^top, top the largest beta degree,
+    as in ``CoordPoly.eval``, so the terms add up in one integer pass.
     """
-    if len(components) != poly.var_count - 1:
-        raise ArityMismatchError(
-            f"expected {poly.var_count - 1} components, got {len(components)}"
-        )
-    # components a_h / u over one common denominator u; every term is
-    # homogenized to u^top, top the largest beta degree, as in CoordPoly.eval
-    nums, u = _over_common_den(components)
+    sig = poly.signature
+    if direction.signature != sig:
+        raise SignatureMismatchError("slice direction signature mismatch")
+    masks = sig.imag_masks
+    if direction.nums.keys() - masks:
+        raise ValueError("slice direction must lie in the imaginary span")
+    nums = [direction.nums.get(m, 0) for m in masks]
     top = max((sum(e) - e[0] for e in poly.rows), default=0)
-    u_pows = [u**k for k in range(top + 1)]
-
-    def move(e: Exponents):
-        beta_deg = 0
-        k = 1
-        for a, j in zip(nums, e[1:]):
-            if j:
-                k *= a**j
-                beta_deg += j
-        return (e[0], beta_deg), k * u_pows[top - beta_deg]
-
-    return _int_map(((poly, move),), 2, u_pows[top])
+    u_pows = [direction.den**k for k in range(top + 1)]
+    acc: dict = {}
+    for e, row in poly.rows.items():
+        deg = sum(e) - e[0]
+        k = prod(map(pow, nums, e[1:]), start=u_pows[top - deg])
+        if k:
+            _add_scaled(acc.setdefault((e[0], deg), {}), row, k)
+    return CoordPoly._make(sig, 2, acc, poly.den * u_pows[top])
 
 
 # -- exact division by a known factor ---------------------------------------------
@@ -702,20 +701,18 @@ def _cancel(rf: RationalFn) -> RationalFn:
     return RationalFn._make(numer, tuple(factors))
 
 
-def restrict_rf(rf: RationalFn, components: Sequence[Fraction]) -> RationalFn:
-    """Slice restriction of a rational function; see restrict_poly.
+def restrict_rf(rf: RationalFn, direction: AlgebraElement) -> RationalFn:
+    """Slice restriction of a rational function along ``direction``; see restrict_poly.
 
-    Raises ZeroDenominatorError if a denominator factor collapses to the zero
-    polynomial under the substitution.
+    Raises ZeroDenominatorError if a denominator factor restricts to zero.
     """
-    numer = restrict_poly(rf.numer, components)
-    factors = []
-    for p, k in rf.den_factors:
-        q = restrict_poly(p, components)
-        if q.is_zero():
-            comps = ", ".join(str(c) for c in components)
-            raise ZeroDenominatorError(
-                f"denominator vanishes identically on the slice of the unit ({comps})"
-            )
-        factors.append((q, k))
+    numer = restrict_poly(rf.numer, direction)
+    factors = [(restrict_poly(p, direction), k) for p, k in rf.den_factors]
+    if not factors:
+        return RationalFn.from_poly(numer)
+    if any(q.is_zero() for q, _ in factors):
+        comps = ", ".join(str(direction.coeff(m)) for m in direction.signature.imag_masks)
+        raise ZeroDenominatorError(
+            f"denominator vanishes identically on the slice of the unit ({comps})"
+        )
     return RationalFn(numer, factors)

@@ -11,6 +11,7 @@ identities the verification campaigns check.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import islice
 
 from .algebra import AlgebraSignature, ImaginaryUnit
@@ -66,7 +67,7 @@ def plane_x(signature: AlgebraSignature, unit: ImaginaryUnit) -> CoordPoly:
 
 def restrict_to_slice(g: PointFunction, unit: ImaginaryUnit) -> SlicePlanePoly:
     """Exact substitution x_0 <- alpha, x_h <- i_h * beta."""
-    return SlicePlanePoly(restrict_rf(g.expr, unit.components()), unit)
+    return SlicePlanePoly(restrict_rf(g.expr, unit.value), unit)
 
 
 def restrict_slice_function(stem: StemFunction, unit: ImaginaryUnit) -> SlicePlanePoly:
@@ -81,10 +82,15 @@ def dbar_slice(g: PointFunction, unit: ImaginaryUnit, order: int) -> SlicePlaneP
     return _apply_n(SlicePlanePoly.dbar, restrict_to_slice(g, unit), order)
 
 
+@cache
+def _im_over_s(signature: AlgebraSignature) -> RationalFn:
+    """Im(x) / |Im(x)|^2, cached per signature like coord_im (a RationalFn is never mutated)."""
+    return RationalFn(coord_im(signature), ((coord_s(signature), 1),))
+
+
 def _thetabar_once(rf: RationalFn) -> RationalFn:
-    sig = rf.signature
-    im_over_s = RationalFn(coord_im(sig), ((coord_s(sig), 1),))
-    return _cancel((rf.partial(0) + im_over_s * rf.derive(CoordPoly.radial)) * Fraction(1, 2))
+    radial = _im_over_s(rf.signature) * rf.derive(CoordPoly.radial)
+    return _cancel((rf.partial(0) + radial) * Fraction(1, 2))
 
 
 def thetabar(g: PointFunction, order: int = 1) -> PointFunction:

@@ -218,9 +218,8 @@ def extract_stem(
     in (alpha, beta).  If g is a slice function the result is independent of I;
     in general it is an I-dependent candidate.
     """
-    comps = unit.components()
-    plus = restrict_rf(g.expr, comps)
-    minus = restrict_rf(g.expr, tuple(-c for c in comps))
+    plus = restrict_rf(g.expr, unit.value)
+    minus = restrict_rf(g.expr, -unit.value)
     half = Fraction(1, 2)
     f1 = (plus + minus) * half
     f2 = (plus - minus).mul_poly_left(CoordPoly.constant(g.signature, 2, unit.value * -half))

@@ -437,7 +437,7 @@ def test_slice_global_trials_compare_each_slice_once_and_evaluate_only_its_facto
     n_units, n_points, orders = 3, 4, (1, 2, 3)
     drawn = []
     thetas = []
-    restrictions = []  # (polynomial, components, restriction), the polynomials held
+    restrictions = []  # (polynomial, direction, restriction), the polynomials held
     evaluations = []  # (polynomial, point)
     draw_points = slicecalc.campaign.rand_plane_points
     thetabar_op = slicecalc.campaign.thetabar
@@ -452,8 +452,8 @@ def test_slice_global_trials_compare_each_slice_once_and_evaluate_only_its_facto
         thetas.append(thetabar_op(g, order).expr)
         return PointFunction(g.domain, thetas[-1])
 
-    def recorded_restrict(poly, components):
-        restrictions.append((poly, tuple(components), restrict(poly, components)))
+    def recorded_restrict(poly, direction):
+        restrictions.append((poly, direction, restrict(poly, direction)))
         return restrictions[-1][2]
 
     def recorded_eval(self, coords, d):
@@ -475,7 +475,7 @@ def test_slice_global_trials_compare_each_slice_once_and_evaluate_only_its_facto
     [plane] = drawn
     # each numerator is restricted once per (unit, order), each factor once per
     # (unit, factor), however many functions and orders share it
-    units = [u.components() for u in sample_units(sig, 6, n_units)]
+    units = [u.value for u in sample_units(sig, 6, n_units)]
     numerators = [theta.numer for theta in thetas]
     factors = list({p: None for theta in thetas for p, _ in theta.den_factors})
     assert len(numerators) == 4 * len(orders) and factors
@@ -637,22 +637,26 @@ def test_radial_matches_the_fraction_reference(pair):
 
 @st.composite
 def restrictions(draw):
-    sig = draw(st.sampled_from(SIGNATURES))
+    """A polynomial and a slice direction: I, -I or 2I for a unit I, or any imaginary element."""
+    sig = draw(st.sampled_from((H, CL3, CL5)))
     p = draw(polys(sig, sig.coord_count))
     n = sig.imag_dim
     if draw(st.booleans()):
         # drawn by index: st.sampled_from hashes its elements, and units have no hash
         units = sample_units(sig, draw(st.integers(0, 3)), n + 3)
-        return p, units[draw(st.integers(0, len(units) - 1))].components()
+        unit = units[draw(st.integers(0, len(units) - 1))]
+        return p, unit.value * draw(st.sampled_from((1, -1, 2)))
     comps = st.one_of(fracs, st.just(Fraction(0)), st.integers(min_value=-3, max_value=3))
-    return p, draw(st.lists(comps, min_size=n, max_size=n))
+    drawn = draw(st.lists(comps, min_size=n, max_size=n))
+    return p, AlgebraElement(sig, dict(zip(sig.imag_masks, drawn)))
 
 
 @settings(max_examples=100, deadline=None)
 @given(restrictions())
 def test_restrict_poly_matches_the_fraction_reference(case):
-    p, components = case
-    assert_canonical_poly(restrict_poly(p, components), ref_restrict(p, components))
+    p, direction = case
+    components = [direction.coeff(m) for m in p.signature.imag_masks]
+    assert_canonical_poly(restrict_poly(p, direction), ref_restrict(p, components))
 
 
 # -- sums, conjugation and norms ---------------------------------------------------
@@ -1019,7 +1023,7 @@ def test_slice_global_trials_read_a_direction_dependent_factor_on_each_slice(
 
     monkeypatch.setattr(slicecalc.campaign, "rand_rational_point_function", vanishing)
     sizes = dict(n_funcs=1, n_units=2, n_points=36, orders=(1, 2), n_rational=1)
-    first, second = (u.components() for u in sample_units(sig, 5, 2))
+    first, second = (u.value for u in sample_units(sig, 5, 2))
     assert restrict_poly(factor, first) == CoordPoly.constant(sig, 2, -c)
     assert restrict_poly(factor, second) != restrict_poly(factor, first)
     with pytest.raises(DenominatorVanishesError) as info:
@@ -1059,12 +1063,12 @@ def _doubled(op):
     return lambda g, *args: PointFunction(g.domain, op(g, *args).expr * 2)
 
 
-def _components_doubled(restrict):
-    """``restrict_poly`` at twice the unit's components.
+def _direction_doubled(restrict):
+    """``restrict_poly`` along twice the slice direction.
 
     The global side restricted with it is thetabar^n g at alpha + 2 I beta.
     """
-    return lambda poly, components: restrict(poly, [c * 2 for c in components])
+    return lambda poly, direction: restrict(poly, direction * 2)
 
 
 def _at_alpha_plus_one(stem):
@@ -1087,7 +1091,7 @@ def _at_alpha_plus_one(stem):
 FORCED_FAILURES = {
     "slice-global": (
         "restrict_poly",
-        _components_doubled,
+        _direction_doubled,
         lambda sig: slice_global_trials(
             sig, 5, n_funcs=1, n_units=2, n_points=3, n_rational=1
         ),
@@ -1206,7 +1210,7 @@ P_OVER_Q = "[+-]?[0-9]+/[0-9]+"
 # point has alpha = 0.
 AT_ALPHA_ZERO = {
     "slice-global": (
-        _components_doubled,
+        _direction_doubled,
         lambda sig: slice_global_trials(sig, 26, n_funcs=1, n_units=2, n_points=3, n_rational=1),
     ),
     "representation": (

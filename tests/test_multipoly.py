@@ -4,10 +4,11 @@ from random import Random
 
 import pytest
 
-from slicecalc.algebra import QUATERNION, AlgebraElement, sample_units
+from slicecalc.algebra import QUATERNION, AlgebraElement, clifford, sample_units
 from slicecalc.errors import (
     ArityMismatchError,
     DenominatorVanishesError,
+    SignatureMismatchError,
     ZeroDenominatorError,
 )
 from slicecalc.multipoly import (
@@ -216,7 +217,7 @@ def test_restrict_poly_substitution():
     unit = sample_units(H, 0, 5)[4]
     comps = unit.components()
     x = coord_x(H)
-    restricted = restrict_poly(x, comps)
+    restricted = restrict_poly(x, unit.value)
     expect = CoordPoly(H, 2, {(1, 0): ONE, (0, 1): unit.value})
     assert restricted == expect
     # evaluating the restriction equals evaluating at the substituted point
@@ -226,14 +227,36 @@ def test_restrict_poly_substitution():
         alpha = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
         beta = Fraction(rng.randint(1, 5), rng.randint(1, 3))
         coords = [alpha] + [c * beta for c in comps]
-        assert restrict_poly(p, comps).eval((alpha, beta)) == p.eval(coords)
+        assert restrict_poly(p, unit.value).eval((alpha, beta)) == p.eval(coords)
 
 
 def test_restrict_rf_zero_denominator_on_slice():
     unit = sample_units(H, 0, 2)[1]  # j: first component 0
     f = RationalFn(CoordPoly.constant(H, 4, 1), ((CoordPoly.variable(H, 4, 1), 1),))
     with pytest.raises(ZeroDenominatorError):
-        restrict_rf(f, unit.components())
+        restrict_rf(f, unit.value)
+
+
+def test_restrict_rejects_a_direction_of_another_signature():
+    x = coord_x(H)
+    e1 = AlgebraElement.basis(clifford(3), 1)
+    with pytest.raises(SignatureMismatchError):
+        restrict_poly(x, e1)
+    with pytest.raises(SignatureMismatchError):
+        restrict_rf(RationalFn.from_poly(x), e1)
+
+
+@pytest.mark.parametrize(
+    "sig, mask", [(H, 0), (clifford(3), 0), (clifford(3), 3), (clifford(3), 7)]
+)
+def test_restrict_rejects_a_direction_outside_the_imaginary_span(sig, mask):
+    # the real blade, and in Cl(0,3) the bivector e12 and the trivector e123
+    x = coord_x(sig)
+    direction = AlgebraElement.basis(sig, sig.imag_masks[0]) + AlgebraElement.basis(sig, mask)
+    with pytest.raises(ValueError, match="imaginary span"):
+        restrict_poly(x, direction)
+    with pytest.raises(ValueError, match="imaginary span"):
+        restrict_rf(RationalFn.from_poly(x), direction)
 
 
 def test_conjugate_coordinate_polys():

@@ -223,9 +223,9 @@ def test_leibniz_restricts_each_function_once_per_unit(monkeypatch):
     calls = []
     real = operators.restrict_rf
 
-    def counted(rf, components):
-        calls.append(components)
-        return real(rf, components)
+    def counted(rf, direction):
+        calls.append(direction)
+        return real(rf, direction)
 
     monkeypatch.setattr(operators, "restrict_rf", counted)
     trials, failures, witness = leibniz_trials(H, 3, n_funcs=1, n_units=2)
