@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from math import gcd, lcm
 from operator import add
 from random import Random
@@ -62,7 +62,9 @@ class AlgebraSignature:
         """Coordinates x_0..x_n of a paravector (or of a full quaternion)."""
         return self.imag_dim + 1
 
-    @property
+    # computed once per instance into its __dict__, which __setattr__ does not
+    # guard; equality and hashing stay on the fields
+    @cached_property
     def imag_masks(self) -> tuple[int, ...]:
         """Blade masks spanning the imaginary-unit sphere, in coordinate order."""
         if self.kind == "quaternion":

@@ -14,11 +14,12 @@ over one positive denominator in lowest terms; ``terms`` gives the coefficients
 as ``AlgebraElement``s.  The product goes through the integer core of the
 algebra product, and so does scaling by an algebra element, as the one row
 keyed by the empty monomial ``()``.  Sums, differences, negation, scaling by
-a rational, partial derivatives, the radial operator and each component of
-the stem operator dF/dz-bar are linear maps, each one pass over the integer
-rows of its inputs with one ``int`` factor per term (``_int_map``); a sign is
-such a factor, so a difference builds no negated copy.  The plane operator
-(d/dalpha + I d/dbeta)/2 (``plane_dbar``) and slice restriction, on the
+a rational, partial derivatives and each component of the stem operator
+dF/dz-bar are linear maps, each one pass over the integer rows of its inputs
+with one ``int`` factor per term (``_int_map``); a sign is such a factor, so a
+difference builds no negated copy.  The plane operator (d/dalpha + I
+d/dbeta)/2 (``plane_dbar``), the operator G = s d/dx_0 + Im(x) sum_h x_h
+d/dx_h with a radial shift (``g_op``) and slice restriction, on the
 direction's own integer numerators (``restrict_poly``), are one pass each.
 Sum, difference and equality of rational functions share one step that puts
 both numerators over the shared factors, each at the larger of its two
@@ -41,7 +42,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from heapq import heapify, heappop, heappush
-from itertools import chain, islice
+from itertools import chain, combinations, islice
 from math import gcd, lcm, prod
 from operator import add, sub
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -298,9 +299,25 @@ class CoordPoly:
         _int_product((((), unit.nums),), beta_rows, acc)
         return CoordPoly._make(self.signature, 2, acc, self.den * unit.den * 2)
 
-    def radial(self) -> "CoordPoly":
-        """sum_h x_h d/dx_h over x_1..x_n: each term times its degree in those variables."""
-        return _int_map(((self, lambda e: (e, sum(e) - e[0])),), self.var_count)
+    def g_op(self, shift: int = 0) -> "CoordPoly":
+        """s d/dx_0 + Im(x) (R - shift) in one pass, R = sum_h x_h d/dx_h over x_1..x_n.
+
+        With shift 0 this is G = |Im x|^2 d/dx_0 + Im(x) R, Im(x) on the left.
+        R s^k = 2k s^k and d/dx_0 s = 0, so G(N / s^k) = N.g_op(2k) / s^k.  One
+        loop collects the d/dx_0 rows and the rows times (x'-degree - shift),
+        and two products add them times s and Im(x) into one accumulator.
+        """
+        sig = self.signature
+        d0_rows, radial_rows = [], []
+        for e, nums in self.rows.items():
+            if e[0]:
+                d0_rows.append(((e[0] - 1, *e[1:]), {m: n * e[0] for m, n in nums.items()}))
+            k = sum(e) - e[0] - shift
+            if k:
+                radial_rows.append((e, {m: n * k for m, n in nums.items()}))
+        acc = _int_product(coord_s(sig).rows.items(), d0_rows)
+        _int_product(coord_im(sig).rows.items(), radial_rows, acc)
+        return CoordPoly._make(sig, self.var_count, acc, self.den)
 
     def eval(self, point: Sequence[RationalLike]) -> AlgebraElement:
         """The value at ``point``, added up in integers over one denominator."""
@@ -608,19 +625,26 @@ class RationalFn:
     # -- calculus --------------------------------------------------------------------
 
     def derive(self, d) -> "RationalFn":
-        """The image under a derivation ``d``, by the quotient rule.
+        """The image under a derivation ``d``, by the quotient rule; see ``_quotient_rule``."""
+        return self._quotient_rule(d(self.numer), d)
+
+    def _quotient_rule(self, numer: CoordPoly, d, kept: "CoordPoly | None" = None) -> "RationalFn":
+        """The quotient rule of a derivation ``d``, given ``numer``, the image of the numerator.
 
         ``d`` obeys d(QN) = d(Q) N + Q d(N) for real-scalar Q; d(F) of a real factor
         F may have algebra coefficients (the plane operator's does), so it multiplies
         N from the left.  With R the product of the factors raised so far, a
         factor F^k that divides its derivative, dF = qF, keeps its exponent and
         adds -k q N R to the numerator, q on the left like dF; any other goes up
-        to F^(k+1): numer <- numer F - k dF N R.
+        to F^(k+1): numer <- numer F - k dF N R.  The factor ``kept`` keeps its
+        exponent and adds nothing, for a ``numer`` that holds its share already.
         """
-        numer = d(self.numer)
         raised = None
         factors = []
         for p, k in self.den_factors:
+            if p == kept:
+                factors.append((p, k))
+                continue
             dp = d(p)
             q = _divide_exact(dp, p)
             if q is None:
@@ -684,17 +708,45 @@ class RationalFn:
         return f"RationalFn({self.numer!r} / {self.den_factors!r})"
 
 
+def _off_a_zero_of_s(numer: CoordPoly) -> bool:
+    """True if ``numer`` is not zero on all the complex zeros x_a = t, x_b = i t of s.
+
+    s = sum_h x_h^2 vanishes there (a < b in x_1..x_n, every other x_h = 0, x_0
+    free), and so does any multiple of s: True means s does not divide
+    ``numer``.  Each pair keeps the terms in x_0, x_a, x_b alone, as
+    Gaussian-integer rows keyed by (x_0-degree, t-degree), i^j giving a part
+    (real or imaginary) and a sign.  A term in x_0 alone survives every pair.
+    """
+    rows = [(e, nums, sum(e) - e[0]) for e, nums in numer.rows.items()]
+    if not all(deg for _, _, deg in rows):
+        return True
+    for a, b in combinations(range(1, numer.var_count), 2):
+        acc: dict = {}
+        for e, nums, deg in rows:
+            j = e[b]
+            if e[a] + j == deg:
+                _add_scaled(acc.setdefault((e[0], deg, j & 1), {}), nums, -1 if j & 2 else 1)
+        if any(any(row.values()) for row in acc.values()):
+            return True
+    return False
+
+
 def _cancel(rf: RationalFn) -> RationalFn:
     """``rf`` with each denominator factor divided out of the numerator while it divides.
 
     Each exact division lowers that factor's exponent by one; a factor that
     reaches exponent 0 is dropped.  The candidates are the factors ``rf``
-    already has, so no gcd is needed.
+    already has, so no gcd is needed.  Before each trial division by s,
+    ``_off_a_zero_of_s`` may refute it without building a remainder.
     """
     numer = rf.numer
+    s = coord_s(rf.signature)
     factors = []
     for p, k in rf.den_factors:
-        while k and (q := _divide_exact(numer, p)) is not None:
+        while k and not (p == s and _off_a_zero_of_s(numer)):
+            q = _divide_exact(numer, p)
+            if q is None:
+                break
             numer, k = q, k - 1
         if k:
             factors.append((p, k))

@@ -2,16 +2,17 @@
 
 Two computation paths exist on purpose.  The slice-wise path restricts a
 function to one slice plane and applies (d/da + I d/db)/2 there; the global
-path applies the coordinate operators thetabar and the related first-order
-operator G symbolically on the rational-function class, which is closed under
-the quotient rule.  Their coincidence slice-by-slice is one of the nontrivial
-identities the verification campaigns check.
+path applies the first-order operator G = s d/dx_0 + Im(x) sum_h x_h d/dx_h,
+s = |Im x|^2, and thetabar = G / (2s) symbolically on the rational-function
+class, which is closed under the quotient rule.  G takes each numerator in one
+pass and reads a denominator power s^k as a shift of its radial part, so s
+costs no product of its own.  The coincidence of the two paths slice by slice
+is one of the nontrivial identities the verification campaigns check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from itertools import islice
 
 from .algebra import AlgebraSignature, ImaginaryUnit
@@ -21,7 +22,6 @@ from .multipoly import (
     _apply_n,
     _cancel,
     _iterates,
-    coord_im,
     coord_s,
     restrict_rf,
 )
@@ -82,26 +82,31 @@ def dbar_slice(g: PointFunction, unit: ImaginaryUnit, order: int) -> SlicePlaneP
     return _apply_n(SlicePlanePoly.dbar, restrict_to_slice(g, unit), order)
 
 
-@cache
-def _im_over_s(signature: AlgebraSignature) -> RationalFn:
-    """Im(x) / |Im(x)|^2, cached per signature like coord_im (a RationalFn is never mutated)."""
-    return RationalFn(coord_im(signature), ((coord_s(signature), 1),))
+def _g(rf: RationalFn) -> RationalFn:
+    """G(rf) by the quotient rule, a power s^k of the denominator read as the shift 2k."""
+    s = coord_s(rf.signature)
+    k = dict(rf.den_factors).get(s, 0)
+    return rf._quotient_rule(rf.numer.g_op(2 * k), CoordPoly.g_op, kept=s)
 
 
 def _thetabar_once(rf: RationalFn) -> RationalFn:
-    radial = _im_over_s(rf.signature) * rf.derive(CoordPoly.radial)
-    return _cancel((rf.partial(0) + radial) * Fraction(1, 2))
+    g = _g(rf)
+    s = coord_s(rf.signature)
+    factors = dict(g.den_factors)
+    factors[s] = factors.get(s, 0) + 1
+    return _cancel(RationalFn._make(g.numer * Fraction(1, 2), tuple(factors.items())))
 
 
 def thetabar(g: PointFunction, order: int = 1) -> PointFunction:
     """The global slice Cauchy-Riemann operator, iterated ``order`` times.
 
     thetabar(g) = (dg/dx_0 + Im(x)/|Im(x)|^2 * sum_h x_h dg/dx_h) / 2, with the
-    Im(x) factor multiplying from the left.  The result lives off the real
-    axis.  Each step is stored in reduced form over the known factors: the
-    quotient rule adds at most one power of s = sum_h x_h^2 and raises by one
-    every other factor not homogeneous in x_1..x_n, and then every factor is
-    divided out of the numerator as often as it divides exactly.
+    Im(x) factor multiplying from the left, so thetabar = G / (2s) with G as in
+    ``g_op``.  The result lives off the real axis.  Each step is stored in
+    reduced form over the known factors: G keeps a power of s and raises by
+    one every other factor not homogeneous in x_1..x_n, dividing by 2s adds
+    one power of s, and then every factor is divided out of the numerator as
+    often as it divides exactly.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -109,12 +114,11 @@ def thetabar(g: PointFunction, order: int = 1) -> PointFunction:
 
 
 def g_op(g: PointFunction) -> PointFunction:
-    """The first-order companion operator |Im(x)|^2 d/dx_0 + Im(x) sum x_h d/dx_h.
+    """The first-order companion operator G = |Im(x)|^2 d/dx_0 + Im(x) sum x_h d/dx_h.
 
-    It adds no denominator to a polynomial or to N/s^k, so it is defined on the
-    whole domain; it agrees with 2 s * thetabar(g) off the real axis.
+    One pass per numerator (``CoordPoly.g_op``): G(N / s^k) = N.g_op(2k) / s^k,
+    and any other factor goes through the quotient rule.  It adds no
+    denominator to a polynomial or to N/s^k, so it is defined on the whole
+    domain; it agrees with 2 s * thetabar(g) off the real axis.
     """
-    sig, rf = g.signature, g.expr
-    out = rf.partial(0).mul_poly_left(coord_s(sig))
-    out = out + rf.derive(CoordPoly.radial).mul_poly_left(coord_im(sig))
-    return PointFunction(g.domain, out)
+    return PointFunction(g.domain, _g(g.expr))

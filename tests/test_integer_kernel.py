@@ -3,7 +3,7 @@
 ``AlgebraElement`` and ``CoordPoly`` store integer numerators over one
 denominator, so ``+``, binary and unary ``-`` and ``*`` on both,
 ``CoordPoly.eval``, ``RationalFn.eval``, scalar scaling,
-``scale_left``/``scale_right``, ``CoordPoly.partial``, ``CoordPoly.radial``, ``restrict_poly``, the
+``scale_left``/``scale_right``, ``CoordPoly.partial``, ``CoordPoly.g_op``, ``restrict_poly``, the
 content split of ``RationalFn(numer, factors)`` and ``RationalFn.__add__`` all
 add up integers.  The references below are the straightforward loops over
 ``Fraction`` coefficients, with their own blade sign rule.  Results must also
@@ -552,12 +552,20 @@ def ref_partial(p, index):
     return ref_poly_from(p, p.var_count, pairs)
 
 
-def ref_radial(p):
+def ref_g_op(p, shift):
+    """s d/dx_0 + Im(x) (sum_h x_h d/dx_h - shift), one product term by term."""
+    sig = p.signature
     pairs = []
     for e, a in p.terms.items():
-        k = sum(e[1:])
-        if k:
-            pairs.append((e, AlgebraElement(p.signature, {m: c * k for m, c in a.coeffs.items()})))
+        k = sum(e[1:]) - shift
+        for h, mask in enumerate(sig.imag_masks, start=1):
+            if e[0]:
+                key = tuple(x - (j == 0) + 2 * (j == h) for j, x in enumerate(e))
+                pairs.append((key, AlgebraElement(sig, {m: c * e[0] for m, c in a.coeffs.items()})))
+            if k:
+                im_a = ref_element_mul(AlgebraElement.basis(sig, mask), a)
+                key = tuple(x + (j == h) for j, x in enumerate(e))
+                pairs.append((key, AlgebraElement(sig, {m: c * k for m, c in im_a.coeffs.items()})))
     return ref_poly_from(p, p.var_count, pairs)
 
 
@@ -629,10 +637,12 @@ def test_partial_matches_the_fraction_reference_on_every_index(pair):
 
 
 @settings(max_examples=80, deadline=None)
-@given(poly_pairs())
-def test_radial_matches_the_fraction_reference(pair):
-    p, _ = pair
-    assert_canonical_poly(p.radial(), ref_radial(p))
+@given(poly_points(), st.integers(min_value=1, max_value=3))
+def test_g_op_matches_the_fraction_reference(case, k):
+    # shift 0 is G itself, shift 2k its numerator over s^k
+    p, _ = case
+    for shift in (0, 2 * k):
+        assert_canonical_poly(p.g_op(shift), ref_g_op(p, shift))
 
 
 @st.composite

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from slicecalc import campaign, operators
+from slicecalc import campaign, multipoly, operators
 from slicecalc.algebra import QUATERNION, AlgebraElement, clifford, sample_units
 from slicecalc.campaign import (
     g_relation_trials,
@@ -10,7 +10,7 @@ from slicecalc.campaign import (
     slice_derivative_trials,
     slice_global_trials,
 )
-from slicecalc.multipoly import CoordPoly, RationalFn, coord_s
+from slicecalc.multipoly import CoordPoly, RationalFn, _cancel, coord_im, coord_s
 from slicecalc.named import (
     conjugate_coordinate,
     coordinate_function,
@@ -327,11 +327,16 @@ def test_thetabar_of_an_induced_function_is_the_induced_slice_derivative(sig):
             want = SliceFunction(DOM, stem).derivative(n).to_point_function().expr
             assert got.den_factors == ()
             assert (got.numer.rows, got.numer.den) == (want.numer.rows, want.numer.den)
-@pytest.mark.parametrize("sig", [H, clifford(3)], ids=["H", "Cl3"])
+
+
+@pytest.mark.parametrize("sig", [H, clifford(3), clifford(5)], ids=["H", "Cl3", "Cl5"])
 def test_radial_rule_matches_the_sum_of_partials(sig):
+    # G reads s^k as the shift R s^k = 2k s^k: its stored form is that of
+    # s d/dx_0 + Im(x) sum_h x_h d/dx_h, one quotient-rule partial per variable,
+    # reduced
     rng = rng_for(13, "radial")
     n = sig.coord_count
-    s = coord_s(sig)
+    s, im = coord_s(sig), coord_im(sig)
     s_plus_one = s + CoordPoly.constant(sig, n, 1)
     bump_den = jump_example(sig).expr.den_factors[0][0]
     denominators = (
@@ -345,7 +350,63 @@ def test_radial_rule_matches_the_sum_of_partials(sig):
     for factors in denominators:
         for _ in range(3):
             rf = RationalFn(rand_poly(rng, sig, n, max_degree=3), factors)
-            assert rf.derive(CoordPoly.radial) == radial_by_partials(rf)
+            want = rf.partial(0).mul_poly_left(s) + radial_by_partials(rf).mul_poly_left(im)
+            assert stored(g_op(PointFunction(DOM, rf)).expr) == stored(_cancel(want))
+
+
+def test_a_thetabar_step_is_two_products_and_no_rational_arithmetic(monkeypatch):
+    # G's numerator is one pass of two products, s^k read as a shift, and the
+    # division by 2s only adds to the exponent of s
+    calls = []
+    real = multipoly._int_product
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    def refused(*args):
+        raise AssertionError("thetabar built a rational function by arithmetic")
+
+    s = coord_s(H)
+    numer = rand_poly(rng_for(16, "two-products"), H, 4, max_degree=3)
+    inputs = [PointFunction(DOM, RationalFn(numer, ((s, k),))) for k in (0, 1, 2)]
+    wants = [thetabar(g).expr for g in inputs]
+    monkeypatch.setattr(multipoly, "_int_product", counted)
+    monkeypatch.setattr(RationalFn, "__mul__", refused)
+    monkeypatch.setattr(RationalFn, "__add__", refused)
+    for g, want in zip(inputs, wants):
+        calls.clear()
+        got = thetabar(g).expr
+        assert len(calls) == 2
+        assert stored(got) == stored(want)
+
+
+def test_cancel_refutes_s_at_its_complex_zeros_before_dividing(monkeypatch):
+    # x_1^16 over Cl(0,8): s does not divide 8 x_1^16 Im(x), and no long
+    # division by s runs to find that out
+    sig = clifford(8)
+    n = sig.coord_count
+    s = coord_s(sig)
+    divisions = []
+    real = multipoly._divide_exact
+
+    def counted(numer, p):
+        divisions.append(p)
+        return real(numer, p)
+
+    monkeypatch.setattr(multipoly, "_divide_exact", counted)
+    x1_16 = CoordPoly.variable(sig, n, 1) ** 16
+    got = thetabar(PointFunction(DOM, RationalFn.from_poly(x1_16))).expr
+    assert s not in divisions
+    want = RationalFn._make(x1_16 * coord_im(sig) * 8, ((s, 1),))
+    assert stored(got) == stored(want)
+    # a multiple of s is never refuted, and the division still runs on it
+    rng = rng_for(17, "zeros-of-s")
+    for _ in range(5):
+        numer = rand_poly(rng, sig, n, max_degree=3)
+        assert not multipoly._off_a_zero_of_s(numer * s)
+        assert _cancel(RationalFn._make(numer * s, ((s, 1),))).numer == numer
+    assert divisions.count(s) == 5
 
 
 def stored(rf):
