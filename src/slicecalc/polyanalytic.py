@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 from .algebra import AlgebraElement, AlgebraSignature, ImaginaryUnit, _add_scaled, sample_units
 from .errors import NotPolyanalyticOfOrderError
-from .multipoly import CoordPoly, RationalFn, _apply_n, _cancel, _iterates
+from .multipoly import CoordPoly, RationalFn, _apply_n, _iterates
 from .named import jump_example, left_multiplied_coordinate, rotation_twisted_coordinate
 from .operators import SlicePlanePoly, plane_x, restrict_to_slice
 from .serialize import frac_to_str
@@ -32,9 +32,9 @@ from .slicefn import (
     PointFunction,
     SliceFunction,
     SliceWitness,
-    _coord_term_count,
     extract_stem,
     is_slice,
+    is_slice_exact,
 )
 from .stem import StemFunction, _holomorphic
 
@@ -154,12 +154,10 @@ def classify(
     dbar^n F read on that slice, the order is read off F's form in z and
     zbar, whose components are the report's component stems, and their count
     is the global order.  ``units`` and ``points`` apply to a point function g only.
-    Its candidate stem along the first unit decides slice-ness exactly when
-    it is polynomial: g is slice exactly when that stem's induced function is
-    g, and then g is decided on that stem.  Otherwise the slice-by-slice zero
-    test runs on each sampled slice, exact there but a sample of slices, and
-    the sampled probe only looks for a witness; it decides alone when the
-    candidate stem is rational.
+    Its slice-ness is exact (``is_slice_exact``), and a slice g whose candidate
+    stem along the first unit is polynomial is decided on that stem.  Otherwise
+    the slice-by-slice zero test runs on each sampled slice, exact there but a
+    sample of slices, and the sampled probe only looks for a witness.
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
@@ -167,20 +165,14 @@ def classify(
         return _classify_stem(g.stem, max_order, {})
     evidence: dict = {}
     f1, f2 = extract_stem(g, units[0])
-    if not (f1.is_polynomial() and f2.is_polynomial()):
-        evidence["candidate_stem"] = "not polynomial"
-        slice_ok, witness = is_slice(g, units, points)
-    else:
-        stem = StemFunction(f1.numer, f2.numer)
-        # the stem's coordinate form is a polynomial of a known term count, so it
-        # is expanded only when g is a polynomial with as many terms
-        reduced = _cancel(g.expr)
-        slice_ok = not reduced.den_factors and len(reduced.numer.rows) == _coord_term_count(stem)
-        slice_ok = slice_ok and SliceFunction(g.domain, stem).to_point_function().expr == g.expr
+    slice_ok = is_slice_exact(g)
+    if f1.is_polynomial() and f2.is_polynomial():
         evidence["stem_reproduces_input"] = slice_ok
         if slice_ok:
-            return _classify_stem(stem, max_order, evidence)
-        witness = is_slice(g, units, points)[1]
+            return _classify_stem(StemFunction(f1.numer, f2.numer), max_order, evidence)
+    else:
+        evidence["candidate_stem"] = "not polynomial"
+    witness = is_slice(g, units, points)[1]  # raises where a denominator vanishes
 
     sbs_order: Optional[int] = 0
     for unit in units:

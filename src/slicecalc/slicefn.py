@@ -1,10 +1,10 @@
 """Slice functions on circular domains and general point functions.
 
 A slice function is a circular-domain descriptor plus a stem; its restriction
-to the slice of I, f(alpha + I*beta) = F1 + I*F2, is how it is evaluated.  A point function is an arbitrary
-rational expression in the coordinates x_0..x_n and need not be slice; the
-candidate-stem extraction and the representation formula below are the tools
-that detect the difference.
+to the slice of I, f(alpha + I*beta) = F1 + I*F2, is how it is evaluated.  A
+point function is an arbitrary rational expression in x_0..x_n and need not be
+slice: ``is_slice_exact`` decides which by rotation invariance, and the
+representation formula finds a witness from a candidate stem on sampled slices.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from math import comb, factorial, lcm
+from math import factorial, lcm
 from typing import Optional, Sequence
 
 from .algebra import (
@@ -25,7 +25,9 @@ from .algebra import (
     _over_common_den,
 )
 from .errors import PointOutsideDomainError, SignatureMismatchError
-from .multipoly import CoordPoly, RationalFn, _apply_n, _iterates, coord_im, coord_s, restrict_rf
+from .multipoly import (
+    CoordPoly, RationalFn, _apply_n, _int_map, _iterates, coord_im, coord_s, restrict_rf
+)
 from .stem import StemFunction
 
 
@@ -146,23 +148,6 @@ class SliceFunction:
         return f"SliceFunction({self.domain!r}, {self.stem!r})"
 
 
-def _coord_term_count(stem: StemFunction) -> int:
-    """The term count of the stem's ``to_point_function`` form, without building it.
-
-    With n the imaginary dimension, an F1 row (a, 2k) becomes x_0^a s^k c,
-    C(k+n-1, n-1) terms with even exponents in x_1..x_n, and an F2 row
-    (a, 2k+1) becomes x_0^a Im(x) s^k c, n C(k+n-1, n-1) terms with exactly
-    one odd exponent there, each a positive multiple of e_h c != 0.  Rows
-    differ in a or in degree, so no two terms meet and none cancels.
-    """
-    n = stem.signature.imag_dim
-    return sum(
-        comb(b // 2 + n - 1, n - 1) * (n if b % 2 else 1)
-        for comp in (stem.f1, stem.f2)
-        for _, b in comp.rows
-    )
-
-
 class PointFunction:
     """A rational coordinate expression on a circular domain.
 
@@ -224,6 +209,29 @@ def extract_stem(
     f1 = (plus + minus) * half
     f2 = (plus - minus).mul_poly_left(CoordPoly.constant(g.signature, 2, unit.value * -half))
     return f1, f2
+
+
+def _rotation(j: int, nvar: int):
+    """L_1j = x_1 d/dx_j - x_j d/dx_1 on polynomials in ``nvar`` variables, in one pass."""
+    shift = lambda e, d: (e[0], e[1] + d, *e[2:j], e[j] - d, *e[j + 1 :])  # x_1^d x_j^-d
+    moves = (lambda e: (shift(e, 1), e[j]), lambda e: (shift(e, -1), -e[1]))
+    return lambda p: _int_map([(p, move) for move in moves], nvar)
+
+
+def is_slice_exact(g: PointFunction) -> bool:
+    """Whether g is a slice function, decided exactly by rotation invariance.
+
+    g is slice exactly when g = A + Im(x) B, A and B functions of (x_0, s).  With
+    g^c(x) = g(x_0, -x'), A = (g + g^c)/2 and D = (g - g^c)/2 = Im(x) B; as
+    Im(x)^2 = -s, that holds exactly when 2A and 2 Im(x) D = -2s B are killed by
+    each L_1j, j = 2..n, as these generate the rotations of x' = (x_1..x_n).  Each
+    L_1j is a derivation, applied by the quotient rule up to the first nonzero image.
+    """
+    rf, nvar = g.expr, g.signature.coord_count
+    conj = lambda p: _int_map(((p, lambda e: (e, (-1) ** (sum(e) - e[0]))),), nvar)
+    flipped = RationalFn(conj(rf.numer), [(conj(p), k) for p, k in rf.den_factors])
+    parts = (rf + flipped, (rf - flipped).mul_poly_left(coord_im(rf.signature)))
+    return all(part.derive(_rotation(j, nvar)).is_zero() for j in range(2, nvar) for part in parts)
 
 
 def _represent(

@@ -13,7 +13,8 @@ sum of one product per stem term; ``compose`` as one stem product and sum per
 component stem; the holomorphic stem sampler as a sum of right-scaled
 powers of z, each power one stem product from the last, with coefficients
 built from ``Fraction``s; the sampled slice-ness probe with the
-representation formula read between every ordered pair of units; and the
+representation formula read between every ordered pair of units; slice-ness
+of a polynomial candidate stem by expanding it and comparing; and the
 slice/global check evaluated point by point, thetabar^n g in all of its
 coordinates at each point alpha + I beta.
 """
@@ -43,7 +44,9 @@ from slicecalc.sampling import rand_plane_points, rand_regular_tuple, rand_stem,
 from slicecalc.serialize import frac_to_str
 from slicecalc.slicefn import (
     PointFunction,
+    SliceFunction,
     SliceWitness,
+    extract_stem,
     phi_coords,
     representation_eval,
 )
@@ -170,6 +173,20 @@ def is_slice_all_pairs(g: PointFunction, units: Sequence[ImaginaryUnit], points:
                 if predicted != actual:
                     return False, SliceWitness(unit_h, unit_k, (alpha, beta), predicted, actual)
     return True, None
+
+
+def slice_by_expansion(g: PointFunction, unit: ImaginaryUnit) -> bool:
+    """Slice-ness of g by expand-and-compare, the reference for ``is_slice_exact``.
+
+    g is slice exactly when the function its candidate stem along ``unit``
+    induces is g; that stem must be polynomial, and its coordinate form is
+    built and compared with g exactly.
+    """
+    f1, f2 = extract_stem(g, unit)
+    if not (f1.is_polynomial() and f2.is_polynomial()):
+        raise ValueError("the candidate stem is not polynomial")
+    stem = StemFunction(f1.numer, f2.numer)
+    return SliceFunction(g.domain, stem).to_point_function().expr == g.expr
 
 
 @campaign._tally

@@ -617,8 +617,8 @@ def _wide_point_spec(name):
 def test_classify_refutes_a_wide_candidate_stem_without_expanding_it(
     name, tmp_path, capsys, monkeypatch
 ):
-    # a leftover denominator factor, or a term count the stem's coordinate form
-    # cannot have, decides that the candidate stem does not reproduce the input
+    # the exact slice-ness test (a rotation of x_1..x_8 that does not fix the
+    # input) decides that the candidate stem does not reproduce the input
     monkeypatch.setattr(
         "slicecalc.slicefn.SliceFunction.to_point_function",
         lambda self: pytest.fail("the coordinate form was built"),

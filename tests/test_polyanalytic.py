@@ -12,7 +12,7 @@ from slicecalc.campaign import (
     taylor_independence_trials,
 )
 from slicecalc.errors import NotPolyanalyticOfOrderError
-from slicecalc.multipoly import CoordPoly, RationalFn, _iterates, coord_x
+from slicecalc.multipoly import CoordPoly, RationalFn, _iterates, coord_s, coord_x, coord_xbar
 from slicecalc.named import (
     BUILTINS,
     conjugate_coordinate,
@@ -33,18 +33,21 @@ from slicecalc.polyanalytic import (
 from slicecalc.sampling import (
     rand_holomorphic_stem,
     rand_plane_point,
+    rand_plane_points,
     rand_point_polynomial,
     rand_rational_point_function,
     rand_regular_tuple,
     rand_stem,
     rng_for,
 )
-from slicecalc.slicefn import PointFunction, SliceFunction, _coord_term_count
+from slicecalc.slicefn import PointFunction, SliceFunction, is_slice_exact
 from slicecalc.stem import StemFunction
 
 from oracles import (
     compose_by_products,
     constant_stem,
+    is_slice_all_pairs,
+    slice_by_expansion,
     stem_dbar_by_partials,
     stem_powers_by_products,
     stem_product_by_parts,
@@ -302,14 +305,15 @@ def test_classify_twisted_coordinate():
 
 
 def x_plus_a_product_vanishing_on(units):
-    """x + P, where each linear factor of P vanishes on the slice of one unit."""
-    x = [CoordPoly.variable(H, 4, h) for h in range(4)]
-    p = CoordPoly.constant(H, 4, 1)
+    """x + P, where each linear factor b x_1 - a x_2 of P vanishes on the slice of one unit."""
+    sig = units[0].signature
+    x = [CoordPoly.variable(sig, sig.coord_count, h) for h in range(3)]
+    p = CoordPoly.constant(sig, sig.coord_count, 1)
     for unit in units:
-        a, b, c = unit.components()
-        w = (b, -a, 0) if (a, b) != (0, 0) else (1, 0, 0)
-        p = p * (x[1] * w[0] + x[2] * w[1] + x[3] * w[2])
-    return PointFunction(DOM, RationalFn.from_poly(coord_x(H) + p))
+        a, b = unit.components()[:2]
+        w = (b, -a) if (a, b) != (0, 0) else (1, 0)
+        p = p * (x[1] * w[0] + x[2] * w[1])
+    return PointFunction(DOM, RationalFn.from_poly(coord_x(sig) + p))
 
 
 def test_classify_rejects_x_plus_a_product_vanishing_on_the_sampled_slices():
@@ -321,6 +325,85 @@ def test_classify_rejects_x_plus_a_product_vanishing_on_the_sampled_slices():
     assert (rep.sbs_polyanalytic_order, rep.is_slice, _global_order(rep)) == (1, False, None)
     assert rep.evidence == {"stem_reproduces_input": False}
     assert rep.components is None
+
+
+SIGNATURES = [H, clifford(3), clifford(5), clifford(8)]
+
+
+def _label(sig):
+    return f"{sig.kind}{sig.m}"
+
+
+def _exact_slice_polynomials(sig):
+    """Three draws, five induced functions, two of them plus x_1 x_2, and v, v_r and x + P.
+
+    v on Cl(0,3) is the builtin v_m.  Only the induced functions are slice.
+    """
+    rng = rng_for(sig.imag_dim, "exact-slice")
+    n = sig.coord_count
+    x1x2 = RationalFn.from_poly(CoordPoly.variable(sig, n, 1) * CoordPoly.variable(sig, n, 2))
+    induced = [slice_of(rand_stem(rng, sig, max_degree=4)).to_point_function() for _ in range(3)]
+    induced += [
+        slice_of(compose(rand_regular_tuple(rng, sig, 3))).to_point_function() for _ in range(2)
+    ]
+    inputs = [rand_point_polynomial(rng, sig, 4) for _ in range(3)] + induced
+    inputs += [PointFunction(DOM, g.expr + x1x2) for g in induced[:2]]
+    inputs += [rotation_twisted_coordinate(sig), left_multiplied_coordinate(sig)]
+    return inputs + [x_plus_a_product_vanishing_on(sample_units(sig, 7, 4))]
+
+
+@pytest.mark.parametrize("sig", SIGNATURES, ids=_label)
+def test_is_slice_exact_agrees_with_expand_and_compare(sig):
+    inputs = _exact_slice_polynomials(sig)
+    unit = sample_units(sig, 0, 1)[0]
+    verdicts = [is_slice_exact(g) for g in inputs]
+    assert verdicts == [slice_by_expansion(g, unit) for g in inputs]
+    assert verdicts == [False] * 3 + [True] * 5 + [False] * 5
+
+
+@pytest.mark.parametrize("sig", SIGNATURES, ids=_label)
+def test_is_slice_exact_on_rational_inputs(sig):
+    rng = rng_for(sig.imag_dim, "exact-slice-rational")
+    n = sig.coord_count
+    s, one, x0 = coord_s(sig), CoordPoly.constant(sig, n, 1), CoordPoly.variable(sig, n, 0)
+    xbar, q = coord_xbar(sig), x0 * x0 + s + one
+    for _ in range(2):
+        g = slice_of(rand_stem(rng, sig, 3)).to_point_function().expr.numer
+        # slice by construction: the product of slice functions xbar g, not g xbar
+        for rf in (RationalFn.from_poly(g), RationalFn(g, [(s + one, 1)])):
+            assert is_slice_exact(PointFunction(DOM, rf))
+        assert is_slice_exact(PointFunction(DOM, RationalFn(xbar * g, [(q, 2)])))
+        assert not is_slice_exact(PointFunction(DOM, RationalFn(g * xbar, [(q, 2)])))
+    # a witness on four units refutes; a pass proves nothing, since on Cl(0,8) the
+    # four units are basis units and can miss what other units refute
+    units = sample_units(sig, 0, 4)
+    points = rand_plane_points(rng, 3)
+    refuted = 0
+    for _ in range(12):
+        g = rand_rational_point_function(rng, sig)
+        if is_slice_all_pairs(g, units, points)[1] is not None:
+            refuted += 1
+            assert not is_slice_exact(g)
+    assert refuted >= 9
+
+
+@pytest.mark.parametrize("sig", [H, clifford(3)], ids=_label)
+def test_classify_decides_rational_inputs_exactly(sig):
+    # x_1 x_2 vanishes on the slices of the first two units, where no probe can
+    # tell (x_1 x_2 + 1)/(s + 1) from the slice 1/(s + 1)
+    n = sig.coord_count
+    x = [CoordPoly.variable(sig, n, h) for h in range(3)]
+    s, one = coord_s(sig), CoordPoly.constant(sig, n, 1)
+    units = sample_units(sig, 0, 3)[:2]
+    points = [(Fraction(0), Fraction(1)), (Fraction(1, 3), Fraction(2, 3))]
+    g = PointFunction(DOM, RationalFn(x[1] * x[2] + one, [(s + one, 1)]))
+    rep = classify(g, 4, units, points)
+    assert (rep.is_slice, rep.slice_witness) == (False, None)
+    assert rep.evidence["candidate_stem"] == "not polynomial"
+    inverse = PointFunction(DOM, RationalFn(coord_xbar(sig), [(x[0] * x[0] + s, 1)]))
+    rep = classify(inverse, 4, units, points)
+    assert (rep.is_slice, rep.sbs_polyanalytic_order) == (True, 1)
+    assert rep.evidence == {"candidate_stem": "not polynomial"}
 
 
 def thetabar_order(g, max_order):
@@ -412,19 +495,6 @@ def test_classify_reports_a_global_order_over_the_bound():
     assert rep.evidence == {"stem_reproduces_input": True, "global_order_exceeds_max": 4}
     rep = classify(pf, 4, units, points)
     assert rep.components == (zero_stem(H),) * 3 + (ONE,)
-
-
-@pytest.mark.parametrize(
-    "sig", [H, clifford(3), clifford(5), clifford(8)], ids=lambda s: f"{s.kind}{s.m}"
-)
-def test_the_coordinate_term_count_is_that_of_the_expansion(sig):
-    rng = rng_for(sig.imag_dim, "term-count")
-    stems = [rand_stem(rng, sig, max_degree=4) for _ in range(12)]
-    stems += [compose(rand_regular_tuple(rng, sig, 3)) for _ in range(12)]
-    stems += stem_powers_by_products(StemFunction.zbar(sig), 7)
-    for stem in stems + [zero_stem(sig)]:
-        expansion = SliceFunction(DOM, stem).to_point_function().expr.numer
-        assert _coord_term_count(stem) == len(expansion.rows)
 
 
 def test_classify_order_cap():
