@@ -312,7 +312,12 @@ def slice_derivative_trials(
 def g_relation_trials(
     sig: AlgebraSignature, seed: int, n_funcs: int
 ) -> Iterator[Optional[dict]]:
-    """G(g) == 2 |Im|^2 thetabar(g) as exact rational functions."""
+    """G(g) == 2 |Im|^2 thetabar(g) as exact rational functions.
+
+    thetabar is built from G, as ``multipoly._cancel``'s stored form of
+    G/(2s), and ``g_op(g)`` and ``thetabar(g)`` share one G, so the check
+    decides that this stored form of G/(2s), times 2s, gives G back.
+    """
     rng = rng_for(seed, f"g-relation:{_sig_label(sig)}")
     two_s = coord_s(sig) * 2
     for gi in range(n_funcs):

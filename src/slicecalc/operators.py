@@ -6,8 +6,10 @@ path applies the first-order operator G = s d/dx_0 + Im(x) sum_h x_h d/dx_h,
 s = |Im x|^2, and thetabar = G / (2s) symbolically on the rational-function
 class, which is closed under the quotient rule.  G takes each numerator in one
 pass and reads a denominator power s^k as a shift of its radial part, so s
-costs no product of its own.  The coincidence of the two paths slice by slice
-is one of the nontrivial identities the verification campaigns check.
+costs no product of its own.  G of the last function asked for is kept, so
+``g_op(g)`` and ``thetabar(g)`` of one function take one G.  The coincidence
+of the two paths slice by slice is one of the nontrivial identities the
+verification campaigns check.
 """
 
 from __future__ import annotations
@@ -82,11 +84,22 @@ def dbar_slice(g: PointFunction, unit: ImaginaryUnit, order: int) -> SlicePlaneP
     return _apply_n(SlicePlanePoly.dbar, restrict_to_slice(g, unit), order)
 
 
+# (input, G(input)) of the last _g call; a RationalFn is never mutated, so identity
+# keys it, and holding the input keeps its id from being reused
+_last_g: tuple = (None, None)
+
+
 def _g(rf: RationalFn) -> RationalFn:
     """G(rf) by the quotient rule, a power s^k of the denominator read as the shift 2k."""
+    global _last_g
+    last, g = _last_g  # one read, so the pair cannot change between its halves
+    if last is rf:
+        return g
     s = coord_s(rf.signature)
     k = dict(rf.den_factors).get(s, 0)
-    return rf._quotient_rule(rf.numer.g_op(2 * k), CoordPoly.g_op, kept=s)
+    g = rf._quotient_rule(rf.numer.g_op(2 * k), CoordPoly.g_op, kept=s)
+    _last_g = (rf, g)
+    return g
 
 
 def _thetabar_once(rf: RationalFn) -> RationalFn:
@@ -106,7 +119,8 @@ def thetabar(g: PointFunction, order: int = 1) -> PointFunction:
     reduced form over the known factors: G keeps a power of s and raises by
     one every other factor not homogeneous in x_1..x_n, dividing by 2s adds
     one power of s, and then every factor is divided out of the numerator as
-    often as it divides exactly.
+    often as it divides exactly.  G of the last function asked for is kept,
+    so ``g_op(g)`` before or after ``thetabar(g)`` takes no second G.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -119,6 +133,8 @@ def g_op(g: PointFunction) -> PointFunction:
     One pass per numerator (``CoordPoly.g_op``): G(N / s^k) = N.g_op(2k) / s^k,
     and any other factor goes through the quotient rule.  It adds no
     denominator to a polynomial or to N/s^k, so it is defined on the whole
-    domain; it agrees with 2 s * thetabar(g) off the real axis.
+    domain; it agrees with 2 s * thetabar(g) off the real axis.  G of the
+    last function asked for is kept, so ``thetabar(g)`` before or after
+    ``g_op(g)`` takes no second G.
     """
     return PointFunction(g.domain, _g(g.expr))

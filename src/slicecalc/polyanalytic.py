@@ -172,7 +172,7 @@ def classify(
             return _classify_stem(StemFunction(f1.numer, f2.numer), max_order, evidence)
     else:
         evidence["candidate_stem"] = "not polynomial"
-    witness = is_slice(g, units, points)[1]  # raises where a denominator vanishes
+    witness = is_slice(g, units, points)  # raises where a denominator vanishes
 
     sbs_order: Optional[int] = 0
     for unit in units:

@@ -275,8 +275,8 @@ def is_slice(
     g: PointFunction,
     units: Sequence[ImaginaryUnit],
     points: Sequence[tuple[RationalLike, RationalLike]],
-) -> tuple[bool, Optional[SliceWitness]]:
-    """Sampled slice-ness check: sound when False, sampled when True.
+) -> Optional[SliceWitness]:
+    """Sampled slice-ness probe: a witness that g is not slice, or None.
 
     Reads the representation formula from the first unit H onto each other
     unit K, then -K, at every point z; the first mismatch is the witness, whose
@@ -285,7 +285,8 @@ def is_slice(
     g(alpha +- K beta) = A +- K B, (A, B) the stem read on H at z, so every
     pair of units obeys the formula; with three or more units the pairs
     (K, K2), (K, H) force that too (K2 - H is invertible), so this passes
-    exactly when the all-pairs check does.
+    exactly when the all-pairs check does.  ``is_slice_exact`` decides
+    slice-ness; None here only says that no sampled pair refutes it.
     """
     if len(units) < 2 or not points:
         raise ValueError("is_slice needs at least two units and one point")
@@ -301,8 +302,8 @@ def is_slice(
             predicted = _represent(*on_h[i], unit_h, unit_k)
             actual = g.eval_coords(phi_coords(unit_k, alpha, beta))
             if predicted != actual:
-                return False, SliceWitness(unit_h, unit_k, (alpha, beta), predicted, actual)
-    return True, None
+                return SliceWitness(unit_h, unit_k, (alpha, beta), predicted, actual)
+    return None
 
 
 def taylor_alpha_coefficients(

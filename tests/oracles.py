@@ -158,9 +158,9 @@ def rand_holomorphic_stem_by_products(
 def is_slice_all_pairs(g: PointFunction, units: Sequence[ImaginaryUnit], points: Sequence):
     """The representation formula from every unit H onto every other unit K at every z.
 
-    Returns (False, witness) at the first mismatch in that nesting order, else
-    (True, None): 3 n (n - 1) p evaluations of g on n units and p points when
-    it passes, where ``is_slice`` reads from the first unit only.
+    Returns the witness of the first mismatch in that nesting order, else
+    None: 3 n (n - 1) p evaluations of g on n units and p points when it
+    passes, where ``is_slice`` reads from the first unit only.
     """
     for unit_h in units:
         for unit_k in units:
@@ -171,8 +171,8 @@ def is_slice_all_pairs(g: PointFunction, units: Sequence[ImaginaryUnit], points:
                 predicted = representation_eval(g, unit_h, unit_k, (alpha, beta))
                 actual = g.eval_coords(phi_coords(unit_k, alpha, beta))
                 if predicted != actual:
-                    return False, SliceWitness(unit_h, unit_k, (alpha, beta), predicted, actual)
-    return True, None
+                    return SliceWitness(unit_h, unit_k, (alpha, beta), predicted, actual)
+    return None
 
 
 def slice_by_expansion(g: PointFunction, unit: ImaginaryUnit) -> bool:

@@ -70,10 +70,10 @@ def _counterexample_ledger(sig) -> tuple[bool, str]:
     # second derivative vanishes on all 100 sampled slices, exactly
     ok = ok and all(dbar_slice(v, unit, 2).is_zero() for unit in units)
     # representation-formula witness on the first two canonical slices
-    slice_ok, witness = is_slice(
+    witness = is_slice(
         v, units[:8], [(Fraction(0), Fraction(1)), (Fraction(1, 3), Fraction(1, 2))]
     )
-    ok = ok and not slice_ok
+    ok = ok and witness is not None
     ok = ok and witness.unit_h.value == u
     ok = ok and witness.unit_k.value == AlgebraElement.basis(sig, sig.imag_masks[1])
     # per-slice coefficients ((1 + IuIu)/2, (1 - IuIu)/2) on every sampled slice

@@ -381,6 +381,66 @@ def test_a_thetabar_step_is_two_products_and_no_rational_arithmetic(monkeypatch)
         assert stored(got) == stored(want)
 
 
+def _g_draws(sig, label):
+    """A polynomial, an N/s^2 and an N/(s + 1) point function over ``sig``."""
+    rng = rng_for(17, label)
+    n = sig.coord_count
+    s = coord_s(sig)
+    numers = [rand_poly(rng, sig, n, max_degree=3) for _ in range(3)]
+    factors = ((), ((s, 2),), ((s + CoordPoly.constant(sig, n, 1), 1),))
+    return [PointFunction(DOM, RationalFn(p, f)) for p, f in zip(numers, factors)]
+
+
+def _fresh(g):
+    """The same function as a new object, so nothing kept for ``g`` applies to it."""
+    return PointFunction(g.domain, RationalFn._make(g.expr.numer, g.expr.den_factors))
+
+
+def _count_g_passes(monkeypatch):
+    calls = []
+    real = CoordPoly.g_op
+
+    def counted(self, shift=0):
+        calls.append(shift)
+        return real(self, shift)
+
+    monkeypatch.setattr(CoordPoly, "g_op", counted)
+    return calls
+
+
+@pytest.mark.parametrize("sig", [H, clifford(3)], ids=["H", "Cl3"])
+def test_g_op_and_thetabar_of_one_function_take_one_g(sig, monkeypatch):
+    # either order: the second operator reads the G the first one made
+    calls = _count_g_passes(monkeypatch)
+    for g in _g_draws(sig, "one-g"):
+        for first, second in ((g_op, thetabar), (thetabar, g_op)):
+            wants = [stored(op(_fresh(g)).expr) for op in (first, second)]
+            calls.clear()
+            got_first = first(g).expr
+            assert calls
+            made = len(calls)
+            got_second = second(g).expr
+            assert len(calls) == made
+            assert [stored(got_first), stored(got_second)] == wants
+
+
+def test_no_g_is_reused_across_functions(monkeypatch):
+    # b equals a in value but is another object; each call on a function other
+    # than the last one asked for takes its own G
+    calls = _count_g_passes(monkeypatch)
+    a, _, c = _g_draws(H, "no-reuse")
+    b = _fresh(a)
+    order = [(g_op, a), (thetabar, b), (g_op, c), (thetabar, a), (g_op, b), (thetabar, c)]
+    wants = []
+    for op, g in order:
+        calls.clear()
+        wants.append((stored(op(_fresh(g)).expr), len(calls)))
+    for (op, g), (want, passes) in zip(order, wants):
+        calls.clear()
+        assert stored(op(g).expr) == want
+        assert len(calls) == passes > 0
+
+
 def test_cancel_refutes_s_at_its_complex_zeros_before_dividing(monkeypatch):
     # x_1^16 over Cl(0,8): s does not divide 8 x_1^16 Im(x), and no long
     # division by s runs to find that out

@@ -161,18 +161,18 @@ def test_is_slice_verdicts():
     rng = rng_for(3, "is-slice")
     points = [rand_plane_point(rng) for _ in range(4)]
     stem_fn = SliceFunction(DOM, rand_stem(rng, H)).to_point_function()
-    ok, witness = is_slice(stem_fn, UNITS[:4], points)
-    assert ok and witness is None
+    witness = is_slice(stem_fn, UNITS[:4], points)
+    assert witness is None
 
     v = rotation_twisted_coordinate(H)
-    ok, witness = is_slice(v, UNITS[:4], points)
-    assert not ok
+    witness = is_slice(v, UNITS[:4], points)
+    assert witness is not None
     assert witness.unit_h.value == I_U.value
     assert witness.unit_k.value == J_U.value
 
     v_r = left_multiplied_coordinate(H)
-    ok, witness = is_slice(v_r, UNITS[:4], points)
-    assert not ok and witness is not None
+    witness = is_slice(v_r, UNITS[:4], points)
+    assert witness is not None
 
     # no unit, or one unit and so no pair of slices to compare
     for units in ([], UNITS[:1]):
@@ -192,9 +192,8 @@ def _probe_inputs(sig, rng):
     ]
 
 
-def _verdict(result):
-    ok, witness = result
-    return ok, witness and (witness.unit_h, witness.unit_k, witness.z)
+def _verdict(witness):
+    return witness and (witness.unit_h, witness.unit_k, witness.z)
 
 
 @pytest.mark.parametrize(
@@ -231,10 +230,10 @@ def test_is_slice_reads_each_other_unit_and_its_negative_from_the_first(monkeypa
         return real(self, coords)
 
     monkeypatch.setattr(PointFunction, "eval_coords", counted)
-    assert is_slice(g, units, points) == (True, None)
+    assert is_slice(g, units, points) is None
     assert len(calls) == 2 * n * p
     calls.clear()
-    assert is_slice_all_pairs(g, units, points) == (True, None)
+    assert is_slice_all_pairs(g, units, points) is None
     assert len(calls) == 3 * n * (n - 1) * p
 
 
