@@ -30,10 +30,14 @@ from .errors import SignatureMismatchError
 
 RationalLike = Union[Fraction, int]
 
+# The largest Clifford m, since an element, a polynomial row and the spec parser's
+# table of blade names grow with dim = 2^m: Cl(0, 8) has 256 blades.
+MAX_CLIFFORD_M = 8
+
 
 @dataclass(frozen=True)
 class AlgebraSignature:
-    """Identifies the ambient algebra: quaternions or Cl(0, m) with m >= 2."""
+    """Identifies the ambient algebra: quaternions or Cl(0, m) with 2 <= m <= 8."""
 
     kind: str
     m: int
@@ -45,6 +49,8 @@ class AlgebraSignature:
         elif self.kind == "clifford":
             if self.m < 2:
                 raise ValueError("clifford signature requires m >= 2")
+            if self.m > MAX_CLIFFORD_M:
+                raise ValueError(f"clifford m = {self.m} exceeds the limit {MAX_CLIFFORD_M}")
         else:
             raise ValueError(f"unknown algebra kind {self.kind!r}")
 
@@ -76,9 +82,7 @@ class AlgebraSignature:
             return "1"
         if self.kind == "quaternion":
             return {1: "i", 2: "j", 3: "k"}[mask]
-        idx = [str(t + 1) for t in range(self.m) if mask & (1 << t)]
-        joiner = "_" if self.m > 9 else ""
-        return "e" + joiner.join(idx)
+        return "e" + "".join(str(t + 1) for t in range(self.m) if mask & (1 << t))
 
 
 QUATERNION = AlgebraSignature("quaternion", 2)
@@ -89,7 +93,7 @@ def clifford(m: int) -> AlgebraSignature:
 
 
 # Memoized per pair of masks actually multiplied, never as a dense dim x dim
-# table: clifford(200) has 2^200 blades.
+# table built up front, which has 2^16 entries on Cl(0, 8).
 @cache
 def _blade_mul(ma: int, mb: int) -> tuple[int, int]:
     """Product of basis blades: result mask and sign.

@@ -184,10 +184,6 @@ class CoordPoly:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def zero(cls, signature, var_count: int) -> "CoordPoly":
-        return cls._make(signature, var_count, {}, 1)
-
-    @classmethod
     def constant(cls, signature, var_count: int, value) -> "CoordPoly":
         if isinstance(value, (int, Fraction)):
             value = AlgebraElement.scalar(signature, value)
@@ -504,16 +500,6 @@ def _normalize_factor(poly: CoordPoly) -> tuple[CoordPoly, Fraction]:
     return poly * Fraction(poly.den, g), Fraction(g, poly.den)
 
 
-def _merge_factors(
-    factors: Iterable[tuple[CoordPoly, int]]
-) -> tuple[tuple[CoordPoly, int], ...]:
-    acc: dict[CoordPoly, int] = {}
-    for p, k in factors:
-        acc[p] = acc.get(p, 0) + k
-    # first-seen order: RationalFn equality compares values, so no order is needed
-    return tuple(acc.items())
-
-
 class RationalFn:
     """Quotient of a CoordPoly by a product of real-scalar polynomial factors."""
 
@@ -525,7 +511,8 @@ class RationalFn:
         den_factors: Iterable[tuple[CoordPoly, int]] = (),
     ):
         scaled = numer
-        clean: list[tuple[CoordPoly, int]] = []
+        # first-seen order: RationalFn equality compares values, so no order is needed
+        merged: dict[CoordPoly, int] = {}
         for p, k in den_factors:
             if k < 0:
                 raise ValueError("denominator exponents must be nonnegative")
@@ -537,10 +524,10 @@ class RationalFn:
             if content != 1:
                 scaled = scaled * (Fraction(1) / content**k)
             if primitive.total_degree() > 0:
-                clean.append((primitive, k))
+                merged[primitive] = merged.get(primitive, 0) + k
             # constant primitive factors reduce to 1 and are dropped
         self.numer = scaled
-        self.den_factors = _merge_factors(clean)
+        self.den_factors = tuple(merged.items())
 
     @classmethod
     def _make(cls, numer, den_factors):
@@ -609,12 +596,6 @@ class RationalFn:
         return RationalFn._make(mine - theirs, factors)
 
     def __mul__(self, other):
-        if isinstance(other, RationalFn):
-            self.numer._require_compatible(other.numer)
-            return RationalFn._make(
-                self.numer * other.numer,
-                _merge_factors(self.den_factors + other.den_factors),
-            )
         if isinstance(other, (int, Fraction)):
             return RationalFn._make(self.numer * other, self.den_factors)
         return NotImplemented
@@ -655,10 +636,6 @@ class RationalFn:
                 numer = numer - _times((q * k) * self.numer, raised)
             factors.append((p, k))
         return RationalFn._make(numer, tuple(factors))
-
-    def partial(self, index: int) -> "RationalFn":
-        """Exact partial derivative: a factor free of x_index keeps its exponent."""
-        return self.derive(lambda p: p.partial(index))
 
     # -- evaluation --------------------------------------------------------------------
 

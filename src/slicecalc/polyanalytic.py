@@ -163,6 +163,8 @@ def classify(
         raise ValueError("max_order must be >= 1")
     if isinstance(g, SliceFunction):
         return _classify_stem(g.stem, max_order, {})
+    if not units:
+        raise ValueError("classify needs at least one unit for a point function")
     evidence: dict = {}
     f1, f2 = extract_stem(g, units[0])
     slice_ok = is_slice_exact(g)

@@ -25,10 +25,10 @@ from .stem import StemFunction
 
 # Input limits for spec files; exceeding one is a FunctionSpecError (exit 2).
 # Exact evaluation homogenizes every term to the total degree, so the cost of
-# a spec grows with its exponents as well as with its term count and dim = 2^m.
+# a spec grows with its exponents as well as with its term count and dim = 2^m,
+# where ``clifford`` caps m at ``algebra.MAX_CLIFFORD_M``.
 MAX_EXPONENT = 64
 MAX_TERMS = 1024
-MAX_CLIFFORD_M = 8
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
@@ -78,8 +78,6 @@ def signature_from_json(obj: Any) -> AlgebraSignature:
         m = obj.get("m")
         if not _is_json_int(m):
             raise FunctionSpecError(f"clifford 'm' must be an integer, got {m!r}")
-        if m > MAX_CLIFFORD_M:
-            raise FunctionSpecError(f"clifford 'm' = {m} exceeds the limit {MAX_CLIFFORD_M}")
         try:
             return clifford(m)
         except ValueError as exc:
@@ -101,9 +99,6 @@ def _mask_by_name(signature: AlgebraSignature) -> dict[str, int]:
 
 
 def element_from_json(signature: AlgebraSignature, obj: Any) -> AlgebraElement:
-    if signature.m > MAX_CLIFFORD_M:
-        # the blade table holds 2^m names
-        raise FunctionSpecError(f"clifford 'm' = {signature.m} exceeds the limit {MAX_CLIFFORD_M}")
     if not isinstance(obj, dict):
         raise FunctionSpecError(f"coefficient must be a blade map, got {obj!r}")
     masks = _mask_by_name(signature)

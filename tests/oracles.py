@@ -62,12 +62,17 @@ def paravector(signature: AlgebraSignature, coords: Sequence) -> AlgebraElement:
     return AlgebraElement(signature, {m: Fraction(c) for m, c in zip(masks, coords)})
 
 
+def rf_partial(rf: RationalFn, index: int) -> RationalFn:
+    """d/dx_index by the quotient rule: a factor free of x_index keeps its exponent."""
+    return rf.derive(lambda p: p.partial(index))
+
+
 def radial_by_partials(rf: RationalFn) -> RationalFn:
     """sum_h x_h d/dx_h over x_1..x_n, one quotient-rule partial per variable."""
     sig, n = rf.signature, rf.var_count
-    out = RationalFn.from_poly(CoordPoly.zero(sig, n))
+    out = RationalFn.from_poly(CoordPoly(sig, n, {}))
     for h in range(1, n):
-        out = out + rf.partial(h).mul_poly_left(CoordPoly.variable(sig, n, h))
+        out = out + rf_partial(rf, h).mul_poly_left(CoordPoly.variable(sig, n, h))
     return out
 
 
@@ -75,7 +80,7 @@ def plane_dbar_by_partials(plane) -> RationalFn:
     """(d/da + I d/db)/2 as two partials, a left scaling by I, a sum and a halving."""
     rf = plane.rf
     unit = CoordPoly.constant(rf.signature, 2, plane.unit.value)
-    return (rf.partial(0) + rf.partial(1).mul_poly_left(unit)) * Fraction(1, 2)
+    return (rf_partial(rf, 0) + rf_partial(rf, 1).mul_poly_left(unit)) * Fraction(1, 2)
 
 
 def stem_dbar_by_partials(stem: StemFunction) -> StemFunction:
@@ -95,7 +100,7 @@ def point_poly_term_by_term(stem: StemFunction) -> CoordPoly:
     sig = stem.signature
     n = sig.coord_count
     x0, s, im = CoordPoly.variable(sig, n, 0), coord_s(sig), coord_im(sig)
-    out = CoordPoly.zero(sig, n)
+    out = CoordPoly(sig, n, {})
     for (a, b), c in stem.f1.terms.items():
         out = out + (x0**a * s ** (b // 2)).scale_right(c)
     for (a, b), c in stem.f2.terms.items():
@@ -104,13 +109,13 @@ def point_poly_term_by_term(stem: StemFunction) -> CoordPoly:
 
 
 def zero_stem(signature: AlgebraSignature) -> StemFunction:
-    zero = CoordPoly.zero(signature, 2)
+    zero = CoordPoly(signature, 2, {})
     return StemFunction(zero, zero)
 
 
 def constant_stem(signature: AlgebraSignature, value) -> StemFunction:
     """The stem (value, 0) of a constant slice function."""
-    return StemFunction(CoordPoly.constant(signature, 2, value), CoordPoly.zero(signature, 2))
+    return StemFunction(CoordPoly.constant(signature, 2, value), CoordPoly(signature, 2, {}))
 
 
 def stem_powers_by_products(stem: StemFunction, count: int) -> list[StemFunction]:
@@ -238,7 +243,7 @@ def sample_stems(sig: AlgebraSignature, label: str) -> list[StemFunction]:
     rng = rng_for(16, label)
     out = [rand_stem(rng, sig, max_degree=4) for _ in range(3)]
     out += [compose(rand_regular_tuple(rng, sig, 3)) for _ in range(2)]
-    zero = CoordPoly.zero(sig, 2)
+    zero = CoordPoly(sig, 2, {})
     return out + [zero_stem(sig), StemFunction(out[0].f1, zero), StemFunction(zero, out[1].f2)]
 
 

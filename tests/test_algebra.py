@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import slicecalc.algebra
 from slicecalc.algebra import (
+    MAX_CLIFFORD_M,
     QUATERNION,
     AlgebraElement,
     AlgebraSignature,
@@ -104,9 +105,9 @@ def test_blade_names_round_trip():
         with pytest.raises(FunctionSpecError) as info:
             element_from_json(sig, {name: "1"})
         assert f"bad blade {name!r}" in str(info.value)
-    # refused before a table of 2^30 names is built
-    with pytest.raises(FunctionSpecError, match="exceeds the limit"):
-        element_from_json(clifford(30), {"1": "1"})
+    # no signature past Cl(0, 8) is built, so no table of more than 2^8 names
+    with pytest.raises(ValueError, match="exceeds the limit 8"):
+        clifford(MAX_CLIFFORD_M + 1)
 
 
 def test_stereographic_chart_reference_points():

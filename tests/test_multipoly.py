@@ -26,7 +26,7 @@ from slicecalc.operators import g_op
 from slicecalc.sampling import rand_poly, rng_for
 from slicecalc.slicefn import PointFunction
 
-from oracles import element_to_float, paravector
+from oracles import element_to_float, paravector, rf_partial
 
 H = QUATERNION
 ONE = AlgebraElement.one(H)
@@ -74,20 +74,20 @@ def test_partial_derivatives_polynomial():
 def test_partial_quotient_rule_squares_single_factor():
     den = var(1) ** 2 + var(2) ** 2
     f = RationalFn(const(1), ((den, 1),))
-    df = f.partial(1)
+    df = rf_partial(f, 1)
     assert df.den_factors == ((den, 2),)
     assert df.numer == var(1) * -2
     # a factor untouched by the derivative keeps its exponent
-    assert f.partial(0).is_zero()
+    assert rf_partial(f, 0).is_zero()
     g = RationalFn(var(0), ((den, 1),))
-    assert g.partial(0) == RationalFn(const(1), ((den, 1),))
+    assert rf_partial(g, 0) == RationalFn(const(1), ((den, 1),))
 
 
 def test_partial_with_multiple_denominator_factors():
     s = coord_s(H)
     splus = s + const(1)
     f = RationalFn(var(0) * var(1), ((s, 1), (splus, 2)))
-    df = f.partial(1)
+    df = rf_partial(f, 1)
     assert dict(df.den_factors) == {s: 2, splus: 3}
     rng = Random(7)
     step = 1e-5
@@ -118,7 +118,7 @@ def test_eval_examples():
 
 def test_zero_denominator_rejected():
     with pytest.raises(ZeroDenominatorError):
-        RationalFn(const(1), ((CoordPoly.zero(H, 4), 1),))
+        RationalFn(const(1), ((CoordPoly(H, 4, {}), 1),))
     with pytest.raises(ValueError):
         RationalFn(const(1), ((var(1).scale_left(I), 1),))  # non-real denominator
 
@@ -175,7 +175,7 @@ def test_partials_commute_on_random_rational_functions():
         numer = rand_poly(rng, H, 4, max_degree=3, n_terms=3)
         f = RationalFn(numer, ((s, 1),)) if rng.random() < 0.5 else RationalFn.from_poly(numer)
         h, k = rng.randrange(4), rng.randrange(4)
-        assert f.partial(h).partial(k) == f.partial(k).partial(h)
+        assert rf_partial(rf_partial(f, h), k) == rf_partial(rf_partial(f, k), h)
 
 
 def test_eval_is_multiplicative():
@@ -196,7 +196,7 @@ def test_partial_matches_float_finite_differences():
         f = RationalFn(numer, ((s, 1),))
         point = [rng.uniform(0.5, 1.5) for _ in range(4)]
         idx = rng.randrange(4)
-        exact = element_to_float(f.partial(idx).eval(point))
+        exact = element_to_float(rf_partial(f, idx).eval(point))
         up = list(point)
         down = list(point)
         up[idx] += step
@@ -315,4 +315,4 @@ def test_divide_exact_stops_on_the_leading_term():
     # LT = 2 x_0^2 divides x_0^2 as a monomial, but 1 / 2 is no integer: p is
     # primitive, so by Gauss's lemma p does not divide
     assert _divide_exact(var(0) ** 2, factors["2x0^2+3x1x2-1"]) is None
-    assert _divide_exact(CoordPoly.zero(H, 4), factors["s"]) == CoordPoly.zero(H, 4)
+    assert _divide_exact(CoordPoly(H, 4, {}), factors["s"]) == CoordPoly(H, 4, {})

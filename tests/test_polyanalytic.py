@@ -506,6 +506,18 @@ def test_classify_order_cap():
     assert rep.is_slice
 
 
+def test_classify_refuses_a_point_function_with_no_units():
+    # a point function's candidate stem is read on the first unit
+    pf = coordinate_function(H).to_point_function()
+    points = [rand_plane_point(rng_for(8, "no-units"))]
+    with pytest.raises(ValueError, match="at least one unit"):
+        classify(pf, 2, [], points)
+    # one unit decides a slice polynomial on its stem; a slice function needs none
+    for g, units in ((pf, UNITS[:1]), (coordinate_function(H), [])):
+        rep = classify(g, 2, units, points)
+        assert (rep.sbs_polyanalytic_order, rep.is_slice, _global_order(rep)) == (1, True, 1)
+
+
 def test_every_low_order_stem_decomposes():
     # converse direction: a vanishing n-th slice derivative is sufficient
     rng = rng_for(9, "converse")

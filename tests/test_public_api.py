@@ -15,6 +15,12 @@ the ``(module, "Dotted.name")`` pairs that ``tracing.layer_functions`` looks up.
 A public name the program never reaches is used only by the tests, or by
 nothing, and fails here.
 
+An attribute read does not say which class it is read on, so a public method
+whose name another package class also defines is attributed to its own class
+at run time: it counts as reached only when the program runs below call that
+class's own function (a property's ``fget``, a classmethod's ``__func__``).
+``CoordPoly.is_zero`` is not reached by a call of ``RationalFn.is_zero``.
+
 Operator overloads (``__add__``, ``__mul__``, ``__eq__`` and the like) and
 ``__hash__`` are called through operator syntax or by sets and dicts, which the
 parse cannot tie to a class, so they are
@@ -41,6 +47,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -353,16 +360,40 @@ def program_runs(tmp_path_factory):
     return SimpleNamespace(called=called, reads=reads)
 
 
+def _code(member):
+    """The code object a class member runs: a function's, a property getter's, or
+    the function under a classmethod or staticmethod; None for a data member."""
+    func = getattr(member, "fget", None) or getattr(member, "__func__", member)
+    return getattr(func, "__code__", None)
+
+
 def uncalled_operators(called) -> list[str]:
     """The operator overloads that package classes define and ``called`` lacks."""
     out = []
     for mod, cls in package_classes():
         for op in OPERATORS:
-            code = getattr(cls.__dict__.get(op), "__code__", None)
+            code = _code(cls.__dict__.get(op))
             # dataclass-made methods are compiled from a string, not written in the package
             if code is not None and code.co_filename != "<string>" and code not in called:
                 out.append(f"{mod}.{cls.__name__}.{op}")
     return sorted(out)
+
+
+def uncalled_shared_methods(called) -> list[str]:
+    """The public methods whose name more than one package class defines, and
+    whose own class's function ``called`` lacks."""
+    methods = [
+        (mod, cls.__name__, name, code)
+        for mod, cls in package_classes()
+        for name, member in vars(cls).items()
+        if not name.startswith("_") and (code := _code(member)) is not None
+    ]
+    owners = Counter(name for _, _, name, _ in methods)
+    return sorted(
+        f"{mod}.{cls}.{name}"
+        for mod, cls, name, code in methods
+        if owners[name] > 1 and code not in called
+    )
 
 
 def test_every_operator_overload_is_called_by_the_program(program_runs):
@@ -382,6 +413,22 @@ def test_an_operator_overload_only_the_tests_call_fails(program_runs, monkeypatc
         "algebra.AlgebraElement.__truediv__",
         "multipoly.CoordPoly.__rmul__",
     ]
+
+
+def test_every_method_sharing_a_name_is_called_on_its_own_class(program_runs):
+    assert uncalled_shared_methods(program_runs.called) == []
+
+
+def test_a_shared_method_name_the_program_calls_on_another_class_fails(
+    program_runs, monkeypatch
+):
+    # the program calls CoordPoly.total_degree and StemFunction.total_degree, and
+    # reads "total_degree" in reached bodies, but never this one
+    def total_degree(self):
+        return self.numer.total_degree()
+
+    monkeypatch.setattr(multipoly.RationalFn, "total_degree", total_degree, raising=False)
+    assert uncalled_shared_methods(program_runs.called) == ["multipoly.RationalFn.total_degree"]
 
 
 def test_importing_the_package_loads_no_module(child_env):

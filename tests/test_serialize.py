@@ -2,11 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from slicecalc.algebra import QUATERNION, AlgebraElement, clifford
+from slicecalc.algebra import MAX_CLIFFORD_M, QUATERNION, AlgebraElement, clifford
 from slicecalc.errors import FunctionSpecError
 from slicecalc.multipoly import CoordPoly
 from slicecalc.serialize import (
-    MAX_CLIFFORD_M,
     MAX_EXPONENT,
     MAX_TERMS,
     domain_from_json,

@@ -25,7 +25,7 @@ from oracles import (
 H = QUATERNION
 ALPHA = CoordPoly.variable(H, 2, 0)
 BETA = CoordPoly.variable(H, 2, 1)
-ZERO2 = CoordPoly.zero(H, 2)
+ZERO2 = CoordPoly(H, 2, {})
 ZBAR_SQUARED = stem_powers_by_products(StemFunction.zbar(H), 3)[2]
 
 
