@@ -619,21 +619,23 @@ class RationalFn:
         adds -k q N R to the numerator, q on the left like dF; any other goes up
         to F^(k+1): numer <- numer F - k dF N R.  The factor ``kept`` keeps its
         exponent and adds nothing, for a ``numer`` that holds its share already.
+        dF = 0 keeps the exponent and adds nothing.  F is real-scalar, so a
+        nonzero qF has the degree of q plus that of F: a nonzero dF of lower
+        degree than F is not divisible, and only a dF of degree at least F's is
+        tried by division.
         """
         raised = None
         factors = []
         for p, k in self.den_factors:
-            if p == kept:
-                factors.append((p, k))
-                continue
-            dp = d(p)
-            q = _divide_exact(dp, p)
-            if q is None:
-                numer = numer * p - _times((dp * k) * self.numer, raised)
-                raised = _times(p, raised)
-                k += 1
-            elif q.rows:
-                numer = numer - _times((q * k) * self.numer, raised)
+            dp = None if p == kept else d(p)
+            if dp is not None and dp.rows:
+                q = _divide_exact(dp, p) if dp.total_degree() >= p.total_degree() else None
+                if q is None:
+                    numer = numer * p - _times((dp * k) * self.numer, raised)
+                    raised = _times(p, raised)
+                    k += 1
+                else:
+                    numer = numer - _times((q * k) * self.numer, raised)
             factors.append((p, k))
         return RationalFn._make(numer, tuple(factors))
 

@@ -144,7 +144,8 @@ def poly_from_terms(
             raise FunctionSpecError(f"{what} exponent over the limit {MAX_EXPONENT}: {exps!r}")
         key = tuple(exps)
         coeff = element_from_json(signature, item["coefficient"])
-        terms[key] = terms.get(key, AlgebraElement.zero(signature)) + coeff
+        earlier = terms.get(key)
+        terms[key] = coeff if earlier is None else earlier + coeff
     try:
         return CoordPoly(signature, var_count, terms)
     except ValueError as exc:
@@ -247,12 +248,22 @@ def function_spec_from_json(obj: Any) -> Union[SliceFunction, PointFunction]:
 
 
 def digest(obj: Any) -> str:
-    """Short deterministic digest of a JSON-able input description.
+    """Short deterministic digest of a JSON-able input description: SHA-256, 16 hex digits.
 
-    ``hashlib`` is imported here, not at module level: it maps in OpenSSL's
-    libcrypto, megabytes of resident memory, and only ``verify`` digests inputs.
+    SHA-256 comes from the interpreter's built-in module, ``_sha2`` (3.12+) or
+    ``_sha256`` (3.10, 3.11), as ``random`` takes its SHA-512.  The standard
+    library's OpenSSL-backed module, which maps in libcrypto, megabytes of
+    resident memory, is the fallback only where neither exists, e.g. on a FIPS
+    build without them.  The import is made here, not at module level, so only
+    ``verify``, which digests inputs, loads a hash module at all.
     """
-    import hashlib
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
 
     text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+    return sha256(text.encode("utf-8")).hexdigest()[:16]

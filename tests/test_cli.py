@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import importlib.util
 import json
 import os
 import random
@@ -15,7 +16,7 @@ import slicecalc.cli
 from slicecalc.algebra import AlgebraElement, clifford
 from slicecalc.cli import build_parser, main
 from slicecalc.named import BUILTINS
-from slicecalc.serialize import element_to_json
+from slicecalc.serialize import digest, element_to_json
 
 RUN = [sys.executable, "-m", "slicecalc"]
 README = Path(__file__).parent.parent / "README.md"
@@ -300,6 +301,66 @@ def test_verify_default_report_matches_its_digest(tmp_path, capsys):
     out = tmp_path / "report.json"
     code, _, _ = run_cli(["verify", "--seed", "7", "--json", str(out)], capsys)
     assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_SEED7_SHA256
+
+
+# inputs of serialize.digest, unicode among them, and their SHA-256 straight from hashlib
+DIGEST_INPUTS = [
+    {},
+    [],
+    "",
+    {"b": [1, "2/3", None], "a": {"z": True}},
+    "\u00e9\u2202 \U0001d53b",
+    {"\u00fcnit": ["\u03b8\u0304", -7], "\u00e9": "\u4e2d"},
+]
+
+
+def hashlib_digest(obj) -> str:
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_digest_takes_the_built_in_sha256(monkeypatch):
+    # with hashlib unimportable, the digests are still hashlib's own
+    if not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
+        pytest.skip("the interpreter has no built-in SHA-256 module")
+    want = [hashlib_digest(obj) for obj in DIGEST_INPUTS]
+    monkeypatch.setitem(sys.modules, "hashlib", None)
+    assert [digest(obj) for obj in DIGEST_INPUTS] == want
+
+
+def test_digest_falls_back_to_hashlib_without_the_built_in_sha256(tmp_path, child_env):
+    # as on a build that strips _sha2 and _sha256: digest loads hashlib, and
+    # its digests and the verify report bytes stay the same
+    out = tmp_path / "report.json"
+    code = f"""
+import sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+if "hashlib" in sys.modules:
+    print("preloaded")
+    sys.exit()
+import contextlib, io, json
+from slicecalc import cli
+from slicecalc.serialize import digest
+inputs = {ascii(DIGEST_INPUTS)}
+got = [digest(obj) for obj in inputs]
+print("hashlib" in sys.modules)
+import hashlib
+text = [json.dumps(obj, sort_keys=True, separators=(",", ":")) for obj in inputs]
+print(got == [hashlib.sha256(t.encode()).hexdigest()[:16] for t in text])
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["verify", "--seed", "7", "--json", sys.argv[1]]) == 0
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(out)],
+        capture_output=True,
+        text=True,
+        env=child_env,
+        check=True,
+    )
+    if proc.stdout == "preloaded\n":
+        pytest.skip("the interpreter loads hashlib at startup")
+    assert proc.stdout == "True\nTrue\n"
     assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_SEED7_SHA256
 
 

@@ -508,3 +508,26 @@ def test_plane_dbar_keeps_the_derivative_of_a_factor_on_the_left():
     got = plane.dbar().rf
     assert got == RationalFn(-beta.scale_left(unit.value * j), ((f, 2),))
     assert stored(got) == stored(plane_dbar_by_partials(plane))
+
+
+@pytest.mark.parametrize("constant", [0, 1], ids=["beta^2", "beta^2+1"])
+def test_a_plane_dbar_step_divides_no_factor(monkeypatch, constant):
+    # dbar of a real factor F lowers its degree, and F, real-scalar, divides no
+    # nonzero polynomial of lower degree, so the quotient rule tries no division
+    beta = CoordPoly.variable(H, 2, 1)
+    f = beta * beta + CoordPoly.constant(H, 2, constant)
+    numer = rand_poly(rng_for(47, "no-division"), H, 2, max_degree=3)
+    plane = SlicePlanePoly(RationalFn(numer, ((f, 1),)), I_U)
+    want = plane_dbar_by_partials(plane)
+    divisions = []
+    real = multipoly._divide_exact
+
+    def counted(numer, p):
+        divisions.append(p)
+        return real(numer, p)
+
+    monkeypatch.setattr(multipoly, "_divide_exact", counted)
+    got = plane.dbar().rf
+    assert divisions == []
+    assert stored(got) == stored(want)
+    assert got.den_factors == ((f, 2),)

@@ -76,6 +76,23 @@ def test_poly_terms_round_trip():
     assert poly_from_terms(H, 2, poly_to_terms(poly), "test") == poly
 
 
+def test_repeated_exponents_sum_with_no_zero_element(monkeypatch):
+    # a coefficient is added to the earlier one only when its exponents repeat
+    want = CoordPoly(H, 2, {(1, 0): AlgebraElement(H, {0: Fraction(5, 6), 2: 2})})
+    items = [
+        {"exponents": [1, 0], "coefficient": {"1": "1/2"}},
+        {"exponents": [0, 1], "coefficient": {"i": "1"}},
+        {"exponents": [1, 0], "coefficient": {"1": "1/3", "j": "2"}},
+        {"exponents": [0, 1], "coefficient": {"i": "-1"}},
+    ]
+
+    def refused(signature):
+        raise AssertionError("poly_from_terms built AlgebraElement.zero")
+
+    monkeypatch.setattr(AlgebraElement, "zero", refused)
+    assert poly_from_terms(H, 2, items, "f1_terms") == want
+
+
 def test_stem_spec_parses_to_slice_function():
     spec = {
         "signature": {"kind": "quaternion"},
