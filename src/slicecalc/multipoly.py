@@ -4,10 +4,10 @@ Variables are real-valued and central (they commute with everything); the
 noncommutative coefficients sit on the left of each monomial, so a product of
 terms multiplies coefficients in order.  Rational functions keep a polynomial
 numerator over a real-scalar denominator stored in factored form: one
-quotient rule raises by one only the factors F that do not divide their
-derivative, and exact division by known factors (``_divide_exact``, and
-``_cancel`` over it) lowers an exponent again wherever a factor divides the
-numerator, so no general gcd is needed.
+quotient rule raises by one every factor that the derivation does not kill
+and its caller (G, for its radial factors) does not keep, and divides nothing;
+exact division by known factors (``_divide_exact``, and ``_cancel`` over it)
+lowers an exponent wherever a factor divides the numerator, so no gcd is needed.
 
 A polynomial stores, per monomial, one Python ``int`` numerator per blade, all
 over one positive denominator in lowest terms; ``terms`` gives the coefficients
@@ -45,7 +45,7 @@ from heapq import heapify, heappop, heappush
 from itertools import chain, combinations, islice
 from math import gcd, lcm, prod
 from operator import add, sub
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .algebra import (
     AlgebraElement,
@@ -299,9 +299,10 @@ class CoordPoly:
         """s d/dx_0 + Im(x) (R - shift) in one pass, R = sum_h x_h d/dx_h over x_1..x_n.
 
         With shift 0 this is G = |Im x|^2 d/dx_0 + Im(x) R, Im(x) on the left.
-        R s^k = 2k s^k and d/dx_0 s = 0, so G(N / s^k) = N.g_op(2k) / s^k.  One
-        loop collects the d/dx_0 rows and the rows times (x'-degree - shift),
-        and two products add them times s and Im(x) into one accumulator.
+        G(F^k) = k deg(F) Im(x) F^k for a radial F, free of x_0 and homogeneous
+        in x_1..x_n as s is, so G(N / D) = N.g_op(sum k deg F) / D for D a product
+        of such F^k.  One loop collects the d/dx_0 rows and the rows times
+        (x'-degree - shift); two products add them times s and Im(x) into one.
         """
         sig = self.signature
         d0_rows, radial_rows = [], []
@@ -606,36 +607,31 @@ class RationalFn:
     # -- calculus --------------------------------------------------------------------
 
     def derive(self, d) -> "RationalFn":
-        """The image under a derivation ``d``, by the quotient rule; see ``_quotient_rule``."""
+        """The image under a derivation ``d`` by the quotient rule; see ``_quotient_rule``.
+
+        A factor dividing its own image goes up a power too; ``_cancel`` reduces it.
+        """
         return self._quotient_rule(d(self.numer), d)
 
-    def _quotient_rule(self, numer: CoordPoly, d, kept: "CoordPoly | None" = None) -> "RationalFn":
+    def _quotient_rule(self, numer: CoordPoly, d, kept: Collection[CoordPoly] = ()) -> "RationalFn":
         """The quotient rule of a derivation ``d``, given ``numer``, the image of the numerator.
 
         ``d`` obeys d(QN) = d(Q) N + Q d(N) for real-scalar Q; d(F) of a real factor
         F may have algebra coefficients (the plane operator's does), so it multiplies
         N from the left.  With R the product of the factors raised so far, a
-        factor F^k that divides its derivative, dF = qF, keeps its exponent and
-        adds -k q N R to the numerator, q on the left like dF; any other goes up
-        to F^(k+1): numer <- numer F - k dF N R.  The factor ``kept`` keeps its
-        exponent and adds nothing, for a ``numer`` that holds its share already.
-        dF = 0 keeps the exponent and adds nothing.  F is real-scalar, so a
-        nonzero qF has the degree of q plus that of F: a nonzero dF of lower
-        degree than F is not divisible, and only a dF of degree at least F's is
-        tried by division.
+        factor F^k with dF != 0 goes up to F^(k+1): numer <- numer F - k dF N R.
+        One with dF = 0 keeps its exponent, as does one in ``kept``, whose share
+        ``numer`` holds.  Nothing is divided: partials and the plane operator lower
+        the degree, so dF = qF forces dF = 0; a rotation field with dF = cF, c != 0,
+        would make F grow along a periodic rotation; G keeps its radial factors.
         """
         raised = None
         factors = []
         for p, k in self.den_factors:
-            dp = None if p == kept else d(p)
-            if dp is not None and dp.rows:
-                q = _divide_exact(dp, p) if dp.total_degree() >= p.total_degree() else None
-                if q is None:
-                    numer = numer * p - _times((dp * k) * self.numer, raised)
-                    raised = _times(p, raised)
-                    k += 1
-                else:
-                    numer = numer - _times((q * k) * self.numer, raised)
+            if p not in kept and (dp := d(p)).rows:
+                numer = numer * p - _times((dp * k) * self.numer, raised)
+                raised = _times(p, raised)
+                k += 1
             factors.append((p, k))
         return RationalFn._make(numer, tuple(factors))
 

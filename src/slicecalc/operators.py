@@ -5,11 +5,10 @@ function to one slice plane and applies (d/da + I d/db)/2 there; the global
 path applies the first-order operator G = s d/dx_0 + Im(x) sum_h x_h d/dx_h,
 s = |Im x|^2, and thetabar = G / (2s) symbolically on the rational-function
 class, which is closed under the quotient rule.  G takes each numerator in one
-pass and reads a denominator power s^k as a shift of its radial part, so s
-costs no product of its own.  G of the last function asked for is kept, so
-``g_op(g)`` and ``thetabar(g)`` of one function take one G.  The coincidence
-of the two paths slice by slice is one of the nontrivial identities the
-verification campaigns check.
+pass and reads a radial denominator factor F^k (free of x_0, homogeneous in
+x_1..x_n, as s is) as a shift k deg(F).  G of the last function asked for is
+kept, so ``g_op(g)`` and ``thetabar(g)`` of one function take one G.  The two
+paths coincide slice by slice, one of the identities the campaigns check.
 """
 
 from __future__ import annotations
@@ -90,14 +89,19 @@ _last_g: tuple = (None, None)
 
 
 def _g(rf: RationalFn) -> RationalFn:
-    """G(rf) by the quotient rule, a power s^k of the denominator read as the shift 2k."""
+    """G(rf) by the quotient rule, each radial factor F^k read as the shift k deg(F).
+
+    G(F) = deg(F) Im(x) F for radial F, and no other real factor F divides G(F):
+    F divides each blade of it, x_h RF for h = 1..n >= 2, so RF = cF and F is
+    homogeneous in x'; a quotient of s dF/dx_0 by F has x'-degree 2, degree <= 1.
+    """
     global _last_g
     last, g = _last_g  # one read, so the pair cannot change between its halves
     if last is rf:
         return g
-    s = coord_s(rf.signature)
-    k = dict(rf.den_factors).get(s, 0)
-    g = rf._quotient_rule(rf.numer.g_op(2 * k), CoordPoly.g_op, kept=s)
+    radial = {p: k * p.total_degree() for p, k in rf.den_factors
+              if len({sum(e) for e in p.rows}) == 1 and not any(e[0] for e in p.rows)}
+    g = rf._quotient_rule(rf.numer.g_op(sum(radial.values())), CoordPoly.g_op, kept=radial)
     _last_g = (rf, g)
     return g
 
@@ -116,10 +120,10 @@ def thetabar(g: PointFunction, order: int = 1) -> PointFunction:
     thetabar(g) = (dg/dx_0 + Im(x)/|Im(x)|^2 * sum_h x_h dg/dx_h) / 2, with the
     Im(x) factor multiplying from the left, so thetabar = G / (2s) with G as in
     ``g_op``.  The result lives off the real axis.  Each step is stored in
-    reduced form over the known factors: G keeps a power of s and raises by
-    one every other factor not homogeneous in x_1..x_n, dividing by 2s adds
-    one power of s, and then every factor is divided out of the numerator as
-    often as it divides exactly.  G of the last function asked for is kept,
+    reduced form over the known factors: G keeps each radial factor, s among
+    them, and raises every other one by one, dividing by 2s adds one power of
+    s, and then every factor is divided out of the numerator as often as it
+    divides exactly.  G of the last function asked for is kept,
     so ``g_op(g)`` before or after ``thetabar(g)`` takes no second G.
     """
     if order < 1:
@@ -130,8 +134,8 @@ def thetabar(g: PointFunction, order: int = 1) -> PointFunction:
 def g_op(g: PointFunction) -> PointFunction:
     """The first-order companion operator G = |Im(x)|^2 d/dx_0 + Im(x) sum x_h d/dx_h.
 
-    One pass per numerator (``CoordPoly.g_op``): G(N / s^k) = N.g_op(2k) / s^k,
-    and any other factor goes through the quotient rule.  It adds no
+    One pass per numerator (``CoordPoly.g_op``), each radial factor F^k read as
+    the shift k deg(F), s^k as 2k; the quotient rule raises any other.  It adds no
     denominator to a polynomial or to N/s^k, so it is defined on the whole
     domain; it agrees with 2 s * thetabar(g) off the real axis.  G of the
     last function asked for is kept, so ``thetabar(g)`` before or after

@@ -155,9 +155,9 @@ def classify(
     zbar, whose components are the report's component stems, and their count
     is the global order.  ``units`` and ``points`` apply to a point function g only.
     Its slice-ness is exact (``is_slice_exact``), and a slice g whose candidate
-    stem along the first unit is polynomial is decided on that stem.  Otherwise
-    the slice-by-slice zero test runs on each sampled slice, exact there but a
-    sample of slices, and the sampled probe only looks for a witness.
+    stem along the first unit is polynomial is decided on that stem.  Any other
+    slice g has dbar_I^n g_I = G1 + I G2, G1 even and G2 odd in beta, zero on one
+    slice exactly when on all, so its order is read on one; a non-slice g's on each.
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
@@ -177,7 +177,7 @@ def classify(
     witness = is_slice(g, units, points)  # raises where a denominator vanishes
 
     sbs_order: Optional[int] = 0
-    for unit in units:
+    for unit in units[:1] if slice_ok else units:
         plane = restrict_to_slice(g, unit)
         levels = islice(_iterates(SlicePlanePoly.dbar, plane), max_order + 1)
         # the least n in 1..max_order with a vanishing n-th derivative on this slice
@@ -340,8 +340,8 @@ def counterexample_suite(
         )
         target = RationalFn(numer, ((den, 1),))
         restricted = restrict_to_slice(bump, unit)
-        # i2 != 0 forces a positive denominator, hence a bounded restriction
-        if restricted.rf == target and (i2 == 0 or tail > 0):
+        # bounded: the denominator is positive if tail > 0, else i2 = 0 zeroes the numerator
+        if restricted.rf == target:
             matched += 1
         else:
             ok = False

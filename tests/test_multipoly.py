@@ -14,6 +14,7 @@ from slicecalc.errors import (
 from slicecalc.multipoly import (
     CoordPoly,
     RationalFn,
+    _cancel,
     _divide_exact,
     coord_s,
     coord_x,
@@ -155,17 +156,22 @@ def test_value_equality_across_representations():
     assert b != var(1)
 
 
-def test_a_factor_that_divides_its_derivative_keeps_its_power():
-    # G(s) = 2 s Im(x): s divides it, with a quotient that is not real, so the
-    # quotient rule keeps s^1, as g_op stores G(N / s) by reading s as a shift
+def test_g_op_reads_s_as_a_shift_and_derive_raises_it():
+    # G(s) = 2 s Im(x): g_op keeps s^1, reading it as the shift 2, while the
+    # generic quotient rule divides nothing, so derive(G) stores s^2 over a
+    # numerator that s divides; the two agree in value and after _cancel
     s = coord_s(H)
     rng = rng_for(21, "divides-derivative")
     for _ in range(3):
         rf = RationalFn(rand_poly(rng, H, 4, max_degree=3, n_terms=4), ((s, 1),))
         got = rf.derive(CoordPoly.g_op)
         want = g_op(PointFunction(default_domain(), rf)).expr
-        assert got.den_factors == want.den_factors == ((s, 1),)
-        assert got.numer == want.numer
+        assert want.den_factors == ((s, 1),)
+        assert want.numer == rf.numer.g_op(2)
+        assert got.den_factors == ((s, 2),)
+        assert got == want
+        reduced = _cancel(got)
+        assert (reduced.den_factors, reduced.numer) == (want.den_factors, want.numer)
 
 
 def test_partials_commute_on_random_rational_functions():

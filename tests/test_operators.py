@@ -32,7 +32,7 @@ from slicecalc.sampling import (
     rand_stem,
     rng_for,
 )
-from slicecalc.slicefn import PointFunction, SliceFunction, phi_coords
+from slicecalc.slicefn import PointFunction, SliceFunction, is_slice_exact, phi_coords
 
 from oracles import (
     element_to_float,
@@ -322,6 +322,47 @@ def test_a_factor_not_homogeneous_in_the_imaginary_part_goes_up_once_per_step():
         assert dict(g_op(g).expr.den_factors) == {factor: 2}
 
 
+@pytest.mark.parametrize("sig", [H, clifford(3)], ids=["H", "Cl3"])
+def test_a_radial_factor_other_than_s_keeps_its_power(sig):
+    # x_1^2 + x_2^2 is free of x_0 and homogeneous, so G reads it as a shift:
+    # each thetabar step keeps its power and holds s^1
+    n = sig.coord_count
+    s = coord_s(sig)
+    x1, x2 = (CoordPoly.variable(sig, n, h) for h in (1, 2))
+    q = x1 * x1 + x2 * x2
+    rng = rng_for(12, "q")
+    for k in (1, 2):
+        for _ in range(3):
+            g = PointFunction(DOM, RationalFn(rand_poly(rng, sig, n, max_degree=3), ((q, k),)))
+            for order in (1, 2):
+                assert dict(thetabar(g, order).expr.den_factors) == {q: k, s: 1}
+            assert g_op(g).expr.den_factors == ((q, k),)
+
+
+def test_g_and_the_rotation_test_divide_no_factor(monkeypatch):
+    # G raises s + 1 and bump's denominator and reads x_1^2 + x_2^2 as a shift,
+    # and a rotation field raises bump's denominator: no factor is tried by division
+    s = coord_s(H)
+    one = CoordPoly.constant(H, 4, 1)
+    x1, x2 = (CoordPoly.variable(H, 4, h) for h in (1, 2))
+    bump = jump_example(H)
+    numer = rand_poly(rng_for(48, "no-division"), H, 4, max_degree=3)
+    factors = (s + one, bump.expr.den_factors[0][0], x1 * x1 + x2 * x2)
+    inputs = [PointFunction(DOM, RationalFn(numer, ((p, 1),))) for p in factors]
+    divisions = []
+    real = multipoly._divide_exact
+
+    def counted(numer, p):
+        divisions.append(p)
+        return real(numer, p)
+
+    monkeypatch.setattr(multipoly, "_divide_exact", counted)
+    for g in inputs:
+        g_op(g)
+    assert not is_slice_exact(bump)
+    assert divisions == []
+
+
 @pytest.mark.parametrize("sig", [H, clifford(3), clifford(5)], ids=["H", "Cl3", "Cl5"])
 def test_thetabar_of_an_induced_function_is_the_induced_slice_derivative(sig):
     # thetabar^n of the function a polynomial stem induces reduces to a
@@ -347,6 +388,8 @@ def test_radial_rule_matches_the_sum_of_partials(sig):
     s, im = coord_s(sig), coord_im(sig)
     s_plus_one = s + CoordPoly.constant(sig, n, 1)
     bump_den = jump_example(sig).expr.den_factors[0][0]
+    x0, x1, x2 = (CoordPoly.variable(sig, n, h) for h in (0, 1, 2))
+    q = x1 * x1 + x2 * x2
     denominators = (
         ((s, 1),),
         ((s, 2),),
@@ -354,6 +397,12 @@ def test_radial_rule_matches_the_sum_of_partials(sig):
         ((bump_den, 1),),
         ((s, 1), (s_plus_one, 2)),
         ((bump_den, 2), (s, 1)),
+        # radial factors other than s: free of x_0, homogeneous in x_1..x_n
+        ((x1, 1),),
+        ((q, 2),),
+        ((s, 1), (q, 1), (s_plus_one, 1)),
+        # homogeneous but not free of x_0, so not radial
+        ((x0 * x0 + s, 1),),
     )
     for factors in denominators:
         for _ in range(3):

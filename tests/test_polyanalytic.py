@@ -476,6 +476,43 @@ def test_classify_samples_the_exact_thetabar_order(g, units, max_order):
     assert rep.sbs_polyanalytic_order == thetabar_order(g, max_order)
 
 
+def _slice_rational_inputs(sig):
+    """x^-1 = xbar/(x_0^2 + s), and xbar^h/(x - 2) for h = 0..3, of order h + 1.
+
+    1/(x - 2) = (xbar - 2)/((x_0 - 2)^2 + s), real denominators only.
+    """
+    n = sig.coord_count
+    x0, s, xbar = CoordPoly.variable(sig, n, 0), coord_s(sig), coord_xbar(sig)
+    two = CoordPoly.constant(sig, n, 2)
+    inputs = [RationalFn(xbar, [(x0 * x0 + s, 1)])]
+    inputs += [RationalFn(xbar**h * (xbar - two), [((x0 - two) ** 2 + s, 1)]) for h in range(4)]
+    return [PointFunction(DOM, rf) for rf in inputs]
+
+
+@pytest.mark.parametrize("sig", [H, clifford(3)], ids=_label)
+def test_classify_reads_a_slice_rational_order_on_one_slice(sig, monkeypatch):
+    # dbar_I^n of a slice function is G1 + I G2, G1 even and G2 odd in beta,
+    # zero on one slice exactly when on all, so one restriction decides it
+    calls = []
+    real = polyanalytic.restrict_to_slice
+
+    def counted(g, unit):
+        calls.append(unit)
+        return real(g, unit)
+
+    monkeypatch.setattr(polyanalytic, "restrict_to_slice", counted)
+    units = sample_units(sig, 0, 10)
+    rng = rng_for(7, "classify-points")
+    points = [rand_plane_point(rng, DOM) for _ in range(5)]
+    for g, order in zip(_slice_rational_inputs(sig), (1, 1, 2, 3, 4)):
+        calls.clear()
+        rep = classify(g, 6, units, points)
+        assert calls == units[:1]
+        assert rep.is_slice
+        assert rep.evidence == {"candidate_stem": "not polynomial"}
+        assert rep.sbs_polyanalytic_order == thetabar_order(g, 6) == order
+
+
 def test_classify_conjugate_square():
     pf = slice_of(ZBAR_POWERS[2]).to_point_function()
     rep = _classify(pf)
