@@ -294,43 +294,33 @@ class AlgebraElement:
         return " + ".join(parts)
 
 
-class ImaginaryUnit:
+class ImaginaryUnit(AlgebraElement):
     """A rational point of the imaginary-unit sphere: Re = 0 and I*I = -1.
 
-    On the imaginary span of H and of every Cl(0, m), I*I = -|I|^2, so the
-    product is checked as the integer identity sum(n^2) = den^2 on the
-    stored numerators, with no algebra product.
+    A unit is the element itself, checked once, at construction: on the
+    imaginary span of H and of every Cl(0, m), I*I = -|I|^2, so the product is
+    checked as the integer identity sum(n^2) = den^2 on the stored numerators,
+    with no algebra product.  It compares, hashes and multiplies as the element.
     """
 
-    __slots__ = ("value",)
+    __slots__ = ()
 
-    def __init__(self, value: AlgebraElement):
-        sig = value.signature
-        allowed = set(sig.imag_masks)
+    def __new__(cls, value: AlgebraElement):
+        allowed = set(value.signature.imag_masks)
         if any(mask not in allowed for mask in value.nums):
             raise ValueError("imaginary unit must lie in the imaginary span")
         if sum(n * n for n in value.nums.values()) != value.den**2:
             raise ValueError("imaginary unit must square to -1 exactly")
-        self.value = value
-
-    @property
-    def signature(self) -> AlgebraSignature:
-        return self.value.signature
+        obj = object.__new__(cls)
+        obj.signature, obj.nums, obj.den = value.signature, value.nums, value.den
+        return obj
 
     def components(self) -> tuple[Fraction, ...]:
         """Coefficients along the imaginary coordinate axes, in order."""
-        return tuple(self.value.coeff(m) for m in self.signature.imag_masks)
+        return tuple(self.coeff(m) for m in self.signature.imag_masks)
 
     def __neg__(self):
-        return ImaginaryUnit(-self.value)
-
-    def __eq__(self, other):
-        if not isinstance(other, ImaginaryUnit):
-            return NotImplemented
-        return self.value == other.value
-
-    def __repr__(self):
-        return f"Unit({self.value!r})"
+        return ImaginaryUnit(self * -1)
 
 
 def stereographic_unit(

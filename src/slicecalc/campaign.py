@@ -245,17 +245,17 @@ def slice_global_trials(
                 theta = thetas[n].expr
                 for p, _ in theta.den_factors:
                     if p not in factors:
-                        q = factors[p] = restrict_poly(p, unit.value)
+                        q = factors[p] = restrict_poly(p, unit)
                         if q not in checked:
                             for z in points:
                                 if q.eval(z).is_zero():
                                     raise DenominatorVanishesError(phi_coords(unit, *z))
                             checked.add(q)
                 lhs_rf = RationalFn._make(
-                    restrict_poly(theta.numer, unit.value),
+                    restrict_poly(theta.numer, unit),
                     tuple((factors[p], k) for p, k in theta.den_factors),
                 )
-                rhs_rf = planes[n].rf
+                rhs_rf = planes[n]
                 if lhs_rf == rhs_rf:
                     yield from repeat(None, len(points))
                     continue
@@ -299,12 +299,12 @@ def slice_derivative_trials(
         pf = SliceFunction(domain, stem).to_point_function()
         # restricted once per unit; level n is one dbar step from n - 1
         stem_side = [restrict_slice_function(stem, unit).dbar_chain(top) for unit in units]
-        coord_ok = [restrict_to_slice(pf, u).rf == s[0].rf for u, s in zip(units, stem_side)]
+        coord_ok = [restrict_to_slice(pf, u) == s[0] for u, s in zip(units, stem_side)]
         stem_levels = list(islice(_iterates(StemFunction.dbar, stem), top + 1))
         for n in orders:
             for ui, unit in enumerate(units):
-                want = restrict_slice_function(stem_levels[n], unit).rf
-                ok = want == stem_side[ui][n].rf and coord_ok[ui]
+                want = restrict_slice_function(stem_levels[n], unit)
+                ok = want == stem_side[ui][n] and coord_ok[ui]
                 yield None if ok else {"stem_index": si, "unit_index": ui, "order": n}
 
 
@@ -363,10 +363,8 @@ def leibniz_trials(
             for ui, (unit, pxbar, (g_slice, dg_slice)) in enumerate(
                 zip(units, plane_xbar, g_planes)
             ):
-                s_lhs = dbar_slice(xg, unit, 1).rf
-                s_rhs = g_slice.rf.mul_poly_left(
-                    pxbar[h - 1] * h
-                ) + dg_slice.rf.mul_poly_left(pxbar[h])
+                s_lhs = dbar_slice(xg, unit, 1)
+                s_rhs = g_slice.mul_poly_left(pxbar[h - 1] * h) + dg_slice.mul_poly_left(pxbar[h])
                 yield None if s_lhs == s_rhs else {
                     "function_index": gi,
                     "power": h,
@@ -469,15 +467,13 @@ def decomposition_roundtrip_trials(
             levels = restrict_to_slice(pf, unit).dbar_chain(n)
             ok = ok and levels[n].is_zero()
             # each part restricted once per unit; levels start at 1, so parts[0] never enters
-            restricted = {
-                h: restrict_slice_function(parts[h], unit).rf for h in range(1, n)
-            }
+            restricted = {h: restrict_slice_function(parts[h], unit) for h in range(1, n)}
             for level in range(1, n):
                 total_rhs = None
                 for h in range(level, n):
                     term = restricted[h].mul_poly_left(pxbar[h - level] * perm(h, level))
                     total_rhs = term if total_rhs is None else total_rhs + term
-                if levels[level].rf != total_rhs:
+                if levels[level] != total_rhs:
                     ok = False
         yield None if ok else {"tuple_index": ti, "order": n}
 

@@ -1,14 +1,16 @@
 """Differential operators on point functions.
 
 Two computation paths exist on purpose.  The slice-wise path restricts a
-function to one slice plane and applies (d/da + I d/db)/2 there; the global
-path applies the first-order operator G = s d/dx_0 + Im(x) sum_h x_h d/dx_h,
-s = |Im x|^2, and thetabar = G / (2s) symbolically on the rational-function
-class, which is closed under the quotient rule.  G takes each numerator in one
-pass and reads a radial denominator factor F^k (free of x_0, homogeneous in
-x_1..x_n, as s is) as a shift k deg(F).  G of the last function asked for is
-kept, so ``g_op(g)`` and ``thetabar(g)`` of one function take one G.  The two
-paths coincide slice by slice, one of the identities the campaigns check.
+function to one slice plane, as a ``SlicePlanePoly`` (the restriction itself, a
+``RationalFn`` in (alpha, beta) that records its unit I), and applies
+(d/da + I d/db)/2 there; the global path applies the first-order operator
+G = s d/dx_0 + Im(x) sum_h x_h d/dx_h, s = |Im x|^2, and thetabar = G / (2s)
+symbolically on the rational-function class, which is closed under the
+quotient rule.  G takes each numerator in one pass and reads a radial
+denominator factor F^k (free of x_0, homogeneous in x_1..x_n, as s is) as a
+shift k deg(F).  G of the last function asked for is kept, so ``g_op(g)`` and
+``thetabar(g)`` of one function take one G.  The two paths coincide slice by
+slice, one of the identities the campaigns check.
 """
 
 from __future__ import annotations
@@ -30,35 +32,31 @@ from .slicefn import PointFunction
 from .stem import StemFunction
 
 
-class SlicePlanePoly:
-    """A rational function of (alpha, beta) tagged with the slice unit.
+class SlicePlanePoly(RationalFn):
+    """A rational function of (alpha, beta) along the slice of ``unit``.
 
-    Produced by restrict_to_slice; the unit is recorded so iterated slice
+    Produced by restrict_to_slice; it is that restriction as a ``RationalFn``,
+    compared and combined by value, and the unit is recorded so iterated slice
     derivatives know which I multiplies the beta-derivative from the left.
     """
 
-    __slots__ = ("rf", "unit")
+    __slots__ = ("unit",)
 
     def __init__(self, rf: RationalFn, unit: ImaginaryUnit):
         if rf.var_count != 2:
             raise ValueError("slice-plane functions are bivariate")
-        self.rf = rf
+        self.numer = rf.numer
+        self.den_factors = rf.den_factors
         self.unit = unit
 
     def dbar(self) -> "SlicePlanePoly":
         """One application of (d/da + I d/db)/2 with I on the left, by the quotient rule."""
-        unit = self.unit.value
-        return SlicePlanePoly(self.rf.derive(lambda p: p.plane_dbar(unit)), self.unit)
+        unit = self.unit
+        return SlicePlanePoly(self.derive(lambda p: p.plane_dbar(unit)), unit)
 
     def dbar_chain(self, top: int) -> list["SlicePlanePoly"]:
         """[self, dbar self, ..., dbar^top self], each one step from the last."""
         return list(islice(_iterates(SlicePlanePoly.dbar, self), top + 1))
-
-    def is_zero(self) -> bool:
-        return self.rf.is_zero()
-
-    def __repr__(self):
-        return f"SlicePlanePoly({self.rf!r}, unit={self.unit!r})"
 
 
 def plane_x(signature: AlgebraSignature, unit: ImaginaryUnit) -> CoordPoly:
@@ -68,7 +66,7 @@ def plane_x(signature: AlgebraSignature, unit: ImaginaryUnit) -> CoordPoly:
 
 def restrict_to_slice(g: PointFunction, unit: ImaginaryUnit) -> SlicePlanePoly:
     """Exact substitution x_0 <- alpha, x_h <- i_h * beta."""
-    return SlicePlanePoly(restrict_rf(g.expr, unit.value), unit)
+    return SlicePlanePoly(restrict_rf(g.expr, unit), unit)
 
 
 def restrict_slice_function(stem: StemFunction, unit: ImaginaryUnit) -> SlicePlanePoly:

@@ -126,7 +126,7 @@ def per_slice_decomposition(
     if not second.is_zero():
         raise NotPolyanalyticOfOrderError(2)
     xbar = plane_x(g.signature, -unit)
-    f0 = SlicePlanePoly(restricted.rf - f1.rf.mul_poly_left(xbar), unit)
+    f0 = SlicePlanePoly(restricted - f1.mul_poly_left(xbar), unit)
     return f0, f1
 
 
@@ -184,7 +184,7 @@ def classify(
         n = next((n for n, level in enumerate(levels) if n and level.is_zero()), None)
         if n is None:
             sbs_order = None
-            evidence["sbs_blocking_unit"] = repr(unit.value)
+            evidence["sbs_blocking_unit"] = repr(unit)
             break
         sbs_order = max(sbs_order, n)
     return ClassificationReport(sbs_order, slice_ok, witness, None, evidence)
@@ -223,7 +223,7 @@ def _expected_slice_constants(
     canonical imaginary basis element.
     """
     u = AlgebraElement.basis(sig, sig.imag_masks[0])
-    prod = unit.value * u * unit.value * u
+    prod = unit * u * unit * u
     one = AlgebraElement.one(sig)
     half = Fraction(1, 2)
     return (one + prod) * half, (one - prod) * half
@@ -231,8 +231,8 @@ def _expected_slice_constants(
 
 def _witness_pair(witness: Optional[SliceWitness]) -> dict:
     return {
-        "witness_h": repr(witness.unit_h.value) if witness else None,
-        "witness_k": repr(witness.unit_k.value) if witness else None,
+        "witness_h": repr(witness.unit_h) if witness else None,
+        "witness_k": repr(witness.unit_k) if witness else None,
     }
 
 
@@ -274,7 +274,7 @@ def counterexample_suite(
 
     # (1) second slice derivative vanishes on every sampled slice, exactly
     first_ok = all(
-        split is not None and split[1].rf == CoordPoly.constant(signature, 2, c_minus)
+        split is not None and split[1] == CoordPoly.constant(signature, 2, c_minus)
         for split, (_, c_minus) in zip(splits, consts)
     )
     checks["slicewise-order-two"] = (
@@ -309,12 +309,12 @@ def counterexample_suite(
 
     # (4) per-slice coefficients depend on the slice
     ok = first_ok and all(
-        split[0].rf == plane_x(signature, unit).scale_right(c_plus)
+        split[0] == plane_x(signature, unit).scale_right(c_plus)
         for split, unit, (c_plus, _) in zip(splits, units, consts)
     )
-    f1_reprs = [None if split is None else repr(split[1].rf.numer) for split in splits[:2]]
+    f1_reprs = [None if split is None else repr(split[1].numer) for split in splits[:2]]
     checks["slice-coefficients-depend-on-unit"] = (
-        ok and splits[0][1].rf != splits[1][1].rf,
+        ok and splits[0][1] != splits[1][1],
         {"f1_on_first_unit": f1_reprs[0], "f1_on_second_unit": f1_reprs[1]},
     )
 
@@ -341,7 +341,7 @@ def counterexample_suite(
         target = RationalFn(numer, ((den, 1),))
         restricted = restrict_to_slice(bump, unit)
         # bounded: the denominator is positive if tail > 0, else i2 = 0 zeroes the numerator
-        if restricted.rf == target:
+        if restricted == target:
             matched += 1
         else:
             ok = False

@@ -197,8 +197,8 @@ def domain_from_json(obj: Any) -> CircularDomain:
 
 def witness_to_json(witness: SliceWitness) -> dict:
     return {
-        "H": element_to_json(witness.unit_h.value),
-        "K": element_to_json(witness.unit_k.value),
+        "H": element_to_json(witness.unit_h),
+        "K": element_to_json(witness.unit_k),
         "z": [frac_to_str(witness.z[0]), frac_to_str(witness.z[1])],
         "predicted": element_to_json(witness.predicted),
         "actual": element_to_json(witness.actual),

@@ -75,12 +75,12 @@ def phi_coords(
 ) -> tuple[Fraction, ...]:
     """Coordinates of alpha + I*beta: (alpha, i_1 beta, ..., i_n beta).
 
-    With (alpha, beta) = (a, b) / d and I = sum_h n_h u_h / w (``unit.value``'s
+    With (alpha, beta) = (a, b) / d and I = sum_h n_h u_h / w (the unit's
     numerators over its denominator), the point is (a w, b n_1, ..., b n_k) / (d w),
     built from integers alone and read back as normalized ``Fraction``s.
     """
     (a, b), d = _over_common_den((alpha, beta))
-    nums, w = unit.value.nums, unit.value.den
+    nums, w = unit.nums, unit.den
     den = d * w
     return (
         Fraction(a * w, den),
@@ -203,11 +203,11 @@ def extract_stem(
     in (alpha, beta).  If g is a slice function the result is independent of I;
     in general it is an I-dependent candidate.
     """
-    plus = restrict_rf(g.expr, unit.value)
-    minus = restrict_rf(g.expr, -unit.value)
+    plus = restrict_rf(g.expr, unit)
+    minus = restrict_rf(g.expr, -unit)
     half = Fraction(1, 2)
     f1 = (plus + minus) * half
-    f2 = (plus - minus).mul_poly_left(CoordPoly.constant(g.signature, 2, unit.value * -half))
+    f2 = (plus - minus).mul_poly_left(CoordPoly.constant(g.signature, 2, unit * -half))
     return f1, f2
 
 
@@ -239,7 +239,7 @@ def _represent(
 ) -> AlgebraElement:
     """The representation formula on slice K from a = f_H(z_H) and b = f_H(z_H-bar)."""
     half = Fraction(1, 2)
-    return (a + b) * half - unit_k.value * (unit_h.value * ((a - b) * half))
+    return (a + b) * half - unit_k * (unit_h * ((a - b) * half))
 
 
 def representation_eval(

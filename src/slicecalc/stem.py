@@ -86,7 +86,7 @@ class StemFunction:
 
     def plane_poly(self, unit: ImaginaryUnit) -> CoordPoly:
         """Restriction to the slice of I, F1 + I F2, as a polynomial in (alpha, beta)."""
-        return self.f1 + self.f2.scale_left(unit.value)
+        return self.f1 + self.f2.scale_left(unit)
 
     # -- arithmetic --------------------------------------------------------------
 

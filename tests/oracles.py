@@ -78,8 +78,8 @@ def radial_by_partials(rf: RationalFn) -> RationalFn:
 
 def plane_dbar_by_partials(plane) -> RationalFn:
     """(d/da + I d/db)/2 as two partials, a left scaling by I, a sum and a halving."""
-    rf = plane.rf
-    unit = CoordPoly.constant(rf.signature, 2, plane.unit.value)
+    rf = plane
+    unit = CoordPoly.constant(rf.signature, 2, plane.unit)
     return (rf_partial(rf, 0) + rf_partial(rf, 1).mul_poly_left(unit)) * Fraction(1, 2)
 
 
@@ -227,7 +227,7 @@ def slice_global_pointwise(
             for n in sorted(set(orders)):
                 for z in points:
                     lhs = thetas[n].expr.eval(phi_coords(unit, *z))
-                    rhs = planes[n].rf.eval(z)
+                    rhs = planes[n].eval(z)
                     yield None if lhs == rhs else {
                         "function_index": gi,
                         "unit_index": ui,
@@ -308,7 +308,7 @@ def fd_dbar_slice(
 
     d_alpha = _central(at, point, 0, step)
     d_beta = _central(at, point, 1, step)
-    return element_to_float((d_alpha + unit.value * d_beta) * Fraction(1, 2))
+    return element_to_float((d_alpha + unit * d_beta) * Fraction(1, 2))
 
 
 def float_agrees(

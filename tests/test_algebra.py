@@ -111,17 +111,17 @@ def test_blade_names_round_trip():
 
 
 def test_stereographic_chart_reference_points():
-    assert stereographic_unit(H, (0, 0)).value == I
-    assert stereographic_unit(H, (1, 0)).value == J
-    assert stereographic_unit(H, (0, 1)).value == K
-    assert stereographic_unit(CL3, (0, 0)).value == AlgebraElement.basis(CL3, 1)
+    assert stereographic_unit(H, (0, 0)) == I
+    assert stereographic_unit(H, (1, 0)) == J
+    assert stereographic_unit(H, (0, 1)) == K
+    assert stereographic_unit(CL3, (0, 0)) == AlgebraElement.basis(CL3, 1)
 
 
 def test_sample_units_stops_at_the_units_the_chart_reaches():
     # each chart parameter is one of 127 rationals a/b (|a| <= 12, 1 <= b <= 8),
     # so the chart reaches 127 units on Cl(0,2) and 127^2 on the quaternions
     plane = clifford(2)
-    assert len({u.value for u in sample_units(plane, 0, 127)}) == 127
+    assert len({u for u in sample_units(plane, 0, 127)}) == 127
     with pytest.raises(ValueError, match="exceeds the 127 units"):
         sample_units(plane, 0, 128)
     with pytest.raises(ValueError, match="exceeds the 16129 units"):
@@ -145,15 +145,15 @@ def test_stereographic_unit_matches_the_fraction_chart():
             params = [Fraction(rng.randint(-60, 60), rng.randint(1, 40)) for _ in sig.imag_masks[1:]]
             cases.append((sig, params))
     for sig, params in cases:
-        value = stereographic_unit(sig, params).value
+        value = stereographic_unit(sig, params)
         expected = _fraction_chart(sig, params)
         assert (value.nums, value.den) == (expected.nums, expected.den)
 
 
 def test_sample_units_reaches_every_quaternion_chart_unit():
     units = sample_units(H, 0, 16129)
-    assert [u.value for u in units[:3]] == [I, J, K]
-    assert len({u.value for u in units}) == 16129
+    assert [u for u in units[:3]] == [I, J, K]
+    assert len({u for u in units}) == 16129
 
 
 @pytest.mark.parametrize("signature", [H, CL3], ids=["quaternion", "cl3"])
@@ -189,23 +189,23 @@ def test_sample_units_builds_each_unit_once(monkeypatch):
 
 def test_sample_units_contract():
     units = sample_units(H, 5, 40)
-    assert [u.value for u in units[:3]] == [I, J, K]
+    assert [u for u in units[:3]] == [I, J, K]
     minus_one = AlgebraElement.scalar(H, -1)
     for u in units:
-        assert u.value * u.value == minus_one
-        assert u.value.coeff(0) == 0
+        assert u * u == minus_one
+        assert u.coeff(0) == 0
         assert sum(c * c for c in u.components()) == 1
     assert sample_units(H, 5, 40) == units  # deterministic
     assert sample_units(H, 6, 40) != units  # seed-sensitive
-    assert len({u.value for u in units}) == 40
+    assert len({u for u in units}) == 40
     assert len(sample_units(H, 5, 2)) == 2
 
     cl_units = sample_units(CL3, 5, 20)
-    assert [u.value for u in cl_units[:3]] == [
+    assert [u for u in cl_units[:3]] == [
         AlgebraElement.basis(CL3, 1 << t) for t in range(3)
     ]
     for u in cl_units:
-        assert u.value * u.value == AlgebraElement.scalar(CL3, -1)
+        assert u * u == AlgebraElement.scalar(CL3, -1)
 
 
 def test_imaginary_unit_validation():
@@ -215,6 +215,21 @@ def test_imaginary_unit_validation():
         ImaginaryUnit(ONE)  # not in the imaginary span
     with pytest.raises(ValueError):
         ImaginaryUnit(AlgebraElement.basis(CL3, 0b011))  # bivector, not paravector
+
+
+def test_a_unit_is_its_element_checked_once():
+    # units hash, multiply and negate as elements; the checks still refuse non-units
+    units = sample_units(H, 0, 64)
+    assert len(set(units)) == 64
+    for u in units:
+        assert isinstance(u, AlgebraElement)
+        assert u * u == AlgebraElement.scalar(H, -1)
+        assert isinstance(-u, ImaginaryUnit)
+        assert -u == u * -1
+    with pytest.raises(ValueError, match="square to -1"):
+        ImaginaryUnit(J * 2)
+    with pytest.raises(ValueError, match="imaginary span"):
+        ImaginaryUnit(ONE + J)
 
 
 def _is_unit_by_product(value):
@@ -234,7 +249,7 @@ def _is_unit(value):
 
 @pytest.mark.parametrize("sig", (H, CL3, clifford(5), clifford(8)), ids=lambda s: f"{s.kind}{s.m}")
 def test_imaginary_unit_accepts_what_the_product_rule_accepts(sig, monkeypatch):
-    units = [u.value for u in sample_units(sig, 5, 40)]
+    units = [u for u in sample_units(sig, 5, 40)]
     values = units + [-v for v in units]
     assert all(_is_unit_by_product(v) for v in values)
 

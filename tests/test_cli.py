@@ -381,6 +381,42 @@ def test_builtin_outputs_match_their_digests(tmp_path, capsys, command, name):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
 
 
+def _ci_term(exponents, blade="1", value="1"):
+    return {"exponents": exponents, "coefficient": {blade: value}}
+
+
+_CI_S = [_ci_term([0, 2, 0, 0]), _ci_term([0, 0, 2, 0]), _ci_term([0, 0, 0, 2])]
+_CI_XBAR = [_ci_term([1, 0, 0, 0]), _ci_term([0, 1, 0, 0], "i", "-1"),
+            _ci_term([0, 0, 1, 0], "j", "-1"), _ci_term([0, 0, 0, 1], "k", "-1")]
+# the two rational specs of the CI's installed-entry-point step, built as it
+# builds them, and the sha256 of each one's `classify --units 2 --json` report
+CI_RATIONAL_SPECS = {
+    "inverse.json": (
+        (_CI_XBAR, [_ci_term([2, 0, 0, 0])] + _CI_S),
+        "fd32af59e5d14bbf3ad0068ce4d78e8d8978a4886323664c9a6dcff1ba45ffef",
+    ),
+    "x1x2-over-s-plus-1.json": (
+        ([_ci_term([0, 1, 1, 0]), _ci_term([0, 0, 0, 0])], _CI_S + [_ci_term([0, 0, 0, 0])]),
+        "a78f3dee0a20b8f12674f4267c2c35a36625b5cc8f7ea24396c45e2360de1a75",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CI_RATIONAL_SPECS))
+def test_the_ci_rational_specs_classify_to_their_digests(tmp_path, capsys, monkeypatch, name):
+    # run from the spec's directory, so the report's input is the bare file name
+    (numerator, denominator), expected = CI_RATIONAL_SPECS[name]
+    spec = {"representation": "rational", "numerator_terms": numerator,
+            "denominator_terms": denominator}
+    monkeypatch.chdir(tmp_path)
+    with open(name, "w") as out:
+        json.dump(spec, out)
+    args = ["classify", "--input", name, "--units", "2", "--json", "report.json"]
+    code, _, err = run_cli(args, capsys)
+    assert code == 0, err
+    assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == expected
+
+
 def test_verify_with_one_unit_raises_the_unit_count_to_two(tmp_path, capsys):
     # every check needs two units; --units 1 runs them with two, as README states
     out = tmp_path / "report.json"

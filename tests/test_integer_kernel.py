@@ -479,7 +479,7 @@ def test_slice_global_trials_compare_each_slice_once_and_evaluate_only_its_facto
     [plane] = drawn
     # each numerator is restricted once per (unit, order), each factor once per
     # (unit, factor), however many functions and orders share it
-    units = [u.value for u in sample_units(sig, 6, n_units)]
+    units = [u for u in sample_units(sig, 6, n_units)]
     numerators = [theta.numer for theta in thetas]
     factors = list({p: None for theta in thetas for p, _ in theta.den_factors})
     assert len(numerators) == 4 * len(orders) and factors
@@ -659,7 +659,7 @@ def restrictions(draw):
         # drawn by index: st.sampled_from hashes its elements, and units have no hash
         units = sample_units(sig, draw(st.integers(0, 3)), n + 3)
         unit = units[draw(st.integers(0, len(units) - 1))]
-        return p, unit.value * draw(st.sampled_from((1, -1, 2)))
+        return p, unit * draw(st.sampled_from((1, -1, 2)))
     comps = st.one_of(fracs, st.just(Fraction(0)), st.integers(min_value=-3, max_value=3))
     drawn = draw(st.lists(comps, min_size=n, max_size=n))
     return p, AlgebraElement(sig, dict(zip(sig.imag_masks, drawn)))
@@ -967,7 +967,7 @@ def _slice_side_doubled_on_some_units(monkeypatch):
         SlicePlanePoly,
         "dbar",
         lambda self: SlicePlanePoly(
-            dbar(self).rf * (1 + (self.unit.components()[0] > 0)), self.unit
+            dbar(self) * (1 + (self.unit.components()[0] > 0)), self.unit
         ),
     )
 
@@ -1037,7 +1037,7 @@ def test_slice_global_trials_read_a_direction_dependent_factor_on_each_slice(
 
     monkeypatch.setattr(slicecalc.campaign, "rand_rational_point_function", vanishing)
     sizes = dict(n_funcs=1, n_units=2, n_points=36, orders=(1, 2), n_rational=1)
-    first, second = (u.value for u in sample_units(sig, 5, 2))
+    first, second = (u for u in sample_units(sig, 5, 2))
     assert restrict_poly(factor, first) == CoordPoly.constant(sig, 2, -c)
     assert restrict_poly(factor, second) != restrict_poly(factor, first)
     with pytest.raises(DenominatorVanishesError) as info:

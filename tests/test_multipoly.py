@@ -218,8 +218,8 @@ def test_restrict_poly_substitution():
     unit = sample_units(H, 0, 5)[4]
     comps = unit.components()
     x = coord_x(H)
-    restricted = restrict_poly(x, unit.value)
-    expect = CoordPoly(H, 2, {(1, 0): ONE, (0, 1): unit.value})
+    restricted = restrict_poly(x, unit)
+    expect = CoordPoly(H, 2, {(1, 0): ONE, (0, 1): unit})
     assert restricted == expect
     # evaluating the restriction equals evaluating at the substituted point
     rng = Random("restrict-eval")
@@ -228,14 +228,14 @@ def test_restrict_poly_substitution():
         alpha = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
         beta = Fraction(rng.randint(1, 5), rng.randint(1, 3))
         coords = [alpha] + [c * beta for c in comps]
-        assert restrict_poly(p, unit.value).eval((alpha, beta)) == p.eval(coords)
+        assert restrict_poly(p, unit).eval((alpha, beta)) == p.eval(coords)
 
 
 def test_restrict_rf_zero_denominator_on_slice():
     unit = sample_units(H, 0, 2)[1]  # j: first component 0
     f = RationalFn(CoordPoly.constant(H, 4, 1), ((CoordPoly.variable(H, 4, 1), 1),))
     with pytest.raises(ZeroDenominatorError):
-        restrict_rf(f, unit.value)
+        restrict_rf(f, unit)
 
 
 def test_restrict_rejects_a_direction_of_another_signature():

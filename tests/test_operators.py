@@ -22,6 +22,7 @@ from slicecalc.operators import (
     SlicePlanePoly,
     dbar_slice,
     g_op,
+    restrict_slice_function,
     restrict_to_slice,
     thetabar,
 )
@@ -56,8 +57,8 @@ XBAR_FN = conjugate_coordinate(H).to_point_function()
 def test_restrict_coordinate_function():
     for unit in UNITS[:5]:
         plane = restrict_to_slice(X_FN, unit)
-        assert plane.rf.numer == CoordPoly(
-            H, 2, {(1, 0): AlgebraElement.one(H), (0, 1): unit.value}
+        assert plane.numer == CoordPoly(
+            H, 2, {(1, 0): AlgebraElement.one(H), (0, 1): unit}
         )
 
 
@@ -68,15 +69,28 @@ def test_restrict_jump_example_matches_reduced_formula():
         beta = CoordPoly.variable(H, 2, 1)
         numer = beta * (i1 * i1 * i2)
         denom = beta**2 * (i1**4) + CoordPoly.constant(H, 2, i2 * i2 + i3 * i3)
-        assert restrict_to_slice(bump, unit).rf == RationalFn(numer, ((denom, 1),))
+        assert restrict_to_slice(bump, unit) == RationalFn(numer, ((denom, 1),))
 
 
 def test_restrict_twisted_coordinate_on_the_i_slice():
     v = rotation_twisted_coordinate(H)
     plane = restrict_to_slice(v, I_U)
-    assert plane.rf.numer == CoordPoly(
-        H, 2, {(1, 0): AlgebraElement.one(H), (0, 1): I_U.value}
+    assert plane.numer == CoordPoly(
+        H, 2, {(1, 0): AlgebraElement.one(H), (0, 1): I_U}
     )
+
+
+@pytest.mark.parametrize("sig", [H, clifford(3)], ids=["H", "Cl3"])
+def test_a_restriction_is_its_rational_function_and_compares_by_value(sig):
+    # two restrictions of one induced function, and the one read off its stem, are equal
+    rng = rng_for(49, "restriction-value")
+    for unit in sample_units(sig, 49, 3):
+        stem = rand_stem(rng, sig, max_degree=3)
+        g = SliceFunction(DOM, stem).to_point_function()
+        plane = restrict_to_slice(g, unit)
+        assert plane == restrict_to_slice(g, unit) == restrict_slice_function(stem, unit)
+        assert isinstance(plane, RationalFn)
+        assert plane.unit == unit
 
 
 def test_dbar_slice_examples():
@@ -85,7 +99,7 @@ def test_dbar_slice_examples():
     v = rotation_twisted_coordinate(H)
     assert dbar_slice(v, I_U, 1).is_zero()
     d_j = dbar_slice(v, J_U, 1)
-    assert d_j.rf == RationalFn.from_poly(CoordPoly.constant(H, 2, 1))
+    assert d_j == RationalFn.from_poly(CoordPoly.constant(H, 2, 1))
     for unit in UNITS:
         assert dbar_slice(v, unit, 2).is_zero()
     with pytest.raises(ValueError):
@@ -146,7 +160,7 @@ def test_exact_operators_agree_with_the_oracle():
                 assert abs(exact_g_f.get(mask, 0.0) - approx_g.get(mask, 0.0)) <= 1e-6 * scale
             unit = rng.choice(units)
             z = (rng.uniform(-0.5, 0.5), rng.uniform(0.4, 1.0))
-            exact_d = element_to_float(dbar_slice(g, unit, 1).rf.eval(z))
+            exact_d = element_to_float(dbar_slice(g, unit, 1).eval(z))
             approx_d = fd_dbar_slice(g, unit, z)
             for mask in set(exact_d) | set(approx_d):
                 scale = max(1.0, abs(exact_d.get(mask, 0.0)))
@@ -250,13 +264,13 @@ def test_product_rule_for_slice_valued_left_factor():
         g = rand_point_polynomial(rng, H, max_degree=2)
         fg = PointFunction(DOM, RationalFn.from_poly(f_poly * g.expr.numer))
         for unit in UNITS[:3]:
-            lhs = dbar_slice(fg, unit, 1).rf
+            lhs = dbar_slice(fg, unit, 1)
             # every factor is a polynomial on the slice, so the products are of numerators
             parts = [
-                dbar_slice(f_pf, unit, 1).rf,
-                restrict_to_slice(g, unit).rf,
-                restrict_to_slice(f_pf, unit).rf,
-                dbar_slice(g, unit, 1).rf,
+                dbar_slice(f_pf, unit, 1),
+                restrict_to_slice(g, unit),
+                restrict_to_slice(f_pf, unit),
+                dbar_slice(g, unit, 1),
             ]
             assert all(part.is_polynomial() for part in parts)
             df, g_on, f_on, dg = (part.numer for part in parts)
@@ -278,7 +292,7 @@ def test_thetabar_against_slice_values_on_the_jump_example():
     for unit in UNITS[2:6]:
         z = (Fraction(1, 3), Fraction(1, 2))
         got = tb.expr.eval(phi_coords(unit, *z))
-        want = dbar_slice(bump, unit, 1).rf.eval(z)
+        want = dbar_slice(bump, unit, 1).eval(z)
         assert got == want
 
 
@@ -543,19 +557,19 @@ def test_plane_dbar_matches_the_sum_of_partials(sig):
                 for _ in (1, 2, 3):
                     want = plane_dbar_by_partials(plane)
                     plane = plane.dbar()
-                    assert stored(plane.rf) == stored(want)
+                    assert stored(plane) == stored(want)
 
 
 def test_plane_dbar_keeps_the_derivative_of_a_factor_on_the_left():
     # j / F with F = 1 + beta^2: dbar(j / F) = -(I beta) j / F^2, and I j != j I
     unit = I_U
     j = AlgebraElement.basis(H, 2)
-    assert unit.value * j != j * unit.value
+    assert unit * j != j * unit
     beta = CoordPoly.variable(H, 2, 1)
     f = beta * beta + CoordPoly.constant(H, 2, 1)
     plane = SlicePlanePoly(RationalFn(CoordPoly.constant(H, 2, j), ((f, 1),)), unit)
-    got = plane.dbar().rf
-    assert got == RationalFn(-beta.scale_left(unit.value * j), ((f, 2),))
+    got = plane.dbar()
+    assert got == RationalFn(-beta.scale_left(unit * j), ((f, 2),))
     assert stored(got) == stored(plane_dbar_by_partials(plane))
 
 
@@ -576,7 +590,7 @@ def test_a_plane_dbar_step_divides_no_factor(monkeypatch, constant):
         return real(numer, p)
 
     monkeypatch.setattr(multipoly, "_divide_exact", counted)
-    got = plane.dbar().rf
+    got = plane.dbar()
     assert divisions == []
     assert stored(got) == stored(want)
     assert got.den_factors == ((f, 2),)

@@ -167,8 +167,8 @@ def test_is_slice_verdicts():
     v = rotation_twisted_coordinate(H)
     witness = is_slice(v, UNITS[:4], points)
     assert witness is not None
-    assert witness.unit_h.value == I_U.value
-    assert witness.unit_k.value == J_U.value
+    assert witness.unit_h == I_U
+    assert witness.unit_k == J_U
 
     v_r = left_multiplied_coordinate(H)
     witness = is_slice(v_r, UNITS[:4], points)
