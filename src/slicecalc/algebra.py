@@ -200,6 +200,9 @@ class AlgebraElement:
         obj.den = den // g
         return obj
 
+    def __reduce__(self):  # by its canonical fields, so it crosses from a forked campaign run
+        return AlgebraElement._make, (self.signature, self.nums, self.den)
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -314,6 +317,9 @@ class ImaginaryUnit(AlgebraElement):
         obj = object.__new__(cls)
         obj.signature, obj.nums, obj.den = value.signature, value.nums, value.den
         return obj
+
+    def __reduce__(self):  # back through its checks, from the element it is
+        return ImaginaryUnit, (AlgebraElement._make(self.signature, self.nums, self.den),)
 
     def components(self) -> tuple[Fraction, ...]:
         """Coefficients along the imaginary coordinate axes, in order."""

@@ -242,7 +242,7 @@ def slice_global_trials(
         for ui, (unit, factors) in enumerate(zip(units, slices)):
             planes = restrict_to_slice(g, unit).dbar_chain(top)
             for n in sorted(set(orders)):
-                theta = thetas[n].expr
+                theta = thetas[n]
                 for p, _ in theta.den_factors:
                     if p not in factors:
                         q = factors[p] = restrict_poly(p, unit)
@@ -325,8 +325,8 @@ def g_relation_trials(
             g = rand_rational_point_function(rng, sig)
         else:
             g = rand_point_polynomial(rng, sig, max_degree=4)
-        lhs = g_op(g).expr
-        rhs = thetabar(g, 1).expr.mul_poly_left(two_s)
+        lhs = g_op(g)
+        rhs = thetabar(g, 1).mul_poly_left(two_s)
         yield None if lhs == rhs else {"function_index": gi}
 
 
@@ -354,10 +354,10 @@ def leibniz_trials(
         # g_I and dbar_I g_I on every unit, from one restriction each
         g_planes = [restrict_to_slice(g, unit).dbar_chain(1) for unit in units]
         for h in (1, 2, 3):
-            xg = PointFunction(g.domain, g.expr.mul_poly_left(xbar[h]))
+            xg = PointFunction(g.domain, g.mul_poly_left(xbar[h]))
             # global form
-            lhs = thetabar(xg, 1).expr
-            rhs = g.expr.mul_poly_left(xbar[h - 1] * h) + theta_g.expr.mul_poly_left(xbar[h])
+            lhs = thetabar(xg, 1)
+            rhs = g.mul_poly_left(xbar[h - 1] * h) + theta_g.mul_poly_left(xbar[h])
             yield None if lhs == rhs else {"function_index": gi, "power": h, "form": "global"}
             # slice form on every sampled unit
             for ui, (unit, pxbar, (g_slice, dg_slice)) in enumerate(
@@ -426,8 +426,8 @@ def regularity_equivalence_trials(
             pf = SliceFunction(domain, stem).to_point_function()
             zero_faces = [
                 stem.dbar().is_zero(),
-                thetabar(pf, 1).expr.is_zero(),
-                g_op(pf).expr.is_zero(),
+                thetabar(pf, 1).is_zero(),
+                g_op(pf).is_zero(),
                 all(dbar_slice(pf, unit, 1).is_zero() for unit in units),
             ]
             ok = all(zero_faces) if regular else not any(zero_faces)

@@ -125,7 +125,7 @@ def cmd_decompose(args) -> int:
     if args.order < 1:
         raise FunctionSpecError("--order must be >= 1")
     try:
-        components = decompose(f.stem, args.order)
+        components = decompose(f, args.order)
     except NotPolyanalyticOfOrderError as exc:
         report = {
             "input": args.input,
@@ -138,11 +138,11 @@ def cmd_decompose(args) -> int:
     report = {
         "input": args.input,
         "order": args.order,
-        "signature": signature_to_json(f.stem.signature),
+        "signature": signature_to_json(f.signature),
         "domain": domain_to_json(f.domain),
         "components": [stem_to_json(c) for c in components],
         "component_count": len(components),
-        "recomposition_verified": compose(components) == f.stem,
+        "recomposition_verified": compose(components) == f,
     }
     _emit(report, args.json)
     return EXIT_OK

@@ -1,4 +1,4 @@
-"""Differential operators on point functions.
+"""Differential operators on point functions, each read as the ``RationalFn`` it is.
 
 Two computation paths exist on purpose.  The slice-wise path restricts a
 function to one slice plane, as a ``SlicePlanePoly`` (the restriction itself, a
@@ -66,7 +66,7 @@ def plane_x(signature: AlgebraSignature, unit: ImaginaryUnit) -> CoordPoly:
 
 def restrict_to_slice(g: PointFunction, unit: ImaginaryUnit) -> SlicePlanePoly:
     """Exact substitution x_0 <- alpha, x_h <- i_h * beta."""
-    return SlicePlanePoly(restrict_rf(g.expr, unit), unit)
+    return SlicePlanePoly(restrict_rf(g, unit), unit)
 
 
 def restrict_slice_function(stem: StemFunction, unit: ImaginaryUnit) -> SlicePlanePoly:
@@ -81,8 +81,8 @@ def dbar_slice(g: PointFunction, unit: ImaginaryUnit, order: int) -> SlicePlaneP
     return _apply_n(SlicePlanePoly.dbar, restrict_to_slice(g, unit), order)
 
 
-# (input, G(input)) of the last _g call; a RationalFn is never mutated, so identity
-# keys it, and holding the input keeps its id from being reused
+# (input, G(input)) of the last _g call; a RationalFn, a point function among them, is
+# never mutated, so identity keys it, and holding the input keeps its id from being reused
 _last_g: tuple = (None, None)
 
 
@@ -126,7 +126,7 @@ def thetabar(g: PointFunction, order: int = 1) -> PointFunction:
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    return PointFunction(g.domain, _apply_n(_thetabar_once, g.expr, order))
+    return PointFunction(g.domain, _apply_n(_thetabar_once, g, order))
 
 
 def g_op(g: PointFunction) -> PointFunction:
@@ -139,4 +139,4 @@ def g_op(g: PointFunction) -> PointFunction:
     last function asked for is kept, so ``thetabar(g)`` before or after
     ``g_op(g)`` takes no second G.
     """
-    return PointFunction(g.domain, _g(g.expr))
+    return PointFunction(g.domain, _g(g))

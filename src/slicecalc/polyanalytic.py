@@ -162,7 +162,7 @@ def classify(
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
     if isinstance(g, SliceFunction):
-        return _classify_stem(g.stem, max_order, {})
+        return _classify_stem(g, max_order, {})
     if not units:
         raise ValueError("classify needs at least one unit for a point function")
     evidence: dict = {}

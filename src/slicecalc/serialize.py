@@ -206,7 +206,8 @@ def witness_to_json(witness: SliceWitness) -> dict:
 
 
 def function_spec_from_json(obj: Any) -> Union[SliceFunction, PointFunction]:
-    """Parse a function description into exactly one of the two carriers.
+    """Parse a function description into a slice function (a "stem" spec: its stem on
+    the domain) or a point function (a "rational" spec: its rational function).
 
     Schema: {"signature": {...}, "domain": {...}, "representation":
     "stem" | "rational", then either f1_terms/f2_terms over (alpha, beta) or

@@ -1,10 +1,10 @@
 """Slice functions on circular domains and general point functions.
 
-A slice function is a circular-domain descriptor plus a stem; its restriction
-to the slice of I, f(alpha + I*beta) = F1 + I*F2, is how it is evaluated.  A
-point function is an arbitrary rational expression in x_0..x_n and need not be
-slice: ``is_slice_exact`` decides which by rotation invariance, and the
-representation formula finds a witness from a candidate stem on sampled slices.
+A slice function is its stem on a circular domain, read on the slice of I as
+f(alpha + I*beta) = F1 + I*F2.  A point function is its rational function in
+x_0..x_n on a domain, and need not be slice: ``is_slice_exact`` decides which by
+rotation invariance, and the representation formula finds a witness from a
+candidate stem on sampled slices.  Each compares and combines as that value.
 """
 
 from __future__ import annotations
@@ -103,22 +103,18 @@ def _im_s_powers(signature: AlgebraSignature, count: int) -> tuple[CoordPoly, ..
     return tuple(p * im for p in _s_powers(signature, count))
 
 
-class SliceFunction:
-    """A stem bound to the circular domain its induced function lives on."""
+class SliceFunction(StemFunction):
+    """A stem on the circular domain its induced function lives on, compared as the stem."""
 
-    __slots__ = ("domain", "stem")
+    __slots__ = ("domain",)
 
     def __init__(self, domain: CircularDomain, stem: StemFunction):
+        self.f1, self.f2 = stem.f1, stem.f2  # checked when the stem was built
         self.domain = domain
-        self.stem = stem
-
-    @property
-    def signature(self) -> AlgebraSignature:
-        return self.stem.signature
 
     def derivative(self, order: int = 1) -> "SliceFunction":
         """The slice derivative: the slice function induced by dF/dz-bar."""
-        return SliceFunction(self.domain, _apply_n(StemFunction.dbar, self.stem, order))
+        return SliceFunction(self.domain, _apply_n(StemFunction.dbar, self, order))
 
     def to_point_function(self) -> "PointFunction":
         """The induced function as a polynomial in the coordinates x_0..x_n.
@@ -127,12 +123,11 @@ class SliceFunction:
         polynomial s, and I * beta^odd regroups as Im(x) * s^((b-1)/2).  Every
         term goes into one accumulator over the lcm of the components' denominators.
         """
-        sig = self.stem.signature
+        sig = self.signature
         n = sig.coord_count
-        f1, f2 = self.stem.f1, self.stem.f2
-        den = lcm(f1.den, f2.den)
+        den = lcm(self.f1.den, self.f2.den)
         acc: dict = {}
-        for comp, table in ((f1, _s_powers), (f2, _im_s_powers)):
+        for comp, table in ((self.f1, _s_powers), (self.f2, _im_s_powers)):
             bases = table(sig, max((b // 2 + 1 for _, b in comp.rows), default=0))
             k = den // comp.den
             for (a, b), nums in comp.rows.items():
@@ -144,12 +139,9 @@ class SliceFunction:
         out = CoordPoly._make(sig, n, acc, den)
         return PointFunction(self.domain, RationalFn.from_poly(out))
 
-    def __repr__(self):
-        return f"SliceFunction({self.domain!r}, {self.stem!r})"
 
-
-class PointFunction:
-    """A rational coordinate expression on a circular domain.
+class PointFunction(RationalFn):
+    """A rational coordinate expression on a circular domain, compared as the expression.
 
     ``real_value`` overrides evaluation on the real axis, where piecewise
     examples are defined separately and rational expressions may be singular.
@@ -157,7 +149,7 @@ class PointFunction:
     checked at every evaluation point.
     """
 
-    __slots__ = ("domain", "expr", "real_value")
+    __slots__ = ("domain", "real_value")
 
     def __init__(
         self,
@@ -171,13 +163,14 @@ class PointFunction:
             )
         if real_value is not None and real_value.signature != expr.signature:
             raise SignatureMismatchError("real_value signature mismatch")
+        self.numer, self.den_factors = expr.numer, expr.den_factors
         self.domain = domain
-        self.expr = expr
         self.real_value = real_value
 
     @property
-    def signature(self) -> AlgebraSignature:
-        return self.expr.signature
+    def expr(self) -> "PointFunction":
+        """The function itself, under the name ``benchmarks/workloads.py`` reads it by."""
+        return self
 
     def eval_coords(self, coords: Sequence[RationalLike]) -> AlgebraElement:
         pt = [Fraction(c) for c in coords]
@@ -187,10 +180,7 @@ class PointFunction:
             raise PointOutsideDomainError(f"coordinates {pt} lie outside the domain")
         if not beta_sq and self.real_value is not None:
             return self.real_value
-        return self.expr.eval(pt)
-
-    def __repr__(self):
-        return f"PointFunction({self.expr!r})"
+        return self.eval(pt)
 
 
 def extract_stem(
@@ -203,8 +193,8 @@ def extract_stem(
     in (alpha, beta).  If g is a slice function the result is independent of I;
     in general it is an I-dependent candidate.
     """
-    plus = restrict_rf(g.expr, unit)
-    minus = restrict_rf(g.expr, -unit)
+    plus = restrict_rf(g, unit)
+    minus = restrict_rf(g, -unit)
     half = Fraction(1, 2)
     f1 = (plus + minus) * half
     f2 = (plus - minus).mul_poly_left(CoordPoly.constant(g.signature, 2, unit * -half))
@@ -227,10 +217,10 @@ def is_slice_exact(g: PointFunction) -> bool:
     each L_1j, j = 2..n, as these generate the rotations of x' = (x_1..x_n).  Each
     L_1j is a derivation, applied by the quotient rule up to the first nonzero image.
     """
-    rf, nvar = g.expr, g.signature.coord_count
+    nvar = g.signature.coord_count
     conj = lambda p: _int_map(((p, lambda e: (e, (-1) ** (sum(e) - e[0]))),), nvar)
-    flipped = RationalFn(conj(rf.numer), [(conj(p), k) for p, k in rf.den_factors])
-    parts = (rf + flipped, (rf - flipped).mul_poly_left(coord_im(rf.signature)))
+    flipped = RationalFn(conj(g.numer), [(conj(p), k) for p, k in g.den_factors])
+    parts = (g + flipped, (g - flipped).mul_poly_left(coord_im(g.signature)))
     return all(part.derive(_rotation(j, nvar)).is_zero() for j in range(2, nvar) for part in parts)
 
 

@@ -191,7 +191,7 @@ def slice_by_expansion(g: PointFunction, unit: ImaginaryUnit) -> bool:
     if not (f1.is_polynomial() and f2.is_polynomial()):
         raise ValueError("the candidate stem is not polynomial")
     stem = StemFunction(f1.numer, f2.numer)
-    return SliceFunction(g.domain, stem).to_point_function().expr == g.expr
+    return SliceFunction(g.domain, stem).to_point_function() == g
 
 
 @campaign._tally
@@ -226,7 +226,7 @@ def slice_global_pointwise(
             planes = restrict_to_slice(g, unit).dbar_chain(top)
             for n in sorted(set(orders)):
                 for z in points:
-                    lhs = thetas[n].expr.eval(phi_coords(unit, *z))
+                    lhs = thetas[n].eval(phi_coords(unit, *z))
                     rhs = planes[n].eval(z)
                     yield None if lhs == rhs else {
                         "function_index": gi,
@@ -269,10 +269,10 @@ def _fd_parts(
     s = sum(c * c for c in point[1:])
     if s <= (10 * step) ** 2:
         raise ValueError("point is too close to the real axis for the oracle step")
-    d0 = _central(g.expr.eval, point, 0, step)
+    d0 = _central(g.eval, point, 0, step)
     radial = AlgebraElement.zero(g.signature)
     for h in range(1, len(point)):
-        radial = radial + _central(g.expr.eval, point, h, step) * point[h]
+        radial = radial + _central(g.eval, point, h, step) * point[h]
     im = paravector(g.signature, [0] + point[1:])
     return s, d0, im * radial
 
@@ -304,7 +304,7 @@ def fd_dbar_slice(
         raise ValueError("point is too close to the real axis for the oracle step")
 
     def at(ab: Sequence[Fraction]) -> AlgebraElement:
-        return g.expr.eval(phi_coords(unit, *ab))
+        return g.eval(phi_coords(unit, *ab))
 
     d_alpha = _central(at, point, 0, step)
     d_beta = _central(at, point, 1, step)

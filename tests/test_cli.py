@@ -417,6 +417,48 @@ def test_the_ci_rational_specs_classify_to_their_digests(tmp_path, capsys, monke
     assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == expected
 
 
+# the Cl(0,3) stem of zbar^2 e1 + z e2 on an annulus, as the CI's installed-entry-point
+# step writes it, and the exit code and report sha256 of each command on it: order 3
+# gives 3 components, recomposition verified, and order 2 exits 1 with the residual
+STEM_SPEC_NAME = "zbar2-e1-plus-z-e2.json"
+STEM_SPEC = {
+    "signature": {"kind": "clifford", "m": 3},
+    "representation": "stem",
+    "domain": {"shape": "annulus", "center": "1/2", "r_in": "1/4", "r_out": 2},
+    "f1_terms": [_ci_term([2, 0], "e1"), _ci_term([0, 2], "e1", "-1"), _ci_term([1, 0], "e2")],
+    "f2_terms": [_ci_term([1, 1], "e1", "-2"), _ci_term([0, 1], "e2")],
+}
+STEM_SPEC_REPORTS = {
+    "classify": (
+        ["classify"],
+        0,
+        "2f0fae1938388ace85e5bbfdbb70e12c56ef83f68617f2d91a6b5bee1c6bd247",
+    ),
+    "decompose-3": (
+        ["decompose", "--order", "3"],
+        0,
+        "c5497a75db6c4df156f37a377dfb1e7f3ddf37a0abfa45f86705c060f1d4df61",
+    ),
+    "decompose-2": (
+        ["decompose", "--order", "2"],
+        1,
+        "054a375a0725a09389b6abc7e4a7be88db5feaba6b0035fbb9bf68841c786b90",
+    ),
+}
+
+
+@pytest.mark.parametrize("run", sorted(STEM_SPEC_REPORTS))
+def test_a_stem_spec_reports_to_its_digests(tmp_path, capsys, monkeypatch, run):
+    # the builtin pins cover only stems over H on the default ball
+    argv, expected_code, expected = STEM_SPEC_REPORTS[run]
+    monkeypatch.chdir(tmp_path)
+    with open(STEM_SPEC_NAME, "w") as out:
+        json.dump(STEM_SPEC, out)
+    code, _, err = run_cli([*argv, "--input", STEM_SPEC_NAME, "--json", "report.json"], capsys)
+    assert code == expected_code, err
+    assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == expected
+
+
 def test_verify_with_one_unit_raises_the_unit_count_to_two(tmp_path, capsys):
     # every check needs two units; --units 1 runs them with two, as README states
     out = tmp_path / "report.json"

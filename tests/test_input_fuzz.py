@@ -1,8 +1,9 @@
 """Fuzzing the input contract of spec files.
 
 Any JSON value handed to ``function_spec_from_json`` either parses into a
-function or raises ``FunctionSpecError``; ``slicecalc classify`` on any JSON
-file exits 0, 1 or 2 and never lets an exception escape.  Two strategies:
+function or raises ``FunctionSpecError``; ``slicecalc classify`` and
+``slicecalc decompose`` on any JSON file exit 0, 1 or 2 and never let an
+exception escape.  Two strategies:
 arbitrary JSON values, and spec-shaped objects whose leaves are arbitrary.
 """
 
@@ -121,3 +122,13 @@ def test_classify_exits_with_a_contract_code_on_any_json(value):
         path.write_text(json.dumps(value), encoding="utf-8")
         argv = ["classify", "--input", str(path), "--units", "1", "--points", "1", "--seed", "0"]
         assert cli.main(argv + ["--max-order", "2"]) in (0, 1, 2)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(inputs, st.integers(min_value=1, max_value=3))
+def test_decompose_exits_with_a_contract_code_on_any_json(value, order):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spec.json"
+        path.write_text(json.dumps(value), encoding="utf-8")
+        argv = ["decompose", "--input", str(path), "--order", str(order)]
+        assert cli.main(argv) in (0, 1, 2)

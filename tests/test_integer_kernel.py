@@ -453,7 +453,7 @@ def test_slice_global_trials_compare_each_slice_once_and_evaluate_only_its_facto
         return drawn[-1]
 
     def recorded_thetabar(g, order=1):
-        thetas.append(thetabar_op(g, order).expr)
+        thetas.append(thetabar_op(g, order))
         return PointFunction(g.domain, thetas[-1])
 
     def recorded_restrict(poly, direction):
@@ -1003,7 +1003,7 @@ def test_slice_global_trials_name_alpha_plus_i_beta_where_a_denominator_vanishes
 
     def vanishing(rng, signature):
         g = draw(rng, signature)
-        return PointFunction(g.domain, RationalFn(g.expr.numer, [(shifted_s, 1)]))
+        return PointFunction(g.domain, RationalFn(g.numer, [(shifted_s, 1)]))
 
     monkeypatch.setattr(slicecalc.campaign, "rand_rational_point_function", vanishing)
     sizes = dict(n_funcs=1, n_units=2, n_points=36, orders=(1, 2), n_rational=1)
@@ -1033,7 +1033,7 @@ def test_slice_global_trials_read_a_direction_dependent_factor_on_each_slice(
 
     def vanishing(rng, signature):
         g = draw(rng, signature)
-        return PointFunction(g.domain, RationalFn(g.expr.numer, [(factor, 1)]))
+        return PointFunction(g.domain, RationalFn(g.numer, [(factor, 1)]))
 
     monkeypatch.setattr(slicecalc.campaign, "rand_rational_point_function", vanishing)
     sizes = dict(n_funcs=1, n_units=2, n_points=36, orders=(1, 2), n_rational=1)
@@ -1074,7 +1074,7 @@ def test_campaign_bodies_keep_failure_counts_and_witnesses(sig, monkeypatch):
 
 def _doubled(op):
     """``op`` with its result scaled by 2."""
-    return lambda g, *args: PointFunction(g.domain, op(g, *args).expr * 2)
+    return lambda g, *args: PointFunction(g.domain, op(g, *args) * 2)
 
 
 def _direction_doubled(restrict):
@@ -1112,13 +1112,13 @@ FORCED_FAILURES = {
     ),
     "g-relation": (
         "g_op",
-        lambda op: lambda g: op(g) if g.expr.is_polynomial() else _doubled(op)(g),
+        lambda op: lambda g: op(g) if g.is_polynomial() else _doubled(op)(g),
         lambda sig: g_relation_trials(sig, 5, n_funcs=6),
     ),
     "leibniz-global": (
         "thetabar",
         lambda op: lambda g, order=1: (
-            op(g, order) if g.expr.numer.total_degree() < 5 else _doubled(op)(g, order)
+            op(g, order) if g.numer.total_degree() < 5 else _doubled(op)(g, order)
         ),
         lambda sig: leibniz_trials(sig, 5, n_funcs=2, n_units=2),
     ),
@@ -1134,7 +1134,7 @@ FORCED_FAILURES = {
     ),
     "regularity": (
         "thetabar",
-        lambda op: lambda g, order=1: g if g.expr.numer.total_degree() >= 3 else op(g, order),
+        lambda op: lambda g, order=1: g if g.numer.total_degree() >= 3 else op(g, order),
         lambda sig: regularity_equivalence_trials(sig, 5, n_stems=3, n_units=2),
     ),
     "taylor": (

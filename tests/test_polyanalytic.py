@@ -347,7 +347,7 @@ def _exact_slice_polynomials(sig):
         slice_of(compose(rand_regular_tuple(rng, sig, 3))).to_point_function() for _ in range(2)
     ]
     inputs = [rand_point_polynomial(rng, sig, 4) for _ in range(3)] + induced
-    inputs += [PointFunction(DOM, g.expr + x1x2) for g in induced[:2]]
+    inputs += [PointFunction(DOM, g + x1x2) for g in induced[:2]]
     inputs += [rotation_twisted_coordinate(sig), left_multiplied_coordinate(sig)]
     return inputs + [x_plus_a_product_vanishing_on(sample_units(sig, 7, 4))]
 
@@ -368,7 +368,7 @@ def test_is_slice_exact_on_rational_inputs(sig):
     s, one, x0 = coord_s(sig), CoordPoly.constant(sig, n, 1), CoordPoly.variable(sig, n, 0)
     xbar, q = coord_xbar(sig), x0 * x0 + s + one
     for _ in range(2):
-        g = slice_of(rand_stem(rng, sig, 3)).to_point_function().expr.numer
+        g = slice_of(rand_stem(rng, sig, 3)).to_point_function().numer
         # slice by construction: the product of slice functions xbar g, not g xbar
         for rf in (RationalFn.from_poly(g), RationalFn(g, [(s + one, 1)])):
             assert is_slice_exact(PointFunction(DOM, rf))
@@ -415,7 +415,7 @@ def thetabar_order(g, max_order):
     """
     if isinstance(g, SliceFunction):
         g = g.to_point_function()
-    chain = islice(_iterates(_thetabar_once, g.expr), 1, max_order + 1)
+    chain = islice(_iterates(_thetabar_once, g), 1, max_order + 1)
     return next((n for n, level in enumerate(chain, 1) if level.is_zero()), None)
 
 

@@ -103,7 +103,7 @@ def test_stem_spec_parses_to_slice_function():
     }
     f = function_spec_from_json(spec)
     assert isinstance(f, SliceFunction)
-    assert f.stem == StemFunction.zbar(H)
+    assert f == StemFunction.zbar(H)
 
 
 def test_rational_spec_parses_to_point_function():

@@ -16,7 +16,7 @@ import time
 import pytest
 
 from slicecalc import campaign
-from slicecalc.algebra import clifford
+from slicecalc.algebra import QUATERNION, AlgebraElement, clifford, sample_units
 from slicecalc.cli import main
 from slicecalc.errors import (
     DenominatorVanishesError,
@@ -24,6 +24,8 @@ from slicecalc.errors import (
     ParityViolationError,
     SliceCalcError,
 )
+from slicecalc.named import BUILTINS
+from slicecalc.slicefn import CircularDomain, SliceFunction
 from slicecalc.stem import StemFunction
 
 # sha256 of `slicecalc verify --seed 7` stdout: the PASS lines and the report
@@ -84,6 +86,38 @@ def test_errors_survive_a_pickle_round_trip(exc):
     assert type(back) is type(exc)
     assert str(back) == str(exc)
     assert vars(back) == vars(exc)
+
+
+def annulus_zbar():
+    return SliceFunction(CircularDomain.annulus("1/2", "1/4", 2), StemFunction.zbar(clifford(3)))
+
+
+# kernel values a check body may return or raise with, so a forked side pickles them
+VALUES = {
+    "element": lambda: AlgebraElement.one(QUATERNION),
+    "unit": lambda: sample_units(QUATERNION, 0, 4)[3],
+    "bump": lambda: BUILTINS["bump"](),  # a point function with a real-axis value
+    "slice-function": annulus_zbar,
+    "point-function": lambda: annulus_zbar().to_point_function(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_kernel_values_survive_a_pickle_round_trip(name):
+    value = VALUES[name]()
+    back = pickle.loads(pickle.dumps(value))
+    assert type(back) is type(value)
+    assert back == value
+    for slot in ("domain", "real_value"):
+        assert getattr(back, slot, None) == getattr(value, slot, None)
+
+
+def test_a_forked_side_sends_back_an_algebra_element(monkeypatch):
+    with usable_cpus(monkeypatch, {0, 1}), deadline(60):
+        assert campaign._can_fork()
+        sides = campaign._side_by_side(lambda: 1, lambda: AlgebraElement.one(QUATERNION), "x")
+    assert sides == (1, AlgebraElement.one(QUATERNION))
+    assert_no_child_left()
 
 
 def test_report_bytes_do_not_depend_on_the_usable_cpus(capsys, monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 
 from slicecalc.algebra import QUATERNION, clifford, sample_units
 from slicecalc.errors import PointOutsideDomainError
-from slicecalc.multipoly import CoordPoly, RationalFn
+from slicecalc.multipoly import CoordPoly, RationalFn, restrict_rf
 from slicecalc.named import (
     conjugate_coordinate,
     coordinate_function,
@@ -12,6 +12,8 @@ from slicecalc.named import (
     left_multiplied_coordinate,
     rotation_twisted_coordinate,
 )
+from slicecalc.operators import restrict_to_slice
+from slicecalc.polyanalytic import decompose
 from slicecalc.sampling import (
     rand_plane_point,
     rand_plane_points,
@@ -76,9 +78,9 @@ def test_domain_validation():
 
 def test_slice_eval_examples():
     x = coordinate_function(H)
-    assert x.stem.plane_poly(J_U).eval((2, 3)) == q(2, 0, 3, 0)
+    assert x.plane_poly(J_U).eval((2, 3)) == q(2, 0, 3, 0)
     xbar = conjugate_coordinate(H)
-    assert xbar.stem.plane_poly(I_U).eval((0, 1)) == q(0, -1, 0, 0)
+    assert xbar.plane_poly(I_U).eval((0, 1)) == q(0, -1, 0, 0)
     zb2 = zbar_power(2)
     assert zb2.plane_poly(K_U).eval((1, 1)) == q(0, 0, 0, -2)  # (1 - k)^2 = -2k
     for unit in (I_U, K_U):
@@ -129,11 +131,11 @@ def test_extraction_is_unit_independent_for_slice_functions():
 
 def test_slice_derivative_examples():
     x = coordinate_function(H)
-    assert x.derivative(1).stem.is_zero()
+    assert x.derivative(1).is_zero()
     xbar = conjugate_coordinate(H)
-    assert xbar.derivative(1).stem == constant_stem(H, 1)
+    assert xbar.derivative(1) == constant_stem(H, 1)
     zb2 = SliceFunction(DOM, zbar_power(2))
-    assert zb2.derivative(2).stem == constant_stem(H, 2)
+    assert zb2.derivative(2) == constant_stem(H, 2)
 
 
 def test_representation_formula_collapses_when_slices_agree():
@@ -188,7 +190,7 @@ def _probe_inputs(sig, rng):
         rand_point_polynomial(rng, sig, max_degree=3),
         rand_rational_point_function(rng, sig, max_degree=2),
         induced,
-        PointFunction(DOM, induced.expr + RationalFn.from_poly(x1 * x2 * x3)),
+        PointFunction(DOM, induced + RationalFn.from_poly(x1 * x2 * x3)),
     ]
 
 
@@ -279,7 +281,7 @@ def test_to_point_function_reads_cached_tables_without_changing_them(sig):
     stems = sample_stems(sig, "to-point-cache")
     for _ in range(2):  # from cold tables, then with every count cached
         for stem in stems:
-            got = SliceFunction(DOM, stem).to_point_function().expr.numer
+            got = SliceFunction(DOM, stem).to_point_function().numer
             want = point_poly_term_by_term(stem)
             assert (got.rows, got.den) == (want.rows, want.den)
     for table in (_s_powers, _im_s_powers):
@@ -294,7 +296,7 @@ def test_to_point_function_reads_cached_tables_without_changing_them(sig):
 @pytest.mark.parametrize("sig", [H, clifford(3), clifford(5)], ids=["H", "Cl3", "Cl5"])
 def test_to_point_function_matches_the_term_by_term_sum(sig):
     for stem in sample_stems(sig, "to-point-sum"):
-        got = SliceFunction(DOM, stem).to_point_function().expr
+        got = SliceFunction(DOM, stem).to_point_function()
         want = point_poly_term_by_term(stem)
         assert got.is_polynomial()
         assert (got.numer.rows, got.numer.den) == (want.rows, want.den)
@@ -316,3 +318,18 @@ def test_phi_int_and_phi_coords_give_the_point_alpha_plus_i_beta(sig):
         for alpha, beta in points:
             want = (alpha, *(c * beta for c in unit.components()))
             assert phi_coords(unit, alpha, beta) == want
+
+
+@pytest.mark.parametrize("sig", [H, clifford(3)], ids=["H", "Cl3"])
+def test_a_slice_function_is_its_stem_and_a_point_function_its_rational_function(sig):
+    stem = rand_stem(rng_for(0, "values-not-holders"), sig, 3)
+    f = SliceFunction(DOM, stem)
+    assert isinstance(f, StemFunction) and f == stem
+    order = stem.total_degree() + 1
+    assert decompose(f, order) == decompose(stem, order)
+    g = f.to_point_function()
+    assert isinstance(g, RationalFn) and g.domain is DOM
+    # compared by value: a second reading of the same function equals the first
+    assert g == f.to_point_function()
+    unit = sample_units(sig, 0, 2)[1]
+    assert restrict_rf(g, unit) == restrict_to_slice(g, unit)
